@@ -862,31 +862,37 @@ def save_model(model: AcousticModel, path) -> None:
 
 def load_model(path) -> AcousticModel:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MODEL_MAGIC:
+
+        def read(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated model file")
+            return data
+
+        if read(4) != MODEL_MAGIC:
             raise ValueError(f"{path}: not an acoustic model file")
-        version, is_tri = struct.unpack("<HH", fh.read(4))
+        version, is_tri = struct.unpack("<HH", read(4))
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        n_phones, n_states, dim, n_model_states = struct.unpack("<IIII", fh.read(16))
+        n_phones, n_states, dim, n_model_states = struct.unpack("<IIII", read(16))
         phones = []
         for _ in range(n_phones):
-            (length,) = struct.unpack("<H", fh.read(2))
-            phones.append(fh.read(length).decode("utf-8"))
+            (length,) = struct.unpack("<H", read(2))
+            phones.append(read(length).decode("utf-8"))
         transitions = np.frombuffer(
-            fh.read(n_model_states * 2 * 8), dtype="<f8"
+            read(n_model_states * 2 * 8), dtype="<f8"
         ).reshape(n_model_states, 2).copy()
         states = []
         for _ in range(n_model_states):
-            (k,) = struct.unpack("<I", fh.read(4))
-            weights = np.frombuffer(fh.read(k * 8), dtype="<f8").copy()
-            means = np.frombuffer(fh.read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
-            variances = np.frombuffer(fh.read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
+            (k,) = struct.unpack("<I", read(4))
+            weights = np.frombuffer(read(k * 8), dtype="<f8").copy()
+            means = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
+            variances = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
             states.append(GmmState(weights, means, variances))
-        (n_tri,) = struct.unpack("<I", fh.read(4))
+        (n_tri,) = struct.unpack("<I", read(4))
         tri_map = {}
         for _ in range(n_tri):
-            p, l, r, base = struct.unpack("<IIII", fh.read(16))
+            p, l, r, base = struct.unpack("<IIII", read(16))
             tri_map[(phones[p], phones[l], phones[r])] = base
     return AcousticModel(
         phones=tuple(phones),

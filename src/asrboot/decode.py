@@ -22,7 +22,6 @@ from .lexicon import Lexicon
 from .lm import BOS, EOS, NGramLM
 
 LN10 = math.log(10.0)
-LOG_ZERO = -1e30
 
 
 class DecodeError(RuntimeError):
@@ -113,12 +112,12 @@ class _Network:
     pos_state: np.ndarray  # model state id per position
     pos_node: np.ndarray  # tree node per position (-1 for SIL)
     is_exit: np.ndarray  # last HMM state of its phone
-    first_pos: dict[int, int]  # tree node -> its first position
-    children_pos: list[list[int]]  # tree node -> child first positions
-    sil_first: int
+    ends_word: np.ndarray  # exit of a tree node that carries words
+    succ_ptr: np.ndarray  # CSR row offsets into succ_pos, one row per position
+    succ_pos: np.ndarray  # first positions an exit enters (empty row if inner)
+    starts: np.ndarray  # positions entered at a word start: root children, SIL
+    start_prior: np.ndarray  # log prior of skipping / taking the silence
     sil_exit: int
-    root_children: list[int]  # positions entered at a word start
-    n_states: int
 
 
 def _resolve_states(
@@ -137,7 +136,10 @@ def _resolve_states(
     return model.states_for(node.phone, left, right)
 
 
-def _compile(model: AcousticModel, tree: LexTree, lexicon: Lexicon) -> _Network:
+def _compile(
+    model: AcousticModel, tree: LexTree, lexicon: Lexicon,
+    log_skip: float, log_take: float,
+) -> _Network:
     n_states = model.n_states
     pos_state: list[int] = []
     pos_node: list[int] = []
@@ -149,23 +151,33 @@ def _compile(model: AcousticModel, tree: LexTree, lexicon: Lexicon) -> _Network:
     sil_first = len(pos_state)
     pos_state.extend(model.states_for(lexicon.silence_phone))
     pos_node.extend([-1] * n_states)
-    pos_state_arr = np.array(pos_state, dtype=np.int64)
     is_exit = np.zeros(len(pos_state), dtype=bool)
     is_exit[n_states - 1 :: n_states] = True
-    children_pos = [
-        [first_pos[child] for _, child in sorted(node.children.items())]
-        for node in tree.nodes
-    ]
+
+    def entries(node: LexNode) -> list[int]:
+        return [first_pos[child] for _, child in sorted(node.children.items())]
+
+    # a phone exit enters its tree children; the SIL exit enters the root's
+    rows: list[list[int]] = [[] for _ in pos_state]
+    ends_word = np.zeros(len(pos_state), dtype=bool)
+    for idx, first in first_pos.items():
+        rows[first + n_states - 1] = entries(tree.nodes[idx])
+        ends_word[first + n_states - 1] = bool(tree.nodes[idx].words)
+    sil_exit = sil_first + n_states - 1
+    rows[sil_exit] = entries(tree.root)
+    succ_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    succ_ptr[1:] = np.cumsum([len(row) for row in rows])
+    starts = rows[sil_exit] + [sil_first]
     return _Network(
-        pos_state=pos_state_arr,
+        pos_state=np.array(pos_state, dtype=np.int64),
         pos_node=np.array(pos_node, dtype=np.int64),
         is_exit=is_exit,
-        first_pos=first_pos,
-        children_pos=children_pos,
-        sil_first=sil_first,
-        sil_exit=sil_first + n_states - 1,
-        root_children=children_pos[0],
-        n_states=n_states,
+        ends_word=ends_word,
+        succ_ptr=succ_ptr,
+        succ_pos=np.array([p for row in rows for p in row], dtype=np.int64),
+        starts=np.array(starts, dtype=np.int64),
+        start_prior=np.array([log_skip] * (len(starts) - 1) + [log_take]),
+        sil_exit=sil_exit,
     )
 
 
@@ -173,36 +185,44 @@ def _compile(model: AcousticModel, tree: LexTree, lexicon: Lexicon) -> _Network:
 # token passing
 
 class _Tokens:
-    """Struct-of-arrays token store."""
+    """Token store, one row per token.
 
-    __slots__ = ("pos", "hist", "score", "ascore", "lmscore", "ws", "bp")
+    ``ints`` columns: position, LM history id, word start frame, backpointer.
+    ``floats`` columns: total score, acoustic score, LM score (log10).
+    """
 
-    def __init__(self, pos, hist, score, ascore, lmscore, ws, bp):
-        self.pos = np.asarray(pos, dtype=np.int64)
-        self.hist = np.asarray(hist, dtype=np.int64)
-        self.score = np.asarray(score, dtype=np.float64)
-        self.ascore = np.asarray(ascore, dtype=np.float64)
-        self.lmscore = np.asarray(lmscore, dtype=np.float64)
-        self.ws = np.asarray(ws, dtype=np.int64)
-        self.bp = np.asarray(bp, dtype=np.int64)
+    __slots__ = ("ints", "floats")
+
+    def __init__(self, ints: np.ndarray, floats: np.ndarray):
+        self.ints = ints
+        self.floats = floats
+
+    pos = property(lambda self: self.ints[:, 0])
+    hist = property(lambda self: self.ints[:, 1])
+    bp = property(lambda self: self.ints[:, 3])
+    score = property(lambda self: self.floats[:, 0])
+    ascore = property(lambda self: self.floats[:, 1])
 
     def __len__(self):
-        return len(self.pos)
+        return len(self.ints)
 
     def take(self, idx) -> "_Tokens":
+        return _Tokens(self.ints[idx], self.floats[idx])
+
+    def moved(self, idx, pos, step) -> "_Tokens":
+        """Tokens `idx` moved to `pos`, with `step` added to total and
+        acoustic score; `idx` is an index array or mask, so this copies."""
+        ints, floats = self.ints[idx], self.floats[idx]
+        ints[:, 0] = pos
+        floats[:, :2] += step[:, None]
+        return _Tokens(ints, floats)
+
+    @staticmethod
+    def concat(parts: Sequence["_Tokens"]) -> "_Tokens":
         return _Tokens(
-            self.pos[idx], self.hist[idx], self.score[idx],
-            self.ascore[idx], self.lmscore[idx], self.ws[idx], self.bp[idx],
+            np.concatenate([p.ints for p in parts]),
+            np.concatenate([p.floats for p in parts]),
         )
-
-
-def _word_sequence(bp_table, bp: int) -> tuple[str, ...]:
-    words = []
-    while bp >= 0:
-        prev, word, _, _ = bp_table[bp]
-        words.append(word)
-        bp = prev
-    return tuple(reversed(words))
 
 
 class _Decoder:
@@ -210,18 +230,20 @@ class _Decoder:
         self.model = model
         self.lm = lm
         self.tree = tree
-        self.lexicon = lexicon
         self.cfg = cfg
-        self.net = _compile(model, tree, lexicon)
-        self.log_trans = model.log_transitions()
-        self.log_self = self.log_trans[self.net.pos_state, 0]
-        self.log_fwd = self.log_trans[self.net.pos_state, 1]
-        self.log_take = math.log(cfg.sil_prior)
+        self.lm_w = cfg.lm_scale * LN10
         self.log_skip = math.log(1.0 - cfg.sil_prior)
+        self.net = _compile(
+            model, tree, lexicon, self.log_skip, math.log(cfg.sil_prior)
+        )
+        log_trans = model.log_transitions()
+        self.log_self = log_trans[self.net.pos_state, 0]
+        self.log_fwd = log_trans[self.net.pos_state, 1]
         # LM histories: id -> truncated word tuple (starting from <s>)
         self.histories: list[tuple[str, ...]] = [(BOS,)]
         self.hist_ids: dict[tuple[str, ...], int] = {(BOS,): 0}
         self.lm_cache: dict[tuple[int, str], tuple[float, int]] = {}
+        # backpointers: (previous backpointer, word, start frame, end frame)
         self.bp_table: list[tuple[int, str, int, int]] = []
 
     def lm_step(self, hist_id: int, word: str) -> tuple[float, int]:
@@ -246,170 +268,133 @@ class _Decoder:
         return self.lm.logp(self.histories[hist_id], EOS)
 
     def decode(self, feats: FeatureMatrix) -> Hypothesis:
-        cfg = self.cfg
         net = self.net
         n_frames = feats.n_frames
         if n_frames == 0:
             raise DecodeError("no frames to decode")
         emis, col = state_logliks(self.model, feats.frames, net.pos_state)
         pos_col = np.array([col[int(s)] for s in net.pos_state])
-        lm_w = cfg.lm_scale * LN10
-
-        # frame 0: enter root children or leading silence
-        pos0 = np.array(net.root_children + [net.sil_first], dtype=np.int64)
-        prior0 = np.full(len(pos0), self.log_skip)
-        prior0[-1] = self.log_take
-        e0 = emis[0, pos_col[pos0]]
-        tokens = _Tokens(
-            pos=pos0,
-            hist=np.zeros(len(pos0), dtype=np.int64),
-            score=prior0 + e0,
-            ascore=prior0 + e0,
-            lmscore=np.zeros(len(pos0)),
-            ws=np.zeros(len(pos0), dtype=np.int64),
-            bp=np.full(len(pos0), -1, dtype=np.int64),
+        # frame 0 enters the word starts from one empty-history token
+        tokens = self._enter_starts(
+            _Tokens(np.array([[0, 0, 0, -1]]), np.zeros((1, 3)))
         )
-        tokens = self._prune(self._recombine(tokens))
-
-        for t in range(1, n_frames):
-            tokens = self._expand(tokens, t, emis, pos_col, lm_w)
-            if len(tokens) == 0:
-                raise DecodeError(f"beam emptied at frame {t}")
+        for t in range(n_frames):
+            if t:
+                tokens = self._expand(tokens, t)
+                if len(tokens) == 0:
+                    raise DecodeError(f"beam emptied at frame {t}")
+            tokens.floats[:, :2] += emis[t, pos_col[tokens.pos]][:, None]
             tokens = self._prune(self._recombine(tokens))
-        return self._finalize(tokens, n_frames, lm_w, feats.frame_shift)
+        return self._finalize(tokens, n_frames, feats.frame_shift)
 
     # -- expansion ---------------------------------------------------------
 
-    def _expand(self, tokens, t, emis, pos_col, lm_w):
+    def _expand(self, tokens: _Tokens, t: int) -> _Tokens:
+        """Self-loops, steps within a phone, phone entries, then word starts."""
         net = self.net
-        chunks = []
+        pos = tokens.pos
+        n = len(tokens)
+        # array methods, not np.* wrappers: with few tokens per frame, call
+        # overhead dominates
+        inner = (~net.is_exit[pos]).nonzero()[0]
+        lo = net.succ_ptr[pos]
+        count = net.succ_ptr[pos + 1] - lo
+        # the CSR rows of all tokens, flattened in token order
+        exit_src = np.arange(n).repeat(count)
+        edge = np.arange(len(exit_src)) + (lo - count.cumsum() + count).repeat(count)
+        src = np.concatenate([inner, exit_src])
+        moved = tokens.moved(
+            np.concatenate([np.arange(n), src]),
+            np.concatenate([pos, pos[inner] + 1, net.succ_pos[edge]]),
+            np.concatenate([self.log_self[pos], self.log_fwd[pos[src]]]),
+        )
+        ends = self._word_ends(tokens, t)
+        if len(ends) == 0:
+            return moved
+        return _Tokens.concat([moved, self._enter_starts(ends)])
 
-        # self loops
-        chunks.append((
-            tokens.pos, tokens.hist,
-            tokens.score + self.log_self[tokens.pos],
-            tokens.ascore + self.log_self[tokens.pos],
-            tokens.lmscore, tokens.ws, tokens.bp,
-        ))
-        # forward within a phone
-        inner = ~net.is_exit[tokens.pos]
-        if inner.any():
-            sub = tokens.take(inner)
-            step = self.log_fwd[sub.pos]
-            chunks.append((
-                sub.pos + 1, sub.hist, sub.score + step,
-                sub.ascore + step, sub.lmscore, sub.ws, sub.bp,
-            ))
-        # phone exits
-        exits = net.is_exit[tokens.pos]
-        if exits.any():
-            sub = tokens.take(exits)
-            chunks.extend(self._expand_exits(sub, t, lm_w))
+    def _enter_starts(self, tokens: _Tokens) -> _Tokens:
+        """Each token enters every word-start position with its silence prior."""
+        k = len(self.net.starts)
+        ints = tokens.ints.repeat(k, axis=0)
+        floats = tokens.floats.repeat(k, axis=0)
+        ints.reshape(-1, k, 4)[:, :, 0] = self.net.starts
+        floats.reshape(-1, k, 3)[:, :, :2] += self.net.start_prior[:, None]
+        return _Tokens(ints, floats)
 
-        pos = np.concatenate([c[0] for c in chunks])
-        hist = np.concatenate([c[1] for c in chunks])
-        score = np.concatenate([c[2] for c in chunks])
-        ascore = np.concatenate([c[3] for c in chunks])
-        lmscore = np.concatenate([c[4] for c in chunks])
-        ws = np.concatenate([c[5] for c in chunks])
-        bp = np.concatenate([c[6] for c in chunks])
-        e = emis[t, pos_col[pos]]
-        return _Tokens(pos, hist, score + e, ascore + e, lmscore, ws, bp)
+    def _word_ends(self, tokens: _Tokens, t: int) -> _Tokens:
+        """A token per word ending at an exit in `tokens`, closed at frame t.
 
-    def _expand_exits(self, sub, t, lm_w):
+        Applies the exit transition, the LM step and the insertion penalty,
+        and records the word's backpointer.
+        """
         net = self.net
-        tree = self.tree
-        chunks = []
-        starts = np.array(net.root_children + [net.sil_first], dtype=np.int64)
-        start_prior = np.full(len(starts), self.log_skip)
-        start_prior[-1] = self.log_take
-
-        ent_dst: list[int] = []  # entries that do not emit a word
-        ent_src: list[int] = []
-        # batched word-start entries: (score, ascore, lmscore, hist, bp)
-        pend_score, pend_asc, pend_lms, pend_hist, pend_bp = [], [], [], [], []
-
-        for i in range(len(sub)):
-            p = int(sub.pos[i])
-            if p == net.sil_exit:
-                # silence exit: straight into the next word
-                for child in net.root_children:
-                    ent_dst.append(child)
-                    ent_src.append(i)
-                continue
-            node_index = int(net.pos_node[p])
-            for child_pos in net.children_pos[node_index]:
-                ent_dst.append(child_pos)
-                ent_src.append(i)
-            words = tree.nodes[node_index].words
-            if words:
-                base = float(sub.score[i] + self.log_fwd[p])
-                base_a = float(sub.ascore[i] + self.log_fwd[p])
-                base_l = float(sub.lmscore[i])
-                for word in words:
-                    logp, new_hist = self.lm_step(int(sub.hist[i]), word)
-                    bp_id = len(self.bp_table)
-                    self.bp_table.append(
-                        (int(sub.bp[i]), word, int(sub.ws[i]), t)
-                    )
-                    pend_score.append(
-                        base + lm_w * logp + self.cfg.word_insertion_penalty
-                    )
-                    pend_asc.append(base_a + self.cfg.word_insertion_penalty)
-                    pend_lms.append(base_l + logp)
-                    pend_hist.append(new_hist)
-                    pend_bp.append(bp_id)
-
-        if ent_dst:
-            src = np.array(ent_src, dtype=np.int64)
-            step = self.log_fwd[sub.pos[src]]
-            chunks.append((
-                np.array(ent_dst, dtype=np.int64), sub.hist[src],
-                sub.score[src] + step, sub.ascore[src] + step,
-                sub.lmscore[src], sub.ws[src], sub.bp[src],
-            ))
-        if pend_score:
-            n = len(pend_score)
-            k = len(starts)
-            chunks.append((
-                np.tile(starts, n),
-                np.repeat(np.array(pend_hist, dtype=np.int64), k),
-                np.repeat(np.array(pend_score), k) + np.tile(start_prior, n),
-                np.repeat(np.array(pend_asc), k) + np.tile(start_prior, n),
-                np.repeat(np.array(pend_lms), k),
-                np.full(n * k, t, dtype=np.int64),
-                np.repeat(np.array(pend_bp, dtype=np.int64), k),
-            ))
-        return chunks
+        idx = net.ends_word[tokens.pos].nonzero()[0]
+        if len(idx) == 0:
+            return tokens.take(idx)
+        src: list[int] = []
+        hist: list[int] = []
+        logp: list[float] = []
+        bp: list[int] = []
+        for i, (p, h, ws, prev) in zip(idx.tolist(), tokens.ints[idx].tolist()):
+            for word in self.tree.nodes[net.pos_node[p]].words:
+                word_logp, new_hist = self.lm_step(h, word)
+                src.append(i)
+                hist.append(new_hist)
+                logp.append(word_logp)
+                bp.append(len(self.bp_table))
+                self.bp_table.append((prev, word, ws, t))
+        rows = np.array(src, dtype=np.int64)
+        pos = tokens.pos[rows]
+        ends = tokens.moved(rows, pos, self.log_fwd[pos])
+        ends.floats[:, 0] += self.lm_w * np.array(logp)
+        ends.floats[:, :2] += self.cfg.word_insertion_penalty
+        ends.floats[:, 2] += logp
+        ends.ints[:, 1] = hist
+        ends.ints[:, 2] = t
+        ends.ints[:, 3] = bp
+        return ends
 
     # -- recombination and pruning ------------------------------------------
 
-    def _recombine(self, tokens: _Tokens) -> _Tokens:
-        if len(tokens) <= 1:
-            return tokens
-        key = tokens.pos * (len(self.histories) + 1) + tokens.hist
-        order = np.lexsort((-tokens.ascore, -tokens.score, key))
-        key_sorted = key[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = key_sorted[1:] != key_sorted[:-1]
-        keep = order[first]
+    def _backtrace(self, bp: int) -> list[tuple[int, str, int, int]]:
+        """Backpointer entries of a word sequence, first word first."""
+        trace = []
+        while bp >= 0:
+            trace.append(self.bp_table[bp])
+            bp = trace[-1][0]
+        return trace[::-1]
 
-        # exact (score, ascore) ties: pick the lexicographically earlier words
-        dup = ~first
-        if dup.any():
-            kept_at = np.flatnonzero(first)
-            groups = np.searchsorted(kept_at, np.flatnonzero(dup), side="right") - 1
-            for j, group in zip(np.flatnonzero(dup), groups):
-                a, b = keep[group], order[j]
-                if (
-                    tokens.score[b] == tokens.score[a]
-                    and tokens.ascore[b] == tokens.ascore[a]
-                ):
-                    wa = _word_sequence(self.bp_table, int(tokens.bp[a]))
-                    wb = _word_sequence(self.bp_table, int(tokens.bp[b]))
-                    if wb < wa:
-                        keep[group] = b
-        return tokens.take(np.sort(keep))
+    def _words(self, i: int, tokens: _Tokens) -> list[str]:
+        return [entry[1] for entry in self._backtrace(int(tokens.bp[i]))]
+
+    def _best(self, key: np.ndarray, tokens: _Tokens) -> np.ndarray:
+        """Index of the best token per key, in key order.
+
+        Higher total score wins, then higher acoustic score, then the
+        lexicographically earlier word sequence, then the earlier token.
+        """
+        order = np.lexsort((-tokens.ascore, -tokens.score, key))
+        key, score, ascore = key[order], tokens.score[order], tokens.ascore[order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = key[1:] != key[:-1]
+        keep = order[head]
+        # a token tied on both scores with its predecessor is tied with its head
+        tied = 1 + (
+            ~head[1:] & (score[1:] == score[:-1]) & (ascore[1:] == ascore[:-1])
+        ).nonzero()[0]
+        if len(tied):
+            group = head.cumsum() - 1
+            for j in tied:
+                g = group[j]
+                if self._words(order[j], tokens) < self._words(keep[g], tokens):
+                    keep[g] = order[j]
+        return keep
+
+    def _recombine(self, tokens: _Tokens) -> _Tokens:
+        """Keep the best token per (position, LM history)."""
+        key = tokens.pos * (len(self.histories) + 1) + tokens.hist
+        return tokens.take(np.sort(self._best(key, tokens)))
 
     def _prune(self, tokens: _Tokens) -> _Tokens:
         if len(tokens) == 0:
@@ -424,79 +409,33 @@ class _Decoder:
 
     # -- finalization --------------------------------------------------------
 
-    def _finalize(self, tokens, n_frames, lm_w, frame_shift) -> Hypothesis:
-        net = self.net
-        tree = self.tree
-        best = None
-        for i in range(len(tokens)):
-            p = int(tokens.pos[i])
-            if not net.is_exit[p]:
-                continue
-            base = float(tokens.score[i] + self.log_fwd[p])
-            base_a = float(tokens.ascore[i] + self.log_fwd[p])
-            base_l = float(tokens.lmscore[i])
-            if p == net.sil_exit:
-                eos = self.eos_logp(int(tokens.hist[i]))
-                cand = (
-                    base + lm_w * eos, base_a, base_l + eos,
-                    int(tokens.bp[i]),
-                )
-                best = self._better(best, cand)
-                continue
-            node = tree.nodes[int(net.pos_node[p])]
-            for word in node.words:
-                logp, new_hist = self.lm_step(int(tokens.hist[i]), word)
-                eos = self.eos_logp(new_hist)
-                bp_id = len(self.bp_table)
-                self.bp_table.append(
-                    (int(tokens.bp[i]), word, int(tokens.ws[i]), n_frames)
-                )
-                cand = (
-                    base + self.log_skip
-                    + lm_w * (logp + eos)
-                    + self.cfg.word_insertion_penalty,
-                    base_a + self.log_skip + self.cfg.word_insertion_penalty,
-                    base_l + logp + eos,
-                    bp_id,
-                )
-                best = self._better(best, cand)
-        if best is None:
+    def _finalize(
+        self, tokens: _Tokens, n_frames: int, frame_shift: float
+    ) -> Hypothesis:
+        """Best utterance end: a SIL exit, or a word that ends at the last frame."""
+        at_sil = (tokens.pos == self.net.sil_exit).nonzero()[0]
+        sil = tokens.moved(at_sil, self.net.sil_exit, self.log_fwd[tokens.pos[at_sil]])
+        ends = self._word_ends(tokens, n_frames)
+        ends.floats[:, :2] += self.log_skip
+        cands = _Tokens.concat([sil, ends])
+        if len(cands) == 0:
             raise DecodeError("no token reached an utterance-final state")
-        total, ascore, lmscore, bp = best
-        words = []
-        intervals = []
-        cursor = bp
-        while cursor >= 0:
-            prev, word, ws, we = self.bp_table[cursor]
-            words.append(word)
-            intervals.append(
-                Interval(word, ws * frame_shift, we * frame_shift)
-            )
-            cursor = prev
-        words.reverse()
-        intervals.reverse()
+        eos = np.array([self.eos_logp(h) for h in cands.hist.tolist()])
+        cands.floats[:, 0] += self.lm_w * eos
+        cands.floats[:, 2] += eos
+        (best,) = self._best(np.zeros(len(cands), dtype=np.int64), cands)
+        total, ascore, lmscore = cands.floats[best].tolist()
+        trace = self._backtrace(int(cands.bp[best]))
         return Hypothesis(
-            words=tuple(words),
-            word_intervals=tuple(intervals),
+            words=tuple(word for _, word, _, _ in trace),
+            word_intervals=tuple(
+                Interval(word, ws * frame_shift, we * frame_shift)
+                for _, word, ws, we in trace
+            ),
             acoustic_score=ascore,
             lm_score=lmscore,
             total_score=total,
         )
-
-    def _better(self, best, cand):
-        if best is None:
-            return cand
-        if cand[0] > best[0]:
-            return cand
-        if cand[0] == best[0]:
-            if cand[1] > best[1]:
-                return cand
-            if cand[1] == best[1]:
-                wa = _word_sequence(self.bp_table, best[3])
-                wb = _word_sequence(self.bp_table, cand[3])
-                if wb < wa:
-                    return cand
-        return best
 
 
 def decode(

@@ -95,15 +95,14 @@ def align_edit(ref: Sequence[str], hyp: Sequence[str]) -> EditScript:
     dist = np.zeros((n + 1, m + 1), dtype=np.int32)
     dist[:, 0] = np.arange(n + 1)
     dist[0, :] = np.arange(m + 1)
+    hyp_arr = np.asarray(hyp)
+    cols = np.arange(m + 1)
     for i in range(1, n + 1):
-        sub_cost = dist[i - 1, :-1] + (np.asarray(hyp) != ref[i - 1])
+        sub_cost = dist[i - 1, :-1] + (hyp_arr != ref[i - 1])
         up = dist[i - 1, 1:] + 1
-        best = np.minimum(sub_cost, up)
-        # left moves need a sequential pass: running min with +1 per step
-        row = dist[i]
-        row[0] = i
-        for j in range(1, m + 1):
-            row[j] = min(best[j - 1], row[j - 1] + 1)
+        cand = np.concatenate(([i], np.minimum(sub_cost, up)))
+        # left chain: running min of (candidate - j), then + j
+        dist[i] = np.minimum.accumulate(cand - cols) + cols
 
     ops: list[EditOp] = []
     i, j = n, m

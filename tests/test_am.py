@@ -354,6 +354,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not an acoustic model"):
             load_model(path)
 
+    def test_truncated_file_at_every_offset(self, tmp_path):
+        model = toy_model(n_states=1)
+        model.tri_map[("A", "SIL", "B")] = 0
+        full = tmp_path / "model.bin"
+        save_model(model, full)
+        raw = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for offset in range(len(raw)):
+            cut.write_bytes(raw[:offset])
+            with pytest.raises(ValueError, match="truncated model file"):
+                load_model(cut)
+
 
 class TestCtm:
     def test_export_format(self, ab_lexicon, tmp_path):

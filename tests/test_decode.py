@@ -205,6 +205,21 @@ class TestExhaustiveEquivalence:
             assert got == pytest.approx(oracle, abs=1e-9)
 
 
+class TestTieRule:
+    def test_homophones_tie_to_earlier_word(self):
+        lex, _ = graphemic_lexicon(["AB", "A-B", "B"])
+        assert lex.pron("AB") == lex.pron("A-B")
+        model = toy_model()
+        lm = uniform_lm(["AB", "A-B", "B"])
+        tree = build_prefix_tree(lex)
+        feats, _ = generate_utterance(
+            model, lex, ("AB", "B"), frames_per_state=4, seed=0, gap_sil=3,
+        )
+        hyp = decode(model, lm, tree, feats, DecodeConfig(beam=50.0),
+                     lexicon=lex)
+        assert hyp.words == ("A-B", "B")
+
+
 class TestLmScaleZero:
     def test_output_independent_of_lm(self, ab_lexicon):
         model = toy_model()
