@@ -365,9 +365,6 @@ class _Decoder:
             bp = trace[-1][0]
         return trace[::-1]
 
-    def _words(self, i: int, tokens: _Tokens) -> list[str]:
-        return [entry[1] for entry in self._backtrace(int(tokens.bp[i]))]
-
     def _best(self, key: np.ndarray, tokens: _Tokens) -> np.ndarray:
         """Index of the best token per key, in key order.
 
@@ -379,16 +376,18 @@ class _Decoder:
         head = np.ones(len(order), dtype=bool)
         head[1:] = key[1:] != key[:-1]
         keep = order[head]
-        # a token tied on both scores with its predecessor is tied with its head
-        tied = 1 + (
-            ~head[1:] & (score[1:] == score[:-1]) & (ascore[1:] == ascore[:-1])
-        ).nonzero()[0]
-        if len(tied):
-            group = head.cumsum() - 1
-            for j in tied:
-                g = group[j]
-                if self._words(order[j], tokens) < self._words(keep[g], tokens):
-                    keep[g] = order[j]
+        group = head.cumsum() - 1
+        first = head.nonzero()[0][group]
+        # tokens tied on both scores with the head of their group
+        tied = (~head & (score == score[first]) & (ascore == ascore[first])).nonzero()[0]
+        for j in tied:
+            g = group[j]
+            cand, kept = (
+                [e[1] for e in self._backtrace(int(tokens.bp[i]))]
+                for i in (order[j], keep[g])
+            )
+            if cand < kept:
+                keep[g] = order[j]
         return keep
 
     def _recombine(self, tokens: _Tokens) -> _Tokens:

@@ -8,6 +8,8 @@ from conftest import DIM, feats_from, generate_utterance, toy_model
 from asrboot.decode import (
     DecodeConfig,
     DecodeError,
+    _Decoder,
+    _Tokens,
     build_prefix_tree,
     decode,
     decode_corpus,
@@ -218,6 +220,25 @@ class TestTieRule:
         hyp = decode(model, lm, tree, feats, DecodeConfig(beam=50.0),
                      lexicon=lex)
         assert hyp.words == ("A-B", "B")
+
+    def test_tie_below_the_best_does_not_win(self, ab_lexicon):
+        # group 0 scores [-100, -110, -110]: the tied pair sits below the
+        # best and has the earlier word sequences; group 1 ties at the top
+        dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
+                       build_prefix_tree(ab_lexicon), ab_lexicon,
+                       DecodeConfig())
+        dec.bp_table = [(-1, "B", 0, 5), (-1, "A", 0, 5), (1, "A", 5, 9)]
+        bp = [0, 2, 1, 0, 1]
+        ints = np.array([[0, 0, 0, b] for b in bp])
+        floats = np.array([
+            [-100.0, -90.0, 0.0],
+            [-110.0, -95.0, 0.0],
+            [-110.0, -95.0, 0.0],
+            [-50.0, -40.0, 0.0],
+            [-50.0, -40.0, 0.0],
+        ])
+        key = np.array([0, 0, 0, 1, 1])
+        assert dec._best(key, _Tokens(ints, floats)).tolist() == [0, 4]
 
 
 class TestLmScaleZero:
