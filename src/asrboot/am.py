@@ -60,9 +60,11 @@ class GmmState:
         out = np.empty((t, self.n_components))
         for k in range(self.n_components):
             var = self.variances[k]
-            gconst = -0.5 * np.sum(np.log(2.0 * np.pi * var))
+            gconst = -0.5 * np.log(2.0 * np.pi * var).sum()
             diff = frames - self.means[k]
-            out[:, k] = gconst - 0.5 * np.sum(diff * diff / var, axis=1)
+            diff *= diff
+            diff /= var
+            out[:, k] = gconst - 0.5 * diff.sum(axis=1)
         return out
 
     def loglik(self, frames: np.ndarray) -> np.ndarray:
@@ -71,7 +73,7 @@ class GmmState:
         logw = np.log(np.maximum(self.weights, 1e-300))
         shifted = comp + logw
         peak = shifted.max(axis=1, keepdims=True)
-        return (peak + np.log(np.sum(np.exp(shifted - peak), axis=1, keepdims=True)))[
+        return (peak + np.log(np.exp(shifted - peak).sum(axis=1, keepdims=True)))[
             :, 0
         ]
 
@@ -189,6 +191,17 @@ class GraphError(ValueError):
     pass
 
 
+def _word_contexts(word: str, lexicon: Lexicon) -> list[tuple[str, str, str]]:
+    """(phone, left, right) per phone of a word, SIL at the word edges.
+
+    Contexts are static and word-internal; a word missing from the
+    lexicon takes the unknown word's pronunciation.
+    """
+    pron = lexicon.pron(word if word in lexicon else lexicon.unk_word)
+    padded = (lexicon.silence_phone, *pron, lexicon.silence_phone)
+    return list(zip(pron, padded[:-2], padded[2:]))
+
+
 def compile_align_graph(
     tokens: Sequence[str],
     lexicon: Lexicon,
@@ -210,17 +223,16 @@ def compile_align_graph(
         raise GraphError(f"words not in lexicon: {missing[:5]}")
     sil = lexicon.silence_phone
 
-    # phone instances with static triphone contexts (SIL at word edges)
+    # phone instances with static triphone contexts
     instances: list[PhoneInstance] = []
     word_start_instance: list[int] = []
     word_end_instance: list[int] = []
     for w_idx, word in enumerate(words):
-        pron = lexicon.pron(word if word in lexicon else lexicon.unk_word)
         word_start_instance.append(len(instances))
-        for g_idx, phone in enumerate(pron):
-            left = pron[g_idx - 1] if g_idx > 0 else sil
-            right = pron[g_idx + 1] if g_idx + 1 < len(pron) else sil
-            instances.append(PhoneInstance(phone, w_idx, left, right))
+        instances.extend(
+            PhoneInstance(phone, w_idx, left, right)
+            for phone, left, right in _word_contexts(word, lexicon)
+        )
         word_end_instance.append(len(instances) - 1)
 
     n_states = model.n_states
@@ -378,7 +390,7 @@ def state_logliks(
     model: AcousticModel, frames: np.ndarray, state_ids: Iterable[int]
 ) -> tuple[np.ndarray, dict[int, int]]:
     """(T, U) emission matrix for the unique states, plus id -> column map."""
-    unique = sorted(set(int(s) for s in state_ids))
+    unique = np.unique(np.fromiter(state_ids, dtype=np.int64)).tolist()
     emis = np.empty((frames.shape[0], len(unique)))
     col = {}
     for j, sid in enumerate(unique):
@@ -396,20 +408,24 @@ def viterbi_path(
     """Best node path through the graph, or None if nothing survives."""
     t_frames = frames.shape[0]
     emis, col = state_logliks(model, frames, graph.node_state)
-    node_col = np.array([col[int(s)] for s in graph.node_state])
+    # (T, M): the emission of every graph node on every frame
+    node_emis = emis[:, [col[s] for s in graph.node_state.tolist()]]
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
     m = len(graph.node_state)
 
     dp = np.full(m, LOG_ZERO)
-    dp[graph.entry_nodes] = graph.entry_prior + emis[0, node_col[graph.entry_nodes]]
+    dp[graph.entry_nodes] = graph.entry_prior + node_emis[0, graph.entry_nodes]
     lanes = np.zeros((t_frames, m), dtype=np.uint8)
     safe_src = np.maximum(graph.lane_src, 0)
+    rows = np.arange(m)
     for t in range(1, t_frames):
-        cand = dp[safe_src] + lane_logp
-        best_lane = np.argmax(cand, axis=1)
-        dp = cand[np.arange(m), best_lane] + emis[t, node_col]
+        cand = dp.take(safe_src)
+        cand += lane_logp
+        best_lane = cand.argmax(axis=1)
         lanes[t] = best_lane
+        dp = cand[rows, best_lane]
+        dp += node_emis[t]
         if beam is not None:
             peak = dp.max()
             if peak <= LOG_ZERO / 2:
@@ -593,23 +609,26 @@ def _rescore_path(
     path: np.ndarray,
     frames: np.ndarray,
 ) -> float:
-    """Path log-likelihood under the model (same path, possibly new params)."""
-    emis, col = state_logliks(model, frames, graph.node_state[path])
-    node_col = {int(n): col[int(graph.node_state[n])] for n in set(path.tolist())}
+    """Path log-likelihood under the model (same path, possibly new params).
+
+    Only the aligned state is scored on each frame.  The terms are summed
+    one after another in path order (entry, then emission and arc per
+    frame, then exit), the order in which ``viterbi_path`` adds them.
+    """
+    state_ids = graph.node_state[path]
+    emis = np.empty(len(path))
+    for sid in np.unique(state_ids).tolist():
+        rows = state_ids == sid
+        emis[rows] = model.states[sid].loglik(frames[rows])
     log_trans = model.log_transitions()
-    total = 0.0
-    entry_idx = int(np.where(graph.entry_nodes == path[0])[0][0])
-    total += graph.entry_prior[entry_idx]
-    total += emis[0, node_col[int(path[0])]]
-    lane_logp = graph.lane_logp(log_trans)
-    for t in range(1, len(path)):
-        dst, src = int(path[t]), int(path[t - 1])
-        lane = int(np.where(graph.lane_src[dst] == src)[0][0])
-        total += lane_logp[dst, lane]
-        total += emis[t, node_col[dst]]
-    final_idx = int(np.where(graph.final_nodes == path[-1])[0][0])
-    total += graph.final_logp(log_trans)[final_idx]
-    return float(total)
+    # the first lane whose source is the previous node
+    lanes = (graph.lane_src[path[1:]] == path[:-1, None]).argmax(axis=1)
+    terms = np.empty(2 * len(path) + 1)
+    terms[0] = graph.entry_prior[(graph.entry_nodes == path[0]).argmax()]
+    terms[1::2] = emis
+    terms[2:-1:2] = graph.lane_logp(log_trans)[path[1:], lanes]
+    terms[-1] = graph.final_logp(log_trans)[(graph.final_nodes == path[-1]).argmax()]
+    return float(np.cumsum(terms)[-1])
 
 
 def _accumulate(
@@ -623,7 +642,7 @@ def _accumulate(
     acc_trans,
 ) -> None:
     state_ids = graph.node_state[path]
-    for sid in set(int(s) for s in state_ids):
+    for sid in np.unique(state_ids).tolist():
         rows = frames[state_ids == sid]
         gamma = model.states[sid].responsibilities(rows)
         acc_gamma[sid] += gamma.sum(axis=0)
@@ -755,15 +774,7 @@ def triphone_context_sequence(
     tokens: Sequence[str], lexicon: Lexicon
 ) -> list[tuple[str, str, str]]:
     """Static word-internal contexts; SIL stands in at word boundaries."""
-    sil = lexicon.silence_phone
-    contexts = []
-    for word in tokens:
-        pron = lexicon.pron(word if word in lexicon else lexicon.unk_word)
-        for i, phone in enumerate(pron):
-            left = pron[i - 1] if i > 0 else sil
-            right = pron[i + 1] if i + 1 < len(pron) else sil
-            contexts.append((phone, left, right))
-    return contexts
+    return [ctx for word in tokens for ctx in _word_contexts(word, lexicon)]
 
 
 def count_context_occupancy(

@@ -41,6 +41,8 @@ class DecodeConfig:
             raise ValueError("beam must be > 0")
         if self.max_active < 1:
             raise ValueError("max_active must be >= 1")
+        if not 0.0 < self.sil_prior < 1.0:
+            raise ValueError(f"sil_prior must be in (0, 1), got {self.sil_prior}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ from conftest import DIM, feats_from, generate_utterance, toy_model
 from asrboot.am import (
     AlignFailure,
     AlignmentPath,
+    GmmState,
     TrainSchedule,
+    _rescore_path,
     align_corpus,
+    compile_align_graph,
     count_context_occupancy,
     export_ctm,
     flat_start,
@@ -20,6 +23,7 @@ from asrboot.am import (
     save_model,
     train,
     train_triphone,
+    viterbi_path,
 )
 from asrboot.lexicon import graphemic_lexicon
 
@@ -251,6 +255,88 @@ class TestTraining:
         data = [(feats_from(np.zeros((4, DIM))), ("ABA",))]
         with pytest.raises(RuntimeError, match="failed alignment"):
             train(model, data, ab_lexicon, TrainSchedule(n_iters=1))
+
+
+def rescore_frame_by_frame(model, graph, path, frames):
+    """Reference path score: every state over every frame, one frame at
+    a time, in the order entry, (arc, emission) per frame, exit."""
+    emis = {
+        sid: model.states[sid].loglik(frames)
+        for sid in set(graph.node_state[path].tolist())
+    }
+    log_trans = model.log_transitions()
+    lane_logp = graph.lane_logp(log_trans)
+    total = 0.0
+    total += graph.entry_prior[list(graph.entry_nodes).index(path[0])]
+    total += emis[graph.node_state[path[0]]][0]
+    for t in range(1, len(path)):
+        dst, src = int(path[t]), int(path[t - 1])
+        total += lane_logp[dst, list(graph.lane_src[dst]).index(src)]
+        total += emis[graph.node_state[dst]][t]
+    total += graph.final_logp(log_trans)[list(graph.final_nodes).index(path[-1])]
+    return float(total)
+
+
+def noisy_data(model, lexicon, tokens, n, seed):
+    rng = np.random.default_rng(seed)
+    data = []
+    for i in range(n):
+        feats, _ = generate_utterance(
+            model, lexicon, tokens, seed=seed + i, frames_per_state=3, gap_sil=2
+        )
+        noisy = feats.frames + 2.0 * rng.standard_normal(feats.frames.shape)
+        data.append((feats_from(noisy), tokens))
+    return data
+
+
+class TestRescoring:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_best_path_rescores_to_viterbi_total(self, seed, ab_lexicon):
+        model = toy_model(spread=2.0)
+        rng = np.random.default_rng(seed)
+        model.transitions[:, 0] = rng.uniform(0.2, 0.8, len(model.transitions))
+        model.transitions[:, 1] = 1.0 - model.transitions[:, 0]
+        tokens = ("AB", "BA", "ABA")
+        ((feats, _),) = noisy_data(model, ab_lexicon, tokens, 1, seed)
+        graph = compile_align_graph(tokens, ab_lexicon, model)
+        path, total = viterbi_path(graph, model, feats.frames)
+        assert _rescore_path(model, graph, path, feats.frames) == total
+
+    def test_trace_post_matches_frame_by_frame_rescoring(self, ab_lexicon):
+        model = grow_mixtures(toy_model(spread=2.0), max_gauss=2)
+        tokens = ("AB", "A", "BA")
+        data = noisy_data(model, ab_lexicon, tokens, 3, seed=7)
+        graphs = [compile_align_graph(tokens, ab_lexicon, model) for _ in data]
+        start = model
+        for n in range(1, 4):
+            result = train(
+                model, data, ab_lexicon, TrainSchedule(n_iters=n, split_iters=())
+            )
+            paths = [
+                viterbi_path(g, start, f.frames)[0] for (f, _), g in zip(data, graphs)
+            ]
+            expected = sum(
+                rescore_frame_by_frame(result.model, g, p, f.frames)
+                for (f, _), g, p in zip(data, graphs, paths)
+            )
+            assert result.loglik_trace[-1][1] == expected
+            start = result.model
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loglik_rows_are_independent(self, seed):
+        rng = np.random.default_rng(seed)
+        k, dim = 4, 39
+        state = GmmState(
+            weights=rng.dirichlet(np.ones(k)),
+            means=rng.standard_normal((k, dim)),
+            variances=rng.uniform(0.2, 2.0, (k, dim)),
+        )
+        frames = 3.0 * rng.standard_normal((301, dim))
+        rows = rng.random(len(frames)) < 0.3
+        assert (
+            state.loglik(frames[rows]).tobytes()
+            == state.loglik(frames)[rows].tobytes()
+        )
 
 
 class TestAlignCorpus:

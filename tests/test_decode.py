@@ -339,3 +339,13 @@ class TestDecodeErrors:
             DecodeConfig(beam=0.0)
         with pytest.raises(ValueError):
             DecodeConfig(max_active=0)
+
+    @pytest.mark.parametrize("sil_prior", [0.0, 1.0, 1.5])
+    def test_sil_prior_outside_unit_interval_rejected(self, sil_prior, ab_lexicon):
+        model = toy_model()
+        feats, _ = generate_utterance(model, ab_lexicon, ("A", "B"))
+        with pytest.raises(ValueError, match=r"sil_prior must be in \(0, 1\)"):
+            decode(
+                model, uniform_lm(["A", "B"]), build_prefix_tree(ab_lexicon),
+                feats, DecodeConfig(sil_prior=sil_prior), lexicon=ab_lexicon,
+            )
