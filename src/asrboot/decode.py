@@ -1,10 +1,16 @@
 """Time-synchronous beam-search decoding over a lexicon prefix tree.
 
-Tokens carry (tree position, HMM state, LM history, scores, backtrace);
-the n-gram LM is applied at word boundaries, scaled into natural log.
-Pruning is a log-likelihood beam plus a max-active token cap per frame.
-Ties break on higher acoustic score, then lexicographically earlier word
-sequence, so decoding is deterministic.
+Tokens are plain tuples (tree position, LM history, word start frame,
+backpointer, total, acoustic and LM scores) in Python lists: a frame holds
+a few dozen tokens, where list indexing costs far less than a numpy call
+(numpy catches up at a few hundred tokens per frame).  The n-gram LM is
+applied at word boundaries, scaled into natural log.  Recombination keeps
+one token per (position, LM history): the higher total score, then the
+higher acoustic score, then the lexicographically earlier word sequence,
+then the earlier token.  Pruning is a log-likelihood beam plus a cap that
+keeps the `max_active` highest totals, the earlier token winning a tie at
+the cut.  Scores are added in a fixed order, so decoding is deterministic
+bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .am import AcousticModel, Interval, state_logliks
 from .features import FeatureMatrix
@@ -109,16 +113,17 @@ def build_prefix_tree(lexicon: Lexicon, include_unk: bool = False) -> LexTree:
 
 @dataclass
 class _Network:
-    """Flattened (tree node, hmm state) positions plus SIL positions."""
+    """Flattened (tree node, hmm state) positions plus SIL positions, as
+    plain lists indexed by position."""
 
-    pos_state: np.ndarray  # model state id per position
-    pos_node: np.ndarray  # tree node per position (-1 for SIL)
-    is_exit: np.ndarray  # last HMM state of its phone
-    ends_word: np.ndarray  # exit of a tree node that carries words
-    succ_ptr: np.ndarray  # CSR row offsets into succ_pos, one row per position
-    succ_pos: np.ndarray  # first positions an exit enters (empty row if inner)
-    starts: np.ndarray  # positions entered at a word start: root children, SIL
-    start_prior: np.ndarray  # log prior of skipping / taking the silence
+    pos_state: list[int]  # model state id per position
+    is_exit: list[bool]  # last HMM state of its phone
+    succ: list[list[int]]  # next state of an inner position; entries of an exit
+    ends_word: list[list[str]]  # words ending at an exit (empty if none)
+    starts: list[tuple[int, float]]  # word-start positions (root children,
+    # SIL) with the log prior of skipping / taking the silence
+    log_self: list[float]  # self-loop log probability per position
+    log_fwd: list[float]  # forward log probability per position
     sil_exit: int
 
 
@@ -144,103 +149,58 @@ def _compile(
 ) -> _Network:
     n_states = model.n_states
     pos_state: list[int] = []
-    pos_node: list[int] = []
     first_pos: dict[int, int] = {}
     for idx in range(1, tree.n_nodes):
         first_pos[idx] = len(pos_state)
         pos_state.extend(_resolve_states(model, tree, idx, lexicon))
-        pos_node.extend([idx] * n_states)
     sil_first = len(pos_state)
     pos_state.extend(model.states_for(lexicon.silence_phone))
-    pos_node.extend([-1] * n_states)
-    is_exit = np.zeros(len(pos_state), dtype=bool)
-    is_exit[n_states - 1 :: n_states] = True
+    n_pos = len(pos_state)
+    is_exit = [p % n_states == n_states - 1 for p in range(n_pos)]
 
     def entries(node: LexNode) -> list[int]:
         return [first_pos[child] for _, child in sorted(node.children.items())]
 
     # a phone exit enters its tree children; the SIL exit enters the root's
-    rows: list[list[int]] = [[] for _ in pos_state]
-    ends_word = np.zeros(len(pos_state), dtype=bool)
+    succ = [[] if is_exit[p] else [p + 1] for p in range(n_pos)]
+    ends_word: list[list[str]] = [[] for _ in range(n_pos)]
     for idx, first in first_pos.items():
-        rows[first + n_states - 1] = entries(tree.nodes[idx])
-        ends_word[first + n_states - 1] = bool(tree.nodes[idx].words)
+        succ[first + n_states - 1] = entries(tree.nodes[idx])
+        ends_word[first + n_states - 1] = tree.nodes[idx].words
     sil_exit = sil_first + n_states - 1
-    rows[sil_exit] = entries(tree.root)
-    succ_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    succ_ptr[1:] = np.cumsum([len(row) for row in rows])
-    starts = rows[sil_exit] + [sil_first]
+    succ[sil_exit] = entries(tree.root)
+    log_trans = model.log_transitions()[pos_state]
     return _Network(
-        pos_state=np.array(pos_state, dtype=np.int64),
-        pos_node=np.array(pos_node, dtype=np.int64),
+        pos_state=pos_state,
         is_exit=is_exit,
+        succ=succ,
         ends_word=ends_word,
-        succ_ptr=succ_ptr,
-        succ_pos=np.array([p for row in rows for p in row], dtype=np.int64),
-        starts=np.array(starts, dtype=np.int64),
-        start_prior=np.array([log_skip] * (len(starts) - 1) + [log_take]),
+        starts=[(p, log_skip) for p in succ[sil_exit]] + [(sil_first, log_take)],
+        log_self=log_trans[:, 0].tolist(),
+        log_fwd=log_trans[:, 1].tolist(),
         sil_exit=sil_exit,
     )
 
 
 # ---------------------------------------------------------------------------
 # token passing
+#
+# A token is a tuple (position, LM history id, word start frame,
+# backpointer, total score, acoustic score, LM score in log10).
 
-class _Tokens:
-    """Token store, one row per token.
-
-    ``ints`` columns: position, LM history id, word start frame, backpointer.
-    ``floats`` columns: total score, acoustic score, LM score (log10).
-    """
-
-    __slots__ = ("ints", "floats")
-
-    def __init__(self, ints: np.ndarray, floats: np.ndarray):
-        self.ints = ints
-        self.floats = floats
-
-    pos = property(lambda self: self.ints[:, 0])
-    hist = property(lambda self: self.ints[:, 1])
-    bp = property(lambda self: self.ints[:, 3])
-    score = property(lambda self: self.floats[:, 0])
-    ascore = property(lambda self: self.floats[:, 1])
-
-    def __len__(self):
-        return len(self.ints)
-
-    def take(self, idx) -> "_Tokens":
-        return _Tokens(self.ints[idx], self.floats[idx])
-
-    def moved(self, idx, pos, step) -> "_Tokens":
-        """Tokens `idx` moved to `pos`, with `step` added to total and
-        acoustic score; `idx` is an index array or mask, so this copies."""
-        ints, floats = self.ints[idx], self.floats[idx]
-        ints[:, 0] = pos
-        floats[:, :2] += step[:, None]
-        return _Tokens(ints, floats)
-
-    @staticmethod
-    def concat(parts: Sequence["_Tokens"]) -> "_Tokens":
-        return _Tokens(
-            np.concatenate([p.ints for p in parts]),
-            np.concatenate([p.floats for p in parts]),
-        )
+_POS, _HIST, _BP, _SCORE, _ASCORE = 0, 1, 3, 4, 5
 
 
 class _Decoder:
     def __init__(self, model, lm, tree, lexicon, cfg):
         self.model = model
         self.lm = lm
-        self.tree = tree
         self.cfg = cfg
         self.lm_w = cfg.lm_scale * LN10
         self.log_skip = math.log(1.0 - cfg.sil_prior)
         self.net = _compile(
             model, tree, lexicon, self.log_skip, math.log(cfg.sil_prior)
         )
-        log_trans = model.log_transitions()
-        self.log_self = log_trans[self.net.pos_state, 0]
-        self.log_fwd = log_trans[self.net.pos_state, 1]
         # LM histories: id -> truncated word tuple (starting from <s>)
         self.histories: list[tuple[str, ...]] = [(BOS,)]
         self.hist_ids: dict[tuple[str, ...], int] = {(BOS,): 0}
@@ -275,86 +235,64 @@ class _Decoder:
         if n_frames == 0:
             raise DecodeError("no frames to decode")
         emis, col = state_logliks(self.model, feats.frames, net.pos_state)
-        pos_col = np.array([col[int(s)] for s in net.pos_state])
+        self.pos_col = [col[s] for s in net.pos_state]
         # frame 0 enters the word starts from one empty-history token
-        tokens = self._enter_starts(
-            _Tokens(np.array([[0, 0, 0, -1]]), np.zeros((1, 3)))
-        )
-        for t in range(n_frames):
-            if t:
-                tokens = self._expand(tokens, t)
-                if len(tokens) == 0:
-                    raise DecodeError(f"beam emptied at frame {t}")
-            tokens.floats[:, :2] += emis[t, pos_col[tokens.pos]][:, None]
+        tokens = self._enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist())
+        tokens = self._prune(self._recombine(tokens))
+        for t in range(1, n_frames):
+            tokens = self._expand(tokens, t, emis[t].tolist())
+            if not tokens:
+                raise DecodeError(f"beam emptied at frame {t}")
             tokens = self._prune(self._recombine(tokens))
         return self._finalize(tokens, n_frames, feats.frame_shift)
 
     # -- expansion ---------------------------------------------------------
 
-    def _expand(self, tokens: _Tokens, t: int) -> _Tokens:
-        """Self-loops, steps within a phone, phone entries, then word starts."""
-        net = self.net
-        pos = tokens.pos
-        n = len(tokens)
-        # array methods, not np.* wrappers: with few tokens per frame, call
-        # overhead dominates
-        inner = (~net.is_exit[pos]).nonzero()[0]
-        lo = net.succ_ptr[pos]
-        count = net.succ_ptr[pos + 1] - lo
-        # the CSR rows of all tokens, flattened in token order
-        exit_src = np.arange(n).repeat(count)
-        edge = np.arange(len(exit_src)) + (lo - count.cumsum() + count).repeat(count)
-        src = np.concatenate([inner, exit_src])
-        moved = tokens.moved(
-            np.concatenate([np.arange(n), src]),
-            np.concatenate([pos, pos[inner] + 1, net.succ_pos[edge]]),
-            np.concatenate([self.log_self[pos], self.log_fwd[pos[src]]]),
-        )
-        ends = self._word_ends(tokens, t)
-        if len(ends) == 0:
-            return moved
-        return _Tokens.concat([moved, self._enter_starts(ends)])
+    def _expand(self, tokens: list[tuple], t: int, emit: list[float]) -> list[tuple]:
+        """Self-loops, steps within a phone, phone entries, then word starts,
+        each scored with frame t's emissions `emit`."""
+        net, col = self.net, self.pos_col
+        log_self, log_fwd, is_exit, succ = net.log_self, net.log_fwd, net.is_exit, net.succ
+        loops, inner, exits = [], [], []
+        for pos, hist, start, bp, score, ascore, lscore in tokens:
+            stay, e = log_self[pos], emit[col[pos]]
+            loops.append((pos, hist, start, bp, score + stay + e, ascore + stay + e, lscore))
+            fwd = log_fwd[pos]
+            moves = exits if is_exit[pos] else inner
+            for nxt in succ[pos]:
+                e = emit[col[nxt]]
+                moves.append((nxt, hist, start, bp, score + fwd + e, ascore + fwd + e, lscore))
+        loops += inner
+        loops += exits
+        loops += self._enter_starts(self._word_ends(tokens, t), emit)
+        return loops
 
-    def _enter_starts(self, tokens: _Tokens) -> _Tokens:
+    def _enter_starts(self, ends: list[tuple], emit: list[float]) -> list[tuple]:
         """Each token enters every word-start position with its silence prior."""
-        k = len(self.net.starts)
-        ints = tokens.ints.repeat(k, axis=0)
-        floats = tokens.floats.repeat(k, axis=0)
-        ints.reshape(-1, k, 4)[:, :, 0] = self.net.starts
-        floats.reshape(-1, k, 3)[:, :, :2] += self.net.start_prior[:, None]
-        return _Tokens(ints, floats)
+        col = self.pos_col
+        return [
+            (q, hist, start, bp, score + prior + emit[col[q]],
+             ascore + prior + emit[col[q]], lscore)
+            for _, hist, start, bp, score, ascore, lscore in ends
+            for q, prior in self.net.starts
+        ]
 
-    def _word_ends(self, tokens: _Tokens, t: int) -> _Tokens:
+    def _word_ends(self, tokens: list[tuple], t: int) -> list[tuple]:
         """A token per word ending at an exit in `tokens`, closed at frame t.
 
         Applies the exit transition, the LM step and the insertion penalty,
         and records the word's backpointer.
         """
-        net = self.net
-        idx = net.ends_word[tokens.pos].nonzero()[0]
-        if len(idx) == 0:
-            return tokens.take(idx)
-        src: list[int] = []
-        hist: list[int] = []
-        logp: list[float] = []
-        bp: list[int] = []
-        for i, (p, h, ws, prev) in zip(idx.tolist(), tokens.ints[idx].tolist()):
-            for word in self.tree.nodes[net.pos_node[p]].words:
-                word_logp, new_hist = self.lm_step(h, word)
-                src.append(i)
-                hist.append(new_hist)
-                logp.append(word_logp)
-                bp.append(len(self.bp_table))
-                self.bp_table.append((prev, word, ws, t))
-        rows = np.array(src, dtype=np.int64)
-        pos = tokens.pos[rows]
-        ends = tokens.moved(rows, pos, self.log_fwd[pos])
-        ends.floats[:, 0] += self.lm_w * np.array(logp)
-        ends.floats[:, :2] += self.cfg.word_insertion_penalty
-        ends.floats[:, 2] += logp
-        ends.ints[:, 1] = hist
-        ends.ints[:, 2] = t
-        ends.ints[:, 3] = bp
+        net, wip = self.net, self.cfg.word_insertion_penalty
+        ends = []
+        for pos, hist, start, bp, score, ascore, lscore in tokens:
+            fwd = net.log_fwd[pos]
+            for word in net.ends_word[pos]:
+                logp, new_hist = self.lm_step(hist, word)
+                ends.append((pos, new_hist, t, len(self.bp_table),
+                             score + fwd + self.lm_w * logp + wip,
+                             ascore + fwd + wip, lscore + logp))
+                self.bp_table.append((bp, word, start, t))
         return ends
 
     # -- recombination and pruning ------------------------------------------
@@ -367,66 +305,75 @@ class _Decoder:
             bp = trace[-1][0]
         return trace[::-1]
 
-    def _best(self, key: np.ndarray, tokens: _Tokens) -> np.ndarray:
-        """Index of the best token per key, in key order.
+    def _words(self, bp: int) -> list[str]:
+        return [entry[1] for entry in self._backtrace(bp)]
+
+    def _best(self, keys: list[int], tokens: list[tuple]) -> list[int]:
+        """Index of the best token per key, in token order.
 
         Higher total score wins, then higher acoustic score, then the
         lexicographically earlier word sequence, then the earlier token.
         """
-        order = np.lexsort((-tokens.ascore, -tokens.score, key))
-        key, score, ascore = key[order], tokens.score[order], tokens.ascore[order]
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = key[1:] != key[:-1]
-        keep = order[head]
-        group = head.cumsum() - 1
-        first = head.nonzero()[0][group]
-        # tokens tied on both scores with the head of their group
-        tied = (~head & (score == score[first]) & (ascore == ascore[first])).nonzero()[0]
-        for j in tied:
-            g = group[j]
-            cand, kept = (
-                [e[1] for e in self._backtrace(int(tokens.bp[i]))]
-                for i in (order[j], keep[g])
-            )
-            if cand < kept:
-                keep[g] = order[j]
-        return keep
+        best: dict[int, int] = {}
+        for i, key in enumerate(keys):
+            j = best.get(key)
+            if j is None:
+                best[key] = i
+                continue
+            tok, cur = tokens[i], tokens[j]
+            if tok[_SCORE] > cur[_SCORE] or tok[_SCORE] == cur[_SCORE] and (
+                tok[_ASCORE] > cur[_ASCORE] or tok[_ASCORE] == cur[_ASCORE]
+                and self._words(tok[_BP]) < self._words(cur[_BP])
+            ):
+                best[key] = i
+        return sorted(best.values())
 
-    def _recombine(self, tokens: _Tokens) -> _Tokens:
+    def _recombine(self, tokens: list[tuple]) -> list[tuple]:
         """Keep the best token per (position, LM history)."""
-        key = tokens.pos * (len(self.histories) + 1) + tokens.hist
-        return tokens.take(np.sort(self._best(key, tokens)))
+        n_pos = len(self.net.pos_state)
+        keys = [tok[_HIST] * n_pos + tok[_POS] for tok in tokens]
+        return [tokens[i] for i in self._best(keys, tokens)]
 
-    def _prune(self, tokens: _Tokens) -> _Tokens:
-        if len(tokens) == 0:
-            return tokens
-        peak = tokens.score.max()
-        inside = tokens.score >= peak - self.cfg.beam
-        tokens = tokens.take(inside)
-        if len(tokens) > self.cfg.max_active:
-            part = np.argpartition(-tokens.score, self.cfg.max_active - 1)
-            tokens = tokens.take(np.sort(part[: self.cfg.max_active]))
+    def _prune(self, tokens: list[tuple]) -> list[tuple]:
+        """Tokens within the beam of the best; of those, the `max_active`
+        highest totals (the earlier token wins a tie at the cut), in order."""
+        floor = max(tok[_SCORE] for tok in tokens) - self.cfg.beam
+        tokens = [tok for tok in tokens if tok[_SCORE] >= floor]
+        cap = self.cfg.max_active
+        if len(tokens) > cap:
+            # a stable sort keeps tied tokens in order, also with reverse
+            ranked = sorted(range(len(tokens)), key=lambda i: tokens[i][_SCORE],
+                            reverse=True)
+            tokens = [tokens[i] for i in sorted(ranked[:cap])]
         return tokens
 
     # -- finalization --------------------------------------------------------
 
     def _finalize(
-        self, tokens: _Tokens, n_frames: int, frame_shift: float
+        self, tokens: list[tuple], n_frames: int, frame_shift: float
     ) -> Hypothesis:
         """Best utterance end: a SIL exit, or a word that ends at the last frame."""
-        at_sil = (tokens.pos == self.net.sil_exit).nonzero()[0]
-        sil = tokens.moved(at_sil, self.net.sil_exit, self.log_fwd[tokens.pos[at_sil]])
-        ends = self._word_ends(tokens, n_frames)
-        ends.floats[:, :2] += self.log_skip
-        cands = _Tokens.concat([sil, ends])
-        if len(cands) == 0:
+        sil_exit, skip = self.net.sil_exit, self.log_skip
+        fwd = self.net.log_fwd[sil_exit]
+        ends = [
+            (pos, hist, start, bp, score + fwd, ascore + fwd, lscore)
+            for pos, hist, start, bp, score, ascore, lscore in tokens
+            if pos == sil_exit
+        ] + [
+            (pos, hist, start, bp, score + skip, ascore + skip, lscore)
+            for pos, hist, start, bp, score, ascore, lscore
+            in self._word_ends(tokens, n_frames)
+        ]
+        if not ends:
             raise DecodeError("no token reached an utterance-final state")
-        eos = np.array([self.eos_logp(h) for h in cands.hist.tolist()])
-        cands.floats[:, 0] += self.lm_w * eos
-        cands.floats[:, 2] += eos
-        (best,) = self._best(np.zeros(len(cands), dtype=np.int64), cands)
-        total, ascore, lmscore = cands.floats[best].tolist()
-        trace = self._backtrace(int(cands.bp[best]))
+        cands = []
+        for pos, hist, start, bp, score, ascore, lscore in ends:
+            eos = self.eos_logp(hist)
+            cands.append((pos, hist, start, bp, score + self.lm_w * eos, ascore,
+                          lscore + eos))
+        (best,) = self._best([0] * len(cands), cands)
+        _, _, _, bp, total, ascore, lmscore = cands[best]
+        trace = self._backtrace(bp)
         return Hypothesis(
             words=tuple(word for _, word, _, _ in trace),
             word_intervals=tuple(

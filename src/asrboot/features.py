@@ -243,11 +243,18 @@ def write_feature_dump(f: FeatureMatrix, path) -> None:
 
 def read_feature_dump(path) -> FeatureMatrix:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+
+        def read(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated feature dump")
+            return data
+
+        magic = read(4)
         if magic != FEATURE_DUMP_MAGIC:
             raise ValueError(f"{path}: not a feature dump (magic {magic!r})")
-        n_frames, dim, shift_us = struct.unpack("<III", fh.read(12))
-        data = np.frombuffer(fh.read(n_frames * dim * 4), dtype="<f4")
+        n_frames, dim, shift_us = struct.unpack("<III", read(12))
+        data = np.frombuffer(read(n_frames * dim * 4), dtype="<f4")
     frames = data.reshape(n_frames, dim).astype(np.float64)
     return FeatureMatrix(
         frames=frames,

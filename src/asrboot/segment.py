@@ -28,10 +28,11 @@ from .features import (
 )
 from .lexicon import Lexicon
 from .lm import biased_lm
+from .scoring import MATCH
 
 logger = logging.getLogger(__name__)
 
-MATCH, MISMATCH, GAP_HYP, GAP_REF = "match", "mismatch", "gap_hyp", "gap_ref"
+MISMATCH, GAP_HYP, GAP_REF = "mismatch", "gap_hyp", "gap_ref"
 
 SUCCESS_RATE_WARN_BELOW = 0.7
 

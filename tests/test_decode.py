@@ -9,7 +9,6 @@ from asrboot.decode import (
     DecodeConfig,
     DecodeError,
     _Decoder,
-    _Tokens,
     build_prefix_tree,
     decode,
     decode_corpus,
@@ -229,16 +228,31 @@ class TestTieRule:
                        DecodeConfig())
         dec.bp_table = [(-1, "B", 0, 5), (-1, "A", 0, 5), (1, "A", 5, 9)]
         bp = [0, 2, 1, 0, 1]
-        ints = np.array([[0, 0, 0, b] for b in bp])
-        floats = np.array([
-            [-100.0, -90.0, 0.0],
-            [-110.0, -95.0, 0.0],
-            [-110.0, -95.0, 0.0],
-            [-50.0, -40.0, 0.0],
-            [-50.0, -40.0, 0.0],
-        ])
-        key = np.array([0, 0, 0, 1, 1])
-        assert dec._best(key, _Tokens(ints, floats)).tolist() == [0, 4]
+        scores = [(-100.0, -90.0), (-110.0, -95.0), (-110.0, -95.0),
+                  (-50.0, -40.0), (-50.0, -40.0)]
+        tokens = [(0, 0, 0, b, total, ascore, 0.0)
+                  for b, (total, ascore) in zip(bp, scores)]
+        assert dec._best([0, 0, 0, 1, 1], tokens) == [0, 4]
+
+
+class TestPrune:
+    @pytest.mark.parametrize("cap, kept", [(2, [0, 3]), (3, [0, 1, 3])])
+    def test_cap_keeps_highest_totals_earlier_wins_ties(self, cap, kept, ab_lexicon):
+        dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
+                       build_prefix_tree(ab_lexicon), ab_lexicon,
+                       DecodeConfig(beam=50.0, max_active=cap))
+        # tokens differ in position only, so the survivors name themselves
+        tokens = [(i, 0, 0, -1, total, total, 0.0)
+                  for i, total in enumerate([-1.0, -3.0, -3.0, -2.0])]
+        assert dec._prune(tokens) == [tokens[i] for i in kept]
+
+    def test_beam_drops_tokens_below_the_best(self, ab_lexicon):
+        dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
+                       build_prefix_tree(ab_lexicon), ab_lexicon,
+                       DecodeConfig(beam=1.5))
+        tokens = [(i, 0, 0, -1, total, total, 0.0)
+                  for i, total in enumerate([-1.0, -3.0, -2.5, -2.0])]
+        assert dec._prune(tokens) == [tokens[0], tokens[2], tokens[3]]
 
 
 class TestLmScaleZero:

@@ -165,6 +165,16 @@ class TestDump:
         assert raw[:4] == b"ABFT"
         assert len(raw) == 16 + f.n_frames * f.dim * 4
 
+    def test_truncated_dump_at_every_offset(self, tmp_path):
+        full = tmp_path / "f.bin"
+        write_feature_dump(compute_mfcc(tone(600, 0.05)), full)
+        raw = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for offset in range(len(raw)):
+            cut.write_bytes(raw[:offset])
+            with pytest.raises(ValueError, match="cut.bin: truncated feature dump"):
+                read_feature_dump(cut)
+
     def test_slice(self):
         f = compute_mfcc(tone(600, 0.5))
         g = slice_frames(f, 10, 20)
