@@ -14,7 +14,7 @@ import math
 import random
 import shutil
 import wave
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -358,8 +358,3 @@ def validate_against_recordings(
                 f"utterance {utt.id!r}: end {utt.end} exceeds recording "
                 f"duration {rec.duration}"
             )
-
-
-def relocate(utt: Utterance, audio: str) -> Utterance:
-    """Copy of the utterance pointing at a different audio file."""
-    return replace(utt, audio=audio)

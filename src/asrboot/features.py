@@ -7,17 +7,13 @@ T = 1 + floor((N - window) / shift) for an N-sample signal.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.fftpack import dct
 
 ENERGY_FLOOR = 1e-10
 VAR_EPSILON = 1e-10
-
-FEATURE_DUMP_MAGIC = b"ABFT"
 
 
 @dataclass(frozen=True)
@@ -232,38 +228,6 @@ def silence_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-def write_feature_dump(f: FeatureMatrix, path) -> None:
-    """Binary dump: 16-byte header (magic, T, D, shift in us) + float32 data."""
-    shift_us = int(round(f.frame_shift * 1e6))
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_DUMP_MAGIC)
-        fh.write(struct.pack("<III", f.n_frames, f.dim, shift_us))
-        fh.write(f.frames.astype("<f4").tobytes())
-
-
-def read_feature_dump(path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-
-        def read(n: int) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"{path}: truncated feature dump")
-            return data
-
-        magic = read(4)
-        if magic != FEATURE_DUMP_MAGIC:
-            raise ValueError(f"{path}: not a feature dump (magic {magic!r})")
-        n_frames, dim, shift_us = struct.unpack("<III", read(12))
-        data = np.frombuffer(read(n_frames * dim * 4), dtype="<f4")
-    frames = data.reshape(n_frames, dim).astype(np.float64)
-    return FeatureMatrix(
-        frames=frames,
-        frame_shift=shift_us / 1e6,
-        frame_length=0.025,
-        log_energy=frames[:, 0].copy(),
-    )
-
-
 def slice_frames(f: FeatureMatrix, start: int, end: int) -> FeatureMatrix:
     """Frame-range view [start, end) as a new FeatureMatrix."""
     return FeatureMatrix(
@@ -272,9 +236,3 @@ def slice_frames(f: FeatureMatrix, start: int, end: int) -> FeatureMatrix:
         frame_length=f.frame_length,
         log_energy=f.log_energy[start:end],
     )
-
-
-def stack_stats(mats: Sequence[FeatureMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """Global per-dimension mean and variance across feature matrices."""
-    stacked = np.vstack([m.frames for m in mats])
-    return stacked.mean(axis=0), stacked.var(axis=0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
@@ -59,7 +59,12 @@ class NGramLM:
                 return total_bow + p
             total_bow += self.backoffs.get(h, 0.0)
             h = h[1:]
-        return total_bow + self.probs[(w,)]
+        try:
+            return total_bow + self.probs[(w,)]
+        except KeyError:
+            raise LmError(
+                f"cannot score {word!r}: the model has no unigram {w!r}"
+            ) from None
 
     def sentence_logp(self, tokens: Sequence[str], add_bounds: bool = True) -> float:
         history: tuple[str, ...] = (BOS,) if add_bounds else ()
@@ -160,7 +165,6 @@ def train_ngram(
     sentences: Iterable[Sequence[str]],
     order: int,
     smoothing: str = WITTEN_BELL,
-    prune_min_count: int = 1,
     map_singletons_to_unk: bool = True,
     unk_mass: float | None = None,
 ) -> NGramLM:
@@ -196,8 +200,6 @@ def train_ngram(
     vocab_list = sorted(vocab)
 
     counts = ngram_counts(sents, order)
-    if prune_min_count > 1:
-        _prune_counts(counts, prune_min_count)
 
     if smoothing == WITTEN_BELL:
         unigram, ngram_probs = _estimate_witten_bell(counts, vocab_list)
@@ -218,26 +220,6 @@ def train_ngram(
             _, ngram_probs = _estimate_kneser_ney(counts, vocab_list, unigram)
 
     return _to_backoff_model(order, counts, unigram, ngram_probs, vocab)
-
-
-def _prune_counts(counts, min_count: int) -> None:
-    """Drop rare high-order n-grams, keeping anything needed as a context."""
-    needed: set[tuple[str, ...]] = set()
-    for k in range(len(counts) - 1, 0, -1):
-        table = counts[k]
-        for history in list(table):
-            words = table[history]
-            for word in list(words):
-                ngram = history + (word,)
-                if words[word] < min_count and ngram not in needed:
-                    del words[word]
-            if not words:
-                del table[history]
-            else:
-                for word in words:
-                    ngram = history + (word,)
-                    needed.add(ngram[:-1])
-                    needed.add(ngram[1:])
 
 
 def _estimate_witten_bell(

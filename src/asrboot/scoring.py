@@ -1,4 +1,11 @@
-"""Levenshtein alignment and WER/CER scoring.
+"""Sequence alignment core and WER/CER scoring.
+
+One dynamic-programming fill (``align_fill``) and one traceback
+(``align_trace``) serve both alignments in the package: global unit-cost
+edit distance here (``align_edit``) and local Smith-Waterman alignment in
+``segment.smith_waterman``.  Both put hyp tokens on the rows and ref
+tokens on the columns, and both label steps with the ops below: MATCH or
+SUB for a pair, INS for a hyp token alone, DEL for a ref token alone.
 
 Corpus-level rates pool edit counts over utterances (sum of edits divided
 by sum of reference tokens), not the mean of per-utterance rates.
@@ -89,39 +96,94 @@ class WerReport:
         }
 
 
+def substitution_matrix(
+    rows: Sequence[str], cols: Sequence[str], match: float, mismatch: float
+) -> np.ndarray:
+    """(len(rows), len(cols)) pair scores: ``match`` where tokens agree."""
+    same = np.array(rows, dtype=str)[:, None] == np.array(cols, dtype=str)
+    return np.where(same, float(match), float(mismatch))
+
+
+def align_fill(sub: np.ndarray, gap: float, local: bool) -> np.ndarray:
+    """Best-score matrix H (n+1, m+1) aligning n rows to m columns.
+
+    H[i, j] is the best score of rows[:i] against cols[:j]: a pair scores
+    ``sub[i-1, j-1]``, a row or column on its own scores ``gap`` (<= 0).
+    ``local`` floors every cell at 0 (Smith-Waterman); otherwise the
+    alignment is global and the edges are gap runs.
+    """
+    n, m = sub.shape
+    h = np.zeros((n + 1, m + 1))
+    ramp = np.arange(m + 1) * gap
+    if not local:
+        h[0] = ramp
+    for i in range(1, n + 1):
+        row = h[i]
+        np.maximum(h[i - 1, :-1] + sub[i - 1], h[i - 1, 1:] + gap, out=row[1:])
+        if local:
+            np.maximum(row, 0.0, out=row)
+        else:
+            row[0] = i * gap
+        # left chain: running max of (candidate - j*gap), then + j*gap
+        np.maximum(row, np.maximum.accumulate(row - ramp) + ramp, out=row)
+    return h
+
+
+def align_trace(
+    h: np.ndarray, sub: np.ndarray, gap: float, i: int, j: int, local: bool
+) -> list[tuple[int | None, int | None]]:
+    """Steps of the best alignment ending at cell (i, j) of ``align_fill``.
+
+    A step is (row, column) for a pair, (row, None) or (None, column) for
+    a lone row or column.  Each step goes back to the best predecessor;
+    ties prefer a pair, then a lone row, then a lone column.  A global
+    walk ends at (0, 0), a local one at the first cell scoring <= 0.
+    """
+    steps: list[tuple[int | None, int | None]] = []
+    while (i or j) and not (local and h[i, j] <= 0):
+        pair = h[i - 1, j - 1] + sub[i - 1, j - 1] if i and j else -np.inf
+        lone_row = h[i - 1, j] + gap if i else -np.inf
+        lone_col = h[i, j - 1] + gap if j else -np.inf
+        if pair >= lone_row and pair >= lone_col:
+            i -= 1
+            j -= 1
+            steps.append((i, j))
+        elif lone_row >= lone_col:
+            i -= 1
+            steps.append((i, None))
+        else:
+            j -= 1
+            steps.append((None, j))
+    steps.reverse()
+    return steps
+
+
+def step_op(
+    hyp: Sequence[str], ref: Sequence[str], i: int | None, j: int | None
+) -> str:
+    """Op of a step with hyp as rows and ref as columns."""
+    if j is None:
+        return INS
+    if i is None:
+        return DEL
+    return MATCH if hyp[i] == ref[j] else SUB
+
+
 def align_edit(ref: Sequence[str], hyp: Sequence[str]) -> EditScript:
     """Minimal unit-cost edit script; ties prefer sub over ins over del."""
-    n, m = len(ref), len(hyp)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int32)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
-    hyp_arr = np.asarray(hyp)
-    cols = np.arange(m + 1)
-    for i in range(1, n + 1):
-        sub_cost = dist[i - 1, :-1] + (hyp_arr != ref[i - 1])
-        up = dist[i - 1, 1:] + 1
-        cand = np.concatenate(([i], np.minimum(sub_cost, up)))
-        # left chain: running min of (candidate - j), then + j
-        dist[i] = np.minimum.accumulate(cand - cols) + cols
-
-    ops: list[EditOp] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (
-            ref[i - 1] != hyp[j - 1]
-        ):
-            op = MATCH if ref[i - 1] == hyp[j - 1] else SUB
-            ops.append(EditOp(op, ref[i - 1], hyp[j - 1]))
-            i -= 1
-            j -= 1
-        elif j > 0 and dist[i, j] == dist[i, j - 1] + 1:
-            ops.append(EditOp(INS, None, hyp[j - 1]))
-            j -= 1
-        else:
-            ops.append(EditOp(DEL, ref[i - 1], None))
-            i -= 1
-    ops.reverse()
-    return EditScript(tuple(ops))
+    sub = substitution_matrix(hyp, ref, 0.0, -1.0)
+    h = align_fill(sub, -1.0, local=False)
+    steps = align_trace(h, sub, -1.0, len(hyp), len(ref), local=False)
+    return EditScript(
+        tuple(
+            EditOp(
+                step_op(hyp, ref, i, j),
+                None if j is None else ref[j],
+                None if i is None else hyp[i],
+            )
+            for i, j in steps
+        )
+    )
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:

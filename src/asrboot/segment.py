@@ -18,7 +18,6 @@ import numpy as np
 from .am import AcousticModel
 from .decode import DecodeConfig, DecodeError, build_prefix_tree, decode
 from .features import (
-    FeatureMatrix,
     FrontendConfig,
     cmvn,
     compute_mfcc,
@@ -28,11 +27,15 @@ from .features import (
 )
 from .lexicon import Lexicon
 from .lm import biased_lm
-from .scoring import MATCH
+from .scoring import (
+    MATCH,
+    align_fill,
+    align_trace,
+    step_op,
+    substitution_matrix,
+)
 
 logger = logging.getLogger(__name__)
-
-MISMATCH, GAP_HYP, GAP_REF = "mismatch", "gap_hyp", "gap_ref"
 
 SUCCESS_RATE_WARN_BELOW = 0.7
 
@@ -100,7 +103,8 @@ class SWConfig:
 @dataclass
 class AlignedRegion:
     score: float
-    pairs: list[tuple[int | None, int | None, str]]  # (hyp idx, ref idx, label)
+    # (hyp idx, ref idx, scoring op: MATCH, SUB, INS hyp only, DEL ref only)
+    pairs: list[tuple[int | None, int | None, str]]
 
     @property
     def hyp_span(self) -> tuple[int, int]:
@@ -117,83 +121,37 @@ class AlignedRegion:
         return sum(1 for _, _, lab in self.pairs if lab == MATCH)
 
 
-def _sw_matrix(
-    hyp: Sequence[str], ref: Sequence[str], cfg: SWConfig,
-    hyp_masked: np.ndarray, ref_masked: np.ndarray,
-) -> np.ndarray:
-    """Score matrix H (n+1, m+1); masked positions cannot participate."""
-    n, m = len(hyp), len(ref)
-    neg = -1e12
-    sub = np.where(
-        (np.array(hyp)[:, None] == np.array(ref)[None, :]),
-        cfg.match, cfg.mismatch,
-    )
-    sub[hyp_masked, :] = neg
-    sub[:, ref_masked] = neg
-    h = np.zeros((n + 1, m + 1))
-    for i in range(1, n + 1):
-        diag = h[i - 1, :-1] + sub[i - 1]
-        up = h[i - 1, 1:] + cfg.gap
-        m_row = np.maximum(0.0, np.maximum(diag, up))
-        # left chain: running max of (candidate - j*gap), then + j*gap
-        shifted = m_row - np.arange(1, m + 1) * cfg.gap
-        running = np.maximum.accumulate(shifted)
-        h[i, 1:] = np.maximum(m_row, running + np.arange(1, m + 1) * cfg.gap)
-        h[i, 1:] = np.maximum(h[i, 1:], 0.0)
-    return h
-
-
-def _traceback(
-    h: np.ndarray, hyp, ref, cfg: SWConfig, i: int, j: int
-) -> list[tuple[int | None, int | None, str]]:
-    pairs = []
-    while i > 0 and j > 0 and h[i, j] > 0:
-        score = h[i, j]
-        match = hyp[i - 1] == ref[j - 1]
-        sub_score = cfg.match if match else cfg.mismatch
-        if h[i - 1, j - 1] + sub_score == score:
-            pairs.append((i - 1, j - 1, MATCH if match else MISMATCH))
-            i -= 1
-            j -= 1
-        elif h[i - 1, j] + cfg.gap == score:
-            pairs.append((i - 1, None, GAP_REF))  # hyp word with no ref mate
-            i -= 1
-        elif h[i, j - 1] + cfg.gap == score:
-            pairs.append((None, j - 1, GAP_HYP))  # ref word with no hyp mate
-            j -= 1
-        else:
-            break  # cell started a fresh alignment (score reset to 0)
-    pairs.reverse()
-    return pairs
-
-
 def smith_waterman(
     hyp: Sequence[str], ref: Sequence[str], cfg: SWConfig = SWConfig()
 ) -> list[AlignedRegion]:
-    """All maximal local alignments with score >= min, by iterated masking."""
+    """All maximal local alignments with score >= min, by iterated masking.
+
+    Each region's hyp and ref words are masked out of the pair scores, so
+    no later region pairs them again.
+    """
     hyp = list(hyp)
     ref = list(ref)
     if not hyp or not ref:
         return []
-    hyp_masked = np.zeros(len(hyp), dtype=bool)
-    ref_masked = np.zeros(len(ref), dtype=bool)
+    sub = substitution_matrix(hyp, ref, cfg.match, cfg.mismatch)
     regions: list[AlignedRegion] = []
     while True:
-        h = _sw_matrix(hyp, ref, cfg, hyp_masked, ref_masked)
-        best = float(h.max())
+        h = align_fill(sub, cfg.gap, local=True)
+        i, j = np.unravel_index(int(np.argmax(h)), h.shape)
+        best = float(h[i, j])
         if best < cfg.min_score:
             break
-        i, j = np.unravel_index(int(np.argmax(h)), h.shape)
-        pairs = _traceback(h, hyp, ref, cfg, int(i), int(j))
-        if not pairs:
+        steps = align_trace(h, sub, cfg.gap, int(i), int(j), local=True)
+        if not steps:
             break
-        region = AlignedRegion(score=best, pairs=pairs)
-        regions.append(region)
-        for hi, ri, _ in pairs:
-            if hi is not None:
-                hyp_masked[hi] = True
-            if ri is not None:
-                ref_masked[ri] = True
+        regions.append(
+            AlignedRegion(
+                score=best,
+                pairs=[(hi, ri, step_op(hyp, ref, hi, ri)) for hi, ri in steps],
+            )
+        )
+        sub[[hi for hi, _ in steps if hi is not None], :] = -np.inf
+        sub[:, [ri for _, ri in steps if ri is not None]] = -np.inf
     regions.sort(key=lambda r: r.hyp_span)
     return regions
 

@@ -10,11 +10,9 @@ from asrboot.features import (
     compute_mfcc,
     frame_count,
     mel_filterbank,
-    read_feature_dump,
     silence_mask,
     silence_runs,
     slice_frames,
-    write_feature_dump,
 )
 
 CFG = FrontendConfig()
@@ -47,6 +45,12 @@ class TestFraming:
     def test_dim_without_deltas(self):
         f = compute_mfcc(tone(440, 0.5), FrontendConfig(add_deltas=False))
         assert f.dim == 13
+
+    def test_slice(self):
+        f = compute_mfcc(tone(600, 0.5))
+        g = slice_frames(f, 10, 20)
+        assert g.n_frames == 10
+        assert np.array_equal(g.frames, f.frames[10:20])
 
 
 class TestMfcc:
@@ -145,38 +149,3 @@ class TestSilenceMask:
         x = np.concatenate([np.zeros(4800), tone(800, 0.5), np.zeros(4800)])
         f = compute_mfcc(x)
         assert np.array_equal(silence_mask(cmvn(f)), silence_mask(f))
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        f = compute_mfcc(tone(600, 0.3))
-        path = tmp_path / "f.bin"
-        write_feature_dump(f, path)
-        g = read_feature_dump(path)
-        assert g.n_frames == f.n_frames and g.dim == f.dim
-        assert g.frame_shift == pytest.approx(f.frame_shift)
-        assert np.allclose(g.frames, f.frames, atol=1e-6)
-
-    def test_header_is_16_bytes(self, tmp_path):
-        f = compute_mfcc(tone(600, 0.1))
-        path = tmp_path / "f.bin"
-        write_feature_dump(f, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"ABFT"
-        assert len(raw) == 16 + f.n_frames * f.dim * 4
-
-    def test_truncated_dump_at_every_offset(self, tmp_path):
-        full = tmp_path / "f.bin"
-        write_feature_dump(compute_mfcc(tone(600, 0.05)), full)
-        raw = full.read_bytes()
-        cut = tmp_path / "cut.bin"
-        for offset in range(len(raw)):
-            cut.write_bytes(raw[:offset])
-            with pytest.raises(ValueError, match="cut.bin: truncated feature dump"):
-                read_feature_dump(cut)
-
-    def test_slice(self):
-        f = compute_mfcc(tone(600, 0.5))
-        g = slice_frames(f, 10, 20)
-        assert g.n_frames == 10
-        assert np.array_equal(g.frames, f.frames[10:20])

@@ -195,6 +195,24 @@ class TestArpa:
         assert lm.logp((), "A") == pytest.approx(-0.30103)
         assert lm.logp((), "B") == pytest.approx(-0.60206)
 
+    def test_oov_without_unk_unigram_raises_lm_error(self, tmp_path):
+        path = tmp_path / "no_unk.arpa"
+        path.write_text(
+            "\\data\\\n"
+            "ngram 1=2\n"
+            "\n"
+            "\\1-grams:\n"
+            "-0.30103\tA\n"
+            "-0.30103\t<unk>\n"
+            "\n"
+            "\\end\\\n",
+            encoding="utf-8",
+        )
+        lm = read_arpa(path)
+        assert lm.logp((), "A") == pytest.approx(-0.30103)
+        with pytest.raises(LmError, match=r"'ZZ'.*no unigram '<UNK>'"):
+            lm.logp((), "ZZ")
+
     def test_truncated_file_names_section(self, tmp_path):
         path = tmp_path / "trunc.arpa"
         path.write_text(

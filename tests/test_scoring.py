@@ -57,6 +57,18 @@ class TestAlignEdit:
         script = align_edit(["A"], ["B"])
         assert [o.op for o in script.ops] == ["sub"]
 
+    @pytest.mark.parametrize(
+        "ref, hyp, ops",
+        [
+            ("A", "AA", ["ins", "match"]),
+            ("ABA", "BAB", ["del", "match", "match", "ins"]),
+        ],
+    )
+    def test_tie_order_pair_then_ins_then_del(self, ref, hyp, ops):
+        # walking back from the end, a tied pair beats an insertion and a
+        # tied insertion beats a deletion
+        assert [o.op for o in align_edit(list(ref), list(hyp)).ops] == ops
+
     @settings(max_examples=500, deadline=None)
     @given(tokens, tokens)
     def test_matches_brute_force(self, a, b):

@@ -1,14 +1,22 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asrboot.scoring import DEL, INS, SUB
 from asrboot.segment import (
     MATCH,
     AlignedRegion,
+    SegmentCandidate,
+    SegmentReport,
     SWConfig,
     TimedWord,
     _split_region,
     chunk_spans,
     smith_waterman,
+    success_rate,
 )
 
 
@@ -92,6 +100,77 @@ class TestSmithWaterman:
         assert smith_waterman(["a", "b"], []) == []
 
 
+FRACTIONAL = SWConfig(match=1.0, mismatch=-0.5, gap=-0.3, min_island=1)
+
+
+def step_score(label, cfg):
+    return {MATCH: cfg.match, SUB: cfg.mismatch, INS: cfg.gap, DEL: cfg.gap}[label]
+
+
+def assert_each_word_paired_once(regions):
+    pairs = [
+        (h, r) for region in regions for h, r, lab in region.pairs
+        if lab in (MATCH, SUB)
+    ]
+    assert len({h for h, _ in pairs}) == len(pairs)
+    assert len({r for _, r in pairs}) == len(pairs)
+
+
+def best_local_score(hyp, ref, cfg):
+    """Independent oracle: plain recursive local-alignment score."""
+
+    @lru_cache(maxsize=None)
+    def cell(i, j):
+        if i == 0 or j == 0:
+            return 0.0
+        pair = cfg.match if hyp[i - 1] == ref[j - 1] else cfg.mismatch
+        return max(
+            0.0,
+            cell(i - 1, j - 1) + pair,
+            cell(i - 1, j) + cfg.gap,
+            cell(i, j - 1) + cfg.gap,
+        )
+
+    return max(
+        cell(i, j) for i in range(len(hyp) + 1) for j in range(len(ref) + 1)
+    )
+
+
+class TestAlignmentCore:
+    def test_fractional_scores_pair_each_word_once(self):
+        regions = smith_waterman(list("abba"), list("abab"), FRACTIONAL)
+        assert_each_word_paired_once(regions)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_region_score_is_sum_of_steps(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = words("v", int(rng.integers(2, 5)))
+        hyp = list(rng.choice(vocab, size=int(rng.integers(1, 30))))
+        ref = list(rng.choice(vocab, size=int(rng.integers(1, 30))))
+        regions = smith_waterman(hyp, ref, FRACTIONAL)
+        for region in regions:
+            steps = sum(step_score(lab, FRACTIONAL) for _, _, lab in region.pairs)
+            assert abs(region.score - steps) <= 1e-9
+            for h, r, lab in region.pairs:
+                if lab in (MATCH, SUB):
+                    assert (lab == MATCH) == (hyp[h] == ref[r])
+        assert_each_word_paired_once(regions)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=9),
+        st.lists(st.sampled_from("abc"), max_size=9),
+        st.sampled_from([FRACTIONAL, SWConfig(min_island=1), SWConfig()]),
+    )
+    def test_best_region_matches_oracle(self, hyp, ref, cfg):
+        regions = smith_waterman(hyp, ref, cfg)
+        best = best_local_score(hyp, ref, cfg)
+        if best < cfg.min_score:
+            assert regions == []
+        else:
+            assert max(r.score for r in regions) == pytest.approx(best, abs=1e-9)
+
+
 class TestSplitRegion:
     def test_region_cut_at_silence_gap(self):
         pairs = [(i, i, MATCH) for i in range(4)]
@@ -106,3 +185,40 @@ class TestSplitRegion:
             pairs[:2], pairs[2:]
         ]
         assert _split_region(region, hyp_words, []) == [pairs]
+
+
+def report(n_tokens, accepted_tokens):
+    accepted = [
+        SegmentCandidate("rec", float(k), k + 1.0, ("w",) * n, 1.0, (0, n - 1))
+        for k, n in enumerate(accepted_tokens)
+    ]
+    return SegmentReport(
+        recording_id="rec",
+        n_transcript_tokens=n_tokens,
+        n_hyp_words=0,
+        n_regions=0,
+        n_candidates=len(accepted),
+        accepted=accepted,
+    )
+
+
+class TestSuccessRate:
+    def test_rates_pool_over_reports(self):
+        rate = success_rate([report(10, [3, 4]), report(30, [5]), report(10, [])])
+        assert rate.n_recordings == 3
+        assert rate.recording_rate == pytest.approx(2 / 3)
+        assert rate.word_yield == pytest.approx(12 / 50)
+
+    def test_warning_below_threshold(self, caplog):
+        rate = success_rate([report(10, [3]), report(10, [])])
+        assert rate.recording_rate == 0.5
+        assert "below 0.7" in rate.warning
+        assert rate.warning in caplog.text
+
+    def test_no_warning_at_threshold(self):
+        reports = [report(10, [1])] * 7 + [report(10, [])] * 3
+        assert success_rate(reports).warning is None
+
+    def test_no_reports_rejected(self):
+        with pytest.raises(ValueError):
+            success_rate([])
