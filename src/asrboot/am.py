@@ -26,6 +26,7 @@ logger = logging.getLogger(__name__)
 LOG_ZERO = -1e30
 N_STATES = 3
 VARIANCE_FLOOR = 1e-4
+PROB_FLOOR = 1e-300  # weights and transitions are floored here before log
 
 MONOPHONE = "monophone"
 TRIPHONE = "triphone"
@@ -70,7 +71,7 @@ class GmmState:
     def loglik(self, frames: np.ndarray) -> np.ndarray:
         """(T,) log p(x) under the mixture."""
         comp = self.component_loglik(frames)
-        logw = np.log(np.maximum(self.weights, 1e-300))
+        logw = np.log(np.maximum(self.weights, PROB_FLOOR))
         shifted = comp + logw
         peak = shifted.max(axis=1, keepdims=True)
         return (peak + np.log(np.exp(shifted - peak).sum(axis=1, keepdims=True)))[
@@ -80,7 +81,7 @@ class GmmState:
     def responsibilities(self, frames: np.ndarray) -> np.ndarray:
         """(T, K) posterior component weights per frame."""
         comp = self.component_loglik(frames) + np.log(
-            np.maximum(self.weights, 1e-300)
+            np.maximum(self.weights, PROB_FLOOR)
         )
         peak = comp.max(axis=1, keepdims=True)
         lin = np.exp(comp - peak)
@@ -121,7 +122,7 @@ class AcousticModel:
         return tuple(range(base, base + self.n_states))
 
     def log_transitions(self) -> np.ndarray:
-        return np.log(np.maximum(self.transitions, 1e-300))
+        return np.log(np.maximum(self.transitions, PROB_FLOOR))
 
     def copy(self) -> "AcousticModel":
         return AcousticModel(
@@ -382,7 +383,7 @@ class AlignmentPath:
 
 @dataclass(frozen=True)
 class AlignFailure:
-    reason: str  # beam_pruned | too_short | oov
+    reason: str  # no_path (no final state reached) | too_short | oov
     detail: str = ""
 
 
@@ -403,9 +404,8 @@ def viterbi_path(
     graph: AlignGraph,
     model: AcousticModel,
     frames: np.ndarray,
-    beam: float | None = None,
 ) -> tuple[np.ndarray, float] | None:
-    """Best node path through the graph, or None if nothing survives."""
+    """Best node path through the graph, or None if none reaches a final state."""
     t_frames = frames.shape[0]
     emis, col = state_logliks(model, frames, graph.node_state)
     # (T, M): the emission of every graph node on every frame
@@ -426,11 +426,6 @@ def viterbi_path(
         lanes[t] = best_lane
         dp = cand[rows, best_lane]
         dp += node_emis[t]
-        if beam is not None:
-            peak = dp.max()
-            if peak <= LOG_ZERO / 2:
-                return None
-            dp = np.where(dp >= peak - beam, dp, LOG_ZERO)
 
     final_scores = dp[graph.final_nodes] + graph.final_logp(log_trans)
     best_final = int(np.argmax(final_scores))
@@ -481,7 +476,6 @@ def force_align(
     feats: FeatureMatrix,
     tokens: Sequence[str],
     lexicon: Lexicon,
-    beam: float | None = None,
     sil_prior: float = 0.5,
     allow_unk: bool = False,
 ) -> AlignmentPath | AlignFailure:
@@ -497,9 +491,9 @@ def force_align(
             "too_short",
             f"{feats.n_frames} frames < minimum path length {graph.min_frames}",
         )
-    result = viterbi_path(graph, model, feats.frames, beam=beam)
+    result = viterbi_path(graph, model, feats.frames)
     if result is None:
-        return AlignFailure("beam_pruned", "no surviving path")
+        return AlignFailure("no_path", "no path reaches a final state")
     path, loglik = result
     phone_intervals, word_intervals = _intervals_from_path(
         graph, path, feats.frame_shift
@@ -526,7 +520,6 @@ def align_corpus(
     model: AcousticModel,
     data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
     lexicon: Lexicon,
-    beam: float | None = None,
     sil_prior: float = 0.5,
     allow_unk: bool = False,
 ) -> AlignCorpusResult:
@@ -535,7 +528,7 @@ def align_corpus(
     n_ok = 0
     for feats, tokens in data:
         result = force_align(
-            model, feats, tokens, lexicon, beam=beam, sil_prior=sil_prior,
+            model, feats, tokens, lexicon, sil_prior=sil_prior,
             allow_unk=allow_unk,
         )
         alignments.append(result)
@@ -557,9 +550,7 @@ class TrainSchedule:
     n_iters: int = 30
     split_iters: tuple[int, ...] = (4, 8, 12, 16)
     max_gauss: int = 8
-    beam: float | None = None
     sil_prior: float = 0.5
-    variance_floor: float = VARIANCE_FLOOR
 
 
 @dataclass
@@ -662,7 +653,6 @@ def _reestimate(
     acc_x,
     acc_x2,
     acc_trans,
-    variance_floor: float,
 ) -> AcousticModel:
     new = model.copy()
     for sid, state in enumerate(new.states):
@@ -679,7 +669,7 @@ def _reestimate(
             mu = acc_x[sid][k] / gamma[k]
             var = acc_x2[sid][k] / gamma[k] - mu * mu
             means[k] = mu
-            variances[k] = np.maximum(var, variance_floor)
+            variances[k] = np.maximum(var, VARIANCE_FLOOR)
         state.weights = weights
         state.means = means
         state.variances = variances
@@ -689,9 +679,9 @@ def _reestimate(
     return new
 
 
-def _split_heaviest(state: GmmState, variance_floor: float) -> GmmState:
+def _split_heaviest(state: GmmState) -> GmmState:
     k = int(np.argmax(state.weights))
-    offset = 0.1 * np.sqrt(np.maximum(state.variances[k], variance_floor))
+    offset = 0.1 * np.sqrt(np.maximum(state.variances[k], VARIANCE_FLOOR))
     weights = np.concatenate([state.weights, [state.weights[k] / 2.0]])
     weights[k] /= 2.0
     means = np.vstack([state.means, state.means[k] + offset])
@@ -706,7 +696,7 @@ def grow_mixtures(model: AcousticModel, max_gauss: int) -> AcousticModel:
     for sid, state in enumerate(new.states):
         target = min(2 * state.n_components, max_gauss)
         while state.n_components < target:
-            state = _split_heaviest(state, VARIANCE_FLOOR)
+            state = _split_heaviest(state)
         new.states[sid] = state
     return new
 
@@ -739,7 +729,7 @@ def train(
             if feats.n_frames < graph.min_frames:
                 n_fail += 1
                 continue
-            result = viterbi_path(graph, model, feats.frames, beam=schedule.beam)
+            result = viterbi_path(graph, model, feats.frames)
             if result is None:
                 n_fail += 1
                 continue
@@ -754,9 +744,7 @@ def train(
             raise RuntimeError(
                 f"iteration {iteration}: every utterance failed alignment"
             )
-        model = _reestimate(
-            model, acc_gamma, acc_x, acc_x2, acc_trans, schedule.variance_floor
-        )
+        model = _reestimate(model, acc_gamma, acc_x, acc_x2, acc_trans)
         post_total = sum(
             _rescore_path(model, graphs[idx], path, data[idx][0].frames)
             for idx, path in paths
@@ -814,9 +802,7 @@ def train_triphone(
     to the monophone state.  With no qualifying context the monophone
     model is returned unchanged (marked triphone) with a warning.
     """
-    corpus = align_corpus(
-        mono, data, lexicon, beam=schedule.beam, sil_prior=schedule.sil_prior
-    )
+    corpus = align_corpus(mono, data, lexicon, sil_prior=schedule.sil_prior)
     occupancy = count_context_occupancy(data, corpus.alignments, lexicon)
     qualifying = sorted(
         ctx for ctx, frames in occupancy.items() if frames >= tie_min_count
@@ -844,7 +830,7 @@ def train_triphone(
 
 
 # ---------------------------------------------------------------------------
-# serialization and export
+# serialization
 
 def save_model(model: AcousticModel, path) -> None:
     with open(path, "wb") as fh:
@@ -915,14 +901,3 @@ def load_model(path) -> AcousticModel:
         tri_map=tri_map,
     )
 
-
-def export_ctm(
-    entries: Iterable[tuple[str, AlignmentPath]], path
-) -> None:
-    """CTM lines: `recording_id 1 start dur word`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec_id, ali in entries:
-            for iv in ali.word_intervals:
-                fh.write(
-                    f"{rec_id} 1 {iv.start:.3f} {iv.end - iv.start:.3f} {iv.label}\n"
-                )

@@ -145,27 +145,6 @@ def write_manifest(utterances: Iterable[Utterance], path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def export_kaldi(utterances: Sequence[Utterance], out_dir) -> None:
-    """Write wav.scp / text / segments for toolkit interoperability."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    recordings: dict[str, str] = {}
-    for utt in utterances:
-        recordings.setdefault(utt.recording_id, utt.audio)
-    with open(out / "wav.scp", "w", encoding="utf-8") as fh:
-        for rec_id in sorted(recordings):
-            fh.write(f"{rec_id} {recordings[rec_id]}\n")
-    with open(out / "text", "w", encoding="utf-8") as fh:
-        for utt in utterances:
-            fh.write(f"{utt.id} {utt.text}\n")
-    with open(out / "segments", "w", encoding="utf-8") as fh:
-        for utt in utterances:
-            if utt.start is not None:
-                fh.write(
-                    f"{utt.id} {utt.recording_id} {utt.start:.3f} {utt.end:.3f}\n"
-                )
-
-
 # ---------------------------------------------------------------------------
 # audio
 

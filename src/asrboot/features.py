@@ -12,13 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fftpack import dct
 
+from .corpus import CANONICAL_RATE
+
 ENERGY_FLOOR = 1e-10
 VAR_EPSILON = 1e-10
 
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    sample_rate: int = 16000
+    sample_rate: int = CANONICAL_RATE
     frame_length: float = 0.025
     frame_shift: float = 0.010
     n_mels: int = 23

@@ -23,13 +23,9 @@ PRON_DROP_CHARS = frozenset("-'")
 
 @dataclass(frozen=True)
 class Wordlist:
-    """Word -> corpus frequency map with a stable presentation order."""
+    """Word -> corpus frequency map."""
 
     entries: Mapping[str, int] = field(default_factory=dict)
-
-    def sorted_words(self) -> list[tuple[str, int]]:
-        """Entries by descending frequency, then lexicographic."""
-        return sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -158,22 +154,3 @@ def read_lexicon(path) -> Lexicon:
             pronunciations[word] = tuple(pron_text.split())
     return Lexicon(pronunciations)
 
-
-def write_wordlist(wl: Wordlist, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, count in wl.sorted_words():
-            fh.write(f"{word}\t{count}\n")
-
-
-def read_wordlist(path) -> Wordlist:
-    entries: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'WORD<TAB>COUNT'")
-            entries[parts[0]] = int(parts[1])
-    return Wordlist(entries)

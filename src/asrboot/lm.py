@@ -1,13 +1,13 @@
 """Backoff n-gram language models (orders 1..4) with ARPA serialization.
 
-Models are estimated in interpolated form (Witten-Bell by default,
-modified Kneser-Ney for larger corpora) and stored as a standard backoff
-model.  Backoff weights are computed as (1 - sum of stored probs) /
+Models are estimated in interpolated Witten-Bell form and stored as a
+standard backoff model.  Backoff weights are computed as (1 - sum of stored probs) /
 (1 - sum of their lower-order probs), which makes every context
 distribution sum to one by construction.
 
 Sentence boundaries are implicit: each input line gets <s>/</s>.  Out of
-vocabulary words score through <UNK>.
+vocabulary words score through <UNK>; an ARPA file's own <unk> (KenLM's
+spelling) is read as <UNK>.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ UNK = "<UNK>"
 
 LOG10_PLACEHOLDER = -99.0  # conventional stand-in for the unpredictable <s>
 
-WITTEN_BELL = "witten_bell"
-KNESER_NEY_MOD = "kneser_ney_mod"
-SMOOTHINGS = (WITTEN_BELL, KNESER_NEY_MOD)
+ARPA_UNK = "<unk>"  # KenLM's spelling of the unknown word, read as <UNK>
+BIASED_UNK_MASS = 0.01  # unigram mass a biased LM reserves for <UNK>
 
 
 class LmError(ValueError):
@@ -118,53 +117,12 @@ def ngram_counts(
     return counts
 
 
-def _continuation_counts(
-    higher: dict[tuple[str, ...], dict[str, int]],
-) -> dict[tuple[str, ...], dict[str, int]]:
-    """Distinct-left-extension counts for the order below ``higher``."""
-    cont: dict[tuple[str, ...], dict[str, int]] = {}
-    for history, words in higher.items():
-        suffix = history[1:]
-        for word in words:
-            bucket = cont.setdefault(suffix, {})
-            bucket[word] = bucket.get(word, 0) + 1
-    return cont
-
-
-# ---------------------------------------------------------------------------
-# smoothing
-
-def _kn_discounts(count_values: list[int]) -> tuple[float, float, float]:
-    """Modified Kneser-Ney discounts with degenerate-count fallbacks."""
-    n1 = sum(1 for c in count_values if c == 1)
-    n2 = sum(1 for c in count_values if c == 2)
-    n3 = sum(1 for c in count_values if c == 3)
-    n4 = sum(1 for c in count_values if c == 4)
-    if n1 == 0 or (n1 + 2 * n2) == 0:
-        return 0.75, 1.0, 1.25
-    y = n1 / (n1 + 2 * n2)
-    d1 = 1.0 - 2.0 * y * (n2 / n1) if n1 else 0.75
-    d2 = 2.0 - 3.0 * y * (n3 / n2) if n2 else 1.0
-    d3 = 3.0 - 4.0 * y * (n4 / n3) if n3 else 1.25
-    clamp = lambda d, lo, hi: min(max(d, lo), hi)
-    return clamp(d1, 0.05, 0.99), clamp(d2, 0.05, 1.99), clamp(d3, 0.05, 2.99)
-
-
-def _discount_for(count: int, d123: tuple[float, float, float]) -> float:
-    if count >= 3:
-        return d123[2]
-    if count == 2:
-        return d123[1]
-    return d123[0]
-
-
 # ---------------------------------------------------------------------------
 # training
 
 def train_ngram(
     sentences: Iterable[Sequence[str]],
     order: int,
-    smoothing: str = WITTEN_BELL,
     map_singletons_to_unk: bool = True,
     unk_mass: float | None = None,
 ) -> NGramLM:
@@ -177,8 +135,6 @@ def train_ngram(
     """
     if not 1 <= order <= 4:
         raise LmError(f"order must be 1..4, got {order}")
-    if smoothing not in SMOOTHINGS:
-        raise LmError(f"unknown smoothing {smoothing!r}")
     sents = [tuple(s) for s in sentences if len(s) > 0]
     if not sents:
         raise LmError("empty corpus")
@@ -201,10 +157,7 @@ def train_ngram(
 
     counts = ngram_counts(sents, order)
 
-    if smoothing == WITTEN_BELL:
-        unigram, ngram_probs = _estimate_witten_bell(counts, vocab_list)
-    else:
-        unigram, ngram_probs = _estimate_kneser_ney(counts, vocab_list)
+    unigram, ngram_probs = _estimate_witten_bell(counts, vocab_list)
 
     if unk_mass is not None:
         if not 0.0 < unk_mass < 1.0:
@@ -214,10 +167,7 @@ def train_ngram(
             for w, p in unigram.items()
         }
         # higher orders re-derived against the mixed unigram
-        if smoothing == WITTEN_BELL:
-            _, ngram_probs = _estimate_witten_bell(counts, vocab_list, unigram)
-        else:
-            _, ngram_probs = _estimate_kneser_ney(counts, vocab_list, unigram)
+        _, ngram_probs = _estimate_witten_bell(counts, vocab_list, unigram)
 
     return _to_backoff_model(order, counts, unigram, ngram_probs, vocab)
 
@@ -253,71 +203,6 @@ def _estimate_witten_bell(
                     p_low = unigram[word]
                 level[history + (word,)] = (count + h_types * p_low) / (
                     h_total + h_types
-                )
-        ngram_probs.update(level)
-        prev_level = level
-    return unigram, ngram_probs
-
-
-def _estimate_kneser_ney(
-    counts, vocab_list, unigram_override: dict[str, float] | None = None
-) -> tuple[dict[str, float], dict[tuple[str, ...], float]]:
-    order = len(counts)
-    # effective counts per order: raw at the top, continuation below,
-    # except histories starting with <s> which keep raw counts
-    effective: list[dict[tuple[str, ...], dict[str, int]]] = [None] * order
-    effective[order - 1] = counts[order - 1]
-    for k in range(order - 2, -1, -1):
-        cont = _continuation_counts(counts[k + 1])
-        merged: dict[tuple[str, ...], dict[str, int]] = {}
-        for history, words in counts[k].items():
-            if history and history[0] == BOS:
-                merged[history] = dict(words)
-            else:
-                merged[history] = {
-                    w: cont.get(history, {}).get(w, 0) or words[w] for w in words
-                }
-        effective[k] = merged
-
-    uni_eff = effective[0].get((), {})
-    total = sum(uni_eff.values())
-    if total == 0:
-        raise LmError("no unigram events counted")
-    q = 1.0 / len(vocab_list)
-    d_uni = _kn_discounts(list(uni_eff.values()))
-    if unigram_override is None:
-        gamma = sum(
-            _discount_for(c, d_uni) for c in uni_eff.values()
-        ) / total
-        unigram = {
-            w: max(uni_eff.get(w, 0) - _discount_for(uni_eff.get(w, 1), d_uni), 0.0)
-            / total
-            + gamma * q
-            for w in vocab_list
-        }
-    else:
-        unigram = unigram_override
-
-    ngram_probs: dict[tuple[str, ...], float] = {}
-    prev_level: dict[tuple[str, ...], float] = {(w,): p for w, p in unigram.items()}
-    for k in range(1, order):
-        level: dict[tuple[str, ...], float] = {}
-        d123 = _kn_discounts(
-            [c for words in effective[k].values() for c in words.values()]
-        )
-        for history, words in effective[k].items():
-            h_total = sum(words.values())
-            if h_total == 0:
-                continue
-            gamma = sum(_discount_for(c, d123) for c in words.values()) / h_total
-            shorter = history[1:]
-            for word, count in words.items():
-                p_low = prev_level.get(shorter + (word,))
-                if p_low is None:
-                    p_low = unigram[word]
-                level[history + (word,)] = (
-                    max(count - _discount_for(count, d123), 0.0) / h_total
-                    + gamma * p_low
                 )
         ngram_probs.update(level)
         prev_level = level
@@ -365,7 +250,8 @@ def _to_backoff_model(
 
 
 def biased_lm(
-    transcript_sentences: Iterable[Sequence[str]], unk_mass: float = 0.01
+    transcript_sentences: Iterable[Sequence[str]],
+    unk_mass: float = BIASED_UNK_MASS,
 ) -> NGramLM:
     """Bigram model over one recording's transcript with reserved <UNK> mass."""
     sents = [tuple(s) for s in transcript_sentences if len(s) > 0]
@@ -374,7 +260,6 @@ def biased_lm(
     return train_ngram(
         sents,
         order=2,
-        smoothing=WITTEN_BELL,
         map_singletons_to_unk=False,
         unk_mass=unk_mass,
     )
@@ -470,7 +355,7 @@ def read_arpa(path) -> NGramLM:
                 ]
             if len(parts) not in (2, 3):
                 raise LmError(f"{path}:{lineno}: malformed n-gram line {line!r}")
-            ngram = tuple(parts[1].split())
+            ngram = tuple(UNK if w == ARPA_UNK else w for w in parts[1].split())
             if len(ngram) != section:
                 raise LmError(
                     f"{path}:{lineno}: {len(ngram)}-gram in \\{section}-grams: section"

@@ -245,20 +245,3 @@ def cer(
     ]
     return _score_pairs(char_pairs, ids)
 
-
-def format_report(report: WerReport, label: str = "WER") -> str:
-    lines = [
-        f"{label}: {report.percent}%  "
-        f"[S={report.substitutions} D={report.deletions} "
-        f"I={report.insertions} N={report.n_ref_tokens}]"
-    ]
-    return "\n".join(lines)
-
-
-def per_utterance_tsv(report: WerReport) -> str:
-    lines = ["id\tn_ref\tsub\tdel\tins"]
-    for u in report.per_utterance:
-        lines.append(
-            f"{u.id}\t{u.n_ref}\t{u.substitutions}\t{u.deletions}\t{u.insertions}"
-        )
-    return "\n".join(lines) + "\n"

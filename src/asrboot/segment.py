@@ -26,7 +26,7 @@ from .features import (
     slice_frames,
 )
 from .lexicon import Lexicon
-from .lm import biased_lm
+from .lm import BIASED_UNK_MASS, biased_lm
 from .scoring import (
     MATCH,
     align_fill,
@@ -223,7 +223,7 @@ class HarvestConfig:
     accept_ratio: float = 0.9
     silence_gap: float = 0.15  # seconds of silence that cut a region
     margin_db: float = 10.0
-    unk_mass: float = 0.01
+    unk_mass: float = BIASED_UNK_MASS
     decode: DecodeConfig = DecodeConfig(beam=14.0, max_active=2000)
     frontend: FrontendConfig = FrontendConfig()
 

@@ -17,9 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Utterance, write_manifest, write_wav_pcm16
-
-SAMPLE_RATE = 16000
+from .corpus import CANONICAL_RATE, Utterance, write_manifest, write_wav_pcm16
 
 DEFAULT_GRAPHEMES = ("A", "B", "D", "E", "K", "L", "M", "O", "S", "U")
 
@@ -102,18 +100,18 @@ class SynthError(ValueError):
 
 def _unit_samples(spec: SynthSpec, rng: np.random.Generator) -> int:
     jitter = 1.0 + spec.duration_jitter * (2.0 * rng.random() - 1.0)
-    return max(1, int(round(spec.unit_duration * jitter * SAMPLE_RATE)))
+    return max(1, int(round(spec.unit_duration * jitter * CANONICAL_RATE)))
 
 
 def _signature(grapheme: str, n: int, spec: SynthSpec) -> np.ndarray:
     freqs = spec.signature_frequencies()
     if grapheme not in freqs:
         raise SynthError(f"unknown grapheme {grapheme!r}")
-    t = np.arange(n) / SAMPLE_RATE
+    t = np.arange(n) / CANONICAL_RATE
     x = np.zeros(n)
     for f in freqs[grapheme]:
         x += spec.amplitude * np.sin(2 * np.pi * f * t)
-    ramp = min(int(0.005 * SAMPLE_RATE), n // 2)
+    ramp = min(int(0.005 * CANONICAL_RATE), n // 2)
     if ramp > 0:
         env = np.ones(n)
         fade = 0.5 * (1 - np.cos(np.pi * np.arange(ramp) / ramp))
@@ -136,7 +134,7 @@ def synth_word(
         n = _unit_samples(spec, rng)
         pieces.append(_signature(grapheme, n, spec))
         boundaries.append(
-            Boundary(grapheme, cursor / SAMPLE_RATE, (cursor + n) / SAMPLE_RATE)
+            Boundary(grapheme, cursor / CANONICAL_RATE, (cursor + n) / CANONICAL_RATE)
         )
         cursor += n
     return np.concatenate(pieces), boundaries
@@ -155,7 +153,7 @@ def add_noise(
 
 
 def _silence(seconds: float) -> np.ndarray:
-    return np.zeros(int(round(seconds * SAMPLE_RATE)))
+    return np.zeros(int(round(seconds * CANONICAL_RATE)))
 
 
 def synth_phrase(
@@ -175,7 +173,7 @@ def synth_phrase(
             cursor += gap.size
         audio, _ = synth_word(word, spec, rng)
         boundaries.append(
-            Boundary(word, cursor / SAMPLE_RATE, (cursor + len(audio)) / SAMPLE_RATE)
+            Boundary(word, cursor / CANONICAL_RATE, (cursor + len(audio)) / CANONICAL_RATE)
         )
         pieces.append(audio)
         cursor += len(audio)
@@ -265,20 +263,20 @@ def synth_corpus(
         truth_utts = []
         lines: list[str] = []
         corrupted_lines: list[int] = []
-        while cursor / SAMPLE_RATE < target:
+        while cursor / CANONICAL_RATE < target:
             words = pick_words(*utterance_words)
             audio, bounds = synth_phrase(words, spec, rng)
             # synth_phrase pads both ends; strip to keep utterance gaps controlled
-            pad = int(round(spec.clip_pad * SAMPLE_RATE))
+            pad = int(round(spec.clip_pad * CANONICAL_RATE))
             audio = audio[pad:-pad] if pad else audio
-            start = cursor / SAMPLE_RATE
+            start = cursor / CANONICAL_RATE
             pieces.append(audio)
             cursor += len(audio)
             truth_utts.append(
                 {
                     "tokens": words,
                     "start": start,
-                    "end": cursor / SAMPLE_RATE,
+                    "end": cursor / CANONICAL_RATE,
                     "words": [
                         {
                             "word": b.label,
@@ -311,7 +309,7 @@ def synth_corpus(
                 corrupted_line_indices=corrupted_lines,
             )
         )
-        total_done += cursor / SAMPLE_RATE
+        total_done += cursor / CANONICAL_RATE
         rec_index += 1
 
     # held-out test set

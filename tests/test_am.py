@@ -15,7 +15,6 @@ from asrboot.am import (
     align_corpus,
     compile_align_graph,
     count_context_occupancy,
-    export_ctm,
     flat_start,
     force_align,
     grow_mixtures,
@@ -25,6 +24,7 @@ from asrboot.am import (
     train_triphone,
     viterbi_path,
 )
+from asrboot import am
 from asrboot.lexicon import graphemic_lexicon
 
 
@@ -83,6 +83,26 @@ class TestForceAlign:
         )
         assert isinstance(result, AlignFailure)
         assert result.reason == "oov"
+
+    def test_no_path_when_no_final_state_is_reached(self, ab_lexicon, monkeypatch):
+        model = toy_model()
+        feats, _ = generate_utterance(model, ab_lexicon, ("AB",), seed=0)
+
+        def impossible(model, frames, state_ids):
+            unique = np.unique(state_ids).tolist()
+            col = {sid: j for j, sid in enumerate(unique)}
+            return np.full((frames.shape[0], len(unique)), -np.inf), col
+
+        monkeypatch.setattr(am, "state_logliks", impossible)
+        result = force_align(model, feats, ("AB",), ab_lexicon)
+        assert isinstance(result, AlignFailure)
+        assert result.reason == "no_path"
+
+    def test_viterbi_path_none_below_minimum_length(self, ab_lexicon):
+        model = toy_model()
+        graph = compile_align_graph(("ABA",), ab_lexicon, model)
+        frames = np.zeros((graph.min_frames - 1, DIM))
+        assert viterbi_path(graph, model, frames) is None
 
     def test_generated_boundaries_recovered(self, ab_lexicon):
         model = toy_model()
@@ -452,17 +472,3 @@ class TestSerialization:
             with pytest.raises(ValueError, match="truncated model file"):
                 load_model(cut)
 
-
-class TestCtm:
-    def test_export_format(self, ab_lexicon, tmp_path):
-        model = toy_model()
-        feats, _ = generate_utterance(model, ab_lexicon, ("AB", "BA"), seed=0)
-        ali = force_align(model, feats, ("AB", "BA"), ab_lexicon)
-        path = tmp_path / "out.ctm"
-        export_ctm([("rec1", ali)], path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        parts = lines[0].split()
-        assert parts[0] == "rec1" and parts[1] == "1"
-        assert parts[4] == "AB"
-        assert float(parts[3]) > 0

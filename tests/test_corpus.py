@@ -13,7 +13,6 @@ from asrboot.corpus import (
     Utterance,
     canonicalize_audio,
     corpus_stats,
-    export_kaldi,
     load_manifest,
     subset_by_duration,
     validate_against_recordings,
@@ -86,18 +85,6 @@ class TestManifest:
         utts = [Utterance(id="a", audio="missing.wav", text="X")]
         with pytest.raises(ManifestError, match="dangling"):
             validate_against_recordings(utts, {})
-
-    def test_kaldi_export(self, tmp_path):
-        utts = [
-            Utterance(id="u1", audio="/data/rec1.wav", text="A B", start=0.0, end=1.5),
-            Utterance(id="u2", audio="/data/rec1.wav", text="C", start=2.0, end=3.0),
-        ]
-        export_kaldi(utts, tmp_path)
-        assert (tmp_path / "wav.scp").read_text() == "rec1 /data/rec1.wav\n"
-        assert (tmp_path / "text").read_text() == "u1 A B\nu2 C\n"
-        assert (
-            tmp_path / "segments"
-        ).read_text() == "u1 rec1 0.000 1.500\nu2 rec1 2.000 3.000\n"
 
 
 def write_tone(path, rate, freq=1000.0, seconds=1.0, amplitude=0.5, channels=1):

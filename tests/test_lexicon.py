@@ -9,10 +9,8 @@ from asrboot.lexicon import (
     graphemic_lexicon,
     oov_rate,
     read_lexicon,
-    read_wordlist,
     supplement,
     write_lexicon,
-    write_wordlist,
 )
 
 
@@ -27,10 +25,6 @@ class TestWordlist:
 
     def test_empty_stream(self):
         assert len(build_wordlist([], min_count=1)) == 0
-
-    def test_sort_order(self):
-        wl = Wordlist({"B": 2, "A": 2, "C": 5})
-        assert wl.sorted_words() == [("C", 5), ("A", 2), ("B", 2)]
 
     def test_supplement_new_word(self):
         wl = supplement(Wordlist({"A": 2}), ["B"])
@@ -129,12 +123,6 @@ class TestFileFormats:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "<UNK>\tGBG"
         assert lines[1] == "AB\tA B"
-
-    def test_wordlist_round_trip(self, tmp_path):
-        wl = Wordlist({"A": 3, "B": 1})
-        path = tmp_path / "words.tsv"
-        write_wordlist(wl, path)
-        assert dict(read_wordlist(path).entries) == {"A": 3, "B": 1}
 
     def test_bad_lexicon_line(self, tmp_path):
         path = tmp_path / "lexicon.tsv"

@@ -5,14 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import feats_from
+
+from asrboot import segment
+from asrboot.am import Interval
+from asrboot.decode import DecodeError, Hypothesis
 from asrboot.scoring import DEL, INS, SUB
 from asrboot.segment import (
     MATCH,
     AlignedRegion,
+    Chunk,
+    HarvestConfig,
     SegmentCandidate,
     SegmentReport,
     SWConfig,
     TimedWord,
+    _decode_chunks,
+    _pieces_to_candidates,
     _split_region,
     chunk_spans,
     smith_waterman,
@@ -185,6 +194,108 @@ class TestSplitRegion:
             pairs[:2], pairs[2:]
         ]
         assert _split_region(region, hyp_words, []) == [pairs]
+
+
+def to_candidates(piece, hyp_words, ref_tokens, gaps, **cfg):
+    rep = SegmentReport("rec", len(ref_tokens), len(hyp_words), 1, 0)
+    cands = _pieces_to_candidates(
+        piece, hyp_words, ref_tokens, "rec", gaps, HarvestConfig(**cfg), rep
+    )
+    return cands, rep
+
+
+class TestPiecesToCandidates:
+    def test_long_piece_split_at_widest_gap_first(self):
+        hyp_words = [
+            TimedWord("a", 0.0, 1.0),
+            TimedWord("b", 1.2, 2.0),
+            TimedWord("c", 2.5, 3.5),
+            TimedWord("d", 3.6, 4.5),
+            TimedWord("e", 5.5, 6.5),
+        ]
+        ref = ["a", "b", "c", "d", "e"]
+        piece = [(i, i, MATCH) for i in range(5)]
+        gaps = [(2.0, 2.5), (4.5, 5.5)]
+        cands, rep = to_candidates(
+            piece, hyp_words, ref, gaps, min_dur=0.5, max_dur=4.0
+        )
+        # the 1 s gap cuts first; the 0.5 s gap then cuts the 4.5 s left part
+        assert [(c.start, c.end, c.tokens) for c in cands] == [
+            (0.0, 2.0, ("a", "b")),
+            (2.5, 4.5, ("c", "d")),
+            (5.5, 6.5, ("e",)),
+        ]
+        assert (rep.rejected_long, rep.rejected_short) == (0, 0)
+
+    def test_too_long_without_a_gap_between_words_is_rejected(self):
+        hyp_words = [TimedWord("a", 0.0, 3.0), TimedWord("b", 3.0, 6.0)]
+        piece = [(0, 0, MATCH), (1, 1, MATCH)]
+        # one gap inside the first word, one after the piece
+        gaps = [(0.5, 1.0), (6.5, 7.0)]
+        cands, rep = to_candidates(piece, hyp_words, ["a", "b"], gaps, max_dur=4.0)
+        assert cands == []
+        assert rep.rejected_long == 1
+
+    def test_too_short_is_rejected(self):
+        hyp_words = [TimedWord("a", 0.0, 0.5)]
+        cands, rep = to_candidates([(0, 0, MATCH)], hyp_words, ["a"], [], min_dur=1.0)
+        assert cands == []
+        assert rep.rejected_short == 1
+
+
+def canned_hypothesis(words):
+    """A decoder result holding (label, start, end) words, chunk-relative."""
+    return Hypothesis(
+        words=tuple(w for w, _, _ in words),
+        word_intervals=tuple(Interval(w, s, e) for w, s, e in words),
+        acoustic_score=0.0,
+        lm_score=0.0,
+        total_score=0.0,
+    )
+
+
+class TestDecodeChunks:
+    def decode_with(self, monkeypatch, by_start, chunks):
+        """Run `_decode_chunks` with `decode` answering per chunk start."""
+        cfg = HarvestConfig()
+        shift = cfg.frontend.frame_shift
+        # frame t holds the value t, so a chunk's first frame gives its start
+        feats = feats_from(np.arange(600, dtype=float)[:, None])
+
+        def fake_decode(model, lm, tree, piece, decode_cfg, lexicon=None):
+            answer = by_start[round(piece.frames[0, 0] * shift, 2)]
+            if isinstance(answer, Exception):
+                raise answer
+            return canned_hypothesis(answer)
+
+        monkeypatch.setattr(segment, "decode", fake_decode)
+        return _decode_chunks(None, None, None, None, feats, chunks, cfg)
+
+    def test_overlap_word_kept_from_nearest_chunk_only(self, monkeypatch):
+        chunks = [Chunk("rec", 0.0, 3.0), Chunk("rec", 2.0, 5.0)]  # centres 1.5, 3.5
+        by_start = {
+            0.0: [("A", 0.5, 1.0), ("B", 2.2, 2.4), ("c", 2.7, 2.9)],
+            2.0: [("b", 0.2, 0.4), ("C", 0.7, 0.9), ("D", 2.0, 2.5)],
+        }
+        words = self.decode_with(monkeypatch, by_start, chunks)
+        assert words == [
+            TimedWord("A", 0.5, 1.0),
+            TimedWord("B", 2.2, 2.4),
+            TimedWord("C", 2.7, 2.9),
+            TimedWord("D", 4.0, 4.5),
+        ]
+
+    def test_chunk_whose_decode_fails_is_skipped(self, monkeypatch):
+        chunks = [
+            Chunk("rec", 0.0, 2.0), Chunk("rec", 2.0, 4.0), Chunk("rec", 4.0, 6.0)
+        ]
+        by_start = {
+            0.0: [("A", 0.5, 1.0)],
+            2.0: DecodeError("no token reached an utterance-final state"),
+            4.0: [("C", 0.5, 1.0)],
+        }
+        words = self.decode_with(monkeypatch, by_start, chunks)
+        assert words == [TimedWord("A", 0.5, 1.0), TimedWord("C", 4.5, 5.0)]
 
 
 def report(n_tokens, accepted_tokens):
