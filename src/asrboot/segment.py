@@ -402,39 +402,35 @@ def _pieces_to_candidates(
         report.rejected_short += 1
         return []
     if duration > cfg.max_dur:
-        # split at the widest internal silence gap and recurse
-        internal = [
-            (ge - gs, gs, ge) for gs, ge in gaps if gs > start and ge < end
-        ]
+        # split at the widest internal silence gap with hyp words on both
+        # sides, and recurse
         best_cut = None
         widest = 0.0
-        for width, gs, ge in internal:
+        for gs, ge in gaps:
             cut = 0.5 * (gs + ge)
-            if width > widest and any(
-                hyp_words[h].end <= cut for h in hyp_idx
-            ) and any(hyp_words[h].start >= cut for h in hyp_idx):
-                widest = width
+            if (
+                gs > start and ge < end and ge - gs > widest
+                and hyp_words[hyp_idx[0]].end <= cut
+                and any(hyp_words[h].start >= cut for h in hyp_idx)
+            ):
+                widest = ge - gs
                 best_cut = cut
         if best_cut is None:
             report.rejected_long += 1
             return []
-        left = [
-            p for p in piece
-            if p[0] is None or hyp_words[p[0]].end <= best_cut
+        # one cut in pair order, before the first hyp word that ends after
+        # it, so a deleted ref word stays between its neighbours
+        k = next(
+            i for i, (h, _, _) in enumerate(piece)
+            if h is not None and hyp_words[h].end > best_cut
+        )
+        return [
+            cand
+            for part in (piece[:k], piece[k:])
+            for cand in _pieces_to_candidates(
+                part, hyp_words, ref_tokens, recording_id, gaps, cfg, report
+            )
         ]
-        right = [p for p in piece if p not in left]
-        out = []
-        out.extend(
-            _pieces_to_candidates(
-                left, hyp_words, ref_tokens, recording_id, gaps, cfg, report
-            )
-        )
-        out.extend(
-            _pieces_to_candidates(
-                right, hyp_words, ref_tokens, recording_id, gaps, cfg, report
-            )
-        )
-        return out
     n_matches = sum(1 for p in piece if p[2] == MATCH)
     ratio = n_matches / len(piece)
     j_lo, j_hi = min(ref_idx), max(ref_idx)

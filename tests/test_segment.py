@@ -227,6 +227,24 @@ class TestPiecesToCandidates:
         ]
         assert (rep.rejected_long, rep.rejected_short) == (0, 0)
 
+    def test_split_keeps_deleted_ref_word_with_its_neighbours(self):
+        hyp_words = [
+            TimedWord("a", 0.0, 1.0),
+            TimedWord("b", 1.0, 2.0),
+            TimedWord("c", 3.0, 4.0),
+            TimedWord("e", 4.0, 5.0),
+        ]
+        ref = ["a", "b", "c", "d", "e"]
+        # ref "d" was not decoded: a lone-ref step between c and e
+        piece = [(0, 0, MATCH), (1, 1, MATCH), (2, 2, MATCH), (None, 3, DEL),
+                 (3, 4, MATCH)]
+        cands, _ = to_candidates(piece, hyp_words, ref, [(2.0, 3.0)], max_dur=3.0)
+        assert [(c.start, c.end, c.tokens, c.ref_span) for c in cands] == [
+            (0.0, 2.0, ("a", "b"), (0, 1)),
+            (3.0, 5.0, ("c", "d", "e"), (2, 4)),
+        ]
+        assert cands[1].match_ratio == pytest.approx(2 / 3)
+
     def test_too_long_without_a_gap_between_words_is_rejected(self):
         hyp_words = [TimedWord("a", 0.0, 3.0), TimedWord("b", 3.0, 6.0)]
         piece = [(0, 0, MATCH), (1, 1, MATCH)]
