@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -900,4 +900,3 @@ def load_model(path) -> AcousticModel:
         transitions=transitions,
         tri_map=tri_map,
     )
-

@@ -153,4 +153,3 @@ def read_lexicon(path) -> Lexicon:
                 continue
             pronunciations[word] = tuple(pron_text.split())
     return Lexicon(pronunciations)
-

@@ -1,9 +1,9 @@
 """Backoff n-gram language models (orders 1..4) with ARPA serialization.
 
 Models are estimated in interpolated Witten-Bell form and stored as a
-standard backoff model.  Backoff weights are computed as (1 - sum of stored probs) /
-(1 - sum of their lower-order probs), which makes every context
-distribution sum to one by construction.
+standard backoff model.  Backoff weights are computed as (1 - sum of
+stored probs) / (1 - sum of their lower-order probs), which makes every
+context distribution sum to one by construction.
 
 Sentence boundaries are implicit: each input line gets <s>/</s>.  Out of
 vocabulary words score through <UNK>; an ARPA file's own <unk> (KenLM's
@@ -360,6 +360,8 @@ def read_arpa(path) -> NGramLM:
                 raise LmError(
                     f"{path}:{lineno}: {len(ngram)}-gram in \\{section}-grams: section"
                 )
+            if ngram in probs:
+                raise LmError(f"{path}:{lineno}: duplicate n-gram {parts[1]!r}")
             probs[ngram] = float(parts[0])
             if len(parts) == 3:
                 backoffs[ngram] = float(parts[2])

@@ -244,4 +244,3 @@ def cer(
         (tuple(" ".join(r)), tuple(" ".join(h))) for r, h in pairs
     ]
     return _score_pairs(char_pairs, ids)
-

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import DIM, feats_from, generate_utterance, toy_model
 
+from asrboot import am
 from asrboot.am import (
     AlignFailure,
     AlignmentPath,
@@ -24,7 +25,6 @@ from asrboot.am import (
     train_triphone,
     viterbi_path,
 )
-from asrboot import am
 from asrboot.lexicon import graphemic_lexicon
 
 
@@ -471,4 +471,3 @@ class TestSerialization:
             cut.write_bytes(raw[:offset])
             with pytest.raises(ValueError, match="truncated model file"):
                 load_model(cut)
-

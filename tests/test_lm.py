@@ -216,6 +216,16 @@ class TestArpa:
         assert lm.logp(("A",), "ZZ") == pytest.approx(-0.4)
         assert lm.logp(("ZZ",), "A") == pytest.approx(-0.5)
 
+    def test_unk_spelled_both_ways_is_a_duplicate(self, tmp_path):
+        path = tmp_path / "two_unks.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t<unk>\n-2.0\t<UNK>\n"
+            "\n\\end\\\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(LmError, match=r":6: duplicate n-gram '<UNK>'"):
+            read_arpa(path)
+
     def test_oov_without_unk_unigram_raises_lm_error(self, tmp_path):
         path = tmp_path / "no_unk.arpa"
         path.write_text(
