@@ -11,6 +11,7 @@ and falls back to the monophone state elsewhere.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,45 +148,50 @@ class AcousticModel:
 # ---------------------------------------------------------------------------
 # alignment graphs
 
-SELF_LANE, FWD_LANE, CROSS_LANE = 0, 1, 2
-MAX_LANES = 3
+LANE_KIND = np.array([0, 1, 1])  # transition column per lane: self, forward
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhoneInstance:
     phone: str
     word_index: int | None  # None for silences
-    left: str | None = None
-    right: str | None = None
 
 
 @dataclass
 class AlignGraph:
-    """Linear transcript graph with optional silences, compiled to arrays."""
+    """Linear transcript graph with optional silences, compiled to arrays.
+
+    Layout: SIL_0, the phones of word_0, SIL_1, ..., the phones of
+    word_n-1, SIL_n, every phone instance on ``n_states`` consecutive
+    nodes, so node ``i`` belongs to instance ``i // n_states``.  Lanes at
+    each node, in the order argmax breaks ties: lane 0 is the self-loop;
+    lane 1 comes from node ``i - 1`` (absent at node 0) and carries
+    log(sil_prior) into the first node of every SIL after the first;
+    lane 2 exists only on the first node of each word after the first and
+    skips the SIL before it, from the previous word's exit, with
+    log(1 - sil_prior).  Lanes 1 and 2 take their source state's forward
+    transition.
+    """
 
     words: tuple[str, ...]
     instances: list[PhoneInstance]
     node_state: np.ndarray  # (M,) model state id
-    node_instance: np.ndarray  # (M,) phone-instance index
     lane_src: np.ndarray  # (M, 3) source node, -1 when absent
-    lane_state: np.ndarray  # (M, 3) state whose transition the lane uses
-    lane_kind: np.ndarray  # (M, 3) 0 self / 1 forward
     lane_prior: np.ndarray  # (M, 3) fixed silence-choice prior
     entry_nodes: np.ndarray
     entry_prior: np.ndarray
-    final_nodes: np.ndarray
-    final_state: np.ndarray  # exit transition comes from this state
+    final_nodes: np.ndarray  # exit transition comes from these nodes' states
     final_prior: np.ndarray
     min_frames: int
 
     def lane_logp(self, log_trans: np.ndarray) -> np.ndarray:
         """(M, 3) arc log-probs under the current transition table."""
-        safe_state = np.maximum(self.lane_state, 0)
-        logp = log_trans[safe_state, np.minimum(self.lane_kind, 1)] + self.lane_prior
+        src_state = self.node_state[np.maximum(self.lane_src, 0)]
+        logp = log_trans[src_state, LANE_KIND] + self.lane_prior
         return np.where(self.lane_src >= 0, logp, LOG_ZERO)
 
     def final_logp(self, log_trans: np.ndarray) -> np.ndarray:
-        return log_trans[self.final_state, 1] + self.final_prior
+        return log_trans[self.node_state[self.final_nodes], 1] + self.final_prior
 
 
 class GraphError(ValueError):
@@ -196,9 +202,9 @@ def _word_contexts(word: str, lexicon: Lexicon) -> list[tuple[str, str, str]]:
     """(phone, left, right) per phone of a word, SIL at the word edges.
 
     Contexts are static and word-internal; a word missing from the
-    lexicon takes the unknown word's pronunciation.
+    lexicon takes the garbage phone.
     """
-    pron = lexicon.pron(word if word in lexicon else lexicon.unk_word)
+    pron = lexicon.pron(word)
     padded = (lexicon.silence_phone, *pron, lexicon.silence_phone)
     return list(zip(pron, padded[:-2], padded[2:]))
 
@@ -222,137 +228,47 @@ def compile_align_graph(
     missing = [w for w in words if w not in lexicon]
     if missing and not allow_unk:
         raise GraphError(f"words not in lexicon: {missing[:5]}")
-    sil = lexicon.silence_phone
-
-    # phone instances with static triphone contexts
-    instances: list[PhoneInstance] = []
-    word_start_instance: list[int] = []
-    word_end_instance: list[int] = []
-    for w_idx, word in enumerate(words):
-        word_start_instance.append(len(instances))
-        instances.extend(
-            PhoneInstance(phone, w_idx, left, right)
-            for phone, left, right in _word_contexts(word, lexicon)
-        )
-        word_end_instance.append(len(instances) - 1)
-
-    n_states = model.n_states
-    sil_instances: list[int] = []
-    all_instances = list(instances)
-    node_state: list[int] = []
-    node_instance: list[int] = []
-
-    def add_phone_nodes(inst_index: int, inst: PhoneInstance) -> int:
-        base = len(node_state)
-        if inst.word_index is None:
-            ids = model.states_for(inst.phone)
-        else:
-            ids = model.states_for(inst.phone, inst.left, inst.right)
-        node_state.extend(ids)
-        node_instance.extend([inst_index] * n_states)
-        return base
-
-    # layout: word phones first, then one optional SIL per boundary
-    word_node_base: list[int] = []
-    for i, inst in enumerate(instances):
-        word_node_base.append(add_phone_nodes(i, inst))
-    n_boundaries = len(words) + 1
-    sil_node_base: list[int] = []
-    for b in range(n_boundaries):
-        inst = PhoneInstance(sil, None)
-        idx = len(all_instances)
-        all_instances.append(inst)
-        sil_instances.append(idx)
-        sil_node_base.append(add_phone_nodes(idx, inst))
-
-    m = len(node_state)
-    lane_src = np.full((m, MAX_LANES), -1, dtype=np.int64)
-    lane_state = np.full((m, MAX_LANES), -1, dtype=np.int64)
-    lane_kind = np.zeros((m, MAX_LANES), dtype=np.int64)
-    lane_prior = np.zeros((m, MAX_LANES))
-
+    if not 0.0 < sil_prior < 1.0:
+        raise ValueError(f"sil_prior must be in (0, 1), got {sil_prior}")
     log_take = float(np.log(sil_prior))
     log_skip = float(np.log(1.0 - sil_prior))
 
-    def set_lane(dst: int, lane: int, src: int, state: int, kind: int, prior: float):
-        lane_src[dst, lane] = src
-        lane_state[dst, lane] = state
-        lane_kind[dst, lane] = kind
-        lane_prior[dst, lane] = prior
+    sil = PhoneInstance(lexicon.silence_phone, None)
+    sil_states = model.states_for(sil.phone)
+    instances = [sil]
+    node_state = list(sil_states)
+    word_first: list[int] = []
+    word_exit: list[int] = []
+    for w_idx, word in enumerate(words):
+        word_first.append(len(node_state))
+        for phone, left, right in _word_contexts(word, lexicon):
+            instances.append(PhoneInstance(phone, w_idx))
+            node_state.extend(model.states_for(phone, left, right))
+        word_exit.append(len(node_state) - 1)
+        instances.append(sil)
+        node_state.extend(sil_states)
 
-    # intra-phone lanes: self-loop (lane 0) and forward (lane 1)
-    for base in word_node_base + sil_node_base:
-        for s in range(n_states):
-            node = base + s
-            set_lane(node, SELF_LANE, node, node_state[node], 0, 0.0)
-            if s > 0:
-                set_lane(node, FWD_LANE, node - 1, node_state[node - 1], 1, 0.0)
+    m = len(node_state)
+    firsts = np.array(word_first[1:], dtype=np.int64)
+    exits = np.array(word_exit, dtype=np.int64)
+    nodes = np.arange(m, dtype=np.int64)
+    lane_src = np.stack([nodes, nodes - 1, np.full(m, -1)], axis=1)
+    lane_src[firsts, 2] = exits[:-1]
+    lane_prior = np.zeros((m, 3))
+    lane_prior[exits + 1, 1] = log_take
+    lane_prior[firsts, 2] = log_skip
 
-    # chain within each word
-    for w_idx in range(len(words)):
-        for i in range(word_start_instance[w_idx], word_end_instance[w_idx]):
-            src = word_node_base[i] + n_states - 1
-            dst = word_node_base[i + 1]
-            set_lane(dst, FWD_LANE, src, node_state[src], 1, 0.0)
-
-    # boundaries: previous exit -> [SIL ->] next word
-    for b in range(n_boundaries):
-        prev_exit = None
-        if b > 0:
-            prev_exit = word_node_base[word_end_instance[b - 1]] + n_states - 1
-        sil_first = sil_node_base[b]
-        sil_last = sil_node_base[b] + n_states - 1
-        next_first = (
-            word_node_base[word_start_instance[b]] if b < len(words) else None
-        )
-        if prev_exit is not None:
-            set_lane(
-                sil_first, CROSS_LANE, prev_exit, node_state[prev_exit], 1, log_take
-            )
-            if next_first is not None:
-                set_lane(
-                    next_first,
-                    CROSS_LANE,
-                    prev_exit,
-                    node_state[prev_exit],
-                    1,
-                    log_skip,
-                )
-        if next_first is not None:
-            # silence exit continues into the word (lane 1 is free there)
-            set_lane(
-                next_first, FWD_LANE, sil_last, node_state[sil_last], 1, 0.0
-            )
-
-    entry_nodes = np.array(
-        [sil_node_base[0], word_node_base[word_start_instance[0]]], dtype=np.int64
-    )
-    entry_prior = np.array([log_take, log_skip])
-
-    last_word_exit = word_node_base[word_end_instance[-1]] + n_states - 1
-    final_sil_exit = sil_node_base[-1] + n_states - 1
-    final_nodes = np.array([last_word_exit, final_sil_exit], dtype=np.int64)
-    final_state = np.array(
-        [node_state[last_word_exit], node_state[final_sil_exit]], dtype=np.int64
-    )
-    final_prior = np.array([log_skip, 0.0])
-
-    min_frames = n_states * len(instances)
     return AlignGraph(
         words=words,
-        instances=all_instances,
+        instances=instances,
         node_state=np.array(node_state, dtype=np.int64),
-        node_instance=np.array(node_instance, dtype=np.int64),
         lane_src=lane_src,
-        lane_state=lane_state,
-        lane_kind=lane_kind,
         lane_prior=lane_prior,
-        entry_nodes=entry_nodes,
-        entry_prior=entry_prior,
-        final_nodes=final_nodes,
-        final_state=final_state,
-        final_prior=final_prior,
-        min_frames=min_frames,
+        entry_nodes=np.array([0, word_first[0]], dtype=np.int64),
+        entry_prior=np.array([log_take, log_skip]),
+        final_nodes=np.array([word_exit[-1], m - 1], dtype=np.int64),
+        final_prior=np.array([log_skip, 0.0]),
+        min_frames=m - model.n_states * (len(words) + 1),  # all but the SILs
     )
 
 
@@ -370,7 +286,6 @@ class Interval:
 class AlignmentPath:
     words: tuple[str, ...]
     state_ids: np.ndarray  # (T,) model state per frame
-    node_path: np.ndarray  # (T,) graph node per frame
     phone_intervals: list[Interval]
     word_intervals: list[Interval]
     loglik: float
@@ -383,7 +298,7 @@ class AlignmentPath:
 
 @dataclass(frozen=True)
 class AlignFailure:
-    reason: str  # no_path (no final state reached) | too_short | oov
+    reason: str  # no_path (no finite path to a final state) | too_short | oov
     detail: str = ""
 
 
@@ -405,7 +320,8 @@ def viterbi_path(
     model: AcousticModel,
     frames: np.ndarray,
 ) -> tuple[np.ndarray, float] | None:
-    """Best node path through the graph, or None if none reaches a final state."""
+    """Best node path and its total, or None if no path reaches a final
+    state with a finite score (a NaN or infinite feature gives None)."""
     t_frames = frames.shape[0]
     emis, col = state_logliks(model, frames, graph.node_state)
     # (T, M): the emission of every graph node on every frame
@@ -430,7 +346,7 @@ def viterbi_path(
     final_scores = dp[graph.final_nodes] + graph.final_logp(log_trans)
     best_final = int(np.argmax(final_scores))
     total = float(final_scores[best_final])
-    if total <= LOG_ZERO / 2:
+    if not math.isfinite(total) or total <= LOG_ZERO / 2:
         return None
 
     path = np.empty(t_frames, dtype=np.int64)
@@ -443,11 +359,11 @@ def viterbi_path(
 
 
 def _intervals_from_path(
-    graph: AlignGraph, path: np.ndarray, frame_shift: float
+    graph: AlignGraph, path: np.ndarray, n_states: int, frame_shift: float
 ) -> tuple[list[Interval], list[Interval]]:
     phone_intervals: list[Interval] = []
     word_frames: dict[int, list[int]] = {}
-    inst_path = graph.node_instance[path]
+    inst_path = path // n_states
     t = 0
     while t < len(path):
         u = t
@@ -493,15 +409,14 @@ def force_align(
         )
     result = viterbi_path(graph, model, feats.frames)
     if result is None:
-        return AlignFailure("no_path", "no path reaches a final state")
+        return AlignFailure("no_path", "no finite path reaches a final state")
     path, loglik = result
     phone_intervals, word_intervals = _intervals_from_path(
-        graph, path, feats.frame_shift
+        graph, path, model.n_states, feats.frame_shift
     )
     return AlignmentPath(
         words=graph.words,
         state_ids=graph.node_state[path],
-        node_path=path,
         phone_intervals=phone_intervals,
         word_intervals=word_intervals,
         loglik=loglik,
@@ -708,6 +623,8 @@ def train(
     schedule: TrainSchedule = TrainSchedule(),
 ) -> TrainResult:
     """Viterbi-EM: align, re-estimate, optionally grow mixtures."""
+    if not data:
+        raise ValueError("train needs at least one utterance")
     model = model.copy()
     graphs = [
         compile_align_graph(

@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .lexicon import UNK_WORD as UNK
+
 logger = logging.getLogger(__name__)
 
 BOS = "<s>"
 EOS = "</s>"
-UNK = "<UNK>"
 
 LOG10_PLACEHOLDER = -99.0  # conventional stand-in for the unpredictable <s>
 
@@ -157,8 +158,7 @@ def train_ngram(
 
     counts = ngram_counts(sents, order)
 
-    unigram, ngram_probs = _estimate_witten_bell(counts, vocab_list)
-
+    unigram = _witten_bell_unigram(counts, vocab_list)
     if unk_mass is not None:
         if not 0.0 < unk_mass < 1.0:
             raise LmError(f"unk_mass must be in (0, 1), got {unk_mass}")
@@ -166,29 +166,30 @@ def train_ngram(
             w: (1.0 - unk_mass) * p + (unk_mass if w == UNK else 0.0)
             for w, p in unigram.items()
         }
-        # higher orders re-derived against the mixed unigram
-        _, ngram_probs = _estimate_witten_bell(counts, vocab_list, unigram)
+    # higher orders interpolate down to the (possibly mixed) unigram
+    ngram_probs = _witten_bell_ngrams(counts, unigram)
 
     return _to_backoff_model(order, counts, unigram, ngram_probs, vocab)
 
 
-def _estimate_witten_bell(
-    counts, vocab_list, unigram_override: dict[str, float] | None = None
-) -> tuple[dict[str, float], dict[tuple[str, ...], float]]:
+def _witten_bell_unigram(counts, vocab_list) -> dict[str, float]:
+    """Unigram counts interpolated with the uniform distribution."""
     uni_counts = counts[0].get((), {})
     total = sum(uni_counts.values())
     n_types = len(uni_counts)
     if total == 0:
         raise LmError("no unigram events counted")
     q = 1.0 / len(vocab_list)
-    if unigram_override is None:
-        unigram = {
-            w: (uni_counts.get(w, 0) + n_types * q) / (total + n_types)
-            for w in vocab_list
-        }
-    else:
-        unigram = unigram_override
+    return {
+        w: (uni_counts.get(w, 0) + n_types * q) / (total + n_types)
+        for w in vocab_list
+    }
 
+
+def _witten_bell_ngrams(
+    counts, unigram: dict[str, float]
+) -> dict[tuple[str, ...], float]:
+    """Orders 2 and up, each interpolated with the order below it."""
     ngram_probs: dict[tuple[str, ...], float] = {}
     prev_level: dict[tuple[str, ...], float] = {(w,): p for w, p in unigram.items()}
     for k in range(1, len(counts)):
@@ -206,7 +207,7 @@ def _estimate_witten_bell(
                 )
         ngram_probs.update(level)
         prev_level = level
-    return unigram, ngram_probs
+    return ngram_probs
 
 
 def _to_backoff_model(

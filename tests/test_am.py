@@ -134,6 +134,20 @@ class TestForceAlign:
         result = force_align(model, feats, ("AB",), ab_lexicon)
         assert isinstance(result, AlignmentPath)
 
+    def test_nan_feature_is_no_path(self, ab_lexicon):
+        model = toy_model()
+        feats, _ = generate_utterance(model, ab_lexicon, ("AB",), seed=0)
+        feats.frames[5, 0] = np.nan
+        result = force_align(model, feats, ("AB",), ab_lexicon)
+        assert isinstance(result, AlignFailure)
+        assert result.reason == "no_path"
+
+    @pytest.mark.parametrize("sil_prior", [0.0, 1.0, 1.5])
+    def test_sil_prior_outside_open_unit_interval_raises(self, ab_lexicon, sil_prior):
+        feats = feats_from(np.zeros((30, DIM)))
+        with pytest.raises(ValueError, match=r"sil_prior must be in \(0, 1\)"):
+            force_align(toy_model(), feats, ("AB",), ab_lexicon, sil_prior=sil_prior)
+
     def test_loglik_finite(self, ab_lexicon):
         model = toy_model()
         feats, _ = generate_utterance(model, ab_lexicon, ("AB",), seed=4)
@@ -179,22 +193,35 @@ def exhaustive_best_path(model, lexicon, tokens, frames, sil_prior=0.5):
     return best
 
 
+# (tokens, frames, sil_prior) per seed.  Seeds 8 and up hold several words,
+# from the minimum length up, so the between-word silence lanes (take
+# and skip, with unequal priors) meet the oracle.
+OPTIMALITY_CASES = [
+    ((["A"], ["B"], ["AB"])[seed % 3], 3 + seed % 4, 0.5) for seed in range(8)
+] + [
+    (tokens, t_frames, 0.3)
+    for tokens, shortest in ((("A", "B"), 6), (("AB", "A"), 9), (("A", "B", "A"), 9))
+    for t_frames in range(shortest, shortest + 5)
+]
+
+
 class TestViterbiOptimality:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(len(OPTIMALITY_CASES)))
     def test_matches_exhaustive_enumeration(self, seed, ab_lexicon):
+        tokens, t_frames, sil_prior = OPTIMALITY_CASES[seed]
         rng = np.random.default_rng(seed)
         model = toy_model(spread=2.0)
         # perturb transitions so ties do not mask ordering bugs
         model.transitions = rng.uniform(0.2, 0.8, size=model.transitions.shape)
         model.transitions[:, 1] = 1.0 - model.transitions[:, 0]
-        tokens = (["A"], ["B"], ["AB"])[seed % 3]
-        t_frames = 3 + (seed % 4)
         frames = rng.standard_normal((t_frames, DIM))
-        result = force_align(model, feats_from(frames), tokens, ab_lexicon)
+        result = force_align(
+            model, feats_from(frames), tokens, ab_lexicon, sil_prior=sil_prior
+        )
         if t_frames < 3 * sum(len(ab_lexicon.pron(w)) for w in tokens):
             assert isinstance(result, AlignFailure)
             return
-        oracle = exhaustive_best_path(model, ab_lexicon, tokens, frames)
+        oracle = exhaustive_best_path(model, ab_lexicon, tokens, frames, sil_prior)
         assert result.loglik == pytest.approx(oracle, abs=1e-9)
 
 
@@ -269,6 +296,24 @@ class TestTraining:
         save_model(r1.model, p1)
         save_model(r2.model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_empty_data_rejected(self, ab_lexicon):
+        with pytest.raises(ValueError, match="at least one utterance"):
+            train(toy_model(), [], ab_lexicon)
+
+    def test_nan_clip_counts_as_failed(self, ab_lexicon):
+        model = toy_model()
+        data = [
+            (generate_utterance(model, ab_lexicon, ("AB",), seed=i)[0], ("AB",))
+            for i in range(3)
+        ]
+        data[1][0].frames[4, 1] = np.nan
+        result = train(
+            model, data, ab_lexicon, TrainSchedule(n_iters=2, split_iters=())
+        )
+        assert result.n_failures_last_iter == 1
+        assert all(math.isfinite(x) for pair in result.loglik_trace for x in pair)
+        result.model.check_invariants()
 
     def test_all_failures_is_an_error(self, ab_lexicon):
         model = toy_model()
