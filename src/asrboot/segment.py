@@ -1,10 +1,10 @@
 """Long-form segmentation: biased decoding plus Smith-Waterman alignment.
 
-A long recording is decoded in overlapping chunks with a bigram model
-trained on its own transcript; the decoded word stream is locally aligned
-to the transcript, matched regions are cut at silence gaps, and pieces
-that are long enough, short enough, and clean enough become utterance
-segments.
+A long recording is decoded in disjoint chunks, cut inside silences, with
+a bigram model trained on its own transcript; the decoded word stream is
+locally aligned to the transcript, matched regions are cut at silence
+gaps, and pieces that are long enough, short enough, and clean enough
+become utterance segments.
 """
 
 from __future__ import annotations
@@ -46,39 +46,36 @@ SUCCESS_RATE_WARN_BELOW = 0.7
 @dataclass(frozen=True)
 class Chunk:
     recording_id: str
-    start: float
-    end: float
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.start + self.end)
-
-
-def chunk_spans(
-    duration: float, chunk_len: float = 30.0, overlap: float = 5.0
-) -> list[tuple[float, float]]:
-    """Consecutive overlapping spans covering [0, duration]."""
-    if duration <= 0:
-        return []
-    stride = chunk_len - overlap
-    if stride <= 0:
-        raise ValueError("overlap must be smaller than chunk_len")
-    starts = [0.0]
-    k = 1
-    while k * stride < duration - overlap:
-        starts.append(k * stride)
-        k += 1
-    return [(s, min(s + chunk_len, duration)) for s in starts]
+    start: int  # frames, half-open [start, end)
+    end: int
 
 
 def chunk_recording(
-    recording_id: str, duration: float, chunk_len: float = 30.0,
-    overlap: float = 5.0,
+    recording_id: str, runs: Sequence[tuple[int, int]], n_frames: int,
+    max_frames: int,
 ) -> list[Chunk]:
-    return [
-        Chunk(recording_id, s, e)
-        for s, e in chunk_spans(duration, chunk_len, overlap)
-    ]
+    """Disjoint chunks of at most ``max_frames`` (>= 2) covering [0, n_frames).
+
+    Each seam is the middle frame of the longest silence run (``runs``, as
+    ``features.silence_runs`` gives them) in the second half of the chunk
+    it ends, else that chunk's end.  The window stops half a chunk before
+    the recording ends, so the last chunk is at least half a chunk long.
+    """
+    chunks = []
+    lo = 0
+    while n_frames - lo > max_frames:
+        win_lo = lo + max_frames // 2
+        win_hi = min(lo + max_frames, n_frames - (max_frames + 1) // 2)
+        seam, longest = win_hi, 0
+        for run_lo, run_hi in runs:
+            a, b = max(run_lo, win_lo), min(run_hi, win_hi)
+            if b - a > longest:
+                seam, longest = (a + b) // 2, b - a
+        chunks.append(Chunk(recording_id, lo, seam))
+        lo = seam
+    if lo < n_frames:
+        chunks.append(Chunk(recording_id, lo, n_frames))
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +212,7 @@ class SegmentReport:
 
 @dataclass(frozen=True)
 class HarvestConfig:
-    chunk_len: float = 30.0
-    overlap: float = 5.0
+    chunk_len: float = 30.0  # seconds; the longest chunk decoded at once
     sw: SWConfig = SWConfig()
     min_dur: float = 1.0
     max_dur: float = 20.0
@@ -238,39 +234,28 @@ class TimedWord:
 def _decode_chunks(
     model, lm, tree, lexicon, feats_full, chunks, cfg: HarvestConfig
 ) -> list[TimedWord]:
-    """Decode each chunk; overlap words resolved by nearest chunk center."""
+    """Decode each chunk; a chunk whose decode fails is skipped.
+
+    Chunks are disjoint and in time order, so their words come out in order.
+    """
     shift = cfg.frontend.frame_shift
-    all_words: list[tuple[TimedWord, float]] = []  # (word, chunk center)
+    words: list[TimedWord] = []
     for chunk in chunks:
-        lo = int(round(chunk.start / shift))
-        hi = min(int(round(chunk.end / shift)), feats_full.n_frames)
-        if hi - lo < 3:
-            continue
-        piece = slice_frames(feats_full, lo, hi)
+        offset = chunk.start * shift
+        piece = slice_frames(feats_full, chunk.start, chunk.end)
         try:
             hyp = decode(model, lm, tree, piece, cfg.decode, lexicon=lexicon)
         except DecodeError as exc:
             logger.warning(
-                "%s chunk [%.1f, %.1f]: %s",
-                chunk.recording_id, chunk.start, chunk.end, exc,
+                "%s chunk [%.2f, %.2f] s: %s",
+                chunk.recording_id, offset, chunk.end * shift, exc,
             )
             continue
-        for iv in hyp.word_intervals:
-            timed = TimedWord(
-                iv.label, iv.start + chunk.start, iv.end + chunk.start
-            )
-            all_words.append((timed, chunk.center))
-    if not all_words:
-        return []
-    centers = sorted(set(c for _, c in all_words))
-    kept = []
-    for timed, center in all_words:
-        mid = 0.5 * (timed.start + timed.end)
-        nearest = min(centers, key=lambda c: (abs(mid - c), c))
-        if nearest == center:
-            kept.append(timed)
-    kept.sort(key=lambda w: (w.start, w.end, w.word))
-    return kept
+        words.extend(
+            TimedWord(iv.label, iv.start + offset, iv.end + offset)
+            for iv in hyp.word_intervals
+        )
+    return words
 
 
 def _silence_cut_points(
@@ -330,10 +315,13 @@ def harvest_segments(
         return [], report
 
     feats_full = cmvn(compute_mfcc(samples, cfg.frontend))
+    shift = cfg.frontend.frame_shift
     mask = silence_mask(feats_full, margin_db=cfg.margin_db)
-    gaps = _silence_cut_points(mask, cfg.frontend.frame_shift, cfg.silence_gap)
-    duration = len(samples) / cfg.frontend.sample_rate
-    chunks = chunk_recording(recording_id, duration, cfg.chunk_len, cfg.overlap)
+    gaps = _silence_cut_points(mask, shift, cfg.silence_gap)
+    chunks = chunk_recording(
+        recording_id, silence_runs(mask), feats_full.n_frames,
+        round(cfg.chunk_len / shift),
+    )
 
     lm = biased_lm(transcript_lines, unk_mass=cfg.unk_mass)
     sub_lex = lexicon.restricted_to(set(ref_tokens))
@@ -366,7 +354,8 @@ def harvest_segments(
         c for c in candidates if c.match_ratio >= cfg.accept_ratio
     ]
     report.rejected_ratio = len(candidates) - len(accepted)
-    # decoder time jitter at chunk seams can leave epsilon overlaps; clip
+    # a later Smith-Waterman region can still skip over words an earlier
+    # one pairs (masking pairs only), so accepted candidates can overlap; clip
     cleaned: list[SegmentCandidate] = []
     prev_end = 0.0
     for cand in accepted:

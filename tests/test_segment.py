@@ -23,32 +23,50 @@ from asrboot.segment import (
     _decode_chunks,
     _pieces_to_candidates,
     _split_region,
-    chunk_spans,
+    chunk_recording,
     smith_waterman,
     success_rate,
 )
 
 
-class TestChunkSpans:
-    @pytest.mark.parametrize("duration", [0.5, 5.0, 25.0, 26.0, 61.3, 300.0])
-    def test_spans_cover_duration_with_overlap(self, duration):
-        spans = chunk_spans(duration, chunk_len=30.0, overlap=5.0)
-        assert spans[0][0] == 0.0
-        assert spans[-1][1] == duration
-        for start, end in spans:
-            assert 0.0 <= start < end <= duration
-            assert end - start <= 30.0
-        for (s0, e0), (s1, _) in zip(spans, spans[1:]):
-            assert s1 == pytest.approx(s0 + 25.0)
-            assert e0 - s1 == pytest.approx(5.0)
+def seams(chunks):
+    return [c.start for c in chunks[1:]]
 
-    def test_zero_duration_gives_no_spans(self):
-        assert chunk_spans(0.0) == []
 
-    @pytest.mark.parametrize("overlap", [10.0, 12.0])
-    def test_overlap_not_below_chunk_len_rejected(self, overlap):
-        with pytest.raises(ValueError):
-            chunk_spans(60.0, chunk_len=10.0, overlap=overlap)
+class TestChunkRecording:
+    @pytest.mark.parametrize("n_frames", [0, 1, 99, 100, 101, 151, 250, 1234])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_disjoint_cover_and_bounded(self, n_frames, seed):
+        rng = np.random.default_rng(seed)
+        edges = np.sort(rng.choice(max(n_frames, 1) + 1, size=20))
+        runs = [(int(a), int(b)) for a, b in edges.reshape(-1, 2) if b > a]
+        chunks = chunk_recording("rec", runs, n_frames, 100)
+        ends = [0] + [c.end for c in chunks]
+        assert [c.start for c in chunks] == ends[:-1]
+        assert ends[-1] == n_frames
+        assert all(0 < c.end - c.start <= 100 for c in chunks)
+        if len(chunks) > 1:
+            assert chunks[-1].end - chunks[-1].start >= 50
+
+    def test_seam_at_middle_of_longest_silence_in_second_half(self):
+        # (10, 40) is in the first half; (45, 75) is clipped to (50, 75)
+        runs = [(10, 40), (45, 75), (80, 95)]
+        assert seams(chunk_recording("rec", runs, 250, 100)) == [62, 162]
+
+    def test_without_silence_cut_at_max_frames(self):
+        chunks = chunk_recording("rec", [(10, 40)], 350, 100)
+        assert seams(chunks) == [100, 200, 300]
+
+    def test_window_stops_half_a_chunk_before_the_end(self):
+        # the run (195, 205) would leave a 5-frame last chunk
+        assert seams(chunk_recording("rec", [(195, 205)], 210, 100)) == [100, 160]
+        assert seams(chunk_recording("rec", [], 203, 101)) == [101, 152]
+
+    def test_two_frame_chunks_advance_through_silence(self):
+        chunks = chunk_recording("rec", [(0, 5)], 5, 2)
+        assert [(c.start, c.end) for c in chunks] == [
+            (0, 1), (1, 2), (2, 3), (3, 5)
+        ]
 
 
 def words(prefix, n):
@@ -273,46 +291,47 @@ def canned_hypothesis(words):
 
 
 class TestDecodeChunks:
-    def decode_with(self, monkeypatch, by_start, chunks):
-        """Run `_decode_chunks` with `decode` answering per chunk start."""
-        cfg = HarvestConfig()
-        shift = cfg.frontend.frame_shift
+    def decode_with(self, monkeypatch, by_start, bounds):
+        """Run `_decode_chunks` with `decode` answering per chunk start frame."""
         # frame t holds the value t, so a chunk's first frame gives its start
         feats = feats_from(np.arange(600, dtype=float)[:, None])
+        chunks = [Chunk("rec", lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        decoded = []
 
         def fake_decode(model, lm, tree, piece, decode_cfg, lexicon=None):
-            answer = by_start[round(piece.frames[0, 0] * shift, 2)]
+            decoded.append((int(piece.frames[0, 0]), piece.n_frames))
+            answer = by_start[decoded[-1][0]]
             if isinstance(answer, Exception):
                 raise answer
             return canned_hypothesis(answer)
 
         monkeypatch.setattr(segment, "decode", fake_decode)
-        return _decode_chunks(None, None, None, None, feats, chunks, cfg)
+        words = _decode_chunks(None, None, None, None, feats, chunks, HarvestConfig())
+        assert decoded == [(c.start, c.end - c.start) for c in chunks]
+        return words
 
-    def test_overlap_word_kept_from_nearest_chunk_only(self, monkeypatch):
-        chunks = [Chunk("rec", 0.0, 3.0), Chunk("rec", 2.0, 5.0)]  # centres 1.5, 3.5
+    def test_words_offset_by_chunk_start_in_order(self, monkeypatch):
         by_start = {
-            0.0: [("A", 0.5, 1.0), ("B", 2.2, 2.4), ("c", 2.7, 2.9)],
-            2.0: [("b", 0.2, 0.4), ("C", 0.7, 0.9), ("D", 2.0, 2.5)],
+            0: [("A", 0.5, 1.0), ("B", 2.2, 2.9)],
+            300: [("C", 0.25, 0.5), ("D", 1.0, 1.25)],
+            450: [("E", 0.0, 1.5)],
         }
-        words = self.decode_with(monkeypatch, by_start, chunks)
+        words = self.decode_with(monkeypatch, by_start, [0, 300, 450, 600])
         assert words == [
             TimedWord("A", 0.5, 1.0),
-            TimedWord("B", 2.2, 2.4),
-            TimedWord("C", 2.7, 2.9),
-            TimedWord("D", 4.0, 4.5),
+            TimedWord("B", 2.2, 2.9),
+            TimedWord("C", 3.25, 3.5),
+            TimedWord("D", 4.0, 4.25),
+            TimedWord("E", 4.5, 6.0),
         ]
 
     def test_chunk_whose_decode_fails_is_skipped(self, monkeypatch):
-        chunks = [
-            Chunk("rec", 0.0, 2.0), Chunk("rec", 2.0, 4.0), Chunk("rec", 4.0, 6.0)
-        ]
         by_start = {
-            0.0: [("A", 0.5, 1.0)],
-            2.0: DecodeError("no token reached an utterance-final state"),
-            4.0: [("C", 0.5, 1.0)],
+            0: [("A", 0.5, 1.0)],
+            200: DecodeError("no token reached an utterance-final state"),
+            400: [("C", 0.5, 1.0)],
         }
-        words = self.decode_with(monkeypatch, by_start, chunks)
+        words = self.decode_with(monkeypatch, by_start, [0, 200, 400, 600])
         assert words == [TimedWord("A", 0.5, 1.0), TimedWord("C", 4.5, 5.0)]
 
 
