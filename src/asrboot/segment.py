@@ -181,6 +181,8 @@ class SegmentReport:
     rejected_ratio: int = 0
     rejected_short: int = 0
     rejected_long: int = 0
+    n_chunks: int = 0
+    chunk_failures: int = 0  # chunks whose decode raised DecodeError
 
     @property
     def n_accepted(self) -> int:
@@ -197,6 +199,8 @@ class SegmentReport:
         return {
             "recording_id": self.recording_id,
             "n_transcript_tokens": self.n_transcript_tokens,
+            "n_chunks": self.n_chunks,
+            "chunk_failures": self.chunk_failures,
             "n_hyp_words": self.n_hyp_words,
             "n_regions": self.n_regions,
             "n_candidates": self.n_candidates,
@@ -223,6 +227,12 @@ class HarvestConfig:
     decode: DecodeConfig = DecodeConfig(beam=14.0, max_active=2000)
     frontend: FrontendConfig = FrontendConfig()
 
+    def __post_init__(self):
+        if self.chunk_len < 2 * self.frontend.frame_shift:
+            raise ValueError(
+                f"chunk_len must be at least two frame shifts, got {self.chunk_len}"
+            )
+
 
 @dataclass(frozen=True)
 class TimedWord:
@@ -232,9 +242,10 @@ class TimedWord:
 
 
 def _decode_chunks(
-    model, lm, tree, lexicon, feats_full, chunks, cfg: HarvestConfig
+    model, lm, tree, lexicon, feats_full, chunks, cfg: HarvestConfig,
+    report: SegmentReport,
 ) -> list[TimedWord]:
-    """Decode each chunk; a chunk whose decode fails is skipped.
+    """Decode each chunk; a chunk whose decode fails is counted and skipped.
 
     Chunks are disjoint and in time order, so their words come out in order.
     """
@@ -246,6 +257,7 @@ def _decode_chunks(
         try:
             hyp = decode(model, lm, tree, piece, cfg.decode, lexicon=lexicon)
         except DecodeError as exc:
+            report.chunk_failures += 1
             logger.warning(
                 "%s chunk [%.2f, %.2f] s: %s",
                 chunk.recording_id, offset, chunk.end * shift, exc,
@@ -259,12 +271,12 @@ def _decode_chunks(
 
 
 def _silence_cut_points(
-    mask: np.ndarray, shift: float, min_gap: float
+    runs: Sequence[tuple[int, int]], shift: float, min_gap: float
 ) -> list[tuple[float, float]]:
     min_frames = max(1, int(round(min_gap / shift)))
     return [
         (start * shift, end * shift)
-        for start, end in silence_runs(mask)
+        for start, end in runs
         if end - start >= min_frames
     ]
 
@@ -282,10 +294,7 @@ def _split_region(
         if hi is not None and prev_hyp is not None:
             gap_lo = hyp_words[prev_hyp].end
             gap_hi = hyp_words[hi].start
-            if any(
-                gs < gap_hi and ge > gap_lo and (min(ge, gap_hi) - max(gs, gap_lo)) > 0
-                for gs, ge in gaps
-            ):
+            if any(max(gs, gap_lo) < min(ge, gap_hi) for gs, ge in gaps):
                 pieces.append([])
         pieces[-1].append(pair)
         if hi is not None:
@@ -316,19 +325,19 @@ def harvest_segments(
 
     feats_full = cmvn(compute_mfcc(samples, cfg.frontend))
     shift = cfg.frontend.frame_shift
-    mask = silence_mask(feats_full, margin_db=cfg.margin_db)
-    gaps = _silence_cut_points(mask, shift, cfg.silence_gap)
+    runs = silence_runs(silence_mask(feats_full, margin_db=cfg.margin_db))
+    gaps = _silence_cut_points(runs, shift, cfg.silence_gap)
     chunks = chunk_recording(
-        recording_id, silence_runs(mask), feats_full.n_frames,
-        round(cfg.chunk_len / shift),
+        recording_id, runs, feats_full.n_frames, round(cfg.chunk_len / shift)
     )
+    report.n_chunks = len(chunks)
 
     lm = biased_lm(transcript_lines, unk_mass=cfg.unk_mass)
     sub_lex = lexicon.restricted_to(set(ref_tokens))
     tree = build_prefix_tree(sub_lex, include_unk=True)
 
     hyp_words = _decode_chunks(
-        model, lm, tree, sub_lex, feats_full, chunks, cfg
+        model, lm, tree, sub_lex, feats_full, chunks, cfg, report
     )
     report.n_hyp_words = len(hyp_words)
     if not hyp_words:

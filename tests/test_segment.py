@@ -1,4 +1,6 @@
 from functools import lru_cache
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from hypothesis import strategies as st
 from conftest import feats_from
 
 from asrboot import segment
-from asrboot.am import Interval
-from asrboot.decode import DecodeError, Hypothesis
+from asrboot.am import Interval, TrainSchedule, flat_start, train
+from asrboot.corpus import load_manifest, read_wav
+from asrboot.decode import DecodeConfig, DecodeError, Hypothesis
+from asrboot.features import cmvn, compute_mfcc
+from asrboot.lexicon import graphemic_lexicon
 from asrboot.scoring import DEL, INS, SUB
 from asrboot.segment import (
     MATCH,
@@ -24,9 +29,11 @@ from asrboot.segment import (
     _pieces_to_candidates,
     _split_region,
     chunk_recording,
+    harvest_segments,
     smith_waterman,
     success_rate,
 )
+from asrboot.synth import SynthSpec, synth_corpus
 
 
 def seams(chunks):
@@ -67,6 +74,11 @@ class TestChunkRecording:
         assert [(c.start, c.end) for c in chunks] == [
             (0, 1), (1, 2), (2, 3), (3, 5)
         ]
+
+    @pytest.mark.parametrize("chunk_len", [0.0, 0.01, 0.019])
+    def test_chunk_len_under_two_frame_shifts_rejected(self, chunk_len):
+        with pytest.raises(ValueError, match="chunk_len"):
+            HarvestConfig(chunk_len=chunk_len)
 
 
 def words(prefix, n):
@@ -213,6 +225,13 @@ class TestSplitRegion:
         ]
         assert _split_region(region, hyp_words, []) == [pairs]
 
+    def test_touching_words_not_cut(self):
+        # w0 and w1 touch at 0.5 s, so no gap lies between them
+        pairs = [(0, 0, MATCH), (1, 1, MATCH)]
+        region = AlignedRegion(score=4.0, pairs=pairs)
+        hyp_words = [TimedWord("w0", 0.0, 0.5), TimedWord("w1", 0.5, 1.0)]
+        assert _split_region(region, hyp_words, [(0.3, 0.7)]) == [pairs]
+
 
 def to_candidates(piece, hyp_words, ref_tokens, gaps, **cfg):
     rep = SegmentReport("rec", len(ref_tokens), len(hyp_words), 1, 0)
@@ -306,9 +325,12 @@ class TestDecodeChunks:
             return canned_hypothesis(answer)
 
         monkeypatch.setattr(segment, "decode", fake_decode)
-        words = _decode_chunks(None, None, None, None, feats, chunks, HarvestConfig())
+        report = SegmentReport("rec", 0, 0, 0, 0)
+        words = _decode_chunks(
+            None, None, None, None, feats, chunks, HarvestConfig(), report
+        )
         assert decoded == [(c.start, c.end - c.start) for c in chunks]
-        return words
+        return words, report
 
     def test_words_offset_by_chunk_start_in_order(self, monkeypatch):
         by_start = {
@@ -316,7 +338,7 @@ class TestDecodeChunks:
             300: [("C", 0.25, 0.5), ("D", 1.0, 1.25)],
             450: [("E", 0.0, 1.5)],
         }
-        words = self.decode_with(monkeypatch, by_start, [0, 300, 450, 600])
+        words, report = self.decode_with(monkeypatch, by_start, [0, 300, 450, 600])
         assert words == [
             TimedWord("A", 0.5, 1.0),
             TimedWord("B", 2.2, 2.9),
@@ -324,6 +346,7 @@ class TestDecodeChunks:
             TimedWord("D", 4.0, 4.25),
             TimedWord("E", 4.5, 6.0),
         ]
+        assert report.chunk_failures == 0
 
     def test_chunk_whose_decode_fails_is_skipped(self, monkeypatch):
         by_start = {
@@ -331,8 +354,84 @@ class TestDecodeChunks:
             200: DecodeError("no token reached an utterance-final state"),
             400: [("C", 0.5, 1.0)],
         }
-        words = self.decode_with(monkeypatch, by_start, [0, 200, 400, 600])
+        words, report = self.decode_with(monkeypatch, by_start, [0, 200, 400, 600])
         assert words == [TimedWord("A", 0.5, 1.0), TimedWord("C", 4.5, 5.0)]
+        assert report.chunk_failures == 1
+
+
+@pytest.fixture(scope="module")
+def harvest(tmp_path_factory):
+    """A one-minute synthetic recording harvested in 12 s chunks with a
+    model trained briefly on 20 clips; every chunk and decode is recorded."""
+    corp = synth_corpus(
+        SynthSpec(seed=0), tmp_path_factory.mktemp("synth"), n_shortform=20,
+        longform_minutes=1.0, longform_recording_minutes=1.0, n_test=0,
+        vocabulary_size=10,
+    )
+    clips = []
+    for utt in load_manifest(corp.short_manifest):
+        clips.append((cmvn(compute_mfcc(read_wav(utt.audio)[1])), utt.tokens()))
+    lexicon = graphemic_lexicon(corp.vocabulary)[0]
+    schedule = TrainSchedule(n_iters=7, split_iters=(3, 6), max_gauss=2)
+    model = train(flat_start(clips, lexicon), clips, lexicon, schedule).model
+    (rec,) = corp.longform
+    samples = read_wav(rec.audio)[1]
+    text = Path(rec.transcript).read_text(encoding="utf-8")
+    lines = [line.split() for line in text.splitlines()]
+    cfg = HarvestConfig(
+        chunk_len=12.0,
+        decode=DecodeConfig(beam=60.0, max_active=20000, lm_scale=2.0),
+    )
+    chunks, decoded = [], []
+    real_decode = segment.decode
+
+    def recording_chunks(*args):
+        result = chunk_recording(*args)
+        chunks.extend(result)
+        return result
+
+    def counting_decode(model, lm, tree, feats, *args, **kwargs):
+        decoded.append(feats.n_frames)
+        return real_decode(model, lm, tree, feats, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "chunk_recording", recording_chunks)
+        mp.setattr(segment, "decode", counting_decode)
+        segments, rep = harvest_segments(
+            rec.recording_id, samples, lines, model, lexicon, cfg
+        )
+    return SimpleNamespace(
+        chunks=chunks, decoded=decoded, segments=segments, report=rep,
+        duration=len(samples) / cfg.frontend.sample_rate,
+        shift=cfg.frontend.frame_shift, truth=rec.utterances,
+        ref_tokens=[t for line in lines for t in line],
+    )
+
+
+class TestHarvestSegments:
+    def test_decode_runs_once_per_chunk(self, harvest):
+        assert len(harvest.chunks) >= 3
+        assert harvest.decoded == [c.end - c.start for c in harvest.chunks]
+        assert harvest.report.n_chunks == len(harvest.chunks)
+
+    def test_no_seam_inside_a_spoken_word(self, harvest):
+        cuts = [t * harvest.shift for t in seams(harvest.chunks)]
+        spoken = [w for utt in harvest.truth for w in utt["words"]]
+        assert spoken
+        assert not [
+            (t, w) for t in cuts for w in spoken if w["start"] < t < w["end"]
+        ]
+
+    def test_segments_sorted_disjoint_and_inside_the_recording(self, harvest):
+        segs = harvest.segments
+        assert segs and segs == harvest.report.accepted
+        assert all(0.0 <= s.start < s.end <= harvest.duration for s in segs)
+        assert all(a.end <= b.start for a, b in zip(segs, segs[1:]))
+
+    def test_segment_tokens_are_their_transcript_span(self, harvest):
+        for seg in harvest.segments:
+            lo, hi = seg.ref_span
+            assert seg.tokens == tuple(harvest.ref_tokens[lo : hi + 1])
 
 
 def report(n_tokens, accepted_tokens):
