@@ -1,11 +1,17 @@
 """Grapheme GMM-HMM acoustic models: flat start, Viterbi-EM, alignment.
 
 Phones are 3-state left-to-right HMMs (self-loop + forward, no skips)
-with one diagonal-covariance GMM per state.  Training alternates Viterbi
-forced alignment with closed-form re-estimation; mixtures grow by
-splitting the heaviest component at scheduled iterations.  Triphone
-refinement gives dedicated states to contexts with enough aligned frames
-and falls back to the monophone state elsewhere.
+with one diagonal-covariance GMM per state.  Training starts from the
+global data statistics re-estimated once on equal alignments, then
+alternates Viterbi forced alignment with closed-form re-estimation;
+mixtures grow by splitting the heaviest component at scheduled
+iterations.  Triphone refinement gives dedicated states to contexts with
+enough aligned frames and falls back to the monophone state elsewhere.
+
+Every emission score (alignment, accumulation, rescoring and the
+decoder) comes from one kernel, ``_component_logliks``: the requested
+states' components stacked into one matrix and scored with one matmul
+per utterance.
 """
 
 from __future__ import annotations
@@ -55,38 +61,6 @@ class GmmState:
         return GmmState(
             self.weights.copy(), self.means.copy(), self.variances.copy()
         )
-
-    def component_loglik(self, frames: np.ndarray) -> np.ndarray:
-        """(T, K) per-component log densities."""
-        t, d = frames.shape
-        out = np.empty((t, self.n_components))
-        for k in range(self.n_components):
-            var = self.variances[k]
-            gconst = -0.5 * np.log(2.0 * np.pi * var).sum()
-            diff = frames - self.means[k]
-            diff *= diff
-            diff /= var
-            out[:, k] = gconst - 0.5 * diff.sum(axis=1)
-        return out
-
-    def loglik(self, frames: np.ndarray) -> np.ndarray:
-        """(T,) log p(x) under the mixture."""
-        comp = self.component_loglik(frames)
-        logw = np.log(np.maximum(self.weights, PROB_FLOOR))
-        shifted = comp + logw
-        peak = shifted.max(axis=1, keepdims=True)
-        return (peak + np.log(np.exp(shifted - peak).sum(axis=1, keepdims=True)))[
-            :, 0
-        ]
-
-    def responsibilities(self, frames: np.ndarray) -> np.ndarray:
-        """(T, K) posterior component weights per frame."""
-        comp = self.component_loglik(frames) + np.log(
-            np.maximum(self.weights, PROB_FLOOR)
-        )
-        peak = comp.max(axis=1, keepdims=True)
-        lin = np.exp(comp - peak)
-        return lin / lin.sum(axis=1, keepdims=True)
 
 
 @dataclass
@@ -302,17 +276,60 @@ class AlignFailure:
     detail: str = ""
 
 
+def _component_logliks(
+    model: AcousticModel, frames: np.ndarray, states: Sequence[int]
+) -> np.ndarray:
+    """(T, K, S) log w + log N(x; mean, var) per frame, component and state.
+
+    The one emission kernel, laid out like Kaldi's ``DiagGmm``: the
+    components of ``states`` are stacked and padded to the largest
+    component count K (a padded component scores ``LOG_ZERO``).  Each
+    component is gconst + log w - 1/2 sum(mean^2/var) plus a linear term
+    mean/var on x and a quadratic term -1/2/var on x^2, so scoring the
+    whole utterance is one matmul [x, x^2] @ P.  Component k of every
+    state is one contiguous (T, S) slab, so a reduction over K is K - 1
+    whole-slab operations.
+    """
+    gmms = [model.states[sid] for sid in states]
+    n_comp = np.array([g.n_components for g in gmms])
+    k_max = int(n_comp.max())
+    # column of every real component (state-major order) in the (K * S) layout
+    state_idx, comp_idx = np.nonzero(np.arange(k_max) < n_comp[:, None])
+    slot = comp_idx * len(gmms) + state_idx
+    means = np.concatenate([g.means for g in gmms])
+    variances = np.concatenate([g.variances for g in gmms])
+    weights = np.concatenate([g.weights for g in gmms])
+    inv_var = 1.0 / variances
+    const = np.full(k_max * len(gmms), LOG_ZERO)
+    const[slot] = (
+        np.log(np.maximum(weights, PROB_FLOOR))
+        - 0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)
+        - 0.5 * (means * means * inv_var).sum(axis=1)
+    )
+    dim = frames.shape[1]
+    params = np.zeros((2 * dim, k_max * len(gmms)))
+    params[:dim, slot] = (means * inv_var).T
+    params[dim:, slot] = (-0.5 * inv_var).T
+    scores = np.hstack([frames, frames * frames]) @ params
+    scores += const
+    return scores.reshape(frames.shape[0], k_max, len(gmms))
+
+
 def state_logliks(
     model: AcousticModel, frames: np.ndarray, state_ids: Iterable[int]
 ) -> tuple[np.ndarray, dict[int, int]]:
-    """(T, U) emission matrix for the unique states, plus id -> column map."""
+    """(T, U) emission matrix for the unique states, plus id -> column map.
+
+    The mixture log-likelihood is a log-sum-exp over the components that
+    ``_component_logliks`` scores in one pass.
+    """
     unique = np.unique(np.fromiter(state_ids, dtype=np.int64)).tolist()
-    emis = np.empty((frames.shape[0], len(unique)))
-    col = {}
-    for j, sid in enumerate(unique):
-        emis[:, j] = model.states[sid].loglik(frames)
-        col[sid] = j
-    return emis, col
+    comp = _component_logliks(model, frames, unique)
+    peak = comp.max(axis=1)
+    comp -= peak[:, None, :]
+    np.exp(comp, out=comp)
+    emis = peak + np.log(comp.sum(axis=1))
+    return emis, {sid: j for j, sid in enumerate(unique)}
 
 
 def viterbi_path(
@@ -479,7 +496,18 @@ def flat_start(
     data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
     lexicon: Lexicon,
 ) -> AcousticModel:
-    """Monophone model with every state at the global data statistics."""
+    """Monophone model from the global statistics, re-estimated once from
+    equal alignments.
+
+    Every state starts at the global mean and variance, every transition
+    at 0.5.  Under that model every path scores alike, so a first Viterbi
+    pass would be decided by rounding.  Instead each utterance's frames
+    are split evenly over its SIL, word, ..., word, SIL states (no
+    silence between words) and the model is re-estimated once from those
+    alignments, as Kaldi's ``train_mono.sh`` seeds training with
+    ``align-equal-compiled``.  An utterance with fewer frames than states
+    is skipped; a state no utterance reaches keeps the global statistics.
+    """
     if not data:
         raise ValueError("flat_start needs at least one utterance")
     for _, tokens in data:
@@ -500,13 +528,35 @@ def flat_start(
         for _ in range(len(phones) * N_STATES)
     ]
     transitions = np.full((len(phones) * N_STATES, 2), 0.5)
-    return AcousticModel(
+    model = AcousticModel(
         phones=phones,
         dim=dim,
         kind=MONOPHONE,
         states=states,
         transitions=transitions,
     )
+    stats = _Stats.zeros(model)
+    for feats, tokens in data:
+        graph = compile_align_graph(tokens, lexicon, model)
+        path = _equal_alignment(graph, model.n_states, feats.n_frames)
+        if path is not None:
+            _accumulate(model, graph, path, feats.frames, stats)
+    return _reestimate(model, stats)
+
+
+def _equal_alignment(
+    graph: AlignGraph, n_states: int, n_frames: int
+) -> np.ndarray | None:
+    """Node per frame, the frames split evenly over the graph's nodes
+    without the SILs between words; None with fewer frames than nodes."""
+    inner_sil = np.array([inst.word_index is None for inst in graph.instances])
+    inner_sil[[0, -1]] = False
+    nodes = np.flatnonzero(
+        ~inner_sil[np.arange(len(graph.node_state)) // n_states]
+    )
+    if n_frames < len(nodes):
+        return None
+    return nodes[np.arange(n_frames) * len(nodes) // n_frames]
 
 
 def _rescore_path(
@@ -517,24 +567,43 @@ def _rescore_path(
 ) -> float:
     """Path log-likelihood under the model (same path, possibly new params).
 
-    Only the aligned state is scored on each frame.  The terms are summed
-    one after another in path order (entry, then emission and arc per
-    frame, then exit), the order in which ``viterbi_path`` adds them.
+    Emissions come from the call ``viterbi_path`` makes (every graph state
+    over every frame), so a matmul blocked by shape cannot round them
+    differently.  The terms are summed one after another in path order
+    (entry, then emission and arc per frame, then exit), the order in
+    which ``viterbi_path`` adds them.
     """
-    state_ids = graph.node_state[path]
-    emis = np.empty(len(path))
-    for sid in np.unique(state_ids).tolist():
-        rows = state_ids == sid
-        emis[rows] = model.states[sid].loglik(frames[rows])
+    emis, col = state_logliks(model, frames, graph.node_state)
+    node_col = np.array([col[s] for s in graph.node_state.tolist()])
     log_trans = model.log_transitions()
     # the first lane whose source is the previous node
     lanes = (graph.lane_src[path[1:]] == path[:-1, None]).argmax(axis=1)
     terms = np.empty(2 * len(path) + 1)
     terms[0] = graph.entry_prior[(graph.entry_nodes == path[0]).argmax()]
-    terms[1::2] = emis
+    terms[1::2] = emis[np.arange(len(path)), node_col[path]]
     terms[2:-1:2] = graph.lane_logp(log_trans)[path[1:], lanes]
     terms[-1] = graph.final_logp(log_trans)[(graph.final_nodes == path[-1]).argmax()]
     return float(np.cumsum(terms)[-1])
+
+
+@dataclass
+class _Stats:
+    """Viterbi-EM sufficient statistics, per state padded to the largest
+    component count: occupancy, sums of x and x^2, transition counts."""
+
+    gamma: np.ndarray  # (S, K)
+    x: np.ndarray  # (S, K, D)
+    x2: np.ndarray  # (S, K, D)
+    trans: np.ndarray  # (S, 2): [self, forward]
+
+    @classmethod
+    def zeros(cls, model: AcousticModel) -> "_Stats":
+        k = max(s.n_components for s in model.states)
+        shape = (model.n_model_states, k)
+        return cls(
+            np.zeros(shape), np.zeros((*shape, model.dim)),
+            np.zeros((*shape, model.dim)), np.zeros_like(model.transitions),
+        )
 
 
 def _accumulate(
@@ -542,53 +611,53 @@ def _accumulate(
     graph: AlignGraph,
     path: np.ndarray,
     frames: np.ndarray,
-    acc_gamma,
-    acc_x,
-    acc_x2,
-    acc_trans,
+    stats: _Stats,
 ) -> None:
+    """Add one aligned utterance: component posteriors of each frame's
+    state from one kernel call, summed per state with one matmul."""
     state_ids = graph.node_state[path]
-    for sid in np.unique(state_ids).tolist():
-        rows = frames[state_ids == sid]
-        gamma = model.states[sid].responsibilities(rows)
-        acc_gamma[sid] += gamma.sum(axis=0)
-        acc_x[sid] += gamma.T @ rows
-        acc_x2[sid] += gamma.T @ (rows * rows)
+    states, frame_col = np.unique(state_ids, return_inverse=True)
+    comp = _component_logliks(model, frames, states.tolist())
+    t_frames, k = len(path), comp.shape[1]
+    rows = np.arange(t_frames)
+    gamma = comp[rows, :, frame_col]  # (T, K): the aligned state's components
+    gamma -= gamma.max(axis=1, keepdims=True)
+    np.exp(gamma, out=gamma)
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    post = np.zeros((t_frames, len(states), k))  # zero off the aligned state
+    post[rows, frame_col] = gamma
+    post = post.reshape(t_frames, -1)
+    sums = (post.T @ np.hstack([frames, frames * frames])).reshape(
+        len(states), k, 2, -1
+    )
+    stats.gamma[states, :k] += post.sum(axis=0).reshape(len(states), k)
+    stats.x[states, :k] += sums[:, :, 0]
+    stats.x2[states, :k] += sums[:, :, 1]
     # transition events: same node = self-loop, different = forward
     src_states = state_ids[:-1]
     self_moves = path[1:] == path[:-1]
-    np.add.at(acc_trans[:, 0], src_states[self_moves], 1.0)
-    np.add.at(acc_trans[:, 1], src_states[~self_moves], 1.0)
-    acc_trans[int(state_ids[-1]), 1] += 1.0  # final exit
+    np.add.at(stats.trans[:, 0], src_states[self_moves], 1.0)
+    np.add.at(stats.trans[:, 1], src_states[~self_moves], 1.0)
+    stats.trans[int(state_ids[-1]), 1] += 1.0  # final exit
 
 
-def _reestimate(
-    model: AcousticModel,
-    acc_gamma,
-    acc_x,
-    acc_x2,
-    acc_trans,
-) -> AcousticModel:
+def _reestimate(model: AcousticModel, stats: _Stats) -> AcousticModel:
     new = model.copy()
     for sid, state in enumerate(new.states):
-        gamma = acc_gamma[sid]
+        k = state.n_components
+        gamma = stats.gamma[sid, :k]
         total = gamma.sum()
         if total < 1e-8:
             continue  # state unseen this iteration: keep old parameters
-        weights = gamma / total
-        means = state.means.copy()
-        variances = state.variances.copy()
-        for k in range(state.n_components):
-            if gamma[k] < 1e-6:
-                continue
-            mu = acc_x[sid][k] / gamma[k]
-            var = acc_x2[sid][k] / gamma[k] - mu * mu
-            means[k] = mu
-            variances[k] = np.maximum(var, VARIANCE_FLOOR)
-        state.weights = weights
-        state.means = means
-        state.variances = variances
-        row = acc_trans[sid]
+        state.weights = gamma / total
+        seen = gamma >= 1e-6
+        occ = gamma[seen, None]
+        mu = stats.x[sid, :k][seen] / occ
+        state.means[seen] = mu
+        state.variances[seen] = np.maximum(
+            stats.x2[sid, :k][seen] / occ - mu * mu, VARIANCE_FLOOR
+        )
+        row = stats.trans[sid]
         if row.sum() > 0:
             new.transitions[sid] = row / row.sum()
     return new
@@ -635,10 +704,7 @@ def train(
     trace: list[tuple[float, float]] = []
     n_fail = 0
     for iteration in range(1, schedule.n_iters + 1):
-        acc_gamma = [np.zeros(s.n_components) for s in model.states]
-        acc_x = [np.zeros_like(s.means) for s in model.states]
-        acc_x2 = [np.zeros_like(s.variances) for s in model.states]
-        acc_trans = np.zeros_like(model.transitions)
+        stats = _Stats.zeros(model)
         pre_total = 0.0
         paths: list[tuple[int, np.ndarray]] = []
         n_fail = 0
@@ -653,15 +719,12 @@ def train(
             path, loglik = result
             pre_total += loglik
             paths.append((idx, path))
-            _accumulate(
-                model, graph, path, feats.frames,
-                acc_gamma, acc_x, acc_x2, acc_trans,
-            )
+            _accumulate(model, graph, path, feats.frames, stats)
         if not paths:
             raise RuntimeError(
                 f"iteration {iteration}: every utterance failed alignment"
             )
-        model = _reestimate(model, acc_gamma, acc_x, acc_x2, acc_trans)
+        model = _reestimate(model, stats)
         post_total = sum(
             _rescore_path(model, graphs[idx], path, data[idx][0].frames)
             for idx, path in paths

@@ -10,7 +10,8 @@ higher acoustic score, then the lexicographically earlier word sequence,
 then the earlier token.  Pruning is a log-likelihood beam plus a cap that
 keeps the `max_active` highest totals, the earlier token winning a tie at
 the cut.  Scores are added in a fixed order, so decoding is deterministic
-bit for bit.
+bit for bit.  When no token reaches an utterance-final state, the best
+token's completed words come back as a hypothesis flagged ``partial``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ LN10 = math.log(10.0)
 
 
 class DecodeError(RuntimeError):
-    """No surviving tokens: the beam pruned every path."""
+    """Nothing to decode: zero frames, or the beam emptied (a NaN score
+    prunes every token).  A search that ends with no token in a final
+    state is not an error; it gives a partial hypothesis."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,9 @@ class Hypothesis:
     acoustic_score: float
     lm_score: float  # log10, unscaled
     total_score: float
+    # no token reached an utterance-final state: the words are those the
+    # best token had completed and the scores are its own
+    partial: bool = False
 
     def text(self) -> str:
         return " ".join(self.words)
@@ -352,7 +358,8 @@ class _Decoder:
     def _finalize(
         self, tokens: list[tuple], n_frames: int, frame_shift: float
     ) -> Hypothesis:
-        """Best utterance end: a SIL exit, or a word that ends at the last frame."""
+        """Best utterance end: a SIL exit, or a word that ends at the last
+        frame; failing both, the best token as a partial hypothesis."""
         sil_exit, skip = self.net.sil_exit, self.log_skip
         fwd = self.net.log_fwd[sil_exit]
         ends = [
@@ -364,13 +371,16 @@ class _Decoder:
             for pos, hist, start, bp, score, ascore, lscore
             in self._word_ends(tokens, n_frames)
         ]
-        if not ends:
-            raise DecodeError("no token reached an utterance-final state")
-        cands = []
-        for pos, hist, start, bp, score, ascore, lscore in ends:
-            eos = self.eos_logp(hist)
-            cands.append((pos, hist, start, bp, score + self.lm_w * eos, ascore,
-                          lscore + eos))
+        if ends:
+            cands = []
+            for pos, hist, start, bp, score, ascore, lscore in ends:
+                eos = self.eos_logp(hist)
+                cands.append((pos, hist, start, bp, score + self.lm_w * eos,
+                              ascore, lscore + eos))
+        elif tokens:
+            cands = tokens  # a partial hypothesis: the open word is dropped
+        else:
+            raise DecodeError(f"beam emptied at frame {n_frames - 1}")
         (best,) = self._best([0] * len(cands), cands)
         _, _, _, bp, total, ascore, lmscore = cands[best]
         trace = self._backtrace(bp)
@@ -383,6 +393,7 @@ class _Decoder:
             acoustic_score=ascore,
             lm_score=lmscore,
             total_score=total,
+            partial=not ends,
         )
 
 
@@ -414,6 +425,7 @@ class RtfReport:
 class CorpusDecodeResult:
     hypotheses: list[Hypothesis | None]
     errors: list[tuple[int, str]]
+    partial: list[int]  # indices of partial hypotheses
     rtf: RtfReport
 
 
@@ -425,7 +437,8 @@ def decode_corpus(
     cfg: DecodeConfig = DecodeConfig(),
     lexicon: Lexicon | None = None,
 ) -> CorpusDecodeResult:
-    """Decode a batch in order; per-utterance errors are collected."""
+    """Decode a batch in order; per-utterance errors and partial
+    hypotheses are listed by index."""
     hypotheses: list[Hypothesis | None] = []
     errors: list[tuple[int, str]] = []
     audio_seconds = 0.0
@@ -441,5 +454,6 @@ def decode_corpus(
     return CorpusDecodeResult(
         hypotheses=hypotheses,
         errors=errors,
+        partial=[i for i, hyp in enumerate(hypotheses) if hyp and hyp.partial],
         rtf=RtfReport(audio_seconds=audio_seconds, wall_seconds=wall),
     )

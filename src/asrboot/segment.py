@@ -183,6 +183,7 @@ class SegmentReport:
     rejected_long: int = 0
     n_chunks: int = 0
     chunk_failures: int = 0  # chunks whose decode raised DecodeError
+    partial_chunks: int = 0  # chunks decoded to a partial hypothesis
 
     @property
     def n_accepted(self) -> int:
@@ -201,6 +202,7 @@ class SegmentReport:
             "n_transcript_tokens": self.n_transcript_tokens,
             "n_chunks": self.n_chunks,
             "chunk_failures": self.chunk_failures,
+            "partial_chunks": self.partial_chunks,
             "n_hyp_words": self.n_hyp_words,
             "n_regions": self.n_regions,
             "n_candidates": self.n_candidates,
@@ -245,7 +247,8 @@ def _decode_chunks(
     model, lm, tree, lexicon, feats_full, chunks, cfg: HarvestConfig,
     report: SegmentReport,
 ) -> list[TimedWord]:
-    """Decode each chunk; a chunk whose decode fails is counted and skipped.
+    """Decode each chunk; a chunk whose decode fails is counted and skipped,
+    a partial hypothesis is counted and its words kept.
 
     Chunks are disjoint and in time order, so their words come out in order.
     """
@@ -263,6 +266,7 @@ def _decode_chunks(
                 chunk.recording_id, offset, chunk.end * shift, exc,
             )
             continue
+        report.partial_chunks += hyp.partial
         words.extend(
             TimedWord(iv.label, iv.start + offset, iv.end + offset)
             for iv in hyp.word_intervals

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from asrboot.am import AcousticModel, GmmState
+from asrboot.am import PROB_FLOOR, AcousticModel, GmmState
 from asrboot.features import FeatureMatrix
 
 DIM = 2
@@ -26,6 +26,19 @@ def toy_model(phones=("A", "B"), n_states=3, spread=8.0):
         phones=all_phones, dim=DIM, n_states=n_states,
         states=states, transitions=transitions,
     )
+
+
+def gmm_loglik(state, frames):
+    """(T,) log p(x) of one state's mixture, straight from the formula, one
+    component at a time: the reference the emission kernel is held to."""
+    comp = np.empty((len(frames), state.n_components))
+    for k in range(state.n_components):
+        var = state.variances[k]
+        gconst = -0.5 * np.log(2.0 * np.pi * var).sum()
+        comp[:, k] = gconst - 0.5 * ((frames - state.means[k]) ** 2 / var).sum(axis=1)
+    comp += np.log(np.maximum(state.weights, PROB_FLOOR))
+    peak = comp.max(axis=1)
+    return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))
 
 
 def feats_from(frames):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DIM, feats_from, generate_utterance, toy_model
+from conftest import DIM, feats_from, generate_utterance, gmm_loglik, toy_model
 
 from asrboot import am
 from asrboot.am import (
@@ -34,18 +34,72 @@ def ab_lexicon():
     return lex
 
 
+def equal_alignment_frames(model, lexicon, data):
+    """Frames per state when each utterance's frames are cut into equal
+    runs over SIL, the words' phones, SIL (every length divides evenly)."""
+    by_state = {}
+    for feats, tokens in data:
+        phones = ["SIL", *(p for w in tokens for p in lexicon.pron(w)), "SIL"]
+        state_ids = [sid for ph in phones for sid in model.states_for(ph)]
+        run, rest = divmod(feats.n_frames, len(state_ids))
+        assert rest == 0
+        for i, sid in enumerate(state_ids):
+            by_state.setdefault(sid, []).append(feats.frames[i * run:(i + 1) * run])
+    return {sid: np.vstack(runs) for sid, runs in by_state.items()}
+
+
 class TestFlatStart:
-    def test_all_means_equal_global_mean(self, ab_lexicon):
+    def test_each_mean_is_the_mean_of_its_equal_alignment_frames(self, ab_lexicon):
         rng = np.random.default_rng(0)
+        # SIL A B SIL and SIL A B A SIL: 12 and 15 states, 2 frames each
         data = [
-            (feats_from(rng.standard_normal((20, DIM))), ("AB",)),
-            (feats_from(rng.standard_normal((15, DIM))), ("BA",)),
+            (feats_from(rng.standard_normal((24, DIM))), ("AB",)),
+            (feats_from(rng.standard_normal((30, DIM))), ("AB", "A")),
         ]
         model = flat_start(data, ab_lexicon)
-        stacked = np.vstack([f.frames for f, _ in data])
-        for state in model.states:
-            assert np.allclose(state.means[0], stacked.mean(axis=0))
+        expected = equal_alignment_frames(model, ab_lexicon, data)
+        for sid, frames in expected.items():
+            state = model.states[sid]
+            assert np.allclose(state.means[0], frames.mean(axis=0), rtol=0, atol=1e-12)
+            assert np.allclose(
+                state.variances[0], np.maximum(frames.var(axis=0), 1e-4),
+                rtol=0, atol=1e-12,
+            )
         model.check_invariants()
+
+    def test_state_without_frames_keeps_global_statistics(self, ab_lexicon):
+        rng = np.random.default_rng(1)
+        data = [(feats_from(rng.standard_normal((24, DIM))), ("BA",))]
+        model = flat_start(data, ab_lexicon)
+        frames = data[0][0].frames
+        seen = set(equal_alignment_frames(model, ab_lexicon, data))
+        unseen = set(range(model.n_model_states)) - seen
+        assert unseen == set(model.states_for("GBG"))
+        for sid in unseen:
+            assert np.allclose(model.states[sid].means[0], frames.mean(axis=0))
+            assert np.allclose(model.states[sid].variances[0], frames.var(axis=0))
+            assert model.transitions[sid].tolist() == [0.5, 0.5]
+
+    def test_utterance_shorter_than_its_states_is_skipped(self, ab_lexicon):
+        rng = np.random.default_rng(2)
+        long = (feats_from(rng.standard_normal((24, DIM))), ("AB",))
+        short = (feats_from(5.0 + rng.standard_normal((11, DIM))), ("BA",))
+        model = flat_start([long, short], ab_lexicon)
+        expected = equal_alignment_frames(model, ab_lexicon, [long])
+        for sid, frames in expected.items():
+            assert np.allclose(model.states[sid].means[0], frames.mean(axis=0))
+
+    def test_training_from_flat_start_is_deterministic(self, ab_lexicon):
+        model = toy_model()
+        data = [
+            (generate_utterance(model, ab_lexicon, ("AB", "A"), seed=i)[0],
+             ("AB", "A"))
+            for i in range(3)
+        ]
+        schedule = TrainSchedule(n_iters=4, split_iters=(2,))
+        r1 = train(flat_start(data, ab_lexicon), data, ab_lexicon, schedule)
+        r2 = train(flat_start(data, ab_lexicon), data, ab_lexicon, schedule)
+        assert r1.loglik_trace == r2.loglik_trace
 
     def test_uncoverable_word_rejected(self, ab_lexicon):
         data = [(feats_from(np.zeros((10, DIM))), ("ZZ",))]
@@ -179,7 +233,7 @@ def exhaustive_best_path(model, lexicon, tokens, frames, sil_prior=0.5):
         if n > t_total:
             continue
         emis = {
-            sid: model.states[sid].loglik(frames) for sid in set(state_ids)
+            sid: gmm_loglik(model.states[sid], frames) for sid in set(state_ids)
         }
         log_trans = model.log_transitions()
         for cuts in itertools.combinations(range(1, t_total), n - 1):
@@ -323,21 +377,19 @@ class TestTraining:
 
 
 def rescore_frame_by_frame(model, graph, path, frames):
-    """Reference path score: every state over every frame, one frame at
-    a time, in the order entry, (arc, emission) per frame, exit."""
-    emis = {
-        sid: model.states[sid].loglik(frames)
-        for sid in set(graph.node_state[path].tolist())
-    }
+    """Reference path score: emissions from the call `viterbi_path` makes,
+    added one frame at a time in the order entry, (arc, emission) per
+    frame, exit."""
+    emis, col = am.state_logliks(model, frames, graph.node_state)
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
     total = 0.0
     total += graph.entry_prior[list(graph.entry_nodes).index(path[0])]
-    total += emis[graph.node_state[path[0]]][0]
+    total += emis[0, col[graph.node_state[path[0]]]]
     for t in range(1, len(path)):
         dst, src = int(path[t]), int(path[t - 1])
         total += lane_logp[dst, list(graph.lane_src[dst]).index(src)]
-        total += emis[graph.node_state[dst]][t]
+        total += emis[t, col[graph.node_state[dst]]]
     total += graph.final_logp(log_trans)[list(graph.final_nodes).index(path[-1])]
     return float(total)
 
@@ -387,21 +439,29 @@ class TestRescoring:
             assert result.loglik_trace[-1][1] == expected
             start = result.model
 
+
+class TestEmissionKernel:
     @pytest.mark.parametrize("seed", range(3))
-    def test_loglik_rows_are_independent(self, seed):
+    def test_matches_the_per_component_formula(self, seed):
         rng = np.random.default_rng(seed)
-        k, dim = 4, 39
-        state = GmmState(
-            weights=rng.dirichlet(np.ones(k)),
-            means=rng.standard_normal((k, dim)),
-            variances=rng.uniform(0.2, 2.0, (k, dim)),
-        )
+        dim = 39
+        model = toy_model()
+        model.dim = dim
+        for sid in range(model.n_model_states):
+            k = (1, 2, 4)[sid % 3]  # mixed K: padded slots in every call
+            model.states[sid] = GmmState(
+                weights=rng.dirichlet(np.ones(k)),
+                means=rng.standard_normal((k, dim)),
+                variances=rng.uniform(0.2, 2.0, (k, dim)),
+            )
         frames = 3.0 * rng.standard_normal((301, dim))
-        rows = rng.random(len(frames)) < 0.3
-        assert (
-            state.loglik(frames[rows]).tobytes()
-            == state.loglik(frames)[rows].tobytes()
-        )
+        state_ids = [5, 0, 7, 5, 2, 9, 11]  # unsorted, with a repeat
+        emis, col = am.state_logliks(model, frames, state_ids)
+        assert sorted(col) == sorted(set(state_ids))
+        assert emis.shape == (len(frames), len(col))
+        for sid, j in col.items():
+            ref = gmm_loglik(model.states[sid], frames)
+            np.testing.assert_allclose(emis[:, j], ref, rtol=1e-9, atol=0)
 
 
 class TestAlignCorpus:

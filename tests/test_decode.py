@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import DIM, feats_from, generate_utterance, toy_model
+from conftest import DIM, feats_from, generate_utterance, gmm_loglik, toy_model
 
 from asrboot.decode import (
     DecodeConfig,
@@ -132,7 +132,7 @@ def exhaustive_decode_score(model, lexicon, lm, vocab, frames, cfg):
         n = len(state_ids)
         if n > t_total:
             return -math.inf
-        emis = {sid: model.states[sid].loglik(frames) for sid in set(state_ids)}
+        emis = {sid: gmm_loglik(model.states[sid], frames) for sid in set(state_ids)}
         best = -math.inf
         for cuts in itertools.combinations(range(1, t_total), n - 1):
             edges = [0, *cuts, t_total]
@@ -328,15 +328,30 @@ class TestDecodeCorpus:
         lm = uniform_lm(["A", "B"])
         tree = build_prefix_tree(ab_lexicon)
         good, _ = generate_utterance(model, ab_lexicon, ("A",), seed=0)
-        too_short = feats_from(np.zeros((2, DIM)))
+        empty = feats_from(np.zeros((0, DIM)))
         result = decode_corpus(
-            model, lm, tree, [good, too_short, good],
+            model, lm, tree, [good, empty, good],
             DecodeConfig(beam=50.0), lexicon=ab_lexicon,
         )
         assert result.hypotheses[0] is not None
         assert result.hypotheses[1] is None
         assert result.hypotheses[2] is not None
         assert len(result.errors) == 1 and result.errors[0][0] == 1
+        assert result.partial == []
+
+    def test_partial_hypotheses_listed(self, ab_lexicon):
+        model = toy_model()
+        lm = uniform_lm(["A", "B"])
+        tree = build_prefix_tree(ab_lexicon)
+        good, _ = generate_utterance(model, ab_lexicon, ("A",), seed=0)
+        too_short = feats_from(np.zeros((2, DIM)))
+        result = decode_corpus(
+            model, lm, tree, [too_short, good, too_short, good],
+            DecodeConfig(beam=50.0), lexicon=ab_lexicon,
+        )
+        assert result.partial == [0, 2]
+        assert result.errors == []
+        assert [h.partial for h in result.hypotheses] == [True, False, True, False]
 
 
 class TestDecodeErrors:
@@ -344,9 +359,45 @@ class TestDecodeErrors:
         model = toy_model()
         lm = uniform_lm(["A", "B"])
         tree = build_prefix_tree(ab_lexicon)
-        with pytest.raises(DecodeError):
-            decode(model, lm, tree, feats_from(np.zeros((2, DIM))),
+        with pytest.raises(DecodeError, match="no frames"):
+            decode(model, lm, tree, feats_from(np.zeros((0, DIM))),
                    lexicon=ab_lexicon)
+
+    @pytest.mark.parametrize("n_frames", [1, 5])
+    def test_nan_frames_empty_the_beam(self, n_frames, ab_lexicon):
+        model = toy_model()
+        with pytest.raises(DecodeError, match="beam emptied"):
+            decode(model, uniform_lm(["A", "B"]), build_prefix_tree(ab_lexicon),
+                   feats_from(np.full((n_frames, DIM), np.nan)),
+                   lexicon=ab_lexicon)
+
+    def test_two_frames_give_a_flagged_partial(self, ab_lexicon):
+        # a phone takes three frames, so no token can reach a final state
+        model = toy_model()
+        hyp = decode(model, uniform_lm(["A", "B"]), build_prefix_tree(ab_lexicon),
+                     feats_from(np.zeros((2, DIM))), lexicon=ab_lexicon)
+        assert hyp.partial
+        assert hyp.words == () and hyp.word_intervals == ()
+        assert math.isfinite(hyp.total_score)
+
+    def test_partial_keeps_completed_words_and_drops_the_open_one(self, ab_lexicon):
+        model = toy_model()
+        lm = uniform_lm(["A", "B"])
+        tree = build_prefix_tree(ab_lexicon)
+        feats, _ = generate_utterance(
+            model, ab_lexicon, ("A", "B"), frames_per_state=4, seed=0,
+            gap_sil=3, trailing_sil=0,
+        )
+        full = decode(model, lm, tree, feats, DecodeConfig(beam=50.0),
+                      lexicon=ab_lexicon)
+        assert full.words == ("A", "B") and not full.partial
+        # cut inside B: A is complete, B is still open at the last frame
+        cut = feats_from(feats.frames[: feats.n_frames - 6])
+        hyp = decode(model, lm, tree, cut, DecodeConfig(beam=50.0),
+                     lexicon=ab_lexicon)
+        assert hyp.partial
+        assert hyp.words == ("A",)
+        assert hyp.word_intervals == full.word_intervals[:1]
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

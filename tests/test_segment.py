@@ -298,7 +298,7 @@ class TestPiecesToCandidates:
         assert rep.rejected_short == 1
 
 
-def canned_hypothesis(words):
+def canned_hypothesis(words, partial=False):
     """A decoder result holding (label, start, end) words, chunk-relative."""
     return Hypothesis(
         words=tuple(w for w, _, _ in words),
@@ -306,6 +306,7 @@ def canned_hypothesis(words):
         acoustic_score=0.0,
         lm_score=0.0,
         total_score=0.0,
+        partial=partial,
     )
 
 
@@ -322,6 +323,8 @@ class TestDecodeChunks:
             answer = by_start[decoded[-1][0]]
             if isinstance(answer, Exception):
                 raise answer
+            if isinstance(answer, Hypothesis):
+                return answer
             return canned_hypothesis(answer)
 
         monkeypatch.setattr(segment, "decode", fake_decode)
@@ -357,6 +360,18 @@ class TestDecodeChunks:
         words, report = self.decode_with(monkeypatch, by_start, [0, 200, 400, 600])
         assert words == [TimedWord("A", 0.5, 1.0), TimedWord("C", 4.5, 5.0)]
         assert report.chunk_failures == 1
+
+    def test_partial_chunk_is_counted_and_its_words_kept(self, monkeypatch):
+        by_start = {
+            0: canned_hypothesis([("A", 0.5, 1.0)], partial=True),
+            200: DecodeError("no frames to decode"),
+            400: canned_hypothesis([("C", 0.5, 1.0)], partial=True),
+        }
+        words, report = self.decode_with(monkeypatch, by_start, [0, 200, 400, 600])
+        assert words == [TimedWord("A", 0.5, 1.0), TimedWord("C", 4.5, 5.0)]
+        assert (report.chunk_failures, report.partial_chunks) == (1, 2)
+        counts = report.as_dict()
+        assert (counts["chunk_failures"], counts["partial_chunks"]) == (1, 2)
 
 
 @pytest.fixture(scope="module")
