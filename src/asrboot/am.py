@@ -11,7 +11,10 @@ enough aligned frames and falls back to the monophone state elsewhere.
 Every emission score (alignment, accumulation, rescoring and the
 decoder) comes from one kernel, ``_component_logliks``: the requested
 states' components stacked into one matrix and scored with one matmul
-per utterance.
+per utterance.  Forced alignment scans the graph node by node: each
+node's Viterbi scores over the whole utterance are one running max over
+prefix sums, and the backtrace steps over node runs.  A path's total is
+always its terms summed in path order, by one routine (``_path_score``).
 """
 
 from __future__ import annotations
@@ -338,40 +341,91 @@ def viterbi_path(
     frames: np.ndarray,
 ) -> tuple[np.ndarray, float] | None:
     """Best node path and its total, or None if no path reaches a final
-    state with a finite score (a NaN or infinite feature gives None)."""
+    state with a finite score (a NaN or infinite feature gives None).
+
+    The DP is a scan over graph nodes, not frames.  Nodes are in
+    topological order (every lane but the self-loop comes from an earlier
+    node), so node ``i``'s scores over all frames follow from rows already
+    done: ``d[t] = max(d[t-1] + self, c[t]) + e[t]``, where ``c[t]`` is the
+    best entry at ``t`` (the entry prior at frame 0, else lane 1 from node
+    ``i - 1`` at ``t - 1`` or, on a word's first node, lane 2 from the
+    previous word's exit).  With ``G`` the prefix sum of ``self + e``, this
+    is ``d = G + running_max(c + e - G)``: a few whole-row operations and
+    one ``np.maximum.accumulate`` per node.
+
+    Ties break as a frame-by-frame argmax over the lanes in order would:
+    the self-loop beats an entry, so a node is entered at the earliest
+    frame where its running max reaches the value it exits with; lane 1
+    beats lane 2, which wins only when strictly greater; the first final
+    node beats the second.  The backtrace takes one step per node on the
+    path.  The total is the path's terms summed in path order
+    (``_path_score``), so rescoring the path gives it exactly.
+
+    Memory is O(M * T) float64: the running maxima and scores of every
+    node, plus prefix sums per state (a frame loop keeps (T, M) uint8
+    backpointers instead).
+    """
     t_frames = frames.shape[0]
+    m = len(graph.node_state)
     emis, col = state_logliks(model, frames, graph.node_state)
-    # (T, M): the emission of every graph node on every frame
-    node_emis = emis[:, [col[s] for s in graph.node_state.tolist()]]
+    node_col = np.array([col[s] for s in graph.node_state.tolist()])
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
-    m = len(graph.node_state)
+    entry = np.full(m, LOG_ZERO)
+    entry[graph.entry_nodes] = graph.entry_prior
+    forward = lane_logp[:, 1].tolist()
+    skip_src = graph.lane_src[:, 2].tolist()
 
-    dp = np.full(m, LOG_ZERO)
-    dp[graph.entry_nodes] = graph.entry_prior + node_emis[0, graph.entry_nodes]
-    lanes = np.zeros((t_frames, m), dtype=np.uint8)
-    safe_src = np.maximum(graph.lane_src, 0)
-    rows = np.arange(m)
-    for t in range(1, t_frames):
-        cand = dp.take(safe_src)
-        cand += lane_logp
-        best_lane = cand.argmax(axis=1)
-        lanes[t] = best_lane
-        dp = cand[rows, best_lane]
-        dp += node_emis[t]
+    run = np.empty((m, t_frames))
+    score = np.empty((m, t_frames))
+    took_skip: dict[int, np.ndarray] = {}  # word-first node -> lane 2 won at t+1
+    h = np.empty(t_frames)
+    # -inf emissions give -inf - -inf here; such a path is dropped below
+    with np.errstate(invalid="ignore"):
+        # G and e - G per state, one contiguous row each: the self-loop
+        # lane carries no prior, so nodes of one state share them
+        slack = emis.T.copy()
+        gain = np.cumsum(slack + log_trans[list(col), :1], axis=1)
+        slack -= gain
+        for i, j in enumerate(node_col.tolist()):
+            h[0] = entry[i]
+            if i:
+                np.add(score[i - 1, :-1], forward[i], out=h[1:])
+            else:
+                h[1:] = LOG_ZERO  # node 0 has no lane 1
+            src = skip_src[i]
+            if src >= 0:
+                skip = score[src, :-1] + lane_logp[i, 2]
+                took = took_skip[i] = skip > h[1:]
+                np.copyto(h[1:], skip, where=took)
+            h += slack[j]
+            np.maximum.accumulate(h, out=run[i])
+            np.add(run[i], gain[j], out=score[i])
 
-    final_scores = dp[graph.final_nodes] + graph.final_logp(log_trans)
+    final_scores = score[graph.final_nodes, -1] + graph.final_logp(log_trans)
     best_final = int(np.argmax(final_scores))
-    total = float(final_scores[best_final])
-    if not math.isfinite(total) or total <= LOG_ZERO / 2:
+    best = float(final_scores[best_final])
+    if not math.isfinite(best) or best <= LOG_ZERO / 2:
         return None
 
-    path = np.empty(t_frames, dtype=np.int64)
-    node = int(graph.final_nodes[best_final])
-    for t in range(t_frames - 1, 0, -1):
-        path[t] = node
-        node = int(graph.lane_src[node, lanes[t, node]])
-    path[0] = node
+    # one step per node on the path, from the last node back to the first
+    lane_src = graph.lane_src.tolist()
+    nodes: list[int] = []
+    starts: list[int] = []
+    node, end = int(graph.final_nodes[best_final]), t_frames
+    while end:
+        row = run[node]
+        start = int(row.searchsorted(row[end - 1]))  # the earliest entry wins
+        nodes.append(node)
+        starts.append(start)
+        lane = 2 if node in took_skip and took_skip[node][start - 1] else 1
+        node, end = lane_src[node][lane], start
+    nodes.reverse()
+    starts.reverse()
+    path = np.repeat(nodes, np.diff(starts + [t_frames]))
+    total = _path_score(graph, path, emis, node_col, log_trans)
+    if not math.isfinite(total) or total <= LOG_ZERO / 2:
+        return None
     return path, total
 
 
@@ -381,18 +435,14 @@ def _intervals_from_path(
     phone_intervals: list[Interval] = []
     word_frames: dict[int, list[int]] = {}
     inst_path = path // n_states
-    t = 0
-    while t < len(path):
-        u = t
-        while u < len(path) and inst_path[u] == inst_path[t]:
-            u += 1
+    bounds = [0, *(np.flatnonzero(np.diff(inst_path)) + 1).tolist(), len(path)]
+    for t, u in zip(bounds[:-1], bounds[1:]):
         inst = graph.instances[int(inst_path[t])]
         phone_intervals.append(
             Interval(inst.phone, t * frame_shift, u * frame_shift)
         )
         if inst.word_index is not None:
             word_frames.setdefault(inst.word_index, []).extend([t, u])
-        t = u
     word_intervals = [
         Interval(
             graph.words[w],
@@ -507,6 +557,8 @@ def flat_start(
     alignments, as Kaldi's ``train_mono.sh`` seeds training with
     ``align-equal-compiled``.  An utterance with fewer frames than states
     is skipped; a state no utterance reaches keeps the global statistics.
+    An utterance with a non-finite frame is left out of both the global
+    statistics and the re-estimation (``train`` counts it as failed).
     """
     if not data:
         raise ValueError("flat_start needs at least one utterance")
@@ -514,6 +566,11 @@ def flat_start(
         missing = [w for w in tokens if w not in lexicon]
         if missing:
             raise ValueError(f"words not coverable by lexicon: {missing[:5]}")
+    data = [
+        (feats, tokens) for feats, tokens in data if np.isfinite(feats.frames).all()
+    ]
+    if not data:
+        raise ValueError("flat_start needs an utterance whose frames are all finite")
     stacked = np.vstack([feats.frames for feats, _ in data])
     mean = stacked.mean(axis=0)
     var = np.maximum(stacked.var(axis=0), VARIANCE_FLOOR)
@@ -569,13 +626,26 @@ def _rescore_path(
 
     Emissions come from the call ``viterbi_path`` makes (every graph state
     over every frame), so a matmul blocked by shape cannot round them
-    differently.  The terms are summed one after another in path order
-    (entry, then emission and arc per frame, then exit), the order in
-    which ``viterbi_path`` adds them.
+    differently, and ``_path_score`` sums them as ``viterbi_path`` does.
     """
     emis, col = state_logliks(model, frames, graph.node_state)
     node_col = np.array([col[s] for s in graph.node_state.tolist()])
-    log_trans = model.log_transitions()
+    return _path_score(graph, path, emis, node_col, model.log_transitions())
+
+
+def _path_score(
+    graph: AlignGraph,
+    path: np.ndarray,
+    emis: np.ndarray,
+    node_col: np.ndarray,
+    log_trans: np.ndarray,
+) -> float:
+    """A node path's total: its terms summed one after another in path
+    order (entry, then emission and arc per frame, then exit).
+
+    ``emis`` is the (T, U) ``state_logliks`` matrix and ``node_col`` each
+    node's column in it.
+    """
     # the first lane whose source is the previous node
     lanes = (graph.lane_src[path[1:]] == path[:-1, None]).argmax(axis=1)
     terms = np.empty(2 * len(path) + 1)

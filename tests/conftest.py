@@ -1,8 +1,11 @@
 """Shared helpers: tiny hand-built models and model-sampled features."""
 
+import math
+
 import numpy as np
 
-from asrboot.am import PROB_FLOOR, AcousticModel, GmmState
+from asrboot import am
+from asrboot.am import LOG_ZERO, PROB_FLOOR, AcousticModel, GmmState
 from asrboot.features import FeatureMatrix
 
 DIM = 2
@@ -81,3 +84,46 @@ def generate_utterance(model, lexicon, tokens, frames_per_state=4, seed=0,
     if trailing_sil:
         emit_phone("SIL", trailing_sil)
     return feats_from(np.array(rows)), boundaries
+
+
+def viterbi_reference(graph, model, frames):
+    """Best (node path, total) by the frame-by-frame DP, or None: the
+    reference the node-major ``am.viterbi_path`` is held to.  Each frame
+    takes an argmax over every node's lanes (self, previous node, skip),
+    so ties go to the lowest lane; the total is the DP's own sum.  The
+    emissions come from ``am.state_logliks`` looked up at call time, so a
+    test that patches it patches both."""
+    t_frames = frames.shape[0]
+    emis, col = am.state_logliks(model, frames, graph.node_state)
+    # (T, M): the emission of every graph node on every frame
+    node_emis = emis[:, [col[s] for s in graph.node_state.tolist()]]
+    log_trans = model.log_transitions()
+    lane_logp = graph.lane_logp(log_trans)
+    m = len(graph.node_state)
+
+    dp = np.full(m, LOG_ZERO)
+    dp[graph.entry_nodes] = graph.entry_prior + node_emis[0, graph.entry_nodes]
+    lanes = np.zeros((t_frames, m), dtype=np.uint8)
+    safe_src = np.maximum(graph.lane_src, 0)
+    rows = np.arange(m)
+    for t in range(1, t_frames):
+        cand = dp.take(safe_src)
+        cand += lane_logp
+        best_lane = cand.argmax(axis=1)
+        lanes[t] = best_lane
+        dp = cand[rows, best_lane]
+        dp += node_emis[t]
+
+    final_scores = dp[graph.final_nodes] + graph.final_logp(log_trans)
+    best_final = int(np.argmax(final_scores))
+    total = float(final_scores[best_final])
+    if not math.isfinite(total) or total <= LOG_ZERO / 2:
+        return None
+
+    path = np.empty(t_frames, dtype=np.int64)
+    node = int(graph.final_nodes[best_final])
+    for t in range(t_frames - 1, 0, -1):
+        path[t] = node
+        node = int(graph.lane_src[node, lanes[t, node]])
+    path[0] = node
+    return path, total

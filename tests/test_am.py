@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DIM, feats_from, generate_utterance, gmm_loglik, toy_model
+from conftest import (
+    DIM,
+    feats_from,
+    generate_utterance,
+    gmm_loglik,
+    toy_model,
+    viterbi_reference,
+)
 
 from asrboot import am
 from asrboot.am import (
@@ -109,6 +116,30 @@ class TestFlatStart:
     def test_empty_data_rejected(self, ab_lexicon):
         with pytest.raises(ValueError):
             flat_start([], ab_lexicon)
+
+    def test_clip_with_a_nan_frame_is_left_out(self, ab_lexicon):
+        model = toy_model()
+        data = [
+            (generate_utterance(model, ab_lexicon, ("AB",), seed=i)[0], ("AB",))
+            for i in range(3)
+        ]
+        data[1][0].frames[4, 1] = np.nan
+        start = flat_start(data, ab_lexicon)
+        clean = flat_start([data[0], data[2]], ab_lexicon)
+        for state, expected in zip(start.states, clean.states):
+            assert np.array_equal(state.means, expected.means)
+            assert np.array_equal(state.variances, expected.variances)
+        result = train(
+            start, data, ab_lexicon, TrainSchedule(n_iters=2, split_iters=())
+        )
+        assert result.n_failures_last_iter == 1
+        assert all(np.isfinite(s.means).all() for s in result.model.states)
+        result.model.check_invariants()
+
+    def test_no_finite_clip_rejected(self, ab_lexicon):
+        data = [(feats_from(np.full((24, DIM), np.nan)), ("AB",))]
+        with pytest.raises(ValueError, match="finite"):
+            flat_start(data, ab_lexicon)
 
 
 class TestForceAlign:
@@ -277,6 +308,85 @@ class TestViterbiOptimality:
             return
         oracle = exhaustive_best_path(model, ab_lexicon, tokens, frames, sil_prior)
         assert result.loglik == pytest.approx(oracle, abs=1e-9)
+
+
+def scan_case(seed):
+    """Random toy alignment problem: 1-4 words (so the skip lanes are
+    used), sil_prior 0.3/0.5/0.7, random transitions, 1 or 2 components,
+    from the minimum length to 40 frames over it."""
+    rng = np.random.default_rng(seed)
+    words = ["AB", "BA", "A", "B", "ABA"]
+    lexicon, _ = graphemic_lexicon(words)
+    model = toy_model(spread=2.0)
+    if seed % 2:
+        model = grow_mixtures(model, max_gauss=2)
+    model.transitions[:, 0] = rng.uniform(0.05, 0.95, len(model.transitions))
+    model.transitions[:, 1] = 1.0 - model.transitions[:, 0]
+    tokens = tuple(rng.choice(words, rng.integers(1, 5)))
+    graph = compile_align_graph(
+        tokens, lexicon, model, sil_prior=(0.3, 0.5, 0.7)[seed % 3]
+    )
+    t_frames = graph.min_frames + int(rng.integers(0, 41))
+    return model, graph, 3.0 * rng.standard_normal((t_frames, DIM))
+
+
+def patch_emissions(monkeypatch, table):
+    """Make ``am.state_logliks`` return the first T rows of a fixed
+    (frames, states) table, one column per requested state."""
+
+    def fake(model, frames, state_ids):
+        unique = np.unique(np.fromiter(state_ids, dtype=np.int64)).tolist()
+        emis = table[: len(frames), unique]
+        return emis, {sid: j for j, sid in enumerate(unique)}
+
+    monkeypatch.setattr(am, "state_logliks", fake)
+
+
+class TestNodeMajorScan:
+    """``viterbi_path`` against the frame-by-frame DP of ``conftest``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_frame_by_frame_reference(self, seed):
+        model, graph, frames = scan_case(seed)
+        path, total = viterbi_path(graph, model, frames)
+        ref_path, ref_total = viterbi_reference(graph, model, frames)
+        assert np.array_equal(path, ref_path)
+        assert total == ref_total
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ties_break_like_the_reference(self, seed, monkeypatch):
+        # integer scores and zero arcs: every sum is exact, so every tie
+        # is a true tie and only the tie rule decides the path
+        model, graph, _ = scan_case(seed)
+        model.transitions[:] = 1.0
+        graph.lane_prior[:] = 0.0
+        graph.entry_prior[:] = 0.0
+        graph.final_prior[:] = 0.0
+        rng = np.random.default_rng(100 + seed)
+        n_max = graph.min_frames + 40
+        table = rng.integers(-2, 1, (n_max, model.n_model_states)).astype(float)
+        patch_emissions(monkeypatch, table)
+        for t_frames in range(graph.min_frames, n_max + 1):
+            frames = np.zeros((t_frames, DIM))
+            path, total = viterbi_path(graph, model, frames)
+            ref_path, ref_total = viterbi_reference(graph, model, frames)
+            assert np.array_equal(path, ref_path), t_frames
+            assert total == ref_total
+
+    def test_long_utterance_at_real_scale(self, ab_lexicon, monkeypatch):
+        model = toy_model()
+        tokens = ("AB", "BA", "ABA", "A", "B", "AB")
+        graph = compile_align_graph(tokens, ab_lexicon, model)
+        rng = np.random.default_rng(0)
+        t_frames = 4000
+        table = rng.normal(-60.0, 5.0, (t_frames, model.n_model_states))
+        patch_emissions(monkeypatch, table)
+        frames = np.zeros((t_frames, DIM))
+        path, total = viterbi_path(graph, model, frames)
+        _, ref_total = viterbi_reference(graph, model, frames)
+        rescored = _rescore_path(model, graph, path, frames)
+        assert rescored == total
+        assert rescored >= ref_total - 1e-9 * abs(ref_total)
 
 
 class TestTraining:
