@@ -5,8 +5,7 @@ with one diagonal-covariance GMM per state.  Training starts from the
 global data statistics re-estimated once on equal alignments, then
 alternates Viterbi forced alignment with closed-form re-estimation;
 mixtures grow by splitting the heaviest component at scheduled
-iterations.  Triphone refinement gives dedicated states to contexts with
-enough aligned frames and falls back to the monophone state elsewhere.
+iterations.
 
 Every emission score (alignment, accumulation, rescoring and the
 decoder) comes from one kernel, ``_component_logliks``: the requested
@@ -19,7 +18,6 @@ always its terms summed in path order, by one routine (``_path_score``).
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from dataclasses import dataclass, field
@@ -31,18 +29,13 @@ import numpy as np
 from .features import FeatureMatrix
 from .lexicon import Lexicon
 
-logger = logging.getLogger(__name__)
-
 LOG_ZERO = -1e30
 N_STATES = 3
 VARIANCE_FLOOR = 1e-4
 PROB_FLOOR = 1e-300  # weights and transitions are floored here before log
 
-MONOPHONE = "monophone"
-TRIPHONE = "triphone"
-
 MODEL_MAGIC = b"ABAM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +61,14 @@ class GmmState:
 
 @dataclass
 class AcousticModel:
-    """Phone inventory, shared state table, and the phone -> states map."""
+    """Phone inventory and state table: phone ``i`` owns the ``n_states``
+    states from ``i * n_states``."""
 
     phones: tuple[str, ...]
     dim: int
-    kind: str = MONOPHONE
     n_states: int = N_STATES
     states: list[GmmState] = field(default_factory=list)
     transitions: np.ndarray = None  # (n_model_states, 2): [self, forward]
-    tri_map: dict[tuple[str, str, str], int] = field(default_factory=dict)
 
     def __post_init__(self):
         self._phone_index = {p: i for i, p in enumerate(self.phones)}
@@ -85,18 +77,15 @@ class AcousticModel:
     def n_model_states(self) -> int:
         return len(self.states)
 
-    def mono_base(self, phone: str) -> int:
-        return self._phone_index[phone] * self.n_states
-
-    def states_for(
-        self, phone: str, left: str | None = None, right: str | None = None
-    ) -> tuple[int, ...]:
-        """State ids for a phone in context; total via monophone fallback."""
-        if left is not None and right is not None:
-            base = self.tri_map.get((phone, left, right))
-            if base is not None:
-                return tuple(range(base, base + self.n_states))
-        base = self.mono_base(phone)
+    def states_for(self, phone: str) -> tuple[int, ...]:
+        """State ids of a phone; ValueError if the model has no such phone."""
+        index = self._phone_index.get(phone)
+        if index is None:
+            raise ValueError(
+                f"phone {phone!r} is not in the acoustic model, whose phones "
+                f"are {list(self.phones)}"
+            )
+        base = index * self.n_states
         return tuple(range(base, base + self.n_states))
 
     def log_transitions(self) -> np.ndarray:
@@ -106,11 +95,9 @@ class AcousticModel:
         return AcousticModel(
             phones=self.phones,
             dim=self.dim,
-            kind=self.kind,
             n_states=self.n_states,
             states=[s.copy() for s in self.states],
             transitions=self.transitions.copy(),
-            tri_map=dict(self.tri_map),
         )
 
     def check_invariants(self) -> None:
@@ -175,17 +162,6 @@ class GraphError(ValueError):
     pass
 
 
-def _word_contexts(word: str, lexicon: Lexicon) -> list[tuple[str, str, str]]:
-    """(phone, left, right) per phone of a word, SIL at the word edges.
-
-    Contexts are static and word-internal; a word missing from the
-    lexicon takes the garbage phone.
-    """
-    pron = lexicon.pron(word)
-    padded = (lexicon.silence_phone, *pron, lexicon.silence_phone)
-    return list(zip(pron, padded[:-2], padded[2:]))
-
-
 def compile_align_graph(
     tokens: Sequence[str],
     lexicon: Lexicon,
@@ -218,9 +194,9 @@ def compile_align_graph(
     word_exit: list[int] = []
     for w_idx, word in enumerate(words):
         word_first.append(len(node_state))
-        for phone, left, right in _word_contexts(word, lexicon):
+        for phone in lexicon.pron(word):  # a word not in the lexicon: garbage
             instances.append(PhoneInstance(phone, w_idx))
-            node_state.extend(model.states_for(phone, left, right))
+            node_state.extend(model.states_for(phone))
         word_exit.append(len(node_state) - 1)
         instances.append(sil)
         node_state.extend(sil_states)
@@ -491,39 +467,6 @@ def force_align(
     )
 
 
-@dataclass
-class AlignCorpusResult:
-    alignments: list[AlignmentPath | AlignFailure]
-    success_rate: float
-    failure_reasons: dict[str, int]
-
-
-def align_corpus(
-    model: AcousticModel,
-    data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
-    lexicon: Lexicon,
-    sil_prior: float = 0.5,
-    allow_unk: bool = False,
-) -> AlignCorpusResult:
-    alignments: list[AlignmentPath | AlignFailure] = []
-    reasons: dict[str, int] = {}
-    n_ok = 0
-    for feats, tokens in data:
-        result = force_align(
-            model, feats, tokens, lexicon, sil_prior=sil_prior,
-            allow_unk=allow_unk,
-        )
-        alignments.append(result)
-        if isinstance(result, AlignmentPath):
-            n_ok += 1
-        else:
-            reasons[result.reason] = reasons.get(result.reason, 0) + 1
-    if not data:
-        logger.warning("align_corpus on an empty corpus; rate defined as 0")
-        return AlignCorpusResult([], 0.0, {})
-    return AlignCorpusResult(alignments, n_ok / len(data), reasons)
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -539,7 +482,12 @@ class TrainSchedule:
 class TrainResult:
     model: AcousticModel
     loglik_trace: list[tuple[float, float]]  # (pre-update, post-update) per iter
-    n_failures_last_iter: int
+    # utterances the last iteration could not align, by AlignFailure reason
+    failure_reasons: dict[str, int]
+
+    @property
+    def n_failures_last_iter(self) -> int:
+        return sum(self.failure_reasons.values())
 
 
 def flat_start(
@@ -588,7 +536,6 @@ def flat_start(
     model = AcousticModel(
         phones=phones,
         dim=dim,
-        kind=MONOPHONE,
         states=states,
         transitions=transitions,
     )
@@ -772,19 +719,19 @@ def train(
         for _, tokens in data
     ]
     trace: list[tuple[float, float]] = []
-    n_fail = 0
+    reasons: dict[str, int] = {}
     for iteration in range(1, schedule.n_iters + 1):
         stats = _Stats.zeros(model)
         pre_total = 0.0
         paths: list[tuple[int, np.ndarray]] = []
-        n_fail = 0
+        reasons = {}
         for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
             if feats.n_frames < graph.min_frames:
-                n_fail += 1
+                reasons["too_short"] = reasons.get("too_short", 0) + 1
                 continue
             result = viterbi_path(graph, model, feats.frames)
             if result is None:
-                n_fail += 1
+                reasons["no_path"] = reasons.get("no_path", 0) + 1
                 continue
             path, loglik = result
             pre_total += loglik
@@ -792,7 +739,8 @@ def train(
             _accumulate(model, graph, path, feats.frames, stats)
         if not paths:
             raise RuntimeError(
-                f"iteration {iteration}: every utterance failed alignment"
+                f"iteration {iteration}: every utterance failed alignment "
+                f"({reasons})"
             )
         model = _reestimate(model, stats)
         post_total = sum(
@@ -802,81 +750,7 @@ def train(
         trace.append((pre_total, post_total))
         if iteration in schedule.split_iters:
             model = grow_mixtures(model, schedule.max_gauss)
-    return TrainResult(model=model, loglik_trace=trace, n_failures_last_iter=n_fail)
-
-
-# ---------------------------------------------------------------------------
-# triphones
-
-def triphone_context_sequence(
-    tokens: Sequence[str], lexicon: Lexicon
-) -> list[tuple[str, str, str]]:
-    """Static word-internal contexts; SIL stands in at word boundaries."""
-    return [ctx for word in tokens for ctx in _word_contexts(word, lexicon)]
-
-
-def count_context_occupancy(
-    data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
-    alignments: Sequence[AlignmentPath | AlignFailure],
-    lexicon: Lexicon,
-) -> dict[tuple[str, str, str], int]:
-    """Aligned frames per (phone, left, right) context."""
-    occupancy: dict[tuple[str, str, str], int] = {}
-    sil = lexicon.silence_phone
-    for (_, tokens), ali in zip(data, alignments):
-        if not isinstance(ali, AlignmentPath):
-            continue
-        contexts = triphone_context_sequence(tokens, lexicon)
-        speech = [
-            iv for iv in ali.phone_intervals if iv.label != sil
-        ]
-        if len(speech) != len(contexts):
-            continue  # silence-only words would desynchronize; skip
-        for iv, ctx in zip(speech, contexts):
-            frames = int(round((iv.end - iv.start) / ali.frame_shift))
-            occupancy[ctx] = occupancy.get(ctx, 0) + frames
-    return occupancy
-
-
-def train_triphone(
-    mono: AcousticModel,
-    data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
-    lexicon: Lexicon,
-    tie_min_count: int = 100,
-    schedule: TrainSchedule = TrainSchedule(n_iters=10, split_iters=()),
-) -> TrainResult:
-    """Context-dependent refinement bootstrapped from monophone alignments.
-
-    Contexts with at least ``tie_min_count`` aligned frames get dedicated
-    states cloned from the center monophone; everything else stays tied
-    to the monophone state.  With no qualifying context the monophone
-    model is returned unchanged (marked triphone) with a warning.
-    """
-    corpus = align_corpus(mono, data, lexicon, sil_prior=schedule.sil_prior)
-    occupancy = count_context_occupancy(data, corpus.alignments, lexicon)
-    qualifying = sorted(
-        ctx for ctx, frames in occupancy.items() if frames >= tie_min_count
-    )
-    model = mono.copy()
-    model.kind = TRIPHONE
-    if not qualifying:
-        logger.warning(
-            "no triphone context reached %d frames; returning the monophone "
-            "model unchanged", tie_min_count,
-        )
-        return TrainResult(model=model, loglik_trace=[], n_failures_last_iter=0)
-    for ctx in qualifying:
-        phone = ctx[0]
-        base = len(model.states)
-        mono_base = model.mono_base(phone)
-        for s in range(model.n_states):
-            model.states.append(model.states[mono_base + s].copy())
-        model.transitions = np.vstack(
-            [model.transitions,
-             model.transitions[mono_base : mono_base + model.n_states]]
-        )
-        model.tri_map[ctx] = base
-    return train(model, data, lexicon, schedule)
+    return TrainResult(model=model, loglik_trace=trace, failure_reasons=reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +759,7 @@ def train_triphone(
 def save_model(model: AcousticModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<HH", MODEL_VERSION, 1 if model.kind == TRIPHONE else 0))
+        fh.write(struct.pack("<H", MODEL_VERSION))
         fh.write(struct.pack("<IIII", len(model.phones), model.n_states,
                              model.dim, model.n_model_states))
         for phone in model.phones:
@@ -898,16 +772,10 @@ def save_model(model: AcousticModel, path) -> None:
             fh.write(state.weights.astype("<f8").tobytes())
             fh.write(state.means.astype("<f8").tobytes())
             fh.write(state.variances.astype("<f8").tobytes())
-        fh.write(struct.pack("<I", len(model.tri_map)))
-        phone_index = {p: i for i, p in enumerate(model.phones)}
-        for (phone, left, right), base in sorted(model.tri_map.items()):
-            fh.write(struct.pack(
-                "<IIII", phone_index[phone], phone_index[left],
-                phone_index[right], base,
-            ))
 
 
 def load_model(path) -> AcousticModel:
+    """Read a ``save_model`` file; ValueError names the path and the fault."""
     with open(path, "rb") as fh:
 
         def read(n: int) -> bytes:
@@ -918,10 +786,20 @@ def load_model(path) -> AcousticModel:
 
         if read(4) != MODEL_MAGIC:
             raise ValueError(f"{path}: not an acoustic model file")
-        version, is_tri = struct.unpack("<HH", read(4))
+        (version,) = struct.unpack("<H", read(2))
         if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
+            raise ValueError(
+                f"{path}: model file version {version}, but this program "
+                f"reads only version {MODEL_VERSION}"
+            )
         n_phones, n_states, dim, n_model_states = struct.unpack("<IIII", read(16))
+        if n_states < 1:
+            raise ValueError(f"{path}: {n_states} states per phone, need >= 1")
+        if n_model_states != n_phones * n_states:
+            raise ValueError(
+                f"{path}: {n_model_states} states, but {n_phones} phones of "
+                f"{n_states} states need {n_phones * n_states}"
+            )
         phones = []
         for _ in range(n_phones):
             (length,) = struct.unpack("<H", read(2))
@@ -936,17 +814,12 @@ def load_model(path) -> AcousticModel:
             means = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
             variances = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
             states.append(GmmState(weights, means, variances))
-        (n_tri,) = struct.unpack("<I", read(4))
-        tri_map = {}
-        for _ in range(n_tri):
-            p, l, r, base = struct.unpack("<IIII", read(16))
-            tri_map[(phones[p], phones[l], phones[r])] = base
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last state")
     return AcousticModel(
         phones=tuple(phones),
         dim=dim,
-        kind=TRIPHONE if is_tri else MONOPHONE,
         n_states=n_states,
         states=states,
         transitions=transitions,
-        tri_map=tri_map,
     )

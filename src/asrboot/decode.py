@@ -73,7 +73,6 @@ class Hypothesis:
 @dataclass
 class LexNode:
     phone: str | None
-    parent: int
     children: dict[str, int] = field(default_factory=dict)
     words: list[str] = field(default_factory=list)
 
@@ -95,7 +94,7 @@ def build_prefix_tree(lexicon: Lexicon, include_unk: bool = False) -> LexTree:
     """Trie over grapheme pronunciations; leaves carry word identities."""
     if not lexicon.pronunciations and not include_unk:
         raise ValueError("empty lexicon")
-    nodes = [LexNode(phone=None, parent=-1)]
+    nodes = [LexNode(phone=None)]
     entries = [(w, lexicon.pronunciations[w]) for w in lexicon.words]
     if include_unk:
         entries.append((lexicon.unk_word, (lexicon.garbage_phone,)))
@@ -105,7 +104,7 @@ def build_prefix_tree(lexicon: Lexicon, include_unk: bool = False) -> LexTree:
             nxt = nodes[current].children.get(grapheme)
             if nxt is None:
                 nxt = len(nodes)
-                nodes.append(LexNode(phone=grapheme, parent=current))
+                nodes.append(LexNode(phone=grapheme))
                 nodes[current].children[grapheme] = nxt
             current = nxt
         nodes[current].words.append(word)
@@ -120,7 +119,8 @@ def build_prefix_tree(lexicon: Lexicon, include_unk: bool = False) -> LexTree:
 @dataclass
 class _Network:
     """Flattened (tree node, hmm state) positions plus SIL positions, as
-    plain lists indexed by position."""
+    plain lists indexed by position.  Every position carries a monophone
+    state: a tree node's positions are its phone's ``n_states`` states."""
 
     pos_state: list[int]  # model state id per position
     is_exit: list[bool]  # last HMM state of its phone
@@ -133,22 +133,6 @@ class _Network:
     sil_exit: int
 
 
-def _resolve_states(
-    model: AcousticModel, tree: LexTree, node_index: int, lexicon: Lexicon
-) -> tuple[int, ...]:
-    """Context-dependent states where the trie makes the context unambiguous."""
-    node = tree.nodes[node_index]
-    parent = tree.nodes[node.parent]
-    left = parent.phone if parent.phone is not None else lexicon.silence_phone
-    if not node.children:
-        right = lexicon.silence_phone
-    elif len(node.children) == 1 and not node.words:
-        right = next(iter(node.children))
-    else:
-        return model.states_for(node.phone)  # ambiguous: monophone fallback
-    return model.states_for(node.phone, left, right)
-
-
 def _compile(
     model: AcousticModel, tree: LexTree, lexicon: Lexicon,
     log_skip: float, log_take: float,
@@ -158,7 +142,7 @@ def _compile(
     first_pos: dict[int, int] = {}
     for idx in range(1, tree.n_nodes):
         first_pos[idx] = len(pos_state)
-        pos_state.extend(_resolve_states(model, tree, idx, lexicon))
+        pos_state.extend(model.states_for(tree.nodes[idx].phone))
     sil_first = len(pos_state)
     pos_state.extend(model.states_for(lexicon.silence_phone))
     n_pos = len(pos_state)

@@ -20,16 +20,13 @@ from asrboot.am import (
     GmmState,
     TrainSchedule,
     _rescore_path,
-    align_corpus,
     compile_align_graph,
-    count_context_occupancy,
     flat_start,
     force_align,
     grow_mixtures,
     load_model,
     save_model,
     train,
-    train_triphone,
     viterbi_path,
 )
 from asrboot.lexicon import graphemic_lexicon
@@ -239,6 +236,12 @@ class TestForceAlign:
         result = force_align(model, feats, ("AB",), ab_lexicon)
         assert math.isfinite(result.loglik)
 
+    def test_lexicon_phone_missing_from_model_raises(self):
+        lexicon, _ = graphemic_lexicon(["AC"])
+        feats = feats_from(np.zeros((30, DIM)))
+        with pytest.raises(ValueError, match=r"phone 'C' is not in the acoustic model"):
+            force_align(toy_model(), feats, ("AC",), lexicon)
+
 
 def exhaustive_best_path(model, lexicon, tokens, frames, sil_prior=0.5):
     """Independent maximizer: enumerate silence choices, durations, states."""
@@ -399,7 +402,7 @@ class TestTraining:
         data = [(feats_from(frames), ("A",))]
         schedule = TrainSchedule(n_iters=1, split_iters=(), sil_prior=1e-9)
         result = train(model, data, lex, schedule)
-        sid = result.model.mono_base("A")
+        sid = result.model.states_for("A")[0]
         learned = result.model.states[sid].means[0]
         assert np.allclose(learned, frames.mean(axis=0), atol=1e-9)
         assert np.all(np.abs(learned - true_mean) < 3.0 / math.sqrt(400))
@@ -476,13 +479,14 @@ class TestTraining:
             model, data, ab_lexicon, TrainSchedule(n_iters=2, split_iters=())
         )
         assert result.n_failures_last_iter == 1
+        assert result.failure_reasons == {"no_path": 1}
         assert all(math.isfinite(x) for pair in result.loglik_trace for x in pair)
         result.model.check_invariants()
 
     def test_all_failures_is_an_error(self, ab_lexicon):
         model = toy_model()
         data = [(feats_from(np.zeros((4, DIM))), ("ABA",))]
-        with pytest.raises(RuntimeError, match="failed alignment"):
+        with pytest.raises(RuntimeError, match=r"failed alignment \({'too_short': 1}\)"):
             train(model, data, ab_lexicon, TrainSchedule(n_iters=1))
 
 
@@ -574,79 +578,6 @@ class TestEmissionKernel:
             np.testing.assert_allclose(emis[:, j], ref, rtol=1e-9, atol=0)
 
 
-class TestAlignCorpus:
-    def test_synthetic_corpus_rate_one(self, ab_lexicon):
-        model = toy_model()
-        data = [
-            (generate_utterance(model, ab_lexicon, ("AB",), seed=i)[0], ("AB",))
-            for i in range(5)
-        ]
-        result = align_corpus(model, data, ab_lexicon)
-        assert result.success_rate == 1.0
-
-    def test_empty_corpus_rate_zero(self, ab_lexicon):
-        result = align_corpus(toy_model(), [], ab_lexicon)
-        assert result.success_rate == 0.0
-
-    def test_one_short_utterance(self, ab_lexicon):
-        model = toy_model()
-        data = [
-            (generate_utterance(model, ab_lexicon, ("AB",), seed=i)[0], ("AB",))
-            for i in range(4)
-        ]
-        data.append((feats_from(np.zeros((3, DIM))), ("ABA",)))
-        result = align_corpus(model, data, ab_lexicon)
-        assert result.success_rate == pytest.approx(4 / 5)
-        assert result.failure_reasons == {"too_short": 1}
-
-
-class TestTriphone:
-    def make_data(self, model, lexicon, n=6):
-        return [
-            (generate_utterance(model, lexicon, ("AB", "BA"), seed=i,
-                                frames_per_state=6)[0], ("AB", "BA"))
-            for i in range(n)
-        ]
-
-    def test_infinite_threshold_equals_monophone(self, ab_lexicon):
-        model = toy_model()
-        data = self.make_data(model, ab_lexicon)
-        result = train_triphone(
-            model, data, ab_lexicon, tie_min_count=10**9,
-        )
-        assert result.model.kind == "triphone"
-        assert result.model.tri_map == {}
-        feats = data[0][0]
-        mono_ali = force_align(model, feats, ("AB", "BA"), ab_lexicon)
-        tri_ali = force_align(result.model, feats, ("AB", "BA"), ab_lexicon)
-        assert tri_ali.loglik == pytest.approx(mono_ali.loglik, abs=1e-9)
-
-    def test_frequent_context_gets_dedicated_states(self, ab_lexicon):
-        model = toy_model()
-        data = self.make_data(model, ab_lexicon, n=8)
-        result = train_triphone(model, data, ab_lexicon, tie_min_count=40)
-        # "A" with left SIL and right B occurs in every "AB"
-        assert ("A", "SIL", "B") in result.model.tri_map
-        assert result.model.n_model_states > model.n_model_states
-
-    def test_unseen_context_falls_back_to_monophone(self, ab_lexicon):
-        model = toy_model()
-        data = self.make_data(model, ab_lexicon)
-        result = train_triphone(model, data, ab_lexicon, tie_min_count=40)
-        tri = result.model
-        assert tri.states_for("A", "B", "B") == tuple(
-            range(tri.mono_base("A"), tri.mono_base("A") + 3)
-        )
-
-    def test_occupancy_counts(self, ab_lexicon):
-        model = toy_model()
-        data = self.make_data(model, ab_lexicon, n=2)
-        corpus = align_corpus(model, data, ab_lexicon)
-        occ = count_context_occupancy(data, corpus.alignments, ab_lexicon)
-        assert occ[("A", "SIL", "B")] > 0
-        assert occ[("B", "A", "SIL")] > 0
-
-
 class TestSerialization:
     def test_round_trip(self, ab_lexicon, tmp_path):
         model = toy_model()
@@ -656,18 +587,15 @@ class TestSerialization:
         trained = train(
             model, data, ab_lexicon, TrainSchedule(n_iters=2, split_iters=(1,))
         ).model
-        trained.tri_map[("A", "SIL", "B")] = 0
         path = tmp_path / "model.bin"
         save_model(trained, path)
         back = load_model(path)
         assert back.phones == trained.phones
-        assert back.kind == trained.kind
         assert np.array_equal(back.transitions, trained.transitions)
         for a, b in zip(back.states, trained.states):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.means, b.means)
             assert np.array_equal(a.variances, b.variances)
-        assert back.tri_map == trained.tri_map
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -677,7 +605,6 @@ class TestSerialization:
 
     def test_truncated_file_at_every_offset(self, tmp_path):
         model = toy_model(n_states=1)
-        model.tri_map[("A", "SIL", "B")] = 0
         full = tmp_path / "model.bin"
         save_model(model, full)
         raw = full.read_bytes()
@@ -686,3 +613,41 @@ class TestSerialization:
             cut.write_bytes(raw[:offset])
             with pytest.raises(ValueError, match="truncated model file"):
                 load_model(cut)
+
+
+class TestMalformedModelFile:
+    @pytest.fixture
+    def raw(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(toy_model(), path)
+        return path.read_bytes()
+
+    def write(self, tmp_path, raw):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw)
+        return path
+
+    def test_version_1_file_rejected(self, tmp_path, raw):
+        path = self.write(tmp_path, raw[:4] + (1).to_bytes(2, "little") + raw[6:])
+        with pytest.raises(ValueError, match=r"bad\.bin: model file version 1.*version 2"):
+            load_model(path)
+
+    def test_zero_states_per_phone_rejected(self, tmp_path, raw):
+        # header after magic and version: phones, states per phone, dim, states
+        path = self.write(tmp_path, raw[:10] + bytes(4) + raw[14:])
+        with pytest.raises(ValueError, match=r"bad\.bin: 0 states per phone"):
+            load_model(path)
+
+    def test_state_count_other_than_phones_times_states_rejected(self, tmp_path):
+        model = toy_model()
+        del model.states[-3:]
+        model.transitions = model.transitions[:-3]
+        path = tmp_path / "bad.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=r"bad\.bin: 9 states, but 4 phones"):
+            load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, raw):
+        path = self.write(tmp_path, raw + b"\0")
+        with pytest.raises(ValueError, match=r"bad\.bin: trailing bytes"):
+            load_model(path)

@@ -399,6 +399,12 @@ class TestDecodeErrors:
         assert hyp.words == ("A",)
         assert hyp.word_intervals == full.word_intervals[:1]
 
+    def test_lexicon_phone_missing_from_model_raises(self):
+        lexicon, _ = graphemic_lexicon(["AC"])
+        with pytest.raises(ValueError, match=r"phone 'C' is not in the acoustic model"):
+            decode(toy_model(), uniform_lm(["AC"]), build_prefix_tree(lexicon),
+                   feats_from(np.zeros((30, DIM))), lexicon=lexicon)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             DecodeConfig(beam=0.0)
