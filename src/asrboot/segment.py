@@ -2,9 +2,11 @@
 
 A long recording is decoded in disjoint chunks, cut inside silences, with
 a bigram model trained on its own transcript; the decoded word stream is
-locally aligned to the transcript, matched regions are cut at silence
-gaps, and pieces that are long enough, short enough, and clean enough
-become utterance segments.
+aligned to the transcript by order-preserving Smith-Waterman (the best
+local alignment anchors, then each gap it leaves is aligned on its own),
+so matched regions share no hyp or transcript word and come in the same
+order in both.  Regions are cut at silence gaps, and pieces that are long
+enough, short enough, and clean enough become utterance segments.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class SWConfig:
     def __post_init__(self):
         if not (self.match > 0 >= self.mismatch and 0 >= self.gap):
             raise ValueError("need match > 0 >= mismatch and 0 >= gap")
+        if self.min_island < 1:
+            raise ValueError(f"min_island must be at least 1, got {self.min_island}")
 
     @property
     def min_score(self) -> float:
@@ -121,34 +125,39 @@ class AlignedRegion:
 def smith_waterman(
     hyp: Sequence[str], ref: Sequence[str], cfg: SWConfig = SWConfig()
 ) -> list[AlignedRegion]:
-    """All maximal local alignments with score >= min, by iterated masking.
+    """Order-preserving local alignments with score >= min, sorted by hyp_span.
 
-    Each region's hyp and ref words are masked out of the pair scores, so
-    no later region pairs them again.
+    Anchor then recurse (Moreno et al., ICSLP 1998): the best local
+    alignment of the whole pair is taken first, then the same search runs
+    inside each gap it leaves (hyp and ref before its spans, and hyp and
+    ref after them) until no cell reaches ``cfg.min_score``.  So regions
+    share no hyp or ref index, paired or lone, and are in the same order
+    in hyp and ref; of two islands that cross, only the better is found.
     """
     hyp = list(hyp)
     ref = list(ref)
-    if not hyp or not ref:
-        return []
     sub = substitution_matrix(hyp, ref, cfg.match, cfg.mismatch)
     regions: list[AlignedRegion] = []
-    while True:
-        h = align_fill(sub, cfg.gap, local=True)
+    # half-open (hyp lo, hyp hi, ref lo, ref hi) blocks left to search; an
+    # explicit stack, so many small islands cannot hit the recursion limit
+    todo = [(0, len(hyp), 0, len(ref))]
+    while todo:
+        h_lo, h_hi, r_lo, r_hi = todo.pop()
+        block = sub[h_lo:h_hi, r_lo:r_hi]
+        h = align_fill(block, cfg.gap, local=True)
         i, j = np.unravel_index(int(np.argmax(h)), h.shape)
         best = float(h[i, j])
-        if best < cfg.min_score:
-            break
-        steps = align_trace(h, sub, cfg.gap, int(i), int(j), local=True)
-        if not steps:
-            break
-        regions.append(
-            AlignedRegion(
-                score=best,
-                pairs=[(hi, ri, step_op(hyp, ref, hi, ri)) for hi, ri in steps],
-            )
-        )
-        sub[[hi for hi, _ in steps if hi is not None], :] = -np.inf
-        sub[:, [ri for _, ri in steps if ri is not None]] = -np.inf
+        if best < cfg.min_score:  # min_score > 0: a region holds a match
+            continue
+        pairs = []
+        for hi, ri in align_trace(h, block, cfg.gap, int(i), int(j), local=True):
+            hi = None if hi is None else hi + h_lo
+            ri = None if ri is None else ri + r_lo
+            pairs.append((hi, ri, step_op(hyp, ref, hi, ri)))
+        regions.append(AlignedRegion(score=best, pairs=pairs))
+        h_first, h_last = regions[-1].hyp_span
+        r_first, r_last = regions[-1].ref_span
+        todo += [(h_lo, h_first, r_lo, r_first), (h_last + 1, h_hi, r_last + 1, r_hi)]
     regions.sort(key=lambda r: r.hyp_span)
     return regions
 
@@ -164,10 +173,6 @@ class SegmentCandidate:
     tokens: tuple[str, ...]
     match_ratio: float
     ref_span: tuple[int, int]  # global transcript token indices
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -234,6 +239,15 @@ class HarvestConfig:
             raise ValueError(
                 f"chunk_len must be at least two frame shifts, got {self.chunk_len}"
             )
+        # settings under which no piece or candidate can ever be accepted
+        if not self.max_dur > 0:
+            raise ValueError(f"max_dur must be > 0, got {self.max_dur}")
+        if not 0 <= self.min_dur <= self.max_dur:
+            raise ValueError(
+                f"min_dur must be in [0, max_dur={self.max_dur}], got {self.min_dur}"
+            )
+        if not 0 <= self.accept_ratio <= 1:
+            raise ValueError(f"accept_ratio must be in [0, 1], got {self.accept_ratio}")
 
 
 @dataclass(frozen=True)
@@ -359,7 +373,6 @@ def harvest_segments(
                     report,
                 )
             )
-    candidates.sort(key=lambda c: c.start)
     report.n_candidates = (
         len(candidates) + report.rejected_short + report.rejected_long
     )
@@ -367,27 +380,8 @@ def harvest_segments(
         c for c in candidates if c.match_ratio >= cfg.accept_ratio
     ]
     report.rejected_ratio = len(candidates) - len(accepted)
-    # a later Smith-Waterman region can still skip over words an earlier
-    # one pairs (masking pairs only), so accepted candidates can overlap; clip
-    cleaned: list[SegmentCandidate] = []
-    prev_end = 0.0
-    for cand in accepted:
-        if cand.start < prev_end:
-            cand = SegmentCandidate(
-                recording_id=cand.recording_id,
-                start=prev_end,
-                end=cand.end,
-                tokens=cand.tokens,
-                match_ratio=cand.match_ratio,
-                ref_span=cand.ref_span,
-            )
-            if cand.duration < cfg.min_dur:
-                report.rejected_short += 1
-                continue
-        cleaned.append(cand)
-        prev_end = cand.end
-    report.accepted = cleaned
-    return cleaned, report
+    report.accepted = accepted
+    return accepted, report
 
 
 def _pieces_to_candidates(

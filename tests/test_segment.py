@@ -80,6 +80,22 @@ class TestChunkRecording:
         with pytest.raises(ValueError, match="chunk_len"):
             HarvestConfig(chunk_len=chunk_len)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_dur", -0.5),
+            ("min_dur", 20.5),  # above the default max_dur
+            ("max_dur", 0.0),
+            ("max_dur", -1.0),
+            ("accept_ratio", -0.1),
+            ("accept_ratio", 1.1),
+            ("accept_ratio", float("nan")),
+        ],
+    )
+    def test_settings_that_accept_nothing_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HarvestConfig(**{field: value})
+
 
 def words(prefix, n):
     return [f"{prefix}{i}" for i in range(n)]
@@ -113,30 +129,57 @@ class TestSmithWaterman:
             assert len(smith_waterman(hyp, ref, cfg)) == expected
 
     def test_crossed_islands_disjoint_and_sorted(self):
+        # alignment keeps hyp and ref order, so of two crossed islands only
+        # the better one is found
         a, b = words("a", 4), words("b", 5)
         hyp = a + words("x", 3) + b
         ref = b + words("y", 3) + a
         regions = smith_waterman(hyp, ref)
-        assert [r.n_matches for r in regions] == [4, 5]
-        assert regions[0].hyp_span < regions[1].hyp_span
+        assert [r.n_matches for r in regions] == [5]
+        assert regions[0].hyp_span == (7, 11)
 
-    @pytest.mark.parametrize("seed", range(8))
+    def test_islands_in_matching_order_both_found(self):
+        # ten ref fillers against three hyp ones: bridging them costs more
+        # than the 4-word island gains
+        a, b = words("a", 4), words("b", 5)
+        hyp = a + words("x", 3) + b
+        ref = a + words("y", 10) + b
+        regions = smith_waterman(hyp, ref)
+        assert [r.n_matches for r in regions] == [4, 5]
+        assert [r.hyp_span for r in regions] == [(0, 3), (7, 11)]
+        assert [r.ref_span for r in regions] == [(0, 3), (14, 18)]
+
+    @pytest.mark.parametrize(
+        "seed", [*range(8), pytest.param(None, id="masking_hole")]
+    )
     def test_regions_disjoint_and_sorted_on_random_input(self, seed):
-        rng = np.random.default_rng(seed)
-        vocab = words("v", 4)
-        hyp = list(rng.choice(vocab, size=int(rng.integers(5, 40))))
-        ref = list(rng.choice(vocab, size=int(rng.integers(5, 40))))
-        regions = smith_waterman(hyp, ref, SWConfig(min_island=2))
+        if seed is None:
+            # masking pairs alone let a second region delete ref 1-2, which
+            # the first region pairs
+            hyp, ref, cfg = list("bbcccab"), list("cbbb"), FRACTIONAL
+        else:
+            rng = np.random.default_rng(seed)
+            vocab = words("v", 4)
+            hyp = list(rng.choice(vocab, size=int(rng.integers(5, 40))))
+            ref = list(rng.choice(vocab, size=int(rng.integers(5, 40))))
+            cfg = SWConfig(min_island=2)
+        regions = smith_waterman(hyp, ref, cfg)
         for i, first in enumerate(regions):
             for second in regions[i + 1:]:
                 assert not hyp_indices(first) & hyp_indices(second)
                 assert not ref_indices(first) & ref_indices(second)
         spans = [r.hyp_span for r in regions]
         assert spans == sorted(spans)
+        ref_spans = [r.ref_span for r in regions]
+        assert all(a[1] < b[0] for a, b in zip(ref_spans, ref_spans[1:]))
 
     def test_empty_input_gives_no_regions(self):
         assert smith_waterman([], ["a", "b"]) == []
         assert smith_waterman(["a", "b"], []) == []
+
+    def test_min_island_under_one_rejected(self):
+        with pytest.raises(ValueError, match="min_island"):
+            SWConfig(min_island=0)
 
 
 FRACTIONAL = SWConfig(match=1.0, mismatch=-0.5, gap=-0.3, min_island=1)
@@ -442,11 +485,17 @@ class TestHarvestSegments:
         assert segs and segs == harvest.report.accepted
         assert all(0.0 <= s.start < s.end <= harvest.duration for s in segs)
         assert all(a.end <= b.start for a, b in zip(segs, segs[1:]))
+        assert all(a.ref_span[1] < b.ref_span[0] for a, b in zip(segs, segs[1:]))
 
     def test_segment_tokens_are_their_transcript_span(self, harvest):
         for seg in harvest.segments:
             lo, hi = seg.ref_span
             assert seg.tokens == tuple(harvest.ref_tokens[lo : hi + 1])
+        rep = harvest.report
+        assert rep.n_candidates == (
+            rep.n_accepted + rep.rejected_ratio + rep.rejected_short
+            + rep.rejected_long
+        )
 
 
 def report(n_tokens, accepted_tokens):
