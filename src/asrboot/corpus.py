@@ -164,24 +164,26 @@ def read_wav(path) -> tuple[int, np.ndarray]:
         raise AudioFormatError(f"{path}: zero-length audio")
     if data.ndim == 2 and data.shape[1] > 2:
         raise AudioFormatError(f"{path}: {data.shape[1]} channels unsupported")
-    if data.dtype == np.int16:
-        x = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        x = data.astype(np.float64) / 2147483648.0
-    elif data.dtype == np.uint8:
-        x = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
-        x = data.astype(np.float64)
-    else:
+    if data.dtype not in (np.int16, np.int32, np.uint8, np.float32, np.float64):
         raise AudioFormatError(f"{path}: unsupported sample format {data.dtype}")
+    # scaled in place: one float64 array the length of the file
+    x = data.astype(np.float64)
+    if data.dtype == np.int16:
+        x /= 32768.0
+    elif data.dtype == np.int32:
+        x /= 2147483648.0
+    elif data.dtype == np.uint8:
+        x -= 128.0
+        x /= 128.0
     return rate, x
 
 
 def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> None:
     """Write int16 samples (float inputs are scaled and clipped)."""
     if samples.dtype != np.int16:
-        scaled = np.rint(np.asarray(samples, dtype=np.float64) * 32768.0)
-        samples = np.clip(scaled, -32768, 32767).astype(np.int16)
+        scaled = np.multiply(samples, 32768.0, dtype=np.float64)
+        np.rint(scaled, out=scaled)
+        samples = np.clip(scaled, -32768, 32767, out=scaled).astype(np.int16)
     wavfile.write(str(path), rate, samples)
 
 

@@ -3,6 +3,12 @@
 13 cepstra (C0 carries log frame energy) with delta and delta-delta
 appended give 39-dimensional features.  Frames are snipped at the edges:
 T = 1 + floor((N - window) / shift) for an N-sample signal.
+
+Cepstra are computed in fixed blocks of ``BLOCK_FRAMES`` frames, read
+through a strided view of the signal, and written into the preallocated
+output; only the deltas see the whole track.  Apart from the float copy
+of int16 input and the (T, 39) output, peak memory does not grow with
+the length of the recording.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from .corpus import CANONICAL_RATE
 
 ENERGY_FLOOR = 1e-10
 VAR_EPSILON = 1e-10
+# frames per block of the cepstral pass: bounds its transients
+BLOCK_FRAMES = 2000
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,6 @@ def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
     return 1 + (n_samples - cfg.window_samples) // cfg.shift_samples
 
 
-def _frame_signal(x: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
-    n_frames = frame_count(len(x), cfg)
-    window, shift = cfg.window_samples, cfg.shift_samples
-    idx = np.arange(window)[None, :] + shift * np.arange(n_frames)[:, None]
-    return x[idx]
-
-
 def _deltas(frames: np.ndarray, half_window: int = 2) -> np.ndarray:
     # +-2 frame regression with edge replication
     weights = np.arange(1, half_window + 1, dtype=np.float64)
@@ -130,35 +131,78 @@ def _deltas(frames: np.ndarray, half_window: int = 2) -> np.ndarray:
     return out / denom
 
 
+def _check_finite(x: np.ndarray, lo: int, hi: int) -> None:
+    """Raise if x[lo:hi] holds a NaN or inf, counting those in x[lo:]."""
+    finite = np.isfinite(x[lo:hi])
+    if finite.all():
+        return
+    first = lo + int(np.argmin(finite))
+    step = hi - lo
+    count = sum(
+        int(np.count_nonzero(~np.isfinite(x[i : i + step])))
+        for i in range(lo, len(x), step)
+    )
+    raise ValueError(f"{count} non-finite samples, the first at index {first}")
+
+
 def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
-    """MFCC features from canonical-format samples (int16 or float)."""
+    """MFCC features from canonical-format samples (int16 or float).
+
+    Raises ``ValueError`` on samples that are not 1-D or not finite.
+    """
+    if samples.ndim != 1:
+        raise ValueError(
+            f"samples of shape {samples.shape} are not mono; "
+            "corpus.canonicalize_audio downmixes to 16 kHz mono"
+        )
     if samples.dtype == np.int16:
-        x = samples.astype(np.float64) / 32768.0
+        x = samples.astype(np.float64)
+        x /= 32768.0
     else:
         x = np.asarray(samples, dtype=np.float64)
-    raw_frames = _frame_signal(x, cfg)
+    n_frames = frame_count(len(x), cfg)
+    window, shift = cfg.window_samples, cfg.shift_samples
+    framed = np.lib.stride_tricks.sliding_window_view(x, window)[::shift][:n_frames]
+    hamming = np.hamming(window)
+    bank_t = mel_filterbank(cfg).T
 
-    # raw log energy, before pre-emphasis and windowing
-    energy = np.sum(raw_frames**2, axis=1)
-    log_energy = np.log(np.maximum(energy, ENERGY_FLOOR))
+    n_ceps = cfg.n_ceps
+    frames = np.empty((n_frames, 3 * n_ceps if cfg.add_deltas else n_ceps))
+    ceps = frames[:, :n_ceps]
+    log_energy = np.empty(n_frames)
+    rows = min(n_frames, BLOCK_FRAMES)
+    block = np.empty((rows, window))
+    checked = 0
+    for start in range(0, n_frames, rows):
+        # every block has the same row count, so the last one overlaps its
+        # predecessor: BLAS takes another path for a short matmul, which
+        # moves last bits
+        start = min(start, n_frames - rows)
+        end = start + rows
+        reach = len(x) if end == n_frames else (end - 1) * shift + window
+        _check_finite(x, checked, reach)
+        checked = reach
+        raw = framed[start:end]
 
-    emphasized = raw_frames.copy()
-    emphasized[:, 1:] -= cfg.preemphasis * raw_frames[:, :-1]
-    emphasized[:, 0] -= cfg.preemphasis * raw_frames[:, 0]
-    windowed = emphasized * np.hamming(cfg.window_samples)
+        # raw log energy, before pre-emphasis and windowing
+        energy = np.square(raw, out=block).sum(axis=1)
+        np.log(np.maximum(energy, ENERGY_FLOOR), out=log_energy[start:end])
 
-    power = np.abs(np.fft.rfft(windowed, cfg.n_fft)) ** 2 / cfg.n_fft
-    mel_energies = power @ mel_filterbank(cfg).T
-    log_mel = np.log(np.maximum(mel_energies, ENERGY_FLOOR))
-    ceps = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_ceps]
+        np.multiply(raw[:, :-1], cfg.preemphasis, out=block[:, 1:])
+        np.subtract(raw[:, 1:], block[:, 1:], out=block[:, 1:])
+        block[:, 0] = raw[:, 0] - cfg.preemphasis * raw[:, 0]
+        block *= hamming
+
+        power = np.abs(np.fft.rfft(block, cfg.n_fft))
+        np.square(power, out=power)
+        power /= cfg.n_fft
+        log_mel = np.log(np.maximum(power @ bank_t, ENERGY_FLOOR))
+        ceps[start:end] = dct(log_mel, type=2, axis=1, norm="ortho")[:, :n_ceps]
     ceps[:, 0] = log_energy
 
     if cfg.add_deltas:
-        d1 = _deltas(ceps)
-        d2 = _deltas(d1)
-        frames = np.hstack([ceps, d1, d2])
-    else:
-        frames = ceps
+        frames[:, n_ceps : 2 * n_ceps] = _deltas(ceps)
+        frames[:, 2 * n_ceps :] = _deltas(frames[:, n_ceps : 2 * n_ceps])
     return FeatureMatrix(
         frames=frames,
         frame_shift=cfg.frame_shift,

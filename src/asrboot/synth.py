@@ -147,9 +147,11 @@ def add_noise(
     if math.isinf(snr_db):
         return x
     active = x[np.abs(x) > 1e-9]
-    power = float(np.mean(active**2)) if active.size else 1e-6
+    power = float(np.mean(np.square(active, out=active))) if active.size else 1e-6
     noise_power = power / (10.0 ** (snr_db / 10.0))
-    return x + rng.normal(0.0, math.sqrt(noise_power), size=len(x))
+    noise = rng.normal(0.0, math.sqrt(noise_power), size=len(x))
+    noise += x
+    return noise
 
 
 def _silence(seconds: float) -> np.ndarray:
@@ -295,6 +297,7 @@ def synth_corpus(
             pieces.append(gap)
             cursor += gap.size
         signal = np.concatenate(pieces)
+        pieces.clear()
         signal = add_noise(signal, spec.snr_db, rng)
         audio_path = out / "audio" / f"{rec_id}.wav"
         write_wav_pcm16(audio_path, signal)

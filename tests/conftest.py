@@ -3,10 +3,18 @@
 import math
 
 import numpy as np
+from scipy.fftpack import dct
 
 from asrboot import am
 from asrboot.am import LOG_ZERO, PROB_FLOOR, AcousticModel, GmmState
-from asrboot.features import FeatureMatrix
+from asrboot.features import (
+    ENERGY_FLOOR,
+    FeatureMatrix,
+    FrontendConfig,
+    _deltas,
+    frame_count,
+    mel_filterbank,
+)
 
 DIM = 2
 
@@ -127,3 +135,31 @@ def viterbi_reference(graph, model, frames):
         node = int(graph.lane_src[node, lanes[t, node]])
     path[0] = node
     return path, total
+
+
+def mfcc_reference(samples, cfg=FrontendConfig()):
+    """(frames, log_energy) of the whole signal in one pass, every frame
+    gathered at once: the reference the block-wise ``compute_mfcc`` is
+    held to."""
+    if samples.dtype == np.int16:
+        x = samples.astype(np.float64) / 32768.0
+    else:
+        x = np.asarray(samples, dtype=np.float64)
+    n_frames = frame_count(len(x), cfg)
+    window, shift = cfg.window_samples, cfg.shift_samples
+    raw = x[np.arange(window)[None, :] + shift * np.arange(n_frames)[:, None]]
+
+    log_energy = np.log(np.maximum(np.sum(raw**2, axis=1), ENERGY_FLOOR))
+    emphasized = raw.copy()
+    emphasized[:, 1:] -= cfg.preemphasis * raw[:, :-1]
+    emphasized[:, 0] -= cfg.preemphasis * raw[:, 0]
+    windowed = emphasized * np.hamming(window)
+
+    power = np.abs(np.fft.rfft(windowed, cfg.n_fft)) ** 2 / cfg.n_fft
+    log_mel = np.log(np.maximum(power @ mel_filterbank(cfg).T, ENERGY_FLOOR))
+    ceps = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_ceps]
+    ceps[:, 0] = log_energy
+    if not cfg.add_deltas:
+        return ceps, log_energy
+    d1 = _deltas(ceps)
+    return np.hstack([ceps, d1, _deltas(d1)]), log_energy

@@ -14,10 +14,12 @@ from asrboot.corpus import (
     canonicalize_audio,
     corpus_stats,
     load_manifest,
+    read_wav,
     subset_by_duration,
     validate_against_recordings,
     wav_duration,
     write_manifest,
+    write_wav_pcm16,
 )
 
 
@@ -231,6 +233,32 @@ class TestCanonicalize:
         src = tmp_path / "in.wav"
         write_tone(src, 16000, seconds=2.5)
         assert wav_duration(src) == pytest.approx(2.5)
+
+
+
+class TestWavIO:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_leaves_input_unchanged(self, tmp_path, dtype):
+        x = np.random.default_rng(0).normal(0.0, 0.5, 4000).astype(dtype)
+        x[:3] = [1.5, -1.5, 0.25]  # two clip
+        before = x.copy()
+        write_wav_pcm16(tmp_path / "out.wav", x)
+        assert np.array_equal(x, before)
+        _, written = wavfile.read(str(tmp_path / "out.wav"))
+        expected = np.clip(np.rint(x.astype(np.float64) * 32768.0), -32768, 32767)
+        assert np.array_equal(written, expected.astype(np.int16))
+
+    @pytest.mark.parametrize(
+        "dtype, scale, offset",
+        [(np.int16, 32768.0, 0.0), (np.int32, 2147483648.0, 0.0), (np.uint8, 128.0, 128.0)],
+    )
+    def test_read_scales_to_unit_range(self, tmp_path, dtype, scale, offset):
+        info = np.iinfo(dtype)
+        data = np.array([info.min, 0, 1, info.max], dtype=dtype)
+        wavfile.write(str(tmp_path / "in.wav"), 16000, data)
+        _, x = read_wav(tmp_path / "in.wav")
+        assert x.dtype == np.float64
+        assert np.array_equal(x, (data.astype(np.float64) - offset) / scale)
 
 
 class TestSubset:

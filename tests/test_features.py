@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrboot.features import (
+    BLOCK_FRAMES,
     AudioTooShortError,
     FrontendConfig,
     cmvn,
@@ -14,6 +17,7 @@ from asrboot.features import (
     silence_runs,
     slice_frames,
 )
+from conftest import mfcc_reference
 
 CFG = FrontendConfig()
 
@@ -88,6 +92,89 @@ class TestMfcc:
         assert np.max(diff[:, keep]) < 1e-6
         # C0 itself shifts by 2*log(2)
         assert np.allclose(b[:, 0] - a[:, 0], 2 * np.log(2.0), atol=1e-9)
+
+
+def noise(n_frames, dtype=np.float64, cfg=CFG):
+    """Noise with n_frames frames and a tail too short for another."""
+    n = cfg.window_samples + cfg.shift_samples * (n_frames - 1) + 77
+    x = np.random.default_rng(0).normal(0.0, 0.1, n)
+    return (x * 20000).astype(np.int16) if dtype == np.int16 else x
+
+
+def assert_matches_reference(x, cfg=CFG):
+    f = compute_mfcc(x, cfg)
+    frames, log_energy = mfcc_reference(x, cfg)
+    assert np.array_equal(f.frames, frames)
+    assert np.array_equal(f.log_energy, log_energy)
+
+
+class TestBlocks:
+    """compute_mfcc works a block of frames at a time; the cepstra are the
+    ones the one-pass reference gives, to the bit, at every block edge."""
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    @pytest.mark.parametrize(
+        "n_frames",
+        [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1],
+    )
+    def test_equals_reference(self, n_frames, dtype):
+        x = noise(n_frames, dtype)
+        assert compute_mfcc(x).n_frames == n_frames
+        assert_matches_reference(x)
+
+    def test_without_deltas(self):
+        assert_matches_reference(
+            noise(BLOCK_FRAMES + 1), FrontendConfig(add_deltas=False)
+        )
+
+    def test_other_frame_shift(self):
+        cfg = FrontendConfig(frame_shift=0.015)
+        x = noise(2 * BLOCK_FRAMES + 1, cfg=cfg)
+        assert compute_mfcc(x, cfg).n_frames == 2 * BLOCK_FRAMES + 1
+        assert_matches_reference(x, cfg)
+
+    def test_input_untouched(self):
+        for dtype in (np.int16, np.float64):
+            x = noise(BLOCK_FRAMES + 1, dtype)
+            before = x.copy()
+            compute_mfcc(x)
+            assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    def test_memory_does_not_grow_with_length(self, dtype):
+        # 180 s: the one-pass front end allocates ~270 MB here
+        x = noise(18_000, dtype)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compute_mfcc(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 64 * 2**20
+
+
+class TestInputChecks:
+    def test_stereo_rejected(self):
+        with pytest.raises(ValueError, match=r"\(16000, 2\).*canonicalize_audio"):
+            compute_mfcc(np.zeros((16000, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = tone(440, 1.0)
+        x[5000] = bad
+        with pytest.raises(ValueError, match="1 non-finite samples, the first at index 5000"):
+            compute_mfcc(x)
+
+    def test_non_finite_counted_across_blocks(self):
+        x = noise(2 * BLOCK_FRAMES + 1)
+        # one in the first block, one past the last frame
+        x[[123, len(x) - 1]] = np.nan
+        with pytest.raises(ValueError, match="2 non-finite samples, the first at index 123"):
+            compute_mfcc(x)
+        x[123] = 0.0
+        with pytest.raises(ValueError, match=f"1 non-finite samples, the first at index {len(x) - 1}"):
+            compute_mfcc(x)
 
 
 class TestCmvn:

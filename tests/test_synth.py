@@ -51,6 +51,16 @@ class TestSynthWord:
         snr = 10 * np.log10(np.mean(audio**2) / np.mean(noise**2))
         assert abs(snr - 20.0) < 1.0
 
+    def test_noise_leaves_input_unchanged(self):
+        x = np.concatenate([np.zeros(50), np.linspace(-0.5, 0.5, 200)])
+        before = x.copy()
+        noisy = add_noise(x, 10.0, np.random.default_rng(2))
+        assert np.array_equal(x, before)
+        # the same draw, added the other way round
+        power = np.mean(x[np.abs(x) > 1e-9] ** 2) / 10.0
+        drawn = np.random.default_rng(2).normal(0.0, math.sqrt(power), size=len(x))
+        assert np.array_equal(noisy, x + drawn)
+
     def test_signatures_distinguishable(self):
         assert SynthSpec().min_signature_distance() >= SIGNATURE_DISTANCE_FLOOR
 
