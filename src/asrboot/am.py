@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .features import FeatureMatrix
-from .lexicon import Lexicon
+from .lexicon import SILENCE_PHONE, Lexicon
 
 LOG_ZERO = -1e30
 N_STATES = 3
@@ -186,7 +186,7 @@ def compile_align_graph(
     log_take = float(np.log(sil_prior))
     log_skip = float(np.log(1.0 - sil_prior))
 
-    sil = PhoneInstance(lexicon.silence_phone, None)
+    sil = PhoneInstance(SILENCE_PHONE, None)
     sil_states = model.states_for(sil.phone)
     instances = [sil]
     node_state = list(sil_states)

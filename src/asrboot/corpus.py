@@ -104,15 +104,22 @@ def load_manifest(path) -> list[Utterance]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ManifestError(f"{path}:{lineno}: expected a JSON object")
             for field in ("id", "audio", "text"):
                 if field not in record:
                     raise ManifestError(f"{path}:{lineno}: missing field {field!r}")
+                if not isinstance(record[field], str):
+                    raise ManifestError(f"{path}:{lineno}: {field!r} must be a string")
             utt_id = record["id"]
             if utt_id in seen:
                 raise ManifestError(f"{path}:{lineno}: duplicate id {utt_id!r}")
             seen.add(utt_id)
             start = record.get("start")
             end = record.get("end")
+            # JSON true/false load as bool, which is an int subclass
+            if any(type(v) not in (int, float, type(None)) for v in (start, end)):
+                raise ManifestError(f"{path}:{lineno}: start and end must be numbers")
             if (start is None) != (end is None):
                 raise ManifestError(
                     f"{path}:{lineno}: start and end must be given together"
@@ -216,7 +223,10 @@ def canonicalize_audio(
     if rec_id is None:
         rec_id = out_path.stem
 
-    rate, raw = wavfile.read(str(input_path))
+    try:
+        rate, raw = wavfile.read(str(input_path))
+    except ValueError as exc:
+        raise AudioFormatError(f"{input_path}: {exc}") from None
     if raw.size == 0:
         raise AudioFormatError(f"{input_path}: zero-length audio")
     if rate == CANONICAL_RATE and raw.ndim == 1 and raw.dtype == np.int16:

@@ -3,15 +3,19 @@
 Tokens are plain tuples (tree position, LM history, word start frame,
 backpointer, total, acoustic and LM scores) in Python lists: a frame holds
 a few dozen tokens, where list indexing costs far less than a numpy call
-(numpy catches up at a few hundred tokens per frame).  The n-gram LM is
-applied at word boundaries, scaled into natural log.  Recombination keeps
-one token per (position, LM history): the higher total score, then the
-higher acoustic score, then the lexicographically earlier word sequence,
-then the earlier token.  Pruning is a log-likelihood beam plus a cap that
-keeps the `max_active` highest totals, the earlier token winning a tie at
-the cut.  Scores are added in a fixed order, so decoding is deterministic
-bit for bit.  When no token reaches an utterance-final state, the best
-token's completed words come back as a hypothesis flagged ``partial``.
+(numpy catches up at a few hundred tokens per frame).  The search needs no
+lexicon: the prefix tree holds the pronunciations and the silence phone is
+``lexicon.SILENCE_PHONE``.  The n-gram LM is applied at word boundaries,
+scaled into natural log: `NGramLM.step` gives the score and the history
+the next query needs, cached per (history, word), and the utterance end is
+one more step, to </s>.  Recombination keeps one token per (position, LM
+history): the higher total score, then the higher acoustic score, then the
+lexicographically earlier word sequence, then the earlier token.  Pruning
+is a log-likelihood beam plus a cap that keeps the `max_active` highest
+totals, the earlier token winning a tie at the cut.  Scores are added in a
+fixed order, so decoding is deterministic bit for bit.  When no token
+reaches an utterance-final state, the best token's completed words come
+back as a hypothesis flagged ``partial``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Sequence
 
 from .am import AcousticModel, Interval, state_logliks
 from .features import FeatureMatrix
-from .lexicon import Lexicon
+from .lexicon import SILENCE_PHONE, UNK_WORD, Lexicon
 from .lm import BOS, EOS, NGramLM
 
 LN10 = math.log(10.0)
@@ -97,7 +101,7 @@ def build_prefix_tree(lexicon: Lexicon, include_unk: bool = False) -> LexTree:
     nodes = [LexNode(phone=None)]
     entries = [(w, lexicon.pronunciations[w]) for w in lexicon.words]
     if include_unk:
-        entries.append((lexicon.unk_word, (lexicon.garbage_phone,)))
+        entries.append((UNK_WORD, lexicon.pron(UNK_WORD)))
     for word, pron in entries:
         current = 0
         for grapheme in pron:
@@ -134,8 +138,7 @@ class _Network:
 
 
 def _compile(
-    model: AcousticModel, tree: LexTree, lexicon: Lexicon,
-    log_skip: float, log_take: float,
+    model: AcousticModel, tree: LexTree, log_skip: float, log_take: float
 ) -> _Network:
     n_states = model.n_states
     pos_state: list[int] = []
@@ -144,7 +147,7 @@ def _compile(
         first_pos[idx] = len(pos_state)
         pos_state.extend(model.states_for(tree.nodes[idx].phone))
     sil_first = len(pos_state)
-    pos_state.extend(model.states_for(lexicon.silence_phone))
+    pos_state.extend(model.states_for(SILENCE_PHONE))
     n_pos = len(pos_state)
     is_exit = [p % n_states == n_states - 1 for p in range(n_pos)]
 
@@ -182,16 +185,14 @@ _POS, _HIST, _BP, _SCORE, _ASCORE = 0, 1, 3, 4, 5
 
 
 class _Decoder:
-    def __init__(self, model, lm, tree, lexicon, cfg):
+    def __init__(self, model, lm, tree, cfg):
         self.model = model
         self.lm = lm
         self.cfg = cfg
         self.lm_w = cfg.lm_scale * LN10
         self.log_skip = math.log(1.0 - cfg.sil_prior)
-        self.net = _compile(
-            model, tree, lexicon, self.log_skip, math.log(cfg.sil_prior)
-        )
-        # LM histories: id -> truncated word tuple (starting from <s>)
+        self.net = _compile(model, tree, self.log_skip, math.log(cfg.sil_prior))
+        # LM histories: id -> the context the LM asks for (starting from <s>)
         self.histories: list[tuple[str, ...]] = [(BOS,)]
         self.hist_ids: dict[tuple[str, ...], int] = {(BOS,): 0}
         self.lm_cache: dict[tuple[int, str], tuple[float, int]] = {}
@@ -203,11 +204,7 @@ class _Decoder:
         hit = self.lm_cache.get(key)
         if hit is not None:
             return hit
-        history = self.histories[hist_id]
-        logp = self.lm.logp(history, word)
-        new_hist = (history + (self.lm.map_word(word),))[
-            max(0, len(history) + 1 - (self.lm.order - 1)):
-        ] if self.lm.order > 1 else ()
+        logp, new_hist = self.lm.step(self.histories[hist_id], word)
         nid = self.hist_ids.get(new_hist)
         if nid is None:
             nid = len(self.histories)
@@ -215,9 +212,6 @@ class _Decoder:
             self.hist_ids[new_hist] = nid
         self.lm_cache[key] = (logp, nid)
         return logp, nid
-
-    def eos_logp(self, hist_id: int) -> float:
-        return self.lm.logp(self.histories[hist_id], EOS)
 
     def decode(self, feats: FeatureMatrix) -> Hypothesis:
         net = self.net
@@ -344,27 +338,21 @@ class _Decoder:
     ) -> Hypothesis:
         """Best utterance end: a SIL exit, or a word that ends at the last
         frame; failing both, the best token as a partial hypothesis."""
-        sil_exit, skip = self.net.sil_exit, self.log_skip
-        fwd = self.net.log_fwd[sil_exit]
-        ends = [
-            (pos, hist, start, bp, score + fwd, ascore + fwd, lscore)
-            for pos, hist, start, bp, score, ascore, lscore in tokens
-            if pos == sil_exit
-        ] + [
-            (pos, hist, start, bp, score + skip, ascore + skip, lscore)
-            for pos, hist, start, bp, score, ascore, lscore
-            in self._word_ends(tokens, n_frames)
-        ]
-        if ends:
-            cands = []
-            for pos, hist, start, bp, score, ascore, lscore in ends:
-                eos = self.eos_logp(hist)
-                cands.append((pos, hist, start, bp, score + self.lm_w * eos,
-                              ascore, lscore + eos))
-        elif tokens:
+        sil_exit = self.net.sil_exit
+        # a SIL exit leaves with its forward transition, a word end by
+        # skipping the last silence; both then take the LM step to </s>
+        ends = [(tok, self.net.log_fwd[sil_exit]) for tok in tokens
+                if tok[_POS] == sil_exit]
+        ends += [(tok, self.log_skip) for tok in self._word_ends(tokens, n_frames)]
+        cands = []
+        for (pos, hist, start, bp, score, ascore, lscore), leave in ends:
+            eos, _ = self.lm_step(hist, EOS)
+            cands.append((pos, hist, start, bp, score + leave + self.lm_w * eos,
+                          ascore + leave, lscore + eos))
+        if not cands:
+            if not tokens:
+                raise DecodeError(f"beam emptied at frame {n_frames - 1}")
             cands = tokens  # a partial hypothesis: the open word is dropped
-        else:
-            raise DecodeError(f"beam emptied at frame {n_frames - 1}")
         (best,) = self._best([0] * len(cands), cands)
         _, _, _, bp, total, ascore, lmscore = cands[best]
         trace = self._backtrace(bp)
@@ -389,10 +377,9 @@ def decode(
     cfg: DecodeConfig = DecodeConfig(),
     lexicon: Lexicon | None = None,
 ) -> Hypothesis:
-    """1-best decoding of one utterance."""
-    if lexicon is None:
-        lexicon = Lexicon({})
-    return _Decoder(model, lm, tree, lexicon, cfg).decode(feats)
+    """1-best decoding of one utterance.  ``lexicon`` is ignored (the tree
+    holds the pronunciations); the benchmark harness still passes it."""
+    return _Decoder(model, lm, tree, cfg).decode(feats)
 
 
 @dataclass
@@ -422,7 +409,8 @@ def decode_corpus(
     lexicon: Lexicon | None = None,
 ) -> CorpusDecodeResult:
     """Decode a batch in order; per-utterance errors and partial
-    hypotheses are listed by index."""
+    hypotheses are listed by index.  ``lexicon`` is ignored, as in
+    `decode`."""
     hypotheses: list[Hypothesis | None] = []
     errors: list[tuple[int, str]] = []
     audio_seconds = 0.0
@@ -430,7 +418,7 @@ def decode_corpus(
     for index, feats in enumerate(batch):
         audio_seconds += feats.n_frames * feats.frame_shift
         try:
-            hypotheses.append(decode(model, lm, tree, feats, cfg, lexicon))
+            hypotheses.append(decode(model, lm, tree, feats, cfg))
         except DecodeError as exc:
             hypotheses.append(None)
             errors.append((index, str(exc)))

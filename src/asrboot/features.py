@@ -64,7 +64,6 @@ class FeatureMatrix:
 
     frames: np.ndarray
     frame_shift: float
-    frame_length: float
     log_energy: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -74,9 +73,6 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
-
-    def frame_time(self, index: int) -> float:
-        return index * self.frame_shift
 
 
 class AudioTooShortError(ValueError):
@@ -206,7 +202,6 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
     return FeatureMatrix(
         frames=frames,
         frame_shift=cfg.frame_shift,
-        frame_length=cfg.frame_length,
         log_energy=log_energy,
     )
 
@@ -222,7 +217,6 @@ def cmvn(f: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(
         frames=(f.frames - mean) * scale,
         frame_shift=f.frame_shift,
-        frame_length=f.frame_length,
         log_energy=f.log_energy,
     )
 
@@ -279,6 +273,5 @@ def slice_frames(f: FeatureMatrix, start: int, end: int) -> FeatureMatrix:
     return FeatureMatrix(
         frames=f.frames[start:end],
         frame_shift=f.frame_shift,
-        frame_length=f.frame_length,
         log_energy=f.log_energy[start:end],
     )

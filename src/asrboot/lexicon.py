@@ -2,8 +2,10 @@
 
 Words map to their grapheme (character) sequences; no phonemic dictionary
 is assumed.  Intra-word hyphens and apostrophes stay in the word label but
-are dropped from the pronunciation.  Two special symbols always exist:
-the silence phone and ``<UNK>``, which maps to a dedicated garbage phone.
+are dropped from the pronunciation.  The special symbols are module
+constants, not lexicon fields: the silence phone ``SILENCE_PHONE`` and the
+word ``UNK_WORD``, which `Lexicon.pron` alone maps to the garbage phone
+``GARBAGE_PHONE``.  `lm` imports ``UNK_WORD`` as its ``UNK``.
 """
 
 from __future__ import annotations
@@ -53,12 +55,9 @@ def supplement(wl: Wordlist, extra_words: Iterable[str]) -> Wordlist:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Graphemic pronunciation dictionary plus the special symbols."""
+    """Graphemic pronunciation dictionary; <UNK> is always in it."""
 
     pronunciations: Mapping[str, tuple[str, ...]]
-    silence_phone: str = SILENCE_PHONE
-    garbage_phone: str = GARBAGE_PHONE
-    unk_word: str = UNK_WORD
 
     @property
     def words(self) -> list[str]:
@@ -69,26 +68,23 @@ class Lexicon:
         inventory = set()
         for pron in self.pronunciations.values():
             inventory.update(pron)
-        inventory.discard(self.silence_phone)
-        inventory.discard(self.garbage_phone)
-        return sorted(inventory) + [self.garbage_phone, self.silence_phone]
+        inventory.discard(SILENCE_PHONE)
+        inventory.discard(GARBAGE_PHONE)
+        return sorted(inventory) + [GARBAGE_PHONE, SILENCE_PHONE]
 
     def pron(self, word: str) -> tuple[str, ...]:
         """Pronunciation of ``word``, falling back to the garbage phone."""
-        if word == self.unk_word:
-            return (self.garbage_phone,)
-        pron = self.pronunciations.get(word)
-        if pron is None:
-            return (self.garbage_phone,)
-        return pron
+        if word == UNK_WORD:
+            return (GARBAGE_PHONE,)
+        return self.pronunciations.get(word, (GARBAGE_PHONE,))
 
     def __contains__(self, word: str) -> bool:
-        return word == self.unk_word or word in self.pronunciations
+        return word == UNK_WORD or word in self.pronunciations
 
     def restricted_to(self, words: Iterable[str]) -> "Lexicon":
         """Sub-lexicon over the given words (unknown words skipped)."""
         kept = {w: self.pronunciations[w] for w in words if w in self.pronunciations}
-        return Lexicon(kept, self.silence_phone, self.garbage_phone, self.unk_word)
+        return Lexicon(kept)
 
 
 def grapheme_pronunciation(word: str) -> tuple[str, ...]:
@@ -133,12 +129,13 @@ def oov_rate(lex: Lexicon, test_tokens: Iterable[str]) -> float:
 def write_lexicon(lex: Lexicon, path) -> None:
     """Write ``WORD<TAB>G1 G2 ...`` lines, specials included."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{lex.unk_word}\t{lex.garbage_phone}\n")
+        fh.write(f"{UNK_WORD}\t{' '.join(lex.pron(UNK_WORD))}\n")
         for word in lex.words:
             fh.write(f"{word}\t{' '.join(lex.pronunciations[word])}\n")
 
 
 def read_lexicon(path) -> Lexicon:
+    """Read `write_lexicon` output; the <UNK> line is implied and skipped."""
     pronunciations: dict[str, tuple[str, ...]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -151,5 +148,7 @@ def read_lexicon(path) -> Lexicon:
             word, pron_text = parts
             if word == UNK_WORD:
                 continue
+            if word in pronunciations:
+                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
             pronunciations[word] = tuple(pron_text.split())
     return Lexicon(pronunciations)

@@ -46,12 +46,15 @@ class NGramLM:
     def map_word(self, word: str) -> str:
         return word if word in self.vocab else UNK
 
+    def _context(self, history: Sequence[str]) -> tuple[str, ...]:
+        """The last ``order - 1`` words of ``history``, unknown ones as <UNK>."""
+        h = tuple(t if (t == BOS or t in self.vocab) else UNK for t in history)
+        return h[max(0, len(h) - (self.order - 1)):]
+
     def logp(self, history: Sequence[str], word: str) -> float:
         """log10 P(word | history) with standard backoff recursion."""
         w = self.map_word(word)
-        h = tuple(
-            t if (t == BOS or t in self.vocab) else UNK for t in history
-        )[max(0, len(history) - (self.order - 1)):]
+        h = self._context(history)
         total_bow = 0.0
         while h:
             p = self.probs.get(h + (w,))
@@ -66,14 +69,13 @@ class NGramLM:
                 f"cannot score {word!r}: the model has no unigram {w!r}"
             ) from None
 
-    def sentence_logp(self, tokens: Sequence[str], add_bounds: bool = True) -> float:
-        history: tuple[str, ...] = (BOS,) if add_bounds else ()
-        total = 0.0
-        seq = list(tokens) + ([EOS] if add_bounds else [])
-        for word in seq:
-            total += self.logp(history, word)
-            history = history + (self.map_word(word),)
-        return total
+    def step(
+        self, history: Sequence[str], word: str
+    ) -> tuple[float, tuple[str, ...]]:
+        """log10 P(word | history) and the context the next query needs."""
+        return self.logp(history, word), self._context(
+            (*history, self.map_word(word))
+        )
 
     def context_sum(self, history: Sequence[str]) -> float:
         """Sum of P(w|history) over the full prediction vocabulary."""
@@ -281,8 +283,8 @@ def perplexity(
         for word in seq:
             if word != EOS and word not in lm.vocab:
                 n_oov += 1
-            log_total += lm.logp(history, word)
-            history = history + (lm.map_word(word),)
+            logp, history = lm.step(history, word)
+            log_total += logp
             n_tokens += 1
     if n_tokens == 0:
         raise LmError("empty text")
@@ -318,6 +320,8 @@ def write_arpa(lm: NGramLM, path) -> None:
 
 
 def read_arpa(path) -> NGramLM:
+    """Read an ARPA backoff model; a malformed entry raises `LmError`
+    naming the file and line."""
     probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
     declared: dict[int, int] = {}
@@ -325,8 +329,7 @@ def read_arpa(path) -> NGramLM:
     section = None
     got_end = False
     with open(path, encoding="utf-8") as fh:
-        lines = iter(enumerate(fh, start=1))
-        for lineno, line in lines:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -336,37 +339,37 @@ def read_arpa(path) -> NGramLM:
             if line == "\\end\\":
                 got_end = True
                 break
-            if line.endswith("-grams:") and line.startswith("\\"):
-                section = int(line[1:].split("-")[0])
-                seen.setdefault(section, 0)
-                continue
-            if section == "data":
-                if not line.startswith("ngram "):
-                    raise LmError(f"{path}:{lineno}: bad data-section line {line!r}")
-                n_text, count_text = line[len("ngram "):].split("=")
-                declared[int(n_text)] = int(count_text)
-                continue
-            if not isinstance(section, int):
-                raise LmError(f"{path}:{lineno}: entry outside any section")
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = line.split()
-                parts = [parts[0], " ".join(parts[1 : 1 + section])] + parts[
-                    1 + section :
-                ]
-            if len(parts) not in (2, 3):
-                raise LmError(f"{path}:{lineno}: malformed n-gram line {line!r}")
-            ngram = tuple(UNK if w == ARPA_UNK else w for w in parts[1].split())
-            if len(ngram) != section:
-                raise LmError(
-                    f"{path}:{lineno}: {len(ngram)}-gram in \\{section}-grams: section"
-                )
-            if ngram in probs:
-                raise LmError(f"{path}:{lineno}: duplicate n-gram {parts[1]!r}")
-            probs[ngram] = float(parts[0])
-            if len(parts) == 3:
-                backoffs[ngram] = float(parts[2])
-            seen[section] += 1
+            # one handler gives every parse error of the line its location
+            try:
+                if line.endswith("-grams:") and line.startswith("\\"):
+                    section = int(line[1:].split("-")[0])
+                    seen.setdefault(section, 0)
+                    continue
+                if section == "data":
+                    if not line.startswith("ngram "):
+                        raise ValueError("bad data-section line")
+                    n_text, count_text = line[len("ngram "):].split("=")
+                    declared[int(n_text)] = int(count_text)
+                    continue
+                if not isinstance(section, int):
+                    raise ValueError("entry outside any section")
+                parts = line.split("\t")
+                if len(parts) == 1:
+                    prob, *rest = line.split()
+                    parts = [prob, " ".join(rest[:section]), *rest[section:]]
+                if len(parts) not in (2, 3):
+                    raise ValueError("malformed n-gram line")
+                ngram = tuple(UNK if w == ARPA_UNK else w for w in parts[1].split())
+                if len(ngram) != section:
+                    raise ValueError(f"{len(ngram)}-gram in \\{section}-grams: section")
+                if ngram in probs:
+                    raise ValueError(f"duplicate n-gram {parts[1]!r}")
+                probs[ngram] = float(parts[0])
+                if len(parts) == 3:
+                    backoffs[ngram] = float(parts[2])
+                seen[section] += 1
+            except ValueError as exc:
+                raise LmError(f"{path}:{lineno}: {exc} in {line!r}") from None
     if not got_end:
         where = f"\\{section}-grams:" if isinstance(section, int) else "header"
         raise LmError(f"{path}: truncated file (no \\end\\ after {where})")
@@ -375,6 +378,8 @@ def read_arpa(path) -> NGramLM:
             raise LmError(
                 f"{path}: \\{n}-grams: declared {count} entries, found {seen.get(n, 0)}"
             )
+    if not probs:
+        raise LmError(f"{path}: no n-grams")
     order = max(declared) if declared else max(len(g) for g in probs)
     vocab = {g[0] for g in probs if len(g) == 1 and g[0] != BOS}
     vocab.update([EOS, UNK])

@@ -258,7 +258,7 @@ class TimedWord:
 
 
 def _decode_chunks(
-    model, lm, tree, lexicon, feats_full, chunks, cfg: HarvestConfig,
+    model, lm, tree, feats_full, chunks, cfg: HarvestConfig,
     report: SegmentReport,
 ) -> list[TimedWord]:
     """Decode each chunk; a chunk whose decode fails is counted and skipped,
@@ -272,7 +272,7 @@ def _decode_chunks(
         offset = chunk.start * shift
         piece = slice_frames(feats_full, chunk.start, chunk.end)
         try:
-            hyp = decode(model, lm, tree, piece, cfg.decode, lexicon=lexicon)
+            hyp = decode(model, lm, tree, piece, cfg.decode)
         except DecodeError as exc:
             report.chunk_failures += 1
             logger.warning(
@@ -351,12 +351,11 @@ def harvest_segments(
     report.n_chunks = len(chunks)
 
     lm = biased_lm(transcript_lines, unk_mass=cfg.unk_mass)
-    sub_lex = lexicon.restricted_to(set(ref_tokens))
-    tree = build_prefix_tree(sub_lex, include_unk=True)
-
-    hyp_words = _decode_chunks(
-        model, lm, tree, sub_lex, feats_full, chunks, cfg, report
+    tree = build_prefix_tree(
+        lexicon.restricted_to(set(ref_tokens)), include_unk=True
     )
+
+    hyp_words = _decode_chunks(model, lm, tree, feats_full, chunks, cfg, report)
     report.n_hyp_words = len(hyp_words)
     if not hyp_words:
         return [], report

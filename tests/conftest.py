@@ -55,8 +55,7 @@ def gmm_loglik(state, frames):
 def feats_from(frames):
     frames = np.asarray(frames, dtype=float)
     return FeatureMatrix(
-        frames=frames, frame_shift=0.01, frame_length=0.025,
-        log_energy=np.zeros(len(frames)),
+        frames=frames, frame_shift=0.01, log_energy=np.zeros(len(frames)),
     )
 
 

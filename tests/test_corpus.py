@@ -70,6 +70,26 @@ class TestManifest:
         with pytest.raises(ManifestError, match=":1"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ('["a", "a.wav", "X"]', "expected a JSON object"),
+        ('{"id": 7, "audio": "a.wav", "text": "X"}', "'id' must be a string"),
+        ('{"id": "a", "audio": null, "text": "X"}', "'audio' must be a string"),
+        ('{"id": "a", "audio": "a.wav", "text": 12}', "'text' must be a string"),
+        ('{"id": "a", "audio": "a.wav", "text": "X", "start": "0", "end": 1}',
+         "start and end must be numbers"),
+        ('{"id": "a", "audio": "a.wav", "text": "X", "start": 0, "end": true}',
+         "start and end must be numbers"),
+    ], ids=["array", "id", "audio", "text", "start", "end_bool"])
+    def test_field_types_checked_with_line(self, tmp_path, line, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"id": "ok", "audio": "ok.wav", "text": "Y", "start": 0, "end": 1.5}\n'
+            + line + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ManifestError, match=rf"m\.jsonl:2: .*{message}"):
+            load_manifest(path)
+
     def test_round_trip(self, tmp_path):
         utts = [
             Utterance(id="a", audio="x.wav", text="HELLO THERE"),
@@ -227,6 +247,12 @@ class TestCanonicalize:
         src = tmp_path / "in.wav"
         wavfile.write(str(src), 16000, np.zeros(0, dtype=np.int16))
         with pytest.raises(AudioFormatError, match="zero-length"):
+            canonicalize_audio(src, tmp_path / "out.wav")
+
+    def test_non_wav_input_names_path(self, tmp_path):
+        src = tmp_path / "in.wav"
+        src.write_bytes(b"not a wave file at all")
+        with pytest.raises(AudioFormatError, match=r"in\.wav: .*not understood"):
             canonicalize_audio(src, tmp_path / "out.wav")
 
     def test_wav_duration(self, tmp_path):

@@ -224,7 +224,7 @@ class TestTieRule:
         # group 0 scores [-100, -110, -110]: the tied pair sits below the
         # best and has the earlier word sequences; group 1 ties at the top
         dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
-                       build_prefix_tree(ab_lexicon), ab_lexicon,
+                       build_prefix_tree(ab_lexicon),
                        DecodeConfig())
         dec.bp_table = [(-1, "B", 0, 5), (-1, "A", 0, 5), (1, "A", 5, 9)]
         bp = [0, 2, 1, 0, 1]
@@ -239,7 +239,7 @@ class TestPrune:
     @pytest.mark.parametrize("cap, kept", [(2, [0, 3]), (3, [0, 1, 3])])
     def test_cap_keeps_highest_totals_earlier_wins_ties(self, cap, kept, ab_lexicon):
         dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
-                       build_prefix_tree(ab_lexicon), ab_lexicon,
+                       build_prefix_tree(ab_lexicon),
                        DecodeConfig(beam=50.0, max_active=cap))
         # tokens differ in position only, so the survivors name themselves
         tokens = [(i, 0, 0, -1, total, total, 0.0)
@@ -248,7 +248,7 @@ class TestPrune:
 
     def test_beam_drops_tokens_below_the_best(self, ab_lexicon):
         dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
-                       build_prefix_tree(ab_lexicon), ab_lexicon,
+                       build_prefix_tree(ab_lexicon),
                        DecodeConfig(beam=1.5))
         tokens = [(i, 0, 0, -1, total, total, 0.0)
                   for i, total in enumerate([-1.0, -3.0, -2.5, -2.0])]

@@ -197,7 +197,7 @@ class TestCmvn:
 
         frames = np.random.default_rng(3).standard_normal((50, 4))
         frames[:, 2] = 7.5
-        f = FeatureMatrix(frames=frames, frame_shift=0.01, frame_length=0.025,
+        f = FeatureMatrix(frames=frames, frame_shift=0.01,
                           log_energy=frames[:, 0].copy())
         g = cmvn(f)
         assert np.allclose(g.frames[:, 2], 0.0)
@@ -226,7 +226,7 @@ class TestSilenceMask:
 
         log_energy = np.array([-230.0] * 20 + [-2.0] * 2 + [-230.0] * 20)
         frames = np.zeros((42, 13))
-        f = FeatureMatrix(frames=frames, frame_shift=0.01, frame_length=0.025,
+        f = FeatureMatrix(frames=frames, frame_shift=0.01,
                           log_energy=log_energy)
         mask = silence_mask(f)
         # the 2-frame speech blip is swallowed; everything is one silence run

@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrboot.lexicon import (
+    GARBAGE_PHONE,
+    UNK_WORD,
     Lexicon,
     Wordlist,
     build_wordlist,
@@ -63,6 +67,13 @@ class TestGraphemicLexicon:
         assert lex.pron("<UNK>") == ("GBG",)
         phones = lex.phones()
         assert "SIL" in phones and "GBG" in phones
+
+    def test_specials_are_constants_not_fields(self):
+        assert [f.name for f in dataclasses.fields(Lexicon)] == ["pronunciations"]
+        lex = Lexicon({"A": ("A",)})
+        assert lex.pron(UNK_WORD) == (GARBAGE_PHONE,)
+        assert lex.pron("ZZ") == (GARBAGE_PHONE,)
+        assert lex.restricted_to(["A", UNK_WORD]).pronunciations == {"A": ("A",)}
 
     def test_inventory(self):
         lex, _ = graphemic_lexicon(["AB", "BA"])
@@ -128,4 +139,10 @@ class TestFileFormats:
         path = tmp_path / "lexicon.tsv"
         path.write_text("CAT\n", encoding="utf-8")
         with pytest.raises(ValueError, match="lexicon.tsv:1"):
+            read_lexicon(path)
+
+    def test_duplicate_word_names_line(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("<UNK>\tGBG\nCAT\tC A T\nCAT\tK A T\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"lexicon\.tsv:3: duplicate word 'CAT'"):
             read_lexicon(path)

@@ -100,6 +100,50 @@ class TestScore:
             assert w in lm.vocab
 
 
+class TestStep:
+    CORPUS = "A B C A\nB C A B\nC A B C\nA C B A"
+    HISTORIES = [(), (BOS,), ("A",), (BOS, "A"), ("ZZ",), (BOS, "ZZ"),
+                 ("A", "B", "C"), ("ZZ", "YY", "A"), ("A", "ZZ")]
+    WORDS = ["A", "B", "C", "ZZ", EOS]
+
+    def trigram(self):
+        return train_ngram(sents(self.CORPUS), order=3,
+                           map_singletons_to_unk=False)
+
+    def test_score_is_logp(self):
+        lm = self.trigram()
+        for history in self.HISTORIES:
+            for word in self.WORDS:
+                assert lm.step(history, word)[0] == lm.logp(history, word)
+
+    def test_next_history_is_the_mapped_suffix(self):
+        lm = self.trigram()
+        assert lm.step((BOS,), "ZZ")[1] == (BOS, UNK)
+        assert lm.step((BOS, "ZZ"), "A")[1] == (UNK, "A")
+        assert lm.step(("A", "B", "C"), "YY")[1] == ("C", UNK)
+        assert lm.step((), "B")[1] == ("B",)
+        for history in self.HISTORIES:
+            for word in self.WORDS:
+                nxt = lm.step(history, word)[1]
+                assert len(nxt) <= lm.order - 1
+                assert all(t == BOS or t in lm.vocab for t in nxt)
+
+    def test_unigram_keeps_no_history(self):
+        lm = train_ngram(sents(self.CORPUS), order=1)
+        assert lm.step((BOS,), "A")[1] == ()
+
+    def test_chained_steps_give_perplexity_total(self):
+        lm = self.trigram()
+        text = sents("A B ZZ C\nZZ YY\nC C A B A")
+        total = 0.0
+        for line in text:
+            history = (BOS,)
+            for word in (*line, EOS):
+                logp, history = lm.step(history, word)
+                total += logp
+        assert perplexity(lm, text).log10_total == total
+
+
 class TestPerplexity:
     def test_certainty_is_one(self):
         lm = NGramLM(
@@ -258,6 +302,23 @@ class TestArpa:
             encoding="utf-8",
         )
         with pytest.raises(LmError, match="declared 3"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("\\data\\\n\n\\end\\\n", r"bad\.arpa: no n-grams"),
+        ("\\data\\\nngram 1\n\n\\1-grams:\n-0.1\tA\n\n\\end\\\n",
+         r"bad\.arpa:2: .* in 'ngram 1'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\nlow\tA\n\n\\end\\\n",
+         r"bad\.arpa:5: could not convert .* in 'low\\tA'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\tA\tx\n\n\\end\\\n",
+         r"bad\.arpa:5: could not convert string to float: 'x'"),
+        ("\\data\\\nngram 1=1\n\n\\one-grams:\n-0.1\tA\n\n\\end\\\n",
+         r"bad\.arpa:4: .* in '\\\\one-grams:'"),
+    ], ids=["empty", "no_count", "bad_prob", "bad_backoff", "bad_section"])
+    def test_malformed_file_names_its_location(self, tmp_path, text, where):
+        path = tmp_path / "bad.arpa"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LmError, match=where):
             read_arpa(path)
 
 

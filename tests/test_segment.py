@@ -373,7 +373,7 @@ class TestDecodeChunks:
         monkeypatch.setattr(segment, "decode", fake_decode)
         report = SegmentReport("rec", 0, 0, 0, 0)
         words = _decode_chunks(
-            None, None, None, None, feats, chunks, HarvestConfig(), report
+            None, None, None, feats, chunks, HarvestConfig(), report
         )
         assert decoded == [(c.start, c.end - c.start) for c in chunks]
         return words, report
