@@ -430,6 +430,22 @@ def _intervals_from_path(
     return phone_intervals, word_intervals
 
 
+def _best_path(
+    graph: AlignGraph, model: AcousticModel, feats: FeatureMatrix
+) -> tuple[np.ndarray, float] | AlignFailure:
+    """`viterbi_path` on a long enough utterance; a failure is classified
+    here for both `force_align` and `train`."""
+    if feats.n_frames < graph.min_frames:
+        return AlignFailure(
+            "too_short",
+            f"{feats.n_frames} frames < minimum path length {graph.min_frames}",
+        )
+    result = viterbi_path(graph, model, feats.frames)
+    if result is None:
+        return AlignFailure("no_path", "no finite path reaches a final state")
+    return result
+
+
 def force_align(
     model: AcousticModel,
     feats: FeatureMatrix,
@@ -445,14 +461,9 @@ def force_align(
         )
     except GraphError as exc:
         return AlignFailure("oov", str(exc))
-    if feats.n_frames < graph.min_frames:
-        return AlignFailure(
-            "too_short",
-            f"{feats.n_frames} frames < minimum path length {graph.min_frames}",
-        )
-    result = viterbi_path(graph, model, feats.frames)
-    if result is None:
-        return AlignFailure("no_path", "no finite path reaches a final state")
+    result = _best_path(graph, model, feats)
+    if isinstance(result, AlignFailure):
+        return result
     path, loglik = result
     phone_intervals, word_intervals = _intervals_from_path(
         graph, path, model.n_states, feats.frame_shift
@@ -726,12 +737,9 @@ def train(
         paths: list[tuple[int, np.ndarray]] = []
         reasons = {}
         for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
-            if feats.n_frames < graph.min_frames:
-                reasons["too_short"] = reasons.get("too_short", 0) + 1
-                continue
-            result = viterbi_path(graph, model, feats.frames)
-            if result is None:
-                reasons["no_path"] = reasons.get("no_path", 0) + 1
+            result = _best_path(graph, model, feats)
+            if isinstance(result, AlignFailure):
+                reasons[result.reason] = reasons.get(result.reason, 0) + 1
                 continue
             path, loglik = result
             pre_total += loglik

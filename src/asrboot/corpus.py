@@ -22,6 +22,8 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
+from .textnorm import utf8_lines
+
 logger = logging.getLogger(__name__)
 
 CANONICAL_RATE = 16000
@@ -96,49 +98,48 @@ def load_manifest(path) -> list[Utterance]:
     """Read a JSONL manifest; rejects duplicate ids and bad spans."""
     utterances: list[Utterance] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise ManifestError(f"{path}:{lineno}: expected a JSON object")
-            for field in ("id", "audio", "text"):
-                if field not in record:
-                    raise ManifestError(f"{path}:{lineno}: missing field {field!r}")
-                if not isinstance(record[field], str):
-                    raise ManifestError(f"{path}:{lineno}: {field!r} must be a string")
-            utt_id = record["id"]
-            if utt_id in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate id {utt_id!r}")
-            seen.add(utt_id)
-            start = record.get("start")
-            end = record.get("end")
-            # JSON true/false load as bool, which is an int subclass
-            if any(type(v) not in (int, float, type(None)) for v in (start, end)):
-                raise ManifestError(f"{path}:{lineno}: start and end must be numbers")
-            if (start is None) != (end is None):
-                raise ManifestError(
-                    f"{path}:{lineno}: start and end must be given together"
-                )
-            if start is not None:
-                if not 0 <= start < end:
-                    raise ManifestError(
-                        f"{path}:{lineno}: need 0 <= start < end, "
-                        f"got start={start} end={end}"
-                    )
-            utterances.append(
-                Utterance(
-                    id=utt_id,
-                    audio=record["audio"],
-                    text=record["text"],
-                    start=start,
-                    end=end,
-                )
+    for lineno, line in utf8_lines(path, ManifestError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ManifestError(f"{path}:{lineno}: expected a JSON object")
+        for field in ("id", "audio", "text"):
+            if field not in record:
+                raise ManifestError(f"{path}:{lineno}: missing field {field!r}")
+            if not isinstance(record[field], str):
+                raise ManifestError(f"{path}:{lineno}: {field!r} must be a string")
+        utt_id = record["id"]
+        if utt_id in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate id {utt_id!r}")
+        seen.add(utt_id)
+        start = record.get("start")
+        end = record.get("end")
+        # JSON true/false load as bool, which is an int subclass
+        if any(type(v) not in (int, float, type(None)) for v in (start, end)):
+            raise ManifestError(f"{path}:{lineno}: start and end must be numbers")
+        if (start is None) != (end is None):
+            raise ManifestError(
+                f"{path}:{lineno}: start and end must be given together"
             )
+        if start is not None:
+            if not 0 <= start < end:
+                raise ManifestError(
+                    f"{path}:{lineno}: need 0 <= start < end, "
+                    f"got start={start} end={end}"
+                )
+        utterances.append(
+            Utterance(
+                id=utt_id,
+                audio=record["audio"],
+                text=record["text"],
+                start=start,
+                end=end,
+            )
+        )
     return utterances
 
 
@@ -163,12 +164,23 @@ def wav_duration(path) -> float:
 
 def read_wav(path) -> tuple[int, np.ndarray]:
     """Read a RIFF/WAVE file into (rate, float64 samples in [-1, 1])."""
+    rate, data = _read_raw(path)
+    return rate, _scaled(path, data)
+
+
+def _read_raw(path) -> tuple[int, np.ndarray]:
+    """(rate, samples as stored); an unreadable or empty file raises."""
     try:
         rate, data = wavfile.read(path)
     except ValueError as exc:
         raise AudioFormatError(f"{path}: {exc}") from None
     if data.size == 0:
         raise AudioFormatError(f"{path}: zero-length audio")
+    return rate, data
+
+
+def _scaled(path, data: np.ndarray) -> np.ndarray:
+    """Stored samples of a supported layout as float64 in [-1, 1]."""
     if data.ndim == 2 and data.shape[1] > 2:
         raise AudioFormatError(f"{path}: {data.shape[1]} channels unsupported")
     if data.dtype not in (np.int16, np.int32, np.uint8, np.float32, np.float64):
@@ -182,7 +194,7 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     elif data.dtype == np.uint8:
         x -= 128.0
         x /= 128.0
-    return rate, x
+    return x
 
 
 def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> None:
@@ -223,12 +235,7 @@ def canonicalize_audio(
     if rec_id is None:
         rec_id = out_path.stem
 
-    try:
-        rate, raw = wavfile.read(str(input_path))
-    except ValueError as exc:
-        raise AudioFormatError(f"{input_path}: {exc}") from None
-    if raw.size == 0:
-        raise AudioFormatError(f"{input_path}: zero-length audio")
+    rate, raw = _read_raw(input_path)
     if rate == CANONICAL_RATE and raw.ndim == 1 and raw.dtype == np.int16:
         if input_path.resolve() != out_path.resolve():
             shutil.copyfile(input_path, out_path)
@@ -241,7 +248,7 @@ def canonicalize_audio(
             kind=kind,
         )
 
-    _, x = read_wav(input_path)
+    x = _scaled(input_path, raw)
     if x.ndim == 2:
         x = x.mean(axis=1)
     y = resample(x, rate)

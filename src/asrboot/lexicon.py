@@ -14,6 +14,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .textnorm import utf8_lines
+
 logger = logging.getLogger(__name__)
 
 SILENCE_PHONE = "SIL"
@@ -137,18 +139,16 @@ def write_lexicon(lex: Lexicon, path) -> None:
 def read_lexicon(path) -> Lexicon:
     """Read `write_lexicon` output; the <UNK> line is implied and skipped."""
     pronunciations: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].strip():
-                raise ValueError(f"{path}:{lineno}: expected 'WORD<TAB>G1 G2 ...'")
-            word, pron_text = parts
-            if word == UNK_WORD:
-                continue
-            if word in pronunciations:
-                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-            pronunciations[word] = tuple(pron_text.split())
+    for lineno, line in utf8_lines(path, ValueError):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[1].strip():
+            raise ValueError(f"{path}:{lineno}: expected 'WORD<TAB>G1 G2 ...'")
+        word, pron_text = parts
+        if word == UNK_WORD:
+            continue
+        if word in pronunciations:
+            raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
+        pronunciations[word] = tuple(pron_text.split())
     return Lexicon(pronunciations)

@@ -1,9 +1,10 @@
 """Backoff n-gram language models (orders 1..4) with ARPA serialization.
 
 Models are estimated in interpolated Witten-Bell form and stored as a
-standard backoff model.  Backoff weights are computed as (1 - sum of
-stored probs) / (1 - sum of their lower-order probs), which makes every
-context distribution sum to one by construction.
+standard backoff model.  One pass per order gives each history's probs,
+their log10 values and its backoff weight (1 - sum of its probs) /
+(1 - sum of their lower-order probs); every context sums to one.  A
+(k+1)-gram interpolates with its k-word suffix, always a counted k-gram.
 
 Sentence boundaries are implicit: each input line gets <s>/</s>.  Out of
 vocabulary words score through <UNK>; an ARPA file's own <unk> (KenLM's
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .lexicon import UNK_WORD as UNK
+from .textnorm import utf8_lines
 
 logger = logging.getLogger(__name__)
 
@@ -156,86 +158,44 @@ def train_ngram(
     vocab.update([EOS, UNK])
     if not vocab - {EOS, UNK}:
         logger.warning("vocabulary contains no corpus words, only specials")
-    vocab_list = sorted(vocab)
 
     counts = ngram_counts(sents, order)
-
-    unigram = _witten_bell_unigram(counts, vocab_list)
-    if unk_mass is not None:
-        if not 0.0 < unk_mass < 1.0:
-            raise LmError(f"unk_mass must be in (0, 1), got {unk_mass}")
-        unigram = {
-            w: (1.0 - unk_mass) * p + (unk_mass if w == UNK else 0.0)
-            for w, p in unigram.items()
-        }
-    # higher orders interpolate down to the (possibly mixed) unigram
-    ngram_probs = _witten_bell_ngrams(counts, unigram)
-
-    return _to_backoff_model(order, counts, unigram, ngram_probs, vocab)
-
-
-def _witten_bell_unigram(counts, vocab_list) -> dict[str, float]:
-    """Unigram counts interpolated with the uniform distribution."""
     uni_counts = counts[0].get((), {})
     total = sum(uni_counts.values())
     n_types = len(uni_counts)
     if total == 0:
         raise LmError("no unigram events counted")
-    q = 1.0 / len(vocab_list)
-    return {
-        w: (uni_counts.get(w, 0) + n_types * q) / (total + n_types)
-        for w in vocab_list
+    q = 1.0 / len(vocab)
+    # the order below the one being estimated, the unigram first
+    lower = {
+        (w,): (uni_counts.get(w, 0) + n_types * q) / (total + n_types)
+        for w in sorted(vocab)
     }
+    if unk_mass is not None:
+        if not 0.0 < unk_mass < 1.0:
+            raise LmError(f"unk_mass must be in (0, 1), got {unk_mass}")
+        lower = {
+            g: (1.0 - unk_mass) * p + (unk_mass if g == (UNK,) else 0.0)
+            for g, p in lower.items()
+        }
 
-
-def _witten_bell_ngrams(
-    counts, unigram: dict[str, float]
-) -> dict[tuple[str, ...], float]:
-    """Orders 2 and up, each interpolated with the order below it."""
-    ngram_probs: dict[tuple[str, ...], float] = {}
-    prev_level: dict[tuple[str, ...], float] = {(w,): p for w, p in unigram.items()}
-    for k in range(1, len(counts)):
+    probs = {g: math.log10(max(p, 1e-99)) for g, p in lower.items()}
+    probs[(BOS,)] = LOG10_PLACEHOLDER
+    backoffs: dict[tuple[str, ...], float] = {}
+    for k in range(1, order):
         level: dict[tuple[str, ...], float] = {}
         for history, words in counts[k].items():
             h_total = sum(words.values())
             h_types = len(words)
             shorter = history[1:]
+            s_here = s_lower = 0.0
             for word, count in words.items():
-                p_low = prev_level.get(shorter + (word,))
-                if p_low is None:
-                    p_low = unigram[word]
-                level[history + (word,)] = (count + h_types * p_low) / (
-                    h_total + h_types
-                )
-        ngram_probs.update(level)
-        prev_level = level
-    return ngram_probs
-
-
-def _to_backoff_model(
-    order, counts, unigram, ngram_probs, vocab
-) -> NGramLM:
-    probs: dict[tuple[str, ...], float] = {}
-    for w, p in unigram.items():
-        probs[(w,)] = math.log10(max(p, 1e-99))
-    probs[(BOS,)] = LOG10_PLACEHOLDER
-    linear: dict[tuple[str, ...], float] = dict(ngram_probs)
-    for ngram, p in linear.items():
-        probs[ngram] = math.log10(max(p, 1e-99))
-
-    def stored_linear(ngram: tuple[str, ...]) -> float:
-        if len(ngram) == 1:
-            return unigram.get(ngram[0], 0.0)
-        return linear.get(ngram, 0.0)
-
-    backoffs: dict[tuple[str, ...], float] = {}
-    for k in range(1, order):
-        for history, words in counts[k].items():
-            s_here = 0.0
-            s_lower = 0.0
-            for word in words:
-                s_here += stored_linear(history + (word,))
-                s_lower += stored_linear(history[1:] + (word,))
+                p_low = lower[shorter + (word,)]
+                p = (count + h_types * p_low) / (h_total + h_types)
+                level[history + (word,)] = p
+                probs[history + (word,)] = math.log10(max(p, 1e-99))
+                s_here += p
+                s_lower += p_low
             if abs(1.0 - s_lower) < 1e-12 or s_here >= 1.0:
                 bow = 1.0
             else:
@@ -244,6 +204,7 @@ def _to_backoff_model(
                 bow = 1e-12
             if abs(bow - 1.0) > 1e-15:
                 backoffs[history] = math.log10(bow)
+        lower = level
     return NGramLM(
         order=order,
         probs=probs,
@@ -252,35 +213,28 @@ def _to_backoff_model(
     )
 
 
-def biased_lm(
-    transcript_sentences: Iterable[Sequence[str]],
-    unk_mass: float = BIASED_UNK_MASS,
-) -> NGramLM:
-    """Bigram model over one recording's transcript with reserved <UNK> mass."""
+def biased_lm(transcript_sentences: Iterable[Sequence[str]]) -> NGramLM:
+    """Bigram model over one recording's transcript with ``BIASED_UNK_MASS``
+    reserved for <UNK>."""
     sents = [tuple(s) for s in transcript_sentences if len(s) > 0]
     if not sents:
         raise LmError("empty transcript")
     return train_ngram(
-        sents,
-        order=2,
-        map_singletons_to_unk=False,
-        unk_mass=unk_mass,
+        sents, order=2, map_singletons_to_unk=False, unk_mass=BIASED_UNK_MASS
     )
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-def perplexity(
-    lm: NGramLM, sentences: Iterable[Sequence[str]], add_bounds: bool = True
-) -> PerplexityReport:
+def perplexity(lm: NGramLM, sentences: Iterable[Sequence[str]]) -> PerplexityReport:
+    """Scores each sentence's words and </s>, starting from <s>."""
     log_total = 0.0
     n_tokens = 0
     n_oov = 0
     for tokens in sentences:
-        history: tuple[str, ...] = (BOS,) if add_bounds else ()
-        seq = list(tokens) + ([EOS] if add_bounds else [])
-        for word in seq:
+        history: tuple[str, ...] = (BOS,)
+        for word in (*tokens, EOS):
             if word != EOS and word not in lm.vocab:
                 n_oov += 1
             logp, history = lm.step(history, word)
@@ -328,48 +282,47 @@ def read_arpa(path) -> NGramLM:
     seen: dict[int, int] = {}
     section = None
     got_end = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, line in utf8_lines(path, LmError):
+        line = line.strip()
+        if not line:
+            continue
+        if line == "\\data\\":
+            section = "data"
+            continue
+        if line == "\\end\\":
+            got_end = True
+            break
+        # one handler gives every parse error of the line its location
+        try:
+            if line.endswith("-grams:") and line.startswith("\\"):
+                section = int(line[1:].split("-")[0])
+                seen.setdefault(section, 0)
                 continue
-            if line == "\\data\\":
-                section = "data"
+            if section == "data":
+                if not line.startswith("ngram "):
+                    raise ValueError("bad data-section line")
+                n_text, count_text = line[len("ngram "):].split("=")
+                declared[int(n_text)] = int(count_text)
                 continue
-            if line == "\\end\\":
-                got_end = True
-                break
-            # one handler gives every parse error of the line its location
-            try:
-                if line.endswith("-grams:") and line.startswith("\\"):
-                    section = int(line[1:].split("-")[0])
-                    seen.setdefault(section, 0)
-                    continue
-                if section == "data":
-                    if not line.startswith("ngram "):
-                        raise ValueError("bad data-section line")
-                    n_text, count_text = line[len("ngram "):].split("=")
-                    declared[int(n_text)] = int(count_text)
-                    continue
-                if not isinstance(section, int):
-                    raise ValueError("entry outside any section")
-                parts = line.split("\t")
-                if len(parts) == 1:
-                    prob, *rest = line.split()
-                    parts = [prob, " ".join(rest[:section]), *rest[section:]]
-                if len(parts) not in (2, 3):
-                    raise ValueError("malformed n-gram line")
-                ngram = tuple(UNK if w == ARPA_UNK else w for w in parts[1].split())
-                if len(ngram) != section:
-                    raise ValueError(f"{len(ngram)}-gram in \\{section}-grams: section")
-                if ngram in probs:
-                    raise ValueError(f"duplicate n-gram {parts[1]!r}")
-                probs[ngram] = float(parts[0])
-                if len(parts) == 3:
-                    backoffs[ngram] = float(parts[2])
-                seen[section] += 1
-            except ValueError as exc:
-                raise LmError(f"{path}:{lineno}: {exc} in {line!r}") from None
+            if not isinstance(section, int):
+                raise ValueError("entry outside any section")
+            parts = line.split("\t")
+            if len(parts) == 1:
+                prob, *rest = line.split()
+                parts = [prob, " ".join(rest[:section]), *rest[section:]]
+            if len(parts) not in (2, 3):
+                raise ValueError("malformed n-gram line")
+            ngram = tuple(UNK if w == ARPA_UNK else w for w in parts[1].split())
+            if len(ngram) != section:
+                raise ValueError(f"{len(ngram)}-gram in \\{section}-grams: section")
+            if ngram in probs:
+                raise ValueError(f"duplicate n-gram {parts[1]!r}")
+            probs[ngram] = float(parts[0])
+            if len(parts) == 3:
+                backoffs[ngram] = float(parts[2])
+            seen[section] += 1
+        except ValueError as exc:
+            raise LmError(f"{path}:{lineno}: {exc} in {line!r}") from None
     if not got_end:
         where = f"\\{section}-grams:" if isinstance(section, int) else "header"
         raise LmError(f"{path}: truncated file (no \\end\\ after {where})")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .am import AcousticModel
+from .am import AcousticModel, Interval
 from .decode import DecodeConfig, DecodeError, build_prefix_tree, decode
 from .features import (
     FrontendConfig,
@@ -28,7 +28,7 @@ from .features import (
     slice_frames,
 )
 from .lexicon import Lexicon
-from .lm import BIASED_UNK_MASS, biased_lm
+from .lm import biased_lm
 from .scoring import (
     MATCH,
     align_fill,
@@ -230,7 +230,6 @@ class HarvestConfig:
     accept_ratio: float = 0.9
     silence_gap: float = 0.15  # seconds of silence that cut a region
     margin_db: float = 10.0
-    unk_mass: float = BIASED_UNK_MASS
     decode: DecodeConfig = DecodeConfig(beam=14.0, max_active=2000)
     frontend: FrontendConfig = FrontendConfig()
 
@@ -250,24 +249,17 @@ class HarvestConfig:
             raise ValueError(f"accept_ratio must be in [0, 1], got {self.accept_ratio}")
 
 
-@dataclass(frozen=True)
-class TimedWord:
-    word: str
-    start: float
-    end: float
-
-
 def _decode_chunks(
     model, lm, tree, feats_full, chunks, cfg: HarvestConfig,
     report: SegmentReport,
-) -> list[TimedWord]:
+) -> list[Interval]:
     """Decode each chunk; a chunk whose decode fails is counted and skipped,
     a partial hypothesis is counted and its words kept.
 
     Chunks are disjoint and in time order, so their words come out in order.
     """
     shift = cfg.frontend.frame_shift
-    words: list[TimedWord] = []
+    words: list[Interval] = []
     for chunk in chunks:
         offset = chunk.start * shift
         piece = slice_frames(feats_full, chunk.start, chunk.end)
@@ -282,7 +274,7 @@ def _decode_chunks(
             continue
         report.partial_chunks += hyp.partial
         words.extend(
-            TimedWord(iv.label, iv.start + offset, iv.end + offset)
+            Interval(iv.label, iv.start + offset, iv.end + offset)
             for iv in hyp.word_intervals
         )
     return words
@@ -301,7 +293,7 @@ def _silence_cut_points(
 
 def _split_region(
     region: AlignedRegion,
-    hyp_words: list[TimedWord],
+    hyp_words: list[Interval],
     gaps: list[tuple[float, float]],
 ) -> list[list[tuple[int | None, int | None, str]]]:
     """Split a region's pairs wherever a silence gap separates hyp words."""
@@ -350,7 +342,7 @@ def harvest_segments(
     )
     report.n_chunks = len(chunks)
 
-    lm = biased_lm(transcript_lines, unk_mass=cfg.unk_mass)
+    lm = biased_lm(transcript_lines)
     tree = build_prefix_tree(
         lexicon.restricted_to(set(ref_tokens)), include_unk=True
     )
@@ -360,7 +352,7 @@ def harvest_segments(
     if not hyp_words:
         return [], report
 
-    regions = smith_waterman([w.word for w in hyp_words], ref_tokens, cfg.sw)
+    regions = smith_waterman([w.label for w in hyp_words], ref_tokens, cfg.sw)
     report.n_regions = len(regions)
 
     candidates: list[SegmentCandidate] = []

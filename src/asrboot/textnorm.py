@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 NUMERAL_MIN = 0
 NUMERAL_MAX = 30
@@ -23,6 +23,24 @@ _WS = re.compile(r"\s+")
 
 class NumeralTableError(ValueError):
     """Raised for malformed or out-of-range numeral table entries."""
+
+
+def utf8_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of a UTF-8 file, without its line end.
+
+    Lines end at LF, CR or CR LF, as in a text-mode file.  Each line is
+    decoded on its own (no UTF-8 character holds either byte), so a line
+    that is not UTF-8 raises ``error`` with its own number; a text-mode
+    file decodes 8 KB at a time and fails before yielding that line.
+    """
+    with open(path, "rb") as fh:
+        lines = (line for piece in fh for line in piece.splitlines())
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise error(f"{path}:{lineno}: not UTF-8") from None
+            yield lineno, text
 
 
 @dataclass(frozen=True)
@@ -156,34 +174,32 @@ def load_numeral_table(path) -> NumeralTable:
     re-normalization (a word form that normalizes away is rejected).
     """
     entries: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise NumeralTableError(
-                    f"{path}:{lineno}: expected '<int><TAB><word>', got {line!r}"
-                )
-            key_text, word_raw = parts
-            try:
-                key = int(key_text)
-            except ValueError:
-                raise NumeralTableError(
-                    f"{path}:{lineno}: non-integer numeral {key_text!r}"
-                ) from None
-            if not NUMERAL_MIN <= key <= NUMERAL_MAX:
-                raise NumeralTableError(
-                    f"{path}:{lineno}: numeral {key} outside "
-                    f"{NUMERAL_MIN}..{NUMERAL_MAX}"
-                )
-            normalized = normalize(word_raw)
-            if not normalized.tokens:
-                raise NumeralTableError(
-                    f"{path}:{lineno}: word form {word_raw!r} normalizes to nothing"
-                )
-            entries[key] = " ".join(normalized.tokens)
+    for lineno, line in utf8_lines(path, NumeralTableError):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise NumeralTableError(
+                f"{path}:{lineno}: expected '<int><TAB><word>', got {line!r}"
+            )
+        key_text, word_raw = parts
+        try:
+            key = int(key_text)
+        except ValueError:
+            raise NumeralTableError(
+                f"{path}:{lineno}: non-integer numeral {key_text!r}"
+            ) from None
+        if not NUMERAL_MIN <= key <= NUMERAL_MAX:
+            raise NumeralTableError(
+                f"{path}:{lineno}: numeral {key} outside "
+                f"{NUMERAL_MIN}..{NUMERAL_MAX}"
+            )
+        normalized = normalize(word_raw)
+        if not normalized.tokens:
+            raise NumeralTableError(
+                f"{path}:{lineno}: word form {word_raw!r} normalizes to nothing"
+            )
+        entries[key] = " ".join(normalized.tokens)
     return NumeralTable(entries)
 
 

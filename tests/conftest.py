@@ -18,6 +18,19 @@ from asrboot.features import (
 
 DIM = 2
 
+# a text-mode file decodes 8 KB at a time: a bad byte past them fails late
+NON_UTF8_LINES = [2, 1000]
+
+
+def write_with_bad_byte(path, lines, lineno):
+    """Write ``lines`` as UTF-8, one per line, with a 0xff byte ending line
+    ``lineno`` (counted from 1); line 1000 of the tests' files starts past
+    the first 8 KB."""
+    data = [line.encode("utf-8") for line in lines]
+    assert lineno < 3 or len(b"\n".join(data[: lineno - 1])) > 8192
+    data[lineno - 1] += b"\xff"
+    path.write_bytes(b"\n".join(data) + b"\n")
+
 
 def toy_model(phones=("A", "B"), n_states=3, spread=8.0):
     """Model whose states have well-separated means for easy generation."""

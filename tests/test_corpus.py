@@ -6,6 +6,8 @@ import pytest
 from scipy.io import wavfile
 from scipy.signal import resample as fft_resample
 
+from conftest import NON_UTF8_LINES, write_with_bad_byte
+
 from asrboot.corpus import (
     AudioFormatError,
     ManifestError,
@@ -88,6 +90,17 @@ class TestManifest:
             encoding="utf-8",
         )
         with pytest.raises(ManifestError, match=rf"m\.jsonl:2: .*{message}"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("lineno", NON_UTF8_LINES)
+    def test_not_utf8_names_its_line(self, tmp_path, lineno):
+        path = tmp_path / "m.jsonl"
+        lines = [
+            json.dumps({"id": f"u{i}", "audio": "a.wav", "text": "X"})
+            for i in range(1100)
+        ]
+        write_with_bad_byte(path, lines, lineno)
+        with pytest.raises(ManifestError, match=rf"m\.jsonl:{lineno}: not UTF-8$"):
             load_manifest(path)
 
     def test_round_trip(self, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NON_UTF8_LINES, write_with_bad_byte
+
 from asrboot.lexicon import (
     GARBAGE_PHONE,
     UNK_WORD,
@@ -145,4 +147,12 @@ class TestFileFormats:
         path = tmp_path / "lexicon.tsv"
         path.write_text("<UNK>\tGBG\nCAT\tC A T\nCAT\tK A T\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"lexicon\.tsv:3: duplicate word 'CAT'"):
+            read_lexicon(path)
+
+    @pytest.mark.parametrize("lineno", NON_UTF8_LINES)
+    def test_not_utf8_names_its_line(self, tmp_path, lineno):
+        path = tmp_path / "lexicon.tsv"
+        lines = [f"W{i:04d}\tW {i:04d}" for i in range(1100)]
+        write_with_bad_byte(path, lines, lineno)
+        with pytest.raises(ValueError, match=rf"lexicon\.tsv:{lineno}: not UTF-8$"):
             read_lexicon(path)

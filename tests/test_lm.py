@@ -1,9 +1,13 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from conftest import NON_UTF8_LINES, write_with_bad_byte
+
 from asrboot.lm import (
+    BIASED_UNK_MASS,
     BOS,
     EOS,
     UNK,
@@ -16,6 +20,9 @@ from asrboot.lm import (
     train_ngram,
     write_arpa,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def sents(text):
@@ -146,27 +153,30 @@ class TestStep:
 
 class TestPerplexity:
     def test_certainty_is_one(self):
+        half = math.log10(0.5)
         lm = NGramLM(
-            order=1,
-            probs={("A",): 0.0},
+            order=2,
+            probs={("A",): half, (EOS,): half, (BOS, "A"): 0.0, ("A", EOS): 0.0},
             backoffs={},
             vocab=frozenset({"A", EOS, UNK}),
         )
-        report = perplexity(lm, [("A", "A", "A")], add_bounds=False)
+        report = perplexity(lm, [("A",), ("A",)])
+        assert report.n_tokens == 4
         assert report.perplexity == pytest.approx(1.0)
 
     def test_uniform_is_vocab_size(self):
-        v = 8
+        v = 8  # seven words and </s>
         p = math.log10(1.0 / v)
-        words = [f"W{i}" for i in range(v)]
+        words = [f"W{i}" for i in range(v - 1)]
         lm = NGramLM(
             order=1,
-            probs={(w,): p for w in words},
+            probs={(w,): p for w in words + [EOS]},
             backoffs={},
             vocab=frozenset(words + [EOS, UNK]),
         )
         text = [tuple(words[:4]), tuple(words[4:])]
-        report = perplexity(lm, text, add_bounds=False)
+        report = perplexity(lm, text)
+        assert report.n_tokens == len(words) + 2
         assert report.perplexity == pytest.approx(v)
 
     def test_matches_bruteforce_chain_rule(self):
@@ -321,6 +331,40 @@ class TestArpa:
         with pytest.raises(LmError, match=where):
             read_arpa(path)
 
+    @pytest.mark.parametrize("lineno", NON_UTF8_LINES)
+    def test_not_utf8_names_its_line(self, tmp_path, lineno):
+        words = [f"W{i:04d}" for i in range(1100)]
+        lines = ["\\data\\", f"ngram 1={len(words)}", "", "\\1-grams:"]
+        lines += [f"-3.0\t{w}" for w in words] + ["", "\\end\\"]
+        path = tmp_path / "m.arpa"
+        write_with_bad_byte(path, lines, lineno)
+        with pytest.raises(LmError, match=rf"m\.arpa:{lineno}: not UTF-8$"):
+            read_arpa(path)
+
+
+class TestGoldenArpa:
+    """``tests/data/lm_*.arpa`` pin the estimator: the models of
+    ``lm_corpus.txt`` as `write_arpa` wrote them when the files were made.
+    Every probability and backoff weight must come out bit for bit."""
+
+    corpus = [
+        tuple(line.split())
+        for line in (DATA / "lm_corpus.txt").read_text(encoding="utf-8").splitlines()
+    ]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mapped", [True, False], ids=["unk", "nounk"])
+    def test_train_ngram(self, tmp_path, order, mapped):
+        lm = train_ngram(self.corpus, order, map_singletons_to_unk=mapped)
+        write_arpa(lm, tmp_path / "lm.arpa")
+        golden = DATA / f"lm_order{order}_{'unk' if mapped else 'nounk'}.arpa"
+        assert (tmp_path / "lm.arpa").read_bytes() == golden.read_bytes()
+
+    def test_biased_lm(self, tmp_path):
+        write_arpa(biased_lm(self.corpus), tmp_path / "lm.arpa")
+        golden = DATA / "lm_biased.arpa"
+        assert (tmp_path / "lm.arpa").read_bytes() == golden.read_bytes()
+
 
 class TestBiasedLm:
     def test_vocab(self):
@@ -332,8 +376,8 @@ class TestBiasedLm:
         assert lm.logp(("A",), "B") > lm.logp(("A",), UNK) + 1.0
 
     def test_unk_mass_reserved(self):
-        lm = biased_lm(sents("A B C D E F"), unk_mass=0.01)
-        assert 10.0 ** lm.logp((), UNK) >= 0.01 - 1e-9
+        lm = biased_lm(sents("A B C D E F"))
+        assert 10.0 ** lm.logp((), UNK) >= BIASED_UNK_MASS - 1e-9
 
     def test_normalized_per_context(self):
         lm = biased_lm(sents("A B C\nB C A"))

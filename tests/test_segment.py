@@ -24,7 +24,6 @@ from asrboot.segment import (
     SegmentCandidate,
     SegmentReport,
     SWConfig,
-    TimedWord,
     _decode_chunks,
     _pieces_to_candidates,
     _split_region,
@@ -258,10 +257,10 @@ class TestSplitRegion:
         pairs = [(i, i, MATCH) for i in range(4)]
         region = AlignedRegion(score=8.0, pairs=pairs)
         hyp_words = [
-            TimedWord("w0", 0.0, 0.5),
-            TimedWord("w1", 0.5, 1.0),
-            TimedWord("w2", 2.0, 2.5),
-            TimedWord("w3", 2.5, 3.0),
+            Interval("w0", 0.0, 0.5),
+            Interval("w1", 0.5, 1.0),
+            Interval("w2", 2.0, 2.5),
+            Interval("w3", 2.5, 3.0),
         ]
         assert _split_region(region, hyp_words, [(1.2, 1.8)]) == [
             pairs[:2], pairs[2:]
@@ -272,7 +271,7 @@ class TestSplitRegion:
         # w0 and w1 touch at 0.5 s, so no gap lies between them
         pairs = [(0, 0, MATCH), (1, 1, MATCH)]
         region = AlignedRegion(score=4.0, pairs=pairs)
-        hyp_words = [TimedWord("w0", 0.0, 0.5), TimedWord("w1", 0.5, 1.0)]
+        hyp_words = [Interval("w0", 0.0, 0.5), Interval("w1", 0.5, 1.0)]
         assert _split_region(region, hyp_words, [(0.3, 0.7)]) == [pairs]
 
 
@@ -287,11 +286,11 @@ def to_candidates(piece, hyp_words, ref_tokens, gaps, **cfg):
 class TestPiecesToCandidates:
     def test_long_piece_split_at_widest_gap_first(self):
         hyp_words = [
-            TimedWord("a", 0.0, 1.0),
-            TimedWord("b", 1.2, 2.0),
-            TimedWord("c", 2.5, 3.5),
-            TimedWord("d", 3.6, 4.5),
-            TimedWord("e", 5.5, 6.5),
+            Interval("a", 0.0, 1.0),
+            Interval("b", 1.2, 2.0),
+            Interval("c", 2.5, 3.5),
+            Interval("d", 3.6, 4.5),
+            Interval("e", 5.5, 6.5),
         ]
         ref = ["a", "b", "c", "d", "e"]
         piece = [(i, i, MATCH) for i in range(5)]
@@ -309,10 +308,10 @@ class TestPiecesToCandidates:
 
     def test_split_keeps_deleted_ref_word_with_its_neighbours(self):
         hyp_words = [
-            TimedWord("a", 0.0, 1.0),
-            TimedWord("b", 1.0, 2.0),
-            TimedWord("c", 3.0, 4.0),
-            TimedWord("e", 4.0, 5.0),
+            Interval("a", 0.0, 1.0),
+            Interval("b", 1.0, 2.0),
+            Interval("c", 3.0, 4.0),
+            Interval("e", 4.0, 5.0),
         ]
         ref = ["a", "b", "c", "d", "e"]
         # ref "d" was not decoded: a lone-ref step between c and e
@@ -326,7 +325,7 @@ class TestPiecesToCandidates:
         assert cands[1].match_ratio == pytest.approx(2 / 3)
 
     def test_too_long_without_a_gap_between_words_is_rejected(self):
-        hyp_words = [TimedWord("a", 0.0, 3.0), TimedWord("b", 3.0, 6.0)]
+        hyp_words = [Interval("a", 0.0, 3.0), Interval("b", 3.0, 6.0)]
         piece = [(0, 0, MATCH), (1, 1, MATCH)]
         # one gap inside the first word, one after the piece
         gaps = [(0.5, 1.0), (6.5, 7.0)]
@@ -335,7 +334,7 @@ class TestPiecesToCandidates:
         assert rep.rejected_long == 1
 
     def test_too_short_is_rejected(self):
-        hyp_words = [TimedWord("a", 0.0, 0.5)]
+        hyp_words = [Interval("a", 0.0, 0.5)]
         cands, rep = to_candidates([(0, 0, MATCH)], hyp_words, ["a"], [], min_dur=1.0)
         assert cands == []
         assert rep.rejected_short == 1
@@ -386,11 +385,11 @@ class TestDecodeChunks:
         }
         words, report = self.decode_with(monkeypatch, by_start, [0, 300, 450, 600])
         assert words == [
-            TimedWord("A", 0.5, 1.0),
-            TimedWord("B", 2.2, 2.9),
-            TimedWord("C", 3.25, 3.5),
-            TimedWord("D", 4.0, 4.25),
-            TimedWord("E", 4.5, 6.0),
+            Interval("A", 0.5, 1.0),
+            Interval("B", 2.2, 2.9),
+            Interval("C", 3.25, 3.5),
+            Interval("D", 4.0, 4.25),
+            Interval("E", 4.5, 6.0),
         ]
         assert report.chunk_failures == 0
 
@@ -401,7 +400,7 @@ class TestDecodeChunks:
             400: [("C", 0.5, 1.0)],
         }
         words, report = self.decode_with(monkeypatch, by_start, [0, 200, 400, 600])
-        assert words == [TimedWord("A", 0.5, 1.0), TimedWord("C", 4.5, 5.0)]
+        assert words == [Interval("A", 0.5, 1.0), Interval("C", 4.5, 5.0)]
         assert report.chunk_failures == 1
 
     def test_partial_chunk_is_counted_and_its_words_kept(self, monkeypatch):
@@ -411,7 +410,7 @@ class TestDecodeChunks:
             400: canned_hypothesis([("C", 0.5, 1.0)], partial=True),
         }
         words, report = self.decode_with(monkeypatch, by_start, [0, 200, 400, 600])
-        assert words == [TimedWord("A", 0.5, 1.0), TimedWord("C", 4.5, 5.0)]
+        assert words == [Interval("A", 0.5, 1.0), Interval("C", 4.5, 5.0)]
         assert (report.chunk_failures, report.partial_chunks) == (1, 2)
         counts = report.as_dict()
         assert (counts["chunk_failures"], counts["partial_chunks"]) == (1, 2)

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NON_UTF8_LINES, write_with_bad_byte
+
 from asrboot.textnorm import (
     EMPTY_NUMERAL_TABLE,
     NumeralTable,
@@ -10,6 +12,7 @@ from asrboot.textnorm import (
     load_numeral_table,
     normalize,
     normalize_tokens,
+    utf8_lines,
 )
 
 
@@ -141,3 +144,21 @@ class TestNumeralTable:
     def test_direct_construction_validates_range(self):
         with pytest.raises(NumeralTableError):
             NumeralTable({40: "FORTY"})
+
+    @pytest.mark.parametrize("lineno", NON_UTF8_LINES)
+    def test_not_utf8_names_its_line(self, tmp_path, lineno):
+        path = tmp_path / "numerals.tsv"
+        write_with_bad_byte(path, ["30\tthirty"] * 1100, lineno)
+        with pytest.raises(
+            NumeralTableError, match=rf"numerals\.tsv:{lineno}: not UTF-8$"
+        ):
+            load_numeral_table(path)
+
+
+def test_utf8_lines_end_lines_as_text_mode_does(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("a\r\nb\rc\n\n\u00e9\r\r\nd".encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        expected = [(i, line.rstrip("\n")) for i, line in enumerate(fh, start=1)]
+    assert list(utf8_lines(path, ValueError)) == expected
+    assert [line for _, line in expected] == ["a", "b", "c", "", "\u00e9", "", "d"]
