@@ -1,0 +1,155 @@
+"""A golden tiny run: train, decode and harvest on a small seeded corpus.
+
+The recipe is the ``harvest`` fixture's in ``tests/test_segment.py`` (20
+clips, a one-minute recording, 12 s chunks), plus a few test clips decoded
+with the corpus trigram LM.  The outputs live under ``tests/data/golden``
+and ``tests/test_golden.py`` holds every run to them: discrete values
+exactly, floats to a relative 1e-9 (BLAS kernels differ between machines).
+
+    PYTHONPATH=src python tests/make_golden.py            # list moved fields
+    PYTHONPATH=src python tests/make_golden.py --write    # rewrite the files
+
+A change that moves a field regenerates the files and names the field in
+CHANGES.md; never regenerate to hide a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from asrboot import segment
+from asrboot.am import TrainSchedule, flat_start, train
+from asrboot.corpus import load_manifest, read_wav
+from asrboot.decode import DecodeConfig, build_prefix_tree, decode_corpus
+from asrboot.features import cmvn, compute_mfcc
+from asrboot.lexicon import graphemic_lexicon
+from asrboot.lm import train_ngram
+from asrboot.synth import SynthSpec, synth_corpus
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+SECTIONS = ("train", "decode", "harvest")
+RTOL = 1e-9
+N_TEST = 6
+
+
+def _features(manifest):
+    return [
+        (cmvn(compute_mfcc(read_wav(utt.audio)[1])), utt.tokens())
+        for utt in load_manifest(manifest)
+    ]
+
+
+def tiny_run(work_dir) -> dict:
+    """Every pinned output of one run, as JSON-ready sections."""
+    corp = synth_corpus(
+        SynthSpec(seed=0), Path(work_dir), n_shortform=20,
+        longform_minutes=1.0, longform_recording_minutes=1.0, n_test=N_TEST,
+        vocabulary_size=10,
+    )
+    clips = _features(corp.short_manifest)
+    lexicon = graphemic_lexicon(corp.vocabulary)[0]
+    schedule = TrainSchedule(n_iters=7, split_iters=(3, 6), max_gauss=2)
+    trained = train(flat_start(clips, lexicon), clips, lexicon, schedule)
+    model = trained.model
+    decode_cfg = DecodeConfig(beam=60.0, max_active=20000, lm_scale=2.0)
+
+    lm_lines = Path(corp.lm_text).read_text(encoding="utf-8").splitlines()
+    lm = train_ngram([line.split() for line in lm_lines], order=3)
+    test = _features(corp.test_manifest)
+    result = decode_corpus(
+        model, lm, build_prefix_tree(lexicon), [f for f, _ in test], decode_cfg
+    )
+    hypotheses = []
+    for (feats, ref), hyp in zip(test, result.hypotheses):
+        if hyp is None:
+            hypotheses.append(None)
+            continue
+        shift = feats.frame_shift
+        hypotheses.append({
+            "ref": list(ref),
+            "words": list(hyp.words),
+            "frames": [[round(iv.start / shift), round(iv.end / shift)]
+                       for iv in hyp.word_intervals],
+            "scores": [hyp.acoustic_score, hyp.lm_score, hyp.total_score],
+            "partial": hyp.partial,
+        })
+
+    (rec,) = corp.longform
+    text = Path(rec.transcript).read_text(encoding="utf-8")
+    segments, report = segment.harvest_segments(
+        rec.recording_id, read_wav(rec.audio)[1],
+        [line.split() for line in text.splitlines()], model, lexicon,
+        segment.HarvestConfig(chunk_len=12.0, decode=decode_cfg),
+    )
+    return {
+        "train": {
+            "loglik_trace": [list(pair) for pair in trained.loglik_trace],
+            "failure_reasons": dict(sorted(trained.failure_reasons.items())),
+        },
+        "decode": {"errors": [list(e) for e in result.errors],
+                   "hypotheses": hypotheses},
+        "harvest": {
+            "segments": [
+                {"start": s.start, "end": s.end, "tokens": list(s.tokens),
+                 "match_ratio": s.match_ratio, "ref_span": list(s.ref_span)}
+                for s in segments
+            ],
+            "report": report.as_dict(),
+        },
+    }
+
+
+def differences(expected, got, path="") -> list[str]:
+    """Each field where ``got`` departs from ``expected``: floats beyond a
+    relative `RTOL`, anything else by inequality."""
+    if isinstance(expected, float) and isinstance(got, float):
+        if math.isclose(expected, got, rel_tol=RTOL):
+            return []
+    elif isinstance(expected, dict) and isinstance(got, dict):
+        if expected.keys() == got.keys():
+            return [d for key in expected
+                    for d in differences(expected[key], got[key], f"{path}.{key}")]
+    elif isinstance(expected, list) and isinstance(got, list):
+        if len(expected) == len(got):
+            return [d for i, (e, g) in enumerate(zip(expected, got))
+                    for d in differences(e, g, f"{path}[{i}]")]
+    elif type(expected) is type(got) and expected == got:
+        return []
+    return [f"{path or '.'}: {expected!r} -> {got!r}"]
+
+
+def load_golden() -> dict:
+    return {
+        name: json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+        for name in SECTIONS
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite the golden files from this run")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        run = tiny_run(work)
+    if args.write:
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        for name in SECTIONS:
+            (GOLDEN_DIR / f"{name}.json").write_text(
+                json.dumps(run[name], indent=1) + "\n", encoding="utf-8"
+            )
+        print(f"wrote {', '.join(SECTIONS)} under {GOLDEN_DIR}")
+        return 0
+    moved = [d for name in SECTIONS
+             for d in differences(load_golden()[name], run[name], name)]
+    print("\n".join(moved) if moved else "no field moved")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
