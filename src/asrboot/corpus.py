@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import random
 import shutil
+import struct
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,11 +174,28 @@ def _read_raw(path) -> tuple[int, np.ndarray]:
     """(rate, samples as stored); an unreadable or empty file raises."""
     try:
         rate, data = wavfile.read(path)
-    except ValueError as exc:
+    except (ValueError, struct.error) as exc:  # struct: a header cut short
         raise AudioFormatError(f"{path}: {exc}") from None
     if data.size == 0:
         raise AudioFormatError(f"{path}: zero-length audio")
     return rate, data
+
+
+def _pcm_header(path) -> tuple[int, int, int, int] | None:
+    """(rate, channels, sample width, sample count) from a PCM WAV header,
+    without reading the samples; None for a header `wave` cannot read (it
+    rejects non-PCM formats).  A file shorter than its header says raises."""
+    try:
+        with open(path, "rb") as fh, wave.open(fh) as wf:
+            header = (wf.getframerate(), wf.getnchannels(), wf.getsampwidth(),
+                      wf.getnframes())
+            data_start = fh.tell()  # wave stops at the samples
+    except (wave.Error, EOFError):
+        return None
+    missing = data_start + header[1] * header[2] * header[3] - os.path.getsize(path)
+    if missing > 0:
+        raise AudioFormatError(f"{path}: truncated, {missing} bytes of samples missing")
+    return header
 
 
 def _scaled(path, data: np.ndarray) -> np.ndarray:
@@ -228,15 +247,22 @@ def canonicalize_audio(
     """Convert any supported WAV to 16 kHz mono 16-bit PCM.
 
     Already-canonical input is copied byte-for-byte (so canonicalization
-    is idempotent bit-exactly).  Stereo is downmixed by averaging.
+    is idempotent bit-exactly); a PCM header tells without reading the
+    samples.  Stereo is downmixed by averaging.
     """
     input_path = Path(input_path)
     out_path = Path(out_path)
     if rec_id is None:
         rec_id = out_path.stem
 
-    rate, raw = _read_raw(input_path)
-    if rate == CANONICAL_RATE and raw.ndim == 1 and raw.dtype == np.int16:
+    header = _pcm_header(input_path)
+    if header is not None and header[:3] == (CANONICAL_RATE, 1, 2) and header[3]:
+        n_samples = header[3]
+    else:  # not PCM, not canonical or empty: the samples decide
+        rate, raw = _read_raw(input_path)
+        canonical = rate == CANONICAL_RATE and raw.ndim == 1 and raw.dtype == np.int16
+        n_samples = len(raw) if canonical else None
+    if n_samples is not None:
         if input_path.resolve() != out_path.resolve():
             shutil.copyfile(input_path, out_path)
         return Recording(
@@ -244,7 +270,7 @@ def canonicalize_audio(
             audio_path=str(out_path),
             sample_rate=CANONICAL_RATE,
             channels=1,
-            duration=len(raw) / CANONICAL_RATE,
+            duration=n_samples / CANONICAL_RATE,
             kind=kind,
         )
 

@@ -15,14 +15,15 @@ is a log-likelihood beam plus a cap that keeps the `max_active` highest
 totals, the earlier token winning a tie at the cut.  Scores are added in a
 fixed order, so decoding is deterministic bit for bit.  When no token
 reaches an utterance-final state, the best token's completed words come
-back as a hypothesis flagged ``partial``.
+back as a hypothesis flagged ``partial``.  `decode_corpus` compiles the
+tree once and keeps the LM-step cache across its batch.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .am import AcousticModel, Interval, state_logliks
@@ -75,103 +76,40 @@ class Hypothesis:
 # lexicon prefix tree
 
 @dataclass
-class LexNode:
-    phone: str | None
-    children: dict[str, int] = field(default_factory=dict)
-    words: list[str] = field(default_factory=list)
-
-
-@dataclass
 class LexTree:
-    nodes: list[LexNode]
+    """Trie over pronunciations as flat lists, one entry per node; node 0
+    is the root."""
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def root(self) -> LexNode:
-        return self.nodes[0]
+    phones: list[str | None]  # each node's grapheme, None at the root
+    children: list[list[int]]  # each node's children, in grapheme order
+    words: list[list[str]]  # the words that end at each node, sorted
 
 
 def build_prefix_tree(lexicon: Lexicon, include_unk: bool = False) -> LexTree:
-    """Trie over grapheme pronunciations; leaves carry word identities."""
+    """Trie over grapheme pronunciations; nodes carry word identities."""
     if not lexicon.pronunciations and not include_unk:
         raise ValueError("empty lexicon")
-    nodes = [LexNode(phone=None)]
+    phones: list[str | None] = [None]
+    edges: list[dict[str, int]] = [{}]
+    words: list[list[str]] = [[]]
     entries = [(w, lexicon.pronunciations[w]) for w in lexicon.words]
     if include_unk:
         entries.append((UNK_WORD, lexicon.pron(UNK_WORD)))
     for word, pron in entries:
         current = 0
         for grapheme in pron:
-            nxt = nodes[current].children.get(grapheme)
+            nxt = edges[current].get(grapheme)
             if nxt is None:
-                nxt = len(nodes)
-                nodes.append(LexNode(phone=grapheme))
-                nodes[current].children[grapheme] = nxt
+                nxt = edges[current][grapheme] = len(phones)
+                phones.append(grapheme)
+                edges.append({})
+                words.append([])
             current = nxt
-        nodes[current].words.append(word)
-    for node in nodes:
-        node.words.sort()
-    return LexTree(nodes)
-
-
-# ---------------------------------------------------------------------------
-# compiled decoding network
-
-@dataclass
-class _Network:
-    """Flattened (tree node, hmm state) positions plus SIL positions, as
-    plain lists indexed by position.  Every position carries a monophone
-    state: a tree node's positions are its phone's ``n_states`` states."""
-
-    pos_state: list[int]  # model state id per position
-    is_exit: list[bool]  # last HMM state of its phone
-    succ: list[list[int]]  # next state of an inner position; entries of an exit
-    ends_word: list[list[str]]  # words ending at an exit (empty if none)
-    starts: list[tuple[int, float]]  # word-start positions (root children,
-    # SIL) with the log prior of skipping / taking the silence
-    log_self: list[float]  # self-loop log probability per position
-    log_fwd: list[float]  # forward log probability per position
-    sil_exit: int
-
-
-def _compile(
-    model: AcousticModel, tree: LexTree, log_skip: float, log_take: float
-) -> _Network:
-    n_states = model.n_states
-    pos_state: list[int] = []
-    first_pos: dict[int, int] = {}
-    for idx in range(1, tree.n_nodes):
-        first_pos[idx] = len(pos_state)
-        pos_state.extend(model.states_for(tree.nodes[idx].phone))
-    sil_first = len(pos_state)
-    pos_state.extend(model.states_for(SILENCE_PHONE))
-    n_pos = len(pos_state)
-    is_exit = [p % n_states == n_states - 1 for p in range(n_pos)]
-
-    def entries(node: LexNode) -> list[int]:
-        return [first_pos[child] for _, child in sorted(node.children.items())]
-
-    # a phone exit enters its tree children; the SIL exit enters the root's
-    succ = [[] if is_exit[p] else [p + 1] for p in range(n_pos)]
-    ends_word: list[list[str]] = [[] for _ in range(n_pos)]
-    for idx, first in first_pos.items():
-        succ[first + n_states - 1] = entries(tree.nodes[idx])
-        ends_word[first + n_states - 1] = tree.nodes[idx].words
-    sil_exit = sil_first + n_states - 1
-    succ[sil_exit] = entries(tree.root)
-    log_trans = model.log_transitions()[pos_state]
-    return _Network(
-        pos_state=pos_state,
-        is_exit=is_exit,
-        succ=succ,
-        ends_word=ends_word,
-        starts=[(p, log_skip) for p in succ[sil_exit]] + [(sil_first, log_take)],
-        log_self=log_trans[:, 0].tolist(),
-        log_fwd=log_trans[:, 1].tolist(),
-        sil_exit=sil_exit,
+        words[current].append(word)
+    return LexTree(
+        phones=phones,
+        children=[[child for _, child in sorted(e.items())] for e in edges],
+        words=[sorted(w) for w in words],
     )
 
 
@@ -185,19 +123,45 @@ _POS, _HIST, _BP, _SCORE, _ASCORE = 0, 1, 3, 4, 5
 
 
 class _Decoder:
+    """Token passing over the tree compiled to flat per-position lists.
+
+    Positions are node-major: tree node i >= 1 owns positions (i - 1) *
+    n_states onwards, one per state of its phone; the SIL positions come
+    last.  An exit (a phone's last state) enters the first positions of its
+    node's children, the SIL exit those of the root's, and a word starts at
+    a root child (skipping the silence) or at the first SIL position.  One
+    decoder serves many utterances: LM histories and the step cache carry
+    over, the backpointer table does not.
+    """
+
     def __init__(self, model, lm, tree, cfg):
         self.model = model
         self.lm = lm
         self.cfg = cfg
         self.lm_w = cfg.lm_scale * LN10
         self.log_skip = math.log(1.0 - cfg.sil_prior)
-        self.net = _compile(model, tree, self.log_skip, math.log(cfg.sil_prior))
+        n = model.n_states
+        self.pos_state = [s for ph in tree.phones[1:] for s in model.states_for(ph)]
+        sil_first = len(self.pos_state)
+        self.pos_state += model.states_for(SILENCE_PHONE)
+        n_pos = len(self.pos_state)
+        self.sil_exit = n_pos - 1
+        self.is_exit = [p % n == n - 1 for p in range(n_pos)]
+        self.succ = [[] if self.is_exit[p] else [p + 1] for p in range(n_pos)]
+        self.ends_word: list[list[str]] = [[] for _ in range(n_pos)]
+        for node in range(1, len(tree.phones)):
+            self.succ[node * n - 1] = [(kid - 1) * n for kid in tree.children[node]]
+            self.ends_word[node * n - 1] = tree.words[node]
+        self.succ[self.sil_exit] = [(kid - 1) * n for kid in tree.children[0]]
+        self.starts = [(p, self.log_skip) for p in self.succ[self.sil_exit]]
+        self.starts.append((sil_first, math.log(cfg.sil_prior)))
+        log_trans = model.log_transitions()[self.pos_state]
+        self.log_self = log_trans[:, 0].tolist()
+        self.log_fwd = log_trans[:, 1].tolist()
         # LM histories: id -> the context the LM asks for (starting from <s>)
         self.histories: list[tuple[str, ...]] = [(BOS,)]
         self.hist_ids: dict[tuple[str, ...], int] = {(BOS,): 0}
         self.lm_cache: dict[tuple[int, str], tuple[float, int]] = {}
-        # backpointers: (previous backpointer, word, start frame, end frame)
-        self.bp_table: list[tuple[int, str, int, int]] = []
 
     def lm_step(self, hist_id: int, word: str) -> tuple[float, int]:
         key = (hist_id, word)
@@ -214,12 +178,13 @@ class _Decoder:
         return logp, nid
 
     def decode(self, feats: FeatureMatrix) -> Hypothesis:
-        net = self.net
         n_frames = feats.n_frames
         if n_frames == 0:
             raise DecodeError("no frames to decode")
-        emis, col = state_logliks(self.model, feats.frames, net.pos_state)
-        self.pos_col = [col[s] for s in net.pos_state]
+        # backpointers: (previous backpointer, word, start frame, end frame)
+        self.bp_table: list[tuple[int, str, int, int]] = []
+        emis, col = state_logliks(self.model, feats.frames, self.pos_state)
+        self.pos_col = [col[s] for s in self.pos_state]
         # frame 0 enters the word starts from one empty-history token
         tokens = self._enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist())
         tokens = self._prune(self._recombine(tokens))
@@ -235,8 +200,8 @@ class _Decoder:
     def _expand(self, tokens: list[tuple], t: int, emit: list[float]) -> list[tuple]:
         """Self-loops, steps within a phone, phone entries, then word starts,
         each scored with frame t's emissions `emit`."""
-        net, col = self.net, self.pos_col
-        log_self, log_fwd, is_exit, succ = net.log_self, net.log_fwd, net.is_exit, net.succ
+        col, log_self, log_fwd = self.pos_col, self.log_self, self.log_fwd
+        is_exit, succ = self.is_exit, self.succ
         loops, inner, exits = [], [], []
         for pos, hist, start, bp, score, ascore, lscore in tokens:
             stay, e = log_self[pos], emit[col[pos]]
@@ -258,7 +223,7 @@ class _Decoder:
             (q, hist, start, bp, score + prior + emit[col[q]],
              ascore + prior + emit[col[q]], lscore)
             for _, hist, start, bp, score, ascore, lscore in ends
-            for q, prior in self.net.starts
+            for q, prior in self.starts
         ]
 
     def _word_ends(self, tokens: list[tuple], t: int) -> list[tuple]:
@@ -267,11 +232,11 @@ class _Decoder:
         Applies the exit transition, the LM step and the insertion penalty,
         and records the word's backpointer.
         """
-        net, wip = self.net, self.cfg.word_insertion_penalty
+        wip = self.cfg.word_insertion_penalty
         ends = []
         for pos, hist, start, bp, score, ascore, lscore in tokens:
-            fwd = net.log_fwd[pos]
-            for word in net.ends_word[pos]:
+            fwd = self.log_fwd[pos]
+            for word in self.ends_word[pos]:
                 logp, new_hist = self.lm_step(hist, word)
                 ends.append((pos, new_hist, t, len(self.bp_table),
                              score + fwd + self.lm_w * logp + wip,
@@ -314,7 +279,7 @@ class _Decoder:
 
     def _recombine(self, tokens: list[tuple]) -> list[tuple]:
         """Keep the best token per (position, LM history)."""
-        n_pos = len(self.net.pos_state)
+        n_pos = len(self.pos_state)
         keys = [tok[_HIST] * n_pos + tok[_POS] for tok in tokens]
         return [tokens[i] for i in self._best(keys, tokens)]
 
@@ -338,11 +303,10 @@ class _Decoder:
     ) -> Hypothesis:
         """Best utterance end: a SIL exit, or a word that ends at the last
         frame; failing both, the best token as a partial hypothesis."""
-        sil_exit = self.net.sil_exit
         # a SIL exit leaves with its forward transition, a word end by
         # skipping the last silence; both then take the LM step to </s>
-        ends = [(tok, self.net.log_fwd[sil_exit]) for tok in tokens
-                if tok[_POS] == sil_exit]
+        ends = [(tok, self.log_fwd[self.sil_exit]) for tok in tokens
+                if tok[_POS] == self.sil_exit]
         ends += [(tok, self.log_skip) for tok in self._word_ends(tokens, n_frames)]
         cands = []
         for (pos, hist, start, bp, score, ascore, lscore), leave in ends:
@@ -408,17 +372,17 @@ def decode_corpus(
     cfg: DecodeConfig = DecodeConfig(),
     lexicon: Lexicon | None = None,
 ) -> CorpusDecodeResult:
-    """Decode a batch in order; per-utterance errors and partial
-    hypotheses are listed by index.  ``lexicon`` is ignored, as in
-    `decode`."""
+    """Decode a batch in order with one `_Decoder`; per-utterance errors
+    and partial hypotheses are listed by index.  ``lexicon`` is ignored."""
     hypotheses: list[Hypothesis | None] = []
     errors: list[tuple[int, str]] = []
     audio_seconds = 0.0
     started = time.perf_counter()
+    decoder = _Decoder(model, lm, tree, cfg)
     for index, feats in enumerate(batch):
         audio_seconds += feats.n_frames * feats.frame_shift
         try:
-            hypotheses.append(decode(model, lm, tree, feats, cfg))
+            hypotheses.append(decoder.decode(feats))
         except DecodeError as exc:
             hypotheses.append(None)
             errors.append((index, str(exc)))

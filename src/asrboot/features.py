@@ -6,9 +6,9 @@ T = 1 + floor((N - window) / shift) for an N-sample signal.
 
 Cepstra are computed in fixed blocks of ``BLOCK_FRAMES`` frames, read
 through a strided view of the signal, and written into the preallocated
-output; only the deltas see the whole track.  Apart from the float copy
-of int16 input and the (T, 39) output, peak memory does not grow with
-the length of the recording.
+output; only the deltas see the whole track.  int16 input is converted
+to float one block of samples at a time.  Apart from the (T, 39) output,
+peak memory does not grow with the length of the recording.
 """
 
 from __future__ import annotations
@@ -151,14 +151,10 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
             f"samples of shape {samples.shape} are not mono; "
             "corpus.canonicalize_audio downmixes to 16 kHz mono"
         )
-    if samples.dtype == np.int16:
-        x = samples.astype(np.float64)
-        x /= 32768.0
-    else:
-        x = np.asarray(samples, dtype=np.float64)
+    pcm = samples.dtype == np.int16
+    x = samples if pcm else np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(len(x), cfg)
     window, shift = cfg.window_samples, cfg.shift_samples
-    framed = np.lib.stride_tricks.sliding_window_view(x, window)[::shift][:n_frames]
     hamming = np.hamming(window)
     bank_t = mel_filterbank(cfg).T
 
@@ -176,9 +172,14 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
         start = min(start, n_frames - rows)
         end = start + rows
         reach = len(x) if end == n_frames else (end - 1) * shift + window
-        _check_finite(x, checked, reach)
-        checked = reach
-        raw = framed[start:end]
+        if pcm:
+            span = x[start * shift : reach].astype(np.float64)
+            span /= 32768.0
+        else:
+            _check_finite(x, checked, reach)
+            checked = reach
+            span = x[start * shift : reach]
+        raw = np.lib.stride_tricks.sliding_window_view(span, window)[::shift][:rows]
 
         # raw log energy, before pre-emphasis and windowing
         energy = np.square(raw, out=block).sum(axis=1)

@@ -31,13 +31,14 @@ def utf8_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
     Lines end at LF, CR or CR LF, as in a text-mode file.  Each line is
     decoded on its own (no UTF-8 character holds either byte), so a line
     that is not UTF-8 raises ``error`` with its own number; a text-mode
-    file decodes 8 KB at a time and fails before yielding that line.
+    file decodes 8 KB at a time and fails before yielding that line.  A
+    byte-order mark at the start of the file is dropped.
     """
     with open(path, "rb") as fh:
         lines = (line for piece in fh for line in piece.splitlines())
         for lineno, raw in enumerate(lines, start=1):
             try:
-                text = raw.decode("utf-8")
+                text = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError:
                 raise error(f"{path}:{lineno}: not UTF-8") from None
             yield lineno, text

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,43 @@ class TestCanonicalize:
         _, y = wavfile.read(str(out))
         assert y.dtype == np.int16
         assert abs(peak_frequency(y.astype(np.float64), 16000) - 650.0) < 1.0
+
+    def test_canonical_input_copied_without_reading_its_samples(self, tmp_path):
+        src = tmp_path / "in.wav"
+        out = tmp_path / "out.wav"
+        n = write_tone(src, 16000, seconds=60.0)
+        tracemalloc.start()
+        try:
+            rec = canonicalize_audio(src, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == src.read_bytes()
+        assert rec.duration == n / 16000
+        assert peak < 2 * n / 8
+
+    def test_extensible_pcm_falls_through_and_is_copied(self, tmp_path):
+        # wave reads no WAVE_FORMAT_EXTENSIBLE header; the samples decide
+        src = tmp_path / "in.wav"
+        out = tmp_path / "out.wav"
+        payload = np.arange(-800, 800, dtype=np.int16).tobytes()
+        pcm_guid = bytes.fromhex("0100000000001000800000aa00389b71")
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 32000, 2, 16, 22, 16, 4)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", 40) + fmt + pcm_guid
+        body += b"data" + struct.pack("<I", len(payload)) + payload
+        src.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        rec = canonicalize_audio(src, out)
+        assert out.read_bytes() == src.read_bytes()
+        assert rec.duration == 1600 / 16000
+
+    @pytest.mark.parametrize("keep", [30, 44, 44 + 1000])
+    def test_cut_file_rejected(self, tmp_path, keep):
+        # inside the format chunk, right after the header, inside the samples
+        src = tmp_path / "in.wav"
+        write_tone(src, 16000)
+        src.write_bytes(src.read_bytes()[:keep])
+        with pytest.raises(AudioFormatError, match=r"in\.wav: "):
+            canonicalize_audio(src, tmp_path / "out.wav")
 
     def test_zero_length_rejected(self, tmp_path):
         src = tmp_path / "in.wav"

@@ -36,45 +36,55 @@ def ab_lexicon():
     return lex
 
 
+def child_phones(tree, node):
+    return [tree.phones[kid] for kid in tree.children[node]]
+
+
+def child(tree, node, grapheme):
+    (kid,) = [k for k in tree.children[node] if tree.phones[k] == grapheme]
+    return kid
+
+
 class TestPrefixTree:
     def test_shared_prefix_shape(self):
         lex, _ = graphemic_lexicon(["AB", "AC"])
         tree = build_prefix_tree(lex)
-        root = tree.root
-        assert list(root.children) == ["A"]
-        a_node = tree.nodes[root.children["A"]]
-        assert sorted(a_node.children) == ["B", "C"]
+        assert tree.phones[0] is None
+        assert child_phones(tree, 0) == ["A"]
+        a_node = child(tree, 0, "A")
+        assert child_phones(tree, a_node) == ["B", "C"]
         for g in ["B", "C"]:
-            leaf = tree.nodes[a_node.children[g]]
-            assert leaf.words == [f"A{g}"]
+            leaf = child(tree, a_node, g)
+            assert tree.words[leaf] == [f"A{g}"]
+            assert tree.children[leaf] == []
 
     def test_single_word_is_chain(self):
         lex, _ = graphemic_lexicon(["ABBA"])
         tree = build_prefix_tree(lex)
-        assert tree.n_nodes == 5
-        node = tree.root
-        while node.children:
-            assert len(node.children) == 1
-            node = tree.nodes[next(iter(node.children.values()))]
-        assert node.words == ["ABBA"]
+        assert len(tree.phones) == len(tree.children) == len(tree.words) == 5
+        node = 0
+        while tree.children[node]:
+            assert len(tree.children[node]) == 1
+            node = tree.children[node][0]
+        assert tree.words[node] == ["ABBA"]
 
     def test_node_count_bound(self):
         words = ["AB", "ABA", "BA", "BAB", "A"]
         lex, _ = graphemic_lexicon(words)
         tree = build_prefix_tree(lex)
-        assert tree.n_nodes <= sum(len(w) for w in words) + 1
+        assert len(tree.phones) <= sum(len(w) for w in words) + 1
 
     def test_word_on_internal_node(self):
         lex, _ = graphemic_lexicon(["A", "AB"])
         tree = build_prefix_tree(lex)
-        a_node = tree.nodes[tree.root.children["A"]]
-        assert a_node.words == ["A"]
-        assert "B" in a_node.children
+        a_node = child(tree, 0, "A")
+        assert tree.words[a_node] == ["A"]
+        assert "B" in child_phones(tree, a_node)
 
     def test_unk_included_on_request(self):
         lex, _ = graphemic_lexicon(["A"])
         tree = build_prefix_tree(lex, include_unk=True)
-        assert "GBG" in tree.root.children
+        assert "GBG" in child_phones(tree, 0)
 
 
 class TestDecodeGeneration:
@@ -352,6 +362,33 @@ class TestDecodeCorpus:
         assert result.partial == [0, 2]
         assert result.errors == []
         assert [h.partial for h in result.hypotheses] == [True, False, True, False]
+
+    def test_one_decoder_gives_the_per_utterance_hypotheses(self, ab_lexicon):
+        # under a bigram the history ids depend on the utterances before;
+        # the NaN utterance fails mid-search and the next starts afresh
+        model = toy_model()
+        lm = train_ngram(
+            [["A", "B"], ["B", "A", "A"], ["B", "B"], ["A"]], order=2,
+            map_singletons_to_unk=False,
+        )
+        tree = build_prefix_tree(ab_lexicon)
+        batch = [
+            generate_utterance(model, ab_lexicon, tokens, seed=i, gap_sil=i % 2)[0]
+            for i, tokens in enumerate([("B", "A"), ("A",), ("A", "B", "B"), ("B",)])
+        ]
+        batch.insert(2, feats_from(np.full((6, DIM), np.nan)))
+        batch.append(feats_from(np.zeros((2, DIM))))
+        cfg = DecodeConfig(beam=50.0, lm_scale=1.0)
+        expected = []
+        for feats in batch:
+            try:
+                expected.append(decode(model, lm, tree, feats, cfg))
+            except DecodeError:
+                expected.append(None)
+        result = decode_corpus(model, lm, tree, batch, cfg)
+        assert result.hypotheses == expected
+        assert [i for i, _ in result.errors] == [2]
+        assert result.partial == [5]
 
 
 class TestDecodeErrors:

@@ -153,6 +153,20 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak - base < 64 * 2**20
 
+    def test_int16_costs_at_most_one_float_block_more(self):
+        # int16 is converted a block at a time, not copied whole to float
+        def peak(x):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                compute_mfcc(x)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        block = BLOCK_FRAMES * CFG.window_samples * 8
+        assert peak(noise(18_000, np.int16)) <= peak(noise(18_000)) + block
+
 
 class TestInputChecks:
     def test_stereo_rejected(self):

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NON_UTF8_LINES, write_with_bad_byte
 
+from asrboot.corpus import load_manifest
+from asrboot.lexicon import read_lexicon
+from asrboot.lm import read_arpa
 from asrboot.textnorm import (
     EMPTY_NUMERAL_TABLE,
     NumeralTable,
@@ -14,6 +19,8 @@ from asrboot.textnorm import (
     normalize_tokens,
     utf8_lines,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestFoldDiacritics:
@@ -162,3 +169,20 @@ def test_utf8_lines_end_lines_as_text_mode_does(tmp_path):
         expected = [(i, line.rstrip("\n")) for i, line in enumerate(fh, start=1)]
     assert list(utf8_lines(path, ValueError)) == expected
     assert [line for _, line in expected] == ["a", "b", "c", "", "\u00e9", "", "d"]
+
+
+BOM_READERS = {
+    "lexicon": (read_lexicon, "<UNK>\tGBG\nAB\tA B\n"),
+    "manifest": (load_manifest, '{"id": "u1", "audio": "a.wav", "text": "AB"}\n'),
+    "numerals": (load_numeral_table, "3\tthree\n"),
+    "arpa": (read_arpa, (DATA / "lm_order2_unk.arpa").read_text(encoding="utf-8")),
+}
+
+
+@pytest.mark.parametrize("name", BOM_READERS)
+def test_byte_order_mark_on_line_one_is_dropped(tmp_path, name):
+    reader, text = BOM_READERS[name]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert reader(marked) == reader(plain)
