@@ -192,7 +192,8 @@ def _pcm_header(path) -> tuple[int, int, int, int] | None:
             data_start = fh.tell()  # wave stops at the samples
     except (wave.Error, EOFError):
         return None
-    missing = data_start + header[1] * header[2] * header[3] - os.path.getsize(path)
+    _, channels, width, n_samples = header
+    missing = data_start + channels * width * n_samples - os.path.getsize(path)
     if missing > 0:
         raise AudioFormatError(f"{path}: truncated, {missing} bytes of samples missing")
     return header
