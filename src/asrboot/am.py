@@ -14,6 +14,12 @@ per utterance.  Forced alignment scans the graph node by node: each
 node's Viterbi scores over the whole utterance are one running max over
 prefix sums, and the backtrace steps over node runs.  A path's total is
 always its terms summed in path order, by one routine (``_path_score``).
+
+Training scores each utterance once per iteration: the emission matrix
+that aligns it under the re-estimated model also rescores its previous
+path for that iteration's post-update total.  Only after a split that
+grows mixtures, and after the last iteration, is a path rescored on its
+own.
 """
 
 from __future__ import annotations
@@ -315,9 +321,15 @@ def viterbi_path(
     graph: AlignGraph,
     model: AcousticModel,
     frames: np.ndarray,
+    emissions: tuple[np.ndarray, dict[int, int]] | None = None,
 ) -> tuple[np.ndarray, float] | None:
     """Best node path and its total, or None if no path reaches a final
     state with a finite score (a NaN or infinite feature gives None).
+
+    ``emissions`` is the ``(emis, col)`` pair that
+    ``state_logliks(model, frames, graph.node_state)`` returns, for a
+    caller that already has it; with None this function makes that call.
+    The matrix is only read.
 
     The DP is a scan over graph nodes, not frames.  Nodes are in
     topological order (every lane but the self-loop comes from an earlier
@@ -343,7 +355,9 @@ def viterbi_path(
     """
     t_frames = frames.shape[0]
     m = len(graph.node_state)
-    emis, col = state_logliks(model, frames, graph.node_state)
+    if emissions is None:
+        emissions = state_logliks(model, frames, graph.node_state)
+    emis, col = emissions
     node_col = np.array([col[s] for s in graph.node_state.tolist()])
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
@@ -431,7 +445,10 @@ def _intervals_from_path(
 
 
 def _best_path(
-    graph: AlignGraph, model: AcousticModel, feats: FeatureMatrix
+    graph: AlignGraph,
+    model: AcousticModel,
+    feats: FeatureMatrix,
+    emissions: tuple[np.ndarray, dict[int, int]] | None = None,
 ) -> tuple[np.ndarray, float] | AlignFailure:
     """`viterbi_path` on a long enough utterance; a failure is classified
     here for both `force_align` and `train`."""
@@ -440,7 +457,7 @@ def _best_path(
             "too_short",
             f"{feats.n_frames} frames < minimum path length {graph.min_frames}",
         )
-    result = viterbi_path(graph, model, feats.frames)
+    result = viterbi_path(graph, model, feats.frames, emissions)
     if result is None:
         return AlignFailure("no_path", "no finite path reaches a final state")
     return result
@@ -579,14 +596,20 @@ def _rescore_path(
     graph: AlignGraph,
     path: np.ndarray,
     frames: np.ndarray,
+    emissions: tuple[np.ndarray, dict[int, int]] | None = None,
 ) -> float:
     """Path log-likelihood under the model (same path, possibly new params).
 
     Emissions come from the call ``viterbi_path`` makes (every graph state
     over every frame), so a matmul blocked by shape cannot round them
     differently, and ``_path_score`` sums them as ``viterbi_path`` does.
+    ``train`` passes the matrix it aligns the utterance with next, and
+    lets this function make the call only after a split that grows
+    mixtures and after the last iteration.
     """
-    emis, col = state_logliks(model, frames, graph.node_state)
+    if emissions is None:
+        emissions = state_logliks(model, frames, graph.node_state)
+    emis, col = emissions
     node_col = np.array([col[s] for s in graph.node_state.tolist()])
     return _path_score(graph, path, emis, node_col, model.log_transitions())
 
@@ -703,7 +726,11 @@ def _split_heaviest(state: GmmState) -> GmmState:
 
 
 def grow_mixtures(model: AcousticModel, max_gauss: int) -> AcousticModel:
-    """Double each state's component count (capped) by splitting heaviest."""
+    """Double each state's component count (capped) by splitting heaviest.
+
+    A model whose every state is already at the cap is returned as is."""
+    if all(s.n_components >= max_gauss for s in model.states):
+        return model
     new = model.copy()
     for sid, state in enumerate(new.states):
         target = min(2 * state.n_components, max_gauss)
@@ -719,7 +746,14 @@ def train(
     lexicon: Lexicon,
     schedule: TrainSchedule = TrainSchedule(),
 ) -> TrainResult:
-    """Viterbi-EM: align, re-estimate, optionally grow mixtures."""
+    """Viterbi-EM: align, re-estimate, optionally grow mixtures.
+
+    An iteration's post-update total rescores its paths under the
+    re-estimated model.  When the next iteration aligns under that same
+    model (no split, or a split that grows nothing), each utterance's one
+    emission matrix serves both: it rescores the utterance's previous path,
+    then aligns it.  The totals are summed in utterance order either way.
+    """
     if not data:
         raise ValueError("train needs at least one utterance")
     model = model.copy()
@@ -731,33 +765,50 @@ def train(
     ]
     trace: list[tuple[float, float]] = []
     reasons: dict[str, int] = {}
+    # the previous iteration's pre-update total and its paths by utterance,
+    # still to be rescored under ``model``
+    pending_pre, pending = 0.0, {}
     for iteration in range(1, schedule.n_iters + 1):
         stats = _Stats.zeros(model)
         pre_total = 0.0
-        paths: list[tuple[int, np.ndarray]] = []
+        paths: dict[int, np.ndarray] = {}
+        pending_post = 0.0
         reasons = {}
         for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
-            result = _best_path(graph, model, feats)
+            emissions = None
+            if idx in pending:
+                emissions = state_logliks(model, feats.frames, graph.node_state)
+                pending_post += _rescore_path(
+                    model, graph, pending[idx], feats.frames, emissions
+                )
+            result = _best_path(graph, model, feats, emissions)
             if isinstance(result, AlignFailure):
                 reasons[result.reason] = reasons.get(result.reason, 0) + 1
                 continue
             path, loglik = result
             pre_total += loglik
-            paths.append((idx, path))
+            paths[idx] = path
             _accumulate(model, graph, path, feats.frames, stats)
+        if pending:
+            trace.append((pending_pre, pending_post))
         if not paths:
             raise RuntimeError(
                 f"iteration {iteration}: every utterance failed alignment "
                 f"({reasons})"
             )
-        model = _reestimate(model, stats)
-        post_total = sum(
-            _rescore_path(model, graphs[idx], path, data[idx][0].frames)
-            for idx, path in paths
-        )
-        trace.append((pre_total, post_total))
+        reestimated = model = _reestimate(model, stats)
         if iteration in schedule.split_iters:
             model = grow_mixtures(model, schedule.max_gauss)
+        if model is reestimated and iteration < schedule.n_iters:
+            # the next iteration's alignment pass rescores these paths
+            pending_pre, pending = pre_total, paths
+        else:
+            post_total = sum(
+                _rescore_path(reestimated, graphs[idx], path, data[idx][0].frames)
+                for idx, path in paths.items()
+            )
+            trace.append((pre_total, post_total))
+            pending = {}
     return TrainResult(model=model, loglik_trace=trace, failure_reasons=reasons)
 
 

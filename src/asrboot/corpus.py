@@ -15,6 +15,7 @@ import os
 import random
 import shutil
 import struct
+import warnings
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,9 +172,18 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 
 
 def _read_raw(path) -> tuple[int, np.ndarray]:
-    """(rate, samples as stored); an unreadable or empty file raises."""
+    """(rate, samples as stored); an unreadable, truncated or empty file
+    raises.  Other ``WavFileWarning``s (an unknown chunk) pass through."""
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            # scipy warns, and returns what it read, for a file that ends
+            # before its header says
+            warnings.filterwarnings(
+                "error", "Reached EOF prematurely", wavfile.WavFileWarning
+            )
+            rate, data = wavfile.read(path)
+    except wavfile.WavFileWarning as exc:
+        raise AudioFormatError(f"{path}: truncated ({exc})") from None
     except (ValueError, struct.error) as exc:  # struct: a header cut short
         raise AudioFormatError(f"{path}: {exc}") from None
     if data.size == 0:

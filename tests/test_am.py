@@ -508,6 +508,37 @@ def rescore_frame_by_frame(model, graph, path, frames):
     return float(total)
 
 
+# iteration 1 no split, 2 a split that grows (K 1 -> 2), 3 a split at the
+# cap that grows nothing, 4 the last
+HANDOVER_SCHEDULE = TrainSchedule(n_iters=4, split_iters=(2, 3), max_gauss=2)
+
+
+def train_reference(model, data, lexicon, schedule):
+    """(pre, post) trace of Viterbi-EM as a plain loop: align every
+    utterance, re-estimate, rescore every aligned path frame by frame under
+    the aligning and the re-estimated model, then grow mixtures."""
+    graphs = [
+        compile_align_graph(tokens, lexicon, model, sil_prior=schedule.sil_prior)
+        for _, tokens in data
+    ]
+    trace = []
+    for iteration in range(1, schedule.n_iters + 1):
+        stats = am._Stats.zeros(model)
+        aligned = []
+        for (feats, _), graph in zip(data, graphs):
+            result = viterbi_path(graph, model, feats.frames)
+            if result is not None:
+                aligned.append((graph, result[0], feats.frames))
+                am._accumulate(model, graph, result[0], feats.frames, stats)
+        pre = sum(rescore_frame_by_frame(model, *a) for a in aligned)
+        model = am._reestimate(model, stats)
+        post = sum(rescore_frame_by_frame(model, *a) for a in aligned)
+        trace.append((pre, post))
+        if iteration in schedule.split_iters:
+            model = am.grow_mixtures(model, schedule.max_gauss)
+    return trace
+
+
 def noisy_data(model, lexicon, tokens, n, seed):
     rng = np.random.default_rng(seed)
     data = []
@@ -534,24 +565,86 @@ class TestRescoring:
         assert _rescore_path(model, graph, path, feats.frames) == total
 
     def test_trace_post_matches_frame_by_frame_rescoring(self, ab_lexicon):
-        model = grow_mixtures(toy_model(spread=2.0), max_gauss=2)
+        model = toy_model(spread=2.0)
         tokens = ("AB", "A", "BA")
         data = noisy_data(model, ab_lexicon, tokens, 3, seed=7)
-        graphs = [compile_align_graph(tokens, ab_lexicon, model) for _ in data]
-        start = model
-        for n in range(1, 4):
-            result = train(
-                model, data, ab_lexicon, TrainSchedule(n_iters=n, split_iters=())
-            )
-            paths = [
-                viterbi_path(g, start, f.frames)[0] for (f, _), g in zip(data, graphs)
-            ]
-            expected = sum(
-                rescore_frame_by_frame(result.model, g, p, f.frames)
-                for (f, _), g, p in zip(data, graphs, paths)
-            )
-            assert result.loglik_trace[-1][1] == expected
-            start = result.model
+        result = train(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        assert result.failure_reasons == {}
+        assert {s.n_components for s in result.model.states} == {2}
+        expected = train_reference(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        assert len(expected) == HANDOVER_SCHEDULE.n_iters
+        assert result.loglik_trace == expected
+
+    @pytest.mark.parametrize("fail_under", ["first", "grown"])
+    def test_failed_utterance_left_out_of_its_iteration(
+        self, ab_lexicon, monkeypatch, fail_under
+    ):
+        # one utterance scores -inf under one model, which aligns one
+        # iteration and rescores none: the first model (iteration 1) or the
+        # one the split at 2 grows (iteration 3).  The next iteration aligns
+        # it again, with no iteration-i path of its own to rescore.
+        model = toy_model(spread=2.0)
+        data = noisy_data(model, ab_lexicon, ("AB", "A", "BA"), 3, seed=7)
+        bad = data[1][0].frames
+        real_logliks, real_grow = am.state_logliks, am.grow_mixtures
+        models = {}  # "first" and "grown" model of the current run
+
+        def grow(m, max_gauss):
+            grown = real_grow(m, max_gauss)
+            if grown is not m:
+                models.setdefault("grown", grown)
+            return grown
+
+        def logliks(m, frames, state_ids):
+            models.setdefault("first", m)
+            emis, col = real_logliks(m, frames, state_ids)
+            if frames is bad and m is models.get(fail_under):
+                emis = np.full_like(emis, -np.inf)
+            return emis, col
+
+        monkeypatch.setattr(am, "grow_mixtures", grow)
+        monkeypatch.setattr(am, "state_logliks", logliks)
+        failures = []
+        real_best_path = am._best_path
+
+        def best_path(graph, m, feats, *args):
+            result = real_best_path(graph, m, feats, *args)
+            failures.append(isinstance(result, AlignFailure))
+            return result
+
+        monkeypatch.setattr(am, "_best_path", best_path)
+        result = train(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        fail_iter = 1 if fail_under == "first" else 3
+        expected_failures = [False] * 3 * HANDOVER_SCHEDULE.n_iters
+        expected_failures[3 * (fail_iter - 1) + 1] = True
+        assert failures == expected_failures
+        assert result.failure_reasons == {}
+        assert all(math.isfinite(x) for pair in result.loglik_trace for x in pair)
+        models.clear()
+        expected = train_reference(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        assert result.loglik_trace == expected
+
+    def test_each_utterance_scored_once_per_iteration(self, ab_lexicon, monkeypatch):
+        model = toy_model(spread=2.0)
+        data = noisy_data(model, ab_lexicon, ("AB", "A", "BA"), 3, seed=7)
+        calls = dict.fromkeys(("state_logliks", "viterbi_path"), 0)
+        for name in calls:
+
+            def counted(*args, _real=getattr(am, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(am, name, counted)
+        result = train(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        assert result.failure_reasons == {}
+        n, n_iters = len(data), HANDOVER_SCHEDULE.n_iters
+        growing_splits = 1  # at 2; at 3 every state is already at max_gauss
+        # one score per utterance per iteration, plus the separate rescoring
+        # after the growing split and after the last iteration
+        assert calls == {
+            "state_logliks": n * (n_iters + growing_splits + 1),
+            "viterbi_path": n * n_iters,
+        }
 
 
 class TestEmissionKernel:

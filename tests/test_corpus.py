@@ -337,6 +337,25 @@ class TestWavIO:
         assert x.dtype == np.float64
         assert np.array_equal(x, (data.astype(np.float64) - offset) / scale)
 
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        wavfile.write(str(path), 16000, np.arange(1000, dtype=np.int16))
+        path.write_bytes(path.read_bytes()[:-100])  # 950 of 1,000 samples left
+        with pytest.raises(AudioFormatError, match=r"cut\.wav: truncated"):
+            read_wav(path)
+
+    def test_unknown_chunk_still_read(self, tmp_path):
+        path = tmp_path / "extra.wav"
+        data = np.arange(1000, dtype=np.int16)
+        wavfile.write(str(path), 16000, data)
+        raw = path.read_bytes()
+        chunk = b"abcd" + struct.pack("<I", 4) + bytes(4)
+        riff_size = struct.pack("<I", len(raw) + len(chunk) - 8)
+        path.write_bytes(raw[:4] + riff_size + raw[8:] + chunk)
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            _, x = read_wav(path)
+        assert np.array_equal(x, data / 32768.0)
+
 
 class TestSubset:
     def test_target_zero(self):
