@@ -45,14 +45,13 @@ class AudioFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Recording:
-    """One audio file, short-form or long-form."""
+    """One canonical audio file."""
 
     id: str
     audio_path: str
     sample_rate: int
     channels: int
     duration: float
-    kind: str = SHORT_FORM
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,12 @@ def load_manifest(path) -> list[Utterance]:
         # JSON true/false load as bool, which is an int subclass
         if any(type(v) not in (int, float, type(None)) for v in (start, end)):
             raise ManifestError(f"{path}:{lineno}: start and end must be numbers")
+        # json reads the non-standard Infinity and NaN as floats
+        if any(v is not None and not math.isfinite(v) for v in (start, end)):
+            raise ManifestError(
+                f"{path}:{lineno}: start and end must be finite, "
+                f"got start={start} end={end}"
+            )
         if (start is None) != (end is None):
             raise ManifestError(
                 f"{path}:{lineno}: start and end must be given together"
@@ -252,9 +257,7 @@ def resample(samples: np.ndarray, rate: int, target_rate: int = CANONICAL_RATE) 
     return resample_poly(samples, up, down, window=_resample_filter(up, down))
 
 
-def canonicalize_audio(
-    input_path, out_path, rec_id: str | None = None, kind: str = SHORT_FORM
-) -> Recording:
+def canonicalize_audio(input_path, out_path, rec_id: str | None = None) -> Recording:
     """Convert any supported WAV to 16 kHz mono 16-bit PCM.
 
     Already-canonical input is copied byte-for-byte (so canonicalization
@@ -282,7 +285,6 @@ def canonicalize_audio(
             sample_rate=CANONICAL_RATE,
             channels=1,
             duration=n_samples / CANONICAL_RATE,
-            kind=kind,
         )
 
     x = _scaled(input_path, raw)
@@ -296,24 +298,21 @@ def canonicalize_audio(
         sample_rate=CANONICAL_RATE,
         channels=1,
         duration=len(y) / CANONICAL_RATE,
-        kind=kind,
     )
 
 
 # ---------------------------------------------------------------------------
 # durations, stats, subsetting
 
-def utterance_duration(utt: Utterance, cache: dict[str, float] | None = None) -> float:
-    """Utterance duration in seconds; whole-file utterances read the header."""
+def utterance_duration(utt: Utterance, cache: dict[str, float]) -> float:
+    """Utterance duration in seconds; a whole-file utterance reads the
+    header once per file, through ``cache``."""
     span = utt.span_duration()
     if span is not None:
         return span
-    if cache is not None and utt.audio in cache:
-        return cache[utt.audio]
-    duration = wav_duration(utt.audio)
-    if cache is not None:
-        cache[utt.audio] = duration
-    return duration
+    if utt.audio not in cache:
+        cache[utt.audio] = wav_duration(utt.audio)
+    return cache[utt.audio]
 
 
 def corpus_stats(

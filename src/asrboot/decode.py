@@ -22,6 +22,7 @@ tree once and keeps the LM-step cache across its batch.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,10 +50,17 @@ class DecodeConfig:
     sil_prior: float = 0.5
 
     def __post_init__(self):
-        if self.beam <= 0:
-            raise ValueError("beam must be > 0")
-        if self.max_active < 1:
-            raise ValueError("max_active must be >= 1")
+        # beam = inf keeps every token; NaN compares false and is rejected
+        if not self.beam > 0:
+            raise ValueError(f"beam must be > 0, got {self.beam}")
+        cap = self.max_active
+        if not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"max_active must be an integer >= 1, got {cap}")
+        if not math.isfinite(self.lm_scale):
+            raise ValueError(f"lm_scale must be finite, got {self.lm_scale}")
+        wip = self.word_insertion_penalty
+        if not math.isfinite(wip):
+            raise ValueError(f"word_insertion_penalty must be finite, got {wip}")
         if not 0.0 < self.sil_prior < 1.0:
             raise ValueError(f"sil_prior must be in (0, 1), got {self.sil_prior}")
 
@@ -370,10 +378,9 @@ def decode_corpus(
     tree: LexTree,
     batch: Sequence[FeatureMatrix],
     cfg: DecodeConfig = DecodeConfig(),
-    lexicon: Lexicon | None = None,
 ) -> CorpusDecodeResult:
     """Decode a batch in order with one `_Decoder`; per-utterance errors
-    and partial hypotheses are listed by index.  ``lexicon`` is ignored."""
+    and partial hypotheses are listed by index."""
     hypotheses: list[Hypothesis | None] = []
     errors: list[tuple[int, str]] = []
     audio_seconds = 0.0

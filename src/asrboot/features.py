@@ -36,7 +36,6 @@ class FrontendConfig:
     preemphasis: float = 0.97
     fmin: float = 20.0
     fmax: float = 7800.0
-    add_deltas: bool = True
 
     @property
     def window_samples(self) -> int:
@@ -144,12 +143,18 @@ def _check_finite(x: np.ndarray, lo: int, hi: int) -> None:
 def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
     """MFCC features from canonical-format samples (int16 or float).
 
-    Raises ``ValueError`` on samples that are not 1-D or not finite.
+    Raises ``ValueError`` on samples that are not 1-D or not finite, and
+    on integer samples other than int16, whose scale is not known here.
     """
     if samples.ndim != 1:
         raise ValueError(
             f"samples of shape {samples.shape} are not mono; "
             "corpus.canonicalize_audio downmixes to 16 kHz mono"
+        )
+    if samples.dtype.kind in "iu" and samples.dtype != np.int16:
+        raise ValueError(
+            f"{samples.dtype} samples are not int16 PCM; "
+            "corpus.read_wav scales any supported WAV to float in [-1, 1]"
         )
     pcm = samples.dtype == np.int16
     x = samples if pcm else np.asarray(samples, dtype=np.float64)
@@ -159,7 +164,7 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
     bank_t = mel_filterbank(cfg).T
 
     n_ceps = cfg.n_ceps
-    frames = np.empty((n_frames, 3 * n_ceps if cfg.add_deltas else n_ceps))
+    frames = np.empty((n_frames, 3 * n_ceps))
     ceps = frames[:, :n_ceps]
     log_energy = np.empty(n_frames)
     rows = min(n_frames, BLOCK_FRAMES)
@@ -196,10 +201,8 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
         log_mel = np.log(np.maximum(power @ bank_t, ENERGY_FLOOR))
         ceps[start:end] = dct(log_mel, type=2, axis=1, norm="ortho")[:, :n_ceps]
     ceps[:, 0] = log_energy
-
-    if cfg.add_deltas:
-        frames[:, n_ceps : 2 * n_ceps] = _deltas(ceps)
-        frames[:, 2 * n_ceps :] = _deltas(frames[:, n_ceps : 2 * n_ceps])
+    frames[:, n_ceps : 2 * n_ceps] = _deltas(ceps)
+    frames[:, 2 * n_ceps :] = _deltas(frames[:, n_ceps : 2 * n_ceps])
     return FeatureMatrix(
         frames=frames,
         frame_shift=cfg.frame_shift,
@@ -248,8 +251,6 @@ def silence_mask(f: FeatureMatrix, margin_db: float = 10.0) -> np.ndarray:
     their neighbors.
     """
     energy_db = 10.0 * f.log_energy / np.log(10.0)
-    if np.isinf(margin_db) and margin_db > 0:
-        return np.ones(len(energy_db), dtype=bool)
     threshold = np.percentile(energy_db, 5) + margin_db
     return _smooth_runs(energy_db < threshold)
 

@@ -1,7 +1,9 @@
 """Frequency wordlists and the Unicode graphemic lexicon.
 
-Words map to their grapheme (character) sequences; no phonemic dictionary
-is assumed.  Intra-word hyphens and apostrophes stay in the word label but
+A wordlist is a plain ``dict`` from word to corpus frequency; iterating
+it gives the words, which is all `graphemic_lexicon` reads.  Words map
+to their grapheme (character) sequences; no phonemic dictionary is
+assumed.  Intra-word hyphens and apostrophes stay in the word label but
 are dropped from the pronunciation.  The special symbols are module
 constants, not lexicon fields: the silence phone ``SILENCE_PHONE`` and the
 word ``UNK_WORD``, which `Lexicon.pron` alone maps to the garbage phone
@@ -11,7 +13,7 @@ word ``UNK_WORD``, which `Lexicon.pron` alone maps to the garbage phone
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .textnorm import utf8_lines
@@ -25,34 +27,21 @@ UNK_WORD = "<UNK>"
 PRON_DROP_CHARS = frozenset("-'")
 
 
-@dataclass(frozen=True)
-class Wordlist:
-    """Word -> corpus frequency map."""
-
-    entries: Mapping[str, int] = field(default_factory=dict)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def build_wordlist(tokens: Iterable[str], min_count: int = 2) -> Wordlist:
+def build_wordlist(tokens: Iterable[str], min_count: int = 2) -> dict[str, int]:
     """Count normalized tokens and keep words with frequency >= min_count."""
     counts: dict[str, int] = {}
     for token in tokens:
         counts[token] = counts.get(token, 0) + 1
-    return Wordlist({w: c for w, c in counts.items() if c >= min_count})
+    return {w: c for w, c in counts.items() if c >= min_count}
 
 
-def supplement(wl: Wordlist, extra_words: Iterable[str]) -> Wordlist:
+def supplement(wl: Mapping[str, int], extra_words: Iterable[str]) -> dict[str, int]:
     """Add dictionary words missing from the corpus at frequency 1."""
-    merged = dict(wl.entries)
+    merged = dict(wl)
     for word in extra_words:
         if word not in merged:
             merged[word] = 1
-    return Wordlist(merged)
+    return merged
 
 
 @dataclass(frozen=True)
@@ -94,13 +83,11 @@ def grapheme_pronunciation(word: str) -> tuple[str, ...]:
     return tuple(ch for ch in word if ch not in PRON_DROP_CHARS)
 
 
-def graphemic_lexicon(words: Wordlist | Iterable[str]) -> tuple[Lexicon, list[str]]:
+def graphemic_lexicon(words: Iterable[str]) -> tuple[Lexicon, list[str]]:
     """Build the graphemic lexicon; returns (lexicon, rejected words).
 
     A word is rejected when its pronunciation would be empty (e.g. "-").
     """
-    if isinstance(words, Wordlist):
-        words = words.entries.keys()
     pronunciations: dict[str, tuple[str, ...]] = {}
     rejected: list[str] = []
     for word in words:

@@ -79,10 +79,6 @@ class NGramLM:
             (*history, self.map_word(word))
         )
 
-    def context_sum(self, history: Sequence[str]) -> float:
-        """Sum of P(w|history) over the full prediction vocabulary."""
-        return sum(10.0 ** self.logp(history, w) for w in self.vocab)
-
 
 @dataclass(frozen=True)
 class PerplexityReport:

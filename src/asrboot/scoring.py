@@ -6,6 +6,8 @@ edit distance here (``align_edit``) and local Smith-Waterman alignment in
 ``segment.smith_waterman``.  Both put hyp tokens on the rows and ref
 tokens on the columns, and both label steps with the ops below: MATCH or
 SUB for a pair, INS for a hyp token alone, DEL for a ref token alone.
+``align_edit`` returns those labels in order; their non-MATCH count is
+the edit distance.
 
 Corpus-level rates pool edit counts over utterances (sum of edits divided
 by sum of reference tokens), not the mean of per-utterance rates.
@@ -13,44 +15,13 @@ by sum of reference tokens), not the mean of per-utterance rates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 MATCH, SUB, INS, DEL = "match", "sub", "ins", "del"
-
-
-@dataclass(frozen=True)
-class EditOp:
-    op: str
-    ref: str | None
-    hyp: str | None
-
-
-@dataclass(frozen=True)
-class EditScript:
-    ops: tuple[EditOp, ...]
-
-    @property
-    def substitutions(self) -> int:
-        return sum(1 for o in self.ops if o.op == SUB)
-
-    @property
-    def insertions(self) -> int:
-        return sum(1 for o in self.ops if o.op == INS)
-
-    @property
-    def deletions(self) -> int:
-        return sum(1 for o in self.ops if o.op == DEL)
-
-    @property
-    def matches(self) -> int:
-        return sum(1 for o in self.ops if o.op == MATCH)
-
-    @property
-    def cost(self) -> int:
-        return self.substitutions + self.insertions + self.deletions
 
 
 @dataclass(frozen=True)
@@ -169,25 +140,13 @@ def step_op(
     return MATCH if hyp[i] == ref[j] else SUB
 
 
-def align_edit(ref: Sequence[str], hyp: Sequence[str]) -> EditScript:
-    """Minimal unit-cost edit script; ties prefer sub over ins over del."""
+def align_edit(ref: Sequence[str], hyp: Sequence[str]) -> list[str]:
+    """Ops of a minimal unit-cost edit script, in order; ties prefer sub
+    over ins over del."""
     sub = substitution_matrix(hyp, ref, 0.0, -1.0)
     h = align_fill(sub, -1.0, local=False)
     steps = align_trace(h, sub, -1.0, len(hyp), len(ref), local=False)
-    return EditScript(
-        tuple(
-            EditOp(
-                step_op(hyp, ref, i, j),
-                None if j is None else ref[j],
-                None if i is None else hyp[i],
-            )
-            for i, j in steps
-        )
-    )
-
-
-def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
-    return align_edit(a, b).cost
+    return [step_op(hyp, ref, i, j) for i, j in steps]
 
 
 def _score_pairs(
@@ -197,30 +156,28 @@ def _score_pairs(
     if not pairs:
         raise ValueError("need at least one (ref, hyp) pair")
     per_utt = []
-    total_ref = total_s = total_d = total_i = 0
+    total: Counter[str] = Counter()
     for k, (ref, hyp) in enumerate(pairs):
-        script = align_edit(list(ref), list(hyp))
+        ops = Counter(align_edit(list(ref), list(hyp)))
+        total.update(ops)
         utt_id = ids[k] if ids else f"utt{k}"
         per_utt.append(
             UtteranceScore(
                 id=utt_id,
                 n_ref=len(ref),
-                substitutions=script.substitutions,
-                deletions=script.deletions,
-                insertions=script.insertions,
+                substitutions=ops[SUB],
+                deletions=ops[DEL],
+                insertions=ops[INS],
             )
         )
-        total_ref += len(ref)
-        total_s += script.substitutions
-        total_d += script.deletions
-        total_i += script.insertions
+    total_ref = sum(u.n_ref for u in per_utt)
     if total_ref == 0:
         raise ValueError("reference is empty across all pairs")
     return WerReport(
         n_ref_tokens=total_ref,
-        substitutions=total_s,
-        deletions=total_d,
-        insertions=total_i,
+        substitutions=total[SUB],
+        deletions=total[DEL],
+        insertions=total[INS],
         per_utterance=tuple(per_utt),
     )
 

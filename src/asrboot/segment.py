@@ -12,6 +12,7 @@ enough, short enough, and clean enough become utterance segments.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -116,10 +117,6 @@ class AlignedRegion:
     def ref_span(self) -> tuple[int, int]:
         idx = [r for _, r, _ in self.pairs if r is not None]
         return (min(idx), max(idx))
-
-    @property
-    def n_matches(self) -> int:
-        return sum(1 for _, _, lab in self.pairs if lab == MATCH)
 
 
 def smith_waterman(
@@ -234,10 +231,18 @@ class HarvestConfig:
     frontend: FrontendConfig = FrontendConfig()
 
     def __post_init__(self):
-        if self.chunk_len < 2 * self.frontend.frame_shift:
+        # NaN fails each comparison; an infinite length has no frame count
+        if not 2 * self.frontend.frame_shift <= self.chunk_len < math.inf:
             raise ValueError(
-                f"chunk_len must be at least two frame shifts, got {self.chunk_len}"
+                "chunk_len must be finite and at least two frame shifts, "
+                f"got {self.chunk_len}"
             )
+        if not 0 <= self.silence_gap < math.inf:
+            raise ValueError(
+                f"silence_gap must be finite and >= 0, got {self.silence_gap}"
+            )
+        if math.isnan(self.margin_db):
+            raise ValueError("margin_db must not be NaN")
         # settings under which no piece or candidate can ever be accepted
         if not self.max_dur > 0:
             raise ValueError(f"max_dur must be > 0, got {self.max_dur}")

@@ -4,7 +4,11 @@ All text entering the pipeline (training transcripts, LM text, references
 for scoring) passes through :func:`normalize`, which applies a fixed
 sequence of steps: uppercase, diacritic folding, numeral expansion,
 punctuation stripping, whitespace collapse.  The steps are ordered so the
-output is stable under re-normalization.
+output is stable under re-normalization.  It returns a `NormalizedText`:
+callers read its ``tokens`` and, for the numerals that had no word form,
+its ``dropped_numerals``.  `normalize_lines` applies it to LM text and
+keeps the lines that do not normalize to nothing; `utf8_lines` is the
+one reader of UTF-8 text files.
 """
 
 from __future__ import annotations
@@ -80,15 +84,6 @@ class NormalizedText:
     tokens: tuple[str, ...]
     dropped_numerals: tuple[str, ...] = ()
 
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __len__(self):
-        return len(self.tokens)
-
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
 
 def fold_diacritics(text: str) -> str:
     """Strip combining marks via NFD decomposition (Ç -> C, É -> E, Ñ -> N).
@@ -99,19 +94,15 @@ def fold_diacritics(text: str) -> str:
     return "".join(c for c in decomposed if not unicodedata.combining(c))
 
 
-def _is_letter(ch: str) -> bool:
-    return ch.isalpha()
-
-
 def _strip_token(token: str) -> str:
     """Keep letters plus ``-``/``'`` that have a letter on both sides."""
     kept = []
     n = len(token)
     for i, ch in enumerate(token):
-        if _is_letter(ch):
+        if ch.isalpha():
             kept.append(ch)
         elif ch in "-'":
-            if 0 < i < n - 1 and _is_letter(token[i - 1]) and _is_letter(token[i + 1]):
+            if 0 < i < n - 1 and token[i - 1].isalpha() and token[i + 1].isalpha():
                 kept.append(ch)
     return "".join(kept)
 
@@ -125,7 +116,7 @@ def _numeral_core(piece: str) -> str | None:
     """
     if not any(c.isdigit() for c in piece):
         return None
-    if any(_is_letter(c) for c in piece):
+    if any(c.isalpha() for c in piece):
         return None
     runs = _DIGIT_RUN.findall(piece)
     if len(runs) == 1:
@@ -159,13 +150,6 @@ def normalize(raw: str, numerals: NumeralTable = EMPTY_NUMERAL_TABLE) -> Normali
         if cleaned:
             tokens.append(cleaned)
     return NormalizedText(tuple(tokens), tuple(dropped))
-
-
-def normalize_tokens(
-    raw: str, numerals: NumeralTable = EMPTY_NUMERAL_TABLE
-) -> tuple[str, ...]:
-    """Shorthand for ``normalize(raw, numerals).tokens``."""
-    return normalize(raw, numerals).tokens
 
 
 def load_numeral_table(path) -> NumeralTable:

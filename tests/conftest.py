@@ -171,7 +171,5 @@ def mfcc_reference(samples, cfg=FrontendConfig()):
     log_mel = np.log(np.maximum(power @ mel_filterbank(cfg).T, ENERGY_FLOOR))
     ceps = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_ceps]
     ceps[:, 0] = log_energy
-    if not cfg.add_deltas:
-        return ceps, log_energy
     d1 = _deltas(ceps)
     return np.hstack([ceps, d1, _deltas(d1)]), log_energy

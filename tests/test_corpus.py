@@ -82,7 +82,11 @@ class TestManifest:
          "start and end must be numbers"),
         ('{"id": "a", "audio": "a.wav", "text": "X", "start": 0, "end": true}',
          "start and end must be numbers"),
-    ], ids=["array", "id", "audio", "text", "start", "end_bool"])
+        ('{"id": "a", "audio": "a.wav", "text": "X", "start": 0, "end": Infinity}',
+         "start and end must be finite"),
+        ('{"id": "a", "audio": "a.wav", "text": "X", "start": NaN, "end": 1}',
+         "start and end must be finite"),
+    ], ids=["array", "id", "audio", "text", "start", "end_bool", "end_inf", "start_nan"])
     def test_field_types_checked_with_line(self, tmp_path, line, message):
         path = tmp_path / "m.jsonl"
         path.write_text(

@@ -308,7 +308,7 @@ class TestDecodeCorpus:
         model = toy_model()
         lm = uniform_lm(["A", "B"])
         tree = build_prefix_tree(ab_lexicon)
-        result = decode_corpus(model, lm, tree, [], lexicon=ab_lexicon)
+        result = decode_corpus(model, lm, tree, [])
         assert result.hypotheses == []
 
     def test_order_and_determinism(self, ab_lexicon):
@@ -325,8 +325,8 @@ class TestDecodeCorpus:
             batch.append(feats)
             expected.append(tokens)
         cfg = DecodeConfig(beam=50.0)
-        r1 = decode_corpus(model, lm, tree, batch, cfg, lexicon=ab_lexicon)
-        r2 = decode_corpus(model, lm, tree, batch, cfg, lexicon=ab_lexicon)
+        r1 = decode_corpus(model, lm, tree, batch, cfg)
+        r2 = decode_corpus(model, lm, tree, batch, cfg)
         assert [h.words for h in r1.hypotheses] == expected
         assert [h.words for h in r1.hypotheses] == [
             h.words for h in r2.hypotheses
@@ -340,8 +340,7 @@ class TestDecodeCorpus:
         good, _ = generate_utterance(model, ab_lexicon, ("A",), seed=0)
         empty = feats_from(np.zeros((0, DIM)))
         result = decode_corpus(
-            model, lm, tree, [good, empty, good],
-            DecodeConfig(beam=50.0), lexicon=ab_lexicon,
+            model, lm, tree, [good, empty, good], DecodeConfig(beam=50.0)
         )
         assert result.hypotheses[0] is not None
         assert result.hypotheses[1] is None
@@ -357,7 +356,7 @@ class TestDecodeCorpus:
         too_short = feats_from(np.zeros((2, DIM)))
         result = decode_corpus(
             model, lm, tree, [too_short, good, too_short, good],
-            DecodeConfig(beam=50.0), lexicon=ab_lexicon,
+            DecodeConfig(beam=50.0),
         )
         assert result.partial == [0, 2]
         assert result.errors == []
@@ -447,6 +446,23 @@ class TestDecodeErrors:
             DecodeConfig(beam=0.0)
         with pytest.raises(ValueError):
             DecodeConfig(max_active=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beam", math.nan),
+            ("max_active", 2.5),
+            ("lm_scale", math.nan),
+            ("lm_scale", math.inf),
+            ("word_insertion_penalty", math.nan),
+        ],
+    )
+    def test_values_that_break_the_search_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DecodeConfig(**{field: value})
+
+    def test_infinite_beam_allowed(self):
+        assert DecodeConfig(beam=math.inf).beam == math.inf
 
     @pytest.mark.parametrize("sil_prior", [0.0, 1.0, 1.5])
     def test_sil_prior_outside_unit_interval_rejected(self, sil_prior, ab_lexicon):

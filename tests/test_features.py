@@ -46,10 +46,6 @@ class TestFraming:
         f = compute_mfcc(tone(440, 0.5))
         assert f.dim == 39
 
-    def test_dim_without_deltas(self):
-        f = compute_mfcc(tone(440, 0.5), FrontendConfig(add_deltas=False))
-        assert f.dim == 13
-
     def test_slice(self):
         f = compute_mfcc(tone(600, 0.5))
         g = slice_frames(f, 10, 20)
@@ -63,7 +59,7 @@ class TestMfcc:
         assert np.allclose(f.frames, f.frames[0], atol=1e-12)
 
     def test_tone_peaks_in_nearest_mel_bin(self):
-        cfg = FrontendConfig(add_deltas=False)
+        cfg = FrontendConfig()
         x = tone(1000, 1.0)
         frames = x[: cfg.window_samples] * np.hamming(cfg.window_samples)
         # oracle: direct DFT magnitude of one windowed frame
@@ -80,6 +76,15 @@ class TestMfcc:
         )[1:-1]
         tone_mel = 2595 * np.log10(1 + 1000.0 / 700)
         assert np.argmax(mel_resp) == np.argmin(np.abs(centers_mel - tone_mel))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_integer_samples_other_than_int16_rejected(self, dtype):
+        # their full scale is unknown here: read unscaled, an int32 copy of
+        # int16 audio moves C0 by 2 ln 32768 = 20.8 nats
+        x = noise(10, np.int16).astype(dtype)
+        name = np.dtype(dtype).name
+        with pytest.raises(ValueError, match=rf"^{name} samples .*corpus\.read_wav"):
+            compute_mfcc(x)
 
     def test_amplitude_scale_touches_only_c0(self):
         rng = np.random.default_rng(0)
@@ -121,11 +126,6 @@ class TestBlocks:
         x = noise(n_frames, dtype)
         assert compute_mfcc(x).n_frames == n_frames
         assert_matches_reference(x)
-
-    def test_without_deltas(self):
-        assert_matches_reference(
-            noise(BLOCK_FRAMES + 1), FrontendConfig(add_deltas=False)
-        )
 
     def test_other_frame_shift(self):
         cfg = FrontendConfig(frame_shift=0.015)

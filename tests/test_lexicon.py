@@ -10,7 +10,6 @@ from asrboot.lexicon import (
     GARBAGE_PHONE,
     UNK_WORD,
     Lexicon,
-    Wordlist,
     build_wordlist,
     graphemic_lexicon,
     oov_rate,
@@ -22,26 +21,27 @@ from asrboot.lexicon import (
 
 class TestWordlist:
     def test_hand_counts(self):
-        wl = build_wordlist(["A", "B", "A"], min_count=1)
-        assert dict(wl.entries) == {"A": 2, "B": 1}
+        assert build_wordlist(["A", "B", "A"], min_count=1) == {"A": 2, "B": 1}
 
     def test_min_count_filter(self):
-        wl = build_wordlist(["A", "B", "A"], min_count=2)
-        assert dict(wl.entries) == {"A": 2}
+        assert build_wordlist(["A", "B", "A"], min_count=2) == {"A": 2}
 
     def test_empty_stream(self):
-        assert len(build_wordlist([], min_count=1)) == 0
+        assert build_wordlist([], min_count=1) == {}
 
     def test_supplement_new_word(self):
-        wl = supplement(Wordlist({"A": 2}), ["B"])
-        assert dict(wl.entries) == {"A": 2, "B": 1}
+        assert supplement({"A": 2}, ["B"]) == {"A": 2, "B": 1}
 
     def test_supplement_no_double_count(self):
-        wl = supplement(Wordlist({"A": 2}), ["A"])
-        assert dict(wl.entries) == {"A": 2}
+        assert supplement({"A": 2}, ["A"]) == {"A": 2}
 
     def test_supplement_empty(self):
-        assert dict(supplement(Wordlist({}), []).entries) == {}
+        assert supplement({}, []) == {}
+
+    def test_supplement_leaves_its_input_alone(self):
+        wl = {"A": 2}
+        supplement(wl, ["B"])
+        assert wl == {"A": 2}
 
 
 class TestGraphemicLexicon:

@@ -42,6 +42,11 @@ class TestCounting:
         assert BOS not in counts[0].get((), {})
 
 
+def context_sum(lm, history):
+    """Sum of P(w|history) over the full prediction vocabulary."""
+    return sum(10.0 ** lm.logp(history, w) for w in lm.vocab)
+
+
 def random_history(lm, rng, max_len):
     pool = sorted(lm.vocab - {EOS}) + [BOS]
     return tuple(rng.choice(pool) for _ in range(rng.randrange(0, max_len + 1)))
@@ -61,7 +66,7 @@ class TestNormalization:
         rng = random.Random(0)
         for _ in range(100):
             history = random_history(lm, rng, 3)
-            assert lm.context_sum(history) == pytest.approx(1.0, abs=1e-6)
+            assert context_sum(lm, history) == pytest.approx(1.0, abs=1e-6)
 
     def test_order4_sums(self):
         corpus = sents("A B C D A B C E\nB C D A\nA B C D")
@@ -69,12 +74,12 @@ class TestNormalization:
         rng = random.Random(1)
         for _ in range(50):
             history = random_history(lm, rng, 4)
-            assert lm.context_sum(history) == pytest.approx(1.0, abs=1e-6)
+            assert context_sum(lm, history) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_word_vocab(self):
         lm = train_ngram([("A",)], order=2, map_singletons_to_unk=False)
-        assert lm.context_sum(("A",)) == pytest.approx(1.0, abs=1e-6)
-        assert lm.context_sum(()) == pytest.approx(1.0, abs=1e-6)
+        assert context_sum(lm, ("A",)) == pytest.approx(1.0, abs=1e-6)
+        assert context_sum(lm, ()) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestScore:
@@ -382,7 +387,7 @@ class TestBiasedLm:
     def test_normalized_per_context(self):
         lm = biased_lm(sents("A B C\nB C A"))
         for ctx in [(), ("A",), ("C",), (BOS,), (UNK,)]:
-            assert lm.context_sum(ctx) == pytest.approx(1.0, abs=1e-6)
+            assert context_sum(lm, ctx) == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_transcript_rejected(self):
         with pytest.raises(LmError):

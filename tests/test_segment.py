@@ -95,6 +95,21 @@ class TestChunkRecording:
         with pytest.raises(ValueError, match=field):
             HarvestConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chunk_len", float("nan")),
+            ("chunk_len", float("inf")),
+            ("silence_gap", float("nan")),
+            ("silence_gap", float("inf")),
+            ("silence_gap", -0.1),
+            ("margin_db", float("nan")),
+        ],
+    )
+    def test_values_that_break_the_harvest_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HarvestConfig(**{field: value})
+
 
 def words(prefix, n):
     return [f"{prefix}{i}" for i in range(n)]
@@ -108,6 +123,10 @@ def ref_indices(region):
     return {r for _, r, _ in region.pairs if r is not None}
 
 
+def matched(region):
+    return sum(1 for _, _, lab in region.pairs if lab == MATCH)
+
+
 class TestSmithWaterman:
     def test_planted_island_found(self):
         island = words("w", 5)
@@ -116,7 +135,7 @@ class TestSmithWaterman:
         (region,) = smith_waterman(hyp, ref)
         assert region.hyp_span == (2, 6)
         assert region.ref_span == (3, 7)
-        assert region.n_matches == 5
+        assert matched(region) == 5
         assert region.score == pytest.approx(5 * SWConfig().match)
 
     def test_short_islands_dropped(self):
@@ -134,7 +153,7 @@ class TestSmithWaterman:
         hyp = a + words("x", 3) + b
         ref = b + words("y", 3) + a
         regions = smith_waterman(hyp, ref)
-        assert [r.n_matches for r in regions] == [5]
+        assert [matched(r) for r in regions] == [5]
         assert regions[0].hyp_span == (7, 11)
 
     def test_islands_in_matching_order_both_found(self):
@@ -144,7 +163,7 @@ class TestSmithWaterman:
         hyp = a + words("x", 3) + b
         ref = a + words("y", 10) + b
         regions = smith_waterman(hyp, ref)
-        assert [r.n_matches for r in regions] == [4, 5]
+        assert [matched(r) for r in regions] == [4, 5]
         assert [r.hyp_span for r in regions] == [(0, 3), (7, 11)]
         assert [r.ref_span for r in regions] == [(0, 3), (14, 18)]
 

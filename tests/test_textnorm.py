@@ -16,7 +16,7 @@ from asrboot.textnorm import (
     fold_diacritics,
     load_numeral_table,
     normalize,
-    normalize_tokens,
+    normalize_lines,
     utf8_lines,
 )
 
@@ -98,9 +98,7 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(raw_text())
     def test_case_insensitivity(self, text):
-        assert (
-            normalize_tokens(text.lower()) == normalize_tokens(text.upper())
-        )
+        assert normalize(text.lower()).tokens == normalize(text.upper()).tokens
 
     @settings(max_examples=300, deadline=None)
     @given(raw_text())
@@ -160,6 +158,17 @@ class TestNumeralTable:
             NumeralTableError, match=rf"numerals\.tsv:{lineno}: not UTF-8$"
         ):
             load_numeral_table(path)
+
+
+class TestNormalizeLines:
+    def test_lines_that_normalize_to_nothing_dropped_in_order(self):
+        lines = ["b a", "", "  ...  ", "c", "(?)", "d-e"]
+        assert normalize_lines(lines) == [("B", "A"), ("C",), ("D-E",)]
+
+    def test_numeral_table_applied(self):
+        table = NumeralTable({3: "THREE", 21: "TWENTY ONE"})
+        lines = ["3 cats", "7", "21"]
+        assert normalize_lines(lines, table) == [("THREE", "CATS"), ("TWENTY", "ONE")]
 
 
 def test_utf8_lines_end_lines_as_text_mode_does(tmp_path):
