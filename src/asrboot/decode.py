@@ -8,15 +8,27 @@ lexicon: the prefix tree holds the pronunciations and the silence phone is
 ``lexicon.SILENCE_PHONE``.  The n-gram LM is applied at word boundaries,
 scaled into natural log: `NGramLM.step` gives the score and the history
 the next query needs, cached per (history, word), and the utterance end is
-one more step, to </s>.  Recombination keeps one token per (position, LM
-history): the higher total score, then the higher acoustic score, then the
-lexicographically earlier word sequence, then the earlier token.  Pruning
-is a log-likelihood beam plus a cap that keeps the `max_active` highest
-totals, the earlier token winning a tie at the cut.  Scores are added in a
-fixed order, so decoding is deterministic bit for bit.  When no token
-reaches an utterance-final state, the best token's completed words come
-back as a hypothesis flagged ``partial``.  `decode_corpus` compiles the
-tree once and keeps the LM-step cache across its batch.
+one more step, to </s>.
+
+A frame's candidates are held against a running best total as they are
+made, as Kaldi's ``ProcessEmitting`` does: one below that best less the
+beam is never built, and the self-loops are scored first so the best
+starts high.  The best only rises, so this cut drops nothing the beam keeps.
+The survivors are then pruned in the order beam, recombination, cap: the
+log-likelihood beam around the frame's best total; one token per
+(position, LM history), the higher total score winning, then the higher
+acoustic score, then the lexicographically earlier word sequence, then the
+earlier token; and the `max_active` highest totals, the earlier token
+winning a tie at the cut.  The beam may go first because a key's winner is
+its highest total: when the winner falls below the beam, so does the rest
+of its key.  A NaN score passes no comparison, so a NaN frame builds no
+candidate and empties the beam.
+
+Scores are added in a fixed order, so decoding is deterministic bit for
+bit.  When no token reaches an utterance-final state, the best token's
+completed words come back as a hypothesis flagged ``partial``.
+`decode_corpus` compiles the tree once and keeps the LM-step cache across
+its batch.
 """
 
 from __future__ import annotations
@@ -75,9 +87,6 @@ class Hypothesis:
     # no token reached an utterance-final state: the words are those the
     # best token had completed and the scores are its own
     partial: bool = False
-
-    def text(self) -> str:
-        return " ".join(self.words)
 
 
 # ---------------------------------------------------------------------------
@@ -194,45 +203,74 @@ class _Decoder:
         emis, col = state_logliks(self.model, feats.frames, self.pos_state)
         self.pos_col = [col[s] for s in self.pos_state]
         # frame 0 enters the word starts from one empty-history token
-        tokens = self._enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist())
-        tokens = self._prune(self._recombine(tokens))
+        cands: list[tuple] = []
+        top = self._enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist(),
+                                 cands, -math.inf)
+        tokens = self._prune(cands, top)
         for t in range(1, n_frames):
-            tokens = self._expand(tokens, t, emis[t].tolist())
             if not tokens:
                 raise DecodeError(f"beam emptied at frame {t}")
-            tokens = self._prune(self._recombine(tokens))
+            tokens = self._prune(*self._expand(tokens, t, emis[t].tolist()))
         return self._finalize(tokens, n_frames, feats.frame_shift)
 
     # -- expansion ---------------------------------------------------------
 
-    def _expand(self, tokens: list[tuple], t: int, emit: list[float]) -> list[tuple]:
+    def _expand(
+        self, tokens: list[tuple], t: int, emit: list[float]
+    ) -> tuple[list[tuple], float]:
         """Self-loops, steps within a phone, phone entries, then word starts,
-        each scored with frame t's emissions `emit`."""
+        each scored with frame t's emissions `emit`, and the best total.
+
+        A candidate whose total falls below the running best `top` less the
+        beam is never built; the self-loops go first, so `top` starts high
+        for the moves and word starts.  `top` only rises, so `_prune`'s beam
+        would drop every candidate skipped here.
+        """
         col, log_self, log_fwd = self.pos_col, self.log_self, self.log_fwd
-        is_exit, succ = self.is_exit, self.succ
-        loops, inner, exits = [], [], []
+        is_exit, succ, beam = self.is_exit, self.succ, self.cfg.beam
+        cands, inner, exits = [], [], []
+        top = -math.inf
         for pos, hist, start, bp, score, ascore, lscore in tokens:
             stay, e = log_self[pos], emit[col[pos]]
-            loops.append((pos, hist, start, bp, score + stay + e, ascore + stay + e, lscore))
+            total = score + stay + e
+            if total >= top - beam:
+                if total > top:
+                    top = total
+                cands.append((pos, hist, start, bp, total, ascore + stay + e, lscore))
+        cut = top - beam
+        for pos, hist, start, bp, score, ascore, lscore in tokens:
             fwd = log_fwd[pos]
             moves = exits if is_exit[pos] else inner
             for nxt in succ[pos]:
                 e = emit[col[nxt]]
-                moves.append((nxt, hist, start, bp, score + fwd + e, ascore + fwd + e, lscore))
-        loops += inner
-        loops += exits
-        loops += self._enter_starts(self._word_ends(tokens, t), emit)
-        return loops
+                total = score + fwd + e
+                if total >= cut:
+                    if total > top:
+                        top = total
+                        cut = top - beam
+                    moves.append((nxt, hist, start, bp, total, ascore + fwd + e, lscore))
+        cands += inner
+        cands += exits
+        return cands, self._enter_starts(self._word_ends(tokens, t), emit, cands, top)
 
-    def _enter_starts(self, ends: list[tuple], emit: list[float]) -> list[tuple]:
-        """Each token enters every word-start position with its silence prior."""
-        col = self.pos_col
-        return [
-            (q, hist, start, bp, score + prior + emit[col[q]],
-             ascore + prior + emit[col[q]], lscore)
-            for _, hist, start, bp, score, ascore, lscore in ends
-            for q, prior in self.starts
-        ]
+    def _enter_starts(
+        self, ends: list[tuple], emit: list[float], cands: list[tuple], top: float
+    ) -> float:
+        """Append to `cands` each token entering every word-start position
+        with its silence prior, skipping those below the running best `top`
+        less the beam; return the new `top`."""
+        col, beam = self.pos_col, self.cfg.beam
+        cut = top - beam
+        for _, hist, start, bp, score, ascore, lscore in ends:
+            for q, prior in self.starts:
+                e = emit[col[q]]
+                total = score + prior + e
+                if total >= cut:
+                    if total > top:
+                        top = total
+                        cut = top - beam
+                    cands.append((q, hist, start, bp, total, ascore + prior + e, lscore))
+        return top
 
     def _word_ends(self, tokens: list[tuple], t: int) -> list[tuple]:
         """A token per word ending at an exit in `tokens`, closed at frame t.
@@ -285,17 +323,16 @@ class _Decoder:
                 best[key] = i
         return sorted(best.values())
 
-    def _recombine(self, tokens: list[tuple]) -> list[tuple]:
-        """Keep the best token per (position, LM history)."""
+    def _prune(self, cands: list[tuple], top: float) -> list[tuple]:
+        """Beam, recombination, then cap: the candidates within the beam of
+        the best total `top`; of those, the best per (position, LM history)
+        by the `_best` rule; of those, the `max_active` highest totals (the
+        earlier token wins a tie at the cut), in order."""
+        floor = top - self.cfg.beam
+        tokens = [tok for tok in cands if tok[_SCORE] >= floor]
         n_pos = len(self.pos_state)
         keys = [tok[_HIST] * n_pos + tok[_POS] for tok in tokens]
-        return [tokens[i] for i in self._best(keys, tokens)]
-
-    def _prune(self, tokens: list[tuple]) -> list[tuple]:
-        """Tokens within the beam of the best; of those, the `max_active`
-        highest totals (the earlier token wins a tie at the cut), in order."""
-        floor = max(tok[_SCORE] for tok in tokens) - self.cfg.beam
-        tokens = [tok for tok in tokens if tok[_SCORE] >= floor]
+        tokens = [tokens[i] for i in self._best(keys, tokens)]
         cap = self.cfg.max_active
         if len(tokens) > cap:
             # a stable sort keeps tied tokens in order, also with reverse

@@ -226,21 +226,21 @@ def cmvn(f: FeatureMatrix) -> FeatureMatrix:
 
 
 def _smooth_runs(mask: np.ndarray, min_run: int = 3) -> np.ndarray:
-    """Merge runs shorter than min_run into their left neighbor."""
-    out = mask.copy()
-    t = len(out)
-    i = 0
-    while i < t:
-        j = i
-        while j < t and out[j] == out[i]:
-            j += 1
-        if j - i < min_run:
-            if i > 0:
-                out[i:j] = out[i - 1]
-            elif j < t:
-                out[i:j] = out[j]
-        i = j
-    return out
+    """Merge runs shorter than min_run into their left neighbor; a short
+    first run takes the value of the run after it.  Runs are those of the
+    input, so a short run next to a merged one is not lengthened by it."""
+    if len(mask) == 0:
+        return mask.copy()
+    bounds = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    lengths = np.diff(bounds, prepend=0, append=len(mask))
+    values = mask[np.concatenate(([0], bounds))].tolist()
+    for k, length in enumerate(lengths.tolist()):
+        if length < min_run:
+            if k > 0:
+                values[k] = values[k - 1]
+            elif len(values) > 1:
+                values[0] = values[1]
+    return np.repeat(np.array(values, dtype=mask.dtype), lengths)
 
 
 def silence_mask(f: FeatureMatrix, margin_db: float = 10.0) -> np.ndarray:

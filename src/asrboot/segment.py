@@ -11,6 +11,7 @@ enough, short enough, and clean enough become utterance segments.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -301,7 +302,13 @@ def _split_region(
     hyp_words: list[Interval],
     gaps: list[tuple[float, float]],
 ) -> list[list[tuple[int | None, int | None, str]]]:
-    """Split a region's pairs wherever a silence gap separates hyp words."""
+    """Split a region's pairs wherever a silence gap separates hyp words.
+
+    The gaps must be sorted and disjoint, as `_silence_cut_points` gives
+    them: then only the first gap that ends after a word can overlap the
+    stretch between that word and the next.
+    """
+    gap_ends = [ge for _, ge in gaps]
     pieces: list[list] = [[]]
     prev_hyp: int | None = None
     for pair in region.pairs:
@@ -309,7 +316,8 @@ def _split_region(
         if hi is not None and prev_hyp is not None:
             gap_lo = hyp_words[prev_hyp].end
             gap_hi = hyp_words[hi].start
-            if any(max(gs, gap_lo) < min(ge, gap_hi) for gs, ge in gaps):
+            k = bisect.bisect_right(gap_ends, gap_lo)
+            if k < len(gaps) and max(gaps[k][0], gap_lo) < min(gaps[k][1], gap_hi):
                 pieces.append([])
         pieces[-1].append(pair)
         if hi is not None:

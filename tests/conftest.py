@@ -7,6 +7,7 @@ from scipy.fftpack import dct
 
 from asrboot import am
 from asrboot.am import LOG_ZERO, PROB_FLOOR, AcousticModel, GmmState
+from asrboot.decode import _HIST, _POS, _SCORE, DecodeError, _Decoder
 from asrboot.features import (
     ENERGY_FLOOR,
     FeatureMatrix,
@@ -173,3 +174,62 @@ def mfcc_reference(samples, cfg=FrontendConfig()):
     ceps[:, 0] = log_energy
     d1 = _deltas(ceps)
     return np.hstack([ceps, d1, _deltas(d1)]), log_energy
+
+
+def decode_reference(model, lm, tree, feats, cfg, survivors=None):
+    """Hypothesis by the expand -> recombine -> prune loop: every candidate
+    of a frame is built, the best per (position, LM history) is kept by the
+    decoder's `_best` rule, then the beam around the best total and the
+    `max_active` cap apply.  The reference the decoder's cut while
+    expanding (and its prune before recombining) is held to.  The network,
+    the LM steps, the word ends and the final step are the decoder's.
+    Each frame's surviving tokens are appended to ``survivors`` if given."""
+    dec = _Decoder(model, lm, tree, cfg)
+    n_frames = feats.n_frames
+    if n_frames == 0:
+        raise DecodeError("no frames to decode")
+    dec.bp_table = []
+    emis, col = am.state_logliks(model, feats.frames, dec.pos_state)
+    dec.pos_col = pos_col = [col[s] for s in dec.pos_state]
+    n_pos = len(dec.pos_state)
+
+    def enter_starts(ends, emit):
+        return [
+            (q, hist, start, bp, score + prior + emit[pos_col[q]],
+             ascore + prior + emit[pos_col[q]], lscore)
+            for _, hist, start, bp, score, ascore, lscore in ends
+            for q, prior in dec.starts
+        ]
+
+    def expand(tokens, t, emit):
+        loops, inner, exits = [], [], []
+        for pos, hist, start, bp, score, ascore, lscore in tokens:
+            stay, e = dec.log_self[pos], emit[pos_col[pos]]
+            loops.append((pos, hist, start, bp, score + stay + e, ascore + stay + e, lscore))
+            fwd = dec.log_fwd[pos]
+            moves = exits if dec.is_exit[pos] else inner
+            for nxt in dec.succ[pos]:
+                e = emit[pos_col[nxt]]
+                moves.append((nxt, hist, start, bp, score + fwd + e, ascore + fwd + e, lscore))
+        return loops + inner + exits + enter_starts(dec._word_ends(tokens, t), emit)
+
+    def recombine_prune(tokens):
+        keys = [tok[_HIST] * n_pos + tok[_POS] for tok in tokens]
+        tokens = [tokens[i] for i in dec._best(keys, tokens)]
+        floor = max(tok[_SCORE] for tok in tokens) - cfg.beam
+        tokens = [tok for tok in tokens if tok[_SCORE] >= floor]
+        if len(tokens) > cfg.max_active:
+            ranked = sorted(range(len(tokens)), key=lambda i: tokens[i][_SCORE],
+                            reverse=True)
+            tokens = [tokens[i] for i in sorted(ranked[: cfg.max_active])]
+        if survivors is not None:
+            survivors.append(tokens)
+        return tokens
+
+    tokens = recombine_prune(enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist()))
+    for t in range(1, n_frames):
+        tokens = expand(tokens, t, emis[t].tolist())
+        if not tokens:
+            raise DecodeError(f"beam emptied at frame {t}")
+        tokens = recombine_prune(tokens)
+    return dec._finalize(tokens, n_frames, feats.frame_shift)

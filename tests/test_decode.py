@@ -3,7 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import DIM, feats_from, generate_utterance, gmm_loglik, toy_model
+from conftest import (
+    DIM,
+    decode_reference,
+    feats_from,
+    generate_utterance,
+    gmm_loglik,
+    toy_model,
+)
 
 from asrboot.decode import (
     DecodeConfig,
@@ -254,7 +261,7 @@ class TestPrune:
         # tokens differ in position only, so the survivors name themselves
         tokens = [(i, 0, 0, -1, total, total, 0.0)
                   for i, total in enumerate([-1.0, -3.0, -3.0, -2.0])]
-        assert dec._prune(tokens) == [tokens[i] for i in kept]
+        assert dec._prune(tokens, -1.0) == [tokens[i] for i in kept]
 
     def test_beam_drops_tokens_below_the_best(self, ab_lexicon):
         dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
@@ -262,7 +269,93 @@ class TestPrune:
                        DecodeConfig(beam=1.5))
         tokens = [(i, 0, 0, -1, total, total, 0.0)
                   for i, total in enumerate([-1.0, -3.0, -2.5, -2.0])]
-        assert dec._prune(tokens) == [tokens[0], tokens[2], tokens[3]]
+        assert dec._prune(tokens, -1.0) == [tokens[0], tokens[2], tokens[3]]
+
+    def test_recombines_survivors_then_caps(self, ab_lexicon):
+        dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
+                       build_prefix_tree(ab_lexicon),
+                       DecodeConfig(beam=1.5, max_active=2))
+        # (position, history, total, acoustic): position 0 under history 0
+        # ties at the top and the higher acoustic score wins; history 1 is
+        # another key; position 2's best is below the beam
+        rows = [(0, 0, -1.0, -5.0), (0, 0, -1.0, -4.0), (0, 1, -2.0, -4.0),
+                (2, 0, -3.0, -3.0), (1, 0, -2.4, -2.0), (1, 0, -2.6, -1.0)]
+        tokens = [(pos, hist, 0, -1, total, ascore, 0.0)
+                  for pos, hist, total, ascore in rows]
+        assert dec._prune(tokens, -1.0) == [tokens[1], tokens[2]]
+        assert dec._prune(tokens[:2] + tokens[3:], -1.0) == [tokens[1], tokens[4]]
+
+
+def hypothesis_bits(fn, *args):
+    """A hypothesis with every float as hex, or the error's message."""
+    try:
+        hyp = fn(*args)
+    except DecodeError as exc:
+        return "DecodeError: " + str(exc)
+    return (
+        hyp.words,
+        [(iv.label, iv.start.hex(), iv.end.hex()) for iv in hyp.word_intervals],
+        hyp.acoustic_score.hex(), hyp.lm_score.hex(), hyp.total_score.hex(),
+        hyp.partial,
+    )
+
+
+class TestMatchesReferenceLoop:
+    """The cut while expanding and the prune before recombining give the
+    hypotheses of the expand -> recombine -> prune loop, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        lex, _ = graphemic_lexicon(["AB", "A-B", "B", "BA", "A"])
+        model = toy_model(spread=1.5)
+        lm = train_ngram(
+            [["AB", "B"], ["B", "A-B", "A"], ["BA", "A"], ["A", "B", "B"]],
+            order=2, map_singletons_to_unk=False,
+        )
+        rng = np.random.default_rng(7)
+        utts = [feats_from(rng.standard_normal((n, DIM))) for n in (1, 5, 17, 40)]
+        for seed, words in enumerate([("AB", "B"), ("BA", "A", "B"), ("A-B",)]):
+            feats, _ = generate_utterance(model, lex, words, frames_per_state=3,
+                                          seed=seed, gap_sil=seed)
+            utts.append(feats)
+            # cut inside the last word: a partial ending
+            utts.append(feats_from(feats.frames[: feats.n_frames - 5]))
+        nan_mid = utts[-1].frames.copy()
+        nan_mid[4] = np.nan
+        utts += [feats_from(nan_mid), feats_from(np.full((1, DIM), np.nan)),
+                 feats_from(np.full((5, DIM), np.nan))]
+        return model, lm, build_prefix_tree(lex), utts
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 10**9])
+    @pytest.mark.parametrize("beam", [0.5, 2.0, 8.0, 60.0, 1e9])
+    def test_bitwise_equal(self, beam, cap, cases, monkeypatch):
+        model, lm, tree, utts = cases
+        got, expected = [], []
+        prune = _Decoder._prune
+
+        def recording_prune(dec, cands, top):
+            got.append(prune(dec, cands, top))
+            return got[-1]
+
+        monkeypatch.setattr(_Decoder, "_prune", recording_prune)
+        for lm_scale in (1.0, 0.0):
+            cfg = DecodeConfig(beam=beam, max_active=cap, lm_scale=lm_scale,
+                               word_insertion_penalty=-0.5)
+            for feats in utts:
+                assert hypothesis_bits(decode, model, lm, tree, feats, cfg) == \
+                    hypothesis_bits(decode_reference, model, lm, tree, feats, cfg,
+                                    expected)
+                # every frame keeps the same tokens, not only the best path
+                assert got == expected
+
+    def test_cases_reach_ties_partials_and_errors(self, cases):
+        model, lm, tree, utts = cases
+        cfg = DecodeConfig(beam=60.0, lm_scale=0.0)
+        got = [hypothesis_bits(decode, model, lm, tree, f, cfg) for f in utts]
+        assert any(isinstance(g, str) for g in got)
+        assert any(not isinstance(g, str) and g[-1] for g in got)
+        # under lm_scale 0 the homophones AB and A-B tie; A-B is earlier
+        assert any(not isinstance(g, str) and "A-B" in g[0] for g in got)
 
 
 class TestLmScaleZero:

@@ -9,6 +9,7 @@ from asrboot.features import (
     BLOCK_FRAMES,
     AudioTooShortError,
     FrontendConfig,
+    _smooth_runs,
     cmvn,
     compute_mfcc,
     frame_count,
@@ -250,3 +251,41 @@ class TestSilenceMask:
         x = np.concatenate([np.zeros(4800), tone(800, 0.5), np.zeros(4800)])
         f = compute_mfcc(x)
         assert np.array_equal(silence_mask(cmvn(f)), silence_mask(f))
+
+
+def smooth_runs_reference(mask, min_run=3):
+    """The frame-by-frame scan `_smooth_runs` is held to."""
+    out = mask.copy()
+    t = len(out)
+    i = 0
+    while i < t:
+        j = i
+        while j < t and out[j] == out[i]:
+            j += 1
+        if j - i < min_run:
+            if i > 0:
+                out[i:j] = out[i - 1]
+            elif j < t:
+                out[i:j] = out[j]
+        i = j
+    return out
+
+
+class TestSmoothRuns:
+    @pytest.mark.parametrize("min_run", [1, 2, 3, 4])
+    @pytest.mark.parametrize("length", range(13))
+    def test_every_mask_matches_the_frame_scan(self, length, min_run):
+        for bits in range(2**length):
+            mask = np.array([bits >> i & 1 for i in range(length)], dtype=bool)
+            got = _smooth_runs(mask, min_run)
+            assert got.dtype == mask.dtype
+            assert np.array_equal(got, smooth_runs_reference(mask, min_run))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_other_dtypes_and_values(self, dtype):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            mask = rng.integers(0, 3, size=int(rng.integers(0, 30))).astype(dtype)
+            got = _smooth_runs(mask, 3)
+            assert got.dtype == mask.dtype
+            assert np.array_equal(got, smooth_runs_reference(mask, 3))

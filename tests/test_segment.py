@@ -293,6 +293,43 @@ class TestSplitRegion:
         hyp_words = [Interval("w0", 0.0, 0.5), Interval("w1", 0.5, 1.0)]
         assert _split_region(region, hyp_words, [(0.3, 0.7)]) == [pairs]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_scan_over_every_gap(self, seed):
+        def reference(region, hyp_words, gaps):
+            pieces, prev_hyp = [[]], None
+            for pair in region.pairs:
+                hi = pair[0]
+                if hi is not None and prev_hyp is not None:
+                    gap_lo, gap_hi = hyp_words[prev_hyp].end, hyp_words[hi].start
+                    if any(max(gs, gap_lo) < min(ge, gap_hi) for gs, ge in gaps):
+                        pieces.append([])
+                pieces[-1].append(pair)
+                if hi is not None:
+                    prev_hyp = hi
+            return [p for p in pieces if any(pair[0] is not None for pair in p)]
+
+        rng = np.random.default_rng(seed)
+        shift = 0.01
+        for _ in range(200):
+            # silence runs and word edges on one frame grid, so gaps and
+            # words often share an edge; words may also overlap
+            n_frames = int(rng.integers(1, 80))
+            mask = rng.random(n_frames) < 0.4
+            edges = np.flatnonzero(np.diff(mask.astype(int), prepend=0, append=0))
+            gaps = [(s * shift, e * shift)
+                    for s, e in zip(edges[::2].tolist(), edges[1::2].tolist())]
+            starts = np.sort(rng.integers(0, n_frames, size=int(rng.integers(1, 12))))
+            hyp_words = [
+                Interval(f"w{i}", s * shift, (s + int(rng.integers(0, 6))) * shift)
+                for i, s in enumerate(starts.tolist())
+            ]
+            pairs = [(i if rng.random() < 0.8 else None, i, MATCH)
+                     for i in range(len(hyp_words))]
+            region = AlignedRegion(score=1.0, pairs=pairs)
+            assert _split_region(region, hyp_words, gaps) == reference(
+                region, hyp_words, gaps
+            )
+
 
 def to_candidates(piece, hyp_words, ref_tokens, gaps, **cfg):
     rep = SegmentReport("rec", len(ref_tokens), len(hyp_words), 1, 0)
