@@ -2,9 +2,12 @@
 
 The recipe is the ``harvest`` fixture's in ``tests/test_segment.py`` (20
 clips, a one-minute recording, 12 s chunks), plus a few test clips decoded
-with the corpus trigram LM.  The outputs live under ``tests/data/golden``
-and ``tests/test_golden.py`` holds every run to them: discrete values
-exactly, floats to a relative 1e-9 (BLAS kernels differ between machines).
+with the corpus trigram LM.  The ``corpus`` section pins what ``synth_corpus``
+writes that no sine or BLAS call touches: the vocabulary, the manifests, the
+transcripts, the ground-truth times, the LM text and each WAV's length.  The
+outputs live under ``tests/data/golden`` and ``tests/test_golden.py`` holds
+every run to them: discrete values exactly, floats to a relative 1e-9 (BLAS
+kernels differ between machines).
 
     PYTHONPATH=src python tests/make_golden.py            # list moved fields
     PYTHONPATH=src python tests/make_golden.py --write    # rewrite the files
@@ -20,6 +23,7 @@ import json
 import math
 import sys
 import tempfile
+import wave
 from pathlib import Path
 
 from asrboot import segment
@@ -32,7 +36,7 @@ from asrboot.lm import train_ngram
 from asrboot.synth import SynthSpec, synth_corpus
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
-SECTIONS = ("train", "decode", "harvest")
+SECTIONS = ("corpus", "train", "decode", "harvest")
 RTOL = 1e-9
 N_TEST = 6
 
@@ -42,6 +46,38 @@ def _features(manifest):
         (cmvn(compute_mfcc(read_wav(utt.audio)[1])), utt.tokens())
         for utt in load_manifest(manifest)
     ]
+
+
+def _n_samples(path) -> int:
+    with wave.open(str(path), "rb") as wf:
+        return wf.getnframes()
+
+
+def _corpus_section(corp) -> dict:
+    truth = json.loads(Path(corp.ground_truth_path()).read_text(encoding="utf-8"))
+    return {
+        "vocabulary": corp.vocabulary,
+        "manifests": {
+            name: [[utt.id, utt.text] for utt in load_manifest(manifest)]
+            for name, manifest in (("short", corp.short_manifest),
+                                   ("test", corp.test_manifest))
+        },
+        "longform": [
+            {
+                "recording_id": rec["recording_id"],
+                "transcript": Path(rec["transcript"]).read_text(
+                    encoding="utf-8").splitlines(),
+                "corrupted_line_indices": rec["corrupted_line_indices"],
+                "utterances": rec["utterances"],
+            }
+            for rec in truth["longform"]
+        ],
+        "lm_text": Path(corp.lm_text).read_text(encoding="utf-8").splitlines(),
+        "wav_samples": {
+            path.name: _n_samples(path)
+            for path in sorted((Path(corp.out_dir) / "audio").glob("*.wav"))
+        },
+    }
 
 
 def tiny_run(work_dir) -> dict:
@@ -87,6 +123,7 @@ def tiny_run(work_dir) -> dict:
         segment.HarvestConfig(chunk_len=12.0, decode=decode_cfg),
     )
     return {
+        "corpus": _corpus_section(corp),
         "train": {
             "loglik_trace": [list(pair) for pair in trained.loglik_trace],
             "failure_reasons": dict(sorted(trained.failure_reasons.items())),
