@@ -32,7 +32,6 @@ logger = logging.getLogger(__name__)
 CANONICAL_RATE = 16000
 
 SHORT_FORM = "short_form"
-LONG_FORM = "long_form"
 
 
 class ManifestError(ValueError):

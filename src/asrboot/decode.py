@@ -209,7 +209,7 @@ class _Decoder:
         tokens = self._prune(cands, top)
         for t in range(1, n_frames):
             if not tokens:
-                raise DecodeError(f"beam emptied at frame {t}")
+                raise DecodeError(f"beam emptied at frame {t - 1}")
             tokens = self._prune(*self._expand(tokens, t, emis[t].tolist()))
         return self._finalize(tokens, n_frames, feats.frame_shift)
 

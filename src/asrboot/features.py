@@ -257,17 +257,8 @@ def silence_mask(f: FeatureMatrix, margin_db: float = 10.0) -> np.ndarray:
 
 def silence_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Half-open [start, end) frame ranges of the silent stretches."""
-    runs = []
-    start = None
-    for i, silent in enumerate(mask):
-        if silent and start is None:
-            start = i
-        elif not silent and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask)))
-    return runs
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def slice_frames(f: FeatureMatrix, start: int, end: int) -> FeatureMatrix:

@@ -5,13 +5,22 @@ concatenated bundles; phrases and long-form recordings insert silence
 gaps between words.  Everything is seeded, and ground-truth boundaries
 are returned alongside the audio, so pipeline claims (alignment accuracy,
 segmentation boundaries, WER) can be checked against construction.
+
+`synth_corpus` draws everything from one generator seeded by
+``SynthSpec.seed``, in a fixed order: the vocabulary (word lengths in
+`WORD_LENGTH`), the short-form clips, the long-form recordings, the test
+clips, then the extra LM lines.  One local clip writer, ``clips``, writes
+the short-form and test sets; the word counts per utterance are the
+constants `SHORTFORM_WORDS`, `UTTERANCE_WORDS`, `TEST_WORDS` and
+`CORRUPTION_WORDS`.  A new kind of draw that must leave today's corpora
+byte-identical takes a separate generator.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -63,6 +72,14 @@ class SynthSpec:
 
 
 SIGNATURE_DISTANCE_FLOOR = 0.2
+
+# Word-count ranges, inclusive, per kind of utterance; the vocabulary's
+# word-length range in graphemes.
+SHORTFORM_WORDS = (8, 14)
+UTTERANCE_WORDS = (3, 8)  # a long-form utterance, also an extra LM line
+TEST_WORDS = (2, 6)
+CORRUPTION_WORDS = (6, 12)  # an off-script transcript line
+WORD_LENGTH = (2, 5)
 
 
 @dataclass(frozen=True)
@@ -122,11 +139,9 @@ def _signature(grapheme: str, n: int, spec: SynthSpec) -> np.ndarray:
 
 
 def synth_word(
-    word: str, spec: SynthSpec, rng: np.random.Generator | None = None
+    word: str, spec: SynthSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[Boundary]]:
     """Audio for one word plus per-grapheme boundaries (noise not added)."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     pieces = []
     boundaries = []
     cursor = 0
@@ -159,18 +174,15 @@ def _silence(seconds: float) -> np.ndarray:
 
 
 def synth_phrase(
-    words: Sequence[str], spec: SynthSpec, rng: np.random.Generator,
-    gap_range: tuple[float, float] | None = None,
+    words: Sequence[str], spec: SynthSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[Boundary]]:
     """Words separated by silence gaps; boundaries are word-level."""
-    if gap_range is None:
-        gap_range = spec.word_gap
     pieces = [_silence(spec.clip_pad)]
     cursor = pieces[0].size
     boundaries = []
     for k, word in enumerate(words):
         if k > 0:
-            gap = _silence(rng.uniform(*gap_range))
+            gap = _silence(rng.uniform(*spec.word_gap))
             pieces.append(gap)
             cursor += gap.size
         audio, _ = synth_word(word, spec, rng)
@@ -184,8 +196,7 @@ def synth_phrase(
 
 
 def make_vocabulary(
-    spec: SynthSpec, size: int, rng: np.random.Generator,
-    min_len: int = 2, max_len: int = 5,
+    spec: SynthSpec, size: int, rng: np.random.Generator
 ) -> list[str]:
     """Distinct random words over the grapheme inventory."""
     vocab: list[str] = []
@@ -195,7 +206,7 @@ def make_vocabulary(
         guard += 1
         if guard > 50 * size:
             raise SynthError("vocabulary too large for the grapheme inventory")
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(WORD_LENGTH[0], WORD_LENGTH[1] + 1))
         word = "".join(
             spec.graphemes[int(rng.integers(0, len(spec.graphemes)))]
             for _ in range(length)
@@ -213,12 +224,8 @@ def synth_corpus(
     longform_minutes: float = 30.0,
     n_test: int = 30,
     vocabulary_size: int = 100,
-    shortform_words: tuple[int, int] = (8, 14),
-    utterance_words: tuple[int, int] = (3, 8),
-    test_words: tuple[int, int] = (2, 6),
     longform_recording_minutes: float = 5.0,
     corruption_rate: float = 0.0,
-    corruption_span: tuple[int, int] = (6, 12),
 ) -> SynthCorpus:
     """Generate short-form clips, long-form recordings, and a test set.
 
@@ -237,39 +244,41 @@ def synth_corpus(
         k = int(rng.integers(lo, hi + 1))
         return [vocab[int(rng.integers(0, len(vocab)))] for _ in range(k)]
 
-    # short-form clips: brief phrases with verbatim text
-    short_utts = []
-    for i in range(n_shortform):
-        words = pick_words(*shortform_words)
-        audio, _ = synth_phrase(words, spec, rng)
-        audio = add_noise(audio, spec.snr_db, rng)
-        path = out / "audio" / f"short{i:04d}.wav"
-        write_wav_pcm16(path, audio)
-        short_utts.append(
-            Utterance(id=f"short{i:04d}", audio=str(path), text=" ".join(words))
-        )
-    short_manifest = out / "short.jsonl"
-    write_manifest(short_utts, short_manifest)
+    def clips(name: str, n: int, word_range: tuple[int, int]) -> Path:
+        """n noisy phrases with verbatim text, and their manifest."""
+        utts = []
+        for i in range(n):
+            words = pick_words(*word_range)
+            audio, _ = synth_phrase(words, spec, rng)
+            audio = add_noise(audio, spec.snr_db, rng)
+            path = out / "audio" / f"{name}{i:04d}.wav"
+            write_wav_pcm16(path, audio)
+            utts.append(Utterance(id=path.stem, audio=str(path), text=" ".join(words)))
+        manifest = out / f"{name}.jsonl"
+        write_manifest(utts, manifest)
+        return manifest
+
+    short_manifest = clips("short", n_shortform, SHORTFORM_WORDS)
 
     # long-form recordings with one transcript file each
     longform: list[LongFormTruth] = []
+    lm_lines: list[str] = []
     total_needed = longform_minutes * 60.0
     total_done = 0.0
-    rec_index = 0
     per_rec = longform_recording_minutes * 60.0
+    # synth_phrase pads both ends; strip to keep utterance gaps controlled
+    pad = int(round(spec.clip_pad * CANONICAL_RATE))
     while total_done < total_needed - 1e-9:
         target = min(per_rec, total_needed - total_done)
-        rec_id = f"long{rec_index:03d}"
+        rec_id = f"long{len(longform):03d}"
         pieces = [_silence(spec.clip_pad)]
         cursor = pieces[0].size
         truth_utts = []
         lines: list[str] = []
         corrupted_lines: list[int] = []
         while cursor / CANONICAL_RATE < target:
-            words = pick_words(*utterance_words)
+            words = pick_words(*UTTERANCE_WORDS)
             audio, bounds = synth_phrase(words, spec, rng)
-            # synth_phrase pads both ends; strip to keep utterance gaps controlled
-            pad = int(round(spec.clip_pad * CANONICAL_RATE))
             audio = audio[pad:-pad] if pad else audio
             start = cursor / CANONICAL_RATE
             pieces.append(audio)
@@ -292,7 +301,7 @@ def synth_corpus(
             lines.append(" ".join(words))
             if corruption_rate > 0 and rng.random() < corruption_rate:
                 corrupted_lines.append(len(lines))
-                lines.append(" ".join(pick_words(*corruption_span)))
+                lines.append(" ".join(pick_words(*CORRUPTION_WORDS)))
             gap = _silence(rng.uniform(*spec.utterance_gap))
             pieces.append(gap)
             cursor += gap.size
@@ -303,6 +312,7 @@ def synth_corpus(
         write_wav_pcm16(audio_path, signal)
         transcript_path = out / f"{rec_id}.txt"
         transcript_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lm_lines += lines
         longform.append(
             LongFormTruth(
                 recording_id=rec_id,
@@ -313,30 +323,11 @@ def synth_corpus(
             )
         )
         total_done += cursor / CANONICAL_RATE
-        rec_index += 1
 
-    # held-out test set
-    test_utts = []
-    for i in range(n_test):
-        words = pick_words(*test_words)
-        audio, _ = synth_phrase(words, spec, rng)
-        audio = add_noise(audio, spec.snr_db, rng)
-        path = out / "audio" / f"test{i:04d}.wav"
-        write_wav_pcm16(path, audio)
-        test_utts.append(
-            Utterance(id=f"test{i:04d}", audio=str(path), text=" ".join(words))
-        )
-    test_manifest = out / "test.jsonl"
-    write_manifest(test_utts, test_manifest)
+    test_manifest = clips("test", n_test, TEST_WORDS)
 
     # LM text: long-form transcripts plus extra sampled sentences
-    lm_lines = []
-    for rec in longform:
-        lm_lines.extend(
-            Path(rec.transcript).read_text(encoding="utf-8").splitlines()
-        )
-    for _ in range(400):
-        lm_lines.append(" ".join(pick_words(*utterance_words)))
+    lm_lines += [" ".join(pick_words(*UTTERANCE_WORDS)) for _ in range(400)]
     lm_text = out / "lm_text.txt"
     lm_text.write_text("\n".join(lm_lines) + "\n", encoding="utf-8")
 
@@ -348,19 +339,7 @@ def synth_corpus(
         lm_text=str(lm_text),
         vocabulary=vocab,
     )
-    truth = {
-        "longform": [
-            {
-                "recording_id": rec.recording_id,
-                "audio": rec.audio,
-                "transcript": rec.transcript,
-                "utterances": rec.utterances,
-                "corrupted_line_indices": rec.corrupted_line_indices,
-            }
-            for rec in longform
-        ],
-        "vocabulary": vocab,
-    }
+    truth = {"longform": [asdict(rec) for rec in longform], "vocabulary": vocab}
     with open(result.ground_truth_path(), "w", encoding="utf-8") as fh:
         json.dump(truth, fh, indent=1, sort_keys=True)
     return result

@@ -228,8 +228,7 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
 
     tokens = recombine_prune(enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist()))
     for t in range(1, n_frames):
-        tokens = expand(tokens, t, emis[t].tolist())
         if not tokens:
-            raise DecodeError(f"beam emptied at frame {t}")
-        tokens = recombine_prune(tokens)
+            raise DecodeError(f"beam emptied at frame {t - 1}")
+        tokens = recombine_prune(expand(tokens, t, emis[t].tolist()))
     return dec._finalize(tokens, n_frames, feats.frame_shift)

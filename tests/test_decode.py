@@ -492,12 +492,22 @@ class TestDecodeErrors:
             decode(model, lm, tree, feats_from(np.zeros((0, DIM))),
                    lexicon=ab_lexicon)
 
-    @pytest.mark.parametrize("n_frames", [1, 5])
+    @pytest.mark.parametrize("n_frames", [1, 5, 9])
     def test_nan_frames_empty_the_beam(self, n_frames, ab_lexicon):
         model = toy_model()
-        with pytest.raises(DecodeError, match="beam emptied"):
+        with pytest.raises(DecodeError, match="^beam emptied at frame 0$"):
             decode(model, uniform_lm(["A", "B"]), build_prefix_tree(ab_lexicon),
                    feats_from(np.full((n_frames, DIM), np.nan)),
+                   lexicon=ab_lexicon)
+
+    @pytest.mark.parametrize("nan_frame", [4, 6, 11])
+    def test_error_names_the_nan_frame(self, nan_frame, ab_lexicon):
+        # the frames before it keep the beam alive, so it empties there
+        frames = np.zeros((12, DIM))
+        frames[nan_frame] = np.nan
+        with pytest.raises(DecodeError, match=f"^beam emptied at frame {nan_frame}$"):
+            decode(toy_model(), uniform_lm(["A", "B"]),
+                   build_prefix_tree(ab_lexicon), feats_from(frames),
                    lexicon=ab_lexicon)
 
     def test_two_frames_give_a_flagged_partial(self, ab_lexicon):

@@ -271,6 +271,30 @@ def smooth_runs_reference(mask, min_run=3):
     return out
 
 
+def silence_runs_reference(mask):
+    """The frame-by-frame scan `silence_runs` is held to."""
+    runs = []
+    start = None
+    for i, silent in enumerate(mask):
+        if silent and start is None:
+            start = i
+        elif not silent and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask)))
+    return runs
+
+
+@pytest.mark.parametrize("length", range(13))
+def test_silence_runs_match_the_frame_scan_on_every_mask(length):
+    for bits in range(2**length):
+        mask = np.array([bits >> i & 1 for i in range(length)], dtype=bool)
+        got = silence_runs(mask)
+        assert got == silence_runs_reference(mask)
+        assert all(type(i) is int for run in got for i in run)
+
+
 class TestSmoothRuns:
     @pytest.mark.parametrize("min_run", [1, 2, 3, 4])
     @pytest.mark.parametrize("length", range(13))

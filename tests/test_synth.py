@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from asrboot.synth import (
 class TestSynthWord:
     def test_boundaries_without_jitter(self):
         spec = SynthSpec(duration_jitter=0.0)
-        audio, bounds = synth_word("ABD", spec)
+        audio, bounds = synth_word("ABD", spec, np.random.default_rng(0))
         assert len(audio) == 3 * 1600
         assert [b.label for b in bounds] == ["A", "B", "D"]
         assert bounds[1].start == pytest.approx(0.1)
@@ -29,12 +30,12 @@ class TestSynthWord:
 
     def test_unknown_grapheme(self):
         with pytest.raises(SynthError, match="unknown grapheme"):
-            synth_word("AXZ", SynthSpec())
+            synth_word("AXZ", SynthSpec(), np.random.default_rng(0))
 
     def test_deterministic_per_seed(self):
         spec = SynthSpec(seed=5)
-        a1, _ = synth_word("ABDE", spec)
-        a2, _ = synth_word("ABDE", spec)
+        a1, _ = synth_word("ABDE", spec, np.random.default_rng(spec.seed))
+        a2, _ = synth_word("ABDE", spec, np.random.default_rng(spec.seed))
         assert np.array_equal(a1, a2)
 
     def test_infinite_snr_is_clean(self):
@@ -44,7 +45,7 @@ class TestSynthWord:
 
     def test_noise_hits_requested_snr(self):
         spec = SynthSpec(duration_jitter=0.0)
-        audio, _ = synth_word("ABABABABAB", spec)
+        audio, _ = synth_word("ABABABABAB", spec, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         noisy = add_noise(audio, 20.0, rng)
         noise = noisy - audio
@@ -126,7 +127,10 @@ class TestSynthCorpus:
 
     def test_ground_truth_json(self, small_corpus):
         truth = json.loads(Path(small_corpus.ground_truth_path()).read_text())
-        assert len(truth["longform"]) == len(small_corpus.longform)
+        assert truth == {
+            "longform": [asdict(rec) for rec in small_corpus.longform],
+            "vocabulary": small_corpus.vocabulary,
+        }
 
     def test_word_times_inside_utterance(self, small_corpus):
         for rec in small_corpus.longform:
@@ -136,17 +140,21 @@ class TestSynthCorpus:
                     assert w["end"] <= utt["end"] + 1e-6
 
     def test_determinism(self, tmp_path):
-        spec = SynthSpec(seed=3)
-        c1 = synth_corpus(spec, tmp_path / "a", n_shortform=2,
-                          longform_minutes=0.2, n_test=1, vocabulary_size=10,
-                          longform_recording_minutes=0.2)
-        c2 = synth_corpus(spec, tmp_path / "b", n_shortform=2,
-                          longform_minutes=0.2, n_test=1, vocabulary_size=10,
-                          longform_recording_minutes=0.2)
-        a1 = Path(c1.longform[0].audio).read_bytes()
-        a2 = Path(c2.longform[0].audio).read_bytes()
-        assert a1 == a2
-        assert c1.vocabulary == c2.vocabulary
+        # every file alike, once the output directory is taken out of the
+        # paths that the manifests and the ground truth record
+        def files(out_dir):
+            synth_corpus(SynthSpec(seed=3), out_dir, n_shortform=2,
+                         longform_minutes=0.2, n_test=1, vocabulary_size=10,
+                         longform_recording_minutes=0.2, corruption_rate=0.5)
+            return {
+                str(p.relative_to(out_dir)):
+                    p.read_bytes().replace(str(out_dir).encode(), b"<out>")
+                for p in out_dir.rglob("*") if p.is_file()
+            }
+
+        a, b = files(tmp_path / "a"), files(tmp_path / "b")
+        assert "audio/long000.wav" in a and "ground_truth.json" in a
+        assert a == b
 
     def test_corruption_recorded(self, tmp_path):
         spec = SynthSpec(seed=11)
