@@ -24,6 +24,10 @@ its highest total: when the winner falls below the beam, so does the rest
 of its key.  A NaN score passes no comparison, so a NaN frame builds no
 candidate and empties the beam.
 
+A word's start frame is the frame its first grapheme is entered, after
+any silence: a token leaving the SIL exit takes the current frame as its
+word start, so a word's interval never holds the pause before it.
+
 Scores are added in a fixed order, so decoding is deterministic bit for
 bit.  When no token reaches an utterance-final state, the best token's
 completed words come back as a hypothesis flagged ``partial``.
@@ -134,7 +138,9 @@ def build_prefix_tree(lexicon: Lexicon, include_unk: bool = False) -> LexTree:
 # token passing
 #
 # A token is a tuple (position, LM history id, word start frame,
-# backpointer, total score, acoustic score, LM score in log10).
+# backpointer, total score, acoustic score, LM score in log10).  The word
+# start is the frame the word's first grapheme is entered, after any
+# silence.
 
 _POS, _HIST, _BP, _SCORE, _ASCORE = 0, 1, 3, 4, 5
 
@@ -228,6 +234,7 @@ class _Decoder:
         """
         col, log_self, log_fwd = self.pos_col, self.log_self, self.log_fwd
         is_exit, succ, beam = self.is_exit, self.succ, self.cfg.beam
+        sil_exit = self.sil_exit
         cands, inner, exits = [], [], []
         top = -math.inf
         for pos, hist, start, bp, score, ascore, lscore in tokens:
@@ -241,6 +248,8 @@ class _Decoder:
         for pos, hist, start, bp, score, ascore, lscore in tokens:
             fwd = log_fwd[pos]
             moves = exits if is_exit[pos] else inner
+            if pos == sil_exit:  # the word after a silence starts now
+                start = t
             for nxt in succ[pos]:
                 e = emit[col[nxt]]
                 total = score + fwd + e

@@ -5,13 +5,13 @@ a bigram model trained on its own transcript; the decoded word stream is
 aligned to the transcript by order-preserving Smith-Waterman (the best
 local alignment anchors, then each gap it leaves is aligned on its own),
 so matched regions share no hyp or transcript word and come in the same
-order in both.  Regions are cut at silence gaps, and pieces that are long
-enough, short enough, and clean enough become utterance segments.
+order in both.  Regions are cut at transcript line ends, and pieces that
+are long enough, short enough, and clean enough become utterance segments;
+a piece longer than ``max_dur`` is split at its widest internal silence.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -223,10 +223,14 @@ class SegmentReport:
 class HarvestConfig:
     chunk_len: float = 30.0  # seconds; the longest chunk decoded at once
     sw: SWConfig = SWConfig()
+    # seconds; a piece (one transcript line's share of a region) shorter
+    # than min_dur is rejected, one longer than max_dur is split at its
+    # widest internal silence, or rejected when it has none
     min_dur: float = 1.0
     max_dur: float = 20.0
-    accept_ratio: float = 0.9
-    silence_gap: float = 0.15  # seconds of silence that cut a region
+    accept_ratio: float = 0.9  # least share of a piece's pairs that match
+    # silence threshold (`features.silence_mask`); silences place the
+    # chunk seams and the max_dur split
     margin_db: float = 10.0
     decode: DecodeConfig = DecodeConfig(beam=14.0, max_active=2000)
     frontend: FrontendConfig = FrontendConfig()
@@ -237,10 +241,6 @@ class HarvestConfig:
             raise ValueError(
                 "chunk_len must be finite and at least two frame shifts, "
                 f"got {self.chunk_len}"
-            )
-        if not 0 <= self.silence_gap < math.inf:
-            raise ValueError(
-                f"silence_gap must be finite and >= 0, got {self.silence_gap}"
             )
         if math.isnan(self.margin_db):
             raise ValueError("margin_db must not be NaN")
@@ -286,42 +286,24 @@ def _decode_chunks(
     return words
 
 
-def _silence_cut_points(
-    runs: Sequence[tuple[int, int]], shift: float, min_gap: float
-) -> list[tuple[float, float]]:
-    min_frames = max(1, int(round(min_gap / shift)))
-    return [
-        (start * shift, end * shift)
-        for start, end in runs
-        if end - start >= min_frames
-    ]
-
-
 def _split_region(
-    region: AlignedRegion,
-    hyp_words: list[Interval],
-    gaps: list[tuple[float, float]],
+    region: AlignedRegion, line_of: Sequence[int]
 ) -> list[list[tuple[int | None, int | None, str]]]:
-    """Split a region's pairs wherever a silence gap separates hyp words.
+    """Split a region's pairs where their transcript tokens cross a line end.
 
-    The gaps must be sorted and disjoint, as `_silence_cut_points` gives
-    them: then only the first gap that ends after a word can overlap the
-    stretch between that word and the next.
+    ``line_of`` gives the transcript line of each global ref index.  A pair
+    with no ref token (an inserted hyp word) stays with the piece before
+    it; a piece with no hyp word is dropped.
     """
-    gap_ends = [ge for _, ge in gaps]
     pieces: list[list] = [[]]
-    prev_hyp: int | None = None
+    line: int | None = None
     for pair in region.pairs:
-        hi = pair[0]
-        if hi is not None and prev_hyp is not None:
-            gap_lo = hyp_words[prev_hyp].end
-            gap_hi = hyp_words[hi].start
-            k = bisect.bisect_right(gap_ends, gap_lo)
-            if k < len(gaps) and max(gaps[k][0], gap_lo) < min(gaps[k][1], gap_hi):
+        ri = pair[1]
+        if ri is not None:
+            if line is not None and line_of[ri] != line:
                 pieces.append([])
+            line = line_of[ri]
         pieces[-1].append(pair)
-        if hi is not None:
-            prev_hyp = hi
     return [p for p in pieces if any(pair[0] is not None for pair in p)]
 
 
@@ -333,8 +315,10 @@ def harvest_segments(
     lexicon: Lexicon,
     cfg: HarvestConfig = HarvestConfig(),
 ) -> tuple[list[SegmentCandidate], SegmentReport]:
-    """Chunk, decode with a transcript-biased LM, align, and cut segments."""
+    """Chunk, decode with a transcript-biased LM, align, and cut segments
+    at transcript line ends."""
     ref_tokens: list[str] = [t for line in transcript_lines for t in line]
+    line_of = [i for i, line in enumerate(transcript_lines) for _ in line]
     report = SegmentReport(
         recording_id=recording_id,
         n_transcript_tokens=len(ref_tokens),
@@ -349,7 +333,7 @@ def harvest_segments(
     feats_full = cmvn(compute_mfcc(samples, cfg.frontend))
     shift = cfg.frontend.frame_shift
     runs = silence_runs(silence_mask(feats_full, margin_db=cfg.margin_db))
-    gaps = _silence_cut_points(runs, shift, cfg.silence_gap)
+    silences = [(lo * shift, hi * shift) for lo, hi in runs]
     chunks = chunk_recording(
         recording_id, runs, feats_full.n_frames, round(cfg.chunk_len / shift)
     )
@@ -370,10 +354,10 @@ def harvest_segments(
 
     candidates: list[SegmentCandidate] = []
     for region in regions:
-        for piece in _split_region(region, hyp_words, gaps):
+        for piece in _split_region(region, line_of):
             candidates.extend(
                 _pieces_to_candidates(
-                    piece, hyp_words, ref_tokens, recording_id, gaps, cfg,
+                    piece, hyp_words, ref_tokens, recording_id, silences, cfg,
                     report,
                 )
             )
@@ -389,7 +373,7 @@ def harvest_segments(
 
 
 def _pieces_to_candidates(
-    piece, hyp_words, ref_tokens, recording_id, gaps, cfg, report
+    piece, hyp_words, ref_tokens, recording_id, silences, cfg, report
 ) -> list[SegmentCandidate]:
     hyp_idx = [p[0] for p in piece if p[0] is not None]
     ref_idx = [p[1] for p in piece if p[1] is not None]
@@ -402,11 +386,11 @@ def _pieces_to_candidates(
         report.rejected_short += 1
         return []
     if duration > cfg.max_dur:
-        # split at the widest internal silence gap with hyp words on both
-        # sides, and recurse
+        # split at the widest internal silence run, however short, with
+        # hyp words on both sides, and recurse
         best_cut = None
         widest = 0.0
-        for gs, ge in gaps:
+        for gs, ge in silences:
             cut = 0.5 * (gs + ge)
             if (
                 gs > start and ge < end and ge - gs > widest
@@ -428,7 +412,7 @@ def _pieces_to_candidates(
             cand
             for part in (piece[:k], piece[k:])
             for cand in _pieces_to_candidates(
-                part, hyp_words, ref_tokens, recording_id, gaps, cfg, report
+                part, hyp_words, ref_tokens, recording_id, silences, cfg, report
             )
         ]
     n_matches = sum(1 for p in piece if p[2] == MATCH)

@@ -182,7 +182,9 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
     decoder's `_best` rule, then the beam around the best total and the
     `max_active` cap apply.  The reference the decoder's cut while
     expanding (and its prune before recombining) is held to.  The network,
-    the LM steps, the word ends and the final step are the decoder's.
+    the LM steps, the word ends and the final step are the decoder's; a
+    token leaving the SIL exit starts its word at the current frame, as
+    in the decoder.
     Each frame's surviving tokens are appended to ``survivors`` if given."""
     dec = _Decoder(model, lm, tree, cfg)
     n_frames = feats.n_frames
@@ -208,6 +210,8 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
             loops.append((pos, hist, start, bp, score + stay + e, ascore + stay + e, lscore))
             fwd = dec.log_fwd[pos]
             moves = exits if dec.is_exit[pos] else inner
+            if pos == dec.sil_exit:  # the word after a silence starts now
+                start = t
             for nxt in dec.succ[pos]:
                 e = emit[pos_col[nxt]]
                 moves.append((nxt, hist, start, bp, score + fwd + e, ascore + fwd + e, lscore))

@@ -123,6 +123,25 @@ class TestDecodeGeneration:
             assert prev_end - 1e-9 <= iv.start < iv.end <= duration + 1e-9
             prev_end = iv.end
 
+    @pytest.mark.parametrize("gap_sil", [1, 3])
+    def test_word_after_a_pause_starts_at_the_sil_exit_frame(self, gap_sil, ab_lexicon):
+        # the first word follows the leading silence, the others a pause;
+        # no interval holds the silence before its word
+        model = toy_model()
+        lm = uniform_lm(["A", "B"])
+        tree = build_prefix_tree(ab_lexicon)
+        feats, truth = generate_utterance(
+            model, ab_lexicon, ("A", "B", "A"), frames_per_state=4, seed=2,
+            gap_sil=gap_sil,
+        )
+        hyp = decode(model, lm, tree, feats, DecodeConfig(beam=50.0))
+        assert hyp.words == ("A", "B", "A")
+        frames = [
+            (round(iv.start / feats.frame_shift), round(iv.end / feats.frame_shift))
+            for iv in hyp.word_intervals
+        ]
+        assert frames == truth
+
     def test_silence_only_audio_gives_empty_hypothesis(self, ab_lexicon):
         model = toy_model()
         lm = uniform_lm(["A", "B"])

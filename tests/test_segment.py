@@ -100,9 +100,6 @@ class TestChunkRecording:
         [
             ("chunk_len", float("nan")),
             ("chunk_len", float("inf")),
-            ("silence_gap", float("nan")),
-            ("silence_gap", float("inf")),
-            ("silence_gap", -0.1),
             ("margin_db", float("nan")),
         ],
     )
@@ -272,63 +269,47 @@ class TestAlignmentCore:
 
 
 class TestSplitRegion:
-    def test_region_cut_at_silence_gap(self):
+    def test_region_spanning_two_lines_cut_between_them(self):
         pairs = [(i, i, MATCH) for i in range(4)]
         region = AlignedRegion(score=8.0, pairs=pairs)
-        hyp_words = [
-            Interval("w0", 0.0, 0.5),
-            Interval("w1", 0.5, 1.0),
-            Interval("w2", 2.0, 2.5),
-            Interval("w3", 2.5, 3.0),
+        assert _split_region(region, [0, 0, 1, 1]) == [pairs[:2], pairs[2:]]
+        assert _split_region(region, [3, 3, 3, 3]) == [pairs]
+
+    def test_inserted_hyp_word_stays_in_the_piece_before_it(self):
+        pairs = [(0, 0, MATCH), (1, 1, MATCH), (2, None, INS), (3, 2, MATCH),
+                 (4, 3, MATCH)]
+        region = AlignedRegion(score=6.0, pairs=pairs)
+        assert _split_region(region, [0, 0, 1, 1]) == [pairs[:3], pairs[3:]]
+
+    def test_deleted_ref_word_at_a_line_start_opens_the_new_piece(self):
+        pairs = [(0, 0, MATCH), (1, 1, MATCH), (None, 2, DEL), (2, 3, MATCH),
+                 (3, 4, MATCH)]
+        region = AlignedRegion(score=6.0, pairs=pairs)
+        assert _split_region(region, [0, 0, 1, 1, 1]) == [pairs[:2], pairs[2:]]
+        # a line with no hyp word gives no piece
+        assert _split_region(region, [0, 0, 1, 2, 2]) == [pairs[:2], pairs[3:]]
+
+    def test_corrupted_line_is_its_own_piece_and_rejected(self):
+        # the middle line is off-script: its words were not spoken
+        lines = [["a", "b", "c"], ["x", "y", "z"], ["d", "e", "f"]]
+        ref = [t for line in lines for t in line]
+        hyp = ["a", "b", "c", "u", "v", "w", "d", "e", "f"]
+        (region,) = smith_waterman(hyp, ref)
+        line_of = [i for i, line in enumerate(lines) for _ in line]
+        pieces = _split_region(region, line_of)
+        assert [[r for _, r, _ in piece] for piece in pieces] == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8]
         ]
-        assert _split_region(region, hyp_words, [(1.2, 1.8)]) == [
-            pairs[:2], pairs[2:]
+        hyp_words = [Interval(w, 0.5 * i, 0.5 * (i + 1)) for i, w in enumerate(hyp)]
+        cands = [
+            cand for piece in pieces
+            for cand in to_candidates(piece, hyp_words, ref, [])[0]
         ]
-        assert _split_region(region, hyp_words, []) == [pairs]
-
-    def test_touching_words_not_cut(self):
-        # w0 and w1 touch at 0.5 s, so no gap lies between them
-        pairs = [(0, 0, MATCH), (1, 1, MATCH)]
-        region = AlignedRegion(score=4.0, pairs=pairs)
-        hyp_words = [Interval("w0", 0.0, 0.5), Interval("w1", 0.5, 1.0)]
-        assert _split_region(region, hyp_words, [(0.3, 0.7)]) == [pairs]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_a_scan_over_every_gap(self, seed):
-        def reference(region, hyp_words, gaps):
-            pieces, prev_hyp = [[]], None
-            for pair in region.pairs:
-                hi = pair[0]
-                if hi is not None and prev_hyp is not None:
-                    gap_lo, gap_hi = hyp_words[prev_hyp].end, hyp_words[hi].start
-                    if any(max(gs, gap_lo) < min(ge, gap_hi) for gs, ge in gaps):
-                        pieces.append([])
-                pieces[-1].append(pair)
-                if hi is not None:
-                    prev_hyp = hi
-            return [p for p in pieces if any(pair[0] is not None for pair in p)]
-
-        rng = np.random.default_rng(seed)
-        shift = 0.01
-        for _ in range(200):
-            # silence runs and word edges on one frame grid, so gaps and
-            # words often share an edge; words may also overlap
-            n_frames = int(rng.integers(1, 80))
-            mask = rng.random(n_frames) < 0.4
-            edges = np.flatnonzero(np.diff(mask.astype(int), prepend=0, append=0))
-            gaps = [(s * shift, e * shift)
-                    for s, e in zip(edges[::2].tolist(), edges[1::2].tolist())]
-            starts = np.sort(rng.integers(0, n_frames, size=int(rng.integers(1, 12))))
-            hyp_words = [
-                Interval(f"w{i}", s * shift, (s + int(rng.integers(0, 6))) * shift)
-                for i, s in enumerate(starts.tolist())
-            ]
-            pairs = [(i if rng.random() < 0.8 else None, i, MATCH)
-                     for i in range(len(hyp_words))]
-            region = AlignedRegion(score=1.0, pairs=pairs)
-            assert _split_region(region, hyp_words, gaps) == reference(
-                region, hyp_words, gaps
-            )
+        assert [c.match_ratio for c in cands] == [1.0, 0.0, 1.0]
+        accept = HarvestConfig().accept_ratio
+        assert [c.tokens for c in cands if c.match_ratio >= accept] == [
+            ("a", "b", "c"), ("d", "e", "f")
+        ]
 
 
 def to_candidates(piece, hyp_words, ref_tokens, gaps, **cfg):
@@ -388,6 +369,23 @@ class TestPiecesToCandidates:
         cands, rep = to_candidates(piece, hyp_words, ["a", "b"], gaps, max_dur=4.0)
         assert cands == []
         assert rep.rejected_long == 1
+
+    def test_long_line_split_at_a_silence_of_any_length(self):
+        hyp_words = [
+            Interval("a", 0.0, 2.0),
+            Interval("b", 2.0, 4.0),
+            Interval("c", 4.1, 6.0),
+        ]
+        piece = [(i, i, MATCH) for i in range(3)]
+        # the only silence between words lasts 0.1 s
+        cands, rep = to_candidates(
+            piece, hyp_words, ["a", "b", "c"], [(4.0, 4.1)], max_dur=5.0
+        )
+        assert [(c.start, c.end, c.tokens) for c in cands] == [
+            (0.0, 4.0, ("a", "b")),
+            (4.1, 6.0, ("c",)),
+        ]
+        assert rep.rejected_long == 0
 
     def test_too_short_is_rejected(self):
         hyp_words = [Interval("a", 0.0, 0.5)]
@@ -518,6 +516,7 @@ def harvest(tmp_path_factory):
         duration=len(samples) / cfg.frontend.sample_rate,
         shift=cfg.frontend.frame_shift, truth=rec.utterances,
         ref_tokens=[t for line in lines for t in line],
+        line_of=[i for i, line in enumerate(lines) for _ in line],
     )
 
 
@@ -551,6 +550,12 @@ class TestHarvestSegments:
             rep.n_accepted + rep.rejected_ratio + rep.rejected_short
             + rep.rejected_long
         )
+
+    def test_each_segment_inside_one_transcript_line(self, harvest):
+        assert harvest.segments
+        for seg in harvest.segments:
+            lo, hi = seg.ref_span
+            assert harvest.line_of[lo] == harvest.line_of[hi]
 
 
 def report(n_tokens, accepted_tokens):
