@@ -10,16 +10,20 @@ iterations.
 Every emission score (alignment, accumulation, rescoring and the
 decoder) comes from one kernel, ``_component_logliks``: the requested
 states' components stacked into one matrix and scored with one matmul
-per utterance.  Forced alignment scans the graph node by node: each
-node's Viterbi scores over the whole utterance are one running max over
-prefix sums, and the backtrace steps over node runs.  A path's total is
-always its terms summed in path order, by one routine (``_path_score``).
+per utterance.  The caller scores: ``force_align``, ``train`` and the
+decoder each call ``state_logliks`` once per utterance and pass the
+matrix on, and each network maps its nodes to the matrix's columns once,
+when it is built (``AlignGraph.node_col``).  Forced alignment scans the
+graph node by node: each node's Viterbi scores over the whole utterance
+are one running max over prefix sums, and the backtrace steps over node
+runs.  A path's total is always its terms summed in path order, by one
+routine (``_path_score``).
 
 Training scores each utterance once per iteration: the emission matrix
 that aligns it under the re-estimated model also rescores its previous
 path for that iteration's post-update total.  Only after a split that
-grows mixtures, and after the last iteration, is a path rescored on its
-own.
+grows mixtures, and after the last iteration, is a path rescored with a
+matrix of its own.
 """
 
 from __future__ import annotations
@@ -141,11 +145,17 @@ class AlignGraph:
     skips the SIL before it, from the previous word's exit, with
     log(1 - sil_prior).  Lanes 1 and 2 take their source state's forward
     transition.
+
+    ``states`` are the graph's model states, sorted and unique: the columns
+    of ``state_logliks(model, frames, states)``, the emission matrix every
+    function here takes, and ``node_col`` is each node's column in it.
     """
 
     words: tuple[str, ...]
     instances: list[PhoneInstance]
     node_state: np.ndarray  # (M,) model state id
+    states: np.ndarray  # (U,) sorted unique node_state
+    node_col: np.ndarray  # (M,) column of each node's state in ``states``
     lane_src: np.ndarray  # (M, 3) source node, -1 when absent
     lane_prior: np.ndarray  # (M, 3) fixed silence-choice prior
     entry_nodes: np.ndarray
@@ -208,6 +218,8 @@ def compile_align_graph(
         node_state.extend(sil_states)
 
     m = len(node_state)
+    node_state = np.array(node_state, dtype=np.int64)
+    states, node_col = np.unique(node_state, return_inverse=True)
     firsts = np.array(word_first[1:], dtype=np.int64)
     exits = np.array(word_exit, dtype=np.int64)
     nodes = np.arange(m, dtype=np.int64)
@@ -220,7 +232,9 @@ def compile_align_graph(
     return AlignGraph(
         words=words,
         instances=instances,
-        node_state=np.array(node_state, dtype=np.int64),
+        node_state=node_state,
+        states=states,
+        node_col=node_col,
         lane_src=lane_src,
         lane_prior=lane_prior,
         entry_nodes=np.array([0, word_first[0]], dtype=np.int64),
@@ -318,18 +332,13 @@ def state_logliks(
 
 
 def viterbi_path(
-    graph: AlignGraph,
-    model: AcousticModel,
-    frames: np.ndarray,
-    emissions: tuple[np.ndarray, dict[int, int]] | None = None,
+    graph: AlignGraph, model: AcousticModel, frames: np.ndarray, emis: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
     """Best node path and its total, or None if no path reaches a final
     state with a finite score (a NaN or infinite feature gives None).
 
-    ``emissions`` is the ``(emis, col)`` pair that
-    ``state_logliks(model, frames, graph.node_state)`` returns, for a
-    caller that already has it; with None this function makes that call.
-    The matrix is only read.
+    ``emis`` is ``state_logliks(model, frames, graph.states)``'s matrix; it
+    is only read.
 
     The DP is a scan over graph nodes, not frames.  Nodes are in
     topological order (every lane but the self-loop comes from an earlier
@@ -355,10 +364,6 @@ def viterbi_path(
     """
     t_frames = frames.shape[0]
     m = len(graph.node_state)
-    if emissions is None:
-        emissions = state_logliks(model, frames, graph.node_state)
-    emis, col = emissions
-    node_col = np.array([col[s] for s in graph.node_state.tolist()])
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
     entry = np.full(m, LOG_ZERO)
@@ -375,9 +380,9 @@ def viterbi_path(
         # G and e - G per state, one contiguous row each: the self-loop
         # lane carries no prior, so nodes of one state share them
         slack = emis.T.copy()
-        gain = np.cumsum(slack + log_trans[list(col), :1], axis=1)
+        gain = np.cumsum(slack + log_trans[graph.states, :1], axis=1)
         slack -= gain
-        for i, j in enumerate(node_col.tolist()):
+        for i, j in enumerate(graph.node_col.tolist()):
             h[0] = entry[i]
             if i:
                 np.add(score[i - 1, :-1], forward[i], out=h[1:])
@@ -413,7 +418,7 @@ def viterbi_path(
     nodes.reverse()
     starts.reverse()
     path = np.repeat(nodes, np.diff(starts + [t_frames]))
-    total = _path_score(graph, path, emis, node_col, log_trans)
+    total = _path_score(graph, path, emis, log_trans)
     if not math.isfinite(total) or total <= LOG_ZERO / 2:
         return None
     return path, total
@@ -445,10 +450,7 @@ def _intervals_from_path(
 
 
 def _best_path(
-    graph: AlignGraph,
-    model: AcousticModel,
-    feats: FeatureMatrix,
-    emissions: tuple[np.ndarray, dict[int, int]] | None = None,
+    graph: AlignGraph, model: AcousticModel, feats: FeatureMatrix, emis: np.ndarray
 ) -> tuple[np.ndarray, float] | AlignFailure:
     """`viterbi_path` on a long enough utterance; a failure is classified
     here for both `force_align` and `train`."""
@@ -457,7 +459,7 @@ def _best_path(
             "too_short",
             f"{feats.n_frames} frames < minimum path length {graph.min_frames}",
         )
-    result = viterbi_path(graph, model, feats.frames, emissions)
+    result = viterbi_path(graph, model, feats.frames, emis)
     if result is None:
         return AlignFailure("no_path", "no finite path reaches a final state")
     return result
@@ -478,7 +480,8 @@ def force_align(
         )
     except GraphError as exc:
         return AlignFailure("oov", str(exc))
-    result = _best_path(graph, model, feats)
+    emis, _ = state_logliks(model, feats.frames, graph.states)
+    result = _best_path(graph, model, feats, emis)
     if isinstance(result, AlignFailure):
         return result
     path, loglik = result
@@ -591,47 +594,22 @@ def _equal_alignment(
     return nodes[np.arange(n_frames) * len(nodes) // n_frames]
 
 
-def _rescore_path(
-    model: AcousticModel,
-    graph: AlignGraph,
-    path: np.ndarray,
-    frames: np.ndarray,
-    emissions: tuple[np.ndarray, dict[int, int]] | None = None,
-) -> float:
-    """Path log-likelihood under the model (same path, possibly new params).
-
-    Emissions come from the call ``viterbi_path`` makes (every graph state
-    over every frame), so a matmul blocked by shape cannot round them
-    differently, and ``_path_score`` sums them as ``viterbi_path`` does.
-    ``train`` passes the matrix it aligns the utterance with next, and
-    lets this function make the call only after a split that grows
-    mixtures and after the last iteration.
-    """
-    if emissions is None:
-        emissions = state_logliks(model, frames, graph.node_state)
-    emis, col = emissions
-    node_col = np.array([col[s] for s in graph.node_state.tolist()])
-    return _path_score(graph, path, emis, node_col, model.log_transitions())
-
-
 def _path_score(
-    graph: AlignGraph,
-    path: np.ndarray,
-    emis: np.ndarray,
-    node_col: np.ndarray,
-    log_trans: np.ndarray,
+    graph: AlignGraph, path: np.ndarray, emis: np.ndarray, log_trans: np.ndarray
 ) -> float:
     """A node path's total: its terms summed one after another in path
     order (entry, then emission and arc per frame, then exit).
 
-    ``emis`` is the (T, U) ``state_logliks`` matrix and ``node_col`` each
-    node's column in it.
+    ``emis`` is the full-graph matrix ``state_logliks(model, frames,
+    graph.states)`` that ``viterbi_path`` aligns with, also when a path is
+    rescored under new parameters: a matmul blocked by shape cannot then
+    round a rescored total differently from the aligned one.
     """
     # the first lane whose source is the previous node
     lanes = (graph.lane_src[path[1:]] == path[:-1, None]).argmax(axis=1)
     terms = np.empty(2 * len(path) + 1)
     terms[0] = graph.entry_prior[(graph.entry_nodes == path[0]).argmax()]
-    terms[1::2] = emis[np.arange(len(path)), node_col[path]]
+    terms[1::2] = emis[np.arange(len(path)), graph.node_col[path]]
     terms[2:-1:2] = graph.lane_logp(log_trans)[path[1:], lanes]
     terms[-1] = graph.final_logp(log_trans)[(graph.final_nodes == path[-1]).argmax()]
     return float(np.cumsum(terms)[-1])
@@ -749,10 +727,12 @@ def train(
     """Viterbi-EM: align, re-estimate, optionally grow mixtures.
 
     An iteration's post-update total rescores its paths under the
-    re-estimated model.  When the next iteration aligns under that same
-    model (no split, or a split that grows nothing), each utterance's one
-    emission matrix serves both: it rescores the utterance's previous path,
-    then aligns it.  The totals are summed in utterance order either way.
+    re-estimated model.  Each utterance is scored once per iteration, and
+    when the next iteration aligns under that same model (no split, or a
+    split that grows nothing), its matrix serves both: it rescores the
+    utterance's previous path, then aligns it.  Otherwise each path is
+    rescored with a matrix of its own.  The totals are summed in utterance
+    order either way.
     """
     if not data:
         raise ValueError("train needs at least one utterance")
@@ -774,14 +754,12 @@ def train(
         paths: dict[int, np.ndarray] = {}
         pending_post = 0.0
         reasons = {}
+        log_trans = model.log_transitions()
         for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
-            emissions = None
+            emis, _ = state_logliks(model, feats.frames, graph.states)
             if idx in pending:
-                emissions = state_logliks(model, feats.frames, graph.node_state)
-                pending_post += _rescore_path(
-                    model, graph, pending[idx], feats.frames, emissions
-                )
-            result = _best_path(graph, model, feats, emissions)
+                pending_post += _path_score(graph, pending[idx], emis, log_trans)
+            result = _best_path(graph, model, feats, emis)
             if isinstance(result, AlignFailure):
                 reasons[result.reason] = reasons.get(result.reason, 0) + 1
                 continue
@@ -803,10 +781,12 @@ def train(
             # the next iteration's alignment pass rescores these paths
             pending_pre, pending = pre_total, paths
         else:
-            post_total = sum(
-                _rescore_path(reestimated, graphs[idx], path, data[idx][0].frames)
-                for idx, path in paths.items()
-            )
+            log_trans = reestimated.log_transitions()
+            post_total = 0.0
+            for idx, path in paths.items():
+                graph = graphs[idx]
+                emis, _ = state_logliks(reestimated, data[idx][0].frames, graph.states)
+                post_total += _path_score(graph, path, emis, log_trans)
             trace.append((pre_total, post_total))
             pending = {}
     return TrainResult(model=model, loglik_trace=trace, failure_reasons=reasons)

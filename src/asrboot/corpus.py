@@ -164,9 +164,15 @@ def write_manifest(utterances: Iterable[Utterance], path) -> None:
 # audio
 
 def wav_duration(path) -> float:
-    """Duration in seconds from the WAV header alone."""
-    with wave.open(str(path), "rb") as wf:
-        return wf.getnframes() / wf.getframerate()
+    """Duration in seconds: a PCM file's from its header alone, any other
+    format's from its samples.  A truncated or unreadable file raises
+    `AudioFormatError` naming the path."""
+    header = _pcm_header(path)
+    if header is not None:
+        rate, _, _, n_samples = header
+        return n_samples / rate
+    rate, raw = _read_raw(path)
+    return len(raw) / rate
 
 
 def read_wav(path) -> tuple[int, np.ndarray]:
@@ -347,8 +353,11 @@ def subset_by_duration(
     """Greedy prefix of a seeded shuffle reaching the minute budget.
 
     The same seed yields the same shuffle for every budget, so subsets are
-    nested: the 5-minute subset is a prefix of the 10-minute one.
+    nested: the 5-minute subset is a prefix of the 10-minute one.  A
+    budget that is NaN, infinite or negative raises ValueError.
     """
+    if not (math.isfinite(minutes) and minutes >= 0):
+        raise ValueError(f"minutes must be finite and >= 0, got {minutes}")
     order = list(utterances)
     random.Random(seed).shuffle(order)
     cache: dict[str, float] = {}

@@ -43,6 +43,8 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .am import AcousticModel, Interval, state_logliks
 from .features import FeatureMatrix
 from .lexicon import SILENCE_PHONE, UNK_WORD, Lexicon
@@ -178,6 +180,9 @@ class _Decoder:
         self.succ[self.sil_exit] = [(kid - 1) * n for kid in tree.children[0]]
         self.starts = [(p, self.log_skip) for p in self.succ[self.sil_exit]]
         self.starts.append((sil_first, math.log(cfg.sil_prior)))
+        # the decoder's states are the columns of its emission matrix
+        states, pos_col = np.unique(self.pos_state, return_inverse=True)
+        self.states, self.pos_col = states.tolist(), pos_col.tolist()
         log_trans = model.log_transitions()[self.pos_state]
         self.log_self = log_trans[:, 0].tolist()
         self.log_fwd = log_trans[:, 1].tolist()
@@ -206,8 +211,7 @@ class _Decoder:
             raise DecodeError("no frames to decode")
         # backpointers: (previous backpointer, word, start frame, end frame)
         self.bp_table: list[tuple[int, str, int, int]] = []
-        emis, col = state_logliks(self.model, feats.frames, self.pos_state)
-        self.pos_col = [col[s] for s in self.pos_state]
+        emis, _ = state_logliks(self.model, feats.frames, self.states)
         # frame 0 enters the word starts from one empty-history token
         cands: list[tuple] = []
         top = self._enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist(),

@@ -65,6 +65,11 @@ class NumeralTable:
                 )
             if not word:
                 raise NumeralTableError(f"empty word form for numeral {key}")
+            if " ".join(normalize(word).tokens) != word:
+                raise NumeralTableError(
+                    f"word form {word!r} for numeral {key} changes under "
+                    f"normalization"
+                )
 
     def get(self, value: int) -> str | None:
         return self.entries.get(value)

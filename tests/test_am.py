@@ -19,7 +19,7 @@ from asrboot.am import (
     AlignmentPath,
     GmmState,
     TrainSchedule,
-    _rescore_path,
+    _path_score,
     compile_align_graph,
     flat_start,
     force_align,
@@ -184,7 +184,8 @@ class TestForceAlign:
         model = toy_model()
         graph = compile_align_graph(("ABA",), ab_lexicon, model)
         frames = np.zeros((graph.min_frames - 1, DIM))
-        assert viterbi_path(graph, model, frames) is None
+        emis, _ = am.state_logliks(model, frames, graph.states)
+        assert viterbi_path(graph, model, frames, emis) is None
 
     def test_generated_boundaries_recovered(self, ab_lexicon):
         model = toy_model()
@@ -351,10 +352,18 @@ class TestNodeMajorScan:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_frame_by_frame_reference(self, seed):
         model, graph, frames = scan_case(seed)
-        path, total = viterbi_path(graph, model, frames)
+        emis, _ = am.state_logliks(model, frames, graph.states)
+        path, total = viterbi_path(graph, model, frames, emis)
         ref_path, ref_total = viterbi_reference(graph, model, frames)
         assert np.array_equal(path, ref_path)
         assert total == ref_total
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_graph_maps_each_node_to_its_emission_column(self, seed):
+        _, graph, _ = scan_case(seed)
+        states = np.asarray(graph.states)
+        assert np.array_equal(states[graph.node_col], graph.node_state)
+        assert np.array_equal(states, np.unique(states))  # sorted, unique
 
     @pytest.mark.parametrize("seed", range(12))
     def test_ties_break_like_the_reference(self, seed, monkeypatch):
@@ -371,7 +380,8 @@ class TestNodeMajorScan:
         patch_emissions(monkeypatch, table)
         for t_frames in range(graph.min_frames, n_max + 1):
             frames = np.zeros((t_frames, DIM))
-            path, total = viterbi_path(graph, model, frames)
+            emis, _ = am.state_logliks(model, frames, graph.states)
+            path, total = viterbi_path(graph, model, frames, emis)
             ref_path, ref_total = viterbi_reference(graph, model, frames)
             assert np.array_equal(path, ref_path), t_frames
             assert total == ref_total
@@ -385,9 +395,13 @@ class TestNodeMajorScan:
         table = rng.normal(-60.0, 5.0, (t_frames, model.n_model_states))
         patch_emissions(monkeypatch, table)
         frames = np.zeros((t_frames, DIM))
-        path, total = viterbi_path(graph, model, frames)
+        emis, _ = am.state_logliks(model, frames, graph.states)
+        path, total = viterbi_path(graph, model, frames, emis)
         _, ref_total = viterbi_reference(graph, model, frames)
-        rescored = _rescore_path(model, graph, path, frames)
+        rescored = _path_score(
+            graph, path, am.state_logliks(model, frames, graph.states)[0],
+            model.log_transitions(),
+        )
         assert rescored == total
         assert rescored >= ref_total - 1e-9 * abs(ref_total)
 
@@ -526,7 +540,8 @@ def train_reference(model, data, lexicon, schedule):
         stats = am._Stats.zeros(model)
         aligned = []
         for (feats, _), graph in zip(data, graphs):
-            result = viterbi_path(graph, model, feats.frames)
+            emis, _ = am.state_logliks(model, feats.frames, graph.states)
+            result = viterbi_path(graph, model, feats.frames, emis)
             if result is not None:
                 aligned.append((graph, result[0], feats.frames))
                 am._accumulate(model, graph, result[0], feats.frames, stats)
@@ -561,8 +576,13 @@ class TestRescoring:
         tokens = ("AB", "BA", "ABA")
         ((feats, _),) = noisy_data(model, ab_lexicon, tokens, 1, seed)
         graph = compile_align_graph(tokens, ab_lexicon, model)
-        path, total = viterbi_path(graph, model, feats.frames)
-        assert _rescore_path(model, graph, path, feats.frames) == total
+        emis, _ = am.state_logliks(model, feats.frames, graph.states)
+        path, total = viterbi_path(graph, model, feats.frames, emis)
+        rescored = _path_score(
+            graph, path, am.state_logliks(model, feats.frames, graph.states)[0],
+            model.log_transitions(),
+        )
+        assert rescored == total
 
     def test_trace_post_matches_frame_by_frame_rescoring(self, ab_lexicon):
         model = toy_model(spread=2.0)

@@ -315,6 +315,19 @@ class TestCanonicalize:
         write_tone(src, 16000, seconds=2.5)
         assert wav_duration(src) == pytest.approx(2.5)
 
+    def test_wav_duration_of_float_wav(self, tmp_path):
+        src = tmp_path / "in.wav"
+        wavfile.write(str(src), 8000, np.zeros(12000, dtype=np.float32))
+        assert wav_duration(src) == 12000 / 8000
+
+    def test_wav_duration_of_truncated_wav_names_path(self, tmp_path):
+        src = tmp_path / "in.wav"
+        write_tone(src, 16000, seconds=1.0)
+        raw = src.read_bytes()
+        src.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(AudioFormatError, match=r"in\.wav: truncated"):
+            wav_duration(src)
+
 
 
 class TestWavIO:
@@ -399,6 +412,12 @@ class TestSubset:
         result = subset_by_duration(utts, 10.0, seed=1)
         assert result.shortfall
         assert len(result.utterances) == 3
+
+    @pytest.mark.parametrize("minutes", [float("nan"), float("inf"), -1.0])
+    def test_bad_budget_rejected(self, minutes):
+        utts = [make_utt(i, 60.0) for i in range(3)]
+        with pytest.raises(ValueError, match=f"got {minutes}"):
+            subset_by_duration(utts, minutes, seed=1)
 
 
 class TestStats:

@@ -150,6 +150,12 @@ class TestNumeralTable:
         with pytest.raises(NumeralTableError):
             NumeralTable({40: "FORTY"})
 
+    @pytest.mark.parametrize("word", ["three", "Fünf!", "TWENTY  ONE"])
+    def test_direct_construction_rejects_unstable_word(self, word):
+        # normalize would give a table word that re-normalizes differently
+        with pytest.raises(NumeralTableError, match=f"{word!r} for numeral 3"):
+            NumeralTable({3: word})
+
     @pytest.mark.parametrize("lineno", NON_UTF8_LINES)
     def test_not_utf8_names_its_line(self, tmp_path, lineno):
         path = tmp_path / "numerals.tsv"
