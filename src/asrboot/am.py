@@ -29,6 +29,7 @@ matrix of its own.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -332,13 +333,14 @@ def state_logliks(
 
 
 def viterbi_path(
-    graph: AlignGraph, model: AcousticModel, frames: np.ndarray, emis: np.ndarray
+    graph: AlignGraph, log_trans: np.ndarray, emis: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
     """Best node path and its total, or None if no path reaches a final
     state with a finite score (a NaN or infinite feature gives None).
 
-    ``emis`` is ``state_logliks(model, frames, graph.states)``'s matrix; it
-    is only read.
+    ``log_trans`` is the model's ``log_transitions()`` and ``emis`` the
+    (T, U) matrix ``state_logliks(model, frames, graph.states)``, whose
+    rows are the utterance's frames; both are only read.
 
     The DP is a scan over graph nodes, not frames.  Nodes are in
     topological order (every lane but the self-loop comes from an earlier
@@ -362,9 +364,8 @@ def viterbi_path(
     node, plus prefix sums per state (a frame loop keeps (T, M) uint8
     backpointers instead).
     """
-    t_frames = frames.shape[0]
+    t_frames = emis.shape[0]
     m = len(graph.node_state)
-    log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
     entry = np.full(m, LOG_ZERO)
     entry[graph.entry_nodes] = graph.entry_prior
@@ -450,16 +451,16 @@ def _intervals_from_path(
 
 
 def _best_path(
-    graph: AlignGraph, model: AcousticModel, feats: FeatureMatrix, emis: np.ndarray
+    graph: AlignGraph, log_trans: np.ndarray, emis: np.ndarray
 ) -> tuple[np.ndarray, float] | AlignFailure:
-    """`viterbi_path` on a long enough utterance; a failure is classified
-    here for both `force_align` and `train`."""
-    if feats.n_frames < graph.min_frames:
+    """`viterbi_path` on an utterance (a row of ``emis`` per frame) long enough
+    for the graph; a failure is classified here for `force_align` and `train`."""
+    if len(emis) < graph.min_frames:
         return AlignFailure(
             "too_short",
-            f"{feats.n_frames} frames < minimum path length {graph.min_frames}",
+            f"{len(emis)} frames < minimum path length {graph.min_frames}",
         )
-    result = viterbi_path(graph, model, feats.frames, emis)
+    result = viterbi_path(graph, log_trans, emis)
     if result is None:
         return AlignFailure("no_path", "no finite path reaches a final state")
     return result
@@ -481,7 +482,7 @@ def force_align(
     except GraphError as exc:
         return AlignFailure("oov", str(exc))
     emis, _ = state_logliks(model, feats.frames, graph.states)
-    result = _best_path(graph, model, feats, emis)
+    result = _best_path(graph, model.log_transitions(), emis)
     if isinstance(result, AlignFailure):
         return result
     path, loglik = result
@@ -501,12 +502,23 @@ def force_align(
 # ---------------------------------------------------------------------------
 # training
 
+def check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainSchedule:
     n_iters: int = 30
     split_iters: tuple[int, ...] = (4, 8, 12, 16)
     max_gauss: int = 8
     sil_prior: float = 0.5
+
+    def __post_init__(self):
+        # a split at an iteration past n_iters is allowed and never runs
+        check_count("n_iters", self.n_iters)
+        check_count("max_gauss", self.max_gauss)
 
 
 @dataclass
@@ -541,10 +553,14 @@ def flat_start(
     """
     if not data:
         raise ValueError("flat_start needs at least one utterance")
-    for _, tokens in data:
+    for i, (_, tokens) in enumerate(data):
+        if not tokens:
+            raise GraphError(f"utterance {i}: empty transcript")
         missing = [w for w in tokens if w not in lexicon]
         if missing:
-            raise ValueError(f"words not coverable by lexicon: {missing[:5]}")
+            raise ValueError(
+                f"utterance {i}: words not coverable by lexicon: {missing[:5]}"
+            )
     data = [
         (feats, tokens) for feats, tokens in data if np.isfinite(feats.frames).all()
     ]
@@ -737,14 +753,15 @@ def train(
     if not data:
         raise ValueError("train needs at least one utterance")
     model = model.copy()
-    graphs = [
-        compile_align_graph(
-            tokens, lexicon, model, sil_prior=schedule.sil_prior
-        )
-        for _, tokens in data
-    ]
+    graphs = []
+    for i, (_, tokens) in enumerate(data):
+        try:
+            graphs.append(compile_align_graph(
+                tokens, lexicon, model, sil_prior=schedule.sil_prior
+            ))
+        except GraphError as exc:
+            raise GraphError(f"utterance {i}: {exc}") from None
     trace: list[tuple[float, float]] = []
-    reasons: dict[str, int] = {}
     # the previous iteration's pre-update total and its paths by utterance,
     # still to be rescored under ``model``
     pending_pre, pending = 0.0, {}
@@ -753,13 +770,13 @@ def train(
         pre_total = 0.0
         paths: dict[int, np.ndarray] = {}
         pending_post = 0.0
-        reasons = {}
+        reasons: dict[str, int] = {}
         log_trans = model.log_transitions()
         for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
             emis, _ = state_logliks(model, feats.frames, graph.states)
             if idx in pending:
                 pending_post += _path_score(graph, pending[idx], emis, log_trans)
-            result = _best_path(graph, model, feats, emis)
+            result = _best_path(graph, log_trans, emis)
             if isinstance(result, AlignFailure):
                 reasons[result.reason] = reasons.get(result.reason, 0) + 1
                 continue

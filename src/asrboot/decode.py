@@ -24,6 +24,10 @@ its highest total: when the winner falls below the beam, so does the rest
 of its key.  A NaN score passes no comparison, so a NaN frame builds no
 candidate and empties the beam.
 
+Every frame, frame 0 included (from one empty-history word end), is one
+step: expand the last frame's tokens and word ends, prune, then end the
+words of the survivors.  A `DecodeError` names the frame whose beam empties.
+
 A word's start frame is the frame its first grapheme is entered, after
 any silence: a token leaving the SIL exit takes the current frame as its
 word start, so a word's interval never holds the pause before it.
@@ -38,14 +42,13 @@ its batch.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .am import AcousticModel, Interval, state_logliks
+from .am import AcousticModel, Interval, check_count, state_logliks
 from .features import FeatureMatrix
 from .lexicon import SILENCE_PHONE, UNK_WORD, Lexicon
 from .lm import BOS, EOS, NGramLM
@@ -71,9 +74,7 @@ class DecodeConfig:
         # beam = inf keeps every token; NaN compares false and is rejected
         if not self.beam > 0:
             raise ValueError(f"beam must be > 0, got {self.beam}")
-        cap = self.max_active
-        if not isinstance(cap, numbers.Integral) or cap < 1:
-            raise ValueError(f"max_active must be an integer >= 1, got {cap}")
+        check_count("max_active", self.max_active)
         if not math.isfinite(self.lm_scale):
             raise ValueError(f"lm_scale must be finite, got {self.lm_scale}")
         wip = self.word_insertion_penalty
@@ -212,24 +213,23 @@ class _Decoder:
         # backpointers: (previous backpointer, word, start frame, end frame)
         self.bp_table: list[tuple[int, str, int, int]] = []
         emis, _ = state_logliks(self.model, feats.frames, self.states)
-        # frame 0 enters the word starts from one empty-history token
-        cands: list[tuple] = []
-        top = self._enter_starts([(0, 0, 0, -1, 0.0, 0.0, 0.0)], emis[0].tolist(),
-                                 cands, -math.inf)
-        tokens = self._prune(cands, top)
-        for t in range(1, n_frames):
+        # frame 0 enters the word starts from one empty-history word end
+        tokens, ends = [], [(0, 0, 0, -1, 0.0, 0.0, 0.0)]
+        for t in range(n_frames):
+            tokens = self._prune(*self._expand(tokens, ends, t, emis[t].tolist()))
             if not tokens:
-                raise DecodeError(f"beam emptied at frame {t - 1}")
-            tokens = self._prune(*self._expand(tokens, t, emis[t].tolist()))
-        return self._finalize(tokens, n_frames, feats.frame_shift)
+                raise DecodeError(f"beam emptied at frame {t}")
+            ends = self._word_ends(tokens, t + 1)
+        return self._finalize(tokens, ends, feats.frame_shift)
 
     # -- expansion ---------------------------------------------------------
 
     def _expand(
-        self, tokens: list[tuple], t: int, emit: list[float]
+        self, tokens: list[tuple], ends: list[tuple], t: int, emit: list[float]
     ) -> tuple[list[tuple], float]:
-        """Self-loops, steps within a phone, phone entries, then word starts,
-        each scored with frame t's emissions `emit`, and the best total.
+        """Self-loops, steps within a phone and phone entries of `tokens`,
+        then the word starts entered from the word ends `ends`, each scored
+        with frame t's emissions `emit`, and the best total.
 
         A candidate whose total falls below the running best `top` less the
         beam is never built; the self-loops go first, so `top` starts high
@@ -264,16 +264,6 @@ class _Decoder:
                     moves.append((nxt, hist, start, bp, total, ascore + fwd + e, lscore))
         cands += inner
         cands += exits
-        return cands, self._enter_starts(self._word_ends(tokens, t), emit, cands, top)
-
-    def _enter_starts(
-        self, ends: list[tuple], emit: list[float], cands: list[tuple], top: float
-    ) -> float:
-        """Append to `cands` each token entering every word-start position
-        with its silence prior, skipping those below the running best `top`
-        less the beam; return the new `top`."""
-        col, beam = self.pos_col, self.cfg.beam
-        cut = top - beam
         for _, hist, start, bp, score, ascore, lscore in ends:
             for q, prior in self.starts:
                 e = emit[col[q]]
@@ -283,7 +273,7 @@ class _Decoder:
                         top = total
                         cut = top - beam
                     cands.append((q, hist, start, bp, total, ascore + prior + e, lscore))
-        return top
+        return cands, top
 
     def _word_ends(self, tokens: list[tuple], t: int) -> list[tuple]:
         """A token per word ending at an exit in `tokens`, closed at frame t.
@@ -357,23 +347,22 @@ class _Decoder:
     # -- finalization --------------------------------------------------------
 
     def _finalize(
-        self, tokens: list[tuple], n_frames: int, frame_shift: float
+        self, tokens: list[tuple], word_ends: list[tuple], frame_shift: float
     ) -> Hypothesis:
-        """Best utterance end: a SIL exit, or a word that ends at the last
-        frame; failing both, the best token as a partial hypothesis."""
+        """Best utterance end: a SIL exit in the last frame's `tokens`, or
+        one of its `word_ends`; failing both, the best token as a partial
+        hypothesis."""
         # a SIL exit leaves with its forward transition, a word end by
         # skipping the last silence; both then take the LM step to </s>
         ends = [(tok, self.log_fwd[self.sil_exit]) for tok in tokens
                 if tok[_POS] == self.sil_exit]
-        ends += [(tok, self.log_skip) for tok in self._word_ends(tokens, n_frames)]
+        ends += [(tok, self.log_skip) for tok in word_ends]
         cands = []
         for (pos, hist, start, bp, score, ascore, lscore), leave in ends:
             eos, _ = self.lm_step(hist, EOS)
             cands.append((pos, hist, start, bp, score + leave + self.lm_w * eos,
                           ascore + leave, lscore + eos))
         if not cands:
-            if not tokens:
-                raise DecodeError(f"beam emptied at frame {n_frames - 1}")
             cands = tokens  # a partial hypothesis: the open word is dropped
         (best,) = self._best([0] * len(cands), cands)
         _, _, _, bp, total, ascore, lmscore = cands[best]

@@ -155,6 +155,8 @@ def _score_pairs(
 ) -> WerReport:
     if not pairs:
         raise ValueError("need at least one (ref, hyp) pair")
+    if ids is not None and len(ids) != len(pairs):
+        raise ValueError(f"{len(ids)} ids for {len(pairs)} (ref, hyp) pairs")
     per_utt = []
     total: Counter[str] = Counter()
     for k, (ref, hyp) in enumerate(pairs):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .am import AcousticModel, Interval
+from .am import AcousticModel, Interval, check_count
 from .decode import DecodeConfig, DecodeError, build_prefix_tree, decode
 from .features import (
     FrontendConfig,
@@ -95,8 +95,7 @@ class SWConfig:
     def __post_init__(self):
         if not (self.match > 0 >= self.mismatch and 0 >= self.gap):
             raise ValueError("need match > 0 >= mismatch and 0 >= gap")
-        if self.min_island < 1:
-            raise ValueError(f"min_island must be at least 1, got {self.min_island}")
+        check_count("min_island", self.min_island)
 
     @property
     def min_score(self) -> float:

@@ -235,4 +235,6 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
         if not tokens:
             raise DecodeError(f"beam emptied at frame {t - 1}")
         tokens = recombine_prune(expand(tokens, t, emis[t].tolist()))
-    return dec._finalize(tokens, n_frames, feats.frame_shift)
+    if not tokens:
+        raise DecodeError(f"beam emptied at frame {n_frames - 1}")
+    return dec._finalize(tokens, dec._word_ends(tokens, n_frames), feats.frame_shift)

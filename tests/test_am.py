@@ -18,6 +18,7 @@ from asrboot.am import (
     AlignFailure,
     AlignmentPath,
     GmmState,
+    GraphError,
     TrainSchedule,
     _path_score,
     compile_align_graph,
@@ -114,6 +115,21 @@ class TestFlatStart:
         with pytest.raises(ValueError):
             flat_start([], ab_lexicon)
 
+    @pytest.mark.parametrize(
+        "tokens, error, message",
+        [
+            ((), GraphError, "utterance 1: empty transcript"),
+            (("ZZ",), ValueError,
+             r"utterance 1: words not coverable by lexicon: \['ZZ'\]"),
+        ],
+    )
+    def test_bad_transcript_names_its_utterance(
+        self, ab_lexicon, tokens, error, message
+    ):
+        frames = feats_from(np.zeros((24, DIM)))
+        with pytest.raises(error, match=message):
+            flat_start([(frames, ("AB",)), (frames, tokens)], ab_lexicon)
+
     def test_clip_with_a_nan_frame_is_left_out(self, ab_lexicon):
         model = toy_model()
         data = [
@@ -185,7 +201,7 @@ class TestForceAlign:
         graph = compile_align_graph(("ABA",), ab_lexicon, model)
         frames = np.zeros((graph.min_frames - 1, DIM))
         emis, _ = am.state_logliks(model, frames, graph.states)
-        assert viterbi_path(graph, model, frames, emis) is None
+        assert viterbi_path(graph, model.log_transitions(), emis) is None
 
     def test_generated_boundaries_recovered(self, ab_lexicon):
         model = toy_model()
@@ -353,7 +369,7 @@ class TestNodeMajorScan:
     def test_matches_the_frame_by_frame_reference(self, seed):
         model, graph, frames = scan_case(seed)
         emis, _ = am.state_logliks(model, frames, graph.states)
-        path, total = viterbi_path(graph, model, frames, emis)
+        path, total = viterbi_path(graph, model.log_transitions(), emis)
         ref_path, ref_total = viterbi_reference(graph, model, frames)
         assert np.array_equal(path, ref_path)
         assert total == ref_total
@@ -381,7 +397,7 @@ class TestNodeMajorScan:
         for t_frames in range(graph.min_frames, n_max + 1):
             frames = np.zeros((t_frames, DIM))
             emis, _ = am.state_logliks(model, frames, graph.states)
-            path, total = viterbi_path(graph, model, frames, emis)
+            path, total = viterbi_path(graph, model.log_transitions(), emis)
             ref_path, ref_total = viterbi_reference(graph, model, frames)
             assert np.array_equal(path, ref_path), t_frames
             assert total == ref_total
@@ -396,7 +412,7 @@ class TestNodeMajorScan:
         patch_emissions(monkeypatch, table)
         frames = np.zeros((t_frames, DIM))
         emis, _ = am.state_logliks(model, frames, graph.states)
-        path, total = viterbi_path(graph, model, frames, emis)
+        path, total = viterbi_path(graph, model.log_transitions(), emis)
         _, ref_total = viterbi_reference(graph, model, frames)
         rescored = _path_score(
             graph, path, am.state_logliks(model, frames, graph.states)[0],
@@ -482,6 +498,27 @@ class TestTraining:
         with pytest.raises(ValueError, match="at least one utterance"):
             train(toy_model(), [], ab_lexicon)
 
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ((), "utterance 1: empty transcript"),
+            (("ZZ",), r"utterance 1: words not in lexicon: \['ZZ'\]"),
+        ],
+    )
+    def test_bad_transcript_names_its_utterance(self, ab_lexicon, tokens, message):
+        frames = feats_from(np.zeros((24, DIM)))
+        with pytest.raises(GraphError, match=message):
+            train(toy_model(), [(frames, ("AB",)), (frames, tokens)], ab_lexicon)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_iters", 0), ("n_iters", -3), ("n_iters", 2.0), ("n_iters", True),
+         ("max_gauss", 0), ("max_gauss", 1.5), ("max_gauss", True)],
+    )
+    def test_schedule_counts_are_integers_from_one(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            TrainSchedule(**{field: value})
+
     def test_nan_clip_counts_as_failed(self, ab_lexicon):
         model = toy_model()
         data = [
@@ -541,7 +578,7 @@ def train_reference(model, data, lexicon, schedule):
         aligned = []
         for (feats, _), graph in zip(data, graphs):
             emis, _ = am.state_logliks(model, feats.frames, graph.states)
-            result = viterbi_path(graph, model, feats.frames, emis)
+            result = viterbi_path(graph, model.log_transitions(), emis)
             if result is not None:
                 aligned.append((graph, result[0], feats.frames))
                 am._accumulate(model, graph, result[0], feats.frames, stats)
@@ -577,7 +614,7 @@ class TestRescoring:
         ((feats, _),) = noisy_data(model, ab_lexicon, tokens, 1, seed)
         graph = compile_align_graph(tokens, ab_lexicon, model)
         emis, _ = am.state_logliks(model, feats.frames, graph.states)
-        path, total = viterbi_path(graph, model, feats.frames, emis)
+        path, total = viterbi_path(graph, model.log_transitions(), emis)
         rescored = _path_score(
             graph, path, am.state_logliks(model, feats.frames, graph.states)[0],
             model.log_transitions(),
@@ -627,8 +664,8 @@ class TestRescoring:
         failures = []
         real_best_path = am._best_path
 
-        def best_path(graph, m, feats, *args):
-            result = real_best_path(graph, m, feats, *args)
+        def best_path(graph, *args):
+            result = real_best_path(graph, *args)
             failures.append(isinstance(result, AlignFailure))
             return result
 

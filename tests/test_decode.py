@@ -574,6 +574,8 @@ class TestDecodeErrors:
         [
             ("beam", math.nan),
             ("max_active", 2.5),
+            ("max_active", True),
+            ("max_active", "7"),
             ("lm_scale", math.nan),
             ("lm_scale", math.inf),
             ("word_insertion_penalty", math.nan),

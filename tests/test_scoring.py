@@ -132,6 +132,13 @@ class TestWer:
         with pytest.raises(ValueError):
             wer([])
 
+    @pytest.mark.parametrize("score", [wer, cer])
+    @pytest.mark.parametrize("ids", [[], ["u1"], ["u1", "u2", "u3"]])
+    def test_ids_of_the_wrong_length_rejected(self, score, ids):
+        pairs = [(["A"], ["A"]), (["B"], ["C"])]
+        with pytest.raises(ValueError, match=rf"^{len(ids)} ids for 2 \(ref, hyp\) pairs$"):
+            score(pairs, ids=ids)
+
     def test_per_utterance_breakdown(self):
         report = wer([("A B".split(), "A".split())], ids=["u1"])
         assert report.per_utterance[0].id == "u1"

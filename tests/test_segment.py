@@ -196,6 +196,11 @@ class TestSmithWaterman:
         with pytest.raises(ValueError, match="min_island"):
             SWConfig(min_island=0)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3"])
+    def test_min_island_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="min_island must be an integer >= 1"):
+            SWConfig(min_island=value)
+
 
 FRACTIONAL = SWConfig(match=1.0, mismatch=-0.5, gap=-0.3, min_island=1)
 
@@ -470,14 +475,13 @@ class TestDecodeChunks:
         assert (counts["chunk_failures"], counts["partial_chunks"]) == (1, 2)
 
 
-@pytest.fixture(scope="module")
-def harvest(tmp_path_factory):
+def tiny_harvest(out_dir, corruption_rate=0.0):
     """A one-minute synthetic recording harvested in 12 s chunks with a
     model trained briefly on 20 clips; every chunk and decode is recorded."""
     corp = synth_corpus(
-        SynthSpec(seed=0), tmp_path_factory.mktemp("synth"), n_shortform=20,
+        SynthSpec(seed=0), out_dir, n_shortform=20,
         longform_minutes=1.0, longform_recording_minutes=1.0, n_test=0,
-        vocabulary_size=10,
+        vocabulary_size=10, corruption_rate=corruption_rate,
     )
     clips = []
     for utt in load_manifest(corp.short_manifest):
@@ -517,7 +521,13 @@ def harvest(tmp_path_factory):
         shift=cfg.frontend.frame_shift, truth=rec.utterances,
         ref_tokens=[t for line in lines for t in line],
         line_of=[i for i, line in enumerate(lines) for _ in line],
+        corrupted=rec.corrupted_line_indices,
     )
+
+
+@pytest.fixture(scope="module")
+def harvest(tmp_path_factory):
+    return tiny_harvest(tmp_path_factory.mktemp("synth"))
 
 
 class TestHarvestSegments:
@@ -556,6 +566,15 @@ class TestHarvestSegments:
         for seg in harvest.segments:
             lo, hi = seg.ref_span
             assert harvest.line_of[lo] == harvest.line_of[hi]
+
+    @pytest.mark.slow
+    def test_no_segment_touches_an_off_script_line(self, tmp_path):
+        run = tiny_harvest(tmp_path, corruption_rate=0.3)
+        assert run.corrupted and run.segments
+        corrupted = set(run.corrupted)
+        for seg in run.segments:
+            lo, hi = seg.ref_span
+            assert not corrupted & set(run.line_of[lo : hi + 1]), seg
 
 
 def report(n_tokens, accepted_tokens):
