@@ -21,9 +21,10 @@ routine (``_path_score``).
 
 Training scores each utterance once per iteration: the emission matrix
 that aligns it under the re-estimated model also rescores its previous
-path for that iteration's post-update total.  Only after a split that
-grows mixtures, and after the last iteration, is a path rescored with a
-matrix of its own.
+path for that iteration's post-update total, and accumulation reads the
+component scores of that same ``state_logliks`` call.  Only after a split
+that grows mixtures, and after the last iteration, is a path rescored
+with a matrix of its own.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .features import FeatureMatrix
 from .lexicon import SILENCE_PHONE, Lexicon
 
 LOG_ZERO = -1e30
+# shifted component scores are clamped here before the exp; exp(LOG_TINY)
+# is a normal double, far below half an ulp of 1
+LOG_TINY = -700.0
 N_STATES = 3
 VARIANCE_FLOOR = 1e-4
 PROB_FLOOR = 1e-300  # weights and transitions are floored here before log
@@ -317,19 +321,28 @@ def _component_logliks(
 
 def state_logliks(
     model: AcousticModel, frames: np.ndarray, state_ids: Iterable[int]
-) -> tuple[np.ndarray, dict[int, int]]:
-    """(T, U) emission matrix for the unique states, plus id -> column map.
+) -> tuple[np.ndarray, dict[int, int], np.ndarray]:
+    """(T, U) emission matrix for the unique states, the id -> column map,
+    and the (T, K, U) component scores it was summed from.
 
-    The mixture log-likelihood is a log-sum-exp over the components that
-    ``_component_logliks`` scores in one pass.
+    The component scores are ``_component_logliks`` over the sorted unique
+    states, returned unmodified, so training accumulates from the same
+    scores that aligned the utterance.  The mixture log-likelihood is a
+    log-sum-exp over them, on a shifted copy whose terms are clamped at
+    ``LOG_TINY`` before the exp: exp(LOG_TINY) is a normal double, so the
+    exp never takes the slow path for denormal or zero results.  The clamp
+    is exact: every sum over K holds the peak's exp(0) = 1, and a clamped
+    term is below half an ulp of any partial sum that can change it (NaN
+    stays NaN).
     """
     unique = np.unique(np.fromiter(state_ids, dtype=np.int64)).tolist()
     comp = _component_logliks(model, frames, unique)
     peak = comp.max(axis=1)
-    comp -= peak[:, None, :]
-    np.exp(comp, out=comp)
-    emis = peak + np.log(comp.sum(axis=1))
-    return emis, {sid: j for j, sid in enumerate(unique)}
+    rel = comp - peak[:, None, :]
+    np.maximum(rel, LOG_TINY, out=rel)
+    np.exp(rel, out=rel)
+    emis = peak + np.log(rel.sum(axis=1))
+    return emis, {sid: j for j, sid in enumerate(unique)}, comp
 
 
 def viterbi_path(
@@ -481,7 +494,7 @@ def force_align(
         )
     except GraphError as exc:
         return AlignFailure("oov", str(exc))
-    emis, _ = state_logliks(model, feats.frames, graph.states)
+    emis = state_logliks(model, feats.frames, graph.states)[0]
     result = _best_path(graph, model.log_transitions(), emis)
     if isinstance(result, AlignFailure):
         return result
@@ -516,9 +529,11 @@ class TrainSchedule:
     sil_prior: float = 0.5
 
     def __post_init__(self):
-        # a split at an iteration past n_iters is allowed and never runs
         check_count("n_iters", self.n_iters)
         check_count("max_gauss", self.max_gauss)
+        # a split at an iteration past n_iters is allowed and never runs
+        for it in self.split_iters:
+            check_count("split_iters entry", it)
 
 
 @dataclass
@@ -591,7 +606,8 @@ def flat_start(
         graph = compile_align_graph(tokens, lexicon, model)
         path = _equal_alignment(graph, model.n_states, feats.n_frames)
         if path is not None:
-            _accumulate(model, graph, path, feats.frames, stats)
+            comp = _component_logliks(model, feats.frames, graph.states.tolist())
+            _accumulate(graph, path, feats.frames, comp, stats)
     return _reestimate(model, stats)
 
 
@@ -652,20 +668,24 @@ class _Stats:
 
 
 def _accumulate(
-    model: AcousticModel,
     graph: AlignGraph,
     path: np.ndarray,
     frames: np.ndarray,
+    comp: np.ndarray,
     stats: _Stats,
 ) -> None:
     """Add one aligned utterance: component posteriors of each frame's
-    state from one kernel call, summed per state with one matmul."""
+    state, summed per state with one matmul.
+
+    ``comp`` is the (T, K, U) ``_component_logliks`` output over
+    ``graph.states`` under the model that aligned ``path`` (the third
+    element of ``state_logliks``); it is only read."""
     state_ids = graph.node_state[path]
     states, frame_col = np.unique(state_ids, return_inverse=True)
-    comp = _component_logliks(model, frames, states.tolist())
     t_frames, k = len(path), comp.shape[1]
     rows = np.arange(t_frames)
-    gamma = comp[rows, :, frame_col]  # (T, K): the aligned state's components
+    # (T, K): the aligned state's components
+    gamma = comp[rows, :, graph.node_col[path]]
     gamma -= gamma.max(axis=1, keepdims=True)
     np.exp(gamma, out=gamma)
     gamma /= gamma.sum(axis=1, keepdims=True)
@@ -773,7 +793,7 @@ def train(
         reasons: dict[str, int] = {}
         log_trans = model.log_transitions()
         for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
-            emis, _ = state_logliks(model, feats.frames, graph.states)
+            emis, _, comp = state_logliks(model, feats.frames, graph.states)
             if idx in pending:
                 pending_post += _path_score(graph, pending[idx], emis, log_trans)
             result = _best_path(graph, log_trans, emis)
@@ -783,7 +803,7 @@ def train(
             path, loglik = result
             pre_total += loglik
             paths[idx] = path
-            _accumulate(model, graph, path, feats.frames, stats)
+            _accumulate(graph, path, feats.frames, comp, stats)
         if pending:
             trace.append((pending_pre, pending_post))
         if not paths:
@@ -802,7 +822,7 @@ def train(
             post_total = 0.0
             for idx, path in paths.items():
                 graph = graphs[idx]
-                emis, _ = state_logliks(reestimated, data[idx][0].frames, graph.states)
+                emis = state_logliks(reestimated, data[idx][0].frames, graph.states)[0]
                 post_total += _path_score(graph, path, emis, log_trans)
             trace.append((pre_total, post_total))
             pending = {}

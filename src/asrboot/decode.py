@@ -212,7 +212,7 @@ class _Decoder:
             raise DecodeError("no frames to decode")
         # backpointers: (previous backpointer, word, start frame, end frame)
         self.bp_table: list[tuple[int, str, int, int]] = []
-        emis, _ = state_logliks(self.model, feats.frames, self.states)
+        emis = state_logliks(self.model, feats.frames, self.states)[0]
         # frame 0 enters the word starts from one empty-history word end
         tokens, ends = [], [(0, 0, 0, -1, 0.0, 0.0, 0.0)]
         for t in range(n_frames):

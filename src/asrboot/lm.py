@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -134,8 +135,9 @@ def train_ngram(
     ``unk_mass``, if set, reserves at least that unigram probability for
     <UNK> by mixing at the unigram level.
     """
-    if not 1 <= order <= 4:
-        raise LmError(f"order must be 1..4, got {order}")
+    integral = isinstance(order, numbers.Integral) and not isinstance(order, bool)
+    if not integral or not 1 <= order <= 4:
+        raise LmError(f"order must be 1..4, got {order!r}")
     sents = [tuple(s) for s in sentences if len(s) > 0]
     if not sents:
         raise LmError("empty corpus")

@@ -115,7 +115,7 @@ def viterbi_reference(graph, model, frames):
     emissions come from ``am.state_logliks`` looked up at call time, so a
     test that patches it patches both."""
     t_frames = frames.shape[0]
-    emis, col = am.state_logliks(model, frames, graph.node_state)
+    emis, col = am.state_logliks(model, frames, graph.node_state)[:2]
     # (T, M): the emission of every graph node on every frame
     node_emis = emis[:, [col[s] for s in graph.node_state.tolist()]]
     log_trans = model.log_transitions()
@@ -191,7 +191,7 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
     if n_frames == 0:
         raise DecodeError("no frames to decode")
     dec.bp_table = []
-    emis, col = am.state_logliks(model, feats.frames, dec.pos_state)
+    emis, col = am.state_logliks(model, feats.frames, dec.pos_state)[:2]
     dec.pos_col = pos_col = [col[s] for s in dec.pos_state]
     n_pos = len(dec.pos_state)
 

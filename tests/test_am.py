@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ class TestForceAlign:
         model = toy_model()
         graph = compile_align_graph(("ABA",), ab_lexicon, model)
         frames = np.zeros((graph.min_frames - 1, DIM))
-        emis, _ = am.state_logliks(model, frames, graph.states)
+        emis = am.state_logliks(model, frames, graph.states)[0]
         assert viterbi_path(graph, model.log_transitions(), emis) is None
 
     def test_generated_boundaries_recovered(self, ab_lexicon):
@@ -368,7 +369,7 @@ class TestNodeMajorScan:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_frame_by_frame_reference(self, seed):
         model, graph, frames = scan_case(seed)
-        emis, _ = am.state_logliks(model, frames, graph.states)
+        emis = am.state_logliks(model, frames, graph.states)[0]
         path, total = viterbi_path(graph, model.log_transitions(), emis)
         ref_path, ref_total = viterbi_reference(graph, model, frames)
         assert np.array_equal(path, ref_path)
@@ -396,7 +397,7 @@ class TestNodeMajorScan:
         patch_emissions(monkeypatch, table)
         for t_frames in range(graph.min_frames, n_max + 1):
             frames = np.zeros((t_frames, DIM))
-            emis, _ = am.state_logliks(model, frames, graph.states)
+            emis = am.state_logliks(model, frames, graph.states)[0]
             path, total = viterbi_path(graph, model.log_transitions(), emis)
             ref_path, ref_total = viterbi_reference(graph, model, frames)
             assert np.array_equal(path, ref_path), t_frames
@@ -411,7 +412,7 @@ class TestNodeMajorScan:
         table = rng.normal(-60.0, 5.0, (t_frames, model.n_model_states))
         patch_emissions(monkeypatch, table)
         frames = np.zeros((t_frames, DIM))
-        emis, _ = am.state_logliks(model, frames, graph.states)
+        emis = am.state_logliks(model, frames, graph.states)[0]
         path, total = viterbi_path(graph, model.log_transitions(), emis)
         _, ref_total = viterbi_reference(graph, model, frames)
         rescored = _path_score(
@@ -519,6 +520,13 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             TrainSchedule(**{field: value})
 
+    @pytest.mark.parametrize("entry", [0, -1, 2.5, 2.0, True])
+    def test_split_iters_entries_are_integers_from_one(self, entry):
+        TrainSchedule(n_iters=3, split_iters=(2, np.int64(3), 7))  # 7: never runs
+        message = f"split_iters entry must be an integer >= 1, got {entry!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainSchedule(n_iters=3, split_iters=(2, entry))
+
     def test_nan_clip_counts_as_failed(self, ab_lexicon):
         model = toy_model()
         data = [
@@ -545,7 +553,7 @@ def rescore_frame_by_frame(model, graph, path, frames):
     """Reference path score: emissions from the call `viterbi_path` makes,
     added one frame at a time in the order entry, (arc, emission) per
     frame, exit."""
-    emis, col = am.state_logliks(model, frames, graph.node_state)
+    emis, col = am.state_logliks(model, frames, graph.node_state)[:2]
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
     total = 0.0
@@ -577,11 +585,11 @@ def train_reference(model, data, lexicon, schedule):
         stats = am._Stats.zeros(model)
         aligned = []
         for (feats, _), graph in zip(data, graphs):
-            emis, _ = am.state_logliks(model, feats.frames, graph.states)
+            emis, _, comp = am.state_logliks(model, feats.frames, graph.states)
             result = viterbi_path(graph, model.log_transitions(), emis)
             if result is not None:
                 aligned.append((graph, result[0], feats.frames))
-                am._accumulate(model, graph, result[0], feats.frames, stats)
+                am._accumulate(graph, result[0], feats.frames, comp, stats)
         pre = sum(rescore_frame_by_frame(model, *a) for a in aligned)
         model = am._reestimate(model, stats)
         post = sum(rescore_frame_by_frame(model, *a) for a in aligned)
@@ -613,7 +621,7 @@ class TestRescoring:
         tokens = ("AB", "BA", "ABA")
         ((feats, _),) = noisy_data(model, ab_lexicon, tokens, 1, seed)
         graph = compile_align_graph(tokens, ab_lexicon, model)
-        emis, _ = am.state_logliks(model, feats.frames, graph.states)
+        emis = am.state_logliks(model, feats.frames, graph.states)[0]
         path, total = viterbi_path(graph, model.log_transitions(), emis)
         rescored = _path_score(
             graph, path, am.state_logliks(model, feats.frames, graph.states)[0],
@@ -654,10 +662,10 @@ class TestRescoring:
 
         def logliks(m, frames, state_ids):
             models.setdefault("first", m)
-            emis, col = real_logliks(m, frames, state_ids)
+            emis, col, comp = real_logliks(m, frames, state_ids)
             if frames is bad and m is models.get(fail_under):
                 emis = np.full_like(emis, -np.inf)
-            return emis, col
+            return emis, col, comp
 
         monkeypatch.setattr(am, "grow_mixtures", grow)
         monkeypatch.setattr(am, "state_logliks", logliks)
@@ -704,6 +712,25 @@ class TestRescoring:
         }
 
 
+    def test_accumulation_reads_the_aligning_component_scores(
+        self, ab_lexicon, monkeypatch
+    ):
+        model = toy_model(spread=2.0)
+        data = noisy_data(model, ab_lexicon, ("AB", "A", "BA"), 3, seed=7)
+        calls = dict.fromkeys(("state_logliks", "_component_logliks"), 0)
+        for name in calls:
+
+            def counted(*args, _real=getattr(am, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(am, name, counted)
+        result = train(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        assert result.failure_reasons == {}
+        assert calls["state_logliks"] > 0
+        assert calls["_component_logliks"] == calls["state_logliks"]
+
+
 class TestEmissionKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_the_per_component_formula(self, seed):
@@ -720,12 +747,47 @@ class TestEmissionKernel:
             )
         frames = 3.0 * rng.standard_normal((301, dim))
         state_ids = [5, 0, 7, 5, 2, 9, 11]  # unsorted, with a repeat
-        emis, col = am.state_logliks(model, frames, state_ids)
+        emis, col = am.state_logliks(model, frames, state_ids)[:2]
         assert sorted(col) == sorted(set(state_ids))
         assert emis.shape == (len(frames), len(col))
         for sid, j in col.items():
             ref = gmm_loglik(model.states[sid], frames)
             np.testing.assert_allclose(emis[:, j], ref, rtol=1e-9, atol=0)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_clamp_before_the_exp_leaves_the_mixture_sum_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 39
+        model = toy_model()
+        model.dim = dim
+        for sid in range(model.n_model_states):
+            k = (1, 2, 4)[sid % 3]  # mixed K: LOG_ZERO padding in the sum
+            model.states[sid] = GmmState(
+                weights=rng.dirichlet(np.ones(k)),
+                means=8.0 * rng.standard_normal((k, dim)),  # tens of sigma apart
+                variances=rng.uniform(0.2, 2.0, (k, dim)),
+            )
+        frames = 3.0 * rng.standard_normal((301, dim))
+        frames[17, 4] = np.nan
+        state_ids = [5, 0, 7, 5, 2, 9, 11]
+        emis, _, comp = am.state_logliks(model, frames, state_ids)
+
+        unique = sorted(set(state_ids))
+        expected_comp = am._component_logliks(model, frames, unique)
+        assert np.array_equal(comp, expected_comp, equal_nan=True)
+        # the unclamped log-sum-exp: terms below -745 are 0, above denormal
+        peak = expected_comp.max(axis=1)
+        rel = expected_comp - peak[:, None, :]
+        expected = peak + np.log(np.exp(rel).sum(axis=1))
+        assert np.array_equal(emis, expected, equal_nan=True)
+        assert np.isnan(emis[17]).all()
+        assert np.isfinite(np.delete(emis, 17, axis=0)).all()
+
+        assert np.any(comp == am.LOG_ZERO)  # padded slots
+        shifted = rel[(comp > am.LOG_ZERO / 2) & np.isfinite(rel)]  # real terms
+        assert np.mean(shifted < -745.0) > 0.1  # exp gives 0
+        assert np.any((shifted > -745.0) & (shifted < am.LOG_TINY))  # denormal
 
 
 class TestSerialization:

@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import NON_UTF8_LINES, write_with_bad_byte
@@ -40,6 +42,14 @@ class TestCounting:
     def test_bos_never_predicted(self):
         counts = ngram_counts(sents("A B"), order=2)
         assert BOS not in counts[0].get((), {})
+
+    @pytest.mark.parametrize("order", [0, 5, True, 2.0, 2.5, "3"])
+    def test_order_is_an_integer_from_one_to_four(self, order):
+        corpus = sents("A B A B")
+        assert train_ngram(corpus, order=np.int64(3)).order == 3
+        message = re.escape(f"order must be 1..4, got {order!r}")
+        with pytest.raises(LmError, match=message):
+            train_ngram(corpus, order=order)
 
 
 def context_sum(lm, history):
