@@ -291,8 +291,8 @@ def _component_logliks(
     component is gconst + log w - 1/2 sum(mean^2/var) plus a linear term
     mean/var on x and a quadratic term -1/2/var on x^2, so scoring the
     whole utterance is one matmul [x, x^2] @ P.  Component k of every
-    state is one contiguous (T, S) slab, so a reduction over K is K - 1
-    whole-slab operations.
+    state is one (T, S) slab ``[:, k, :]``, whose rows are K * S apart, so
+    a reduction over K is K - 1 whole-slab operations.
     """
     gmms = [model.states[sid] for sid in states]
     n_comp = np.array([g.n_components for g in gmms])
@@ -373,9 +373,13 @@ def viterbi_path(
     path.  The total is the path's terms summed in path order
     (``_path_score``), so rescoring the path gives it exactly.
 
-    Memory is O(M * T) float64: the running maxima and scores of every
-    node, plus prefix sums per state (a frame loop keeps (T, M) uint8
-    backpointers instead).
+    Memory is O(M * T) float64 for the running maxima of every node, which
+    the backtrace reads (a frame loop keeps (T, M) uint8 backpointers
+    instead), plus prefix sums per state.  A node's scores are kept only
+    while a later node reads them: two rows, the previous node's and the
+    one being made, and a copy of the open word exit's row until the next
+    word's first node takes lane 2 from it.  A final node's last score is
+    its running max plus the prefix sum, the sum that made the row.
     """
     t_frames = emis.shape[0]
     m = len(graph.node_state)
@@ -384,11 +388,16 @@ def viterbi_path(
     entry[graph.entry_nodes] = graph.entry_prior
     forward = lane_logp[:, 1].tolist()
     skip_src = graph.lane_src[:, 2].tolist()
+    exits = {src for src in skip_src if src >= 0}
 
     run = np.empty((m, t_frames))
-    score = np.empty((m, t_frames))
+    # node i's scores go to rows[i & 1]; node i + 1 reads their heads
+    rows = (np.empty(t_frames), np.empty(t_frames))
+    heads = (rows[0][:-1], rows[1][:-1])
+    exit_heads: dict[int, np.ndarray] = {}  # word exit -> its scores' head
     took_skip: dict[int, np.ndarray] = {}  # word-first node -> lane 2 won at t+1
     h = np.empty(t_frames)
+    h_tail = h[1:]
     # -inf emissions give -inf - -inf here; such a path is dropped below
     with np.errstate(invalid="ignore"):
         # G and e - G per state, one contiguous row each: the self-loop
@@ -399,19 +408,25 @@ def viterbi_path(
         for i, j in enumerate(graph.node_col.tolist()):
             h[0] = entry[i]
             if i:
-                np.add(score[i - 1, :-1], forward[i], out=h[1:])
+                np.add(heads[(i - 1) & 1], forward[i], out=h_tail)
             else:
-                h[1:] = LOG_ZERO  # node 0 has no lane 1
+                h_tail[:] = LOG_ZERO  # node 0 has no lane 1
             src = skip_src[i]
             if src >= 0:
-                skip = score[src, :-1] + lane_logp[i, 2]
-                took = took_skip[i] = skip > h[1:]
-                np.copyto(h[1:], skip, where=took)
+                skip = exit_heads.pop(src)
+                skip += lane_logp[i, 2]
+                took = took_skip[i] = skip > h_tail
+                np.copyto(h_tail, skip, where=took)
             h += slack[j]
-            np.maximum.accumulate(h, out=run[i])
-            np.add(run[i], gain[j], out=score[i])
+            out = run[i]
+            np.maximum.accumulate(h, out=out)
+            np.add(out, gain[j], out=rows[i & 1])
+            if i in exits:
+                exit_heads[i] = heads[i & 1].copy()
 
-    final_scores = score[graph.final_nodes, -1] + graph.final_logp(log_trans)
+        finals = graph.final_nodes
+        final_scores = run[finals, -1] + gain[graph.node_col[finals], -1]
+        final_scores += graph.final_logp(log_trans)
     best_final = int(np.argmax(final_scores))
     best = float(final_scores[best_final])
     if not math.isfinite(best) or best <= LOG_ZERO / 2:

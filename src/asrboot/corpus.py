@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import firwin, resample_poly
 
 from .textnorm import utf8_lines
 
@@ -196,9 +195,15 @@ def _read_raw(path) -> tuple[int, np.ndarray]:
         raise AudioFormatError(f"{path}: truncated ({exc})") from None
     except (ValueError, struct.error) as exc:  # struct: a header cut short
         raise AudioFormatError(f"{path}: {exc}") from None
+    _check_rate(path, rate)
     if data.size == 0:
         raise AudioFormatError(f"{path}: zero-length audio")
     return rate, data
+
+
+def _check_rate(path, rate: int) -> None:
+    if rate < 1:
+        raise AudioFormatError(f"{path}: sample rate {rate} Hz, need at least 1")
 
 
 def _pcm_header(path) -> tuple[int, int, int, int] | None:
@@ -212,7 +217,8 @@ def _pcm_header(path) -> tuple[int, int, int, int] | None:
             data_start = fh.tell()  # wave stops at the samples
     except (wave.Error, EOFError):
         return None
-    _, channels, width, n_samples = header
+    rate, channels, width, n_samples = header
+    _check_rate(path, rate)
     missing = data_start + channels * width * n_samples - os.path.getsize(path)
     if missing > 0:
         raise AudioFormatError(f"{path}: truncated, {missing} bytes of samples missing")
@@ -237,29 +243,47 @@ def _scaled(path, data: np.ndarray) -> np.ndarray:
     return x
 
 
+_PCM16_BLOCK = 1 << 16  # samples scaled per float64 temporary
+
+
 def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> None:
     """Write int16 samples (float inputs are scaled and clipped)."""
     if samples.dtype != np.int16:
-        scaled = np.multiply(samples, 32768.0, dtype=np.float64)
-        np.rint(scaled, out=scaled)
-        samples = np.clip(scaled, -32768, 32767, out=scaled).astype(np.int16)
+        # block by block into one int16 array: no float64 copy of the
+        # whole signal; each step is elementwise, so the blocks change nothing
+        pcm = np.empty(samples.shape, dtype=np.int16)
+        src, dst = samples.reshape(-1), pcm.reshape(-1)
+        buf = np.empty(min(src.size, _PCM16_BLOCK))
+        for lo in range(0, src.size, _PCM16_BLOCK):
+            part = src[lo:lo + _PCM16_BLOCK]
+            block = np.multiply(part, 32768.0, out=buf[:part.size], dtype=np.float64)
+            np.rint(block, out=block)
+            dst[lo:lo + part.size] = np.clip(block, -32768, 32767, out=block)
+        samples = pcm
     wavfile.write(str(path), rate, samples)
 
 
-def _resample_filter(up: int, down: int) -> np.ndarray:
-    # polyphase windowed-sinc prototype: 64 taps per phase, Kaiser window
-    factor = max(up, down)
-    numtaps = 2 * 32 * factor + 1
-    return firwin(numtaps, 1.0 / factor, window=("kaiser", 8.555))
-
-
 def resample(samples: np.ndarray, rate: int, target_rate: int = CANONICAL_RATE) -> np.ndarray:
-    """Polyphase windowed-sinc resampling to the target rate."""
+    """Polyphase windowed-sinc resampling to the target rate.
+
+    Both rates must be integers from 1 (a bool is not).  ``scipy.signal``
+    is imported on the first call that resamples, not with this module.
+    """
+    for name, value in (("rate", rate), ("target_rate", target_rate)):
+        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integral or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1 Hz, got {value!r}")
     if rate == target_rate:
         return samples
+    # about 47 MB and 0.6 s to import, with the scipy subpackages it loads
+    from scipy.signal import firwin, resample_poly
+
     g = math.gcd(rate, target_rate)
     up, down = target_rate // g, rate // g
-    return resample_poly(samples, up, down, window=_resample_filter(up, down))
+    # polyphase windowed-sinc prototype: 64 taps per phase, Kaiser window
+    factor = max(up, down)
+    taps = firwin(2 * 32 * factor + 1, 1.0 / factor, window=("kaiser", 8.555))
+    return resample_poly(samples, up, down, window=taps)
 
 
 def canonicalize_audio(input_path, out_path, rec_id: str | None = None) -> Recording:

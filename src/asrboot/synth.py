@@ -161,8 +161,10 @@ def add_noise(
     """White noise at the requested SNR relative to nonzero-signal power."""
     if math.isinf(snr_db):
         return x
-    active = x[np.abs(x) > 1e-9]
+    # |x| > 1e-9 from two bool masks, not a float64 |x| the length of x
+    active = x[(x > 1e-9) | (x < -1e-9)]
     power = float(np.mean(np.square(active, out=active))) if active.size else 1e-6
+    del active  # freed before the full-length noise draw
     noise_power = power / (10.0 ** (snr_db / 10.0))
     noise = rng.normal(0.0, math.sqrt(noise_power), size=len(x))
     noise += x
@@ -271,8 +273,10 @@ def synth_corpus(
     while total_done < total_needed - 1e-9:
         target = min(per_rec, total_needed - total_done)
         rec_id = f"long{len(longform):03d}"
-        pieces = [_silence(spec.clip_pad)]
-        cursor = pieces[0].size
+        # one zeroed buffer, so the silences need no writes; only the last
+        # phrase and its gap run past the target, and resize zero-fills
+        signal = np.zeros(math.ceil(target * CANONICAL_RATE))
+        cursor = pad
         truth_utts = []
         lines: list[str] = []
         corrupted_lines: list[int] = []
@@ -281,7 +285,10 @@ def synth_corpus(
             audio, bounds = synth_phrase(words, spec, rng)
             audio = audio[pad:-pad] if pad else audio
             start = cursor / CANONICAL_RATE
-            pieces.append(audio)
+            if cursor + len(audio) > signal.size:
+                # no view of the buffer outlives its statement
+                signal.resize(cursor + len(audio), refcheck=False)
+            signal[cursor:cursor + len(audio)] = audio
             cursor += len(audio)
             truth_utts.append(
                 {
@@ -302,11 +309,8 @@ def synth_corpus(
             if corruption_rate > 0 and rng.random() < corruption_rate:
                 corrupted_lines.append(len(lines))
                 lines.append(" ".join(pick_words(*CORRUPTION_WORDS)))
-            gap = _silence(rng.uniform(*spec.utterance_gap))
-            pieces.append(gap)
-            cursor += gap.size
-        signal = np.concatenate(pieces)
-        pieces.clear()
+            cursor += int(round(rng.uniform(*spec.utterance_gap) * CANONICAL_RATE))
+        signal.resize(cursor, refcheck=False)
         signal = add_noise(signal, spec.snr_db, rng)
         audio_path = out / "audio" / f"{rec_id}.wav"
         write_wav_pcm16(audio_path, signal)

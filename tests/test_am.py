@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,61 @@ class TestNodeMajorScan:
         )
         assert rescored == total
         assert rescored >= ref_total - 1e-9 * abs(ref_total)
+
+    @pytest.mark.parametrize(
+        "case, tokens, sil_prior, extra",
+        [
+            ("one word, no lane 2", ("ABA",), 0.5, 9),
+            ("T = min_frames", ("AB", "BA", "A"), 0.5, 0),
+            ("ends on the last word's exit", ("AB", "BA", "A"), 0.02, 12),
+        ],
+    )
+    def test_rolling_rows_edge_cases(self, ab_lexicon, case, tokens, sil_prior, extra):
+        model = toy_model(spread=2.0)
+        graph = compile_align_graph(tokens, ab_lexicon, model, sil_prior=sil_prior)
+        frames = 3.0 * np.random.default_rng(7).standard_normal(
+            (graph.min_frames + extra, DIM)
+        )
+        emis = am.state_logliks(model, frames, graph.states)[0]
+        path, total = viterbi_path(graph, model.log_transitions(), emis)
+        ref_path, ref_total = viterbi_reference(graph, model, frames)
+        assert np.array_equal(path, ref_path)
+        assert total == ref_total
+        if len(tokens) == 1:
+            assert (graph.lane_src[:, 2] < 0).all()
+        if sil_prior < 0.5:
+            assert path[-1] == graph.final_nodes[0]
+
+    def test_nan_frame_matches_the_reference(self, ab_lexicon):
+        model = toy_model()
+        graph = compile_align_graph(("AB", "BA"), ab_lexicon, model)
+        frames = np.random.default_rng(8).standard_normal((graph.min_frames + 10, DIM))
+        frames[graph.min_frames // 2, 1] = np.nan
+        emis = am.state_logliks(model, frames, graph.states)[0]
+        assert viterbi_path(graph, model.log_transitions(), emis) is None
+        assert viterbi_reference(graph, model, frames) is None
+
+    def test_memory_is_one_node_by_frame_table(self, ab_lexicon, monkeypatch):
+        # the backtrace reads every node's running max; a node's scores
+        # are kept only while a later node reads them
+        model = toy_model()
+        tokens = ("AB", "BA", "ABA", "A", "B") * 12
+        graph = compile_align_graph(tokens, ab_lexicon, model)
+        t_frames = 2000
+        rng = np.random.default_rng(9)
+        table = rng.normal(-60.0, 5.0, (t_frames, model.n_model_states))
+        patch_emissions(monkeypatch, table)
+        emis = am.state_logliks(model, np.zeros((t_frames, DIM)), graph.states)[0]
+        log_trans = model.log_transitions()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = viterbi_path(graph, log_trans, emis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        assert peak < 1.25 * 8 * len(graph.node_state) * t_frames
 
 
 class TestTraining:

@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from scipy.signal import resample as fft_resample
 
 from conftest import NON_UTF8_LINES, write_with_bad_byte
 
+import asrboot
+from asrboot import corpus
 from asrboot.corpus import (
     AudioFormatError,
     ManifestError,
@@ -18,6 +24,7 @@ from asrboot.corpus import (
     corpus_stats,
     load_manifest,
     read_wav,
+    resample,
     subset_by_duration,
     validate_against_recordings,
     wav_duration,
@@ -328,6 +335,30 @@ class TestCanonicalize:
         with pytest.raises(AudioFormatError, match=r"in\.wav: truncated"):
             wav_duration(src)
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])  # PCM header or not
+    @pytest.mark.parametrize(
+        "entry",
+        [wav_duration, read_wav, lambda p: canonicalize_audio(p, p.with_name("o.wav"))],
+        ids=["wav_duration", "read_wav", "canonicalize_audio"],
+    )
+    def test_zero_sample_rate_names_path(self, tmp_path, entry, dtype):
+        src = tmp_path / "in.wav"
+        wavfile.write(str(src), 8000, np.ones(800, dtype=dtype))
+        raw = bytearray(src.read_bytes())
+        raw[24:32] = bytes(8)  # the fmt chunk's sample and byte rates
+        src.write_bytes(raw)
+        with pytest.raises(AudioFormatError, match=r"in\.wav: sample rate 0 Hz"):
+            entry(src)
+
+    @pytest.mark.parametrize(
+        "rate, target_rate",
+        [(0, 16000), (16000, 0), (-8000, 16000), (True, 16000), (16000, True),
+         (8000.0, 16000), (8000, 16000.5), ("8000", 16000)],
+    )
+    def test_resample_rates_are_integers_from_one(self, rate, target_rate):
+        with pytest.raises(ValueError, match="must be an integer >= 1 Hz"):
+            resample(np.zeros(800), rate, target_rate)
+
 
 
 class TestWavIO:
@@ -341,6 +372,23 @@ class TestWavIO:
         _, written = wavfile.read(str(tmp_path / "out.wav"))
         expected = np.clip(np.rint(x.astype(np.float64) * 32768.0), -32768, 32767)
         assert np.array_equal(written, expected.astype(np.int16))
+
+    def test_write_is_exact_across_blocks(self, tmp_path):
+        # two channels, two and a half blocks: float64 is scaled a block
+        # at a time into the one int16 array that is written
+        n = 5 * corpus._PCM16_BLOCK // 4
+        x = np.random.default_rng(1).normal(0.0, 0.6, (n, 2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_wav_pcm16(tmp_path / "out.wav", x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        _, written = wavfile.read(str(tmp_path / "out.wav"))
+        expected = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
+        assert np.array_equal(written, expected)
+        assert peak < x.size * 2 + 1.25 * corpus._PCM16_BLOCK * 8
 
     @pytest.mark.parametrize(
         "dtype, scale, offset",
@@ -443,3 +491,36 @@ class TestStats:
         utts = [make_utt(0, 60.0), make_utt(1, 120.0)]
         stats = corpus_stats(utts, kinds={"rec1": "long_form"})
         assert stats.minutes_by_kind == {"long_form": 2.0, "short_form": 1.0}
+
+
+class TestImportFootprint:
+    """``scipy.signal`` (about 47 MB with what it imports) is loaded by
+    resampling, not by importing the package.  Each check runs in a fresh
+    interpreter: this test module imports scipy.signal itself."""
+
+    @staticmethod
+    def loads_signal(code):
+        env = dict(os.environ)
+        src = str(Path(asrboot.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code + "\nprint('scipy.signal' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        return out.stdout.split()[-1] == "True"
+
+    def test_importing_every_module_leaves_it_unloaded(self):
+        assert not self.loads_signal(
+            "import importlib, pkgutil, sys, asrboot\n"
+            "for m in pkgutil.iter_modules(asrboot.__path__):\n"
+            "    importlib.import_module('asrboot.' + m.name)"
+        )
+
+    def test_resampling_loads_it_and_a_bad_rate_does_not(self):
+        prelude = "import sys\nimport numpy as np\nfrom asrboot import corpus\n"
+        bad_rate = (
+            "try:\n    corpus.resample(np.zeros(800), 0)\n"
+            "except ValueError:\n    pass"
+        )
+        assert not self.loads_signal(prelude + bad_rate)
+        assert self.loads_signal(prelude + "corpus.resample(np.zeros(800), 8000)")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -61,6 +62,20 @@ class TestSynthWord:
         power = np.mean(x[np.abs(x) > 1e-9] ** 2) / 10.0
         drawn = np.random.default_rng(2).normal(0.0, math.sqrt(power), size=len(x))
         assert np.array_equal(noisy, x + drawn)
+
+    def test_noise_allocates_about_one_signal(self):
+        # the mask is two bool arrays, not a float |x|, and the active
+        # samples are freed before the full-length draw
+        x = np.random.default_rng(3).normal(0.0, 0.3, 300_000)
+        x[::3] = 0.0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            add_noise(x, 20.0, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes
 
     def test_signatures_distinguishable(self):
         assert SynthSpec().min_signature_distance() >= SIGNATURE_DISTANCE_FLOOR
