@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .features import FeatureMatrix
+from .features import FeatureMatrix, _column_sums
 from .lexicon import SILENCE_PHONE, Lexicon
 
 LOG_ZERO = -1e30
@@ -536,6 +536,16 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_frames(i: int, frames: np.ndarray, dim: int | None) -> None:
+    """ValueError naming utterance ``i`` unless ``frames`` is 2-D with
+    ``dim`` columns (any number of them when ``dim`` is None)."""
+    if frames.ndim != 2 or (dim is not None and frames.shape[1] != dim):
+        raise ValueError(
+            f"utterance {i}: frames of shape {frames.shape}, "
+            f"expected (T, {'D' if dim is None else dim})"
+        )
+
+
 @dataclass(frozen=True)
 class TrainSchedule:
     n_iters: int = 30
@@ -580,10 +590,16 @@ def flat_start(
     is skipped; a state no utterance reaches keeps the global statistics.
     An utterance with a non-finite frame is left out of both the global
     statistics and the re-estimation (``train`` counts it as failed).
+
+    The global mean and variance are summed one clip at a time, rows in
+    corpus order, so they equal those of the stacked frames to the bit
+    without a stacked copy: beyond the model and the caller's clips,
+    memory holds one clip's deviations and one utterance's scores.
     """
     if not data:
         raise ValueError("flat_start needs at least one utterance")
-    for i, (_, tokens) in enumerate(data):
+    dim = None
+    for i, (feats, tokens) in enumerate(data):
         if not tokens:
             raise GraphError(f"utterance {i}: empty transcript")
         missing = [w for w in tokens if w not in lexicon]
@@ -591,16 +607,20 @@ def flat_start(
             raise ValueError(
                 f"utterance {i}: words not coverable by lexicon: {missing[:5]}"
             )
+        # the first utterance sets the dimension
+        _check_frames(i, feats.frames, dim)
+        dim = feats.dim
     data = [
         (feats, tokens) for feats, tokens in data if np.isfinite(feats.frames).all()
     ]
     if not data:
         raise ValueError("flat_start needs an utterance whose frames are all finite")
-    stacked = np.vstack([feats.frames for feats, _ in data])
-    mean = stacked.mean(axis=0)
-    var = np.maximum(stacked.var(axis=0), VARIANCE_FLOOR)
+    kept = [feats.frames for feats, _ in data]
+    n_frames = sum(len(frames) for frames in kept)
+    mean = _column_sums(kept) / n_frames
+    var = _column_sums(np.square(frames - mean) for frames in kept) / n_frames
+    var = np.maximum(var, VARIANCE_FLOOR)
     phones = tuple(lexicon.phones())
-    dim = stacked.shape[1]
     states = [
         GmmState(
             weights=np.array([1.0]),
@@ -789,13 +809,14 @@ def train(
         raise ValueError("train needs at least one utterance")
     model = model.copy()
     graphs = []
-    for i, (_, tokens) in enumerate(data):
+    for i, (feats, tokens) in enumerate(data):
         try:
             graphs.append(compile_align_graph(
                 tokens, lexicon, model, sil_prior=schedule.sil_prior
             ))
         except GraphError as exc:
             raise GraphError(f"utterance {i}: {exc}") from None
+        _check_frames(i, feats.frames, model.dim)
     trace: list[tuple[float, float]] = []
     # the previous iteration's pre-update total and its paths by utterance,
     # still to be rescored under ``model``

@@ -14,6 +14,7 @@ peak memory does not grow with the length of the recording.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from scipy.fftpack import dct
@@ -24,6 +25,8 @@ ENERGY_FLOOR = 1e-10
 VAR_EPSILON = 1e-10
 # frames per block of the cepstral pass: bounds its transients
 BLOCK_FRAMES = 2000
+# rows per block of cmvn's variance sum
+CMVN_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -210,16 +213,42 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
     )
 
 
+def _column_sums(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Column sums over the rows of a sequence of (n, D) blocks.
+
+    The running sum is carried in as the first row of each block, so the
+    rows are added one at a time in order, as numpy sums axis 0 of a
+    C-contiguous array: with D >= 2 the result equals
+    ``np.vstack(blocks).sum(axis=0)`` to the bit (numpy sums a single
+    contiguous column pairwise).  Holds one block and a copy of it.
+    """
+    total = None
+    for block in blocks:
+        if total is not None:
+            block = np.concatenate([total[None], block])
+        total = np.add.reduce(np.ascontiguousarray(block), axis=0)
+    return total
+
+
 def cmvn(f: FeatureMatrix) -> FeatureMatrix:
     """Per-dimension mean/variance normalization.
 
     Dimensions with variance below 1e-10 are centered but not scaled.
+    The output is the one full-size array: it is centred, its squares are
+    summed ``CMVN_BLOCK_ROWS`` rows at a time, and then it is scaled in
+    place.  The result equals ``(x - x.mean(0)) * scale(x.var(0))`` to the
+    bit for two or more columns.
     """
-    mean = f.frames.mean(axis=0)
-    var = f.frames.var(axis=0)
-    scale = np.where(var < VAR_EPSILON, 1.0, 1.0 / np.sqrt(np.maximum(var, VAR_EPSILON)))
+    n = f.n_frames
+    if n == 0:
+        raise ValueError("cmvn needs at least one frame")
+    out = f.frames - f.frames.mean(axis=0)
+    var = _column_sums(
+        np.square(out[i : i + CMVN_BLOCK_ROWS]) for i in range(0, n, CMVN_BLOCK_ROWS)
+    ) / n
+    out *= np.where(var < VAR_EPSILON, 1.0, 1.0 / np.sqrt(np.maximum(var, VAR_EPSILON)))
     return FeatureMatrix(
-        frames=(f.frames - mean) * scale,
+        frames=out,
         frame_shift=f.frame_shift,
         log_energy=f.log_energy,
     )

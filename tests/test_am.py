@@ -17,6 +17,7 @@ from conftest import (
 
 from asrboot import am
 from asrboot.am import (
+    VARIANCE_FLOOR,
     AlignFailure,
     AlignmentPath,
     GmmState,
@@ -154,6 +155,57 @@ class TestFlatStart:
     def test_no_finite_clip_rejected(self, ab_lexicon):
         data = [(feats_from(np.full((24, DIM), np.nan)), ("AB",))]
         with pytest.raises(ValueError, match="finite"):
+            flat_start(data, ab_lexicon)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_global_statistics_equal_the_stacked_reference(
+        self, ab_lexicon, monkeypatch, seed
+    ):
+        # re-estimation skipped: every state holds the global statistics
+        monkeypatch.setattr(am, "_reestimate", lambda model, stats: model)
+        rng = np.random.default_rng(seed)
+        dim = 39
+        loc = rng.uniform(-50.0, 50.0, dim)
+        lengths = [1, *rng.integers(2, 600, 12).tolist()]
+        clips = [loc + 10.0 * rng.standard_normal((n, dim)) for n in lengths]
+        clips[5][3, 7] = np.nan
+        data = [(feats_from(frames), ("AB",)) for frames in clips]
+        model = flat_start(data, ab_lexicon)
+        stacked = np.vstack([frames for i, frames in enumerate(clips) if i != 5])
+        mean = stacked.mean(axis=0)
+        var = np.maximum(stacked.var(axis=0), VARIANCE_FLOOR)
+        for state in model.states:
+            assert state.means[0].tobytes() == mean.tobytes()
+            assert state.variances[0].tobytes() == var.tobytes()
+
+    def test_memory_is_far_below_the_corpus(self, ab_lexicon):
+        # the global statistics are summed clip by clip, not over a stack
+        rng = np.random.default_rng(3)
+        clips = [rng.standard_normal((400, 39)) for _ in range(30)]
+        data = [(feats_from(frames), ("AB", "BA")) for frames in clips]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            flat_start(data, ab_lexicon)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * sum(frames.nbytes for frames in clips)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            # the first utterance sets the dimension
+            ((24, DIM), (24, 13), f"1: frames of shape (24, 13), expected (T, {DIM})"),
+            ((24, DIM), (24,), f"1: frames of shape (24,), expected (T, {DIM})"),
+            ((24,), (24, DIM), "0: frames of shape (24,), expected (T, D)"),
+        ],
+    )
+    def test_frame_shape_names_its_utterance(
+        self, ab_lexicon, first, second, message
+    ):
+        data = [(feats_from(np.zeros(shape)), ("AB",)) for shape in (first, second)]
+        with pytest.raises(ValueError, match=re.escape("utterance " + message)):
             flat_start(data, ab_lexicon)
 
 
@@ -566,6 +618,14 @@ class TestTraining:
         frames = feats_from(np.zeros((24, DIM)))
         with pytest.raises(GraphError, match=message):
             train(toy_model(), [(frames, ("AB",)), (frames, tokens)], ab_lexicon)
+
+    @pytest.mark.parametrize("shape", [(50, 13), (50,)])
+    def test_frame_shape_names_its_utterance(self, ab_lexicon, shape):
+        good = feats_from(np.zeros((24, DIM)))
+        message = f"utterance 1: frames of shape {shape}, expected (T, {DIM})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(toy_model(), [(good, ("AB",)), (feats_from(np.zeros(shape)), ("AB",))],
+                  ab_lexicon)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from asrboot.features import (
     BLOCK_FRAMES,
+    CMVN_BLOCK_ROWS,
+    VAR_EPSILON,
     AudioTooShortError,
+    FeatureMatrix,
     FrontendConfig,
     _smooth_runs,
     cmvn,
@@ -208,8 +211,6 @@ class TestCmvn:
         assert np.allclose(once.frames, twice.frames, atol=1e-9)
 
     def test_constant_column_zeroed_without_blowup(self):
-        from asrboot.features import FeatureMatrix
-
         frames = np.random.default_rng(3).standard_normal((50, 4))
         frames[:, 2] = 7.5
         f = FeatureMatrix(frames=frames, frame_shift=0.01,
@@ -217,6 +218,44 @@ class TestCmvn:
         g = cmvn(f)
         assert np.allclose(g.frames[:, 2], 0.0)
         assert np.all(np.isfinite(g.frames))
+
+    @pytest.mark.parametrize(
+        "n_frames",
+        [1, CMVN_BLOCK_ROWS - 1, CMVN_BLOCK_ROWS, CMVN_BLOCK_ROWS + 1,
+         3 * CMVN_BLOCK_ROWS + 5],
+    )
+    def test_equals_the_whole_matrix_reference(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        x = rng.uniform(-30.0, 30.0, 39) + 5.0 * rng.standard_normal((n_frames, 39))
+        x[:, 4] = -2.25
+        f = FeatureMatrix(frames=x, frame_shift=0.01, log_energy=x[:, 0].copy())
+        var = x.var(axis=0)
+        scale = np.where(
+            var < VAR_EPSILON, 1.0, 1.0 / np.sqrt(np.maximum(var, VAR_EPSILON))
+        )
+        expected = (x - x.mean(axis=0)) * scale
+        got = cmvn(f).frames
+        assert got.tobytes() == expected.tobytes()
+        assert np.all(got[:, 4] == 0.0)
+
+    def test_memory_is_about_one_output(self):
+        # centred in the output, squares summed a block at a time
+        x = np.random.default_rng(4).standard_normal((20000, 39))
+        f = FeatureMatrix(frames=x, frame_shift=0.01, log_energy=x[:, 0].copy())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cmvn(f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
+
+    def test_no_frames_rejected(self):
+        f = FeatureMatrix(frames=np.zeros((0, 39)), frame_shift=0.01,
+                          log_energy=np.zeros(0))
+        with pytest.raises(ValueError, match="at least one frame"):
+            cmvn(f)
 
 
 class TestSilenceMask:
