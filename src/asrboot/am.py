@@ -292,8 +292,11 @@ def _component_logliks(
     mean/var on x and a quadratic term -1/2/var on x^2, so scoring the
     whole utterance is one matmul [x, x^2] @ P.  Component k of every
     state is one (T, S) slab ``[:, k, :]``, whose rows are K * S apart, so
-    a reduction over K is K - 1 whole-slab operations.
+    a reduction over K is K - 1 whole-slab operations.  Every search
+    scores through here, so frames not of shape (T, model.dim) raise
+    ValueError here.
     """
+    _check_frames(None, frames, model.dim)
     gmms = [model.states[sid] for sid in states]
     n_comp = np.array([g.n_components for g in gmms])
     k_max = int(n_comp.max())
@@ -536,12 +539,14 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_frames(i: int, frames: np.ndarray, dim: int | None) -> None:
-    """ValueError naming utterance ``i`` unless ``frames`` is 2-D with
-    ``dim`` columns (any number of them when ``dim`` is None)."""
+def _check_frames(i: int | None, frames: np.ndarray, dim: int | None) -> None:
+    """ValueError unless ``frames`` is 2-D with ``dim`` columns (any number
+    of them when ``dim`` is None); the message names utterance ``i`` if it
+    is given."""
     if frames.ndim != 2 or (dim is not None and frames.shape[1] != dim):
         raise ValueError(
-            f"utterance {i}: frames of shape {frames.shape}, "
+            ("" if i is None else f"utterance {i}: ")
+            + f"frames of shape {frames.shape}, "
             f"expected (T, {'D' if dim is None else dim})"
         )
 

@@ -10,23 +10,20 @@ scaled into natural log: `NGramLM.step` gives the score and the history
 the next query needs, cached per (history, word), and the utterance end is
 one more step, to </s>.
 
-A frame's candidates are held against a running best total as they are
-made, as Kaldi's ``ProcessEmitting`` does: one below that best less the
-beam is never built, and the self-loops are scored first so the best
-starts high.  The best only rises, so this cut drops nothing the beam keeps.
-The survivors are then pruned in the order beam, recombination, cap: the
-log-likelihood beam around the frame's best total; one token per
-(position, LM history), the higher total score winning, then the higher
-acoustic score, then the lexicographically earlier word sequence, then the
-earlier token; and the `max_active` highest totals, the earlier token
-winning a tie at the cut.  The beam may go first because a key's winner is
-its highest total: when the winner falls below the beam, so does the rest
-of its key.  A NaN score passes no comparison, so a NaN frame builds no
-candidate and empties the beam.
-
 Every frame, frame 0 included (from one empty-history word end), is one
-step: expand the last frame's tokens and word ends, prune, then end the
-words of the survivors.  A `DecodeError` names the frame whose beam empties.
+`_Decoder._step` over the last frame's tokens and word ends, then
+`_word_ends` over its survivors.  The step holds its candidates against a
+running best total as they are made, as Kaldi's ``ProcessEmitting`` does:
+one below that best less the beam is never built, and the self-loops are
+scored first so the best starts high.  The best only rises, so this cut
+drops nothing the beam keeps.  One pass over the candidates then applies
+the beam around the frame's best total and recombination: one token per
+(position, LM history), picked by `_Decoder._beats`, the one tie rule,
+which also picks the utterance end.  The beam may go first because a
+key's winner is its highest total.  Of the winners, the `max_active`
+highest totals survive, the earlier token winning a tie at the cut.  A NaN
+score passes no comparison, so a NaN frame builds no candidate and empties
+the beam; a `DecodeError` names the frame whose beam empties.
 
 A word's start frame is the frame its first grapheme is entered, after
 any silence: a token leaving the SIL exit takes the current frame as its
@@ -67,7 +64,6 @@ class DecodeConfig:
     beam: float = 16.0
     max_active: int = 7000
     lm_scale: float = 12.0
-    word_insertion_penalty: float = 0.0
     sil_prior: float = 0.5
 
     def __post_init__(self):
@@ -77,9 +73,6 @@ class DecodeConfig:
         check_count("max_active", self.max_active)
         if not math.isfinite(self.lm_scale):
             raise ValueError(f"lm_scale must be finite, got {self.lm_scale}")
-        wip = self.word_insertion_penalty
-        if not math.isfinite(wip):
-            raise ValueError(f"word_insertion_penalty must be finite, got {wip}")
         if not 0.0 < self.sil_prior < 1.0:
             raise ValueError(f"sil_prior must be in (0, 1), got {self.sil_prior}")
 
@@ -216,25 +209,28 @@ class _Decoder:
         # frame 0 enters the word starts from one empty-history word end
         tokens, ends = [], [(0, 0, 0, -1, 0.0, 0.0, 0.0)]
         for t in range(n_frames):
-            tokens = self._prune(*self._expand(tokens, ends, t, emis[t].tolist()))
+            tokens = self._step(tokens, ends, t, emis[t].tolist())
             if not tokens:
                 raise DecodeError(f"beam emptied at frame {t}")
             ends = self._word_ends(tokens, t + 1)
         return self._finalize(tokens, ends, feats.frame_shift)
 
-    # -- expansion ---------------------------------------------------------
+    # -- one frame ---------------------------------------------------------
 
-    def _expand(
+    def _step(
         self, tokens: list[tuple], ends: list[tuple], t: int, emit: list[float]
-    ) -> tuple[list[tuple], float]:
-        """Self-loops, steps within a phone and phone entries of `tokens`,
-        then the word starts entered from the word ends `ends`, each scored
-        with frame t's emissions `emit`, and the best total.
+    ) -> list[tuple]:
+        """Frame t's surviving tokens, in the order they were built.
 
-        A candidate whose total falls below the running best `top` less the
-        beam is never built; the self-loops go first, so `top` starts high
-        for the moves and word starts.  `top` only rises, so `_prune`'s beam
-        would drop every candidate skipped here.
+        The candidates are the self-loops, steps within a phone and phone
+        entries of `tokens`, then the word starts entered from the word ends
+        `ends`, each scored with frame t's emissions `emit`.  The self-loops
+        go first, so the running best `top` starts high; a candidate below
+        `top` less the beam is never built, and one built before `top` rose
+        past it is dropped in the pass that recombines.  That pass keeps the
+        `_beats` winner per (position, LM history); of the winners, the
+        `max_active` highest totals survive, the earlier token winning a tie
+        at the cut.
         """
         col, log_self, log_fwd = self.pos_col, self.log_self, self.log_fwd
         is_exit, succ, beam = self.is_exit, self.succ, self.cfg.beam
@@ -273,27 +269,41 @@ class _Decoder:
                         top = total
                         cut = top - beam
                     cands.append((q, hist, start, bp, total, ascore + prior + e, lscore))
-        return cands, top
+        n_pos = len(self.pos_state)
+        best: dict[int, int] = {}
+        for i, tok in enumerate(cands):
+            if tok[_SCORE] >= cut:
+                key = tok[_HIST] * n_pos + tok[_POS]
+                j = best.get(key)
+                if j is None or self._beats(tok, cands[j]):
+                    best[key] = i
+        tokens = [cands[i] for i in sorted(best.values())]
+        cap = self.cfg.max_active
+        if len(tokens) > cap:
+            # a stable sort keeps tied tokens in order, also with reverse
+            ranked = sorted(range(len(tokens)), key=lambda i: tokens[i][_SCORE],
+                            reverse=True)
+            tokens = [tokens[i] for i in sorted(ranked[:cap])]
+        return tokens
 
     def _word_ends(self, tokens: list[tuple], t: int) -> list[tuple]:
         """A token per word ending at an exit in `tokens`, closed at frame t.
 
-        Applies the exit transition, the LM step and the insertion penalty,
-        and records the word's backpointer.
+        Applies the exit transition and the LM step, and records the word's
+        backpointer.
         """
-        wip = self.cfg.word_insertion_penalty
         ends = []
         for pos, hist, start, bp, score, ascore, lscore in tokens:
             fwd = self.log_fwd[pos]
             for word in self.ends_word[pos]:
                 logp, new_hist = self.lm_step(hist, word)
                 ends.append((pos, new_hist, t, len(self.bp_table),
-                             score + fwd + self.lm_w * logp + wip,
-                             ascore + fwd + wip, lscore + logp))
+                             score + fwd + self.lm_w * logp, ascore + fwd,
+                             lscore + logp))
                 self.bp_table.append((bp, word, start, t))
         return ends
 
-    # -- recombination and pruning ------------------------------------------
+    # -- the tie rule --------------------------------------------------------
 
     def _backtrace(self, bp: int) -> list[tuple[int, str, int, int]]:
         """Backpointer entries of a word sequence, first word first."""
@@ -303,46 +313,15 @@ class _Decoder:
             bp = trace[-1][0]
         return trace[::-1]
 
-    def _words(self, bp: int) -> list[str]:
-        return [entry[1] for entry in self._backtrace(bp)]
-
-    def _best(self, keys: list[int], tokens: list[tuple]) -> list[int]:
-        """Index of the best token per key, in token order.
-
-        Higher total score wins, then higher acoustic score, then the
-        lexicographically earlier word sequence, then the earlier token.
-        """
-        best: dict[int, int] = {}
-        for i, key in enumerate(keys):
-            j = best.get(key)
-            if j is None:
-                best[key] = i
-                continue
-            tok, cur = tokens[i], tokens[j]
-            if tok[_SCORE] > cur[_SCORE] or tok[_SCORE] == cur[_SCORE] and (
-                tok[_ASCORE] > cur[_ASCORE] or tok[_ASCORE] == cur[_ASCORE]
-                and self._words(tok[_BP]) < self._words(cur[_BP])
-            ):
-                best[key] = i
-        return sorted(best.values())
-
-    def _prune(self, cands: list[tuple], top: float) -> list[tuple]:
-        """Beam, recombination, then cap: the candidates within the beam of
-        the best total `top`; of those, the best per (position, LM history)
-        by the `_best` rule; of those, the `max_active` highest totals (the
-        earlier token wins a tie at the cut), in order."""
-        floor = top - self.cfg.beam
-        tokens = [tok for tok in cands if tok[_SCORE] >= floor]
-        n_pos = len(self.pos_state)
-        keys = [tok[_HIST] * n_pos + tok[_POS] for tok in tokens]
-        tokens = [tokens[i] for i in self._best(keys, tokens)]
-        cap = self.cfg.max_active
-        if len(tokens) > cap:
-            # a stable sort keeps tied tokens in order, also with reverse
-            ranked = sorted(range(len(tokens)), key=lambda i: tokens[i][_SCORE],
-                            reverse=True)
-            tokens = [tokens[i] for i in sorted(ranked[:cap])]
-        return tokens
+    def _beats(self, tok: tuple, cur: tuple) -> bool:
+        """Whether `tok` outranks `cur`: a higher total score, then a higher
+        acoustic score, then the lexicographically earlier word sequence.
+        On a full tie it does not, so the earlier token keeps its place."""
+        return tok[_SCORE] > cur[_SCORE] or tok[_SCORE] == cur[_SCORE] and (
+            tok[_ASCORE] > cur[_ASCORE] or tok[_ASCORE] == cur[_ASCORE]
+            and [entry[1] for entry in self._backtrace(tok[_BP])]
+            < [entry[1] for entry in self._backtrace(cur[_BP])]
+        )
 
     # -- finalization --------------------------------------------------------
 
@@ -364,8 +343,11 @@ class _Decoder:
                           ascore + leave, lscore + eos))
         if not cands:
             cands = tokens  # a partial hypothesis: the open word is dropped
-        (best,) = self._best([0] * len(cands), cands)
-        _, _, _, bp, total, ascore, lmscore = cands[best]
+        best = cands[0]
+        for tok in cands[1:]:
+            if self._beats(tok, best):
+                best = tok
+        _, _, _, bp, total, ascore, lmscore = best
         trace = self._backtrace(bp)
         return Hypothesis(
             words=tuple(word for _, word, _, _ in trace),

@@ -179,12 +179,12 @@ def mfcc_reference(samples, cfg=FrontendConfig()):
 def decode_reference(model, lm, tree, feats, cfg, survivors=None):
     """Hypothesis by the expand -> recombine -> prune loop: every candidate
     of a frame is built, the best per (position, LM history) is kept by the
-    decoder's `_best` rule, then the beam around the best total and the
+    decoder's `_beats` rule, then the beam around the best total and the
     `max_active` cap apply.  The reference the decoder's cut while
-    expanding (and its prune before recombining) is held to.  The network,
-    the LM steps, the word ends and the final step are the decoder's; a
-    token leaving the SIL exit starts its word at the current frame, as
-    in the decoder.
+    building candidates (and its beam before recombining) is held to.  The
+    network, the LM steps, the word ends and the final step are the
+    decoder's; a token leaving the SIL exit starts its word at the current
+    frame, as in the decoder.
     Each frame's surviving tokens are appended to ``survivors`` if given."""
     dec = _Decoder(model, lm, tree, cfg)
     n_frames = feats.n_frames
@@ -218,8 +218,12 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
         return loops + inner + exits + enter_starts(dec._word_ends(tokens, t), emit)
 
     def recombine_prune(tokens):
-        keys = [tok[_HIST] * n_pos + tok[_POS] for tok in tokens]
-        tokens = [tokens[i] for i in dec._best(keys, tokens)]
+        best = {}
+        for i, tok in enumerate(tokens):
+            key = tok[_HIST] * n_pos + tok[_POS]
+            if key not in best or dec._beats(tok, tokens[best[key]]):
+                best[key] = i
+        tokens = [tokens[i] for i in sorted(best.values())]
         floor = max(tok[_SCORE] for tok in tokens) - cfg.beam
         tokens = [tok for tok in tokens if tok[_SCORE] >= floor]
         if len(tokens) > cfg.max_active:

@@ -301,6 +301,12 @@ class TestForceAlign:
         with pytest.raises(ValueError, match=r"sil_prior must be in \(0, 1\)"):
             force_align(toy_model(), feats, ("AB",), ab_lexicon, sil_prior=sil_prior)
 
+    @pytest.mark.parametrize("shape", [(50, 13), (50,)])
+    def test_frame_shape_rejected(self, ab_lexicon, shape):
+        message = f"frames of shape {shape}, expected (T, {DIM})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            force_align(toy_model(), feats_from(np.zeros(shape)), ("AB",), ab_lexicon)
+
     def test_loglik_finite(self, ab_lexicon):
         model = toy_model()
         feats, _ = generate_utterance(model, ab_lexicon, ("AB",), seed=4)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def exhaustive_decode_score(model, lexicon, lm, vocab, frames, cfg):
     log_skip = math.log(1.0 - cfg.sil_prior)
     lm_w = cfg.lm_scale * LN10
 
-    def seq_score(state_ids, prior, lm_total, n_words):
+    def seq_score(state_ids, prior, lm_total):
         n = len(state_ids)
         if n > t_total:
             return -math.inf
@@ -172,7 +173,7 @@ def exhaustive_decode_score(model, lexicon, lm, vocab, frames, cfg):
         best = -math.inf
         for cuts in itertools.combinations(range(1, t_total), n - 1):
             edges = [0, *cuts, t_total]
-            score = prior + lm_w * lm_total + n_words * cfg.word_insertion_penalty
+            score = prior + lm_w * lm_total
             for i, sid in enumerate(state_ids):
                 d = edges[i + 1] - edges[i]
                 score += emis[sid][edges[i]:edges[i + 1]].sum()
@@ -206,7 +207,7 @@ def exhaustive_decode_score(model, lexicon, lm, vocab, frames, cfg):
                 state_ids = []
                 for ph in phones:
                     state_ids.extend(model.states_for(ph))
-                best = max(best, seq_score(state_ids, prior, lm_total, length))
+                best = max(best, seq_score(state_ids, prior, lm_total))
     return best
 
 
@@ -224,8 +225,7 @@ class TestExhaustiveEquivalence:
         )
         t_frames = int(rng.integers(max(n_states, 2), 7))
         frames = rng.standard_normal((t_frames, DIM))
-        cfg = DecodeConfig(beam=1e9, max_active=10**9, lm_scale=1.0,
-                           word_insertion_penalty=-0.5)
+        cfg = DecodeConfig(beam=1e9, max_active=10**9, lm_scale=1.0)
         tree = build_prefix_tree(ab_lexicon)
         try:
             hyp = decode(model, lm, tree, feats_from(frames), cfg,
@@ -268,7 +268,37 @@ class TestTieRule:
                   (-50.0, -40.0), (-50.0, -40.0)]
         tokens = [(0, 0, 0, b, total, ascore, 0.0)
                   for b, (total, ascore) in zip(bp, scores)]
-        assert dec._best([0, 0, 0, 1, 1], tokens) == [0, 4]
+
+        def winner(group):
+            best = group[0]
+            for tok in group[1:]:
+                if dec._beats(tok, best):
+                    best = tok
+            return best
+
+        assert winner(tokens[:3]) is tokens[0]
+        assert winner(tokens[3:]) is tokens[4]
+
+    def test_full_tie_keeps_the_earlier_token(self, ab_lexicon):
+        # one key, equal totals, acoustic scores and (empty) word sequences:
+        # the tokens differ only in their word starts
+        dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
+                       build_prefix_tree(ab_lexicon), DecodeConfig())
+        assert step_survivors(dec, [0, 0], [(-1.0, -1.0)] * 2) == [0]
+
+
+def step_survivors(dec, keys, rows):
+    """Row indices of `_step`'s survivors from one token per row (total,
+    acoustic score), each at tree position 0 under the LM history id its
+    key gives and with its row index as its word start.  Position 0's
+    column emits 0.0 and every other column -inf, so each token's
+    self-loop is its only candidate."""
+    hist = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    tokens = [(0, hist[key], i, -1, total, ascore, 0.0)
+              for i, (key, (total, ascore)) in enumerate(zip(keys, rows))]
+    emit = [-math.inf] * len(dec.states)
+    emit[dec.pos_col[0]] = 0.0
+    return [tok[2] for tok in dec._step(tokens, [], 1, emit)]
 
 
 class TestPrune:
@@ -277,32 +307,28 @@ class TestPrune:
         dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
                        build_prefix_tree(ab_lexicon),
                        DecodeConfig(beam=50.0, max_active=cap))
-        # tokens differ in position only, so the survivors name themselves
-        tokens = [(i, 0, 0, -1, total, total, 0.0)
-                  for i, total in enumerate([-1.0, -3.0, -3.0, -2.0])]
-        assert dec._prune(tokens, -1.0) == [tokens[i] for i in kept]
+        rows = [(total, total) for total in [-1.0, -3.0, -3.0, -2.0]]
+        assert step_survivors(dec, range(4), rows) == kept
 
     def test_beam_drops_tokens_below_the_best(self, ab_lexicon):
         dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
                        build_prefix_tree(ab_lexicon),
                        DecodeConfig(beam=1.5))
-        tokens = [(i, 0, 0, -1, total, total, 0.0)
-                  for i, total in enumerate([-1.0, -3.0, -2.5, -2.0])]
-        assert dec._prune(tokens, -1.0) == [tokens[0], tokens[2], tokens[3]]
+        rows = [(total, total) for total in [-1.0, -3.0, -2.5, -2.0]]
+        assert step_survivors(dec, range(4), rows) == [0, 2, 3]
 
     def test_recombines_survivors_then_caps(self, ab_lexicon):
         dec = _Decoder(toy_model(), uniform_lm(["A", "B"]),
                        build_prefix_tree(ab_lexicon),
                        DecodeConfig(beam=1.5, max_active=2))
-        # (position, history, total, acoustic): position 0 under history 0
-        # ties at the top and the higher acoustic score wins; history 1 is
-        # another key; position 2's best is below the beam
-        rows = [(0, 0, -1.0, -5.0), (0, 0, -1.0, -4.0), (0, 1, -2.0, -4.0),
-                (2, 0, -3.0, -3.0), (1, 0, -2.4, -2.0), (1, 0, -2.6, -1.0)]
-        tokens = [(pos, hist, 0, -1, total, ascore, 0.0)
-                  for pos, hist, total, ascore in rows]
-        assert dec._prune(tokens, -1.0) == [tokens[1], tokens[2]]
-        assert dec._prune(tokens[:2] + tokens[3:], -1.0) == [tokens[1], tokens[4]]
+        # (position, history) keys with (total, acoustic) rows: key (0, 0)
+        # ties at the top and the higher acoustic score wins; (0, 1) is
+        # another key; (2, 0)'s best is below the beam
+        keys = [(0, 0), (0, 0), (0, 1), (2, 0), (1, 0), (1, 0)]
+        rows = [(-1.0, -5.0), (-1.0, -4.0), (-2.0, -4.0), (-3.0, -3.0),
+                (-2.4, -2.0), (-2.6, -1.0)]
+        assert step_survivors(dec, keys, rows) == [1, 2]
+        assert step_survivors(dec, keys[:2] + keys[3:], rows[:2] + rows[3:]) == [1, 3]
 
 
 def hypothesis_bits(fn, *args):
@@ -320,8 +346,9 @@ def hypothesis_bits(fn, *args):
 
 
 class TestMatchesReferenceLoop:
-    """The cut while expanding and the prune before recombining give the
-    hypotheses of the expand -> recombine -> prune loop, bit for bit."""
+    """`_step`'s cut while building candidates and its beam before
+    recombining give the hypotheses of the expand -> recombine -> prune
+    loop, bit for bit."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -350,16 +377,15 @@ class TestMatchesReferenceLoop:
     def test_bitwise_equal(self, beam, cap, cases, monkeypatch):
         model, lm, tree, utts = cases
         got, expected = [], []
-        prune = _Decoder._prune
+        step = _Decoder._step
 
-        def recording_prune(dec, cands, top):
-            got.append(prune(dec, cands, top))
+        def recording_step(dec, tokens, ends, t, emit):
+            got.append(step(dec, tokens, ends, t, emit))
             return got[-1]
 
-        monkeypatch.setattr(_Decoder, "_prune", recording_prune)
+        monkeypatch.setattr(_Decoder, "_step", recording_step)
         for lm_scale in (1.0, 0.0):
-            cfg = DecodeConfig(beam=beam, max_active=cap, lm_scale=lm_scale,
-                               word_insertion_penalty=-0.5)
+            cfg = DecodeConfig(beam=beam, max_active=cap, lm_scale=lm_scale)
             for feats in utts:
                 assert hypothesis_bits(decode, model, lm, tree, feats, cfg) == \
                     hypothesis_bits(decode_reference, model, lm, tree, feats, cfg,
@@ -578,12 +604,18 @@ class TestDecodeErrors:
             ("max_active", "7"),
             ("lm_scale", math.nan),
             ("lm_scale", math.inf),
-            ("word_insertion_penalty", math.nan),
         ],
     )
     def test_values_that_break_the_search_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             DecodeConfig(**{field: value})
+
+    @pytest.mark.parametrize("shape", [(50, 13), (50,)])
+    def test_frame_shape_rejected(self, shape, ab_lexicon):
+        message = f"frames of shape {shape}, expected (T, {DIM})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode(toy_model(), uniform_lm(["A", "B"]), build_prefix_tree(ab_lexicon),
+                   feats_from(np.zeros(shape)))
 
     def test_infinite_beam_allowed(self):
         assert DecodeConfig(beam=math.inf).beam == math.inf
