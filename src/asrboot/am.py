@@ -9,15 +9,20 @@ iterations.
 
 Every emission score (alignment, accumulation, rescoring and the
 decoder) comes from one kernel, ``_component_logliks``: the requested
-states' components stacked into one matrix and scored with one matmul
-per utterance.  The caller scores: ``force_align``, ``train`` and the
-decoder each call ``state_logliks`` once per utterance and pass the
-matrix on, and each network maps its nodes to the matrix's columns once,
-when it is built (``AlignGraph.node_col``).  Forced alignment scans the
-graph node by node: each node's Viterbi scores over the whole utterance
-are one running max over prefix sums, and the backtrace steps over node
-runs.  A path's total is always its terms summed in path order, by one
-routine (``_path_score``).
+states' columns gathered from the model's table of Gaussian operands
+(``_emission_table``) into one matrix and scored with one matmul of the
+utterance's [x, x^2] (``_stack``).  The table depends only on the model,
+so ``train`` builds it once per model, ``flat_start`` once and the
+decoder once; the stacked frames depend only on the utterance, so
+``train`` stacks them once per iteration and hands them to both the
+kernel and the accumulation.  The caller scores: ``force_align``,
+``train`` and the decoder each call ``state_logliks`` once per utterance
+and pass the matrix on, and each network maps its nodes to the matrix's
+columns once, when it is built (``AlignGraph.node_col``).  Forced
+alignment scans the graph node by node: each node's Viterbi scores over
+the whole utterance are one running max over prefix sums, and the
+backtrace steps over node runs.  A path's total is always its terms
+summed in path order, by one routine (``_path_score``).
 
 Training scores each utterance once per iteration: the emission matrix
 that aligns it under the re-estimated model also rescores its previous
@@ -280,53 +285,94 @@ class AlignFailure:
     detail: str = ""
 
 
-def _component_logliks(
-    model: AcousticModel, frames: np.ndarray, states: Sequence[int]
-) -> np.ndarray:
-    """(T, K, S) log w + log N(x; mean, var) per frame, component and state.
+def _emission_table(
+    model: AcousticModel,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every state's mixture as emission-kernel operands, built once per
+    model: the (2D, K, S) linear and quadratic operand, the (K, S)
+    constants and the (S,) component counts of all S model states.
 
-    The one emission kernel, laid out like Kaldi's ``DiagGmm``: the
-    components of ``states`` are stacked and padded to the largest
-    component count K (a padded component scores ``LOG_ZERO``).  Each
-    component is gconst + log w - 1/2 sum(mean^2/var) plus a linear term
-    mean/var on x and a quadratic term -1/2/var on x^2, so scoring the
-    whole utterance is one matmul [x, x^2] @ P.  Component k of every
-    state is one (T, S) slab ``[:, k, :]``, whose rows are K * S apart, so
-    a reduction over K is K - 1 whole-slab operations.  Every search
-    scores through here, so frames not of shape (T, model.dim) raise
-    ValueError here.
+    Laid out like Kaldi's ``DiagGmm``: component k of state s is the
+    constant gconst + log w - 1/2 sum(mean^2/var) at ``[k, s]``, and its
+    linear term mean/var on x and quadratic term -1/2/var on x^2 in
+    column ``[:, k, s]``, so an utterance's [x, x^2] times the operand
+    scores every component.  States are padded to the model's largest
+    component count K; a padded slot has a zero operand and the constant
+    ``LOG_ZERO``.
     """
-    _check_frames(None, frames, model.dim)
-    gmms = [model.states[sid] for sid in states]
+    gmms = model.states
     n_comp = np.array([g.n_components for g in gmms])
     k_max = int(n_comp.max())
-    # column of every real component (state-major order) in the (K * S) layout
+    # (state, component) of every real component, in state-major order
     state_idx, comp_idx = np.nonzero(np.arange(k_max) < n_comp[:, None])
-    slot = comp_idx * len(gmms) + state_idx
     means = np.concatenate([g.means for g in gmms])
     variances = np.concatenate([g.variances for g in gmms])
     weights = np.concatenate([g.weights for g in gmms])
     inv_var = 1.0 / variances
-    const = np.full(k_max * len(gmms), LOG_ZERO)
-    const[slot] = (
+    const = np.full((k_max, len(gmms)), LOG_ZERO)
+    const[comp_idx, state_idx] = (
         np.log(np.maximum(weights, PROB_FLOOR))
         - 0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)
         - 0.5 * (means * means * inv_var).sum(axis=1)
     )
-    dim = frames.shape[1]
-    params = np.zeros((2 * dim, k_max * len(gmms)))
-    params[:dim, slot] = (means * inv_var).T
-    params[dim:, slot] = (-0.5 * inv_var).T
-    scores = np.hstack([frames, frames * frames]) @ params
-    scores += const
-    return scores.reshape(frames.shape[0], k_max, len(gmms))
+    dim = model.dim
+    operand = np.zeros((2 * dim, k_max, len(gmms)))
+    operand[:dim, comp_idx, state_idx] = (means * inv_var).T
+    operand[dim:, comp_idx, state_idx] = (-0.5 * inv_var).T
+    return operand, const, n_comp
+
+
+def _stack(frames: np.ndarray) -> np.ndarray:
+    """(T, 2D) [x, x^2]: the frames as the emission kernel and the EM
+    accumulation multiply them."""
+    return np.hstack([frames, frames * frames])
+
+
+def _component_logliks(
+    model: AcousticModel,
+    frames: np.ndarray,
+    states: Sequence[int],
+    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    stacked: np.ndarray | None = None,
+) -> np.ndarray:
+    """(T, K, U) log w + log N(x; mean, var) per frame, component and state.
+
+    The one emission kernel.  ``table`` is ``_emission_table(model)`` and
+    ``stacked`` is ``_stack(frames)``; a caller that scores many
+    utterances under one model, or hands the stacked frames on, passes
+    them so that neither is built twice, and each is built here when
+    absent.  The columns of the U ``states`` are gathered from the table,
+    cut to their own largest component count K (a padded component scores
+    ``LOG_ZERO``), into one (2D, K * U) matrix, so scoring the utterance is
+    one matmul.  Component k of every state is one (T, U) slab
+    ``[:, k, :]``, whose rows are K * U apart, so a reduction over K is
+    K - 1 whole-slab operations.  Every search scores through here, so
+    frames not of shape (T, model.dim) raise ValueError here.
+    """
+    _check_frames(None, frames, model.dim)
+    operand, const, n_comp = _emission_table(model) if table is None else table
+    if stacked is None:
+        stacked = _stack(frames)
+    k = int(n_comp[states].max())
+    scores = stacked @ operand[:, :k, states].reshape(len(operand), -1)
+    scores += const[:k, states].ravel()
+    return scores.reshape(len(frames), k, len(states))
 
 
 def state_logliks(
-    model: AcousticModel, frames: np.ndarray, state_ids: Iterable[int]
+    model: AcousticModel,
+    frames: np.ndarray,
+    state_ids: Iterable[int],
+    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    stacked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[int, int], np.ndarray]:
     """(T, U) emission matrix for the unique states, the id -> column map,
     and the (T, K, U) component scores it was summed from.
+
+    ``table`` and ``stacked`` go to ``_component_logliks``, which builds
+    them when absent: ``train`` passes the table it builds once per model
+    and the [x, x^2] it hands on to ``_accumulate``, the decoder the table
+    it builds once.
 
     The component scores are ``_component_logliks`` over the sorted unique
     states, returned unmodified, so training accumulates from the same
@@ -338,14 +384,14 @@ def state_logliks(
     term is below half an ulp of any partial sum that can change it (NaN
     stays NaN).
     """
-    unique = np.unique(np.fromiter(state_ids, dtype=np.int64)).tolist()
-    comp = _component_logliks(model, frames, unique)
+    unique = np.unique(np.fromiter(state_ids, dtype=np.int64))
+    comp = _component_logliks(model, frames, unique, table, stacked)
     peak = comp.max(axis=1)
     rel = comp - peak[:, None, :]
     np.maximum(rel, LOG_TINY, out=rel)
     np.exp(rel, out=rel)
     emis = peak + np.log(rel.sum(axis=1))
-    return emis, {sid: j for j, sid in enumerate(unique)}, comp
+    return emis, {sid: j for j, sid in enumerate(unique.tolist())}, comp
 
 
 def viterbi_path(
@@ -389,6 +435,7 @@ def viterbi_path(
     lane_logp = graph.lane_logp(log_trans)
     entry = np.full(m, LOG_ZERO)
     entry[graph.entry_nodes] = graph.entry_prior
+    entry = entry.tolist()
     forward = lane_logp[:, 1].tolist()
     skip_src = graph.lane_src[:, 2].tolist()
     exits = {src for src in skip_src if src >= 0}
@@ -408,6 +455,8 @@ def viterbi_path(
         slack = emis.T.copy()
         gain = np.cumsum(slack + log_trans[graph.states, :1], axis=1)
         slack -= gain
+        # row views, made once: the loop reads one of each per node
+        run_rows, slack_rows, gain_rows = list(run), list(slack), list(gain)
         for i, j in enumerate(graph.node_col.tolist()):
             h[0] = entry[i]
             if i:
@@ -420,10 +469,10 @@ def viterbi_path(
                 skip += lane_logp[i, 2]
                 took = took_skip[i] = skip > h_tail
                 np.copyto(h_tail, skip, where=took)
-            h += slack[j]
-            out = run[i]
+            h += slack_rows[j]
+            out = run_rows[i]
             np.maximum.accumulate(h, out=out)
-            np.add(out, gain[j], out=rows[i & 1])
+            np.add(out, gain_rows[j], out=rows[i & 1])
             if i in exits:
                 exit_heads[i] = heads[i & 1].copy()
 
@@ -642,12 +691,16 @@ def flat_start(
         transitions=transitions,
     )
     stats = _Stats.zeros(model)
+    table = _emission_table(model)
     for feats, tokens in data:
         graph = compile_align_graph(tokens, lexicon, model)
         path = _equal_alignment(graph, model.n_states, feats.n_frames)
         if path is not None:
-            comp = _component_logliks(model, feats.frames, graph.states.tolist())
-            _accumulate(graph, path, feats.frames, comp, stats)
+            stacked = _stack(feats.frames)
+            comp = _component_logliks(
+                model, feats.frames, graph.states, table, stacked
+            )
+            _accumulate(graph, path, stacked, comp, stats)
     return _reestimate(model, stats)
 
 
@@ -677,8 +730,9 @@ def _path_score(
     rescored under new parameters: a matmul blocked by shape cannot then
     round a rescored total differently from the aligned one.
     """
-    # the first lane whose source is the previous node
-    lanes = (graph.lane_src[path[1:]] == path[:-1, None]).argmax(axis=1)
+    # a step of 0 nodes is lane 0 (self-loop), of 1 lane 1 (the previous
+    # node); a skip jumps over a SIL's n_states nodes, so lane 2
+    lanes = np.minimum(np.diff(path), 2)
     terms = np.empty(2 * len(path) + 1)
     terms[0] = graph.entry_prior[(graph.entry_nodes == path[0]).argmax()]
     terms[1::2] = emis[np.arange(len(path)), graph.node_col[path]]
@@ -710,31 +764,34 @@ class _Stats:
 def _accumulate(
     graph: AlignGraph,
     path: np.ndarray,
-    frames: np.ndarray,
+    stacked: np.ndarray,
     comp: np.ndarray,
     stats: _Stats,
 ) -> None:
     """Add one aligned utterance: component posteriors of each frame's
     state, summed per state with one matmul.
 
-    ``comp`` is the (T, K, U) ``_component_logliks`` output over
-    ``graph.states`` under the model that aligned ``path`` (the third
-    element of ``state_logliks``); it is only read."""
+    ``stacked`` is the utterance's ``_stack(frames)`` and ``comp`` the
+    (T, K, U) ``_component_logliks`` output over ``graph.states`` under
+    the model that aligned ``path`` (the third element of
+    ``state_logliks``), both from the call that scored the utterance; they
+    are only read.  The posterior has a column per component of every
+    graph state, zero for a state the path never visits, so such a
+    state's statistics gain exact zeros."""
     state_ids = graph.node_state[path]
-    states, frame_col = np.unique(state_ids, return_inverse=True)
+    frame_col = graph.node_col[path]
+    states = graph.states
     t_frames, k = len(path), comp.shape[1]
     rows = np.arange(t_frames)
     # (T, K): the aligned state's components
-    gamma = comp[rows, :, graph.node_col[path]]
+    gamma = comp[rows, :, frame_col]
     gamma -= gamma.max(axis=1, keepdims=True)
     np.exp(gamma, out=gamma)
     gamma /= gamma.sum(axis=1, keepdims=True)
     post = np.zeros((t_frames, len(states), k))  # zero off the aligned state
     post[rows, frame_col] = gamma
     post = post.reshape(t_frames, -1)
-    sums = (post.T @ np.hstack([frames, frames * frames])).reshape(
-        len(states), k, 2, -1
-    )
+    sums = (post.T @ stacked).reshape(len(states), k, 2, -1)
     stats.gamma[states, :k] += post.sum(axis=0).reshape(len(states), k)
     stats.x[states, :k] += sums[:, :, 0]
     stats.x2[states, :k] += sums[:, :, 1]
@@ -833,8 +890,12 @@ def train(
         pending_post = 0.0
         reasons: dict[str, int] = {}
         log_trans = model.log_transitions()
+        table = _emission_table(model)
         for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
-            emis, _, comp = state_logliks(model, feats.frames, graph.states)
+            stacked = _stack(feats.frames)
+            emis, _, comp = state_logliks(
+                model, feats.frames, graph.states, table, stacked
+            )
             if idx in pending:
                 pending_post += _path_score(graph, pending[idx], emis, log_trans)
             result = _best_path(graph, log_trans, emis)
@@ -844,7 +905,7 @@ def train(
             path, loglik = result
             pre_total += loglik
             paths[idx] = path
-            _accumulate(graph, path, feats.frames, comp, stats)
+            _accumulate(graph, path, stacked, comp, stats)
         if pending:
             trace.append((pending_pre, pending_post))
         if not paths:
@@ -860,10 +921,13 @@ def train(
             pending_pre, pending = pre_total, paths
         else:
             log_trans = reestimated.log_transitions()
+            table = _emission_table(reestimated)
             post_total = 0.0
             for idx, path in paths.items():
                 graph = graphs[idx]
-                emis = state_logliks(reestimated, data[idx][0].frames, graph.states)[0]
+                emis = state_logliks(
+                    reestimated, data[idx][0].frames, graph.states, table
+                )[0]
                 post_total += _path_score(graph, path, emis, log_trans)
             trace.append((pre_total, post_total))
             pending = {}
@@ -891,8 +955,29 @@ def save_model(model: AcousticModel, path) -> None:
             fh.write(state.variances.astype("<f8").tobytes())
 
 
+def _state_fault(
+    weights: np.ndarray, means: np.ndarray, variances: np.ndarray, trans: np.ndarray
+) -> str | None:
+    """Why a loaded state would score NaN, or None if it would not."""
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        return "weights must be finite and >= 0"
+    if not np.isfinite(means).all():
+        return "means must be finite"
+    if not (np.isfinite(variances).all() and (variances > 0).all()):
+        return "variances must be finite and > 0"
+    if not (np.isfinite(trans).all() and (trans >= 0).all()):
+        return "transitions must be finite and >= 0"
+    return None
+
+
 def load_model(path) -> AcousticModel:
-    """Read a ``save_model`` file; ValueError names the path and the fault."""
+    """Read a ``save_model`` file; ValueError names the path and the fault.
+
+    A model that would score NaN or match nothing is a fault too: a
+    feature dimension of 0, a state of 0 components (it scores
+    ``LOG_ZERO`` on every frame), a weight, mean, variance or transition
+    that is not finite, a negative weight or transition, and a variance
+    that is not positive."""
     with open(path, "rb") as fh:
 
         def read(n: int) -> bytes:
@@ -910,6 +995,8 @@ def load_model(path) -> AcousticModel:
                 f"reads only version {MODEL_VERSION}"
             )
         n_phones, n_states, dim, n_model_states = struct.unpack("<IIII", read(16))
+        if dim < 1:
+            raise ValueError(f"{path}: feature dimension {dim}, need >= 1")
         if n_states < 1:
             raise ValueError(f"{path}: {n_states} states per phone, need >= 1")
         if n_model_states != n_phones * n_states:
@@ -925,11 +1012,16 @@ def load_model(path) -> AcousticModel:
             read(n_model_states * 2 * 8), dtype="<f8"
         ).reshape(n_model_states, 2).copy()
         states = []
-        for _ in range(n_model_states):
+        for i in range(n_model_states):
             (k,) = struct.unpack("<I", read(4))
+            if k < 1:
+                raise ValueError(f"{path}: state {i}: 0 components, need >= 1")
             weights = np.frombuffer(read(k * 8), dtype="<f8").copy()
             means = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
             variances = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
+            fault = _state_fault(weights, means, variances, transitions[i])
+            if fault:
+                raise ValueError(f"{path}: state {i}: {fault}")
             states.append(GmmState(weights, means, variances))
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last state")

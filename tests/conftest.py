@@ -66,6 +66,69 @@ def gmm_loglik(state, frames):
     return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))
 
 
+def state_logliks_reference(model, frames, state_ids):
+    """(emis, comp) of ``am.state_logliks`` with the requested states'
+    operand assembled for the call from their ``GmmState`` lists: the
+    reference the columns gathered from ``am._emission_table`` are held
+    to."""
+    unique = np.unique(np.fromiter(state_ids, dtype=np.int64)).tolist()
+    gmms = [model.states[sid] for sid in unique]
+    n_comp = np.array([g.n_components for g in gmms])
+    k_max = int(n_comp.max())
+    state_idx, comp_idx = np.nonzero(np.arange(k_max) < n_comp[:, None])
+    slot = comp_idx * len(gmms) + state_idx
+    means = np.concatenate([g.means for g in gmms])
+    variances = np.concatenate([g.variances for g in gmms])
+    weights = np.concatenate([g.weights for g in gmms])
+    inv_var = 1.0 / variances
+    const = np.full(k_max * len(gmms), LOG_ZERO)
+    const[slot] = (
+        np.log(np.maximum(weights, PROB_FLOOR))
+        - 0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)
+        - 0.5 * (means * means * inv_var).sum(axis=1)
+    )
+    dim = frames.shape[1]
+    params = np.zeros((2 * dim, k_max * len(gmms)))
+    params[:dim, slot] = (means * inv_var).T
+    params[dim:, slot] = (-0.5 * inv_var).T
+    scores = np.hstack([frames, frames * frames]) @ params
+    scores += const
+    comp = scores.reshape(frames.shape[0], k_max, len(gmms))
+    peak = comp.max(axis=1)
+    rel = comp - peak[:, None, :]
+    np.maximum(rel, am.LOG_TINY, out=rel)
+    np.exp(rel, out=rel)
+    return peak + np.log(rel.sum(axis=1)), comp
+
+
+def accumulate_reference(graph, path, frames, comp, stats):
+    """``am._accumulate`` with the posterior over only the states the
+    path visits (``np.unique`` of its states): the reference the
+    posterior over every graph state is held to."""
+    state_ids = graph.node_state[path]
+    states, frame_col = np.unique(state_ids, return_inverse=True)
+    t_frames, k = len(path), comp.shape[1]
+    rows = np.arange(t_frames)
+    gamma = comp[rows, :, graph.node_col[path]]
+    gamma -= gamma.max(axis=1, keepdims=True)
+    np.exp(gamma, out=gamma)
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    post = np.zeros((t_frames, len(states), k))
+    post[rows, frame_col] = gamma
+    post = post.reshape(t_frames, -1)
+    sums = (post.T @ np.hstack([frames, frames * frames])).reshape(
+        len(states), k, 2, -1
+    )
+    stats.gamma[states, :k] += post.sum(axis=0).reshape(len(states), k)
+    stats.x[states, :k] += sums[:, :, 0]
+    stats.x2[states, :k] += sums[:, :, 1]
+    src_states = state_ids[:-1]
+    self_moves = path[1:] == path[:-1]
+    np.add.at(stats.trans[:, 0], src_states[self_moves], 1.0)
+    np.add.at(stats.trans[:, 1], src_states[~self_moves], 1.0)
+    stats.trans[int(state_ids[-1]), 1] += 1.0
+
+
 def feats_from(frames):
     frames = np.asarray(frames, dtype=float)
     return FeatureMatrix(

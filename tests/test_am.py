@@ -8,9 +8,11 @@ import pytest
 
 from conftest import (
     DIM,
+    accumulate_reference,
     feats_from,
     generate_utterance,
     gmm_loglik,
+    state_logliks_reference,
     toy_model,
     viterbi_reference,
 )
@@ -711,7 +713,7 @@ def train_reference(model, data, lexicon, schedule):
             result = viterbi_path(graph, model.log_transitions(), emis)
             if result is not None:
                 aligned.append((graph, result[0], feats.frames))
-                am._accumulate(graph, result[0], feats.frames, comp, stats)
+                am._accumulate(graph, result[0], am._stack(feats.frames), comp, stats)
         pre = sum(rescore_frame_by_frame(model, *a) for a in aligned)
         model = am._reestimate(model, stats)
         post = sum(rescore_frame_by_frame(model, *a) for a in aligned)
@@ -751,6 +753,26 @@ class TestRescoring:
         )
         assert rescored == total
 
+    @pytest.mark.parametrize("n_states", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rescored_total_on_paths_that_skip_a_silence(
+        self, ab_lexicon, n_states, seed
+    ):
+        model = toy_model(n_states=n_states, spread=2.0)
+        tokens = ("AB", "BA", "ABA")
+        feats, _ = generate_utterance(model, ab_lexicon, tokens, seed=seed)
+        graph = compile_align_graph(tokens, ab_lexicon, model, sil_prior=0.1)
+        log_trans = model.log_transitions()
+        emis = am.state_logliks(model, feats.frames, graph.states)[0]
+        path, total = viterbi_path(graph, log_trans, emis)
+        steps = np.diff(path)
+        assert (steps == n_states + 1).any()  # lane 2, over a SIL
+        # the lanes by source node: the first lane that leaves path[t - 1]
+        lanes = (graph.lane_src[path[1:]] == path[:-1, None]).argmax(axis=1)
+        assert np.array_equal(np.minimum(steps, 2), lanes)
+        assert _path_score(graph, path, emis, log_trans) == total
+        assert rescore_frame_by_frame(model, graph, path, feats.frames) == total
+
     def test_trace_post_matches_frame_by_frame_rescoring(self, ab_lexicon):
         model = toy_model(spread=2.0)
         tokens = ("AB", "A", "BA")
@@ -782,9 +804,9 @@ class TestRescoring:
                 models.setdefault("grown", grown)
             return grown
 
-        def logliks(m, frames, state_ids):
+        def logliks(m, frames, state_ids, *inputs):
             models.setdefault("first", m)
-            emis, col, comp = real_logliks(m, frames, state_ids)
+            emis, col, comp = real_logliks(m, frames, state_ids, *inputs)
             if frames is bad and m is models.get(fail_under):
                 emis = np.full_like(emis, -np.inf)
             return emis, col, comp
@@ -858,15 +880,7 @@ class TestEmissionKernel:
     def test_matches_the_per_component_formula(self, seed):
         rng = np.random.default_rng(seed)
         dim = 39
-        model = toy_model()
-        model.dim = dim
-        for sid in range(model.n_model_states):
-            k = (1, 2, 4)[sid % 3]  # mixed K: padded slots in every call
-            model.states[sid] = GmmState(
-                weights=rng.dirichlet(np.ones(k)),
-                means=rng.standard_normal((k, dim)),
-                variances=rng.uniform(0.2, 2.0, (k, dim)),
-            )
+        model = mixed_k_model(rng, dim)  # padded slots in every call
         frames = 3.0 * rng.standard_normal((301, dim))
         state_ids = [5, 0, 7, 5, 2, 9, 11]  # unsorted, with a repeat
         emis, col = am.state_logliks(model, frames, state_ids)[:2]
@@ -910,6 +924,75 @@ class TestEmissionKernel:
         shifted = rel[(comp > am.LOG_ZERO / 2) & np.isfinite(rel)]  # real terms
         assert np.mean(shifted < -745.0) > 0.1  # exp gives 0
         assert np.any((shifted > -745.0) & (shifted < am.LOG_TINY))  # denormal
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "case, state_ids",
+        [
+            ("every state, K 1/2/4", list(range(12))),
+            ("largest K 2 of the model's 4", [0, 1, 3, 4, 10]),
+            ("unsorted, with a repeat", [5, 0, 7, 5, 2, 9, 11]),
+            ("NaN frame", [5, 0, 7, 5, 2, 9, 11]),
+        ],
+    )
+    def test_model_table_equals_the_per_call_assembly(self, seed, case, state_ids):
+        rng = np.random.default_rng(seed)
+        model = mixed_k_model(rng, dim=39)
+        frames = 3.0 * rng.standard_normal((301, 39))
+        if case == "NaN frame":
+            frames[17, 4] = np.nan
+        ref_emis, ref_comp = state_logliks_reference(model, frames, state_ids)
+        k_cut = max(model.states[sid].n_components for sid in state_ids)
+        assert ref_comp.shape[1] == k_cut
+        table = am._emission_table(model)
+        stacked = am._stack(frames)
+        for inputs in ((), (table,), (table, stacked)):
+            emis, _, comp = am.state_logliks(model, frames, state_ids, *inputs)
+            assert np.array_equal(comp, ref_comp, equal_nan=True)
+            assert np.array_equal(emis, ref_emis, equal_nan=True)
+
+
+def mixed_k_model(rng, dim):
+    """``toy_model`` of dimension ``dim`` whose state ``sid`` has
+    (1, 2, 4)[sid % 3] random components."""
+    model = toy_model()
+    model.dim = dim
+    for sid in range(model.n_model_states):
+        k = (1, 2, 4)[sid % 3]
+        model.states[sid] = GmmState(
+            weights=rng.dirichlet(np.ones(k)),
+            means=rng.standard_normal((k, dim)),
+            variances=rng.uniform(0.2, 2.0, (k, dim)),
+        )
+    return model
+
+
+class TestAccumulation:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_posterior_over_every_graph_state_equals_the_visited_ones(
+        self, ab_lexicon, seed
+    ):
+        # every path skips each optional silence, so the SIL columns of
+        # the posterior are never visited and hold zeros
+        rng = np.random.default_rng(seed)
+        dim = 39
+        model = mixed_k_model(rng, dim)
+        stats, ref_stats = am._Stats.zeros(model), am._Stats.zeros(model)
+        for tokens in (("AB", "BA"), ("ABA", "A", "B"), ("B",)):
+            graph = compile_align_graph(tokens, ab_lexicon, model)
+            in_word = [inst.word_index is not None for inst in graph.instances]
+            nodes = np.flatnonzero(np.repeat(in_word, model.n_states))
+            t_frames = len(nodes) + int(rng.integers(0, 60))
+            path = nodes[np.arange(t_frames) * len(nodes) // t_frames]
+            frames = 3.0 * rng.standard_normal((t_frames, dim))
+            stacked = am._stack(frames)
+            _, _, comp = am.state_logliks(model, frames, graph.states)
+            visited = np.isin(graph.states, graph.node_state[path])
+            assert not visited.all()
+            am._accumulate(graph, path, stacked, comp, stats)
+            accumulate_reference(graph, path, frames, comp, ref_stats)
+        for name in ("gamma", "x", "x2", "trans"):
+            assert np.array_equal(getattr(stats, name), getattr(ref_stats, name)), name
 
 
 class TestSerialization:
@@ -979,6 +1062,46 @@ class TestMalformedModelFile:
         path = tmp_path / "bad.bin"
         save_model(model, path)
         with pytest.raises(ValueError, match=r"bad\.bin: 9 states, but 4 phones"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("zero components", r"bad\.bin: state 4: 0 components, need >= 1"),
+            ("dimension 0", r"bad\.bin: feature dimension 0, need >= 1"),
+            ("negative variance", r"bad\.bin: state 2: variances must be finite and > 0"),
+            ("zero variance", r"bad\.bin: state 2: variances must be finite and > 0"),
+            ("NaN weight", r"bad\.bin: state 1: weights must be finite and >= 0"),
+            ("negative weight", r"bad\.bin: state 1: weights must be finite and >= 0"),
+            ("infinite mean", r"bad\.bin: state 3: means must be finite"),
+            ("NaN transition", r"bad\.bin: state 5: transitions must be finite and >= 0"),
+        ],
+    )
+    def test_model_that_would_score_nan_or_match_nothing_rejected(
+        self, tmp_path, fault, message
+    ):
+        model = toy_model()
+        if fault == "zero components":
+            model.states[4] = GmmState(np.zeros(0), np.zeros((0, DIM)), np.zeros((0, DIM)))
+        elif fault == "dimension 0":
+            model.dim = 0
+            for state in model.states:
+                state.means, state.variances = np.zeros((1, 0)), np.zeros((1, 0))
+        elif fault == "negative variance":
+            model.states[2].variances[0, 1] = -0.25
+        elif fault == "zero variance":
+            model.states[2].variances[0, 0] = 0.0
+        elif fault == "NaN weight":
+            model.states[1].weights[0] = np.nan
+        elif fault == "negative weight":
+            model.states[1].weights[0] = -1.0
+        elif fault == "infinite mean":
+            model.states[3].means[0, 0] = np.inf
+        else:
+            model.transitions[5, 0] = np.nan
+        path = tmp_path / "bad.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=message):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path, raw):
