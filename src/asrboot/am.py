@@ -12,11 +12,11 @@ decoder) comes from one kernel, ``_component_logliks``: the requested
 states' columns gathered from the model's table of Gaussian operands
 (``_emission_table``) into one matrix and scored with one matmul of the
 utterance's [x, x^2] (``_stack``).  The table depends only on the model,
-so ``train`` builds it once per model, ``flat_start`` once and the
-decoder once; the stacked frames depend only on the utterance, so
-``train`` stacks them once per iteration and hands them to both the
-kernel and the accumulation.  The caller scores: ``force_align``,
-``train`` and the decoder each call ``state_logliks`` once per utterance
+so ``train`` builds it once per model and ``flat_start`` once; the
+stacked frames depend only on the utterance, so ``train`` stacks them
+once per iteration and hands them to both the kernel and the
+accumulation.  The caller scores: ``force_align``, ``train`` and the
+decoder each call ``state_logliks`` once per utterance
 and pass the matrix on, and each network maps its nodes to the matrix's
 columns once, when it is built (``AlignGraph.node_col``).  Forced
 alignment scans the graph node by node: each node's Viterbi scores over
@@ -371,8 +371,7 @@ def state_logliks(
 
     ``table`` and ``stacked`` go to ``_component_logliks``, which builds
     them when absent: ``train`` passes the table it builds once per model
-    and the [x, x^2] it hands on to ``_accumulate``, the decoder the table
-    it builds once.
+    and the [x, x^2] it hands on to ``_accumulate``.
 
     The component scores are ``_component_logliks`` over the sorted unique
     states, returned unmodified, so training accumulates from the same
@@ -435,7 +434,6 @@ def viterbi_path(
     lane_logp = graph.lane_logp(log_trans)
     entry = np.full(m, LOG_ZERO)
     entry[graph.entry_nodes] = graph.entry_prior
-    entry = entry.tolist()
     forward = lane_logp[:, 1].tolist()
     skip_src = graph.lane_src[:, 2].tolist()
     exits = {src for src in skip_src if src >= 0}
@@ -455,8 +453,6 @@ def viterbi_path(
         slack = emis.T.copy()
         gain = np.cumsum(slack + log_trans[graph.states, :1], axis=1)
         slack -= gain
-        # row views, made once: the loop reads one of each per node
-        run_rows, slack_rows, gain_rows = list(run), list(slack), list(gain)
         for i, j in enumerate(graph.node_col.tolist()):
             h[0] = entry[i]
             if i:
@@ -469,10 +465,10 @@ def viterbi_path(
                 skip += lane_logp[i, 2]
                 took = took_skip[i] = skip > h_tail
                 np.copyto(h_tail, skip, where=took)
-            h += slack_rows[j]
-            out = run_rows[i]
+            h += slack[j]
+            out = run[i]
             np.maximum.accumulate(h, out=out)
-            np.add(out, gain_rows[j], out=rows[i & 1])
+            np.add(out, gain[j], out=rows[i & 1])
             if i in exits:
                 exit_heads[i] = heads[i & 1].copy()
 
@@ -777,7 +773,16 @@ def _accumulate(
     ``state_logliks``), both from the call that scored the utterance; they
     are only read.  The posterior has a column per component of every
     graph state, zero for a state the path never visits, so such a
-    state's statistics gain exact zeros."""
+    state's statistics gain exact zeros.
+
+    The matmul's row count is every graph state's components, not only
+    the visited ones', so its sums equal those of a posterior over the
+    visited states only where the BLAS keeps each output element's
+    summation order as that row count changes.  This held on the one
+    BLAS it was checked on (OpenBLAS, ``TestAccumulation``); unlike the
+    table gather in ``_component_logliks``, it is not equal by
+    construction.  Where ``TestAccumulation`` fails, take the posterior
+    over ``np.unique`` of the path's states instead."""
     state_ids = graph.node_state[path]
     frame_col = graph.node_col[path]
     states = graph.states

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .am import AcousticModel, Interval, _emission_table, check_count, state_logliks
+from .am import AcousticModel, Interval, check_count, state_logliks
 from .features import FeatureMatrix
 from .lexicon import SILENCE_PHONE, UNK_WORD, Lexicon
 from .lm import BOS, EOS, NGramLM
@@ -177,7 +177,6 @@ class _Decoder:
         # the decoder's states are the columns of its emission matrix
         states, pos_col = np.unique(self.pos_state, return_inverse=True)
         self.states, self.pos_col = states.tolist(), pos_col.tolist()
-        self.table = _emission_table(model)
         log_trans = model.log_transitions()[self.pos_state]
         self.log_self = log_trans[:, 0].tolist()
         self.log_fwd = log_trans[:, 1].tolist()
@@ -206,7 +205,7 @@ class _Decoder:
             raise DecodeError("no frames to decode")
         # backpointers: (previous backpointer, word, start frame, end frame)
         self.bp_table: list[tuple[int, str, int, int]] = []
-        emis = state_logliks(self.model, feats.frames, self.states, self.table)[0]
+        emis = state_logliks(self.model, feats.frames, self.states)[0]
         # frame 0 enters the word starts from one empty-history word end
         tokens, ends = [], [(0, 0, 0, -1, 0.0, 0.0, 0.0)]
         for t in range(n_frames):
