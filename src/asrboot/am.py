@@ -981,8 +981,8 @@ def load_model(path) -> AcousticModel:
     A model that would score NaN or match nothing is a fault too: a
     feature dimension of 0, a state of 0 components (it scores
     ``LOG_ZERO`` on every frame), a weight, mean, variance or transition
-    that is not finite, a negative weight or transition, and a variance
-    that is not positive."""
+    that is not finite, a negative weight or transition, a variance
+    that is not positive, and a phone named twice."""
     with open(path, "rb") as fh:
 
         def read(n: int) -> bytes:
@@ -1012,7 +1012,11 @@ def load_model(path) -> AcousticModel:
         phones = []
         for _ in range(n_phones):
             (length,) = struct.unpack("<H", read(2))
-            phones.append(read(length).decode("utf-8"))
+            phone = read(length).decode("utf-8")
+            if phone in phones:
+                # states_for would map it to its last copy's states only
+                raise ValueError(f"{path}: phone {phone!r} appears twice")
+            phones.append(phone)
         transitions = np.frombuffer(
             read(n_model_states * 2 * 8), dtype="<f8"
         ).reshape(n_model_states, 2).copy()

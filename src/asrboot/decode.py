@@ -32,16 +32,12 @@ word start, so a word's interval never holds the pause before it.
 Scores are added in a fixed order, so decoding is deterministic bit for
 bit.  When no token reaches an utterance-final state, the best token's
 completed words come back as a hypothesis flagged ``partial``.
-`decode_corpus` compiles the tree once and keeps the LM-step cache across
-its batch.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -148,9 +144,7 @@ class _Decoder:
     n_states onwards, one per state of its phone; the SIL positions come
     last.  An exit (a phone's last state) enters the first positions of its
     node's children, the SIL exit those of the root's, and a word starts at
-    a root child (skipping the silence) or at the first SIL position.  One
-    decoder serves many utterances: LM histories and the step cache carry
-    over, the backpointer table does not.
+    a root child (skipping the silence) or at the first SIL position.
     """
 
     def __init__(self, model, lm, tree, cfg):
@@ -374,50 +368,3 @@ def decode(
     holds the pronunciations); the benchmark harness still passes it."""
     return _Decoder(model, lm, tree, cfg).decode(feats)
 
-
-@dataclass
-class RtfReport:
-    audio_seconds: float
-    wall_seconds: float
-
-    @property
-    def rtf(self) -> float:
-        return self.wall_seconds / self.audio_seconds if self.audio_seconds else 0.0
-
-
-@dataclass
-class CorpusDecodeResult:
-    hypotheses: list[Hypothesis | None]
-    errors: list[tuple[int, str]]
-    partial: list[int]  # indices of partial hypotheses
-    rtf: RtfReport
-
-
-def decode_corpus(
-    model: AcousticModel,
-    lm: NGramLM,
-    tree: LexTree,
-    batch: Sequence[FeatureMatrix],
-    cfg: DecodeConfig = DecodeConfig(),
-) -> CorpusDecodeResult:
-    """Decode a batch in order with one `_Decoder`; per-utterance errors
-    and partial hypotheses are listed by index."""
-    hypotheses: list[Hypothesis | None] = []
-    errors: list[tuple[int, str]] = []
-    audio_seconds = 0.0
-    started = time.perf_counter()
-    decoder = _Decoder(model, lm, tree, cfg)
-    for index, feats in enumerate(batch):
-        audio_seconds += feats.n_frames * feats.frame_shift
-        try:
-            hypotheses.append(decoder.decode(feats))
-        except DecodeError as exc:
-            hypotheses.append(None)
-            errors.append((index, str(exc)))
-    wall = time.perf_counter() - started
-    return CorpusDecodeResult(
-        hypotheses=hypotheses,
-        errors=errors,
-        partial=[i for i, hyp in enumerate(hypotheses) if hyp and hyp.partial],
-        rtf=RtfReport(audio_seconds=audio_seconds, wall_seconds=wall),
-    )

@@ -13,6 +13,7 @@ peak memory does not grow with the length of the recording.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -39,6 +40,25 @@ class FrontendConfig:
     preemphasis: float = 0.97
     fmin: float = 20.0
     fmax: float = 7800.0
+
+    def __post_init__(self):
+        # inline checks: am imports this module, so am.check_count is out of reach
+        for name, seconds in (("frame_length", self.frame_length),
+                              ("frame_shift", self.frame_shift)):
+            # rounded to whole samples, as window_samples and shift_samples do
+            if not 0.5 < seconds * self.sample_rate < math.inf:
+                raise ValueError(f"{name} must be at least one sample, got {seconds}")
+        if not self.n_mels >= 1:
+            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
+        if not 1 <= self.n_ceps <= self.n_mels:
+            raise ValueError(
+                f"n_ceps must be in 1..n_mels ({self.n_mels}), got {self.n_ceps}"
+            )
+        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
+            raise ValueError(
+                f"need 0 <= fmin < fmax <= sample_rate / 2, got fmin {self.fmin}, "
+                f"fmax {self.fmax}, sample_rate {self.sample_rate}"
+            )
 
     @property
     def window_samples(self) -> int:

@@ -65,6 +65,8 @@ def chunk_recording(
     it ends, else that chunk's end.  The window stops half a chunk before
     the recording ends, so the last chunk is at least half a chunk long.
     """
+    if not max_frames >= 2:  # below 2 the seam never moves past lo
+        raise ValueError(f"max_frames must be >= 2, got {max_frames}")
     chunks = []
     lo = 0
     while n_frames - lo > max_frames:

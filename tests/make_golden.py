@@ -29,7 +29,7 @@ from pathlib import Path
 from asrboot import segment
 from asrboot.am import TrainSchedule, flat_start, train
 from asrboot.corpus import load_manifest, read_wav
-from asrboot.decode import DecodeConfig, build_prefix_tree, decode_corpus
+from asrboot.decode import DecodeConfig, DecodeError, build_prefix_tree, decode
 from asrboot.features import cmvn, compute_mfcc
 from asrboot.lexicon import graphemic_lexicon
 from asrboot.lm import train_ngram
@@ -96,13 +96,13 @@ def tiny_run(work_dir) -> dict:
 
     lm_lines = Path(corp.lm_text).read_text(encoding="utf-8").splitlines()
     lm = train_ngram([line.split() for line in lm_lines], order=3)
-    test = _features(corp.test_manifest)
-    result = decode_corpus(
-        model, lm, build_prefix_tree(lexicon), [f for f, _ in test], decode_cfg
-    )
-    hypotheses = []
-    for (feats, ref), hyp in zip(test, result.hypotheses):
-        if hyp is None:
+    tree = build_prefix_tree(lexicon)
+    errors, hypotheses = [], []
+    for index, (feats, ref) in enumerate(_features(corp.test_manifest)):
+        try:
+            hyp = decode(model, lm, tree, feats, decode_cfg)
+        except DecodeError as exc:
+            errors.append([index, str(exc)])
             hypotheses.append(None)
             continue
         shift = feats.frame_shift
@@ -128,8 +128,7 @@ def tiny_run(work_dir) -> dict:
             "loglik_trace": [list(pair) for pair in trained.loglik_trace],
             "failure_reasons": dict(sorted(trained.failure_reasons.items())),
         },
-        "decode": {"errors": [list(e) for e in result.errors],
-                   "hypotheses": hypotheses},
+        "decode": {"errors": errors, "hypotheses": hypotheses},
         "harvest": {
             "segments": [
                 {"start": s.start, "end": s.end, "tokens": list(s.tokens),

@@ -1104,6 +1104,16 @@ class TestMalformedModelFile:
         with pytest.raises(ValueError, match=message):
             load_model(path)
 
+    def test_phone_named_twice_rejected(self, tmp_path):
+        # states_for("A") would give the last copy's states, 9-11, and
+        # states 0-8 could never be reached
+        model = toy_model()
+        model.phones = ("A", "A", "A", "A")
+        path = tmp_path / "bad.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=r"bad\.bin: phone 'A' appears twice"):
+            load_model(path)
+
     def test_trailing_bytes_rejected(self, tmp_path, raw):
         path = self.write(tmp_path, raw + b"\0")
         with pytest.raises(ValueError, match=r"bad\.bin: trailing bytes"):

@@ -19,7 +19,6 @@ from asrboot.decode import (
     _Decoder,
     build_prefix_tree,
     decode,
-    decode_corpus,
 )
 from asrboot.lexicon import graphemic_lexicon
 from asrboot.lm import BOS, EOS, NGramLM, train_ngram
@@ -439,93 +438,6 @@ class TestBeamWidening:
             except DecodeError:
                 scores.append(-math.inf)
         assert scores == sorted(scores)
-
-
-class TestDecodeCorpus:
-    def test_empty_batch(self, ab_lexicon):
-        model = toy_model()
-        lm = uniform_lm(["A", "B"])
-        tree = build_prefix_tree(ab_lexicon)
-        result = decode_corpus(model, lm, tree, [])
-        assert result.hypotheses == []
-
-    def test_order_and_determinism(self, ab_lexicon):
-        model = toy_model()
-        lm = uniform_lm(["A", "B"])
-        tree = build_prefix_tree(ab_lexicon)
-        batch = []
-        expected = []
-        for i, tokens in enumerate([("A",), ("B", "A"), ("A", "B")]):
-            feats, _ = generate_utterance(
-                model, ab_lexicon, tokens, frames_per_state=4, seed=i,
-                gap_sil=3,
-            )
-            batch.append(feats)
-            expected.append(tokens)
-        cfg = DecodeConfig(beam=50.0)
-        r1 = decode_corpus(model, lm, tree, batch, cfg)
-        r2 = decode_corpus(model, lm, tree, batch, cfg)
-        assert [h.words for h in r1.hypotheses] == expected
-        assert [h.words for h in r1.hypotheses] == [
-            h.words for h in r2.hypotheses
-        ]
-        assert r1.rtf.audio_seconds > 0
-
-    def test_errors_collected_batch_continues(self, ab_lexicon):
-        model = toy_model()
-        lm = uniform_lm(["A", "B"])
-        tree = build_prefix_tree(ab_lexicon)
-        good, _ = generate_utterance(model, ab_lexicon, ("A",), seed=0)
-        empty = feats_from(np.zeros((0, DIM)))
-        result = decode_corpus(
-            model, lm, tree, [good, empty, good], DecodeConfig(beam=50.0)
-        )
-        assert result.hypotheses[0] is not None
-        assert result.hypotheses[1] is None
-        assert result.hypotheses[2] is not None
-        assert len(result.errors) == 1 and result.errors[0][0] == 1
-        assert result.partial == []
-
-    def test_partial_hypotheses_listed(self, ab_lexicon):
-        model = toy_model()
-        lm = uniform_lm(["A", "B"])
-        tree = build_prefix_tree(ab_lexicon)
-        good, _ = generate_utterance(model, ab_lexicon, ("A",), seed=0)
-        too_short = feats_from(np.zeros((2, DIM)))
-        result = decode_corpus(
-            model, lm, tree, [too_short, good, too_short, good],
-            DecodeConfig(beam=50.0),
-        )
-        assert result.partial == [0, 2]
-        assert result.errors == []
-        assert [h.partial for h in result.hypotheses] == [True, False, True, False]
-
-    def test_one_decoder_gives_the_per_utterance_hypotheses(self, ab_lexicon):
-        # under a bigram the history ids depend on the utterances before;
-        # the NaN utterance fails mid-search and the next starts afresh
-        model = toy_model()
-        lm = train_ngram(
-            [["A", "B"], ["B", "A", "A"], ["B", "B"], ["A"]], order=2,
-            map_singletons_to_unk=False,
-        )
-        tree = build_prefix_tree(ab_lexicon)
-        batch = [
-            generate_utterance(model, ab_lexicon, tokens, seed=i, gap_sil=i % 2)[0]
-            for i, tokens in enumerate([("B", "A"), ("A",), ("A", "B", "B"), ("B",)])
-        ]
-        batch.insert(2, feats_from(np.full((6, DIM), np.nan)))
-        batch.append(feats_from(np.zeros((2, DIM))))
-        cfg = DecodeConfig(beam=50.0, lm_scale=1.0)
-        expected = []
-        for feats in batch:
-            try:
-                expected.append(decode(model, lm, tree, feats, cfg))
-            except DecodeError:
-                expected.append(None)
-        result = decode_corpus(model, lm, tree, batch, cfg)
-        assert result.hypotheses == expected
-        assert [i for i, _ in result.errors] == [2]
-        assert result.partial == [5]
 
 
 class TestDecodeErrors:

@@ -195,6 +195,32 @@ class TestInputChecks:
             compute_mfcc(x)
 
 
+class TestFrontendConfig:
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"frame_shift": 0}, "frame_shift"),
+            ({"frame_shift": 1e-5}, "frame_shift"),  # rounds to 0 samples
+            ({"frame_length": 0}, "frame_length"),
+            ({"frame_length": float("nan")}, "frame_length"),
+            ({"n_mels": 0}, "n_mels"),
+            ({"n_ceps": 0}, "n_ceps"),
+            ({"n_ceps": 30}, "n_ceps"),
+            ({"fmin": -1.0}, "fmin"),
+            ({"fmin": 8000.0, "fmax": 7800.0}, "fmin < fmax"),
+            ({"fmax": 12000.0}, "fmax <= sample_rate / 2"),
+        ],
+    )
+    def test_field_out_of_range_named(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            FrontendConfig(**fields)
+
+    def test_limits_accepted(self):
+        # one-sample shift, n_ceps == n_mels, the full band up to Nyquist
+        FrontendConfig(frame_shift=1 / 16000, n_mels=13, n_ceps=13,
+                       fmin=0.0, fmax=8000.0)
+
+
 class TestCmvn:
     def test_post_stats(self):
         rng = np.random.default_rng(1)

@@ -74,6 +74,12 @@ class TestChunkRecording:
             (0, 1), (1, 2), (2, 3), (3, 5)
         ]
 
+    @pytest.mark.parametrize("max_frames", [1, 0, -3])
+    def test_max_frames_under_two_rejected(self, max_frames):
+        # below 2 the first seam would not pass the chunk's start
+        with pytest.raises(ValueError, match=f"max_frames must be >= 2, got {max_frames}"):
+            chunk_recording("rec", [], 10, max_frames)
+
     @pytest.mark.parametrize("chunk_len", [0.0, 0.01, 0.019])
     def test_chunk_len_under_two_frame_shifts_rejected(self, chunk_len):
         with pytest.raises(ValueError, match="chunk_len"):
