@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -984,22 +985,30 @@ def load_model(path) -> AcousticModel:
     that is not finite, a negative weight or transition, a variance
     that is not positive, and a phone named twice."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-        def read(n: int) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"{path}: truncated model file")
-            return data
+        def read(n: int, name: str) -> bytes:
+            # checked before reading: a corrupted count must not ask for
+            # more memory than the file holds
+            left = size - fh.tell()
+            if n > left:
+                raise ValueError(
+                    f"{path}: truncated model file: {name} needs {n} bytes, "
+                    f"{left} left"
+                )
+            return fh.read(n)
 
-        if read(4) != MODEL_MAGIC:
+        if read(4, "magic") != MODEL_MAGIC:
             raise ValueError(f"{path}: not an acoustic model file")
-        (version,) = struct.unpack("<H", read(2))
+        (version,) = struct.unpack("<H", read(2, "version"))
         if version != MODEL_VERSION:
             raise ValueError(
                 f"{path}: model file version {version}, but this program "
                 f"reads only version {MODEL_VERSION}"
             )
-        n_phones, n_states, dim, n_model_states = struct.unpack("<IIII", read(16))
+        n_phones, n_states, dim, n_model_states = struct.unpack(
+            "<IIII", read(16, "header")
+        )
         if dim < 1:
             raise ValueError(f"{path}: feature dimension {dim}, need >= 1")
         if n_states < 1:
@@ -1011,23 +1020,29 @@ def load_model(path) -> AcousticModel:
             )
         phones = []
         for _ in range(n_phones):
-            (length,) = struct.unpack("<H", read(2))
-            phone = read(length).decode("utf-8")
+            (length,) = struct.unpack("<H", read(2, "phone name length"))
+            phone = read(length, "phone name").decode("utf-8")
             if phone in phones:
                 # states_for would map it to its last copy's states only
                 raise ValueError(f"{path}: phone {phone!r} appears twice")
             phones.append(phone)
         transitions = np.frombuffer(
-            read(n_model_states * 2 * 8), dtype="<f8"
+            read(n_model_states * 2 * 8, "transitions"), dtype="<f8"
         ).reshape(n_model_states, 2).copy()
         states = []
         for i in range(n_model_states):
-            (k,) = struct.unpack("<I", read(4))
+            (k,) = struct.unpack("<I", read(4, f"state {i} component count"))
             if k < 1:
                 raise ValueError(f"{path}: state {i}: 0 components, need >= 1")
-            weights = np.frombuffer(read(k * 8), dtype="<f8").copy()
-            means = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
-            variances = np.frombuffer(read(k * dim * 8), dtype="<f8").reshape(k, dim).copy()
+            weights = np.frombuffer(
+                read(k * 8, f"state {i} weights"), dtype="<f8"
+            ).copy()
+            means = np.frombuffer(
+                read(k * dim * 8, f"state {i} means"), dtype="<f8"
+            ).reshape(k, dim).copy()
+            variances = np.frombuffer(
+                read(k * dim * 8, f"state {i} variances"), dtype="<f8"
+            ).reshape(k, dim).copy()
             fault = _state_fault(weights, means, variances, transitions[i])
             if fault:
                 raise ValueError(f"{path}: state {i}: {fault}")

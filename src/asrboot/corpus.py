@@ -182,7 +182,8 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 
 def _read_raw(path) -> tuple[int, np.ndarray]:
     """(rate, samples as stored); an unreadable, truncated or empty file
-    raises.  Other ``WavFileWarning``s (an unknown chunk) pass through."""
+    raises `AudioFormatError` naming the path.  Other ``WavFileWarning``s
+    (an unknown chunk) pass through."""
     try:
         with warnings.catch_warnings():
             # scipy warns, and returns what it read, for a file that ends
@@ -195,6 +196,12 @@ def _read_raw(path) -> tuple[int, np.ndarray]:
         raise AudioFormatError(f"{path}: truncated ({exc})") from None
     except (ValueError, struct.error) as exc:  # struct: a header cut short
         raise AudioFormatError(f"{path}: {exc}") from None
+    except ZeroDivisionError:  # scipy divides by the channels and the block size
+        raise AudioFormatError(
+            f"{path}: malformed WAV header (0 channels or 0-byte samples)"
+        ) from None
+    except UnboundLocalError:  # scipy read no data chunk
+        raise AudioFormatError(f"{path}: malformed WAV file (no data chunk)") from None
     _check_rate(path, rate)
     if data.size == 0:
         raise AudioFormatError(f"{path}: zero-length audio")
@@ -209,7 +216,8 @@ def _check_rate(path, rate: int) -> None:
 def _pcm_header(path) -> tuple[int, int, int, int] | None:
     """(rate, channels, sample width, sample count) from a PCM WAV header,
     without reading the samples; None for a header `wave` cannot read (it
-    rejects non-PCM formats).  A file shorter than its header says raises."""
+    rejects non-PCM formats).  A file shorter than its header says, or
+    with chunk sizes `wave` cannot follow, raises."""
     try:
         with open(path, "rb") as fh, wave.open(fh) as wf:
             header = (wf.getframerate(), wf.getnchannels(), wf.getsampwidth(),
@@ -217,6 +225,10 @@ def _pcm_header(path) -> tuple[int, int, int, int] | None:
             data_start = fh.tell()  # wave stops at the samples
     except (wave.Error, EOFError):
         return None
+    except RuntimeError:  # wave's bare error for a chunk size it cannot seek to
+        raise AudioFormatError(
+            f"{path}: malformed WAV header (inconsistent chunk sizes)"
+        ) from None
     rate, channels, width, n_samples = header
     _check_rate(path, rate)
     missing = data_start + channels * width * n_samples - os.path.getsize(path)

@@ -32,16 +32,31 @@ word start, so a word's interval never holds the pause before it.
 Scores are added in a fixed order, so decoding is deterministic bit for
 bit.  When no token reaches an utterance-final state, the best token's
 completed words come back as a hypothesis flagged ``partial``.
+
+`decode` keeps its compiled `_Decoder`, one per thread, and builds a new
+one only when the model, LM or tree is another object or the config is
+not equal, as Kaldi compiles a decoding graph once for many utterances.
+The decoder holds what depends on those alone: the flat network and the
+model's Gaussian table (`am._emission_table`).  Each utterance starts
+afresh with its own backpointer table, LM-history numbering and LM-step
+cache, so a kept decoder gives what a new one gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .am import AcousticModel, Interval, check_count, state_logliks
+from .am import (
+    AcousticModel,
+    Interval,
+    _emission_table,
+    check_count,
+    state_logliks,
+)
 from .features import FeatureMatrix
 from .lexicon import SILENCE_PHONE, UNK_WORD, Lexicon
 from .lm import BOS, EOS, NGramLM
@@ -145,11 +160,18 @@ class _Decoder:
     last.  An exit (a phone's last state) enters the first positions of its
     node's children, the SIL exit those of the root's, and a word starts at
     a root child (skipping the silence) or at the first SIL position.
+
+    Built once per (model, LM, tree, config) and reused for any number of
+    utterances: the network, the transitions and the model's Gaussian
+    table are fixed at construction; `_reset`, at the start of every
+    `decode`, clears the per-utterance state (backpointers, LM histories
+    and the LM-step cache).
     """
 
     def __init__(self, model, lm, tree, cfg):
         self.model = model
         self.lm = lm
+        self.tree = tree
         self.cfg = cfg
         self.lm_w = cfg.lm_scale * LN10
         self.log_skip = math.log(1.0 - cfg.sil_prior)
@@ -174,6 +196,15 @@ class _Decoder:
         log_trans = model.log_transitions()[self.pos_state]
         self.log_self = log_trans[:, 0].tolist()
         self.log_fwd = log_trans[:, 1].tolist()
+        self.table = _emission_table(model)
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start an utterance: an empty backpointer table, and the LM
+        histories numbered afresh from <s> with an empty step cache, so
+        each utterance's history ids are those of a new decoder."""
+        # backpointers: (previous backpointer, word, start frame, end frame)
+        self.bp_table: list[tuple[int, str, int, int]] = []
         # LM histories: id -> the context the LM asks for (starting from <s>)
         self.histories: list[tuple[str, ...]] = [(BOS,)]
         self.hist_ids: dict[tuple[str, ...], int] = {(BOS,): 0}
@@ -197,13 +228,12 @@ class _Decoder:
         n_frames = feats.n_frames
         if n_frames == 0:
             raise DecodeError("no frames to decode")
-        # backpointers: (previous backpointer, word, start frame, end frame)
-        self.bp_table: list[tuple[int, str, int, int]] = []
-        emis = state_logliks(self.model, feats.frames, self.states)[0]
+        self._reset()
+        emis = state_logliks(self.model, feats.frames, self.states, self.table)[0]
         # frame 0 enters the word starts from one empty-history word end
         tokens, ends = [], [(0, 0, 0, -1, 0.0, 0.0, 0.0)]
-        for t in range(n_frames):
-            tokens = self._step(tokens, ends, t, emis[t].tolist())
+        for t, emit in enumerate(emis.tolist()):
+            tokens = self._step(tokens, ends, t, emit)
             if not tokens:
                 raise DecodeError(f"beam emptied at frame {t}")
             ends = self._word_ends(tokens, t + 1)
@@ -288,8 +318,11 @@ class _Decoder:
         """
         ends = []
         for pos, hist, start, bp, score, ascore, lscore in tokens:
+            words = self.ends_word[pos]
+            if not words:
+                continue
             fwd = self.log_fwd[pos]
-            for word in self.ends_word[pos]:
+            for word in words:
                 logp, new_hist = self.lm_step(hist, word)
                 ends.append((pos, new_hist, t, len(self.bp_table),
                              score + fwd + self.lm_w * logp, ascore + fwd,
@@ -356,6 +389,10 @@ class _Decoder:
         )
 
 
+# the decoder kept between `decode` calls, one per thread
+_kept = threading.local()
+
+
 def decode(
     model: AcousticModel,
     lm: NGramLM,
@@ -365,6 +402,17 @@ def decode(
     lexicon: Lexicon | None = None,
 ) -> Hypothesis:
     """1-best decoding of one utterance.  ``lexicon`` is ignored (the tree
-    holds the pronunciations); the benchmark harness still passes it."""
-    return _Decoder(model, lm, tree, cfg).decode(feats)
+    holds the pronunciations); the benchmark harness still passes it.
+
+    The compiled decoder is kept, one per thread, and reused while
+    ``model``, ``lm`` and ``tree`` are the same objects as in the last
+    call and ``cfg`` is equal to its config; otherwise a new one is built.
+    The three are read, not copied, and the kept decoder holds them until
+    a call with others replaces it: changing one of them in place between
+    calls is not supported."""
+    dec = getattr(_kept, "decoder", None)
+    if (dec is None or dec.model is not model or dec.lm is not lm
+            or dec.tree is not tree or dec.cfg != cfg):
+        dec = _kept.decoder = _Decoder(model, lm, tree, cfg)
+    return dec.decode(feats)
 

@@ -8,11 +8,13 @@ Cepstra are computed in fixed blocks of ``BLOCK_FRAMES`` frames, read
 through a strided view of the signal, and written into the preallocated
 output; only the deltas see the whole track.  int16 input is converted
 to float one block of samples at a time.  Apart from the (T, 39) output,
-peak memory does not grow with the length of the recording.
+peak memory does not grow with the length of the recording.  The Hamming
+window and the mel bank are built once per `FrontendConfig`, not per clip.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -126,6 +128,16 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=16)
+def _analysis_tables(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Hamming window and the transposed mel bank of ``cfg``, read-only,
+    built once per config for every clip it analyses."""
+    hamming = np.hamming(cfg.window_samples)
+    bank = mel_filterbank(cfg)
+    hamming.flags.writeable = bank.flags.writeable = False
+    return hamming, bank.T
+
+
 def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
     if n_samples < cfg.window_samples:
         raise AudioTooShortError(
@@ -183,8 +195,7 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
     x = samples if pcm else np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(len(x), cfg)
     window, shift = cfg.window_samples, cfg.shift_samples
-    hamming = np.hamming(window)
-    bank_t = mel_filterbank(cfg).T
+    hamming, bank_t = _analysis_tables(cfg)
 
     n_ceps = cfg.n_ceps
     frames = np.empty((n_frames, 3 * n_ceps))

@@ -62,8 +62,9 @@ def chunk_recording(
 
     Each seam is the middle frame of the longest silence run (``runs``, as
     ``features.silence_runs`` gives them) in the second half of the chunk
-    it ends, else that chunk's end.  The window stops half a chunk before
-    the recording ends, so the last chunk is at least half a chunk long.
+    it ends, the earliest of equally long ones, else that chunk's end.
+    The window stops half a chunk before the recording ends, so the last
+    chunk is at least half a chunk long.
     """
     if not max_frames >= 2:  # below 2 the seam never moves past lo
         raise ValueError(f"max_frames must be >= 2, got {max_frames}")

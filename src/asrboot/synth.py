@@ -18,6 +18,7 @@ byte-identical takes a separate generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -120,14 +121,27 @@ def _unit_samples(spec: SynthSpec, rng: np.random.Generator) -> int:
     return max(1, int(round(spec.unit_duration * jitter * CANONICAL_RATE)))
 
 
-def _signature(grapheme: str, n: int, spec: SynthSpec) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def _tone(grapheme: str, spec: SynthSpec) -> np.ndarray:
+    """A grapheme's sum of sines, read-only, one sample longer than the
+    longest unit `_unit_samples` draws under ``spec``.  Every sample
+    depends only on its index, so a prefix of it equals the tone computed
+    at that length, bit for bit."""
     freqs = spec.signature_frequencies()
     if grapheme not in freqs:
         raise SynthError(f"unknown grapheme {grapheme!r}")
+    longest = spec.unit_duration * (1.0 + abs(spec.duration_jitter)) * CANONICAL_RATE
+    n = max(1, int(round(longest))) + 1
     t = np.arange(n) / CANONICAL_RATE
     x = np.zeros(n)
     for f in freqs[grapheme]:
         x += spec.amplitude * np.sin(2 * np.pi * f * t)
+    x.flags.writeable = False
+    return x
+
+
+def _signature(grapheme: str, n: int, spec: SynthSpec) -> np.ndarray:
+    x = _tone(grapheme, spec)[:n].copy()
     ramp = min(int(0.005 * CANONICAL_RATE), n // 2)
     if ramp > 0:
         env = np.ones(n)

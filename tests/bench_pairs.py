@@ -8,7 +8,8 @@ change first on odd ones, so that a drift in the machine's speed falls on
 both sides alike.  Each run's end-to-end metrics are printed as it ends.
 At the end, each metric gets the median and quartiles of each side and
 the number of pairs the change won, in the direction ``BENCHMARK.json``
-gives (a tie wins nothing).  A run whose result line reads
+gives (a tie wins nothing), then a verdict by the rule `verdict` states.
+A run whose result line reads
 ``"correct": false``, or that prints no result line, stops the script
 with exit code 1.
 
@@ -23,6 +24,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -76,6 +78,39 @@ def summarize(
     return rows
 
 
+def verdict(
+    parent: Sequence[float], change: Sequence[float], better: str, bound: float
+) -> str:
+    """One metric's verdict over paired runs (``parent[i]`` with
+    ``change[i]``), ``better`` "higher" or "lower", ``bound`` the metric's
+    relative bound from ``BENCHMARK.json``.  The spread is the distance
+    between the parent's quartiles.
+
+    - "gain": the change won at least 0.9 of the pairs (a tie wins
+      nothing) and its median beats the parent's by more than the spread;
+    - "worse": the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    - "unresolved": the spread is wider than ``bound`` times the parent's
+      median, and not every change run beats every parent run;
+    - "within bound": every other case.
+    """
+    # signed so that larger is better on both sides
+    sign = 1.0 if better == "higher" else -1.0
+    parent = sign * np.asarray(parent, dtype=float)
+    change = sign * np.asarray(change, dtype=float)
+    p25, p50, p75 = np.percentile(parent, [25, 50, 75])
+    gap = np.median(change) - p50
+    spread = p75 - p25
+    won = int(np.sum(change > parent))
+    if won >= 0.9 * len(parent) and gap > spread:
+        return "gain"
+    if -gap > bound * abs(p50):
+        return "worse"
+    if spread > bound * abs(p50) and not change.min() > parent.max():
+        return "unresolved"
+    return "within bound"
+
+
 def format_summary(rows: list[dict]) -> str:
     """The rows of ``summarize`` as a table: median [quartiles] per side."""
 
@@ -100,6 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
 
     pairs = []
@@ -116,6 +152,10 @@ def main(argv=None) -> int:
                 return 1
         pairs.append((seed, metrics["parent"], metrics["change"]))
     print(format_summary(summarize(pairs, better)))
+    for name, direction in better.items():
+        parent = [p[name] for _, p, _ in pairs]
+        change = [c[name] for _, _, c in pairs]
+        print(f"{name}: {verdict(parent, change, direction, bounds[name])}")
     return 0
 
 

@@ -1114,6 +1114,21 @@ class TestMalformedModelFile:
         with pytest.raises(ValueError, match=r"bad\.bin: phone 'A' appears twice"):
             load_model(path)
 
+    def test_count_past_the_end_of_the_file_rejected(self, tmp_path, raw):
+        # magic, version and header, the phone names, the transitions, then
+        # state 0's component count; before, it asked for a 34 GB read
+        model = toy_model()
+        offset = 22 + sum(2 + len(p.encode()) for p in model.phones)
+        offset += model.transitions.nbytes
+        assert raw[offset:offset + 4] == (1).to_bytes(4, "little")
+        huge = (0xFFFFFFFF).to_bytes(4, "little")
+        path = self.write(tmp_path, raw[:offset] + huge + raw[offset + 4:])
+        left = len(raw) - offset - 4
+        message = (rf"bad\.bin: truncated model file: state 0 weights needs "
+                   rf"34359738360 bytes, {left} left")
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
     def test_trailing_bytes_rejected(self, tmp_path, raw):
         path = self.write(tmp_path, raw + b"\0")
         with pytest.raises(ValueError, match=r"bad\.bin: trailing bytes"):

@@ -409,6 +409,24 @@ class TestWavIO:
         with pytest.raises(AudioFormatError, match=r"cut\.wav: truncated"):
             read_wav(path)
 
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @pytest.mark.parametrize("reader", [read_wav, wav_duration])
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(22, 0), (16, 0x7F), (18, 1)],
+        ids=["0 channels", "fmt size 0x7f", "fmt size past the file"],
+    )
+    def test_header_fault_names_path(self, tmp_path, reader, offset, value):
+        # before: ZeroDivisionError, UnboundLocalError and wave's bare
+        # RuntimeError escaped from inside scipy and wave
+        path = tmp_path / "bad.wav"
+        write_wav_pcm16(path, np.zeros(1600))
+        raw = bytearray(path.read_bytes())
+        raw[offset] = value
+        path.write_bytes(raw)
+        with pytest.raises(AudioFormatError, match=r"bad\.wav: "):
+            reader(path)
+
     def test_unknown_chunk_still_read(self, tmp_path):
         path = tmp_path / "extra.wav"
         data = np.arange(1000, dtype=np.int16)

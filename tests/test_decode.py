@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     toy_model,
 )
 
+from asrboot import decode as decode_module
 from asrboot.decode import (
     DecodeConfig,
     DecodeError,
@@ -400,6 +403,123 @@ class TestMatchesReferenceLoop:
         assert any(not isinstance(g, str) and g[-1] for g in got)
         # under lm_scale 0 the homophones AB and A-B tie; A-B is earlier
         assert any(not isinstance(g, str) and "A-B" in g[0] for g in got)
+
+
+def fresh_decode(model, lm, tree, feats, cfg):
+    return _Decoder(model, lm, tree, cfg).decode(feats)
+
+
+class TestKeptDecoder:
+    """`decode` keeps one compiled decoder per thread, while the model, LM
+    and tree are the same objects and the config is equal, and gives what
+    a new decoder gives."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        lex, _ = graphemic_lexicon(["AB", "B", "BA", "A"])
+        model = toy_model(spread=1.5)
+        lm = train_ngram([["AB", "B"], ["BA", "A"], ["A", "B", "B"]], order=2,
+                         map_singletons_to_unk=False)
+        utts = []
+        for seed, words in enumerate([("AB", "B"), ("BA", "A", "B")]):
+            feats, _ = generate_utterance(model, lex, words, frames_per_state=3,
+                                          seed=seed, gap_sil=2)
+            utts.append(feats)
+        # cut inside the last word: a partial ending
+        utts.append(feats_from(utts[1].frames[: utts[1].n_frames - 4]))
+        nan_mid = utts[0].frames.copy()
+        nan_mid[6] = np.nan  # the beam empties at frame 6
+        utts.append(feats_from(nan_mid))
+        return model, lm, build_prefix_tree(lex), utts
+
+    @pytest.mark.parametrize(
+        "changed, builds",
+        [
+            ("model", [True, False, True, True]),
+            ("lm", [True, False, True, True]),
+            ("tree", [True, False, True, True]),
+            ("cfg", [True, False, True, True]),
+            ("equal cfg", [True, False, False, False]),
+        ],
+    )
+    def test_built_exactly_when_an_argument_changes(
+        self, changed, builds, ab_lexicon, monkeypatch
+    ):
+        built = []
+        init = _Decoder.__init__
+
+        def counting_init(dec, *args):
+            built.append(args)
+            init(dec, *args)
+
+        monkeypatch.setattr(_Decoder, "__init__", counting_init)
+        monkeypatch.setattr(decode_module, "_kept", threading.local())
+        a = dict(model=toy_model(), lm=uniform_lm(["A", "B"]),
+                 tree=build_prefix_tree(ab_lexicon), cfg=DecodeConfig())
+        other = dict(model=toy_model(), lm=uniform_lm(["A", "B"]),
+                     tree=build_prefix_tree(ab_lexicon), cfg=DecodeConfig(beam=15.0))
+        other["equal cfg"] = DecodeConfig()
+        b = {**a, changed.split()[-1]: other[changed]}
+        feats, _ = generate_utterance(a["model"], ab_lexicon, ("A", "B"))
+        got = []
+        for args in (a, a, b, a):
+            before = len(built)
+            decode(feats=feats, **args)
+            got.append(len(built) > before)
+        assert got == builds
+
+    def test_interleaved_calls_match_a_new_decoder(self, cases):
+        model, lm, tree, utts = cases
+        good, other, partial, nan = utts
+        model_b = toy_model(spread=2.0)
+        lm_b = uniform_lm(["AB", "B", "BA", "A"])
+        cfg, cfg_b = DecodeConfig(beam=60.0), DecodeConfig(beam=8.0, max_active=3)
+        calls = [
+            (model, lm, tree, good, cfg),
+            (model, lm, tree, nan, cfg),
+            (model, lm, tree, other, cfg),
+            (model, lm_b, tree, other, cfg),
+            (model, lm, tree, partial, cfg),
+            (model_b, lm, tree, good, cfg),
+            (model, lm, tree, good, cfg_b),
+            (model, lm, tree, good, cfg),
+            (model, lm, tree, other, cfg),
+        ]
+        got = [hypothesis_bits(decode, *args) for args in calls]
+        assert got == [hypothesis_bits(fresh_decode, *args) for args in calls]
+        assert got[1] == "DecodeError: beam emptied at frame 6"
+        assert got[4][-1]  # partial
+        assert got[0] == got[7] and got[2] == got[8]
+
+    def test_threads_keep_their_own_decoder(self, cases):
+        model, lm, tree, utts = cases
+        models = [model, toy_model(spread=2.0)]
+        cfg = DecodeConfig(beam=60.0)
+        expected = [
+            [hypothesis_bits(fresh_decode, m, lm, tree, f, cfg) for f in utts] * 3
+            for m in models
+        ]
+        assert expected[0] != expected[1]
+        results = {}
+
+        def work(i):
+            m = models[i % 2]
+            results[i] = [hypothesis_bits(decode, m, lm, tree, f, cfg)
+                          for _ in range(3) for f in utts]
+
+        # more threads than cores, switching as often as the interpreter can
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: expected[i % 2] for i in range(4)}
 
 
 class TestLmScaleZero:

@@ -59,6 +59,9 @@ class TestChunkRecording:
         runs = [(10, 40), (45, 75), (80, 95)]
         assert seams(chunk_recording("rec", runs, 250, 100)) == [62, 162]
 
+    def test_earliest_of_equally_long_silences_wins(self):
+        assert seams(chunk_recording("rec", [(55, 65), (75, 85)], 250, 100)) == [60, 160]
+
     def test_without_silence_cut_at_max_frames(self):
         chunks = chunk_recording("rec", [(10, 40)], 350, 100)
         assert seams(chunks) == [100, 200, 300]
@@ -395,6 +398,37 @@ class TestPiecesToCandidates:
         assert [(c.start, c.end, c.tokens) for c in cands] == [
             (0.0, 4.0, ("a", "b")),
             (4.1, 6.0, ("c",)),
+        ]
+        assert rep.rejected_long == 0
+
+    def test_silence_from_the_piece_start_is_not_a_cut(self):
+        hyp_words = [
+            Interval("a", 0.0, 0.5),
+            Interval("b", 2.0, 3.0),
+            Interval("c", 3.2, 6.0),
+        ]
+        piece = [(i, i, MATCH) for i in range(3)]
+        # the widest run starts with the piece; the narrower one cuts
+        cands, rep = to_candidates(
+            piece, hyp_words, ["a", "b", "c"], [(0.0, 2.0), (3.0, 3.2)],
+            min_dur=0.1, max_dur=4.0,
+        )
+        assert [(c.start, c.end, c.tokens) for c in cands] == [
+            (0.0, 3.0, ("a", "b")),
+            (3.2, 6.0, ("c",)),
+        ]
+        assert rep.rejected_long == 0
+
+    def test_word_starting_at_the_cut_falls_after_it(self):
+        hyp_words = [Interval("a", 0.0, 1.0), Interval("b", 2.0, 5.0)]
+        piece = [(0, 0, MATCH), (1, 1, MATCH)]
+        # the run's middle, 2.0, is where b starts
+        cands, rep = to_candidates(
+            piece, hyp_words, ["a", "b"], [(1.5, 2.5)], min_dur=0.5, max_dur=4.0
+        )
+        assert [(c.start, c.end, c.tokens) for c in cands] == [
+            (0.0, 1.0, ("a",)),
+            (2.0, 5.0, ("b",)),
         ]
         assert rep.rejected_long == 0
 

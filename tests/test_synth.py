@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asrboot.corpus import load_manifest, wav_duration
+from asrboot.corpus import CANONICAL_RATE, load_manifest, wav_duration
 from asrboot.synth import (
     SIGNATURE_DISTANCE_FLOOR,
     SynthError,
     SynthSpec,
+    _signature,
     add_noise,
     make_vocabulary,
     synth_corpus,
@@ -20,7 +21,37 @@ from asrboot.synth import (
 )
 
 
+def signature_reference(grapheme, n, spec):
+    """A grapheme's ramped sines at length n, computed at that length: the
+    reference the cached tone's prefix is held to."""
+    t = np.arange(n) / CANONICAL_RATE
+    x = np.zeros(n)
+    for f in spec.signature_frequencies()[grapheme]:
+        x += spec.amplitude * np.sin(2 * np.pi * f * t)
+    ramp = min(int(0.005 * CANONICAL_RATE), n // 2)
+    if ramp > 0:
+        env = np.ones(n)
+        fade = 0.5 * (1 - np.cos(np.pi * np.arange(ramp) / ramp))
+        env[:ramp] = fade
+        env[-ramp:] = fade[::-1]
+        x *= env
+    return x
+
+
 class TestSynthWord:
+    @pytest.mark.parametrize("jitter", [0.2, -0.3, 0.0])
+    def test_signature_equals_the_reference_at_every_drawable_length(self, jitter):
+        spec = SynthSpec(duration_jitter=jitter)
+        spread = spec.unit_duration * abs(jitter) * CANONICAL_RATE
+        lo = int(round(spec.unit_duration * CANONICAL_RATE - spread))
+        hi = int(round(spec.unit_duration * CANONICAL_RATE + spread))
+        for g in spec.graphemes:
+            for n in [1, 2, *range(lo, hi, 7), hi]:
+                x = _signature(g, n, spec)
+                assert np.array_equal(x, signature_reference(g, n, spec)), (g, n)
+                assert x.flags.writeable
+
+
     def test_boundaries_without_jitter(self):
         spec = SynthSpec(duration_jitter=0.0)
         audio, bounds = synth_word("ABD", spec, np.random.default_rng(0))
