@@ -35,7 +35,6 @@ with a matrix of its own.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .features import FeatureMatrix, _column_sums
+from .features import FeatureMatrix, _column_sums, check_count
 from .lexicon import SILENCE_PHONE, Lexicon
 
 LOG_ZERO = -1e30
@@ -54,6 +53,9 @@ LOG_TINY = -700.0
 N_STATES = 3
 VARIANCE_FLOOR = 1e-4
 PROB_FLOOR = 1e-300  # weights and transitions are floored here before log
+# probability of taking an optional silence between words (and at either
+# end): alignment, training and the decoder all use this one value
+SIL_PRIOR = 0.5
 
 MODEL_MAGIC = b"ABAM"
 MODEL_VERSION = 2
@@ -193,7 +195,7 @@ def compile_align_graph(
     tokens: Sequence[str],
     lexicon: Lexicon,
     model: AcousticModel,
-    sil_prior: float = 0.5,
+    sil_prior: float = SIL_PRIOR,
     allow_unk: bool = False,
 ) -> AlignGraph:
     """Compile a transcript into the alignment graph.
@@ -548,14 +550,11 @@ def force_align(
     feats: FeatureMatrix,
     tokens: Sequence[str],
     lexicon: Lexicon,
-    sil_prior: float = 0.5,
     allow_unk: bool = False,
 ) -> AlignmentPath | AlignFailure:
-    """Viterbi alignment of a transcript to features."""
+    """Viterbi alignment of a transcript to features, with ``SIL_PRIOR``."""
     try:
-        graph = compile_align_graph(
-            tokens, lexicon, model, sil_prior=sil_prior, allow_unk=allow_unk
-        )
+        graph = compile_align_graph(tokens, lexicon, model, allow_unk=allow_unk)
     except GraphError as exc:
         return AlignFailure("oov", str(exc))
     emis = state_logliks(model, feats.frames, graph.states)[0]
@@ -579,12 +578,6 @@ def force_align(
 # ---------------------------------------------------------------------------
 # training
 
-def check_count(name: str, value) -> None:
-    """ValueError unless ``value`` is an integer >= 1 (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _check_frames(i: int | None, frames: np.ndarray, dim: int | None) -> None:
     """ValueError unless ``frames`` is 2-D with ``dim`` columns (any number
     of them when ``dim`` is None); the message names utterance ``i`` if it
@@ -602,7 +595,7 @@ class TrainSchedule:
     n_iters: int = 30
     split_iters: tuple[int, ...] = (4, 8, 12, 16)
     max_gauss: int = 8
-    sil_prior: float = 0.5
+    sil_prior: float = SIL_PRIOR
 
     def __post_init__(self):
         check_count("n_iters", self.n_iters)
@@ -1021,7 +1014,13 @@ def load_model(path) -> AcousticModel:
         phones = []
         for _ in range(n_phones):
             (length,) = struct.unpack("<H", read(2, "phone name length"))
-            phone = read(length, "phone name").decode("utf-8")
+            raw = read(length, "phone name")
+            try:
+                phone = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}: phone name {raw!r} is not UTF-8 ({exc.reason})"
+                ) from None
             if phone in phones:
                 # states_for would map it to its last copy's states only
                 raise ValueError(f"{path}: phone {phone!r} appears twice")

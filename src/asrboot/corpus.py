@@ -183,7 +183,8 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 def _read_raw(path) -> tuple[int, np.ndarray]:
     """(rate, samples as stored); an unreadable, truncated or empty file
     raises `AudioFormatError` naming the path.  Other ``WavFileWarning``s
-    (an unknown chunk) pass through."""
+    (an unknown chunk) pass through, or, where the caller's filters raise
+    them, become an `AudioFormatError` naming the path."""
     try:
         with warnings.catch_warnings():
             # scipy warns, and returns what it read, for a file that ends
@@ -193,7 +194,9 @@ def _read_raw(path) -> tuple[int, np.ndarray]:
             )
             rate, data = wavfile.read(path)
     except wavfile.WavFileWarning as exc:
-        raise AudioFormatError(f"{path}: truncated ({exc})") from None
+        if str(exc).startswith("Reached EOF prematurely"):
+            raise AudioFormatError(f"{path}: truncated ({exc})") from None
+        raise AudioFormatError(f"{path}: {exc}") from None
     except (ValueError, struct.error) as exc:  # struct: a header cut short
         raise AudioFormatError(f"{path}: {exc}") from None
     except ZeroDivisionError:  # scipy divides by the channels and the block size

@@ -5,10 +5,13 @@ backpointer, total, acoustic and LM scores) in Python lists: a frame holds
 a few dozen tokens, where list indexing costs far less than a numpy call
 (numpy catches up at a few hundred tokens per frame).  The search needs no
 lexicon: the prefix tree holds the pronunciations and the silence phone is
-``lexicon.SILENCE_PHONE``.  The n-gram LM is applied at word boundaries,
-scaled into natural log: `NGramLM.step` gives the score and the history
-the next query needs, cached per (history, word), and the utterance end is
-one more step, to </s>.
+``lexicon.SILENCE_PHONE``.  An optional silence before each word and after
+the last is taken with probability ``am.SIL_PRIOR``, the prior forced
+alignment and training use, so `DecodeConfig` holds only the search
+settings: beam, token cap and LM scale.  The n-gram LM is applied at word
+boundaries, scaled into natural log: `NGramLM.step` gives the score and
+the history the next query needs, cached per (history, word), and the
+utterance end is one more step, to </s>.
 
 Every frame, frame 0 included (from one empty-history word end), is one
 `_Decoder._step` over the last frame's tokens and word ends, then
@@ -51,13 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .am import (
+    SIL_PRIOR,
     AcousticModel,
     Interval,
     _emission_table,
-    check_count,
     state_logliks,
 )
-from .features import FeatureMatrix
+from .features import FeatureMatrix, check_count
 from .lexicon import SILENCE_PHONE, UNK_WORD, Lexicon
 from .lm import BOS, EOS, NGramLM
 
@@ -75,7 +78,6 @@ class DecodeConfig:
     beam: float = 16.0
     max_active: int = 7000
     lm_scale: float = 12.0
-    sil_prior: float = 0.5
 
     def __post_init__(self):
         # beam = inf keeps every token; NaN compares false and is rejected
@@ -84,8 +86,6 @@ class DecodeConfig:
         check_count("max_active", self.max_active)
         if not math.isfinite(self.lm_scale):
             raise ValueError(f"lm_scale must be finite, got {self.lm_scale}")
-        if not 0.0 < self.sil_prior < 1.0:
-            raise ValueError(f"sil_prior must be in (0, 1), got {self.sil_prior}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class _Decoder:
         self.tree = tree
         self.cfg = cfg
         self.lm_w = cfg.lm_scale * LN10
-        self.log_skip = math.log(1.0 - cfg.sil_prior)
+        self.log_skip = math.log(1.0 - SIL_PRIOR)
         n = model.n_states
         self.pos_state = [s for ph in tree.phones[1:] for s in model.states_for(ph)]
         sil_first = len(self.pos_state)
@@ -189,7 +189,7 @@ class _Decoder:
             self.ends_word[node * n - 1] = tree.words[node]
         self.succ[self.sil_exit] = [(kid - 1) * n for kid in tree.children[0]]
         self.starts = [(p, self.log_skip) for p in self.succ[self.sil_exit]]
-        self.starts.append((sil_first, math.log(cfg.sil_prior)))
+        self.starts.append((sil_first, math.log(SIL_PRIOR)))
         # the decoder's states are the columns of its emission matrix
         states, pos_col = np.unique(self.pos_state, return_inverse=True)
         self.states, self.pos_col = states.tolist(), pos_col.tolist()

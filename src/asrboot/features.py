@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -32,6 +33,12 @@ BLOCK_FRAMES = 2000
 CMVN_BLOCK_ROWS = 4096
 
 
+def check_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FrontendConfig:
     sample_rate: int = CANONICAL_RATE
@@ -44,15 +51,14 @@ class FrontendConfig:
     fmax: float = 7800.0
 
     def __post_init__(self):
-        # inline checks: am imports this module, so am.check_count is out of reach
         for name, seconds in (("frame_length", self.frame_length),
                               ("frame_shift", self.frame_shift)):
             # rounded to whole samples, as window_samples and shift_samples do
             if not 0.5 < seconds * self.sample_rate < math.inf:
                 raise ValueError(f"{name} must be at least one sample, got {seconds}")
-        if not self.n_mels >= 1:
-            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
-        if not 1 <= self.n_ceps <= self.n_mels:
+        check_count("n_mels", self.n_mels)
+        check_count("n_ceps", self.n_ceps)
+        if self.n_ceps > self.n_mels:
             raise ValueError(
                 f"n_ceps must be in 1..n_mels ({self.n_mels}), got {self.n_ceps}"
             )

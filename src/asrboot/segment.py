@@ -8,6 +8,11 @@ so matched regions share no hyp or transcript word and come in the same
 order in both.  Regions are cut at transcript line ends, and pieces that
 are long enough, short enough, and clean enough become utterance segments;
 a piece longer than ``max_dur`` is split at its widest internal silence.
+
+The features are the default front end's with CMVN, as the model's
+training features are; the silence threshold and the Smith-Waterman
+scores are the defaults of `features.silence_mask` and `SWConfig`.
+`HarvestConfig` holds only what a harvest varies.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .am import AcousticModel, Interval, check_count
+from .am import AcousticModel, Interval
 from .decode import DecodeConfig, DecodeError, build_prefix_tree, decode
 from .features import (
     FrontendConfig,
+    check_count,
     cmvn,
     compute_mfcc,
     silence_mask,
@@ -58,7 +64,8 @@ def chunk_recording(
     recording_id: str, runs: Sequence[tuple[int, int]], n_frames: int,
     max_frames: int,
 ) -> list[Chunk]:
-    """Disjoint chunks of at most ``max_frames`` (>= 2) covering [0, n_frames).
+    """Disjoint chunks of at most ``max_frames`` (an integer >= 2) covering
+    [0, n_frames).
 
     Each seam is the middle frame of the longest silence run (``runs``, as
     ``features.silence_runs`` gives them) in the second half of the chunk
@@ -68,6 +75,7 @@ def chunk_recording(
     """
     if not max_frames >= 2:  # below 2 the seam never moves past lo
         raise ValueError(f"max_frames must be >= 2, got {max_frames}")
+    check_count("max_frames", max_frames)  # chunk bounds are frame indices
     chunks = []
     lo = 0
     while n_frames - lo > max_frames:
@@ -224,28 +232,21 @@ class SegmentReport:
 @dataclass(frozen=True)
 class HarvestConfig:
     chunk_len: float = 30.0  # seconds; the longest chunk decoded at once
-    sw: SWConfig = SWConfig()
     # seconds; a piece (one transcript line's share of a region) shorter
     # than min_dur is rejected, one longer than max_dur is split at its
     # widest internal silence, or rejected when it has none
     min_dur: float = 1.0
     max_dur: float = 20.0
     accept_ratio: float = 0.9  # least share of a piece's pairs that match
-    # silence threshold (`features.silence_mask`); silences place the
-    # chunk seams and the max_dur split
-    margin_db: float = 10.0
     decode: DecodeConfig = DecodeConfig(beam=14.0, max_active=2000)
-    frontend: FrontendConfig = FrontendConfig()
 
     def __post_init__(self):
         # NaN fails each comparison; an infinite length has no frame count
-        if not 2 * self.frontend.frame_shift <= self.chunk_len < math.inf:
+        if not 2 * FrontendConfig().frame_shift <= self.chunk_len < math.inf:
             raise ValueError(
                 "chunk_len must be finite and at least two frame shifts, "
                 f"got {self.chunk_len}"
             )
-        if math.isnan(self.margin_db):
-            raise ValueError("margin_db must not be NaN")
         # settings under which no piece or candidate can ever be accepted
         if not self.max_dur > 0:
             raise ValueError(f"max_dur must be > 0, got {self.max_dur}")
@@ -266,7 +267,7 @@ def _decode_chunks(
 
     Chunks are disjoint and in time order, so their words come out in order.
     """
-    shift = cfg.frontend.frame_shift
+    shift = feats_full.frame_shift
     words: list[Interval] = []
     for chunk in chunks:
         offset = chunk.start * shift
@@ -318,7 +319,8 @@ def harvest_segments(
     cfg: HarvestConfig = HarvestConfig(),
 ) -> tuple[list[SegmentCandidate], SegmentReport]:
     """Chunk, decode with a transcript-biased LM, align, and cut segments
-    at transcript line ends."""
+    at transcript line ends.  ``samples`` are mono at
+    `corpus.CANONICAL_RATE`, the rate the default front end reads."""
     ref_tokens: list[str] = [t for line in transcript_lines for t in line]
     line_of = [i for i, line in enumerate(transcript_lines) for _ in line]
     report = SegmentReport(
@@ -332,9 +334,9 @@ def harvest_segments(
         logger.warning("%s: empty transcript, no segments", recording_id)
         return [], report
 
-    feats_full = cmvn(compute_mfcc(samples, cfg.frontend))
-    shift = cfg.frontend.frame_shift
-    runs = silence_runs(silence_mask(feats_full, margin_db=cfg.margin_db))
+    feats_full = cmvn(compute_mfcc(samples))
+    shift = feats_full.frame_shift
+    runs = silence_runs(silence_mask(feats_full))
     silences = [(lo * shift, hi * shift) for lo, hi in runs]
     chunks = chunk_recording(
         recording_id, runs, feats_full.n_frames, round(cfg.chunk_len / shift)
@@ -351,7 +353,7 @@ def harvest_segments(
     if not hyp_words:
         return [], report
 
-    regions = smith_waterman([w.label for w in hyp_words], ref_tokens, cfg.sw)
+    regions = smith_waterman([w.label for w in hyp_words], ref_tokens)
     report.n_regions = len(regions)
 
     candidates: list[SegmentCandidate] = []

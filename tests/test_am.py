@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -299,9 +300,9 @@ class TestForceAlign:
 
     @pytest.mark.parametrize("sil_prior", [0.0, 1.0, 1.5])
     def test_sil_prior_outside_open_unit_interval_raises(self, ab_lexicon, sil_prior):
-        feats = feats_from(np.zeros((30, DIM)))
+        # force_align takes am.SIL_PRIOR; the check is where the prior is set
         with pytest.raises(ValueError, match=r"sil_prior must be in \(0, 1\)"):
-            force_align(toy_model(), feats, ("AB",), ab_lexicon, sil_prior=sil_prior)
+            compile_align_graph(("AB",), ab_lexicon, toy_model(), sil_prior=sil_prior)
 
     @pytest.mark.parametrize("shape", [(50, 13), (50,)])
     def test_frame_shape_rejected(self, ab_lexicon, shape):
@@ -374,17 +375,21 @@ OPTIMALITY_CASES = [
 
 class TestViterbiOptimality:
     @pytest.mark.parametrize("seed", range(len(OPTIMALITY_CASES)))
-    def test_matches_exhaustive_enumeration(self, seed, ab_lexicon):
+    def test_matches_exhaustive_enumeration(self, seed, ab_lexicon, monkeypatch):
         tokens, t_frames, sil_prior = OPTIMALITY_CASES[seed]
+        # force_align compiles its graph with am.SIL_PRIOR; the case's prior
+        # reaches it through the graph
+        monkeypatch.setattr(
+            am, "compile_align_graph",
+            functools.partial(compile_align_graph, sil_prior=sil_prior),
+        )
         rng = np.random.default_rng(seed)
         model = toy_model(spread=2.0)
         # perturb transitions so ties do not mask ordering bugs
         model.transitions = rng.uniform(0.2, 0.8, size=model.transitions.shape)
         model.transitions[:, 1] = 1.0 - model.transitions[:, 0]
         frames = rng.standard_normal((t_frames, DIM))
-        result = force_align(
-            model, feats_from(frames), tokens, ab_lexicon, sil_prior=sil_prior
-        )
+        result = force_align(model, feats_from(frames), tokens, ab_lexicon)
         if t_frames < 3 * sum(len(ab_lexicon.pron(w)) for w in tokens):
             assert isinstance(result, AlignFailure)
             return
@@ -1113,6 +1118,15 @@ class TestMalformedModelFile:
         save_model(model, path)
         with pytest.raises(ValueError, match=r"bad\.bin: phone 'A' appears twice"):
             load_model(path)
+
+    def test_phone_name_not_utf8_rejected(self, tmp_path, raw):
+        # byte 24 is the first phone name's first byte; before, a bare
+        # UnicodeDecodeError without the path escaped
+        assert raw[24:25] == b"A"
+        path = self.write(tmp_path, raw[:24] + b"\xff" + raw[25:])
+        with pytest.raises(ValueError, match=r"bad\.bin: phone name b'\\xff' is not UTF-8") as exc:
+            load_model(path)
+        assert exc.type is ValueError
 
     def test_count_past_the_end_of_the_file_rejected(self, tmp_path, raw):
         # magic, version and header, the phone names, the transitions, then

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,22 @@ class TestWavIO:
         with pytest.warns(wavfile.WavFileWarning, match="not understood"):
             _, x = read_wav(path)
         assert np.array_equal(x, data / 32768.0)
+
+    def test_unknown_chunk_under_an_error_filter_is_not_truncation(self, tmp_path):
+        # before: "extra.wav: truncated (Chunk (non-data) not understood...)"
+        path = tmp_path / "extra.wav"
+        wavfile.write(str(path), 16000, np.arange(1000, dtype=np.int16))
+        raw = path.read_bytes()
+        chunk = b"abcd" + struct.pack("<I", 4) + bytes(4)
+        riff_size = struct.pack("<I", len(raw) + len(chunk) - 8)
+        path.write_bytes(raw[:4] + riff_size + raw[8:] + chunk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AudioFormatError) as exc:
+                read_wav(path)
+        assert str(exc.value) == (
+            f"{path}: Chunk (non-data) not understood, skipping it."
+        )
 
 
 class TestSubset:

@@ -16,6 +16,7 @@ from conftest import (
 )
 
 from asrboot import decode as decode_module
+from asrboot.am import SIL_PRIOR
 from asrboot.decode import (
     DecodeConfig,
     DecodeError,
@@ -163,8 +164,8 @@ def exhaustive_decode_score(model, lexicon, lm, vocab, frames, cfg):
     t_total = len(frames)
     n_states = model.n_states
     log_trans = model.log_transitions()
-    log_take = math.log(cfg.sil_prior)
-    log_skip = math.log(1.0 - cfg.sil_prior)
+    log_take = math.log(SIL_PRIOR)
+    log_skip = math.log(1.0 - SIL_PRIOR)
     lm_w = cfg.lm_scale * LN10
 
     def seq_score(state_ids, prior, lm_total):
@@ -651,13 +652,3 @@ class TestDecodeErrors:
 
     def test_infinite_beam_allowed(self):
         assert DecodeConfig(beam=math.inf).beam == math.inf
-
-    @pytest.mark.parametrize("sil_prior", [0.0, 1.0, 1.5])
-    def test_sil_prior_outside_unit_interval_rejected(self, sil_prior, ab_lexicon):
-        model = toy_model()
-        feats, _ = generate_utterance(model, ab_lexicon, ("A", "B"))
-        with pytest.raises(ValueError, match=r"sil_prior must be in \(0, 1\)"):
-            decode(
-                model, uniform_lm(["A", "B"]), build_prefix_tree(ab_lexicon),
-                feats, DecodeConfig(sil_prior=sil_prior), lexicon=ab_lexicon,
-            )

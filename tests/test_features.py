@@ -213,6 +213,10 @@ class TestFrontendConfig:
             ({"fmin": -1.0}, "fmin"),
             ({"fmin": 8000.0, "fmax": 7800.0}, "fmin < fmax"),
             ({"fmax": 12000.0}, "fmax <= sample_rate / 2"),
+            # before, these failed later, inside compute_mfcc, with a TypeError
+            ({"n_mels": 23.5}, "n_mels must be an integer"),
+            ({"n_mels": True}, "n_mels must be an integer"),
+            ({"n_ceps": 12.5}, "n_ceps must be an integer"),
         ],
     )
     def test_field_out_of_range_named(self, fields, named):

@@ -13,7 +13,7 @@ from asrboot import segment
 from asrboot.am import Interval, TrainSchedule, flat_start, train
 from asrboot.corpus import load_manifest, read_wav
 from asrboot.decode import DecodeConfig, DecodeError, Hypothesis
-from asrboot.features import cmvn, compute_mfcc
+from asrboot.features import FrontendConfig, cmvn, compute_mfcc
 from asrboot.lexicon import graphemic_lexicon
 from asrboot.scoring import DEL, INS, SUB
 from asrboot.segment import (
@@ -83,6 +83,12 @@ class TestChunkRecording:
         with pytest.raises(ValueError, match=f"max_frames must be >= 2, got {max_frames}"):
             chunk_recording("rec", [], 10, max_frames)
 
+    @pytest.mark.parametrize("max_frames", [2.5, 3.0])
+    def test_max_frames_not_an_integer_rejected(self, max_frames):
+        # before, 2.5 and 3.0 gave chunks with float frame bounds
+        with pytest.raises(ValueError, match="max_frames must be an integer"):
+            chunk_recording("rec", [], 10, max_frames)
+
     @pytest.mark.parametrize("chunk_len", [0.0, 0.01, 0.019])
     def test_chunk_len_under_two_frame_shifts_rejected(self, chunk_len):
         with pytest.raises(ValueError, match="chunk_len"):
@@ -109,7 +115,6 @@ class TestChunkRecording:
         [
             ("chunk_len", float("nan")),
             ("chunk_len", float("inf")),
-            ("margin_db", float("nan")),
         ],
     )
     def test_values_that_break_the_harvest_rejected(self, field, value):
@@ -517,7 +522,8 @@ class TestDecodeChunks:
 
 def tiny_harvest(out_dir, corruption_rate=0.0):
     """A one-minute synthetic recording harvested in 12 s chunks with a
-    model trained briefly on 20 clips; every chunk and decode is recorded."""
+    model trained briefly on 20 clips; every chunk and the features of
+    every decode are recorded."""
     corp = synth_corpus(
         SynthSpec(seed=0), out_dir, n_shortform=20,
         longform_minutes=1.0, longform_recording_minutes=1.0, n_test=0,
@@ -537,7 +543,7 @@ def tiny_harvest(out_dir, corruption_rate=0.0):
         chunk_len=12.0,
         decode=DecodeConfig(beam=60.0, max_active=20000, lm_scale=2.0),
     )
-    chunks, decoded = [], []
+    chunks, decoded, pieces = [], [], []
     real_decode = segment.decode
 
     def recording_chunks(*args):
@@ -547,6 +553,7 @@ def tiny_harvest(out_dir, corruption_rate=0.0):
 
     def counting_decode(model, lm, tree, feats, *args, **kwargs):
         decoded.append(feats.n_frames)
+        pieces.append(feats)
         return real_decode(model, lm, tree, feats, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -555,10 +562,12 @@ def tiny_harvest(out_dir, corruption_rate=0.0):
         segments, rep = harvest_segments(
             rec.recording_id, samples, lines, model, lexicon, cfg
         )
+    frontend = FrontendConfig()
     return SimpleNamespace(
-        chunks=chunks, decoded=decoded, segments=segments, report=rep,
-        duration=len(samples) / cfg.frontend.sample_rate,
-        shift=cfg.frontend.frame_shift, truth=rec.utterances,
+        chunks=chunks, decoded=decoded, pieces=pieces, samples=samples,
+        segments=segments, report=rep,
+        duration=len(samples) / frontend.sample_rate,
+        shift=frontend.frame_shift, truth=rec.utterances,
         ref_tokens=[t for line in lines for t in line],
         line_of=[i for i, line in enumerate(lines) for _ in line],
         corrupted=rec.corrupted_line_indices,
@@ -575,6 +584,14 @@ class TestHarvestSegments:
         assert len(harvest.chunks) >= 3
         assert harvest.decoded == [c.end - c.start for c in harvest.chunks]
         assert harvest.report.n_chunks == len(harvest.chunks)
+
+    def test_chunks_decode_the_training_front_end(self, harvest):
+        # the features the model is trained on: the default front end + CMVN
+        feats = cmvn(compute_mfcc(harvest.samples))
+        assert len(harvest.pieces) == len(harvest.chunks)
+        for chunk, piece in zip(harvest.chunks, harvest.pieces):
+            assert piece.frame_shift == feats.frame_shift
+            assert np.array_equal(piece.frames, feats.frames[chunk.start : chunk.end])
 
     def test_no_seam_inside_a_spoken_word(self, harvest):
         cuts = [t * harvest.shift for t in seams(harvest.chunks)]
