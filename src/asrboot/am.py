@@ -8,7 +8,7 @@ mixtures grow by splitting the heaviest component at scheduled
 iterations.
 
 Every emission score (alignment, accumulation, rescoring and the
-decoder) comes from one kernel, ``_component_logliks``: the requested
+decoder) comes from one kernel, ``state_logliks``: the requested
 states' columns gathered from the model's table of Gaussian operands
 (``_emission_table``) into one matrix and scored with one matmul of the
 utterance's [x, x^2] (``_stack``).  The table depends only on the model,
@@ -138,19 +138,14 @@ class AcousticModel:
 LANE_KIND = np.array([0, 1, 1])  # transition column per lane: self, forward
 
 
-@dataclass(frozen=True)
-class PhoneInstance:
-    phone: str
-    word_index: int | None  # None for silences
-
-
 @dataclass
 class AlignGraph:
     """Linear transcript graph with optional silences, compiled to arrays.
 
     Layout: SIL_0, the phones of word_0, SIL_1, ..., the phones of
     word_n-1, SIL_n, every phone instance on ``n_states`` consecutive
-    nodes, so node ``i`` belongs to instance ``i // n_states``.  Lanes at
+    nodes, so node ``i`` belongs to instance ``i // n_states``, and
+    ``node_word`` is each node's word index, -1 on a SIL.  Lanes at
     each node, in the order argmax breaks ties: lane 0 is the self-loop;
     lane 1 comes from node ``i - 1`` (absent at node 0) and carries
     log(sil_prior) into the first node of every SIL after the first;
@@ -165,8 +160,8 @@ class AlignGraph:
     """
 
     words: tuple[str, ...]
-    instances: list[PhoneInstance]
     node_state: np.ndarray  # (M,) model state id
+    node_word: np.ndarray  # (M,) word index, -1 on SIL nodes
     states: np.ndarray  # (U,) sorted unique node_state
     node_col: np.ndarray  # (M,) column of each node's state in ``states``
     lane_src: np.ndarray  # (M, 3) source node, -1 when absent
@@ -177,11 +172,16 @@ class AlignGraph:
     final_prior: np.ndarray
     min_frames: int
 
-    def lane_logp(self, log_trans: np.ndarray) -> np.ndarray:
-        """(M, 3) arc log-probs under the current transition table."""
-        src_state = self.node_state[np.maximum(self.lane_src, 0)]
-        logp = log_trans[src_state, LANE_KIND] + self.lane_prior
-        return np.where(self.lane_src >= 0, logp, LOG_ZERO)
+    def lane_logp(
+        self, log_trans: np.ndarray, nodes=slice(None), lanes=slice(None)
+    ) -> np.ndarray:
+        """Arc log-probs under the current transition table: the (M, 3)
+        table, or only the arcs of ``lanes`` into ``nodes`` (two index
+        arrays of one length), each the same sum of the same two terms."""
+        src = self.lane_src[nodes, lanes]
+        logp = log_trans[self.node_state[np.maximum(src, 0)], LANE_KIND[lanes]]
+        logp += self.lane_prior[nodes, lanes]
+        return np.where(src >= 0, logp, LOG_ZERO)
 
     def final_logp(self, log_trans: np.ndarray) -> np.ndarray:
         return log_trans[self.node_state[self.final_nodes], 1] + self.final_prior
@@ -215,23 +215,22 @@ def compile_align_graph(
     log_take = float(np.log(sil_prior))
     log_skip = float(np.log(1.0 - sil_prior))
 
-    sil = PhoneInstance(SILENCE_PHONE, None)
-    sil_states = model.states_for(sil.phone)
-    instances = [sil]
+    sil_states = model.states_for(SILENCE_PHONE)
     node_state = list(sil_states)
     word_first: list[int] = []
     word_exit: list[int] = []
-    for w_idx, word in enumerate(words):
+    for word in words:
         word_first.append(len(node_state))
         for phone in lexicon.pron(word):  # a word not in the lexicon: garbage
-            instances.append(PhoneInstance(phone, w_idx))
             node_state.extend(model.states_for(phone))
         word_exit.append(len(node_state) - 1)
-        instances.append(sil)
         node_state.extend(sil_states)
 
     m = len(node_state)
     node_state = np.array(node_state, dtype=np.int64)
+    node_word = np.full(m, -1, dtype=np.int64)
+    for w_idx, (first, last) in enumerate(zip(word_first, word_exit)):
+        node_word[first : last + 1] = w_idx
     states, node_col = np.unique(node_state, return_inverse=True)
     firsts = np.array(word_first[1:], dtype=np.int64)
     exits = np.array(word_exit, dtype=np.int64)
@@ -244,8 +243,8 @@ def compile_align_graph(
 
     return AlignGraph(
         words=words,
-        instances=instances,
         node_state=node_state,
+        node_word=node_word,
         states=states,
         node_col=node_col,
         lane_src=lane_src,
@@ -284,7 +283,9 @@ class AlignmentPath:
 
 @dataclass(frozen=True)
 class AlignFailure:
-    reason: str  # no_path (no finite path to a final state) | too_short | oov
+    # no_path (no finite path to a final state) | too_short | oov (a word
+    # not in the lexicon) | empty (a transcript of no words)
+    reason: str
     detail: str = ""
 
 
@@ -331,37 +332,6 @@ def _stack(frames: np.ndarray) -> np.ndarray:
     return np.hstack([frames, frames * frames])
 
 
-def _component_logliks(
-    model: AcousticModel,
-    frames: np.ndarray,
-    states: Sequence[int],
-    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    stacked: np.ndarray | None = None,
-) -> np.ndarray:
-    """(T, K, U) log w + log N(x; mean, var) per frame, component and state.
-
-    The one emission kernel.  ``table`` is ``_emission_table(model)`` and
-    ``stacked`` is ``_stack(frames)``; a caller that scores many
-    utterances under one model, or hands the stacked frames on, passes
-    them so that neither is built twice, and each is built here when
-    absent.  The columns of the U ``states`` are gathered from the table,
-    cut to their own largest component count K (a padded component scores
-    ``LOG_ZERO``), into one (2D, K * U) matrix, so scoring the utterance is
-    one matmul.  Component k of every state is one (T, U) slab
-    ``[:, k, :]``, whose rows are K * U apart, so a reduction over K is
-    K - 1 whole-slab operations.  Every search scores through here, so
-    frames not of shape (T, model.dim) raise ValueError here.
-    """
-    _check_frames(None, frames, model.dim)
-    operand, const, n_comp = _emission_table(model) if table is None else table
-    if stacked is None:
-        stacked = _stack(frames)
-    k = int(n_comp[states].max())
-    scores = stacked @ operand[:, :k, states].reshape(len(operand), -1)
-    scores += const[:k, states].ravel()
-    return scores.reshape(len(frames), k, len(states))
-
-
 def state_logliks(
     model: AcousticModel,
     frames: np.ndarray,
@@ -370,24 +340,41 @@ def state_logliks(
     stacked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[int, int], np.ndarray]:
     """(T, U) emission matrix for the unique states, the id -> column map,
-    and the (T, K, U) component scores it was summed from.
+    and the (T, K, U) log w + log N(x; mean, var) per frame, component and
+    state it was summed from.
 
-    ``table`` and ``stacked`` go to ``_component_logliks``, which builds
-    them when absent: ``train`` passes the table it builds once per model
-    and the [x, x^2] it hands on to ``_accumulate``.
+    The one emission kernel.  ``table`` is ``_emission_table(model)`` and
+    ``stacked`` is ``_stack(frames)``; a caller that scores many
+    utterances under one model, or hands the stacked frames on, passes
+    them so that neither is built twice (``train`` passes the table it
+    builds once per model and the [x, x^2] it hands on to
+    ``_accumulate``), and each is built here when absent.  The columns of
+    the U sorted unique states are gathered from the table, cut to their
+    own largest component count K (a padded component scores
+    ``LOG_ZERO``), into one (2D, K * U) matrix, so scoring the utterance is
+    one matmul.  Component k of every state is one (T, U) slab
+    ``[:, k, :]``, whose rows are K * U apart, so a reduction over K is
+    K - 1 whole-slab operations.  Every search scores through here, so
+    frames not of shape (T, model.dim) raise ValueError here.
 
-    The component scores are ``_component_logliks`` over the sorted unique
-    states, returned unmodified, so training accumulates from the same
-    scores that aligned the utterance.  The mixture log-likelihood is a
-    log-sum-exp over them, on a shifted copy whose terms are clamped at
-    ``LOG_TINY`` before the exp: exp(LOG_TINY) is a normal double, so the
-    exp never takes the slow path for denormal or zero results.  The clamp
-    is exact: every sum over K holds the peak's exp(0) = 1, and a clamped
-    term is below half an ulp of any partial sum that can change it (NaN
-    stays NaN).
+    The component scores are returned unmodified, so training accumulates
+    from the same scores that aligned the utterance.  The mixture
+    log-likelihood is a log-sum-exp over them, on a shifted copy whose
+    terms are clamped at ``LOG_TINY`` before the exp: exp(LOG_TINY) is a
+    normal double, so the exp never takes the slow path for denormal or
+    zero results.  The clamp is exact: every sum over K holds the peak's
+    exp(0) = 1, and a clamped term is below half an ulp of any partial sum
+    that can change it (NaN stays NaN).
     """
+    _check_frames(None, frames, model.dim)
     unique = np.unique(np.fromiter(state_ids, dtype=np.int64))
-    comp = _component_logliks(model, frames, unique, table, stacked)
+    operand, const, n_comp = _emission_table(model) if table is None else table
+    if stacked is None:
+        stacked = _stack(frames)
+    k = int(n_comp[unique].max())
+    comp = stacked @ operand[:, :k, unique].reshape(len(operand), -1)
+    comp += const[:k, unique].ravel()
+    comp = comp.reshape(len(frames), k, len(unique))
     peak = comp.max(axis=1)
     rel = comp - peak[:, None, :]
     np.maximum(rel, LOG_TINY, out=rel)
@@ -505,19 +492,19 @@ def viterbi_path(
 
 
 def _intervals_from_path(
-    graph: AlignGraph, path: np.ndarray, n_states: int, frame_shift: float
+    graph: AlignGraph, path: np.ndarray, model: AcousticModel, frame_shift: float
 ) -> tuple[list[Interval], list[Interval]]:
     phone_intervals: list[Interval] = []
     word_frames: dict[int, list[int]] = {}
-    inst_path = path // n_states
+    inst_path = path // model.n_states
     bounds = [0, *(np.flatnonzero(np.diff(inst_path)) + 1).tolist(), len(path)]
     for t, u in zip(bounds[:-1], bounds[1:]):
-        inst = graph.instances[int(inst_path[t])]
-        phone_intervals.append(
-            Interval(inst.phone, t * frame_shift, u * frame_shift)
-        )
-        if inst.word_index is not None:
-            word_frames.setdefault(inst.word_index, []).extend([t, u])
+        node = path[t]
+        phone = model.phones[graph.node_state[node] // model.n_states]
+        phone_intervals.append(Interval(phone, t * frame_shift, u * frame_shift))
+        word = int(graph.node_word[node])
+        if word >= 0:
+            word_frames.setdefault(word, []).extend([t, u])
     word_intervals = [
         Interval(
             graph.words[w],
@@ -556,14 +543,14 @@ def force_align(
     try:
         graph = compile_align_graph(tokens, lexicon, model, allow_unk=allow_unk)
     except GraphError as exc:
-        return AlignFailure("oov", str(exc))
+        return AlignFailure("oov" if tokens else "empty", str(exc))
     emis = state_logliks(model, feats.frames, graph.states)[0]
     result = _best_path(graph, model.log_transitions(), emis)
     if isinstance(result, AlignFailure):
         return result
     path, loglik = result
     phone_intervals, word_intervals = _intervals_from_path(
-        graph, path, model.n_states, feats.frame_shift
+        graph, path, model, feats.frame_shift
     )
     return AlignmentPath(
         words=graph.words,
@@ -588,6 +575,25 @@ def _check_frames(i: int | None, frames: np.ndarray, dim: int | None) -> None:
             + f"frames of shape {frames.shape}, "
             f"expected (T, {'D' if dim is None else dim})"
         )
+
+
+def _compile_graphs(
+    data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
+    lexicon: Lexicon,
+    model: AcousticModel,
+    sil_prior: float = SIL_PRIOR,
+) -> list[AlignGraph]:
+    """Each utterance's alignment graph, its frames checked against
+    ``model.dim``: the one transcript and frame check of `flat_start` and
+    `train`, whose errors begin ``utterance i:``."""
+    graphs = []
+    for i, (feats, tokens) in enumerate(data):
+        try:
+            graphs.append(compile_align_graph(tokens, lexicon, model, sil_prior))
+        except GraphError as exc:
+            raise GraphError(f"utterance {i}: {exc}") from None
+        _check_frames(i, feats.frames, model.dim)
+    return graphs
 
 
 @dataclass(frozen=True)
@@ -634,6 +640,8 @@ def flat_start(
     is skipped; a state no utterance reaches keeps the global statistics.
     An utterance with a non-finite frame is left out of both the global
     statistics and the re-estimation (``train`` counts it as failed).
+    Transcripts and frame shapes are checked before any statistics are
+    taken, by the check ``train`` runs (``_compile_graphs``).
 
     The global mean and variance are summed one clip at a time, rows in
     corpus order, so they equal those of the stacked frames to the bit
@@ -642,29 +650,24 @@ def flat_start(
     """
     if not data:
         raise ValueError("flat_start needs at least one utterance")
-    dim = None
-    for i, (feats, tokens) in enumerate(data):
-        if not tokens:
-            raise GraphError(f"utterance {i}: empty transcript")
-        missing = [w for w in tokens if w not in lexicon]
-        if missing:
-            raise ValueError(
-                f"utterance {i}: words not coverable by lexicon: {missing[:5]}"
-            )
-        # the first utterance sets the dimension
-        _check_frames(i, feats.frames, dim)
-        dim = feats.dim
-    data = [
-        (feats, tokens) for feats, tokens in data if np.isfinite(feats.frames).all()
-    ]
-    if not data:
-        raise ValueError("flat_start needs an utterance whose frames are all finite")
-    kept = [feats.frames for feats, _ in data]
-    n_frames = sum(len(frames) for frames in kept)
-    mean = _column_sums(kept) / n_frames
-    var = _column_sums(np.square(frames - mean) for frames in kept) / n_frames
-    var = np.maximum(var, VARIANCE_FLOOR)
+    # the first utterance sets the dimension
+    _check_frames(0, data[0][0].frames, None)
     phones = tuple(lexicon.phones())
+    dim = data[0][0].dim
+    # compiling reads only the phones' state layout from the model
+    graphs = _compile_graphs(data, lexicon, AcousticModel(phones, dim))
+    kept = [
+        (feats, graph)
+        for (feats, _), graph in zip(data, graphs)
+        if np.isfinite(feats.frames).all()
+    ]
+    if not kept:
+        raise ValueError("flat_start needs an utterance whose frames are all finite")
+    clips = [feats.frames for feats, _ in kept]
+    n_frames = sum(len(frames) for frames in clips)
+    mean = _column_sums(clips) / n_frames
+    var = _column_sums(np.square(frames - mean) for frames in clips) / n_frames
+    var = np.maximum(var, VARIANCE_FLOOR)
     states = [
         GmmState(
             weights=np.array([1.0]),
@@ -682,14 +685,11 @@ def flat_start(
     )
     stats = _Stats.zeros(model)
     table = _emission_table(model)
-    for feats, tokens in data:
-        graph = compile_align_graph(tokens, lexicon, model)
+    for feats, graph in kept:
         path = _equal_alignment(graph, model.n_states, feats.n_frames)
         if path is not None:
             stacked = _stack(feats.frames)
-            comp = _component_logliks(
-                model, feats.frames, graph.states, table, stacked
-            )
+            comp = state_logliks(model, feats.frames, graph.states, table, stacked)[2]
             _accumulate(graph, path, stacked, comp, stats)
     return _reestimate(model, stats)
 
@@ -699,11 +699,9 @@ def _equal_alignment(
 ) -> np.ndarray | None:
     """Node per frame, the frames split evenly over the graph's nodes
     without the SILs between words; None with fewer frames than nodes."""
-    inner_sil = np.array([inst.word_index is None for inst in graph.instances])
-    inner_sil[[0, -1]] = False
-    nodes = np.flatnonzero(
-        ~inner_sil[np.arange(len(graph.node_state)) // n_states]
-    )
+    keep = graph.node_word >= 0
+    keep[:n_states] = keep[-n_states:] = True  # the first and the last SIL
+    nodes = np.flatnonzero(keep)
     if n_frames < len(nodes):
         return None
     return nodes[np.arange(n_frames) * len(nodes) // n_frames]
@@ -726,7 +724,7 @@ def _path_score(
     terms = np.empty(2 * len(path) + 1)
     terms[0] = graph.entry_prior[(graph.entry_nodes == path[0]).argmax()]
     terms[1::2] = emis[np.arange(len(path)), graph.node_col[path]]
-    terms[2:-1:2] = graph.lane_logp(log_trans)[path[1:], lanes]
+    terms[2:-1:2] = graph.lane_logp(log_trans, path[1:], lanes)
     terms[-1] = graph.final_logp(log_trans)[(graph.final_nodes == path[-1]).argmax()]
     return float(np.cumsum(terms)[-1])
 
@@ -762,19 +760,19 @@ def _accumulate(
     state, summed per state with one matmul.
 
     ``stacked`` is the utterance's ``_stack(frames)`` and ``comp`` the
-    (T, K, U) ``_component_logliks`` output over ``graph.states`` under
-    the model that aligned ``path`` (the third element of
-    ``state_logliks``), both from the call that scored the utterance; they
-    are only read.  The posterior has a column per component of every
-    graph state, zero for a state the path never visits, so such a
-    state's statistics gain exact zeros.
+    (T, K, U) component scores over ``graph.states`` under the model that
+    aligned ``path`` (the third element of ``state_logliks``), both from
+    the call that scored the utterance; they are only read.  The
+    posterior has a column per component of every graph state, zero for a
+    state the path never visits, so such a state's statistics gain exact
+    zeros.
 
     The matmul's row count is every graph state's components, not only
     the visited ones', so its sums equal those of a posterior over the
     visited states only where the BLAS keeps each output element's
     summation order as that row count changes.  This held on the one
     BLAS it was checked on (OpenBLAS, ``TestAccumulation``); unlike the
-    table gather in ``_component_logliks``, it is not equal by
+    table gather in ``state_logliks``, it is not equal by
     construction.  Where ``TestAccumulation`` fails, take the posterior
     over ``np.unique`` of the path's states instead."""
     state_ids = graph.node_state[path]
@@ -869,15 +867,7 @@ def train(
     if not data:
         raise ValueError("train needs at least one utterance")
     model = model.copy()
-    graphs = []
-    for i, (feats, tokens) in enumerate(data):
-        try:
-            graphs.append(compile_align_graph(
-                tokens, lexicon, model, sil_prior=schedule.sil_prior
-            ))
-        except GraphError as exc:
-            raise GraphError(f"utterance {i}: {exc}") from None
-        _check_frames(i, feats.frames, model.dim)
+    graphs = _compile_graphs(data, lexicon, model, schedule.sil_prior)
     trace: list[tuple[float, float]] = []
     # the previous iteration's pre-update total and its paths by utterance,
     # still to be rescored under ``model``

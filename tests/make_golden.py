@@ -1,13 +1,15 @@
 """A golden tiny run: train, decode and harvest on a small seeded corpus.
 
-The recipe is the ``harvest`` fixture's in ``tests/test_segment.py`` (20
-clips, a one-minute recording, 12 s chunks), plus a few test clips decoded
-with the corpus trigram LM.  The ``corpus`` section pins what ``synth_corpus``
-writes that no sine or BLAS call touches: the vocabulary, the manifests, the
-transcripts, the ground-truth times, the LM text and each WAV's length.  The
-outputs live under ``tests/data/golden`` and ``tests/test_golden.py`` holds
-every run to them: discrete values exactly, floats to a relative 1e-9 (BLAS
-kernels differ between machines).
+`tiny_model` trains on 20 clips of a seed-0 corpus with a one-minute
+recording; ``tests/test_segment.py`` harvests that recording in 12 s chunks
+with the same model for its ``harvest`` fixture.  The run here harvests it
+alike and decodes a few test clips with the corpus trigram LM.  The
+``corpus`` section pins what ``synth_corpus`` writes that no sine or BLAS
+call touches: the vocabulary, the manifests, the transcripts, the
+ground-truth times, the LM text and each WAV's length.  The outputs live
+under ``tests/data/golden`` and ``tests/test_golden.py`` holds every run to
+them: discrete values exactly, floats to a relative 1e-9 (BLAS kernels
+differ between machines).
 
     PYTHONPATH=src python tests/make_golden.py            # list moved fields
     PYTHONPATH=src python tests/make_golden.py --write    # rewrite the files
@@ -27,13 +29,13 @@ import wave
 from pathlib import Path
 
 from asrboot import segment
-from asrboot.am import TrainSchedule, flat_start, train
+from asrboot.am import TrainResult, TrainSchedule, flat_start, train
 from asrboot.corpus import load_manifest, read_wav
 from asrboot.decode import DecodeConfig, DecodeError, build_prefix_tree, decode
 from asrboot.features import cmvn, compute_mfcc
-from asrboot.lexicon import graphemic_lexicon
+from asrboot.lexicon import Lexicon, graphemic_lexicon
 from asrboot.lm import train_ngram
-from asrboot.synth import SynthSpec, synth_corpus
+from asrboot.synth import SynthCorpus, SynthSpec, synth_corpus
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 SECTIONS = ("corpus", "train", "decode", "harvest")
@@ -80,17 +82,28 @@ def _corpus_section(corp) -> dict:
     }
 
 
-def tiny_run(work_dir) -> dict:
-    """Every pinned output of one run, as JSON-ready sections."""
+def tiny_model(
+    work_dir, corruption_rate: float = 0.0
+) -> tuple[SynthCorpus, Lexicon, TrainResult]:
+    """The seed-0 tiny corpus (20 clips, a one-minute recording, a
+    vocabulary of 10, `N_TEST` test clips), its graphemic lexicon, and a
+    brief training on the clips' features from a flat start.  The test
+    clips are drawn after the recording, so they change no clip and no
+    recording."""
     corp = synth_corpus(
         SynthSpec(seed=0), Path(work_dir), n_shortform=20,
         longform_minutes=1.0, longform_recording_minutes=1.0, n_test=N_TEST,
-        vocabulary_size=10,
+        vocabulary_size=10, corruption_rate=corruption_rate,
     )
     clips = _features(corp.short_manifest)
     lexicon = graphemic_lexicon(corp.vocabulary)[0]
     schedule = TrainSchedule(n_iters=7, split_iters=(3, 6), max_gauss=2)
-    trained = train(flat_start(clips, lexicon), clips, lexicon, schedule)
+    return corp, lexicon, train(flat_start(clips, lexicon), clips, lexicon, schedule)
+
+
+def tiny_run(work_dir) -> dict:
+    """Every pinned output of one run, as JSON-ready sections."""
+    corp, lexicon, trained = tiny_model(work_dir)
     model = trained.model
     decode_cfg = DecodeConfig(beam=60.0, max_active=20000, lm_scale=2.0)
 

@@ -114,7 +114,7 @@ class TestFlatStart:
 
     def test_uncoverable_word_rejected(self, ab_lexicon):
         data = [(feats_from(np.zeros((10, DIM))), ("ZZ",))]
-        with pytest.raises(ValueError, match="coverable"):
+        with pytest.raises(GraphError, match=r"words not in lexicon: \['ZZ'\]"):
             flat_start(data, ab_lexicon)
 
     def test_empty_data_rejected(self, ab_lexicon):
@@ -125,8 +125,8 @@ class TestFlatStart:
         "tokens, error, message",
         [
             ((), GraphError, "utterance 1: empty transcript"),
-            (("ZZ",), ValueError,
-             r"utterance 1: words not coverable by lexicon: \['ZZ'\]"),
+            # GraphError is a ValueError; the parity test pins the type
+            (("ZZ",), ValueError, r"utterance 1: words not in lexicon: \['ZZ'\]"),
         ],
     )
     def test_bad_transcript_names_its_utterance(
@@ -211,6 +211,30 @@ class TestFlatStart:
         with pytest.raises(ValueError, match=re.escape("utterance " + message)):
             flat_start(data, ab_lexicon)
 
+    @pytest.mark.parametrize(
+        "utterance, tokens, shape",
+        [
+            (0, (), (24, DIM)),
+            (1, (), (24, DIM)),
+            (1, ("ZZ",), (24, DIM)),
+            (1, ("AB", "ZZ", "YY"), (24, DIM)),
+            (1, ("AB",), (24, 13)),
+            (1, ("AB",), (24,)),
+            (1, ("ZZ",), (24, 13)),  # the transcript is checked first
+        ],
+    )
+    def test_faults_raise_as_in_train(self, ab_lexicon, utterance, tokens, shape):
+        data = [(feats_from(np.zeros((24, DIM))), ("AB",)) for _ in range(3)]
+        data[utterance] = (feats_from(np.zeros(shape)), tokens)
+        errors = []
+        for run in (lambda: flat_start(data, ab_lexicon),
+                    lambda: train(toy_model(), data, ab_lexicon)):
+            with pytest.raises(ValueError) as info:
+                run()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1].startswith(f"utterance {utterance}: ")
+
 
 class TestForceAlign:
     def test_three_grapheme_word_alignable_at_9_frames(self, ab_lexicon):
@@ -238,6 +262,12 @@ class TestForceAlign:
         )
         assert isinstance(result, AlignFailure)
         assert result.reason == "oov"
+
+    def test_empty_transcript_is_not_an_oov(self, ab_lexicon):
+        result = force_align(
+            toy_model(), feats_from(np.zeros((30, DIM))), (), ab_lexicon
+        )
+        assert result == AlignFailure("empty", "empty transcript")
 
     def test_no_path_when_no_final_state_is_reached(self, ab_lexicon, monkeypatch):
         model = toy_model()
@@ -443,10 +473,19 @@ class TestNodeMajorScan:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_graph_maps_each_node_to_its_emission_column(self, seed):
-        _, graph, _ = scan_case(seed)
+        model, graph, _ = scan_case(seed)
         states = np.asarray(graph.states)
         assert np.array_equal(states[graph.node_col], graph.node_state)
         assert np.array_equal(states, np.unique(states))  # sorted, unique
+        # each node's word index: SIL_0, word_0's phones, SIL_1, ..., SIL_n
+        lexicon = graphemic_lexicon(graph.words)[0]
+        sil = [-1] * model.n_states
+        expected = sil + [
+            node
+            for w_idx, word in enumerate(graph.words)
+            for node in [w_idx] * model.n_states * len(lexicon.pron(word)) + sil
+        ]
+        assert graph.node_word.tolist() == expected
 
     @pytest.mark.parametrize("seed", range(12))
     def test_ties_break_like_the_reference(self, seed, monkeypatch):
@@ -861,25 +900,6 @@ class TestRescoring:
         }
 
 
-    def test_accumulation_reads_the_aligning_component_scores(
-        self, ab_lexicon, monkeypatch
-    ):
-        model = toy_model(spread=2.0)
-        data = noisy_data(model, ab_lexicon, ("AB", "A", "BA"), 3, seed=7)
-        calls = dict.fromkeys(("state_logliks", "_component_logliks"), 0)
-        for name in calls:
-
-            def counted(*args, _real=getattr(am, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(am, name, counted)
-        result = train(model, data, ab_lexicon, HANDOVER_SCHEDULE)
-        assert result.failure_reasons == {}
-        assert calls["state_logliks"] > 0
-        assert calls["_component_logliks"] == calls["state_logliks"]
-
-
 class TestEmissionKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_the_per_component_formula(self, seed):
@@ -914,8 +934,7 @@ class TestEmissionKernel:
         state_ids = [5, 0, 7, 5, 2, 9, 11]
         emis, _, comp = am.state_logliks(model, frames, state_ids)
 
-        unique = sorted(set(state_ids))
-        expected_comp = am._component_logliks(model, frames, unique)
+        expected_comp = state_logliks_reference(model, frames, state_ids)[1]
         assert np.array_equal(comp, expected_comp, equal_nan=True)
         # the unclamped log-sum-exp: terms below -745 are 0, above denormal
         peak = expected_comp.max(axis=1)
@@ -985,8 +1004,7 @@ class TestAccumulation:
         stats, ref_stats = am._Stats.zeros(model), am._Stats.zeros(model)
         for tokens in (("AB", "BA"), ("ABA", "A", "B"), ("B",)):
             graph = compile_align_graph(tokens, ab_lexicon, model)
-            in_word = [inst.word_index is not None for inst in graph.instances]
-            nodes = np.flatnonzero(np.repeat(in_word, model.n_states))
+            nodes = np.flatnonzero(graph.node_word >= 0)
             t_frames = len(nodes) + int(rng.integers(0, 60))
             path = nodes[np.arange(t_frames) * len(nodes) // t_frames]
             frames = 3.0 * rng.standard_normal((t_frames, dim))

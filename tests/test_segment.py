@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feats_from
+from make_golden import tiny_model
 
 from asrboot import segment
-from asrboot.am import Interval, TrainSchedule, flat_start, train
-from asrboot.corpus import load_manifest, read_wav
+from asrboot.am import Interval
+from asrboot.corpus import read_wav
 from asrboot.decode import DecodeConfig, DecodeError, Hypothesis
 from asrboot.features import FrontendConfig, cmvn, compute_mfcc
-from asrboot.lexicon import graphemic_lexicon
 from asrboot.scoring import DEL, INS, SUB
 from asrboot.segment import (
     MATCH,
@@ -32,7 +32,6 @@ from asrboot.segment import (
     smith_waterman,
     success_rate,
 )
-from asrboot.synth import SynthSpec, synth_corpus
 
 
 def seams(chunks):
@@ -521,20 +520,11 @@ class TestDecodeChunks:
 
 
 def tiny_harvest(out_dir, corruption_rate=0.0):
-    """A one-minute synthetic recording harvested in 12 s chunks with a
-    model trained briefly on 20 clips; every chunk and the features of
-    every decode are recorded."""
-    corp = synth_corpus(
-        SynthSpec(seed=0), out_dir, n_shortform=20,
-        longform_minutes=1.0, longform_recording_minutes=1.0, n_test=0,
-        vocabulary_size=10, corruption_rate=corruption_rate,
-    )
-    clips = []
-    for utt in load_manifest(corp.short_manifest):
-        clips.append((cmvn(compute_mfcc(read_wav(utt.audio)[1])), utt.tokens()))
-    lexicon = graphemic_lexicon(corp.vocabulary)[0]
-    schedule = TrainSchedule(n_iters=7, split_iters=(3, 6), max_gauss=2)
-    model = train(flat_start(clips, lexicon), clips, lexicon, schedule).model
+    """The one-minute recording of ``make_golden.tiny_model`` harvested in
+    12 s chunks with its model; every chunk and the features of every
+    decode are recorded."""
+    corp, lexicon, trained = tiny_model(out_dir, corruption_rate)
+    model = trained.model
     (rec,) = corp.longform
     samples = read_wav(rec.audio)[1]
     text = Path(rec.transcript).read_text(encoding="utf-8")
