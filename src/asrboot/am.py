@@ -53,6 +53,10 @@ LOG_TINY = -700.0
 N_STATES = 3
 VARIANCE_FLOOR = 1e-4
 PROB_FLOOR = 1e-300  # weights and transitions are floored here before log
+# a model's weights and transition rows sum to 1 within _SUM_TOL, and its
+# variances are at least VARIANCE_FLOOR - _FLOOR_TOL
+_SUM_TOL = 1e-8
+_FLOOR_TOL = 1e-12
 # probability of taking an optional silence between words (and at either
 # end): alignment, training and the decoder all use this one value
 SIL_PRIOR = 0.5
@@ -125,11 +129,11 @@ class AcousticModel:
 
     def check_invariants(self) -> None:
         for state in self.states:
-            assert abs(state.weights.sum() - 1.0) <= 1e-8
-            assert np.all(state.variances >= VARIANCE_FLOOR - 1e-12)
+            assert abs(state.weights.sum() - 1.0) <= _SUM_TOL
+            assert np.all(state.variances >= VARIANCE_FLOOR - _FLOOR_TOL)
             assert np.all(np.isfinite(state.means))
         row_sums = self.transitions.sum(axis=1)
-        assert np.max(np.abs(row_sums - 1.0)) <= 1e-8
+        assert np.max(np.abs(row_sums - 1.0)) <= _SUM_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +342,11 @@ def state_logliks(
     state_ids: Iterable[int],
     table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     stacked: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict[int, int], np.ndarray]:
-    """(T, U) emission matrix for the unique states, the id -> column map,
-    and the (T, K, U) log w + log N(x; mean, var) per frame, component and
-    state it was summed from.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, U) emission matrix for the U sorted unique states, those state
+    ids (column j scores state ``unique[j]``), and the (T, K, U)
+    log w + log N(x; mean, var) per frame, component and state it was
+    summed from.
 
     The one emission kernel.  ``table`` is ``_emission_table(model)`` and
     ``stacked`` is ``_stack(frames)``; a caller that scores many
@@ -352,9 +357,9 @@ def state_logliks(
     the U sorted unique states are gathered from the table, cut to their
     own largest component count K (a padded component scores
     ``LOG_ZERO``), into one (2D, K * U) matrix, so scoring the utterance is
-    one matmul.  Component k of every state is one (T, U) slab
-    ``[:, k, :]``, whose rows are K * U apart, so a reduction over K is
-    K - 1 whole-slab operations.  Every search scores through here, so
+    one matmul.  The max and the sum over K are one numpy reduction each
+    along axis 1 (K - 1 slab operations per reduction measured slower
+    over a whole training).  Every search scores through here, so
     frames not of shape (T, model.dim) raise ValueError here.
 
     The component scores are returned unmodified, so training accumulates
@@ -380,7 +385,7 @@ def state_logliks(
     np.maximum(rel, LOG_TINY, out=rel)
     np.exp(rel, out=rel)
     emis = peak + np.log(rel.sum(axis=1))
-    return emis, {sid: j for j, sid in enumerate(unique.tolist())}, comp
+    return emis, unique, comp
 
 
 def viterbi_path(
@@ -947,7 +952,8 @@ def save_model(model: AcousticModel, path) -> None:
 def _state_fault(
     weights: np.ndarray, means: np.ndarray, variances: np.ndarray, trans: np.ndarray
 ) -> str | None:
-    """Why a loaded state would score NaN, or None if it would not."""
+    """Why a loaded state would score NaN or break `check_invariants`, or
+    None if it would not."""
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         return "weights must be finite and >= 0"
     if not np.isfinite(means).all():
@@ -956,6 +962,12 @@ def _state_fault(
         return "variances must be finite and > 0"
     if not (np.isfinite(trans).all() and (trans >= 0).all()):
         return "transitions must be finite and >= 0"
+    if abs(weights.sum() - 1.0) > _SUM_TOL:
+        return f"weights sum to {float(weights.sum())!r}, need 1 within {_SUM_TOL}"
+    if abs(trans.sum() - 1.0) > _SUM_TOL:
+        return f"transitions sum to {float(trans.sum())!r}, need 1 within {_SUM_TOL}"
+    if (variances < VARIANCE_FLOOR - _FLOOR_TOL).any():
+        return f"variances must be >= the floor {VARIANCE_FLOOR}"
     return None
 
 
@@ -966,7 +978,11 @@ def load_model(path) -> AcousticModel:
     feature dimension of 0, a state of 0 components (it scores
     ``LOG_ZERO`` on every frame), a weight, mean, variance or transition
     that is not finite, a negative weight or transition, a variance
-    that is not positive, and a phone named twice."""
+    that is not positive, and a phone named twice.  So is a model that
+    `AcousticModel.check_invariants` rejects: weights or a transition row
+    that do not sum to 1 within 1e-8, or a variance below the floor.  A
+    flipped bit that leaves a mean finite still loads: the format has no
+    checksum."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 

@@ -1,9 +1,11 @@
 """Corpus data model: manifests, audio canonicalization, subsetting.
 
-Manifests are UTF-8 JSON Lines with fields ``id``, ``audio``, ``text`` and
-optional ``start``/``end`` seconds.  Audio is canonicalized to 16 kHz mono
-16-bit PCM WAV.  Subsetting by a minute budget is nested: with a fixed
-seed, a smaller budget is always a prefix of a larger one.
+Manifests are UTF-8 JSON Lines with fields ``id``, ``audio`` and ``text``.
+An utterance is its whole audio file: a line with ``start`` or ``end``
+seconds is rejected, never read as the whole file.  Audio is
+canonicalized to 16 kHz mono 16-bit PCM WAV.  Subsetting by a minute
+budget is nested: with a fixed seed, a smaller budget is always a prefix
+of a larger one.
 """
 
 from __future__ import annotations
@@ -54,13 +56,11 @@ class Recording:
 
 @dataclass(frozen=True)
 class Utterance:
-    """A transcribed span: a whole recording or a [start, end) slice of one."""
+    """A transcribed audio file, the whole of it."""
 
     id: str
     audio: str
     text: str
-    start: float | None = None
-    end: float | None = None
 
     @property
     def recording_id(self) -> str:
@@ -68,11 +68,6 @@ class Utterance:
 
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.text.split())
-
-    def span_duration(self) -> float | None:
-        if self.start is not None and self.end is not None:
-            return self.end - self.start
-        return None
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class SubsetResult:
 # manifest I/O
 
 def load_manifest(path) -> list[Utterance]:
-    """Read a JSONL manifest; rejects duplicate ids and bad spans."""
+    """Read a JSONL manifest; rejects duplicate ids and spans."""
     utterances: list[Utterance] = []
     seen: set[str] = set()
     for lineno, line in utf8_lines(path, ManifestError):
@@ -116,35 +111,13 @@ def load_manifest(path) -> list[Utterance]:
         if utt_id in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate id {utt_id!r}")
         seen.add(utt_id)
-        start = record.get("start")
-        end = record.get("end")
-        # JSON true/false load as bool, which is an int subclass
-        if any(type(v) not in (int, float, type(None)) for v in (start, end)):
-            raise ManifestError(f"{path}:{lineno}: start and end must be numbers")
-        # json reads the non-standard Infinity and NaN as floats
-        if any(v is not None and not math.isfinite(v) for v in (start, end)):
+        if "start" in record or "end" in record:
             raise ManifestError(
-                f"{path}:{lineno}: start and end must be finite, "
-                f"got start={start} end={end}"
+                f"{path}:{lineno}: spans are not supported (start/end); "
+                "an utterance is its whole audio file"
             )
-        if (start is None) != (end is None):
-            raise ManifestError(
-                f"{path}:{lineno}: start and end must be given together"
-            )
-        if start is not None:
-            if not 0 <= start < end:
-                raise ManifestError(
-                    f"{path}:{lineno}: need 0 <= start < end, "
-                    f"got start={start} end={end}"
-                )
         utterances.append(
-            Utterance(
-                id=utt_id,
-                audio=record["audio"],
-                text=record["text"],
-                start=start,
-                end=end,
-            )
+            Utterance(id=utt_id, audio=record["audio"], text=record["text"])
         )
     return utterances
 
@@ -152,10 +125,7 @@ def load_manifest(path) -> list[Utterance]:
 def write_manifest(utterances: Iterable[Utterance], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for utt in utterances:
-            record: dict = {"id": utt.id, "audio": utt.audio, "text": utt.text}
-            if utt.start is not None:
-                record["start"] = utt.start
-                record["end"] = utt.end
+            record = {"id": utt.id, "audio": utt.audio, "text": utt.text}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -348,17 +318,6 @@ def canonicalize_audio(input_path, out_path, rec_id: str | None = None) -> Recor
 # ---------------------------------------------------------------------------
 # durations, stats, subsetting
 
-def utterance_duration(utt: Utterance, cache: dict[str, float]) -> float:
-    """Utterance duration in seconds; a whole-file utterance reads the
-    header once per file, through ``cache``."""
-    span = utt.span_duration()
-    if span is not None:
-        return span
-    if utt.audio not in cache:
-        cache[utt.audio] = wav_duration(utt.audio)
-    return cache[utt.audio]
-
-
 def corpus_stats(
     utterances: Sequence[Utterance],
     kinds: dict[str, str] | None = None,
@@ -368,12 +327,11 @@ def corpus_stats(
     ``kinds`` optionally maps recording_id -> short_form/long_form for the
     per-kind breakdown; unlisted recordings count as short_form.
     """
-    cache: dict[str, float] = {}
     total = 0.0
     by_kind: dict[str, float] = {}
     recordings = set()
     for utt in utterances:
-        dur = utterance_duration(utt, cache)
+        dur = wav_duration(utt.audio)
         total += dur
         kind = (kinds or {}).get(utt.recording_id, SHORT_FORM)
         by_kind[kind] = by_kind.get(kind, 0.0) + dur
@@ -399,7 +357,6 @@ def subset_by_duration(
         raise ValueError(f"minutes must be finite and >= 0, got {minutes}")
     order = list(utterances)
     random.Random(seed).shuffle(order)
-    cache: dict[str, float] = {}
     target_seconds = minutes * 60.0
     selected: list[Utterance] = []
     total = 0.0
@@ -407,7 +364,7 @@ def subset_by_duration(
         if total >= target_seconds:
             break
         selected.append(utt)
-        total += utterance_duration(utt, cache)
+        total += wav_duration(utt.audio)
     shortfall = total < target_seconds
     if shortfall:
         logger.warning(
@@ -426,16 +383,10 @@ def subset_by_duration(
 def validate_against_recordings(
     utterances: Sequence[Utterance], recordings: dict[str, Recording]
 ) -> None:
-    """Check recording references and time bounds; raises ManifestError."""
+    """Check that every utterance's recording exists; raises ManifestError."""
     for utt in utterances:
-        rec = recordings.get(utt.recording_id)
-        if rec is None:
+        if utt.recording_id not in recordings:
             raise ManifestError(
                 f"utterance {utt.id!r}: dangling recording "
                 f"reference {utt.recording_id!r}"
-            )
-        if utt.end is not None and utt.end > rec.duration + 1e-6:
-            raise ManifestError(
-                f"utterance {utt.id!r}: end {utt.end} exceeds recording "
-                f"duration {rec.duration}"
             )

@@ -178,9 +178,9 @@ def viterbi_reference(graph, model, frames):
     emissions come from ``am.state_logliks`` looked up at call time, so a
     test that patches it patches both."""
     t_frames = frames.shape[0]
-    emis, col = am.state_logliks(model, frames, graph.node_state)[:2]
+    emis, unique = am.state_logliks(model, frames, graph.node_state)[:2]
     # (T, M): the emission of every graph node on every frame
-    node_emis = emis[:, [col[s] for s in graph.node_state.tolist()]]
+    node_emis = emis[:, np.searchsorted(unique, graph.node_state)]
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
     m = len(graph.node_state)
@@ -254,8 +254,8 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
     if n_frames == 0:
         raise DecodeError("no frames to decode")
     dec.bp_table = []
-    emis, col = am.state_logliks(model, feats.frames, dec.pos_state)[:2]
-    dec.pos_col = pos_col = [col[s] for s in dec.pos_state]
+    emis, unique = am.state_logliks(model, feats.frames, dec.pos_state)[:2]
+    dec.pos_col = pos_col = np.searchsorted(unique, dec.pos_state).tolist()
     n_pos = len(dec.pos_state)
 
     def enter_starts(ends, emit):

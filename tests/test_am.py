@@ -274,9 +274,8 @@ class TestForceAlign:
         feats, _ = generate_utterance(model, ab_lexicon, ("AB",), seed=0)
 
         def impossible(model, frames, state_ids):
-            unique = np.unique(state_ids).tolist()
-            col = {sid: j for j, sid in enumerate(unique)}
-            return np.full((frames.shape[0], len(unique)), -np.inf), col
+            unique = np.unique(state_ids)
+            return np.full((frames.shape[0], len(unique)), -np.inf), unique
 
         monkeypatch.setattr(am, "state_logliks", impossible)
         result = force_align(model, feats, ("AB",), ab_lexicon)
@@ -452,9 +451,8 @@ def patch_emissions(monkeypatch, table):
     (frames, states) table, one column per requested state."""
 
     def fake(model, frames, state_ids):
-        unique = np.unique(np.fromiter(state_ids, dtype=np.int64)).tolist()
-        emis = table[: len(frames), unique]
-        return emis, {sid: j for j, sid in enumerate(unique)}
+        unique = np.unique(np.fromiter(state_ids, dtype=np.int64))
+        return table[: len(frames), unique], unique
 
     monkeypatch.setattr(am, "state_logliks", fake)
 
@@ -721,16 +719,17 @@ def rescore_frame_by_frame(model, graph, path, frames):
     """Reference path score: emissions from the call `viterbi_path` makes,
     added one frame at a time in the order entry, (arc, emission) per
     frame, exit."""
-    emis, col = am.state_logliks(model, frames, graph.node_state)[:2]
+    emis, unique = am.state_logliks(model, frames, graph.node_state)[:2]
+    col = np.searchsorted(unique, graph.node_state)  # each node's column
     log_trans = model.log_transitions()
     lane_logp = graph.lane_logp(log_trans)
     total = 0.0
     total += graph.entry_prior[list(graph.entry_nodes).index(path[0])]
-    total += emis[0, col[graph.node_state[path[0]]]]
+    total += emis[0, col[path[0]]]
     for t in range(1, len(path)):
         dst, src = int(path[t]), int(path[t - 1])
         total += lane_logp[dst, list(graph.lane_src[dst]).index(src)]
-        total += emis[t, col[graph.node_state[dst]]]
+        total += emis[t, col[dst]]
     total += graph.final_logp(log_trans)[list(graph.final_nodes).index(path[-1])]
     return float(total)
 
@@ -850,10 +849,10 @@ class TestRescoring:
 
         def logliks(m, frames, state_ids, *inputs):
             models.setdefault("first", m)
-            emis, col, comp = real_logliks(m, frames, state_ids, *inputs)
+            emis, unique, comp = real_logliks(m, frames, state_ids, *inputs)
             if frames is bad and m is models.get(fail_under):
                 emis = np.full_like(emis, -np.inf)
-            return emis, col, comp
+            return emis, unique, comp
 
         monkeypatch.setattr(am, "grow_mixtures", grow)
         monkeypatch.setattr(am, "state_logliks", logliks)
@@ -908,10 +907,10 @@ class TestEmissionKernel:
         model = mixed_k_model(rng, dim)  # padded slots in every call
         frames = 3.0 * rng.standard_normal((301, dim))
         state_ids = [5, 0, 7, 5, 2, 9, 11]  # unsorted, with a repeat
-        emis, col = am.state_logliks(model, frames, state_ids)[:2]
-        assert sorted(col) == sorted(set(state_ids))
-        assert emis.shape == (len(frames), len(col))
-        for sid, j in col.items():
+        emis, unique = am.state_logliks(model, frames, state_ids)[:2]
+        assert unique.tolist() == sorted(set(state_ids))
+        assert emis.shape == (len(frames), len(unique))
+        for j, sid in enumerate(unique.tolist()):
             ref = gmm_loglik(model.states[sid], frames)
             np.testing.assert_allclose(emis[:, j], ref, rtol=1e-9, atol=0)
 
@@ -1122,6 +1121,33 @@ class TestMalformedModelFile:
             model.states[3].means[0, 0] = np.inf
         else:
             model.transitions[5, 0] = np.nan
+        path = tmp_path / "bad.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("weights off 1", r"bad\.bin: state 1: weights sum to 0\.5, need 1 within 1e-08"),
+            ("transitions off 1",
+             r"bad\.bin: state 5: transitions sum to 1\.2, need 1 within 1e-08"),
+            ("variance below the floor",
+             r"bad\.bin: state 2: variances must be >= the floor 0\.0001"),
+        ],
+    )
+    def test_model_that_check_invariants_rejects_is_rejected(
+        self, tmp_path, fault, message
+    ):
+        model = toy_model()
+        if fault == "weights off 1":
+            model.states[1].weights[0] = 0.5
+        elif fault == "transitions off 1":
+            model.transitions[5] = (0.6, 0.6)
+        else:
+            model.states[2].variances[0, 0] = 0.5 * VARIANCE_FLOOR
+        with pytest.raises(AssertionError):
+            model.check_invariants()
         path = tmp_path / "bad.bin"
         save_model(model, path)
         with pytest.raises(ValueError, match=message):

@@ -34,8 +34,11 @@ from asrboot.corpus import (
 )
 
 
-def make_utt(i, dur_s, text="A B"):
-    return Utterance(id=f"u{i}", audio=f"rec{i}.wav", text=text, start=0.0, end=dur_s)
+def make_utt(directory, i, dur_s, rate=100):
+    """An utterance whose audio is a silent WAV of ``dur_s`` seconds."""
+    audio = directory / f"rec{i}.wav"
+    wavfile.write(str(audio), rate, np.zeros(round(dur_s * rate), dtype=np.int16))
+    return Utterance(id=f"u{i}", audio=str(audio), text="A B")
 
 
 class TestManifest:
@@ -48,22 +51,14 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         path.write_text(
             '{"id": "a", "audio": "a.wav", "text": "HELLO"}\n'
-            '{"id": "b", "audio": "b.wav", "text": "WORLD", "start": 1.0, "end": 2.5}\n',
+            '{"id": "b", "audio": "b.wav", "text": "WORLD"}\n',
             encoding="utf-8",
         )
         utts = load_manifest(path)
-        assert [u.id for u in utts] == ["a", "b"]
-        assert utts[1].start == 1.0 and utts[1].end == 2.5
-
-    def test_end_before_start_names_line(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text(
-            '{"id": "a", "audio": "a.wav", "text": "X"}\n'
-            '{"id": "b", "audio": "b.wav", "text": "Y", "start": 2.0, "end": 1.0}\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(ManifestError, match=":2"):
-            load_manifest(path)
+        assert utts == [
+            Utterance(id="a", audio="a.wav", text="HELLO"),
+            Utterance(id="b", audio="b.wav", text="WORLD"),
+        ]
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -86,19 +81,18 @@ class TestManifest:
         ('{"id": 7, "audio": "a.wav", "text": "X"}', "'id' must be a string"),
         ('{"id": "a", "audio": null, "text": "X"}', "'audio' must be a string"),
         ('{"id": "a", "audio": "a.wav", "text": 12}', "'text' must be a string"),
-        ('{"id": "a", "audio": "a.wav", "text": "X", "start": "0", "end": 1}',
-         "start and end must be numbers"),
-        ('{"id": "a", "audio": "a.wav", "text": "X", "start": 0, "end": true}',
-         "start and end must be numbers"),
-        ('{"id": "a", "audio": "a.wav", "text": "X", "start": 0, "end": Infinity}',
-         "start and end must be finite"),
-        ('{"id": "a", "audio": "a.wav", "text": "X", "start": NaN, "end": 1}',
-         "start and end must be finite"),
-    ], ids=["array", "id", "audio", "text", "start", "end_bool", "end_inf", "start_nan"])
+        # an utterance is its whole file; a span is never read as the file
+        ('{"id": "a", "audio": "a.wav", "text": "X", "start": 1.0}',
+         "spans are not supported"),
+        ('{"id": "a", "audio": "a.wav", "text": "X", "end": 2.5}',
+         "spans are not supported"),
+        ('{"id": "a", "audio": "a.wav", "text": "X", "start": 1.0, "end": 2.5}',
+         "spans are not supported"),
+    ], ids=["array", "id", "audio", "text", "start", "end", "start_end"])
     def test_field_types_checked_with_line(self, tmp_path, line, message):
         path = tmp_path / "m.jsonl"
         path.write_text(
-            '{"id": "ok", "audio": "ok.wav", "text": "Y", "start": 0, "end": 1.5}\n'
+            '{"id": "ok", "audio": "ok.wav", "text": "Y"}\n'
             + line + "\n",
             encoding="utf-8",
         )
@@ -119,7 +113,7 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         utts = [
             Utterance(id="a", audio="x.wav", text="HELLO THERE"),
-            Utterance(id="b", audio="y.wav", text="HI", start=0.25, end=3.5),
+            Utterance(id="b", audio="y.wav", text="HI"),
         ]
         path = tmp_path / "m.jsonl"
         write_manifest(utts, path)
@@ -458,47 +452,47 @@ class TestWavIO:
 
 
 class TestSubset:
-    def test_target_zero(self):
-        utts = [make_utt(i, 60.0) for i in range(10)]
+    def test_target_zero(self, tmp_path):
+        utts = [make_utt(tmp_path, i, 60.0) for i in range(10)]
         result = subset_by_duration(utts, 0.0, seed=1)
         assert result.utterances == []
         assert not result.shortfall
 
-    def test_exact_count(self):
-        utts = [make_utt(i, 60.0) for i in range(10)]
+    def test_exact_count(self, tmp_path):
+        utts = [make_utt(tmp_path, i, 60.0) for i in range(10)]
         result = subset_by_duration(utts, 5.0, seed=1)
         assert len(result.utterances) == 5
         assert result.selected_minutes == pytest.approx(5.0)
 
-    def test_deterministic(self):
-        utts = [make_utt(i, 30.0) for i in range(20)]
+    def test_deterministic(self, tmp_path):
+        utts = [make_utt(tmp_path, i, 30.0) for i in range(20)]
         a = subset_by_duration(utts, 4.0, seed=7)
         b = subset_by_duration(utts, 4.0, seed=7)
         assert a.utterances == b.utterances
 
-    def test_nested_subsets(self):
-        utts = [make_utt(i, 45.0) for i in range(40)]
+    def test_nested_subsets(self, tmp_path):
+        utts = [make_utt(tmp_path, i, 45.0) for i in range(40)]
         small = subset_by_duration(utts, 5.0, seed=3).utterances
         large = subset_by_duration(utts, 10.0, seed=3).utterances
         assert large[: len(small)] == small
 
-    def test_monotone_in_target(self):
-        utts = [make_utt(i, 37.0) for i in range(40)]
+    def test_monotone_in_target(self, tmp_path):
+        utts = [make_utt(tmp_path, i, 37.0) for i in range(40)]
         durations = []
         for minutes in [1.0, 3.0, 7.0, 11.0]:
             result = subset_by_duration(utts, minutes, seed=5)
             durations.append(result.selected_minutes)
         assert durations == sorted(durations)
 
-    def test_shortfall_flagged(self):
-        utts = [make_utt(i, 60.0) for i in range(3)]
+    def test_shortfall_flagged(self, tmp_path):
+        utts = [make_utt(tmp_path, i, 60.0) for i in range(3)]
         result = subset_by_duration(utts, 10.0, seed=1)
         assert result.shortfall
         assert len(result.utterances) == 3
 
     @pytest.mark.parametrize("minutes", [float("nan"), float("inf"), -1.0])
-    def test_bad_budget_rejected(self, minutes):
-        utts = [make_utt(i, 60.0) for i in range(3)]
+    def test_bad_budget_rejected(self, tmp_path, minutes):
+        utts = [make_utt(tmp_path, i, 60.0) for i in range(3)]
         with pytest.raises(ValueError, match=f"got {minutes}"):
             subset_by_duration(utts, minutes, seed=1)
 
@@ -510,20 +504,20 @@ class TestStats:
         assert stats.n_utterances == 0
         assert stats.total_minutes == 0.0
 
-    def test_minimal_regime_shape(self):
+    def test_minimal_regime_shape(self, tmp_path):
         # 433 files totalling 8.5 minutes
         per_utt = 510.0 / 433.0
-        utts = [make_utt(i, per_utt) for i in range(433)]
+        utts = [make_utt(tmp_path, i, per_utt, rate=433) for i in range(433)]
         stats = corpus_stats(utts)
         assert stats.n_utterances == 433
         assert stats.total_minutes == 8.5
 
-    def test_two_half_minute_utterances(self):
-        utts = [make_utt(0, 30.0), make_utt(1, 30.0)]
+    def test_two_half_minute_utterances(self, tmp_path):
+        utts = [make_utt(tmp_path, 0, 30.0), make_utt(tmp_path, 1, 30.0)]
         assert corpus_stats(utts).total_minutes == 1.0
 
-    def test_kind_breakdown(self):
-        utts = [make_utt(0, 60.0), make_utt(1, 120.0)]
+    def test_kind_breakdown(self, tmp_path):
+        utts = [make_utt(tmp_path, 0, 60.0), make_utt(tmp_path, 1, 120.0)]
         stats = corpus_stats(utts, kinds={"rec1": "long_form"})
         assert stats.minutes_by_kind == {"long_form": 2.0, "short_form": 1.0}
 

@@ -68,7 +68,7 @@ def write_manifest_file(path):
     write_manifest(
         [
             Utterance("u1", "audio/a.wav", "AB BA"),
-            Utterance("u2", "audio/b.wav", "ABA", start=0.5, end=1.25),
+            Utterance("u2", "audio/b.wav", "ABA"),
         ],
         path,
     )
@@ -110,3 +110,22 @@ def test_only_the_documented_error_escapes(tmp_path, name):
             escapes.append((i, repr(exc)))
     assert escapes == []
     assert raised > 0  # the mutations reach the reader's checks
+
+
+def test_every_model_that_loads_keeps_its_invariants(tmp_path):
+    # a mutation that loads is one the format cannot tell from a model,
+    # such as a flipped bit in a mean; it must still be a valid model
+    path = tmp_path / "file"
+    write_model(path)
+    original = path.read_bytes()
+    rng = np.random.default_rng(len(READERS))
+    loaded = 0
+    for _ in range(N_MUTATIONS):
+        path.write_bytes(mutate(original, rng))
+        try:
+            model = load_model(path)
+        except ValueError:
+            continue
+        model.check_invariants()
+        loaded += 1
+    assert loaded > 0  # some mutations load

@@ -558,6 +558,8 @@ def tiny_harvest(out_dir, corruption_rate=0.0):
         segments=segments, report=rep,
         duration=len(samples) / frontend.sample_rate,
         shift=frontend.frame_shift, truth=rec.utterances,
+        truth_path=corp.ground_truth_path(), recording_id=rec.recording_id,
+        lines=lines,
         ref_tokens=[t for line in lines for t in line],
         line_of=[i for i, line in enumerate(lines) for _ in line],
         corrupted=rec.corrupted_line_indices,
@@ -567,6 +569,12 @@ def tiny_harvest(out_dir, corruption_rate=0.0):
 @pytest.fixture(scope="module")
 def harvest(tmp_path_factory):
     return tiny_harvest(tmp_path_factory.mktemp("synth"))
+
+
+@pytest.fixture(scope="module")
+def off_script_harvest(tmp_path_factory):
+    """The tiny harvest with 30% of the transcript lines off-script."""
+    return tiny_harvest(tmp_path_factory.mktemp("synth"), corruption_rate=0.3)
 
 
 class TestHarvestSegments:
@@ -615,13 +623,36 @@ class TestHarvestSegments:
             assert harvest.line_of[lo] == harvest.line_of[hi]
 
     @pytest.mark.slow
-    def test_no_segment_touches_an_off_script_line(self, tmp_path):
-        run = tiny_harvest(tmp_path, corruption_rate=0.3)
+    def test_no_segment_touches_an_off_script_line(self, off_script_harvest):
+        run = off_script_harvest
         assert run.corrupted and run.segments
         corrupted = set(run.corrupted)
         for seg in run.segments:
             lo, hi = seg.ref_span
             assert not corrupted & set(run.line_of[lo : hi + 1]), seg
+
+    # floors from the harvest as first measured: word yield and the median
+    # start and end errors against ground_truth.json, each error rounded
+    # up to the next whole ms; never lowered to pass
+    @pytest.mark.slow
+    @pytest.mark.parametrize("run, min_yield, max_start_ms, max_end_ms", [
+        ("harvest", 1.0, 8.0, 6.0),
+        ("off_script_harvest", 0.4375, 4.0, 3.0),
+    ])
+    def test_yield_and_boundaries_against_ground_truth(
+        self, request, run, min_yield, max_start_ms, max_end_ms
+    ):
+        # the benchmark's scorer, importable from the repository root
+        from perfbench.truth import load_recording_truth, score_segments
+
+        run = request.getfixturevalue(run)
+        truth = load_recording_truth(run.truth_path, run.recording_id, run.lines)
+        scored = score_segments(truth, run.segments)
+        assert run.report.word_yield >= min_yield
+        assert scored.corrupt_accepted == 0
+        assert scored.n_starts == scored.n_ends == len(run.segments)
+        assert scored.start_err_ms <= max_start_ms
+        assert scored.end_err_ms <= max_end_ms
 
 
 def report(n_tokens, accepted_tokens):
