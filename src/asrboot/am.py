@@ -128,12 +128,20 @@ class AcousticModel:
         )
 
     def check_invariants(self) -> None:
-        for state in self.states:
-            assert abs(state.weights.sum() - 1.0) <= _SUM_TOL
-            assert np.all(state.variances >= VARIANCE_FLOOR - _FLOOR_TOL)
-            assert np.all(np.isfinite(state.means))
-        row_sums = self.transitions.sum(axis=1)
-        assert np.max(np.abs(row_sums - 1.0)) <= _SUM_TOL
+        """Raise ValueError("state i: ...") for the first state that
+        `_state_fault` rejects, the rule `load_model` applies, or when
+        the transitions are not one (self-loop, exit) row per state."""
+        if self.transitions.shape != (len(self.states), 2):
+            raise ValueError(
+                f"transitions of shape {self.transitions.shape}, "
+                f"need ({len(self.states)}, 2)"
+            )
+        for i, state in enumerate(self.states):
+            fault = _state_fault(
+                state.weights, state.means, state.variances, self.transitions[i]
+            )
+            if fault:
+                raise ValueError(f"state {i}: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -952,8 +960,10 @@ def save_model(model: AcousticModel, path) -> None:
 def _state_fault(
     weights: np.ndarray, means: np.ndarray, variances: np.ndarray, trans: np.ndarray
 ) -> str | None:
-    """Why a loaded state would score NaN or break `check_invariants`, or
-    None if it would not."""
+    """Why a state, with its transition row, would score NaN or is not a
+    distribution (weights or transitions off 1, a variance below the
+    floor), or None if neither: the one validity rule of
+    `AcousticModel.check_invariants` and `load_model`."""
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         return "weights must be finite and >= 0"
     if not np.isfinite(means).all():
@@ -976,11 +986,11 @@ def load_model(path) -> AcousticModel:
 
     A model that would score NaN or match nothing is a fault too: a
     feature dimension of 0, a state of 0 components (it scores
-    ``LOG_ZERO`` on every frame), a weight, mean, variance or transition
-    that is not finite, a negative weight or transition, a variance
-    that is not positive, and a phone named twice.  So is a model that
-    `AcousticModel.check_invariants` rejects: weights or a transition row
-    that do not sum to 1 within 1e-8, or a variance below the floor.  A
+    ``LOG_ZERO`` on every frame) and a phone named twice.  So is every
+    state that `AcousticModel.check_invariants` rejects: a weight, mean,
+    variance or transition that is not finite, a negative weight or
+    transition, a variance that is not positive or is below the floor,
+    and weights or a transition row that do not sum to 1 within 1e-8.  A
     flipped bit that leaves a mean finite still loads: the format has no
     checksum."""
     with open(path, "rb") as fh:

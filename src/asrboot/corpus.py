@@ -21,7 +21,7 @@ import warnings
 import wave
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 from scipy.io import wavfile
@@ -381,11 +381,12 @@ def subset_by_duration(
 
 
 def validate_against_recordings(
-    utterances: Sequence[Utterance], recordings: dict[str, Recording]
+    utterances: Sequence[Utterance], recording_ids: Collection[str]
 ) -> None:
-    """Check that every utterance's recording exists; raises ManifestError."""
+    """Check that every utterance's recording id is one of
+    ``recording_ids``; raises ManifestError."""
     for utt in utterances:
-        if utt.recording_id not in recordings:
+        if utt.recording_id not in recording_ids:
             raise ManifestError(
                 f"utterance {utt.id!r}: dangling recording "
                 f"reference {utt.recording_id!r}"

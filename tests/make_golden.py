@@ -1,15 +1,16 @@
 """A golden tiny run: train, decode and harvest on a small seeded corpus.
 
 `tiny_model` trains on 20 clips of a seed-0 corpus with a one-minute
-recording; ``tests/test_segment.py`` harvests that recording in 12 s chunks
-with the same model for its ``harvest`` fixture.  The run here harvests it
-alike and decodes a few test clips with the corpus trigram LM.  The
-``corpus`` section pins what ``synth_corpus`` writes that no sine or BLAS
-call touches: the vocabulary, the manifests, the transcripts, the
-ground-truth times, the LM text and each WAV's length.  The outputs live
-under ``tests/data/golden`` and ``tests/test_golden.py`` holds every run to
-them: discrete values exactly, floats to a relative 1e-9 (BLAS kernels
-differ between machines).
+recording, through ``asrboot.recipe`` as every stage here is;
+``tests/test_segment.py`` harvests that recording at `HARVEST` (12 s
+chunks) with the same model for its ``harvest`` fixture.  The run here
+harvests it alike and decodes a few test clips at `DECODE` with the corpus
+trigram LM.  The ``corpus`` section pins what ``synth_corpus`` writes that
+no sine or BLAS call touches: the vocabulary, the manifests, the
+transcripts, the ground-truth times, the LM text and each WAV's length.
+The outputs live under ``tests/data/golden`` and ``tests/test_golden.py``
+holds every run to them: discrete values exactly, floats to a relative
+1e-9 (BLAS kernels differ between machines).
 
     PYTHONPATH=src python tests/make_golden.py            # list moved fields
     PYTHONPATH=src python tests/make_golden.py --write    # rewrite the files
@@ -28,26 +29,22 @@ import tempfile
 import wave
 from pathlib import Path
 
-from asrboot import segment
-from asrboot.am import TrainResult, TrainSchedule, flat_start, train
-from asrboot.corpus import load_manifest, read_wav
-from asrboot.decode import DecodeConfig, DecodeError, build_prefix_tree, decode
-from asrboot.features import cmvn, compute_mfcc
-from asrboot.lexicon import Lexicon, graphemic_lexicon
+from asrboot import recipe
+from asrboot.am import TrainResult, TrainSchedule
+from asrboot.corpus import load_manifest
+from asrboot.decode import DecodeConfig, DecodeError
+from asrboot.lexicon import Lexicon
 from asrboot.lm import train_ngram
+from asrboot.segment import HarvestConfig
 from asrboot.synth import SynthCorpus, SynthSpec, synth_corpus
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 SECTIONS = ("corpus", "train", "decode", "harvest")
 RTOL = 1e-9
 N_TEST = 6
-
-
-def _features(manifest):
-    return [
-        (cmvn(compute_mfcc(read_wav(utt.audio)[1])), utt.tokens())
-        for utt in load_manifest(manifest)
-    ]
+# the golden decode and harvest point; lm_scale 2 as the benchmark's
+DECODE = DecodeConfig(beam=60.0, max_active=20000, lm_scale=2.0)
+HARVEST = HarvestConfig(chunk_len=12.0, decode=DECODE)
 
 
 def _n_samples(path) -> int:
@@ -95,27 +92,25 @@ def tiny_model(
         longform_minutes=1.0, longform_recording_minutes=1.0, n_test=N_TEST,
         vocabulary_size=10, corruption_rate=corruption_rate,
     )
-    clips = _features(corp.short_manifest)
-    lexicon = graphemic_lexicon(corp.vocabulary)[0]
+    lexicon = recipe.corpus_lexicon(corp)
     schedule = TrainSchedule(n_iters=7, split_iters=(3, 6), max_gauss=2)
-    return corp, lexicon, train(flat_start(clips, lexicon), clips, lexicon, schedule)
+    return corp, lexicon, recipe.train_model(
+        recipe.clip_features(corp.short_manifest), lexicon, schedule
+    )
 
 
 def tiny_run(work_dir) -> dict:
     """Every pinned output of one run, as JSON-ready sections."""
     corp, lexicon, trained = tiny_model(work_dir)
     model = trained.model
-    decode_cfg = DecodeConfig(beam=60.0, max_active=20000, lm_scale=2.0)
-
-    lm_lines = Path(corp.lm_text).read_text(encoding="utf-8").splitlines()
-    lm = train_ngram([line.split() for line in lm_lines], order=3)
-    tree = build_prefix_tree(lexicon)
+    lm = train_ngram(recipe.read_lines(corp.lm_text), order=3)
+    test = recipe.clip_features(corp.test_manifest)
     errors, hypotheses = [], []
-    for index, (feats, ref) in enumerate(_features(corp.test_manifest)):
-        try:
-            hyp = decode(model, lm, tree, feats, decode_cfg)
-        except DecodeError as exc:
-            errors.append([index, str(exc)])
+    for index, ((feats, ref), hyp) in enumerate(
+        zip(test, recipe.decode_test(model, lm, lexicon, test, DECODE))
+    ):
+        if isinstance(hyp, DecodeError):
+            errors.append([index, str(hyp)])
             hypotheses.append(None)
             continue
         shift = feats.frame_shift
@@ -129,12 +124,7 @@ def tiny_run(work_dir) -> dict:
         })
 
     (rec,) = corp.longform
-    text = Path(rec.transcript).read_text(encoding="utf-8")
-    segments, report = segment.harvest_segments(
-        rec.recording_id, read_wav(rec.audio)[1],
-        [line.split() for line in text.splitlines()], model, lexicon,
-        segment.HarvestConfig(chunk_len=12.0, decode=decode_cfg),
-    )
+    segments, report = recipe.harvest(rec, model, lexicon, HARVEST)
     return {
         "corpus": _corpus_section(corp),
         "train": {

@@ -1,16 +1,17 @@
 """One SHA-256 per seed over the benchmark's outputs, to show that a change
 leaves them equal to the bit.
 
-Inputs come from ``perfbench.harness`` exactly as the benchmark builds
-them.  For each seed the digest covers, with every float written as
-``float.hex``:
+The pipeline runs through ``asrboot.recipe`` at the benchmark's sizes
+(``perfbench.harness.BASELINE``), on the corpus ``harness.synthesize``
+writes; each seed is synthesized once.  For each seed the digest covers,
+with every float written as ``float.hex``:
 
 - ``train_em``: ``flat_start`` + ``train`` on the seed's short-form clips;
   the loglik trace, ``failure_reasons`` and every model array;
 - ``decode_harvest``: the seed's test set decoded with the model trained
   on the ``model_seed`` clips, as the benchmark's set-up trains it; the
-  hypotheses, WER and CER, the harvested segments and
-  ``SegmentReport.as_dict()``.
+  hypotheses (``None`` for a failed utterance), WER and CER, the harvested
+  segments and ``SegmentReport.as_dict()``.
 
     python3 tests/output_digest.py --seeds 0-9
 
@@ -66,16 +67,39 @@ def canonical(value):
     return value
 
 
-def seed_digest(harness, recipe, seed: int, reference, work: Path) -> str:
-    train = harness.train_model(
-        recipe, harness.training_inputs(recipe, seed, work / "train")
+def trained_corpus(sizes, seed: int, out_dir: Path):
+    """The seed's full corpus, its lexicon and the model trained on its
+    short-form clips: the clips, to the byte, of the short-only corpus
+    that ``train_em`` trains on."""
+    from asrboot import recipe
+    from perfbench.harness import synthesize
+
+    corp = synthesize(sizes, seed, out_dir, short_only=False)
+    lex = recipe.corpus_lexicon(corp)
+    clips = recipe.clip_features(corp.short_manifest)
+    return corp, lex, recipe.train_model(clips, lex, sizes.schedule)
+
+
+def seed_digest(sizes, run, reference) -> str:
+    from asrboot import recipe
+    from asrboot.decode import DecodeError
+    from asrboot.lm import train_ngram
+    from asrboot.segment import HarvestConfig
+
+    corp, lex, trained = run
+    test = recipe.clip_features(corp.test_manifest)
+    lm = train_ngram(recipe.read_lines(corp.lm_text), order=sizes.lm_order)
+    hyps = recipe.decode_test(reference, lm, lex, test, sizes.decode_cfg)
+    (rec,) = corp.longform
+    segments, report = recipe.harvest(
+        rec, reference, lex, HarvestConfig(decode=sizes.decode_cfg)
     )
-    inputs = harness.decoding_inputs(recipe, seed, work / "decode")
-    inputs.model = reference
-    hyps, scores, segments, report = harness.DecodeHarvest().unit(recipe, inputs, [])
     outputs = {
-        "train_em": [train.loglik_trace, train.failure_reasons, train.model],
-        "decode_harvest": [hyps, scores, segments, report.as_dict()],
+        "train_em": [trained.loglik_trace, trained.failure_reasons, trained.model],
+        "decode_harvest": [
+            [None if isinstance(hyp, DecodeError) else hyp for hyp in hyps],
+            recipe.score(test, hyps), segments, report.as_dict(),
+        ],
     }
     text = json.dumps(canonical(outputs), separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -91,20 +115,18 @@ def main(argv=None) -> int:
     # one BLAS thread, as the benchmark runs; set before numpy loads
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
-    from perfbench import harness
+    from perfbench.harness import BASELINE as sizes
 
-    recipe = harness.BASELINE
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         work = Path(tmp)
-        reference = harness.train_model(
-            recipe,
-            harness.training_inputs(recipe, recipe.model_seed, work / "model"),
-        ).model
+        model_run = trained_corpus(sizes, sizes.model_seed, work / "model")
+        reference = model_run[2].model
         for seed in parse_seeds(args.seeds):
             out = work / f"seed{seed}"
-            print(f"seed {seed} {seed_digest(harness, recipe, seed, reference, out)}",
-                  flush=True)
-            shutil.rmtree(out)
+            run = (model_run if seed == sizes.model_seed
+                   else trained_corpus(sizes, seed, out))
+            print(f"seed {seed} {seed_digest(sizes, run, reference)}", flush=True)
+            shutil.rmtree(out, ignore_errors=True)
     return 0
 
 

@@ -1129,11 +1129,11 @@ class TestMalformedModelFile:
     @pytest.mark.parametrize(
         "fault, message",
         [
-            ("weights off 1", r"bad\.bin: state 1: weights sum to 0\.5, need 1 within 1e-08"),
+            ("weights off 1", r"state 1: weights sum to 0\.5, need 1 within 1e-08"),
             ("transitions off 1",
-             r"bad\.bin: state 5: transitions sum to 1\.2, need 1 within 1e-08"),
+             r"state 5: transitions sum to 1\.2, need 1 within 1e-08"),
             ("variance below the floor",
-             r"bad\.bin: state 2: variances must be >= the floor 0\.0001"),
+             r"state 2: variances must be >= the floor 0\.0001"),
         ],
     )
     def test_model_that_check_invariants_rejects_is_rejected(
@@ -1146,12 +1146,18 @@ class TestMalformedModelFile:
             model.transitions[5] = (0.6, 0.6)
         else:
             model.states[2].variances[0, 0] = 0.5 * VARIANCE_FLOOR
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             model.check_invariants()
         path = tmp_path / "bad.bin"
         save_model(model, path)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"bad\.bin: {message}"):
             load_model(path)
+
+    def test_transition_row_per_state_required(self):
+        model = toy_model()
+        model.transitions = model.transitions[:-1]
+        with pytest.raises(ValueError, match=r"shape \(11, 2\), need \(12, 2\)"):
+            model.check_invariants()
 
     def test_phone_named_twice_rejected(self, tmp_path):
         # states_for("A") would give the last copy's states, 9-11, and

@@ -126,7 +126,12 @@ class TestManifest:
     def test_dangling_reference(self):
         utts = [Utterance(id="a", audio="missing.wav", text="X")]
         with pytest.raises(ManifestError, match="dangling"):
-            validate_against_recordings(utts, {})
+            validate_against_recordings(utts, set())
+
+    def test_known_recording_id_passes(self):
+        # the recording id is the audio file's stem
+        utts = [Utterance(id="u1", audio="audio/rec1.wav", text="X")]
+        validate_against_recordings(utts, {"rec1", "rec2"})
 
 
 def write_tone(path, rate, freq=1000.0, seconds=1.0, amplitude=0.5, channels=1):

@@ -1,5 +1,4 @@
 from functools import lru_cache
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feats_from
-from make_golden import tiny_model
+from make_golden import HARVEST, tiny_model
 
-from asrboot import segment
+from asrboot import recipe, segment
 from asrboot.am import Interval
-from asrboot.corpus import read_wav
-from asrboot.decode import DecodeConfig, DecodeError, Hypothesis
+from asrboot.decode import DecodeError, Hypothesis
 from asrboot.features import FrontendConfig, cmvn, compute_mfcc
 from asrboot.scoring import DEL, INS, SUB
 from asrboot.segment import (
@@ -28,7 +26,6 @@ from asrboot.segment import (
     _pieces_to_candidates,
     _split_region,
     chunk_recording,
-    harvest_segments,
     smith_waterman,
     success_rate,
 )
@@ -520,21 +517,18 @@ class TestDecodeChunks:
 
 
 def tiny_harvest(out_dir, corruption_rate=0.0):
-    """The one-minute recording of ``make_golden.tiny_model`` harvested in
-    12 s chunks with its model; every chunk and the features of every
-    decode are recorded."""
+    """The one-minute recording of ``make_golden.tiny_model`` harvested
+    through ``recipe.harvest`` at ``make_golden.HARVEST`` with its model;
+    the samples and lines harvest is handed, every chunk and the features
+    of every decode are recorded."""
     corp, lexicon, trained = tiny_model(out_dir, corruption_rate)
-    model = trained.model
     (rec,) = corp.longform
-    samples = read_wav(rec.audio)[1]
-    text = Path(rec.transcript).read_text(encoding="utf-8")
-    lines = [line.split() for line in text.splitlines()]
-    cfg = HarvestConfig(
-        chunk_len=12.0,
-        decode=DecodeConfig(beam=60.0, max_active=20000, lm_scale=2.0),
-    )
-    chunks, decoded, pieces = [], [], []
-    real_decode = segment.decode
+    handed, chunks, decoded, pieces = {}, [], [], []
+    real_harvest, real_decode = segment.harvest_segments, segment.decode
+
+    def recording_harvest(recording_id, samples, lines, *args):
+        handed.update(samples=samples, lines=lines)
+        return real_harvest(recording_id, samples, lines, *args)
 
     def recording_chunks(*args):
         result = chunk_recording(*args)
@@ -547,11 +541,11 @@ def tiny_harvest(out_dir, corruption_rate=0.0):
         return real_decode(model, lm, tree, feats, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segment, "harvest_segments", recording_harvest)
         mp.setattr(segment, "chunk_recording", recording_chunks)
         mp.setattr(segment, "decode", counting_decode)
-        segments, rep = harvest_segments(
-            rec.recording_id, samples, lines, model, lexicon, cfg
-        )
+        segments, rep = recipe.harvest(rec, trained.model, lexicon, HARVEST)
+    samples, lines = handed["samples"], handed["lines"]
     frontend = FrontendConfig()
     return SimpleNamespace(
         chunks=chunks, decoded=decoded, pieces=pieces, samples=samples,
