@@ -30,16 +30,34 @@ path for that iteration's post-update total, and accumulation reads the
 component scores of that same ``state_logliks`` call.  Only after a split
 that grows mixtures, and after the last iteration, is a path rescored
 with a matrix of its own.
+
+Training's alignment pass runs on two threads, as Kaldi pipes
+``gmm-align-compiled`` into ``gmm-acc-stats-ali``: one helper thread per
+``train`` call scores utterance i + 1 (``_stack`` and ``state_logliks``)
+while the calling thread rescores and aligns utterance i, and then adds
+utterance i's statistics (``_accumulate``), after utterance i - 1's.  The
+matmuls and the exp release the GIL, so scoring overlaps the Viterbi scan.
+Each thread makes the calls the one-thread loop made, in the same order,
+so the model and the trace are that loop's to the bit; ``state_logliks``
+runs on one thread at a time.  Scoring is at most one utterance ahead of
+alignment, so at most three utterances' scores are alive at once.  The
+helper runs each task in a copy of the caller's context, where numpy
+keeps its ``errstate``.  ``flat_start``, the rescoring after a growing
+split and after the last iteration, and the decoder run on the calling
+thread alone.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import struct
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -861,6 +879,82 @@ def grow_mixtures(model: AcousticModel, max_gauss: int) -> AcousticModel:
     return new
 
 
+@contextmanager
+def _helper() -> Iterator[Callable[..., Future]]:
+    """``submit(fn, *args)`` onto one helper thread, whose tasks run one at
+    a time in submission order, each in a copy of the submitter's context:
+    numpy's ``errstate`` is context-local, so a task raises or warns as it
+    would on the submitting thread.  However the block exits, the helper
+    is shut down: queued tasks are cancelled and the running one is waited
+    for, so no thread outlives the block."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _score(
+    model: AcousticModel,
+    frames: np.ndarray,
+    graph: AlignGraph,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """An utterance's [x, x^2] and its ``state_logliks`` over its graph's
+    states, as the alignment pass scores it."""
+    stacked = _stack(frames)
+    return stacked, state_logliks(model, frames, graph.states, table, stacked)
+
+
+def _align_pass(
+    submit: Callable[..., Future],
+    model: AcousticModel,
+    data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
+    graphs: list[AlignGraph],
+    pending: dict[int, np.ndarray],
+) -> tuple[_Stats, dict[int, np.ndarray], float, float, dict[str, int]]:
+    """One iteration's alignment pass under ``model``: the statistics of
+    the aligned utterances, their paths by utterance, the paths' total,
+    the total of the ``pending`` paths rescored, and the failures by
+    reason.
+
+    The helper (``submit``) scores utterance i + 1 while this thread
+    rescores utterance i's pending path and aligns it; then utterance i's
+    statistics are added on the helper, after utterance i - 1's.  So at
+    most three utterances' [x, x^2] and component scores are alive at
+    once: the one being accumulated, the one being aligned and the one
+    being scored."""
+    stats = _Stats.zeros(model)
+    paths: dict[int, np.ndarray] = {}
+    pre_total = pending_post = 0.0
+    reasons: dict[str, int] = {}
+    log_trans = model.log_transitions()
+    table = _emission_table(model)
+    scored = submit(_score, model, data[0][0].frames, graphs[0], table)
+    accumulated = None
+    for idx, graph in enumerate(graphs):
+        stacked, (emis, _, comp) = scored.result()
+        if idx + 1 < len(graphs):
+            scored = submit(
+                _score, model, data[idx + 1][0].frames, graphs[idx + 1], table
+            )
+        if idx in pending:
+            pending_post += _path_score(graph, pending[idx], emis, log_trans)
+        result = _best_path(graph, log_trans, emis)
+        if isinstance(result, AlignFailure):
+            reasons[result.reason] = reasons.get(result.reason, 0) + 1
+            continue
+        path, loglik = result
+        pre_total += loglik
+        paths[idx] = path
+        if accumulated is not None:
+            accumulated.result()  # raises here what the helper raised
+        accumulated = submit(_accumulate, graph, path, stacked, comp, stats)
+    if accumulated is not None:
+        accumulated.result()
+    return stats, paths, pre_total, pending_post, reasons
+
+
 def train(
     model: AcousticModel,
     data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
@@ -876,6 +970,18 @@ def train(
     utterance's previous path, then aligns it.  Otherwise each path is
     rescored with a matrix of its own.  The totals are summed in utterance
     order either way.
+
+    The alignment pass runs on two threads (``_align_pass``): one helper
+    thread, made for this call, scores the next utterance and adds each
+    aligned utterance's statistics, in utterance order, while this thread
+    rescores and aligns.  The emission and accumulation matmuls and the
+    exp release the GIL, so the scoring overlaps the Viterbi scan; the
+    output is the one-thread loop's to the bit.  At most three
+    utterances' scores are alive at once.  Helper tasks run in the
+    caller's context, so a caller's ``np.errstate`` holds on the helper
+    too.  The rescoring after a growing split and after the last
+    iteration runs on this thread alone.  No thread outlives the call,
+    and an exception raised on the helper reaches the caller as raised.
     """
     if not data:
         raise ValueError("train needs at least one utterance")
@@ -885,54 +991,36 @@ def train(
     # the previous iteration's pre-update total and its paths by utterance,
     # still to be rescored under ``model``
     pending_pre, pending = 0.0, {}
-    for iteration in range(1, schedule.n_iters + 1):
-        stats = _Stats.zeros(model)
-        pre_total = 0.0
-        paths: dict[int, np.ndarray] = {}
-        pending_post = 0.0
-        reasons: dict[str, int] = {}
-        log_trans = model.log_transitions()
-        table = _emission_table(model)
-        for idx, ((feats, _), graph) in enumerate(zip(data, graphs)):
-            stacked = _stack(feats.frames)
-            emis, _, comp = state_logliks(
-                model, feats.frames, graph.states, table, stacked
+    with _helper() as submit:
+        for iteration in range(1, schedule.n_iters + 1):
+            stats, paths, pre_total, pending_post, reasons = _align_pass(
+                submit, model, data, graphs, pending
             )
-            if idx in pending:
-                pending_post += _path_score(graph, pending[idx], emis, log_trans)
-            result = _best_path(graph, log_trans, emis)
-            if isinstance(result, AlignFailure):
-                reasons[result.reason] = reasons.get(result.reason, 0) + 1
-                continue
-            path, loglik = result
-            pre_total += loglik
-            paths[idx] = path
-            _accumulate(graph, path, stacked, comp, stats)
-        if pending:
-            trace.append((pending_pre, pending_post))
-        if not paths:
-            raise RuntimeError(
-                f"iteration {iteration}: every utterance failed alignment "
-                f"({reasons})"
-            )
-        reestimated = model = _reestimate(model, stats)
-        if iteration in schedule.split_iters:
-            model = grow_mixtures(model, schedule.max_gauss)
-        if model is reestimated and iteration < schedule.n_iters:
-            # the next iteration's alignment pass rescores these paths
-            pending_pre, pending = pre_total, paths
-        else:
-            log_trans = reestimated.log_transitions()
-            table = _emission_table(reestimated)
-            post_total = 0.0
-            for idx, path in paths.items():
-                graph = graphs[idx]
-                emis = state_logliks(
-                    reestimated, data[idx][0].frames, graph.states, table
-                )[0]
-                post_total += _path_score(graph, path, emis, log_trans)
-            trace.append((pre_total, post_total))
-            pending = {}
+            if pending:
+                trace.append((pending_pre, pending_post))
+            if not paths:
+                raise RuntimeError(
+                    f"iteration {iteration}: every utterance failed alignment "
+                    f"({reasons})"
+                )
+            reestimated = model = _reestimate(model, stats)
+            if iteration in schedule.split_iters:
+                model = grow_mixtures(model, schedule.max_gauss)
+            if model is reestimated and iteration < schedule.n_iters:
+                # the next iteration's alignment pass rescores these paths
+                pending_pre, pending = pre_total, paths
+            else:
+                log_trans = reestimated.log_transitions()
+                table = _emission_table(reestimated)
+                post_total = 0.0
+                for idx, path in paths.items():
+                    graph = graphs[idx]
+                    emis = state_logliks(
+                        reestimated, data[idx][0].frames, graph.states, table
+                    )[0]
+                    post_total += _path_score(graph, path, emis, log_trans)
+                trace.append((pre_total, post_total))
+                pending = {}
     return TrainResult(model=model, loglik_trace=trace, failure_reasons=reasons)
 
 

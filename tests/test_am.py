@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -740,9 +742,10 @@ HANDOVER_SCHEDULE = TrainSchedule(n_iters=4, split_iters=(2, 3), max_gauss=2)
 
 
 def train_reference(model, data, lexicon, schedule):
-    """(pre, post) trace of Viterbi-EM as a plain loop: align every
-    utterance, re-estimate, rescore every aligned path frame by frame under
-    the aligning and the re-estimated model, then grow mixtures."""
+    """(pre, post) trace and final model of Viterbi-EM as a plain loop on
+    one thread: align every utterance, re-estimate, rescore every aligned
+    path frame by frame under the aligning and the re-estimated model,
+    then grow mixtures."""
     graphs = [
         compile_align_graph(tokens, lexicon, model, sil_prior=schedule.sil_prior)
         for _, tokens in data
@@ -763,7 +766,16 @@ def train_reference(model, data, lexicon, schedule):
         trace.append((pre, post))
         if iteration in schedule.split_iters:
             model = am.grow_mixtures(model, schedule.max_gauss)
-    return trace
+    return trace, model
+
+
+def assert_same_model(model, expected):
+    """Every weight, mean, variance and transition equal to the bit."""
+    assert len(model.states) == len(expected.states)
+    for state, ref in zip(model.states, expected.states):
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    assert np.array_equal(model.transitions, expected.transitions)
 
 
 def noisy_data(model, lexicon, tokens, n, seed):
@@ -823,9 +835,12 @@ class TestRescoring:
         result = train(model, data, ab_lexicon, HANDOVER_SCHEDULE)
         assert result.failure_reasons == {}
         assert {s.n_components for s in result.model.states} == {2}
-        expected = train_reference(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        expected, expected_model = train_reference(
+            model, data, ab_lexicon, HANDOVER_SCHEDULE
+        )
         assert len(expected) == HANDOVER_SCHEDULE.n_iters
         assert result.loglik_trace == expected
+        assert_same_model(result.model, expected_model)
 
     @pytest.mark.parametrize("fail_under", ["first", "grown"])
     def test_failed_utterance_left_out_of_its_iteration(
@@ -873,8 +888,11 @@ class TestRescoring:
         assert result.failure_reasons == {}
         assert all(math.isfinite(x) for pair in result.loglik_trace for x in pair)
         models.clear()
-        expected = train_reference(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        expected, expected_model = train_reference(
+            model, data, ab_lexicon, HANDOVER_SCHEDULE
+        )
         assert result.loglik_trace == expected
+        assert_same_model(result.model, expected_model)
 
     def test_each_utterance_scored_once_per_iteration(self, ab_lexicon, monkeypatch):
         model = toy_model(spread=2.0)
@@ -897,6 +915,122 @@ class TestRescoring:
             "state_logliks": n * (n_iters + growing_splits + 1),
             "viterbi_path": n * n_iters,
         }
+
+
+class TestHelperThread:
+    """``train``'s alignment pass scores and accumulates on one helper
+    thread beside the Viterbi scan."""
+
+    @staticmethod
+    def clips(ab_lexicon, n=5):
+        # a distinct length per utterance, so each call's argument names it
+        model = toy_model(spread=2.0)
+        return model, [
+            (generate_utterance(
+                model, ab_lexicon, ("AB", "A"), seed=i, frames_per_state=3 + i
+            )[0], ("AB", "A"))
+            for i in range(n)
+        ]
+
+    def test_scoring_one_ahead_and_accumulation_in_order(
+        self, ab_lexicon, monkeypatch
+    ):
+        model, data = self.clips(ab_lexicon)
+        n = len(data)
+        by_len = {feats.n_frames: i for i, (feats, _) in enumerate(data)}
+        events, lock = [], threading.Lock()
+
+        def recorded(name, real, rows):
+            def wrapper(*args):
+                with lock:
+                    events.append((name, by_len[len(rows(args))],
+                                   threading.get_ident()))
+                return real(*args)
+            return wrapper
+
+        for name, rows in [
+            ("state_logliks", lambda args: args[1]),  # frames
+            ("viterbi_path", lambda args: args[2]),  # emis
+            ("_accumulate", lambda args: args[1]),  # path
+        ]:
+            monkeypatch.setattr(am, name, recorded(name, getattr(am, name), rows))
+        train(model, data, ab_lexicon, TrainSchedule(n_iters=1, split_iters=()))
+        # the alignment pass ends with the last utterance's statistics; the
+        # last iteration's rescoring follows it
+        last = max(i for i, e in enumerate(events) if e[0] == "_accumulate")
+        rescoring, events = events[last + 1:], events[:last + 1]
+        assert [e[:2] for e in rescoring] == [("state_logliks", u) for u in range(n)]
+        order = {name: [u for kind, u, _ in events if kind == name]
+                 for name in ("state_logliks", "viterbi_path", "_accumulate")}
+        assert order == dict.fromkeys(order, list(range(n)))
+        for pos, (kind, u, _) in enumerate(events):
+            before = {e[:2] for e in events[:pos]}
+            if kind == "state_logliks":
+                # never more than one utterance ahead of alignment, and
+                # utterance u - 2's statistics are added before it is scored
+                assert {("viterbi_path", v) for v in range(u - 1)} <= before
+                assert {("_accumulate", v) for v in range(u - 1)} <= before
+            else:
+                assert ("state_logliks", u) in before
+        threads = {kind: {t for k, _, t in events if k == kind} for kind in order}
+        main = threading.get_ident()
+        assert threads["viterbi_path"] == {main}
+        assert threads["state_logliks"] == threads["_accumulate"] != {main}
+        assert len(threads["state_logliks"]) == 1
+
+    def test_bit_identical_under_a_short_switch_interval(self, ab_lexicon):
+        # the threads hand over the interpreter lock far more often than
+        # the default 5 ms allows; the statistics must not notice
+        model = toy_model(spread=2.0)
+        data = noisy_data(model, ab_lexicon, ("AB", "A", "BA"), 6, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = train(model, data, ab_lexicon, HANDOVER_SCHEDULE)
+        finally:
+            sys.setswitchinterval(interval)
+        expected, expected_model = train_reference(
+            model, data, ab_lexicon, HANDOVER_SCHEDULE
+        )
+        assert result.loglik_trace == expected
+        assert_same_model(result.model, expected_model)
+
+    def test_callers_errstate_holds_on_the_helper(self, ab_lexicon):
+        model, data = self.clips(ab_lexicon, n=3)
+        data[1][0].frames[2, 0] = 1e200  # its square overflows
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                train(model, data, ab_lexicon, TrainSchedule(n_iters=1))
+
+    @pytest.mark.parametrize("case", ["returns", "helper_raises", "all_fail"])
+    def test_no_thread_outlives_train(self, ab_lexicon, monkeypatch, case):
+        model, data = self.clips(ab_lexicon)
+        expected = None
+        if case == "helper_raises":
+            real = am.state_logliks
+
+            def logliks(m, frames, *args):
+                if frames is data[2][0].frames:
+                    raise ValueError("utterance 2 cannot be scored")
+                return real(m, frames, *args)
+
+            monkeypatch.setattr(am, "state_logliks", logliks)
+            expected = pytest.raises(ValueError, match=r"^utterance 2 cannot be scored$")
+        elif case == "all_fail":
+            data = [(feats_from(np.zeros((4, DIM))), ("ABA",))]
+            expected = pytest.raises(
+                RuntimeError,
+                match=r"^iteration 1: every utterance failed alignment "
+                r"\({'too_short': 1}\)$",
+            )
+        before = threading.active_count()
+        schedule = TrainSchedule(n_iters=2, split_iters=())
+        if expected is None:
+            train(model, data, ab_lexicon, schedule)
+        else:
+            with expected:
+                train(model, data, ab_lexicon, schedule)
+        assert threading.active_count() == before
 
 
 class TestEmissionKernel:
