@@ -32,11 +32,12 @@ that grows mixtures, and after the last iteration, is a path rescored
 with a matrix of its own.
 
 Training's alignment pass runs on two threads, as Kaldi pipes
-``gmm-align-compiled`` into ``gmm-acc-stats-ali``: one helper thread per
-``train`` call scores utterance i + 1 (``_stack`` and ``state_logliks``)
-while the calling thread rescores and aligns utterance i, and then adds
-utterance i's statistics (``_accumulate``), after utterance i - 1's.  The
-matmuls and the exp release the GIL, so scoring overlaps the Viterbi scan.
+``gmm-align-compiled`` into ``gmm-acc-stats-ali``: the package's helper
+thread (``threads.helper``), one per ``train`` call, scores utterance
+i + 1 (``_stack`` and ``state_logliks``) while the calling thread
+rescores and aligns utterance i, and then adds utterance i's statistics
+(``_accumulate``), after utterance i - 1's.  The matmuls and the exp
+release the GIL, so scoring overlaps the Viterbi scan.
 Each thread makes the calls the one-thread loop made, in the same order,
 so the model and the trace are that loop's to the bit; ``state_logliks``
 runs on one thread at a time.  Scoring is at most one utterance ahead of
@@ -49,20 +50,19 @@ thread alone.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import struct
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .features import FeatureMatrix, _column_sums, check_count
 from .lexicon import SILENCE_PHONE, Lexicon
+from .threads import helper
 
 LOG_ZERO = -1e30
 # shifted component scores are clamped here before the exp; exp(LOG_TINY)
@@ -879,21 +879,6 @@ def grow_mixtures(model: AcousticModel, max_gauss: int) -> AcousticModel:
     return new
 
 
-@contextmanager
-def _helper() -> Iterator[Callable[..., Future]]:
-    """``submit(fn, *args)`` onto one helper thread, whose tasks run one at
-    a time in submission order, each in a copy of the submitter's context:
-    numpy's ``errstate`` is context-local, so a task raises or warns as it
-    would on the submitting thread.  However the block exits, the helper
-    is shut down: queued tasks are cancelled and the running one is waited
-    for, so no thread outlives the block."""
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _score(
     model: AcousticModel,
     frames: np.ndarray,
@@ -971,13 +956,14 @@ def train(
     rescored with a matrix of its own.  The totals are summed in utterance
     order either way.
 
-    The alignment pass runs on two threads (``_align_pass``): one helper
-    thread, made for this call, scores the next utterance and adds each
-    aligned utterance's statistics, in utterance order, while this thread
-    rescores and aligns.  The emission and accumulation matmuls and the
-    exp release the GIL, so the scoring overlaps the Viterbi scan; the
-    output is the one-thread loop's to the bit.  At most three
-    utterances' scores are alive at once.  Helper tasks run in the
+    The alignment pass runs on two threads (``_align_pass``): the
+    package's helper thread (``threads.helper``), made for this call,
+    scores the next utterance and adds each aligned utterance's
+    statistics, in utterance order, while this thread rescores and
+    aligns.  The emission and accumulation matmuls and the exp release
+    the GIL, so the scoring overlaps the Viterbi scan; the output is the
+    one-thread loop's to the bit.  At most three utterances' scores are
+    alive at once.  Helper tasks run in the
     caller's context, so a caller's ``np.errstate`` holds on the helper
     too.  The rescoring after a growing split and after the last
     iteration runs on this thread alone.  No thread outlives the call,
@@ -991,7 +977,7 @@ def train(
     # the previous iteration's pre-update total and its paths by utterance,
     # still to be rescored under ``model``
     pending_pre, pending = 0.0, {}
-    with _helper() as submit:
+    with helper() as submit:
         for iteration in range(1, schedule.n_iters + 1):
             stats, paths, pre_total, pending_post, reasons = _align_pass(
                 submit, model, data, graphs, pending

@@ -4,12 +4,27 @@
 appended give 39-dimensional features.  Frames are snipped at the edges:
 T = 1 + floor((N - window) / shift) for an N-sample signal.
 
-Cepstra are computed in fixed blocks of ``BLOCK_FRAMES`` frames, read
-through a strided view of the signal, and written into the preallocated
-output; only the deltas see the whole track.  int16 input is converted
-to float one block of samples at a time.  Apart from the (T, 39) output,
-peak memory does not grow with the length of the recording.  The Hamming
-window and the mel bank are built once per `FrontendConfig`, not per clip.
+Cepstra are computed in blocks of equal row count, read through a
+strided view of the signal, and written into the preallocated output;
+only the deltas see the whole track, after every block.  When the
+process may use two CPUs or more, a track of T >= 2 * ``MIN_SPLIT``
+frames has blocks of ``min(BLOCK_FRAMES, ceil(T / 2))`` frames, split
+between the calling thread (the first half, rounded up) and the
+package's helper thread (the rest), as Kaldi splits feature extraction
+into data-parallel jobs; the rfft, matmul and ufuncs release the GIL.
+Any other track is computed on the calling thread alone, in blocks of
+``min(BLOCK_FRAMES, T)`` frames.  Each output row is written by one
+block only, the last that covers it, so the features are the one-thread
+loop's to the bit.  Float samples are checked block by block, the tail
+that no frame covers too; a non-finite sample raises the one-thread
+loop's error, and when both threads fail, the earlier block's error
+wins.
+
+int16 input is converted to float one block of samples at a time.  Each
+thread works in its own fixed buffers, made once per call, so a split
+track costs two blocks' buffers, not one.  Apart from the (T, 39) output, peak memory
+does not grow with the length of the recording.  The Hamming window and
+the mel bank are built once per `FrontendConfig`, not per clip.
 """
 
 from __future__ import annotations
@@ -23,12 +38,16 @@ from typing import Iterable
 import numpy as np
 from scipy.fftpack import dct
 
+from . import threads
 from .corpus import CANONICAL_RATE
 
 ENERGY_FLOOR = 1e-10
 VAR_EPSILON = 1e-10
 # frames per block of the cepstral pass: bounds its transients
 BLOCK_FRAMES = 2000
+# with two usable CPUs, a call of at least 2 * MIN_SPLIT frames splits its
+# blocks between the calling thread and the helper
+MIN_SPLIT = 256
 # rows per block of cmvn's variance sum
 CMVN_BLOCK_ROWS = 4096
 
@@ -181,11 +200,87 @@ def _check_finite(x: np.ndarray, lo: int, hi: int) -> None:
     raise ValueError(f"{count} non-finite samples, the first at index {first}")
 
 
+def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
+    """Cepstra and log energy of blocks ``starts[first:last]`` of signal
+    ``x`` (int16 or float64), each block ``rows`` frames, written into
+    ``ceps`` and ``log_energy``.  Block k writes only the rows that no
+    later block covers, ``[starts[k], starts[k + 1])``; the last block
+    writes all its rows.  Float samples are checked block by block, from
+    the end of block ``first - 1``'s samples; the last block checks the
+    tail that no frame covers too.
+
+    The block, its rfft, power and mel values, and for int16 input the
+    float samples, live in buffers made once per call: a call's
+    transients are one block's, at a fixed size, where per-block
+    temporaries on two threads would overlap or not by timing."""
+    window, shift = cfg.window_samples, cfg.shift_samples
+    n_frames, n_ceps = len(log_energy), cfg.n_ceps
+    hamming, bank_t = _analysis_tables(cfg)
+    n_bins = cfg.n_fft // 2 + 1
+    block = np.empty((rows, window))
+    spec = np.empty((rows, n_bins), dtype=np.complex128)
+    power = np.empty((rows, n_bins))
+    mel = np.empty((rows, cfg.n_mels))
+    # sized for the last block, which also reads the uncovered tail
+    floats = np.empty(len(x) - starts[-1] * shift) if x.dtype == np.int16 else None
+    checked = 0 if first == 0 else (starts[first - 1] + rows - 1) * shift + window
+    for k in range(first, last):
+        start = starts[k]
+        final = k + 1 == len(starts)
+        stop = n_frames if final else starts[k + 1]
+        reach = len(x) if final else (start + rows - 1) * shift + window
+        if floats is not None:
+            span = np.divide(x[start * shift : reach], 32768.0,
+                             out=floats[: reach - start * shift])
+        else:
+            _check_finite(x, checked, reach)
+            checked = reach
+            span = x[start * shift : reach]
+        raw = np.lib.stride_tricks.sliding_window_view(span, window)[::shift][:rows]
+
+        # raw log energy, before pre-emphasis and windowing
+        energy = np.square(raw, out=block).sum(axis=1)
+        np.log(np.maximum(energy[: stop - start], ENERGY_FLOOR),
+               out=log_energy[start:stop])
+
+        np.multiply(raw[:, :-1], cfg.preemphasis, out=block[:, 1:])
+        np.subtract(raw[:, 1:], block[:, 1:], out=block[:, 1:])
+        block[:, 0] = raw[:, 0] - cfg.preemphasis * raw[:, 0]
+        block *= hamming
+
+        # the rfft pads each row to n_fft itself
+        np.fft.rfft(block, cfg.n_fft, out=spec)
+        np.abs(spec, out=power)
+        np.square(power, out=power)
+        power /= cfg.n_fft
+        np.matmul(power, bank_t, out=mel)
+        np.log(np.maximum(mel, ENERGY_FLOOR, out=mel), out=mel)
+        ceps[start:stop] = dct(mel, type=2, axis=1, norm="ortho")[: stop - start, :n_ceps]
+
+
 def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
     """MFCC features from canonical-format samples (int16 or float).
 
+    A call of T >= 2 * ``MIN_SPLIT`` frames, in a process that may use two
+    CPUs or more (``threads.usable_cpus``), works in blocks of
+    ``min(BLOCK_FRAMES, ceil(T / 2))`` frames: this thread computes the
+    first half of the blocks (rounded up) and the package's helper thread
+    (``threads.helper``) the rest, in the caller's context, so a caller's
+    ``np.errstate`` holds on both.  Any other call works in blocks of
+    ``min(BLOCK_FRAMES, T)`` frames on this thread and starts no thread:
+    on one CPU the two threads would only share it.  All blocks have the
+    same row count, and the last overlaps the one before it.  Each output
+    row and ``log_energy`` entry is written by exactly one block, the last
+    that covers it, so the result does not depend on the threads' timing.
+    Each thread works in its own fixed block buffers (``_cepstra``): two
+    sets when split, not one.  No thread outlives the call.
+
     Raises ``ValueError`` on samples that are not 1-D or not finite, and
     on integer samples other than int16, whose scale is not known here.
+    Every sample is checked, the tail that no frame covers too, and a
+    non-finite one gives the message of a one-thread pass: the count of
+    all non-finite samples and the index of the first.  When both threads
+    fail, the error of the earlier block is raised.
     """
     if samples.ndim != 1:
         raise ValueError(
@@ -197,49 +292,28 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
             f"{samples.dtype} samples are not int16 PCM; "
             "corpus.read_wav scales any supported WAV to float in [-1, 1]"
         )
-    pcm = samples.dtype == np.int16
-    x = samples if pcm else np.asarray(samples, dtype=np.float64)
+    x = samples if samples.dtype == np.int16 else np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(len(x), cfg)
-    window, shift = cfg.window_samples, cfg.shift_samples
-    hamming, bank_t = _analysis_tables(cfg)
+    split = n_frames >= 2 * MIN_SPLIT and threads.usable_cpus() > 1
+    rows = min(BLOCK_FRAMES, -(-n_frames // 2) if split else n_frames)
+    # every block has the same row count, so the last one overlaps its
+    # predecessor: BLAS takes another path for a short matmul, which
+    # moves last bits
+    starts = [min(start, n_frames - rows) for start in range(0, n_frames, rows)]
 
     n_ceps = cfg.n_ceps
     frames = np.empty((n_frames, 3 * n_ceps))
     ceps = frames[:, :n_ceps]
     log_energy = np.empty(n_frames)
-    rows = min(n_frames, BLOCK_FRAMES)
-    block = np.empty((rows, window))
-    checked = 0
-    for start in range(0, n_frames, rows):
-        # every block has the same row count, so the last one overlaps its
-        # predecessor: BLAS takes another path for a short matmul, which
-        # moves last bits
-        start = min(start, n_frames - rows)
-        end = start + rows
-        reach = len(x) if end == n_frames else (end - 1) * shift + window
-        if pcm:
-            span = x[start * shift : reach].astype(np.float64)
-            span /= 32768.0
-        else:
-            _check_finite(x, checked, reach)
-            checked = reach
-            span = x[start * shift : reach]
-        raw = np.lib.stride_tricks.sliding_window_view(span, window)[::shift][:rows]
-
-        # raw log energy, before pre-emphasis and windowing
-        energy = np.square(raw, out=block).sum(axis=1)
-        np.log(np.maximum(energy, ENERGY_FLOOR), out=log_energy[start:end])
-
-        np.multiply(raw[:, :-1], cfg.preemphasis, out=block[:, 1:])
-        np.subtract(raw[:, 1:], block[:, 1:], out=block[:, 1:])
-        block[:, 0] = raw[:, 0] - cfg.preemphasis * raw[:, 0]
-        block *= hamming
-
-        power = np.abs(np.fft.rfft(block, cfg.n_fft))
-        np.square(power, out=power)
-        power /= cfg.n_fft
-        log_mel = np.log(np.maximum(power @ bank_t, ENERGY_FLOOR))
-        ceps[start:end] = dct(log_mel, type=2, axis=1, norm="ortho")[:, :n_ceps]
+    blocks = functools.partial(_cepstra, x, cfg, starts, rows, ceps, log_energy)
+    if not split:
+        blocks(0, len(starts))
+    else:
+        half = (len(starts) + 1) // 2
+        with threads.helper() as submit:
+            rest = submit(blocks, half, len(starts))
+            blocks(0, half)
+            rest.result()
     ceps[:, 0] = log_energy
     frames[:, n_ceps : 2 * n_ceps] = _deltas(ceps)
     frames[:, 2 * n_ceps :] = _deltas(frames[:, n_ceps : 2 * n_ceps])

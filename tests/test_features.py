@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 from asrboot.features import (
     BLOCK_FRAMES,
     CMVN_BLOCK_ROWS,
+    MIN_SPLIT,
     VAR_EPSILON,
     AudioTooShortError,
     FeatureMatrix,
     FrontendConfig,
+    _cepstra,
     _smooth_runs,
     cmvn,
     compute_mfcc,
@@ -21,7 +25,7 @@ from asrboot.features import (
     silence_runs,
     slice_frames,
 )
-from conftest import mfcc_reference
+from conftest import mfcc_reference, set_usable_cpus
 
 CFG = FrontendConfig()
 
@@ -124,9 +128,12 @@ class TestBlocks:
     @pytest.mark.parametrize("dtype", [np.int16, np.float64])
     @pytest.mark.parametrize(
         "n_frames",
-        [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1],
+        [1, 2 * MIN_SPLIT - 1, 2 * MIN_SPLIT, 2 * MIN_SPLIT + 1, 746,
+         BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1,
+         4 * BLOCK_FRAMES + 3],
     )
-    def test_equals_reference(self, n_frames, dtype):
+    def test_equals_reference(self, monkeypatch, n_frames, dtype):
+        set_usable_cpus(monkeypatch, 2)  # a call of 2 * MIN_SPLIT frames splits
         x = noise(n_frames, dtype)
         assert compute_mfcc(x).n_frames == n_frames
         assert_matches_reference(x)
@@ -174,6 +181,137 @@ class TestBlocks:
 
         block = BLOCK_FRAMES * CFG.window_samples * 8
         assert peak(noise(18_000, np.int16)) <= peak(noise(18_000)) + block
+
+
+def split_layout(n_frames, cfg=CFG):
+    """The block rule of a call that splits: rows per block, block starts,
+    and the first sample that only the helper's half checks."""
+    rows = min(BLOCK_FRAMES, -(-n_frames // 2))
+    starts = [min(s, n_frames - rows) for s in range(0, n_frames, rows)]
+    half = (len(starts) + 1) // 2
+    reach = (starts[half - 1] + rows - 1) * cfg.shift_samples + cfg.window_samples
+    return rows, starts, reach
+
+
+def serial_error(x):
+    """The message of the one-thread loop: every non-finite sample counted,
+    the first one's index named."""
+    bad = ~np.isfinite(x)
+    return (f"^{np.count_nonzero(bad)} non-finite samples, "
+            f"the first at index {np.argmax(bad)}$")
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    started, real = [], threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestSplit:
+    """With two usable CPUs, a call of 2 * MIN_SPLIT frames or more splits
+    its blocks between the calling thread and the helper; the output and
+    the errors are the one-thread loop's."""
+
+    LONG = 4 * BLOCK_FRAMES + 3  # five blocks: three on the caller, two on the helper
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
+
+    def test_a_long_call_starts_one_thread(self, thread_starts):
+        compute_mfcc(noise(self.LONG))
+        assert len(thread_starts) == 1
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    @pytest.mark.parametrize("n_frames", [2 * MIN_SPLIT, BLOCK_FRAMES + 1, LONG])
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch, thread_starts,
+                                             n_frames, dtype):
+        # the two threads would share the CPU; the blocks are then the
+        # one-thread loop's, up to BLOCK_FRAMES rows each
+        set_usable_cpus(monkeypatch, 1)
+        assert_matches_reference(noise(n_frames, dtype))
+        assert thread_starts == []
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    def test_bit_identical_under_a_short_switch_interval(self, dtype):
+        # the threads hand over the interpreter lock far more often than
+        # the default 5 ms allows; no row may notice
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_matches_reference(noise(self.LONG, dtype))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n_frames", [1, MIN_SPLIT, 2 * MIN_SPLIT - 1])
+    def test_a_short_call_starts_no_thread(self, thread_starts, n_frames):
+        compute_mfcc(noise(n_frames))
+        assert thread_starts == []
+
+    def test_each_row_written_by_one_block(self):
+        # block k writes the rows up to the next block's start, the last
+        # block all of its rows
+        x = noise(self.LONG)
+        rows, starts, _ = split_layout(self.LONG)
+        written = []
+        for k in range(len(starts)):
+            ceps = np.full((self.LONG, CFG.n_ceps), np.nan)
+            log_energy = np.full(self.LONG, np.nan)
+            _cepstra(x, CFG, starts, rows, ceps, log_energy, k, k + 1)
+            assert np.array_equal(np.isnan(ceps).all(axis=1), np.isnan(log_energy))
+            written.append(np.flatnonzero(~np.isnan(log_energy)).tolist())
+        ends = starts[1:] + [self.LONG]
+        assert written == [list(range(a, b)) for a, b in zip(starts, ends)]
+
+    @pytest.mark.parametrize("where", [
+        "helper", "both_halves", "halves_overlap", "blocks_overlap", "tail",
+    ])
+    def test_non_finite_gives_the_serial_error(self, where):
+        x = noise(self.LONG)
+        rows, starts, reach = split_layout(self.LONG)
+        shift, window = CFG.shift_samples, CFG.window_samples
+        helper_start = starts[(len(starts) + 1) // 2] * shift
+        last_two = (starts[-1] * shift, (starts[-2] + rows - 1) * shift + window)
+        assert helper_start < reach < last_two[0] < last_two[1] < len(x)
+        bad = {
+            "helper": [reach + 5],
+            "both_halves": [123, reach + 5],
+            # read by the caller's last block and the helper's first
+            "halves_overlap": [(helper_start + reach) // 2],
+            # read by both of the helper's blocks
+            "blocks_overlap": [sum(last_two) // 2],
+            "tail": [len(x) - 1],  # no frame covers it
+        }[where]
+        x[bad] = np.nan
+        with pytest.raises(ValueError, match=serial_error(x)):
+            compute_mfcc(x)
+
+    def test_callers_errstate_holds_on_the_helper(self):
+        x = noise(self.LONG)
+        x[split_layout(self.LONG)[2] + 5] = 1e200  # its square overflows
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                compute_mfcc(x)
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_no_thread_outlives_the_call(self, raises):
+        x = noise(self.LONG)
+        if raises:
+            x[split_layout(self.LONG)[2] + 5] = np.inf
+        before = threading.active_count()
+        if raises:
+            with pytest.raises(ValueError, match=serial_error(x)):
+                compute_mfcc(x)
+        else:
+            compute_mfcc(x)
+        assert threading.active_count() == before
 
 
 class TestInputChecks:
