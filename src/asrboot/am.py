@@ -12,10 +12,11 @@ decoder) comes from one kernel, ``state_logliks``: the requested
 states' columns gathered from the model's table of Gaussian operands
 (``_emission_table``) into one matrix and scored with one matmul of the
 utterance's [x, x^2] (``_stack``).  The table depends only on the model,
-so ``train`` builds it once per model and ``flat_start`` once; the
-stacked frames depend only on the utterance, so ``train`` stacks them
-once per iteration and hands them to both the kernel and the
-accumulation.  The caller scores: ``force_align``, ``train`` and the
+so ``train`` builds it once per model; the stacked frames depend only
+on the utterance, so ``train`` stacks them once per iteration and hands
+them to both the kernel and the accumulation.  ``flat_start`` scores
+nothing: its states have one component each, so every frame's
+posterior is 1.  The caller scores: ``force_align``, ``train`` and the
 decoder each call ``state_logliks`` once per utterance
 and pass the matrix on, and each network maps its nodes to the matrix's
 columns once, when it is built (``AlignGraph.node_col``).  Forced
@@ -612,7 +613,6 @@ def _compile_graphs(
     data: Sequence[tuple[FeatureMatrix, Sequence[str]]],
     lexicon: Lexicon,
     model: AcousticModel,
-    sil_prior: float = SIL_PRIOR,
 ) -> list[AlignGraph]:
     """Each utterance's alignment graph, its frames checked against
     ``model.dim``: the one transcript and frame check of `flat_start` and
@@ -620,7 +620,7 @@ def _compile_graphs(
     graphs = []
     for i, (feats, tokens) in enumerate(data):
         try:
-            graphs.append(compile_align_graph(tokens, lexicon, model, sil_prior))
+            graphs.append(compile_align_graph(tokens, lexicon, model))
         except GraphError as exc:
             raise GraphError(f"utterance {i}: {exc}") from None
         _check_frames(i, feats.frames, model.dim)
@@ -632,7 +632,6 @@ class TrainSchedule:
     n_iters: int = 30
     split_iters: tuple[int, ...] = (4, 8, 12, 16)
     max_gauss: int = 8
-    sil_prior: float = SIL_PRIOR
 
     def __post_init__(self):
         check_count("n_iters", self.n_iters)
@@ -677,7 +676,8 @@ def flat_start(
     The global mean and variance are summed one clip at a time, rows in
     corpus order, so they equal those of the stacked frames to the bit
     without a stacked copy: beyond the model and the caller's clips,
-    memory holds one clip's deviations and one utterance's scores.
+    memory holds one clip's deviations and one utterance's [x, x^2] and
+    posteriors.
     """
     if not data:
         raise ValueError("flat_start needs at least one utterance")
@@ -715,13 +715,12 @@ def flat_start(
         transitions=transitions,
     )
     stats = _Stats.zeros(model)
-    table = _emission_table(model)
     for feats, graph in kept:
         path = _equal_alignment(graph, model.n_states, feats.n_frames)
         if path is not None:
-            stacked = _stack(feats.frames)
-            comp = state_logliks(model, feats.frames, graph.states, table, stacked)[2]
-            _accumulate(graph, path, stacked, comp, stats)
+            # one component per state: each frame's posterior is 1, whatever it scores
+            comp = np.zeros((feats.n_frames, 1, len(graph.states)))
+            _accumulate(graph, path, _stack(feats.frames), comp, stats)
     return _reestimate(model, stats)
 
 
@@ -972,7 +971,7 @@ def train(
     if not data:
         raise ValueError("train needs at least one utterance")
     model = model.copy()
-    graphs = _compile_graphs(data, lexicon, model, schedule.sil_prior)
+    graphs = _compile_graphs(data, lexicon, model)
     trace: list[tuple[float, float]] = []
     # the previous iteration's pre-update total and its paths by utterance,
     # still to be rescored under ``model``

@@ -4,27 +4,25 @@
 appended give 39-dimensional features.  Frames are snipped at the edges:
 T = 1 + floor((N - window) / shift) for an N-sample signal.
 
-Cepstra are computed in blocks of equal row count, read through a
-strided view of the signal, and written into the preallocated output;
-only the deltas see the whole track, after every block.  When the
-process may use two CPUs or more, a track of T >= 2 * ``MIN_SPLIT``
-frames has blocks of ``min(BLOCK_FRAMES, ceil(T / 2))`` frames, split
-between the calling thread (the first half, rounded up) and the
-package's helper thread (the rest), as Kaldi splits feature extraction
-into data-parallel jobs; the rfft, matmul and ufuncs release the GIL.
-Any other track is computed on the calling thread alone, in blocks of
-``min(BLOCK_FRAMES, T)`` frames.  Each output row is written by one
-block only, the last that covers it, so the features are the one-thread
-loop's to the bit.  Float samples are checked block by block, the tail
-that no frame covers too; a non-finite sample raises the one-thread
-loop's error, and when both threads fail, the earlier block's error
-wins.
+Samples are float, as ``corpus.read_wav`` returns them, and are checked
+once, before any block runs.  Cepstra are then computed in blocks of
+equal row count, read through a strided view of the signal, and written
+into the preallocated output; only the deltas see the whole track, after
+every block.  When the process may use two CPUs or more, a track of
+T >= 2 * ``MIN_SPLIT`` frames has blocks of ``min(BLOCK_FRAMES,
+ceil(T / 2))`` frames, split between the calling thread (the first
+half, rounded up) and the package's helper thread (the rest), as Kaldi
+splits feature extraction into data-parallel jobs; the rfft, matmul and
+ufuncs release the GIL.  Any other track is computed on the calling
+thread alone, in blocks of ``min(BLOCK_FRAMES, T)`` frames.  Each
+output row is written by one block only, the last that covers it, so
+the features are the one-thread loop's to the bit.
 
-int16 input is converted to float one block of samples at a time.  Each
-thread works in its own fixed buffers, made once per call, so a split
-track costs two blocks' buffers, not one.  Apart from the (T, 39) output, peak memory
-does not grow with the length of the recording.  The Hamming window and
-the mel bank are built once per `FrontendConfig`, not per clip.
+Each thread works in its own fixed buffers, made once per call, so a
+split track costs two blocks' buffers, not one.  Apart from the (T, 39)
+output, peak memory does not grow with the length of the recording.
+The Hamming window and the mel bank are built once per
+`FrontendConfig`, not per clip.
 """
 
 from __future__ import annotations
@@ -50,6 +48,8 @@ BLOCK_FRAMES = 2000
 MIN_SPLIT = 256
 # rows per block of cmvn's variance sum
 CMVN_BLOCK_ROWS = 4096
+# silence_mask's threshold above the 5th-percentile frame energy, in dB
+_SILENCE_MARGIN_DB = 10.0
 
 
 def check_count(name: str, value) -> None:
@@ -186,33 +186,31 @@ def _deltas(frames: np.ndarray, half_window: int = 2) -> np.ndarray:
     return out / denom
 
 
-def _check_finite(x: np.ndarray, lo: int, hi: int) -> None:
-    """Raise if x[lo:hi] holds a NaN or inf, counting those in x[lo:]."""
-    finite = np.isfinite(x[lo:hi])
-    if finite.all():
-        return
-    first = lo + int(np.argmin(finite))
-    step = hi - lo
-    count = sum(
-        int(np.count_nonzero(~np.isfinite(x[i : i + step])))
-        for i in range(lo, len(x), step)
-    )
-    raise ValueError(f"{count} non-finite samples, the first at index {first}")
+def _check_finite(x: np.ndarray, step: int) -> None:
+    """Raise if ``x`` holds a NaN or inf, naming how many and the index of
+    the first; reads ``step`` samples at a time."""
+    for lo in range(0, len(x), step):
+        finite = np.isfinite(x[lo : lo + step])
+        if not finite.all():
+            first = lo + int(np.argmin(finite))
+            count = sum(
+                int(np.count_nonzero(~np.isfinite(x[i : i + step])))
+                for i in range(lo, len(x), step)
+            )
+            raise ValueError(f"{count} non-finite samples, the first at index {first}")
 
 
 def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
-    """Cepstra and log energy of blocks ``starts[first:last]`` of signal
-    ``x`` (int16 or float64), each block ``rows`` frames, written into
-    ``ceps`` and ``log_energy``.  Block k writes only the rows that no
-    later block covers, ``[starts[k], starts[k + 1])``; the last block
-    writes all its rows.  Float samples are checked block by block, from
-    the end of block ``first - 1``'s samples; the last block checks the
-    tail that no frame covers too.
+    """Cepstra and log energy of blocks ``starts[first:last]`` of float
+    signal ``x``, each block ``rows`` frames, written into ``ceps`` and
+    ``log_energy``.  Block k writes only the rows that no later block
+    covers, ``[starts[k], starts[k + 1])``; the last block writes all its
+    rows.
 
-    The block, its rfft, power and mel values, and for int16 input the
-    float samples, live in buffers made once per call: a call's
-    transients are one block's, at a fixed size, where per-block
-    temporaries on two threads would overlap or not by timing."""
+    The block and its rfft, power and mel values live in buffers made
+    once per call: a call's transients are one block's, at a fixed size,
+    where per-block temporaries on two threads would overlap or not by
+    timing."""
     window, shift = cfg.window_samples, cfg.shift_samples
     n_frames, n_ceps = len(log_energy), cfg.n_ceps
     hamming, bank_t = _analysis_tables(cfg)
@@ -221,22 +219,11 @@ def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
     spec = np.empty((rows, n_bins), dtype=np.complex128)
     power = np.empty((rows, n_bins))
     mel = np.empty((rows, cfg.n_mels))
-    # sized for the last block, which also reads the uncovered tail
-    floats = np.empty(len(x) - starts[-1] * shift) if x.dtype == np.int16 else None
-    checked = 0 if first == 0 else (starts[first - 1] + rows - 1) * shift + window
     for k in range(first, last):
         start = starts[k]
-        final = k + 1 == len(starts)
-        stop = n_frames if final else starts[k + 1]
-        reach = len(x) if final else (start + rows - 1) * shift + window
-        if floats is not None:
-            span = np.divide(x[start * shift : reach], 32768.0,
-                             out=floats[: reach - start * shift])
-        else:
-            _check_finite(x, checked, reach)
-            checked = reach
-            span = x[start * shift : reach]
-        raw = np.lib.stride_tricks.sliding_window_view(span, window)[::shift][:rows]
+        stop = n_frames if k + 1 == len(starts) else starts[k + 1]
+        span = x[start * shift : (start + rows - 1) * shift + window]
+        raw = np.lib.stride_tricks.sliding_window_view(span, window)[::shift]
 
         # raw log energy, before pre-emphasis and windowing
         energy = np.square(raw, out=block).sum(axis=1)
@@ -259,7 +246,8 @@ def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
 
 
 def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
-    """MFCC features from canonical-format samples (int16 or float).
+    """MFCC features from canonical-format float samples, as
+    ``corpus.read_wav`` returns them.
 
     A call of T >= 2 * ``MIN_SPLIT`` frames, in a process that may use two
     CPUs or more (``threads.usable_cpus``), works in blocks of
@@ -275,25 +263,26 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
     Each thread works in its own fixed block buffers (``_cepstra``): two
     sets when split, not one.  No thread outlives the call.
 
-    Raises ``ValueError`` on samples that are not 1-D or not finite, and
-    on integer samples other than int16, whose scale is not known here.
-    Every sample is checked, the tail that no frame covers too, and a
-    non-finite one gives the message of a one-thread pass: the count of
-    all non-finite samples and the index of the first.  When both threads
-    fail, the error of the earlier block is raised.
+    Raises ``ValueError`` on samples that are not 1-D or not float (an
+    integer's full scale is not known here), `AudioTooShortError` on
+    fewer samples than one window, and ``ValueError`` on a NaN or inf
+    anywhere, the tail that no frame covers too, naming the count of all
+    non-finite samples and the index of the first.  The samples are
+    checked in that order, before any block or thread runs.
     """
     if samples.ndim != 1:
         raise ValueError(
             f"samples of shape {samples.shape} are not mono; "
             "corpus.canonicalize_audio downmixes to 16 kHz mono"
         )
-    if samples.dtype.kind in "iu" and samples.dtype != np.int16:
+    if samples.dtype.kind != "f":
         raise ValueError(
-            f"{samples.dtype} samples are not int16 PCM; "
+            f"{samples.dtype} samples are not float; "
             "corpus.read_wav scales any supported WAV to float in [-1, 1]"
         )
-    x = samples if samples.dtype == np.int16 else np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(len(x), cfg)
+    _check_finite(x, BLOCK_FRAMES * cfg.shift_samples)
     split = n_frames >= 2 * MIN_SPLIT and threads.usable_cpus() > 1
     rows = min(BLOCK_FRAMES, -(-n_frames // 2) if split else n_frames)
     # every block has the same row count, so the last one overlaps its
@@ -383,15 +372,15 @@ def _smooth_runs(mask: np.ndarray, min_run: int = 3) -> np.ndarray:
     return np.repeat(np.array(values, dtype=mask.dtype), lengths)
 
 
-def silence_mask(f: FeatureMatrix, margin_db: float = 10.0) -> np.ndarray:
+def silence_mask(f: FeatureMatrix) -> np.ndarray:
     """Boolean mask, True where the frame counts as silence.
 
     A frame is silence when its energy sits below the 5th-percentile
-    energy plus the margin.  Runs shorter than 3 frames are merged into
-    their neighbors.
+    energy plus ``_SILENCE_MARGIN_DB``.  Runs shorter than 3 frames are
+    merged into their neighbors.
     """
     energy_db = 10.0 * f.log_energy / np.log(10.0)
-    threshold = np.percentile(energy_db, 5) + margin_db
+    threshold = np.percentile(energy_db, 5) + _SILENCE_MARGIN_DB
     return _smooth_runs(energy_db < threshold)
 
 

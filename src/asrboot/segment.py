@@ -10,8 +10,8 @@ are long enough, short enough, and clean enough become utterance segments;
 a piece longer than ``max_dur`` is split at its widest internal silence.
 
 The features are the default front end's with CMVN, as the model's
-training features are; the silence threshold and the Smith-Waterman
-scores are the defaults of `features.silence_mask` and `SWConfig`.
+training features are; the silence threshold is `features.silence_mask`'s
+and the Smith-Waterman scores are the defaults of `SWConfig`.
 `HarvestConfig` holds only what a harvest varies.
 """
 
@@ -319,8 +319,9 @@ def harvest_segments(
     cfg: HarvestConfig = HarvestConfig(),
 ) -> tuple[list[SegmentCandidate], SegmentReport]:
     """Chunk, decode with a transcript-biased LM, align, and cut segments
-    at transcript line ends.  ``samples`` are mono at
-    `corpus.CANONICAL_RATE`, the rate the default front end reads."""
+    at transcript line ends.  ``samples`` are float and mono at
+    `corpus.CANONICAL_RATE`, as `corpus.read_wav` returns them: the
+    samples the default front end reads."""
     ref_tokens: list[str] = [t for line in transcript_lines for t in line]
     line_of = [i for i, line in enumerate(transcript_lines) for _ in line]
     report = SegmentReport(

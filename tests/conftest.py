@@ -227,10 +227,7 @@ def mfcc_reference(samples, cfg=FrontendConfig()):
     """(frames, log_energy) of the whole signal in one pass, every frame
     gathered at once: the reference the block-wise ``compute_mfcc`` is
     held to."""
-    if samples.dtype == np.int16:
-        x = samples.astype(np.float64) / 32768.0
-    else:
-        x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(len(x), cfg)
     window, shift = cfg.window_samples, cfg.shift_samples
     raw = x[np.arange(window)[None, :] + shift * np.arange(n_frames)[:, None]]

@@ -591,7 +591,7 @@ class TestTraining:
         true_mean = np.array([3.0, -1.0])
         frames = rng.normal(true_mean, 1.0, size=(400, DIM))
         data = [(feats_from(frames), ("A",))]
-        schedule = TrainSchedule(n_iters=1, split_iters=(), sil_prior=1e-9)
+        schedule = TrainSchedule(n_iters=1, split_iters=())
         result = train(model, data, lex, schedule)
         sid = result.model.states_for("A")[0]
         learned = result.model.states[sid].means[0]
@@ -746,10 +746,7 @@ def train_reference(model, data, lexicon, schedule):
     one thread: align every utterance, re-estimate, rescore every aligned
     path frame by frame under the aligning and the re-estimated model,
     then grow mixtures."""
-    graphs = [
-        compile_align_graph(tokens, lexicon, model, sil_prior=schedule.sil_prior)
-        for _, tokens in data
-    ]
+    graphs = [compile_align_graph(tokens, lexicon, model) for _, tokens in data]
     trace = []
     for iteration in range(1, schedule.n_iters + 1):
         stats = am._Stats.zeros(model)
