@@ -113,7 +113,7 @@ class FeatureMatrix:
 
     frames: np.ndarray
     frame_shift: float
-    log_energy: np.ndarray = field(repr=False, default=None)
+    log_energy: np.ndarray = field(repr=False)
 
     @property
     def n_frames(self) -> int:

@@ -6,13 +6,15 @@ aligned to the transcript by order-preserving Smith-Waterman (the best
 local alignment anchors, then each gap it leaves is aligned on its own),
 so matched regions share no hyp or transcript word and come in the same
 order in both.  Regions are cut at transcript line ends, and pieces that
-are long enough, short enough, and clean enough become utterance segments;
-a piece longer than ``max_dur`` is split at its widest internal silence.
+are long enough (``_MIN_DUR``), short enough (``_MAX_DUR``), and clean
+enough (``_ACCEPT_RATIO``) become utterance segments; a piece longer than
+``_MAX_DUR`` is split at its widest internal silence.
 
 The features are the default front end's with CMVN, as the model's
 training features are; the silence threshold is `features.silence_mask`'s
-and the Smith-Waterman scores are the defaults of `SWConfig`.
-`HarvestConfig` holds only what a harvest varies.
+and the Smith-Waterman scores are the module constants ``_SW_MATCH``,
+``_SW_MISMATCH`` and ``_SW_GAP``.  `HarvestConfig` holds only what a
+harvest varies: its chunk length and its decoder's search.
 """
 
 from __future__ import annotations
@@ -48,6 +50,19 @@ from .scoring import (
 logger = logging.getLogger(__name__)
 
 SUCCESS_RATE_WARN_BELOW = 0.7
+
+# Smith-Waterman scores; a region needs a score of _MIN_ISLAND matches
+_SW_MATCH = 2.0
+_SW_MISMATCH = -1.0
+_SW_GAP = -1.0
+_MIN_ISLAND = 3  # words
+
+# seconds; a piece (one transcript line's share of a region) shorter than
+# _MIN_DUR is rejected, one longer than _MAX_DUR is split at its widest
+# internal silence, or rejected when it has none
+_MIN_DUR = 1.0
+_MAX_DUR = 20.0
+_ACCEPT_RATIO = 0.9  # least share of a piece's pairs that match
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +111,6 @@ def chunk_recording(
 # ---------------------------------------------------------------------------
 # Smith-Waterman
 
-@dataclass(frozen=True)
-class SWConfig:
-    match: float = 2.0
-    mismatch: float = -1.0
-    gap: float = -1.0
-    min_island: int = 3  # words; min region score = min_island * match
-
-    def __post_init__(self):
-        if not (self.match > 0 >= self.mismatch and 0 >= self.gap):
-            raise ValueError("need match > 0 >= mismatch and 0 >= gap")
-        check_count("min_island", self.min_island)
-
-    @property
-    def min_score(self) -> float:
-        return self.min_island * self.match
-
-
 @dataclass
 class AlignedRegion:
     score: float
@@ -130,21 +128,22 @@ class AlignedRegion:
         return (min(idx), max(idx))
 
 
-def smith_waterman(
-    hyp: Sequence[str], ref: Sequence[str], cfg: SWConfig = SWConfig()
-) -> list[AlignedRegion]:
-    """Order-preserving local alignments with score >= min, sorted by hyp_span.
+def smith_waterman(hyp: Sequence[str], ref: Sequence[str]) -> list[AlignedRegion]:
+    """Order-preserving local alignments scoring at least ``_MIN_ISLAND``
+    matches, sorted by hyp_span.
 
-    Anchor then recurse (Moreno et al., ICSLP 1998): the best local
-    alignment of the whole pair is taken first, then the same search runs
-    inside each gap it leaves (hyp and ref before its spans, and hyp and
-    ref after them) until no cell reaches ``cfg.min_score``.  So regions
+    Steps score ``_SW_MATCH``, ``_SW_MISMATCH`` and ``_SW_GAP``.  Anchor
+    then recurse (Moreno et al., ICSLP 1998): the best local alignment of
+    the whole pair is taken first, then the same search runs inside each
+    gap it leaves (hyp and ref before its spans, and hyp and ref after
+    them) until no cell reaches ``_MIN_ISLAND * _SW_MATCH``.  So regions
     share no hyp or ref index, paired or lone, and are in the same order
     in hyp and ref; of two islands that cross, only the better is found.
     """
     hyp = list(hyp)
     ref = list(ref)
-    sub = substitution_matrix(hyp, ref, cfg.match, cfg.mismatch)
+    min_score = _MIN_ISLAND * _SW_MATCH
+    sub = substitution_matrix(hyp, ref, _SW_MATCH, _SW_MISMATCH)
     regions: list[AlignedRegion] = []
     # half-open (hyp lo, hyp hi, ref lo, ref hi) blocks left to search; an
     # explicit stack, so many small islands cannot hit the recursion limit
@@ -152,13 +151,13 @@ def smith_waterman(
     while todo:
         h_lo, h_hi, r_lo, r_hi = todo.pop()
         block = sub[h_lo:h_hi, r_lo:r_hi]
-        h = align_fill(block, cfg.gap, local=True)
+        h = align_fill(block, _SW_GAP, local=True)
         i, j = np.unravel_index(int(np.argmax(h)), h.shape)
         best = float(h[i, j])
-        if best < cfg.min_score:  # min_score > 0: a region holds a match
+        if best < min_score:  # min_score > 0: a region holds a match
             continue
         pairs = []
-        for hi, ri in align_trace(h, block, cfg.gap, int(i), int(j), local=True):
+        for hi, ri in align_trace(h, block, _SW_GAP, int(i), int(j), local=True):
             hi = None if hi is None else hi + h_lo
             ri = None if ri is None else ri + r_lo
             pairs.append((hi, ri, step_op(hyp, ref, hi, ri)))
@@ -231,14 +230,8 @@ class SegmentReport:
 
 @dataclass(frozen=True)
 class HarvestConfig:
+    decode: DecodeConfig  # each chunk's search
     chunk_len: float = 30.0  # seconds; the longest chunk decoded at once
-    # seconds; a piece (one transcript line's share of a region) shorter
-    # than min_dur is rejected, one longer than max_dur is split at its
-    # widest internal silence, or rejected when it has none
-    min_dur: float = 1.0
-    max_dur: float = 20.0
-    accept_ratio: float = 0.9  # least share of a piece's pairs that match
-    decode: DecodeConfig = DecodeConfig(beam=14.0, max_active=2000)
 
     def __post_init__(self):
         # NaN fails each comparison; an infinite length has no frame count
@@ -247,19 +240,10 @@ class HarvestConfig:
                 "chunk_len must be finite and at least two frame shifts, "
                 f"got {self.chunk_len}"
             )
-        # settings under which no piece or candidate can ever be accepted
-        if not self.max_dur > 0:
-            raise ValueError(f"max_dur must be > 0, got {self.max_dur}")
-        if not 0 <= self.min_dur <= self.max_dur:
-            raise ValueError(
-                f"min_dur must be in [0, max_dur={self.max_dur}], got {self.min_dur}"
-            )
-        if not 0 <= self.accept_ratio <= 1:
-            raise ValueError(f"accept_ratio must be in [0, 1], got {self.accept_ratio}")
 
 
 def _decode_chunks(
-    model, lm, tree, feats_full, chunks, cfg: HarvestConfig,
+    model, lm, tree, feats_full, chunks, decode_cfg: DecodeConfig,
     report: SegmentReport,
 ) -> list[Interval]:
     """Decode each chunk; a chunk whose decode fails is counted and skipped,
@@ -273,7 +257,7 @@ def _decode_chunks(
         offset = chunk.start * shift
         piece = slice_frames(feats_full, chunk.start, chunk.end)
         try:
-            hyp = decode(model, lm, tree, piece, cfg.decode)
+            hyp = decode(model, lm, tree, piece, decode_cfg)
         except DecodeError as exc:
             report.chunk_failures += 1
             logger.warning(
@@ -316,12 +300,17 @@ def harvest_segments(
     transcript_lines: Sequence[Sequence[str]],
     model: AcousticModel,
     lexicon: Lexicon,
-    cfg: HarvestConfig = HarvestConfig(),
+    cfg: HarvestConfig,
 ) -> tuple[list[SegmentCandidate], SegmentReport]:
     """Chunk, decode with a transcript-biased LM, align, and cut segments
     at transcript line ends.  ``samples`` are float and mono at
     `corpus.CANONICAL_RATE`, as `corpus.read_wav` returns them: the
-    samples the default front end reads."""
+    samples the default front end reads.
+
+    A piece is kept when it lasts from ``_MIN_DUR`` to ``_MAX_DUR``
+    seconds (a longer one is split at a silence first) and at least
+    ``_ACCEPT_RATIO`` of its pairs match; a transcript with no tokens
+    gives no segments, and nothing is computed."""
     ref_tokens: list[str] = [t for line in transcript_lines for t in line]
     line_of = [i for i, line in enumerate(transcript_lines) for _ in line]
     report = SegmentReport(
@@ -349,7 +338,9 @@ def harvest_segments(
         lexicon.restricted_to(set(ref_tokens)), include_unk=True
     )
 
-    hyp_words = _decode_chunks(model, lm, tree, feats_full, chunks, cfg, report)
+    hyp_words = _decode_chunks(
+        model, lm, tree, feats_full, chunks, cfg.decode, report
+    )
     report.n_hyp_words = len(hyp_words)
     if not hyp_words:
         return [], report
@@ -362,23 +353,20 @@ def harvest_segments(
         for piece in _split_region(region, line_of):
             candidates.extend(
                 _pieces_to_candidates(
-                    piece, hyp_words, ref_tokens, recording_id, silences, cfg,
-                    report,
+                    piece, hyp_words, ref_tokens, recording_id, silences, report
                 )
             )
     report.n_candidates = (
         len(candidates) + report.rejected_short + report.rejected_long
     )
-    accepted = [
-        c for c in candidates if c.match_ratio >= cfg.accept_ratio
-    ]
+    accepted = [c for c in candidates if c.match_ratio >= _ACCEPT_RATIO]
     report.rejected_ratio = len(candidates) - len(accepted)
     report.accepted = accepted
     return accepted, report
 
 
 def _pieces_to_candidates(
-    piece, hyp_words, ref_tokens, recording_id, silences, cfg, report
+    piece, hyp_words, ref_tokens, recording_id, silences, report
 ) -> list[SegmentCandidate]:
     hyp_idx = [p[0] for p in piece if p[0] is not None]
     ref_idx = [p[1] for p in piece if p[1] is not None]
@@ -387,10 +375,10 @@ def _pieces_to_candidates(
     start = hyp_words[hyp_idx[0]].start
     end = hyp_words[hyp_idx[-1]].end
     duration = end - start
-    if duration < cfg.min_dur:
+    if duration < _MIN_DUR:
         report.rejected_short += 1
         return []
-    if duration > cfg.max_dur:
+    if duration > _MAX_DUR:
         # split at the widest internal silence run, however short, with
         # hyp words on both sides, and recurse
         best_cut = None
@@ -417,7 +405,7 @@ def _pieces_to_candidates(
             cand
             for part in (piece[:k], piece[k:])
             for cand in _pieces_to_candidates(
-                part, hyp_words, ref_tokens, recording_id, silences, cfg, report
+                part, hyp_words, ref_tokens, recording_id, silences, report
             )
         ]
     n_matches = sum(1 for p in piece if p[2] == MATCH)

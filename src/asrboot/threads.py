@@ -3,6 +3,10 @@
 ``am.train`` scores and accumulates on it beside the Viterbi scan, and
 ``features.compute_mfcc`` computes the second half of a long track's
 blocks on it.  Both hand it numpy work that releases the GIL.
+
+On one usable CPU (`usable_cpus`) the two users differ: ``compute_mfcc``
+does not split and starts no thread, while ``am.train`` still pipelines
+through the helper, about 3.7% slower there than a one-thread loop.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 from functools import lru_cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from asrboot.segment import (
     HarvestConfig,
     SegmentCandidate,
     SegmentReport,
-    SWConfig,
     _decode_chunks,
     _pieces_to_candidates,
     _split_region,
@@ -88,23 +88,7 @@ class TestChunkRecording:
     @pytest.mark.parametrize("chunk_len", [0.0, 0.01, 0.019])
     def test_chunk_len_under_two_frame_shifts_rejected(self, chunk_len):
         with pytest.raises(ValueError, match="chunk_len"):
-            HarvestConfig(chunk_len=chunk_len)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("min_dur", -0.5),
-            ("min_dur", 20.5),  # above the default max_dur
-            ("max_dur", 0.0),
-            ("max_dur", -1.0),
-            ("accept_ratio", -0.1),
-            ("accept_ratio", 1.1),
-            ("accept_ratio", float("nan")),
-        ],
-    )
-    def test_settings_that_accept_nothing_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            HarvestConfig(**{field: value})
+            HarvestConfig(decode=HARVEST.decode, chunk_len=chunk_len)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -115,7 +99,7 @@ class TestChunkRecording:
     )
     def test_values_that_break_the_harvest_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            HarvestConfig(**{field: value})
+            HarvestConfig(decode=HARVEST.decode, **{field: value})
 
 
 def words(prefix, n):
@@ -134,6 +118,28 @@ def matched(region):
     return sum(1 for _, _, lab in region.pairs if lab == MATCH)
 
 
+class Scores(NamedTuple):
+    """Smith-Waterman step scores and least island, as `segment` holds them."""
+
+    match: float
+    mismatch: float
+    gap: float
+    min_island: int
+
+    def use(self, monkeypatch) -> None:
+        """Make `smith_waterman` score with these values."""
+        monkeypatch.setattr(segment, "_SW_MATCH", self.match)
+        monkeypatch.setattr(segment, "_SW_MISMATCH", self.mismatch)
+        monkeypatch.setattr(segment, "_SW_GAP", self.gap)
+        monkeypatch.setattr(segment, "_MIN_ISLAND", self.min_island)
+
+
+DEFAULT = Scores(
+    segment._SW_MATCH, segment._SW_MISMATCH, segment._SW_GAP, segment._MIN_ISLAND
+)
+FRACTIONAL = Scores(match=1.0, mismatch=-0.5, gap=-0.3, min_island=1)
+
+
 class TestSmithWaterman:
     def test_planted_island_found(self):
         island = words("w", 5)
@@ -143,15 +149,15 @@ class TestSmithWaterman:
         assert region.hyp_span == (2, 6)
         assert region.ref_span == (3, 7)
         assert matched(region) == 5
-        assert region.score == pytest.approx(5 * SWConfig().match)
+        assert region.score == pytest.approx(5 * DEFAULT.match)
 
-    def test_short_islands_dropped(self):
-        cfg = SWConfig(min_island=3)
+    def test_short_islands_dropped(self, monkeypatch):
+        DEFAULT._replace(min_island=3).use(monkeypatch)
         for length, expected in [(2, 0), (3, 1)]:
             island = words("w", length)
             hyp = ["x"] + island + ["x"]
             ref = ["y"] + island + ["y"]
-            assert len(smith_waterman(hyp, ref, cfg)) == expected
+            assert len(smith_waterman(hyp, ref)) == expected
 
     def test_crossed_islands_disjoint_and_sorted(self):
         # alignment keeps hyp and ref order, so of two crossed islands only
@@ -177,7 +183,7 @@ class TestSmithWaterman:
     @pytest.mark.parametrize(
         "seed", [*range(8), pytest.param(None, id="masking_hole")]
     )
-    def test_regions_disjoint_and_sorted_on_random_input(self, seed):
+    def test_regions_disjoint_and_sorted_on_random_input(self, seed, monkeypatch):
         if seed is None:
             # masking pairs alone let a second region delete ref 1-2, which
             # the first region pairs
@@ -187,8 +193,9 @@ class TestSmithWaterman:
             vocab = words("v", 4)
             hyp = list(rng.choice(vocab, size=int(rng.integers(5, 40))))
             ref = list(rng.choice(vocab, size=int(rng.integers(5, 40))))
-            cfg = SWConfig(min_island=2)
-        regions = smith_waterman(hyp, ref, cfg)
+            cfg = DEFAULT._replace(min_island=2)
+        cfg.use(monkeypatch)
+        regions = smith_waterman(hyp, ref)
         for i, first in enumerate(regions):
             for second in regions[i + 1:]:
                 assert not hyp_indices(first) & hyp_indices(second)
@@ -201,18 +208,6 @@ class TestSmithWaterman:
     def test_empty_input_gives_no_regions(self):
         assert smith_waterman([], ["a", "b"]) == []
         assert smith_waterman(["a", "b"], []) == []
-
-    def test_min_island_under_one_rejected(self):
-        with pytest.raises(ValueError, match="min_island"):
-            SWConfig(min_island=0)
-
-    @pytest.mark.parametrize("value", [True, 2.5, "3"])
-    def test_min_island_must_be_an_integer(self, value):
-        with pytest.raises(ValueError, match="min_island must be an integer >= 1"):
-            SWConfig(min_island=value)
-
-
-FRACTIONAL = SWConfig(match=1.0, mismatch=-0.5, gap=-0.3, min_island=1)
 
 
 def step_score(label, cfg):
@@ -249,17 +244,19 @@ def best_local_score(hyp, ref, cfg):
 
 
 class TestAlignmentCore:
-    def test_fractional_scores_pair_each_word_once(self):
-        regions = smith_waterman(list("abba"), list("abab"), FRACTIONAL)
+    def test_fractional_scores_pair_each_word_once(self, monkeypatch):
+        FRACTIONAL.use(monkeypatch)
+        regions = smith_waterman(list("abba"), list("abab"))
         assert_each_word_paired_once(regions)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_region_score_is_sum_of_steps(self, seed):
+    def test_region_score_is_sum_of_steps(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         vocab = words("v", int(rng.integers(2, 5)))
         hyp = list(rng.choice(vocab, size=int(rng.integers(1, 30))))
         ref = list(rng.choice(vocab, size=int(rng.integers(1, 30))))
-        regions = smith_waterman(hyp, ref, FRACTIONAL)
+        FRACTIONAL.use(monkeypatch)
+        regions = smith_waterman(hyp, ref)
         for region in regions:
             steps = sum(step_score(lab, FRACTIONAL) for _, _, lab in region.pairs)
             assert abs(region.score - steps) <= 1e-9
@@ -272,12 +269,15 @@ class TestAlignmentCore:
     @given(
         st.lists(st.sampled_from("abc"), max_size=9),
         st.lists(st.sampled_from("abc"), max_size=9),
-        st.sampled_from([FRACTIONAL, SWConfig(min_island=1), SWConfig()]),
+        st.sampled_from([FRACTIONAL, DEFAULT._replace(min_island=1), DEFAULT]),
     )
     def test_best_region_matches_oracle(self, hyp, ref, cfg):
-        regions = smith_waterman(hyp, ref, cfg)
+        # not the monkeypatch fixture: it would span every example
+        with pytest.MonkeyPatch.context() as mp:
+            cfg.use(mp)
+            regions = smith_waterman(hyp, ref)
         best = best_local_score(hyp, ref, cfg)
-        if best < cfg.min_score:
+        if best < cfg.min_island * cfg.match:
             assert regions == []
         else:
             assert max(r.score for r in regions) == pytest.approx(best, abs=1e-9)
@@ -321,22 +321,24 @@ class TestSplitRegion:
             for cand in to_candidates(piece, hyp_words, ref, [])[0]
         ]
         assert [c.match_ratio for c in cands] == [1.0, 0.0, 1.0]
-        accept = HarvestConfig().accept_ratio
+        accept = segment._ACCEPT_RATIO
         assert [c.tokens for c in cands if c.match_ratio >= accept] == [
             ("a", "b", "c"), ("d", "e", "f")
         ]
 
 
-def to_candidates(piece, hyp_words, ref_tokens, gaps, **cfg):
+def to_candidates(piece, hyp_words, ref_tokens, gaps, monkeypatch=None, **rules):
+    """`_pieces_to_candidates` of one piece, with ``rules`` (``_MIN_DUR=``,
+    ``_MAX_DUR=``) set in `segment` for the call."""
+    for name, value in rules.items():
+        monkeypatch.setattr(segment, name, value)
     rep = SegmentReport("rec", len(ref_tokens), len(hyp_words), 1, 0)
-    cands = _pieces_to_candidates(
-        piece, hyp_words, ref_tokens, "rec", gaps, HarvestConfig(**cfg), rep
-    )
+    cands = _pieces_to_candidates(piece, hyp_words, ref_tokens, "rec", gaps, rep)
     return cands, rep
 
 
 class TestPiecesToCandidates:
-    def test_long_piece_split_at_widest_gap_first(self):
+    def test_long_piece_split_at_widest_gap_first(self, monkeypatch):
         hyp_words = [
             Interval("a", 0.0, 1.0),
             Interval("b", 1.2, 2.0),
@@ -348,7 +350,7 @@ class TestPiecesToCandidates:
         piece = [(i, i, MATCH) for i in range(5)]
         gaps = [(2.0, 2.5), (4.5, 5.5)]
         cands, rep = to_candidates(
-            piece, hyp_words, ref, gaps, min_dur=0.5, max_dur=4.0
+            piece, hyp_words, ref, gaps, monkeypatch, _MIN_DUR=0.5, _MAX_DUR=4.0
         )
         # the 1 s gap cuts first; the 0.5 s gap then cuts the 4.5 s left part
         assert [(c.start, c.end, c.tokens) for c in cands] == [
@@ -358,7 +360,7 @@ class TestPiecesToCandidates:
         ]
         assert (rep.rejected_long, rep.rejected_short) == (0, 0)
 
-    def test_split_keeps_deleted_ref_word_with_its_neighbours(self):
+    def test_split_keeps_deleted_ref_word_with_its_neighbours(self, monkeypatch):
         hyp_words = [
             Interval("a", 0.0, 1.0),
             Interval("b", 1.0, 2.0),
@@ -369,23 +371,27 @@ class TestPiecesToCandidates:
         # ref "d" was not decoded: a lone-ref step between c and e
         piece = [(0, 0, MATCH), (1, 1, MATCH), (2, 2, MATCH), (None, 3, DEL),
                  (3, 4, MATCH)]
-        cands, _ = to_candidates(piece, hyp_words, ref, [(2.0, 3.0)], max_dur=3.0)
+        cands, _ = to_candidates(
+            piece, hyp_words, ref, [(2.0, 3.0)], monkeypatch, _MAX_DUR=3.0
+        )
         assert [(c.start, c.end, c.tokens, c.ref_span) for c in cands] == [
             (0.0, 2.0, ("a", "b"), (0, 1)),
             (3.0, 5.0, ("c", "d", "e"), (2, 4)),
         ]
         assert cands[1].match_ratio == pytest.approx(2 / 3)
 
-    def test_too_long_without_a_gap_between_words_is_rejected(self):
+    def test_too_long_without_a_gap_between_words_is_rejected(self, monkeypatch):
         hyp_words = [Interval("a", 0.0, 3.0), Interval("b", 3.0, 6.0)]
         piece = [(0, 0, MATCH), (1, 1, MATCH)]
         # one gap inside the first word, one after the piece
         gaps = [(0.5, 1.0), (6.5, 7.0)]
-        cands, rep = to_candidates(piece, hyp_words, ["a", "b"], gaps, max_dur=4.0)
+        cands, rep = to_candidates(
+            piece, hyp_words, ["a", "b"], gaps, monkeypatch, _MAX_DUR=4.0
+        )
         assert cands == []
         assert rep.rejected_long == 1
 
-    def test_long_line_split_at_a_silence_of_any_length(self):
+    def test_long_line_split_at_a_silence_of_any_length(self, monkeypatch):
         hyp_words = [
             Interval("a", 0.0, 2.0),
             Interval("b", 2.0, 4.0),
@@ -394,7 +400,8 @@ class TestPiecesToCandidates:
         piece = [(i, i, MATCH) for i in range(3)]
         # the only silence between words lasts 0.1 s
         cands, rep = to_candidates(
-            piece, hyp_words, ["a", "b", "c"], [(4.0, 4.1)], max_dur=5.0
+            piece, hyp_words, ["a", "b", "c"], [(4.0, 4.1)], monkeypatch,
+            _MAX_DUR=5.0,
         )
         assert [(c.start, c.end, c.tokens) for c in cands] == [
             (0.0, 4.0, ("a", "b")),
@@ -402,7 +409,7 @@ class TestPiecesToCandidates:
         ]
         assert rep.rejected_long == 0
 
-    def test_silence_from_the_piece_start_is_not_a_cut(self):
+    def test_silence_from_the_piece_start_is_not_a_cut(self, monkeypatch):
         hyp_words = [
             Interval("a", 0.0, 0.5),
             Interval("b", 2.0, 3.0),
@@ -412,7 +419,7 @@ class TestPiecesToCandidates:
         # the widest run starts with the piece; the narrower one cuts
         cands, rep = to_candidates(
             piece, hyp_words, ["a", "b", "c"], [(0.0, 2.0), (3.0, 3.2)],
-            min_dur=0.1, max_dur=4.0,
+            monkeypatch, _MIN_DUR=0.1, _MAX_DUR=4.0,
         )
         assert [(c.start, c.end, c.tokens) for c in cands] == [
             (0.0, 3.0, ("a", "b")),
@@ -420,12 +427,13 @@ class TestPiecesToCandidates:
         ]
         assert rep.rejected_long == 0
 
-    def test_word_starting_at_the_cut_falls_after_it(self):
+    def test_word_starting_at_the_cut_falls_after_it(self, monkeypatch):
         hyp_words = [Interval("a", 0.0, 1.0), Interval("b", 2.0, 5.0)]
         piece = [(0, 0, MATCH), (1, 1, MATCH)]
         # the run's middle, 2.0, is where b starts
         cands, rep = to_candidates(
-            piece, hyp_words, ["a", "b"], [(1.5, 2.5)], min_dur=0.5, max_dur=4.0
+            piece, hyp_words, ["a", "b"], [(1.5, 2.5)], monkeypatch,
+            _MIN_DUR=0.5, _MAX_DUR=4.0,
         )
         assert [(c.start, c.end, c.tokens) for c in cands] == [
             (0.0, 1.0, ("a",)),
@@ -433,9 +441,11 @@ class TestPiecesToCandidates:
         ]
         assert rep.rejected_long == 0
 
-    def test_too_short_is_rejected(self):
+    def test_too_short_is_rejected(self, monkeypatch):
         hyp_words = [Interval("a", 0.0, 0.5)]
-        cands, rep = to_candidates([(0, 0, MATCH)], hyp_words, ["a"], [], min_dur=1.0)
+        cands, rep = to_candidates(
+            [(0, 0, MATCH)], hyp_words, ["a"], [], monkeypatch, _MIN_DUR=1.0
+        )
         assert cands == []
         assert rep.rejected_short == 1
 
@@ -472,7 +482,7 @@ class TestDecodeChunks:
         monkeypatch.setattr(segment, "decode", fake_decode)
         report = SegmentReport("rec", 0, 0, 0, 0)
         words = _decode_chunks(
-            None, None, None, feats, chunks, HarvestConfig(), report
+            None, None, None, feats, chunks, HARVEST.decode, report
         )
         assert decoded == [(c.start, c.end - c.start) for c in chunks]
         return words, report
@@ -572,6 +582,20 @@ def off_script_harvest(tmp_path_factory):
 
 
 class TestHarvestSegments:
+    def test_empty_transcript_computes_nothing(self, monkeypatch, caplog):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an empty transcript needs no features or search")
+
+        monkeypatch.setattr(segment, "compute_mfcc", unreachable)
+        monkeypatch.setattr(segment, "decode", unreachable)
+        segments, rep = segment.harvest_segments(
+            "rec", np.zeros(16000), [[], []], None, None, HARVEST
+        )
+        assert segments == []
+        assert rep.n_transcript_tokens == 0
+        assert rep.word_yield == 0.0
+        assert "rec: empty transcript, no segments" in caplog.text
+
     def test_decode_runs_once_per_chunk(self, harvest):
         assert len(harvest.chunks) >= 3
         assert harvest.decoded == [c.end - c.start for c in harvest.chunks]
