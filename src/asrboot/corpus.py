@@ -145,9 +145,14 @@ def wav_duration(path) -> float:
 
 
 def read_wav(path) -> tuple[int, np.ndarray]:
-    """Read a RIFF/WAVE file into (rate, float64 samples in [-1, 1])."""
+    """Read a RIFF/WAVE file into (rate, float samples in [-1, 1]).
+
+    The samples are float32 for 8- and 16-bit PCM and float32 files, and
+    float64 for 32-bit PCM and float64 files: the narrowest float that
+    holds every stored value exactly, so widening them to float64 gives
+    the float64 scaling to the bit, at half its size for 16-bit audio."""
     rate, data = _read_raw(path)
-    return rate, _scaled(path, data)
+    return rate, _scaled(path, data, np.float32)
 
 
 def _read_raw(path) -> tuple[int, np.ndarray]:
@@ -210,14 +215,19 @@ def _pcm_header(path) -> tuple[int, int, int, int] | None:
     return header
 
 
-def _scaled(path, data: np.ndarray) -> np.ndarray:
-    """Stored samples of a supported layout as float64 in [-1, 1]."""
+def _scaled(path, data: np.ndarray, dtype) -> np.ndarray:
+    """Stored samples of a supported layout in [-1, 1], as float ``dtype``,
+    or as float64 for 32-bit PCM and float64 files, whose values float32
+    does not hold exactly."""
     if data.ndim == 2 and data.shape[1] > 2:
         raise AudioFormatError(f"{path}: {data.shape[1]} channels unsupported")
     if data.dtype not in (np.int16, np.int32, np.uint8, np.float32, np.float64):
         raise AudioFormatError(f"{path}: unsupported sample format {data.dtype}")
-    # scaled in place: one float64 array the length of the file
-    x = data.astype(np.float64)
+    if data.dtype in (np.int32, np.float64):
+        dtype = np.float64
+    # scaled in place: one float array the length of the file, none when
+    # the file's floats are already that dtype
+    x = data.astype(dtype, copy=False)
     if data.dtype == np.int16:
         x /= 32768.0
     elif data.dtype == np.int32:
@@ -228,11 +238,26 @@ def _scaled(path, data: np.ndarray) -> np.ndarray:
     return x
 
 
+def non_finite_summary(x: np.ndarray, lo: int, step: int) -> str:
+    """How many of the flat samples ``x`` are NaN or inf, and the index of
+    the first, which lies in ``x[lo : lo + step]``; reads ``step`` samples
+    at a time."""
+    first = lo + int(np.argmin(np.isfinite(x[lo : lo + step])))
+    count = sum(
+        int(np.count_nonzero(~np.isfinite(x[i : i + step])))
+        for i in range(lo, len(x), step)
+    )
+    return f"{count} non-finite samples, the first at index {first}"
+
+
 _PCM16_BLOCK = 1 << 16  # samples scaled per float64 temporary
 
 
 def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> None:
-    """Write int16 samples (float inputs are scaled and clipped)."""
+    """Write int16 samples; float inputs are scaled by 32768, rounded and
+    clipped.  A NaN or inf raises ``ValueError`` naming the path, the count
+    of non-finite samples and the (flat) index of the first, before the
+    file is opened."""
     if samples.dtype != np.int16:
         # block by block into one int16 array: no float64 copy of the
         # whole signal; each step is elementwise, so the blocks change nothing
@@ -241,6 +266,8 @@ def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> No
         buf = np.empty(min(src.size, _PCM16_BLOCK))
         for lo in range(0, src.size, _PCM16_BLOCK):
             part = src[lo:lo + _PCM16_BLOCK]
+            if not np.isfinite(part).all():
+                raise ValueError(f"{path}: {non_finite_summary(src, lo, _PCM16_BLOCK)}")
             block = np.multiply(part, 32768.0, out=buf[:part.size], dtype=np.float64)
             np.rint(block, out=block)
             dst[lo:lo + part.size] = np.clip(block, -32768, 32767, out=block)
@@ -301,7 +328,7 @@ def canonicalize_audio(input_path, out_path, rec_id: str | None = None) -> Recor
             duration=n_samples / CANONICAL_RATE,
         )
 
-    x = _scaled(input_path, raw)
+    x = _scaled(input_path, raw, np.float64)
     if x.ndim == 2:
         x = x.mean(axis=1)
     y = resample(x, rate)

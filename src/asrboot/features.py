@@ -4,23 +4,28 @@
 appended give 39-dimensional features.  Frames are snipped at the edges:
 T = 1 + floor((N - window) / shift) for an N-sample signal.
 
-Samples are float, as ``corpus.read_wav`` returns them, and are checked
-once, before any block runs.  Cepstra are then computed in blocks of
-equal row count, read through a strided view of the signal, and written
-into the preallocated output; only the deltas see the whole track, after
-every block.  When the process may use two CPUs or more, a track of
-T >= 2 * ``MIN_SPLIT`` frames has blocks of ``min(BLOCK_FRAMES,
-ceil(T / 2))`` frames, split between the calling thread (the first
-half, rounded up) and the package's helper thread (the rest), as Kaldi
-splits feature extraction into data-parallel jobs; the rfft, matmul and
-ufuncs release the GIL.  Any other track is computed on the calling
+Samples are float of any width, as ``corpus.read_wav`` returns them
+(float32 for 16-bit audio), and are checked once, before any block runs.
+Cepstra are then computed in blocks of equal row count: each block's
+sample span is copied, widened to float64, into a buffer of the thread
+that computes it and read through a strided view of that buffer, and
+the rows are written into the preallocated output; only the deltas see
+the whole track, after every block.  No copy of the whole signal is
+made, so float32 samples cost half the memory of float64 ones and give
+the features of their float64 widening to the bit.  When the process
+may use two CPUs or more, a track of T >= 2 * ``MIN_SPLIT`` frames has
+blocks of ``min(BLOCK_FRAMES, ceil(T / 2))`` frames, split between the
+calling thread (the first half, rounded up) and the package's helper
+thread (the rest), as Kaldi splits feature extraction into
+data-parallel jobs; the rfft, matmul and ufuncs release the GIL.  Any other track is computed on the calling
 thread alone, in blocks of ``min(BLOCK_FRAMES, T)`` frames.  Each
 output row is written by one block only, the last that covers it, so
 the features are the one-thread loop's to the bit.
 
 Each thread works in its own fixed buffers, made once per call, so a
-split track costs two blocks' buffers, not one.  Apart from the (T, 39)
-output, peak memory does not grow with the length of the recording.
+split track costs two blocks' buffers, not one: about 5 MiB each at
+``BLOCK_FRAMES`` = 500 rows.  Apart from the (T, 39) output, peak memory
+does not grow with the length of the recording.
 The Hamming window and the mel bank are built once per
 `FrontendConfig`, not per clip.
 """
@@ -37,12 +42,12 @@ import numpy as np
 from scipy.fftpack import dct
 
 from . import threads
-from .corpus import CANONICAL_RATE
+from .corpus import CANONICAL_RATE, non_finite_summary
 
 ENERGY_FLOOR = 1e-10
 VAR_EPSILON = 1e-10
 # frames per block of the cepstral pass: bounds its transients
-BLOCK_FRAMES = 2000
+BLOCK_FRAMES = 500
 # with two usable CPUs, a call of at least 2 * MIN_SPLIT frames splits its
 # blocks between the calling thread and the helper
 MIN_SPLIT = 256
@@ -190,14 +195,8 @@ def _check_finite(x: np.ndarray, step: int) -> None:
     """Raise if ``x`` holds a NaN or inf, naming how many and the index of
     the first; reads ``step`` samples at a time."""
     for lo in range(0, len(x), step):
-        finite = np.isfinite(x[lo : lo + step])
-        if not finite.all():
-            first = lo + int(np.argmin(finite))
-            count = sum(
-                int(np.count_nonzero(~np.isfinite(x[i : i + step])))
-                for i in range(lo, len(x), step)
-            )
-            raise ValueError(f"{count} non-finite samples, the first at index {first}")
+        if not np.isfinite(x[lo : lo + step]).all():
+            raise ValueError(non_finite_summary(x, lo, step))
 
 
 def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
@@ -207,14 +206,17 @@ def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
     covers, ``[starts[k], starts[k + 1])``; the last block writes all its
     rows.
 
-    The block and its rfft, power and mel values live in buffers made
-    once per call: a call's transients are one block's, at a fixed size,
-    where per-block temporaries on two threads would overlap or not by
-    timing."""
+    The block's samples, widened to float64, and its frames, rfft, power
+    and mel values live in buffers made once per call: a call's
+    transients are one block's, at a fixed size, where per-block
+    temporaries on two threads would overlap or not by timing."""
     window, shift = cfg.window_samples, cfg.shift_samples
     n_frames, n_ceps = len(log_energy), cfg.n_ceps
     hamming, bank_t = _analysis_tables(cfg)
     n_bins = cfg.n_fft // 2 + 1
+    # a block's samples, widened to float64, and its frames read through it
+    span = np.empty((rows - 1) * shift + window)
+    raw = np.lib.stride_tricks.sliding_window_view(span, window)[::shift]
     block = np.empty((rows, window))
     spec = np.empty((rows, n_bins), dtype=np.complex128)
     power = np.empty((rows, n_bins))
@@ -222,8 +224,7 @@ def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
     for k in range(first, last):
         start = starts[k]
         stop = n_frames if k + 1 == len(starts) else starts[k + 1]
-        span = x[start * shift : (start + rows - 1) * shift + window]
-        raw = np.lib.stride_tricks.sliding_window_view(span, window)[::shift]
+        span[:] = x[start * shift : start * shift + span.size]
 
         # raw log energy, before pre-emphasis and windowing
         energy = np.square(raw, out=block).sum(axis=1)
@@ -246,8 +247,9 @@ def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
 
 
 def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
-    """MFCC features from canonical-format float samples, as
-    ``corpus.read_wav`` returns them.
+    """MFCC features from canonical-format float samples of any width, as
+    ``corpus.read_wav`` returns them; float32 samples give the features of
+    ``samples.astype(np.float64)`` to the bit, with no such copy made.
 
     A call of T >= 2 * ``MIN_SPLIT`` frames, in a process that may use two
     CPUs or more (``threads.usable_cpus``), works in blocks of
@@ -280,9 +282,8 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
             f"{samples.dtype} samples are not float; "
             "corpus.read_wav scales any supported WAV to float in [-1, 1]"
         )
-    x = np.asarray(samples, dtype=np.float64)
-    n_frames = frame_count(len(x), cfg)
-    _check_finite(x, BLOCK_FRAMES * cfg.shift_samples)
+    n_frames = frame_count(len(samples), cfg)
+    _check_finite(samples, BLOCK_FRAMES * cfg.shift_samples)
     split = n_frames >= 2 * MIN_SPLIT and threads.usable_cpus() > 1
     rows = min(BLOCK_FRAMES, -(-n_frames // 2) if split else n_frames)
     # every block has the same row count, so the last one overlaps its
@@ -294,7 +295,7 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
     frames = np.empty((n_frames, 3 * n_ceps))
     ceps = frames[:, :n_ceps]
     log_energy = np.empty(n_frames)
-    blocks = functools.partial(_cepstra, x, cfg, starts, rows, ceps, log_energy)
+    blocks = functools.partial(_cepstra, samples, cfg, starts, rows, ceps, log_energy)
     if not split:
         blocks(0, len(starts))
     else:

@@ -304,8 +304,9 @@ def harvest_segments(
 ) -> tuple[list[SegmentCandidate], SegmentReport]:
     """Chunk, decode with a transcript-biased LM, align, and cut segments
     at transcript line ends.  ``samples`` are float and mono at
-    `corpus.CANONICAL_RATE`, as `corpus.read_wav` returns them: the
-    samples the default front end reads.
+    `corpus.CANONICAL_RATE`, as `corpus.read_wav` returns them (float32
+    for 16-bit audio, read without a float64 copy): the samples the
+    default front end reads.
 
     A piece is kept when it lasts from ``_MIN_DUR`` to ``_MAX_DUR``
     seconds (a longer one is split at a silence first) and at least

@@ -44,6 +44,9 @@ class SynthSpec:
     clip_pad: float = 0.15  # leading/trailing silence per clip
     amplitude: float = 0.3
 
+    def __post_init__(self):
+        _check_snr(self.snr_db)
+
     def signature_frequencies(self) -> dict[str, tuple[float, float]]:
         """Two sinusoid frequencies per grapheme, spread over the mel range."""
         n = len(self.graphemes)
@@ -82,6 +85,9 @@ TEST_WORDS = (2, 6)
 CORRUPTION_WORDS = (6, 12)  # an off-script transcript line
 WORD_LENGTH = (2, 5)
 
+# samples per block of add_noise's gather and noise draw
+NOISE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Boundary:
@@ -116,9 +122,23 @@ class SynthError(ValueError):
     pass
 
 
+def _check_snr(snr_db: float) -> None:
+    """ValueError naming ``snr_db`` if it is NaN or -inf; +inf means no
+    noise."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+
+
 def _unit_samples(spec: SynthSpec, rng: np.random.Generator) -> int:
     jitter = 1.0 + spec.duration_jitter * (2.0 * rng.random() - 1.0)
     return max(1, int(round(spec.unit_duration * jitter * CANONICAL_RATE)))
+
+
+def _longest_unit(spec: SynthSpec) -> int:
+    """An upper bound on what `_unit_samples` draws: the same product at
+    the largest jitter, and rounded products are monotone."""
+    longest = spec.unit_duration * (1.0 + abs(spec.duration_jitter)) * CANONICAL_RATE
+    return max(1, int(round(longest)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -130,8 +150,7 @@ def _tone(grapheme: str, spec: SynthSpec) -> np.ndarray:
     freqs = spec.signature_frequencies()
     if grapheme not in freqs:
         raise SynthError(f"unknown grapheme {grapheme!r}")
-    longest = spec.unit_duration * (1.0 + abs(spec.duration_jitter)) * CANONICAL_RATE
-    n = max(1, int(round(longest))) + 1
+    n = _longest_unit(spec) + 1
     t = np.arange(n) / CANONICAL_RATE
     x = np.zeros(n)
     for f in freqs[grapheme]:
@@ -172,17 +191,47 @@ def synth_word(
 def add_noise(
     x: np.ndarray, snr_db: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """White noise at the requested SNR relative to nonzero-signal power."""
-    if math.isinf(snr_db):
+    """Add white noise at ``snr_db`` relative to the power of the samples
+    with |x| > 1e-9 into the 1-D float64 ``x``, in place, and return it.
+
+    ``snr_db = +inf`` adds nothing and draws nothing; NaN and -inf raise
+    ``ValueError``.  The noise is one ``rng.normal`` draw of ``len(x)``
+    values, taken ``NOISE_BLOCK`` at a time (a generator's consecutive
+    draws equal one long draw), so ``x`` ends equal to ``x + noise`` to
+    the bit.  The active samples are gathered block by block into one
+    array of exactly their count, whose mean is the power; nothing else
+    is the length of ``x``."""
+    _check_snr(snr_db)
+    if x.dtype != np.float64 or x.ndim != 1:
+        raise ValueError(f"add_noise needs 1-D float64 samples, got {x.dtype} {x.shape}")
+    if snr_db == math.inf:
         return x
-    # |x| > 1e-9 from two bool masks, not a float64 |x| the length of x
-    active = x[(x > 1e-9) | (x < -1e-9)]
-    power = float(np.mean(np.square(active, out=active))) if active.size else 1e-6
-    del active  # freed before the full-length noise draw
-    noise_power = power / (10.0 ** (snr_db / 10.0))
-    noise = rng.normal(0.0, math.sqrt(noise_power), size=len(x))
-    noise += x
-    return noise
+    blocks = range(0, len(x), NOISE_BLOCK)
+    above = np.empty(min(len(x), NOISE_BLOCK), dtype=bool)
+    below = np.empty_like(above)
+
+    def active(lo: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Block ``lo`` of x, its |x| > 1e-9 mask and the mask's count."""
+        part = x[lo : lo + NOISE_BLOCK]
+        mask = np.greater(part, 1e-9, out=above[: part.size])
+        mask |= np.less(part, -1e-9, out=below[: part.size])
+        return part, mask, int(np.count_nonzero(mask))
+
+    gathered = np.empty(sum(active(lo)[2] for lo in blocks))
+    at = 0
+    for lo in blocks:
+        part, mask, n = active(lo)
+        np.compress(mask, part, out=gathered[at : at + n])
+        at += n
+    power = (
+        float(np.mean(np.square(gathered, out=gathered))) if gathered.size else 1e-6
+    )
+    del gathered  # freed before the noise is drawn
+    scale = math.sqrt(power / (10.0 ** (snr_db / 10.0)))
+    for lo in blocks:
+        part = x[lo : lo + NOISE_BLOCK]
+        part += rng.normal(0.0, scale, size=part.size)
+    return x
 
 
 def _silence(seconds: float) -> np.ndarray:
@@ -248,6 +297,13 @@ def synth_corpus(
     ``corruption_rate`` inserts that fraction of off-script lines into the
     long-form transcripts (text with no matching audio); the ground truth
     records which transcript lines are corrupted.
+
+    Each long-form recording is built in one float64 buffer, sized once
+    to its target length plus the most that one phrase and one utterance
+    gap can add past it, and shrunk to its end; its noise is added in
+    place and it is written a block at a time.  Apart from that buffer,
+    nothing is the length of a recording, so memory grows with one
+    recording's samples, not with temporaries.
     """
     if spec.min_signature_distance() < SIGNATURE_DISTANCE_FLOOR:
         raise SynthError("grapheme signatures are not distinguishable enough")
@@ -284,12 +340,18 @@ def synth_corpus(
     per_rec = longform_recording_minutes * 60.0
     # synth_phrase pads both ends; strip to keep utterance gaps controlled
     pad = int(round(spec.clip_pad * CANONICAL_RATE))
+    # the most one stripped phrase and the utterance gap after it can add;
+    # a uniform draw may round one sample past its upper end
+    longest_gap = [int(round(max(gap) * CANONICAL_RATE)) + 1
+                   for gap in (spec.word_gap, spec.utterance_gap)]
+    overrun = (UTTERANCE_WORDS[1] * WORD_LENGTH[1] * _longest_unit(spec)
+               + (UTTERANCE_WORDS[1] - 1) * longest_gap[0] + longest_gap[1])
     while total_done < total_needed - 1e-9:
         target = min(per_rec, total_needed - total_done)
         rec_id = f"long{len(longform):03d}"
         # one zeroed buffer, so the silences need no writes; only the last
-        # phrase and its gap run past the target, and resize zero-fills
-        signal = np.zeros(math.ceil(target * CANONICAL_RATE))
+        # phrase and its gap run past the target, by at most `overrun`
+        signal = np.zeros(math.ceil(target * CANONICAL_RATE) + overrun)
         cursor = pad
         truth_utts = []
         lines: list[str] = []
@@ -299,9 +361,6 @@ def synth_corpus(
             audio, bounds = synth_phrase(words, spec, rng)
             audio = audio[pad:-pad] if pad else audio
             start = cursor / CANONICAL_RATE
-            if cursor + len(audio) > signal.size:
-                # no view of the buffer outlives its statement
-                signal.resize(cursor + len(audio), refcheck=False)
             signal[cursor:cursor + len(audio)] = audio
             cursor += len(audio)
             truth_utts.append(
@@ -324,8 +383,9 @@ def synth_corpus(
                 corrupted_lines.append(len(lines))
                 lines.append(" ".join(pick_words(*CORRUPTION_WORDS)))
             cursor += int(round(rng.uniform(*spec.utterance_gap) * CANONICAL_RATE))
+        # shrinks; no view of the buffer outlives its statement
         signal.resize(cursor, refcheck=False)
-        signal = add_noise(signal, spec.snr_db, rng)
+        add_noise(signal, spec.snr_db, rng)
         audio_path = out / "audio" / f"{rec_id}.wav"
         write_wav_pcm16(audio_path, signal)
         transcript_path = out / f"{rec_id}.txt"

@@ -32,6 +32,7 @@ from asrboot.corpus import (
     write_manifest,
     write_wav_pcm16,
 )
+from asrboot.features import compute_mfcc
 
 
 def make_utt(directory, i, dur_s, rate=100):
@@ -222,6 +223,16 @@ class TestCanonicalize:
         _, y = wavfile.read(str(out))
         assert np.all(y == 0)
 
+    def test_stereo_44k_int16_is_a_float64_downmix_and_resample(self, tmp_path):
+        # read_wav gives float32 here, but the canonicalizer downmixes and
+        # resamples in float64
+        src, out, ref = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "ref.wav"
+        data = np.random.default_rng(6).integers(-20000, 20000, (44100, 2)).astype(np.int16)
+        wavfile.write(str(src), 44100, data)
+        canonicalize_audio(src, out)
+        write_wav_pcm16(ref, resample((data / 32768.0).mean(axis=1), 44100))
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_stereo_downmix_average(self, tmp_path):
         src = tmp_path / "in.wav"
         out = tmp_path / "out.wav"
@@ -395,12 +406,44 @@ class TestWavIO:
         [(np.int16, 32768.0, 0.0), (np.int32, 2147483648.0, 0.0), (np.uint8, 128.0, 128.0)],
     )
     def test_read_scales_to_unit_range(self, tmp_path, dtype, scale, offset):
+        # float32 holds every 8- and 16-bit value scaled exactly, not 32-bit
         info = np.iinfo(dtype)
         data = np.array([info.min, 0, 1, info.max], dtype=dtype)
         wavfile.write(str(tmp_path / "in.wav"), 16000, data)
         _, x = read_wav(tmp_path / "in.wav")
-        assert x.dtype == np.float64
+        assert x.dtype == (np.float64 if dtype == np.int32 else np.float32)
         assert np.array_equal(x, (data.astype(np.float64) - offset) / scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_keeps_float_files(self, tmp_path, dtype):
+        data = np.array([-1.0, -0.1, 0.0, 1e-30, 0.7, 1.0], dtype=dtype)
+        wavfile.write(str(tmp_path / "in.wav"), 16000, data)
+        _, x = read_wav(tmp_path / "in.wav")
+        assert x.dtype == dtype
+        assert np.array_equal(x, data)
+
+    def test_float32_samples_give_the_float64_features(self, tmp_path):
+        # read_wav's float32 samples widen exactly; compute_mfcc widens them
+        # a block at a time and gives the float64 scaling's features
+        pcm = np.random.default_rng(5).integers(-32768, 32768, 40_000).astype(np.int16)
+        wavfile.write(str(tmp_path / "in.wav"), 16000, pcm)
+        _, x = read_wav(tmp_path / "in.wav")
+        assert x.dtype == np.float32
+        got, want = compute_mfcc(x), compute_mfcc(pcm / 32768.0)
+        assert np.array_equal(got.frames, want.frames)
+        assert np.array_equal(got.log_energy, want.log_energy)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite_before_writing(self, tmp_path, bad):
+        # an int16 cast of NaN or inf is arbitrary; the count covers every
+        # block, and the first is named by its index
+        x = np.zeros(3 * corpus._PCM16_BLOCK)
+        x[[corpus._PCM16_BLOCK + 7, -1]] = bad
+        path = tmp_path / "out.wav"
+        with pytest.raises(ValueError, match=rf"^{path}: 2 non-finite samples, "
+                                             rf"the first at index {corpus._PCM16_BLOCK + 7}$"):
+            write_wav_pcm16(path, x)
+        assert not path.exists()
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "cut.wav"

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from asrboot import synth
 from asrboot.corpus import CANONICAL_RATE, load_manifest, wav_duration
 from asrboot.synth import (
+    NOISE_BLOCK,
     SIGNATURE_DISTANCE_FLOOR,
     SynthError,
     SynthSpec,
@@ -73,32 +75,55 @@ class TestSynthWord:
     def test_infinite_snr_is_clean(self):
         x = np.ones(100)
         rng = np.random.default_rng(0)
-        assert np.array_equal(add_noise(x, math.inf, rng), x)
+        assert add_noise(x, math.inf, rng) is x
+        assert np.array_equal(x, np.ones(100))
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_snr_rejected(self, snr_db):
+        # -inf is not "no noise", and NaN would make every sample NaN
+        with pytest.raises(ValueError, match="snr_db"):
+            SynthSpec(snr_db=snr_db)
+        x = np.ones(100)
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise(x, snr_db, np.random.default_rng(0))
+        assert np.array_equal(x, np.ones(100))
+
+    @pytest.mark.parametrize("x", [np.ones(100, np.float32), np.ones((50, 2))],
+                             ids=["float32", "2-D"])
+    def test_noise_needs_one_dimensional_float64(self, x):
+        # the noise is added in place: float32 would round it
+        with pytest.raises(ValueError, match="1-D float64"):
+            add_noise(x, 20.0, np.random.default_rng(0))
 
     def test_noise_hits_requested_snr(self):
         spec = SynthSpec(duration_jitter=0.0)
         audio, _ = synth_word("ABABABABAB", spec, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        noisy = add_noise(audio, 20.0, rng)
+        noisy = add_noise(audio.copy(), 20.0, rng)
         noise = noisy - audio
         snr = 10 * np.log10(np.mean(audio**2) / np.mean(noise**2))
         assert abs(snr - 20.0) < 1.0
 
-    def test_noise_leaves_input_unchanged(self):
-        x = np.concatenate([np.zeros(50), np.linspace(-0.5, 0.5, 200)])
+    def test_noise_adds_the_same_single_draw_in_place(self):
+        # two and a half blocks: the blocked gather and draws equal one
+        # whole-signal mask and one draw of len(x) values, to the bit
+        n = 5 * NOISE_BLOCK // 2
+        x = np.concatenate([np.zeros(50), np.linspace(-0.5, 0.5, n - 50)])
+        x[::7] = 0.0
         before = x.copy()
-        noisy = add_noise(x, 10.0, np.random.default_rng(2))
-        assert np.array_equal(x, before)
-        # the same draw, added the other way round
-        power = np.mean(x[np.abs(x) > 1e-9] ** 2) / 10.0
-        drawn = np.random.default_rng(2).normal(0.0, math.sqrt(power), size=len(x))
-        assert np.array_equal(noisy, x + drawn)
+        assert add_noise(x, 10.0, np.random.default_rng(2)) is x
+        power = np.mean(before[np.abs(before) > 1e-9] ** 2) / 10.0
+        drawn = np.random.default_rng(2).normal(0.0, math.sqrt(power), size=n)
+        assert np.array_equal(x, before + drawn)
 
     def test_noise_allocates_about_one_signal(self):
-        # the mask is two bool arrays, not a float |x|, and the active
-        # samples are freed before the full-length draw
-        x = np.random.default_rng(3).normal(0.0, 0.3, 300_000)
+        # in place: the one signal-length allocation is the gathered
+        # active samples, exactly their count; the masks and the noise
+        # are a block long
+        x = np.random.default_rng(3).normal(0.0, 0.3, 1_000_000)
         x[::3] = 0.0
+        active_bytes = np.count_nonzero(x) * x.itemsize
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -106,7 +131,7 @@ class TestSynthWord:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * x.nbytes
+        assert peak < active_bytes + 2 * NOISE_BLOCK * x.itemsize
 
     def test_signatures_distinguishable(self):
         assert SynthSpec().min_signature_distance() >= SIGNATURE_DISTANCE_FLOOR
@@ -201,6 +226,39 @@ class TestSynthCorpus:
         a, b = files(tmp_path / "a"), files(tmp_path / "b")
         assert "audio/long000.wav" in a and "ground_truth.json" in a
         assert a == b
+
+    def test_long_form_memory_is_about_one_recording(self, tmp_path):
+        # a 2-min recording: its one float64 buffer (the target plus one
+        # phrase and gap) and the active samples add_noise gathers, about
+        # 1.5x the recording's float64 bytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            corpus = synth_corpus(SynthSpec(seed=2), tmp_path, n_shortform=1,
+                                  longform_minutes=2.0, n_test=1, vocabulary_size=20,
+                                  longform_recording_minutes=2.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        (rec,) = corpus.longform
+        assert peak < 1.6 * 8 * wav_duration(rec.audio) * CANONICAL_RATE
+
+    def test_long_form_buffer_holds_the_longest_phrase(self, tmp_path, monkeypatch):
+        # every phrase as long as the bound allows, the second starting one
+        # sample before the target: its write ends 114,399 samples past it
+        monkeypatch.setattr(synth, "WORD_LENGTH", (5, 5))
+        monkeypatch.setattr(synth, "UTTERANCE_WORDS", (8, 8))
+        spec = SynthSpec(duration_jitter=0.0, word_gap=(0.45, 0.45),
+                         utterance_gap=(0.7, 0.7))
+        phrase = 8 * 5 * 1600 + 7 * 7200
+        second = 2400 + phrase + 11200
+        minutes = (second + 1) / CANONICAL_RATE / 60.0
+        corpus = synth_corpus(spec, tmp_path, n_shortform=0, longform_minutes=minutes,
+                              n_test=0, vocabulary_size=5,
+                              longform_recording_minutes=minutes)
+        (rec,) = corpus.longform
+        assert [round(u["start"] * CANONICAL_RATE) for u in rec.utterances] == [2400, second]
+        assert round(wav_duration(rec.audio) * CANONICAL_RATE) == second + phrase + 11200
 
     def test_corruption_recorded(self, tmp_path):
         spec = SynthSpec(seed=11)
