@@ -30,6 +30,7 @@ from .textnorm import utf8_lines
 
 logger = logging.getLogger(__name__)
 
+# Hz: every canonical recording's rate, and the front end's
 CANONICAL_RATE = 16000
 
 SHORT_FORM = "short_form"
@@ -275,40 +276,41 @@ def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> No
     wavfile.write(str(path), rate, samples)
 
 
-def resample(samples: np.ndarray, rate: int, target_rate: int = CANONICAL_RATE) -> np.ndarray:
-    """Polyphase windowed-sinc resampling to the target rate.
+def resample(samples: np.ndarray, rate: int) -> np.ndarray:
+    """Polyphase windowed-sinc resampling from ``rate`` to
+    ``CANONICAL_RATE``, the front end's rate; samples already at it are
+    returned as they are.
 
-    Both rates must be integers from 1 (a bool is not).  ``scipy.signal``
+    ``rate`` must be an integer from 1 (a bool is not).  ``scipy.signal``
     is imported on the first call that resamples, not with this module.
     """
-    for name, value in (("rate", rate), ("target_rate", target_rate)):
-        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not integral or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1 Hz, got {value!r}")
-    if rate == target_rate:
+    if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate < 1:
+        raise ValueError(f"rate must be an integer >= 1 Hz, got {rate!r}")
+    if rate == CANONICAL_RATE:
         return samples
     # about 47 MB and 0.6 s to import, with the scipy subpackages it loads
     from scipy.signal import firwin, resample_poly
 
-    g = math.gcd(rate, target_rate)
-    up, down = target_rate // g, rate // g
+    g = math.gcd(rate, CANONICAL_RATE)
+    up, down = CANONICAL_RATE // g, rate // g
     # polyphase windowed-sinc prototype: 64 taps per phase, Kaiser window
     factor = max(up, down)
     taps = firwin(2 * 32 * factor + 1, 1.0 / factor, window=("kaiser", 8.555))
     return resample_poly(samples, up, down, window=taps)
 
 
-def canonicalize_audio(input_path, out_path, rec_id: str | None = None) -> Recording:
-    """Convert any supported WAV to 16 kHz mono 16-bit PCM.
+def canonicalize_audio(input_path, out_path) -> Recording:
+    """Convert any supported WAV to 16 kHz mono 16-bit PCM at ``out_path``,
+    a `Recording` whose id is the stem of ``out_path``.
 
     Already-canonical input is copied byte-for-byte (so canonicalization
     is idempotent bit-exactly); a PCM header tells without reading the
-    samples.  Stereo is downmixed by averaging.
+    samples.  Stereo is downmixed by averaging, then `resample`d to
+    ``CANONICAL_RATE``.
     """
     input_path = Path(input_path)
     out_path = Path(out_path)
-    if rec_id is None:
-        rec_id = out_path.stem
+    rec_id = out_path.stem
 
     header = _pcm_header(input_path)
     if header is not None and header[:3] == (CANONICAL_RATE, 1, 2) and header[3]:

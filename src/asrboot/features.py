@@ -26,14 +26,13 @@ Each thread works in its own fixed buffers, made once per call, so a
 split track costs two blocks' buffers, not one: about 5 MiB each at
 ``BLOCK_FRAMES`` = 500 rows.  Apart from the (T, 39) output, peak memory
 does not grow with the length of the recording.
-The Hamming window and the mel bank are built once per
-`FrontendConfig`, not per clip.
+The settings are the constants of `FrontendConfig`; the Hamming window
+and the mel bank are built once, not per clip.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -65,47 +64,28 @@ def check_count(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    sample_rate: int = CANONICAL_RATE
-    frame_length: float = 0.025
-    frame_shift: float = 0.010
-    n_mels: int = 23
-    n_ceps: int = 13
-    preemphasis: float = 0.97
-    fmin: float = 20.0
-    fmax: float = 7800.0
+    """The front end's fixed settings, as class constants: 16 kHz samples,
+    25 ms Hamming windows every 10 ms, pre-emphasis 0.97, 23 mel bands
+    from 20 Hz to 7.8 kHz and 13 cepstra.  Every feature in the package is
+    computed with them, so a model and the features it decodes agree.
 
-    def __post_init__(self):
-        for name, seconds in (("frame_length", self.frame_length),
-                              ("frame_shift", self.frame_shift)):
-            # rounded to whole samples, as window_samples and shift_samples do
-            if not 0.5 < seconds * self.sample_rate < math.inf:
-                raise ValueError(f"{name} must be at least one sample, got {seconds}")
-        check_count("n_mels", self.n_mels)
-        check_count("n_ceps", self.n_ceps)
-        if self.n_ceps > self.n_mels:
-            raise ValueError(
-                f"n_ceps must be in 1..n_mels ({self.n_mels}), got {self.n_ceps}"
-            )
-        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
-            raise ValueError(
-                f"need 0 <= fmin < fmax <= sample_rate / 2, got fmin {self.fmin}, "
-                f"fmax {self.fmax}, sample_rate {self.sample_rate}"
-            )
+    The class has no fields: ``FrontendConfig()`` takes no argument and
+    its attributes cannot be set.
+    """
 
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.frame_length * self.sample_rate))
+    sample_rate = CANONICAL_RATE
+    frame_length = 0.025  # seconds
+    frame_shift = 0.010  # seconds
+    n_mels = 23
+    n_ceps = 13
+    preemphasis = 0.97
+    fmin = 20.0  # Hz
+    fmax = 7800.0  # Hz
 
-    @property
-    def shift_samples(self) -> int:
-        return int(round(self.frame_shift * self.sample_rate))
-
-    @property
-    def n_fft(self) -> int:
-        n = 1
-        while n < self.window_samples:
-            n *= 2
-        return n
+    window_samples = int(round(frame_length * sample_rate))  # 400
+    shift_samples = int(round(frame_shift * sample_rate))  # 160
+    # the rfft length: the least power of two >= window_samples
+    n_fft = 1 << (window_samples - 1).bit_length()  # 512
 
 
 @dataclass(frozen=True)
@@ -141,8 +121,9 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
+def mel_filterbank() -> np.ndarray:
     """Triangular mel filters, (n_mels, n_fft // 2 + 1)."""
+    cfg = FrontendConfig
     n_bins = cfg.n_fft // 2 + 1
     freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
     mel_points = np.linspace(
@@ -158,17 +139,20 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return bank
 
 
-@functools.lru_cache(maxsize=16)
-def _analysis_tables(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The Hamming window and the transposed mel bank of ``cfg``, read-only,
-    built once per config for every clip it analyses."""
-    hamming = np.hamming(cfg.window_samples)
-    bank = mel_filterbank(cfg)
+@functools.cache
+def _analysis_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The Hamming window and the transposed mel bank, read-only, built
+    once for every clip."""
+    hamming = np.hamming(FrontendConfig.window_samples)
+    bank = mel_filterbank()
     hamming.flags.writeable = bank.flags.writeable = False
     return hamming, bank.T
 
 
 def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
+    """Frames of an ``n_samples`` signal, snipped at the edges:
+    T = 1 + floor((N - 400) / 160).  `AudioTooShortError` below one
+    400-sample window."""
     if n_samples < cfg.window_samples:
         raise AudioTooShortError(
             f"{n_samples} samples is shorter than one "
@@ -177,18 +161,15 @@ def frame_count(n_samples: int, cfg: FrontendConfig) -> int:
     return 1 + (n_samples - cfg.window_samples) // cfg.shift_samples
 
 
-def _deltas(frames: np.ndarray, half_window: int = 2) -> np.ndarray:
-    # +-2 frame regression with edge replication
-    weights = np.arange(1, half_window + 1, dtype=np.float64)
-    denom = 2.0 * np.sum(weights**2)
-    padded = np.pad(frames, ((half_window, half_window), (0, 0)), mode="edge")
+def _deltas(frames: np.ndarray) -> np.ndarray:
+    """+-2 frame regression with edge replication:
+    sum_n n (c[t + n] - c[t - n]) / (2 sum_n n^2) over n = 1, 2."""
+    t = len(frames)
+    padded = np.pad(frames, ((2, 2), (0, 0)), mode="edge")
     out = np.zeros_like(frames)
-    for n in range(1, half_window + 1):
-        out += n * (
-            padded[half_window + n : half_window + n + len(frames)]
-            - padded[half_window - n : half_window - n + len(frames)]
-        )
-    return out / denom
+    out += padded[3 : 3 + t] - padded[1 : 1 + t]
+    out += 2 * (padded[4 : 4 + t] - padded[:t])
+    return out / 10.0
 
 
 def _check_finite(x: np.ndarray, step: int) -> None:
@@ -199,7 +180,7 @@ def _check_finite(x: np.ndarray, step: int) -> None:
             raise ValueError(non_finite_summary(x, lo, step))
 
 
-def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
+def _cepstra(x, starts, rows, ceps, log_energy, first, last) -> None:
     """Cepstra and log energy of blocks ``starts[first:last]`` of float
     signal ``x``, each block ``rows`` frames, written into ``ceps`` and
     ``log_energy``.  Block k writes only the rows that no later block
@@ -210,9 +191,10 @@ def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
     and mel values live in buffers made once per call: a call's
     transients are one block's, at a fixed size, where per-block
     temporaries on two threads would overlap or not by timing."""
+    cfg = FrontendConfig
     window, shift = cfg.window_samples, cfg.shift_samples
     n_frames, n_ceps = len(log_energy), cfg.n_ceps
-    hamming, bank_t = _analysis_tables(cfg)
+    hamming, bank_t = _analysis_tables()
     n_bins = cfg.n_fft // 2 + 1
     # a block's samples, widened to float64, and its frames read through it
     span = np.empty((rows - 1) * shift + window)
@@ -246,9 +228,10 @@ def _cepstra(x, cfg, starts, rows, ceps, log_energy, first, last) -> None:
         ceps[start:stop] = dct(mel, type=2, axis=1, norm="ortho")[: stop - start, :n_ceps]
 
 
-def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> FeatureMatrix:
-    """MFCC features from canonical-format float samples of any width, as
-    ``corpus.read_wav`` returns them; float32 samples give the features of
+def compute_mfcc(samples: np.ndarray) -> FeatureMatrix:
+    """MFCC features, (T, 39), at the settings of `FrontendConfig`, from
+    16 kHz mono float samples of any width, as ``corpus.read_wav`` returns
+    them; float32 samples give the features of
     ``samples.astype(np.float64)`` to the bit, with no such copy made.
 
     A call of T >= 2 * ``MIN_SPLIT`` frames, in a process that may use two
@@ -282,6 +265,7 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
             f"{samples.dtype} samples are not float; "
             "corpus.read_wav scales any supported WAV to float in [-1, 1]"
         )
+    cfg = FrontendConfig()
     n_frames = frame_count(len(samples), cfg)
     _check_finite(samples, BLOCK_FRAMES * cfg.shift_samples)
     split = n_frames >= 2 * MIN_SPLIT and threads.usable_cpus() > 1
@@ -295,7 +279,7 @@ def compute_mfcc(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) ->
     frames = np.empty((n_frames, 3 * n_ceps))
     ceps = frames[:, :n_ceps]
     log_energy = np.empty(n_frames)
-    blocks = functools.partial(_cepstra, samples, cfg, starts, rows, ceps, log_energy)
+    blocks = functools.partial(_cepstra, samples, starts, rows, ceps, log_energy)
     if not split:
         blocks(0, len(starts))
     else:

@@ -10,7 +10,7 @@ are long enough (``_MIN_DUR``), short enough (``_MAX_DUR``), and clean
 enough (``_ACCEPT_RATIO``) become utterance segments; a piece longer than
 ``_MAX_DUR`` is split at its widest internal silence.
 
-The features are the default front end's with CMVN, as the model's
+The features are the front end's with CMVN, as the model's
 training features are; the silence threshold is `features.silence_mask`'s
 and the Smith-Waterman scores are the module constants ``_SW_MATCH``,
 ``_SW_MISMATCH`` and ``_SW_GAP``.  `HarvestConfig` holds only what a
@@ -230,12 +230,15 @@ class SegmentReport:
 
 @dataclass(frozen=True)
 class HarvestConfig:
+    """What a harvest varies; the features are the front end's
+    (`features.FrontendConfig`), as the model's training features are."""
+
     decode: DecodeConfig  # each chunk's search
     chunk_len: float = 30.0  # seconds; the longest chunk decoded at once
 
     def __post_init__(self):
         # NaN fails each comparison; an infinite length has no frame count
-        if not 2 * FrontendConfig().frame_shift <= self.chunk_len < math.inf:
+        if not 2 * FrontendConfig.frame_shift <= self.chunk_len < math.inf:
             raise ValueError(
                 "chunk_len must be finite and at least two frame shifts, "
                 f"got {self.chunk_len}"
@@ -306,7 +309,7 @@ def harvest_segments(
     at transcript line ends.  ``samples`` are float and mono at
     `corpus.CANONICAL_RATE`, as `corpus.read_wav` returns them (float32
     for 16-bit audio, read without a float64 copy): the samples the
-    default front end reads.
+    front end reads.
 
     A piece is kept when it lasts from ``_MIN_DUR`` to ``_MAX_DUR``
     seconds (a longer one is split at a silence first) and at least

@@ -223,10 +223,11 @@ def viterbi_reference(graph, model, frames):
     return path, total
 
 
-def mfcc_reference(samples, cfg=FrontendConfig()):
+def mfcc_reference(samples):
     """(frames, log_energy) of the whole signal in one pass, every frame
     gathered at once: the reference the block-wise ``compute_mfcc`` is
     held to."""
+    cfg = FrontendConfig()
     x = np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(len(x), cfg)
     window, shift = cfg.window_samples, cfg.shift_samples
@@ -239,7 +240,7 @@ def mfcc_reference(samples, cfg=FrontendConfig()):
     windowed = emphasized * np.hamming(window)
 
     power = np.abs(np.fft.rfft(windowed, cfg.n_fft)) ** 2 / cfg.n_fft
-    log_mel = np.log(np.maximum(power @ mel_filterbank(cfg).T, ENERGY_FLOOR))
+    log_mel = np.log(np.maximum(power @ mel_filterbank().T, ENERGY_FLOOR))
     ceps = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_ceps]
     ceps[:, 0] = log_energy
     d1 = _deltas(ceps)

@@ -361,14 +361,10 @@ class TestCanonicalize:
         with pytest.raises(AudioFormatError, match=r"in\.wav: sample rate 0 Hz"):
             entry(src)
 
-    @pytest.mark.parametrize(
-        "rate, target_rate",
-        [(0, 16000), (16000, 0), (-8000, 16000), (True, 16000), (16000, True),
-         (8000.0, 16000), (8000, 16000.5), ("8000", 16000)],
-    )
-    def test_resample_rates_are_integers_from_one(self, rate, target_rate):
-        with pytest.raises(ValueError, match="must be an integer >= 1 Hz"):
-            resample(np.zeros(800), rate, target_rate)
+    @pytest.mark.parametrize("rate", [0, -8000, True, 8000.0, "8000"])
+    def test_resample_rates_are_integers_from_one(self, rate):
+        with pytest.raises(ValueError, match="rate must be an integer >= 1 Hz"):
+            resample(np.zeros(800), rate)
 
 
 

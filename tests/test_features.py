@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -76,7 +77,7 @@ class TestMfcc:
         assert abs(peak_hz - 1000.0) <= cfg.sample_rate / cfg.n_fft
 
         power = spectrum**2 / cfg.n_fft
-        mel_resp = power @ mel_filterbank(cfg).T
+        mel_resp = power @ mel_filterbank().T
         centers_mel = np.linspace(
             2595 * np.log10(1 + cfg.fmin / 700),
             2595 * np.log10(1 + cfg.fmax / 700),
@@ -98,15 +99,15 @@ class TestMfcc:
         assert np.allclose(b[:, 0] - a[:, 0], 2 * np.log(2.0), atol=1e-9)
 
 
-def noise(n_frames, cfg=CFG):
+def noise(n_frames):
     """Noise with n_frames frames and a tail too short for another."""
-    n = cfg.window_samples + cfg.shift_samples * (n_frames - 1) + 77
+    n = CFG.window_samples + CFG.shift_samples * (n_frames - 1) + 77
     return np.random.default_rng(0).normal(0.0, 0.1, n)
 
 
-def assert_matches_reference(x, cfg=CFG):
-    f = compute_mfcc(x, cfg)
-    frames, log_energy = mfcc_reference(x, cfg)
+def assert_matches_reference(x):
+    f = compute_mfcc(x)
+    frames, log_energy = mfcc_reference(x)
     assert np.array_equal(f.frames, frames)
     assert np.array_equal(f.log_energy, log_energy)
 
@@ -129,14 +130,8 @@ class TestBlocks:
         assert compute_mfcc(x).n_frames == n_frames
         assert_matches_reference(x)
 
-    def test_other_frame_shift(self):
-        cfg = FrontendConfig(frame_shift=0.015)
-        x = noise(2 * BLOCK_FRAMES + 1, cfg=cfg)
-        assert compute_mfcc(x, cfg).n_frames == 2 * BLOCK_FRAMES + 1
-        assert_matches_reference(x, cfg)
-
     def test_a_bank_the_caller_changes_leaves_the_features(self):
-        mel_filterbank(CFG)[:] = 0.0
+        mel_filterbank()[:] = 0.0
         assert_matches_reference(noise(10))
 
     def test_input_untouched(self):
@@ -162,13 +157,13 @@ class TestBlocks:
         assert peak - base < 24 * 2**20
 
 
-def split_layout(n_frames, cfg=CFG):
+def split_layout(n_frames):
     """The block rule of a call that splits: rows per block, block starts,
     and the first sample past the caller's half of the blocks."""
     rows = min(BLOCK_FRAMES, -(-n_frames // 2))
     starts = [min(s, n_frames - rows) for s in range(0, n_frames, rows)]
     half = (len(starts) + 1) // 2
-    reach = (starts[half - 1] + rows - 1) * cfg.shift_samples + cfg.window_samples
+    reach = (starts[half - 1] + rows - 1) * CFG.shift_samples + CFG.window_samples
     return rows, starts, reach
 
 
@@ -244,7 +239,7 @@ class TestSplit:
         for k in range(len(starts)):
             ceps = np.full((self.LONG, CFG.n_ceps), np.nan)
             log_energy = np.full(self.LONG, np.nan)
-            _cepstra(x, CFG, starts, rows, ceps, log_energy, k, k + 1)
+            _cepstra(x, starts, rows, ceps, log_energy, k, k + 1)
             assert np.array_equal(np.isnan(ceps).all(axis=1), np.isnan(log_energy))
             written.append(np.flatnonzero(~np.isnan(log_energy)).tolist())
         ends = starts[1:] + [self.LONG]
@@ -338,33 +333,15 @@ class TestInputChecks:
 
 
 class TestFrontendConfig:
-    @pytest.mark.parametrize(
-        "fields, named",
-        [
-            ({"frame_shift": 0}, "frame_shift"),
-            ({"frame_shift": 1e-5}, "frame_shift"),  # rounds to 0 samples
-            ({"frame_length": 0}, "frame_length"),
-            ({"frame_length": float("nan")}, "frame_length"),
-            ({"n_mels": 0}, "n_mels"),
-            ({"n_ceps": 0}, "n_ceps"),
-            ({"n_ceps": 30}, "n_ceps"),
-            ({"fmin": -1.0}, "fmin"),
-            ({"fmin": 8000.0, "fmax": 7800.0}, "fmin < fmax"),
-            ({"fmax": 12000.0}, "fmax <= sample_rate / 2"),
-            # before, these failed later, inside compute_mfcc, with a TypeError
-            ({"n_mels": 23.5}, "n_mels must be an integer"),
-            ({"n_mels": True}, "n_mels must be an integer"),
-            ({"n_ceps": 12.5}, "n_ceps must be an integer"),
-        ],
-    )
-    def test_field_out_of_range_named(self, fields, named):
-        with pytest.raises(ValueError, match=named):
-            FrontendConfig(**fields)
-
-    def test_limits_accepted(self):
-        # one-sample shift, n_ceps == n_mels, the full band up to Nyquist
-        FrontendConfig(frame_shift=1 / 16000, n_mels=13, n_ceps=13,
-                       fmin=0.0, fmax=8000.0)
+    def test_holds_no_setting(self):
+        # the settings are class constants: none can be passed or set
+        assert dataclasses.fields(CFG) == ()
+        with pytest.raises(TypeError):
+            FrontendConfig(frame_shift=0.015)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CFG.frame_shift = 0.015
+        assert FrontendConfig.frame_shift == 0.010
+        assert (CFG.window_samples, CFG.shift_samples, CFG.n_fft) == (400, 160, 512)
 
 
 class TestCmvn:

@@ -556,12 +556,11 @@ def tiny_harvest(out_dir, corruption_rate=0.0):
         mp.setattr(segment, "decode", counting_decode)
         segments, rep = recipe.harvest(rec, trained.model, lexicon, HARVEST)
     samples, lines = handed["samples"], handed["lines"]
-    frontend = FrontendConfig()
     return SimpleNamespace(
         chunks=chunks, decoded=decoded, pieces=pieces, samples=samples,
         segments=segments, report=rep,
-        duration=len(samples) / frontend.sample_rate,
-        shift=frontend.frame_shift, truth=rec.utterances,
+        duration=len(samples) / FrontendConfig.sample_rate,
+        shift=FrontendConfig.frame_shift, truth=rec.utterances,
         truth_path=corp.ground_truth_path(), recording_id=rec.recording_id,
         lines=lines,
         ref_tokens=[t for line in lines for t in line],
