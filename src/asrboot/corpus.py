@@ -3,7 +3,13 @@
 Manifests are UTF-8 JSON Lines with fields ``id``, ``audio`` and ``text``.
 An utterance is its whole audio file: a line with ``start`` or ``end``
 seconds is rejected, never read as the whole file.  Audio is
-canonicalized to 16 kHz mono 16-bit PCM WAV.  Subsetting by a minute
+canonicalized to 16 kHz mono 16-bit PCM WAV.
+
+WAV files are read and written here with ``struct`` and numpy alone: one
+RIFF/WAVE header parser serves `read_wav`, `wav_duration` and
+`canonicalize_audio`, and tells a file's layout, length and faults from
+its header before any sample is read.  scipy is imported only to
+resample, on the first call that needs it.  Subsetting by a minute
 budget is nested: with a fixed seed, a smaller budget is always a prefix
 of a larger one.
 """
@@ -17,14 +23,11 @@ import os
 import random
 import shutil
 import struct
-import warnings
-import wave
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.io import wavfile
 
 from .textnorm import utf8_lines
 
@@ -133,97 +136,142 @@ def write_manifest(utterances: Iterable[Utterance], path) -> None:
 # ---------------------------------------------------------------------------
 # audio
 
+# the WAVE format tags read: PCM, IEEE float, and the extensible header
+# whose sub-format GUID names one of the two
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# the sub-format GUID after its format tag: {XXXXXXXX-0000-0010-8000-00AA00389B71}
+_GUID_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
+# (format tag, bytes per stored sample) -> the dtype of the stored samples;
+# 24-bit PCM is returned as int32 with the 3 bytes at its top, as
+# scipy.io.wavfile reads it
+_SAMPLE_DTYPES = {
+    (_PCM, 1): np.dtype(np.uint8),
+    (_PCM, 2): np.dtype("<i2"),
+    (_PCM, 3): np.dtype("<i4"),
+    (_PCM, 4): np.dtype("<i4"),
+    (_FLOAT, 4): np.dtype("<f4"),
+    (_FLOAT, 8): np.dtype("<f8"),
+}
+
+
+class _WavHeader(NamedTuple):
+    """What a RIFF/WAVE header says of the samples after it."""
+
+    rate: int
+    channels: int
+    dtype: np.dtype  # of the samples as `_samples` returns them
+    width: int  # bytes per stored sample
+    n_frames: int
+    offset: int  # of the first sample in the file
+
+
+def _wav_header(path) -> _WavHeader:
+    """Parse a RIFF/WAVE file's chunks up to its samples, reading none of
+    them: PCM of 1 to 4 bytes a sample or IEEE float of 4 or 8, plain or
+    as ``WAVE_FORMAT_EXTENSIBLE``, one or two channels.  Chunks other than
+    ``fmt `` before the ``data`` chunk are skipped (``LIST`` and the
+    like), and any after it is not read; the RIFF size is not used.
+
+    Raises `AudioFormatError` naming the path for any other layout, and
+    for a file that is not RIFF WAVE, has no ``fmt `` chunk before its
+    ``data`` chunk, a rate of 0 Hz or no whole frame, or ends before the
+    last whole frame of its ``data`` chunk."""
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        riff = fh.read(12)
+        if riff[:4] != b"RIFF":
+            raise AudioFormatError(
+                f"{path}: file format {riff[:4]!r} not understood, need b'RIFF'"
+            )
+        if riff[8:] != b"WAVE":
+            raise AudioFormatError(
+                f"{path}: RIFF form type {riff[8:]!r} not understood, need b'WAVE'"
+            )
+        fmt = None
+        while True:
+            head = fh.read(8)
+            if len(head) < 8:
+                raise AudioFormatError(f"{path}: malformed WAV file (no data chunk)")
+            chunk_id, size = struct.unpack("<4sI", head)
+            if chunk_id == b"data":
+                break
+            body = fh.tell()
+            if chunk_id == b"fmt ":
+                fmt = fh.read(min(size, 40))  # the extensible header's length
+                if len(fmt) < 16:
+                    raise AudioFormatError(
+                        f"{path}: malformed WAV header (fmt chunk of {len(fmt)} bytes)"
+                    )
+            fh.seek(body + size + size % 2)  # a chunk of odd size is padded
+        offset = fh.tell()
+    if fmt is None:
+        raise AudioFormatError(f"{path}: malformed WAV file (no fmt chunk before the data)")
+    tag, channels, rate, _, block_align, _ = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _EXTENSIBLE and len(fmt) == 40 and fmt[28:] == _GUID_TAIL:
+        tag = int.from_bytes(fmt[24:28], "little")
+    if channels == 0:
+        raise AudioFormatError(f"{path}: malformed WAV header (0 channels)")
+    if channels > 2:
+        raise AudioFormatError(f"{path}: {channels} channels unsupported")
+    width, odd = divmod(block_align, channels)
+    dtype = _SAMPLE_DTYPES.get((tag, width))
+    if dtype is None or odd:
+        raise AudioFormatError(
+            f"{path}: unsupported sample format (format tag {tag:#06x}, "
+            f"{block_align}-byte frames of {channels} channels)"
+        )
+    if rate < 1:
+        raise AudioFormatError(f"{path}: sample rate {rate} Hz, need at least 1")
+    n_frames = size // block_align
+    if n_frames == 0:
+        raise AudioFormatError(f"{path}: zero-length audio")
+    missing = offset + n_frames * block_align - file_size
+    if missing > 0:
+        raise AudioFormatError(f"{path}: truncated, {missing} bytes of samples missing")
+    return _WavHeader(rate, channels, dtype, width, n_frames, offset)
+
+
+def _samples(path, header: _WavHeader) -> np.ndarray:
+    """The samples as stored, (n_frames,) for one channel and
+    (n_frames, 2) for two, in ``header.dtype``."""
+    count = header.n_frames * header.channels
+    if header.width == header.dtype.itemsize:
+        data = np.fromfile(path, header.dtype, count, offset=header.offset)
+    else:  # 24-bit: each sample's bytes become the top 3 of an int32
+        data = np.zeros((count, 4), dtype=np.uint8)
+        data[:, 1:] = np.fromfile(path, np.uint8, 3 * count,
+                                  offset=header.offset).reshape(count, 3)
+        data = data.view(header.dtype).reshape(count)
+    return data.reshape(header.n_frames, 2) if header.channels == 2 else data
+
+
 def wav_duration(path) -> float:
-    """Duration in seconds: a PCM file's from its header alone, any other
-    format's from its samples.  A truncated or unreadable file raises
-    `AudioFormatError` naming the path."""
-    header = _pcm_header(path)
-    if header is not None:
-        rate, _, _, n_samples = header
-        return n_samples / rate
-    rate, raw = _read_raw(path)
-    return len(raw) / rate
+    """Duration in seconds of a WAV file `read_wav` reads, from its header
+    alone.  A file it would reject raises `AudioFormatError` naming the
+    path, as it does there."""
+    header = _wav_header(path)
+    return header.n_frames / header.rate
 
 
 def read_wav(path) -> tuple[int, np.ndarray]:
-    """Read a RIFF/WAVE file into (rate, float samples in [-1, 1]).
+    """Read a RIFF/WAVE file into (rate, float samples in [-1, 1]), one
+    sample per row for one channel, two columns for two.
 
-    The samples are float32 for 8- and 16-bit PCM and float32 files, and
-    float64 for 32-bit PCM and float64 files: the narrowest float that
-    holds every stored value exactly, so widening them to float64 gives
-    the float64 scaling to the bit, at half its size for 16-bit audio."""
-    rate, data = _read_raw(path)
-    return rate, _scaled(path, data, np.float32)
-
-
-def _read_raw(path) -> tuple[int, np.ndarray]:
-    """(rate, samples as stored); an unreadable, truncated or empty file
-    raises `AudioFormatError` naming the path.  Other ``WavFileWarning``s
-    (an unknown chunk) pass through, or, where the caller's filters raise
-    them, become an `AudioFormatError` naming the path."""
-    try:
-        with warnings.catch_warnings():
-            # scipy warns, and returns what it read, for a file that ends
-            # before its header says
-            warnings.filterwarnings(
-                "error", "Reached EOF prematurely", wavfile.WavFileWarning
-            )
-            rate, data = wavfile.read(path)
-    except wavfile.WavFileWarning as exc:
-        if str(exc).startswith("Reached EOF prematurely"):
-            raise AudioFormatError(f"{path}: truncated ({exc})") from None
-        raise AudioFormatError(f"{path}: {exc}") from None
-    except (ValueError, struct.error) as exc:  # struct: a header cut short
-        raise AudioFormatError(f"{path}: {exc}") from None
-    except ZeroDivisionError:  # scipy divides by the channels and the block size
-        raise AudioFormatError(
-            f"{path}: malformed WAV header (0 channels or 0-byte samples)"
-        ) from None
-    except UnboundLocalError:  # scipy read no data chunk
-        raise AudioFormatError(f"{path}: malformed WAV file (no data chunk)") from None
-    _check_rate(path, rate)
-    if data.size == 0:
-        raise AudioFormatError(f"{path}: zero-length audio")
-    return rate, data
+    Read are PCM of 8, 16, 24 and 32 bits and IEEE float of 32 and 64,
+    plain or as ``WAVE_FORMAT_EXTENSIBLE``; any other file raises
+    `AudioFormatError` naming the path.  The samples are float32 for 8-
+    and 16-bit PCM and float32 files, and float64 for 24- and 32-bit PCM
+    and float64 files: the narrowest float that holds every stored value
+    exactly, so widening them to float64 gives the float64 scaling to the
+    bit, at half its size for 16-bit audio."""
+    header = _wav_header(path)
+    return header.rate, _scaled(_samples(path, header), np.float32)
 
 
-def _check_rate(path, rate: int) -> None:
-    if rate < 1:
-        raise AudioFormatError(f"{path}: sample rate {rate} Hz, need at least 1")
-
-
-def _pcm_header(path) -> tuple[int, int, int, int] | None:
-    """(rate, channels, sample width, sample count) from a PCM WAV header,
-    without reading the samples; None for a header `wave` cannot read (it
-    rejects non-PCM formats).  A file shorter than its header says, or
-    with chunk sizes `wave` cannot follow, raises."""
-    try:
-        with open(path, "rb") as fh, wave.open(fh) as wf:
-            header = (wf.getframerate(), wf.getnchannels(), wf.getsampwidth(),
-                      wf.getnframes())
-            data_start = fh.tell()  # wave stops at the samples
-    except (wave.Error, EOFError):
-        return None
-    except RuntimeError:  # wave's bare error for a chunk size it cannot seek to
-        raise AudioFormatError(
-            f"{path}: malformed WAV header (inconsistent chunk sizes)"
-        ) from None
-    rate, channels, width, n_samples = header
-    _check_rate(path, rate)
-    missing = data_start + channels * width * n_samples - os.path.getsize(path)
-    if missing > 0:
-        raise AudioFormatError(f"{path}: truncated, {missing} bytes of samples missing")
-    return header
-
-
-def _scaled(path, data: np.ndarray, dtype) -> np.ndarray:
-    """Stored samples of a supported layout in [-1, 1], as float ``dtype``,
-    or as float64 for 32-bit PCM and float64 files, whose values float32
+def _scaled(data: np.ndarray, dtype) -> np.ndarray:
+    """Stored samples in [-1, 1], as float ``dtype``, or as float64 for
+    24- and 32-bit PCM (int32) and float64 files, whose values float32
     does not hold exactly."""
-    if data.ndim == 2 and data.shape[1] > 2:
-        raise AudioFormatError(f"{path}: {data.shape[1]} channels unsupported")
-    if data.dtype not in (np.int16, np.int32, np.uint8, np.float32, np.float64):
-        raise AudioFormatError(f"{path}: unsupported sample format {data.dtype}")
     if data.dtype in (np.int32, np.float64):
         dtype = np.float64
     # scaled in place: one float array the length of the file, none when
@@ -255,10 +303,12 @@ _PCM16_BLOCK = 1 << 16  # samples scaled per float64 temporary
 
 
 def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> None:
-    """Write int16 samples; float inputs are scaled by 32768, rounded and
-    clipped.  A NaN or inf raises ``ValueError`` naming the path, the count
-    of non-finite samples and the (flat) index of the first, before the
-    file is opened."""
+    """Write samples, (n,) or (n, channels), as a 16-bit PCM WAV file: a
+    44-byte header, then the int16 samples as they lie in memory, the
+    bytes ``scipy.io.wavfile.write`` gives them.  Float inputs are scaled
+    by 32768, rounded and clipped.  A NaN or inf raises ``ValueError``
+    naming the path, the count of non-finite samples and the (flat) index
+    of the first, before the file is opened."""
     if samples.dtype != np.int16:
         # block by block into one int16 array: no float64 copy of the
         # whole signal; each step is elementwise, so the blocks change nothing
@@ -273,7 +323,15 @@ def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> No
             np.rint(block, out=block)
             dst[lo:lo + part.size] = np.clip(block, -32768, 32767, out=block)
         samples = pcm
-    wavfile.write(str(path), rate, samples)
+    channels = 1 if samples.ndim == 1 else samples.shape[1]
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + samples.nbytes, b"WAVE",
+        b"fmt ", 16, _PCM, channels, rate, 2 * channels * rate, 2 * channels, 16,
+        b"data", samples.nbytes,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        samples.tofile(fh)
 
 
 def resample(samples: np.ndarray, rate: int) -> np.ndarray:
@@ -304,7 +362,7 @@ def canonicalize_audio(input_path, out_path) -> Recording:
     a `Recording` whose id is the stem of ``out_path``.
 
     Already-canonical input is copied byte-for-byte (so canonicalization
-    is idempotent bit-exactly); a PCM header tells without reading the
+    is idempotent bit-exactly); its header tells without reading the
     samples.  Stereo is downmixed by averaging, then `resample`d to
     ``CANONICAL_RATE``.
     """
@@ -312,14 +370,8 @@ def canonicalize_audio(input_path, out_path) -> Recording:
     out_path = Path(out_path)
     rec_id = out_path.stem
 
-    header = _pcm_header(input_path)
-    if header is not None and header[:3] == (CANONICAL_RATE, 1, 2) and header[3]:
-        n_samples = header[3]
-    else:  # not PCM, not canonical or empty: the samples decide
-        rate, raw = _read_raw(input_path)
-        canonical = rate == CANONICAL_RATE and raw.ndim == 1 and raw.dtype == np.int16
-        n_samples = len(raw) if canonical else None
-    if n_samples is not None:
+    header = _wav_header(input_path)
+    if (header.rate, header.channels, header.dtype) == (CANONICAL_RATE, 1, np.int16):
         if input_path.resolve() != out_path.resolve():
             shutil.copyfile(input_path, out_path)
         return Recording(
@@ -327,13 +379,13 @@ def canonicalize_audio(input_path, out_path) -> Recording:
             audio_path=str(out_path),
             sample_rate=CANONICAL_RATE,
             channels=1,
-            duration=n_samples / CANONICAL_RATE,
+            duration=header.n_frames / CANONICAL_RATE,
         )
 
-    x = _scaled(input_path, raw, np.float64)
+    x = _scaled(_samples(input_path, header), np.float64)
     if x.ndim == 2:
         x = x.mean(axis=1)
-    y = resample(x, rate)
+    y = resample(x, header.rate)
     write_wav_pcm16(out_path, y)
     return Recording(
         id=rec_id,

@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -230,10 +231,14 @@ class _Decoder:
             raise DecodeError("no frames to decode")
         self._reset()
         emis = state_logliks(self.model, feats.frames, self.states, self.table)[0]
+        # each frame's row is read through a view of the (T, U) matrix: no
+        # T x U Python floats are built, and each read is the stored double
+        n_cols = emis.shape[1]
+        flat = memoryview(emis.reshape(-1))
         # frame 0 enters the word starts from one empty-history word end
         tokens, ends = [], [(0, 0, 0, -1, 0.0, 0.0, 0.0)]
-        for t, emit in enumerate(emis.tolist()):
-            tokens = self._step(tokens, ends, t, emit)
+        for t in range(n_frames):
+            tokens = self._step(tokens, ends, t, flat[t * n_cols : (t + 1) * n_cols])
             if not tokens:
                 raise DecodeError(f"beam emptied at frame {t}")
             ends = self._word_ends(tokens, t + 1)
@@ -242,19 +247,19 @@ class _Decoder:
     # -- one frame ---------------------------------------------------------
 
     def _step(
-        self, tokens: list[tuple], ends: list[tuple], t: int, emit: list[float]
+        self, tokens: list[tuple], ends: list[tuple], t: int, emit: Sequence[float]
     ) -> list[tuple]:
         """Frame t's surviving tokens, in the order they were built.
 
         The candidates are the self-loops, steps within a phone and phone
         entries of `tokens`, then the word starts entered from the word ends
-        `ends`, each scored with frame t's emissions `emit`.  The self-loops
-        go first, so the running best `top` starts high; a candidate below
-        `top` less the beam is never built, and one built before `top` rose
-        past it is dropped in the pass that recombines.  That pass keeps the
-        `_beats` winner per (position, LM history); of the winners, the
-        `max_active` highest totals survive, the earlier token winning a tie
-        at the cut.
+        `ends`, each scored with frame t's emissions `emit`, a sequence
+        indexed by column.  The self-loops go first, so the running best
+        `top` starts high; a candidate below `top` less the beam is never
+        built, and one built before `top` rose past it is dropped in the
+        pass that recombines.  That pass keeps the `_beats` winner per
+        (position, LM history); of the winners, the `max_active` highest
+        totals survive, the earlier token winning a tie at the cut.
         """
         col, log_self, log_fwd = self.pos_col, self.log_self, self.log_fwd
         is_exit, succ, beam = self.is_exit, self.succ, self.cfg.beam

@@ -4,7 +4,6 @@ import math
 import os
 
 import numpy as np
-from scipy.fftpack import dct
 
 from asrboot import am
 from asrboot.am import LOG_ZERO, PROB_FLOOR, AcousticModel, GmmState
@@ -14,6 +13,7 @@ from asrboot.features import (
     FeatureMatrix,
     FrontendConfig,
     _deltas,
+    dct_basis,
     frame_count,
     mel_filterbank,
 )
@@ -223,10 +223,9 @@ def viterbi_reference(graph, model, frames):
     return path, total
 
 
-def mfcc_reference(samples):
-    """(frames, log_energy) of the whole signal in one pass, every frame
-    gathered at once: the reference the block-wise ``compute_mfcc`` is
-    held to."""
+def log_mel_reference(samples):
+    """(log mel rows, log_energy) of the whole signal in one pass, every
+    frame gathered at once."""
     cfg = FrontendConfig()
     x = np.asarray(samples, dtype=np.float64)
     n_frames = frame_count(len(x), cfg)
@@ -240,8 +239,25 @@ def mfcc_reference(samples):
     windowed = emphasized * np.hamming(window)
 
     power = np.abs(np.fft.rfft(windowed, cfg.n_fft)) ** 2 / cfg.n_fft
-    log_mel = np.log(np.maximum(power @ mel_filterbank().T, ENERGY_FLOOR))
-    ceps = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_ceps]
+    return np.log(np.maximum(power @ mel_filterbank().T, ENERGY_FLOOR)), log_energy
+
+
+def band_order_dct(log_mel):
+    """The cepstra of (T, n_mels) rows: the front end's DCT basis summed
+    band by band in band order, as ``compute_mfcc`` sums it."""
+    basis = dct_basis()
+    ceps = log_mel[:, :1] * basis[0]
+    for j in range(1, len(basis)):
+        ceps += log_mel[:, j : j + 1] * basis[j]
+    return ceps
+
+
+def mfcc_reference(samples):
+    """(frames, log_energy) of the whole signal in one pass, every frame
+    gathered at once: the reference the block-wise ``compute_mfcc`` is
+    held to."""
+    log_mel, log_energy = log_mel_reference(samples)
+    ceps = band_order_dct(log_mel)
     ceps[:, 0] = log_energy
     d1 = _deltas(ceps)
     return np.hstack([ceps, d1, _deltas(d1)]), log_energy

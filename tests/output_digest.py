@@ -14,10 +14,17 @@ with every float written as ``float.hex``:
   segments and ``SegmentReport.as_dict()``.
 
     python3 tests/output_digest.py --seeds 0-9
+    python3 tests/output_digest.py --seeds 0-9 --dump DIR
 
 Run from the root of a source tree: asrboot is imported from ``src/``
 there.  Equal digests from two trees at one seed, on one machine, mean
 equal outputs there; BLAS kernels differ between machines.
+
+``--dump DIR`` also writes each seed's outputs to ``DIR/seed<N>.json``,
+with floats as JSON numbers, which read back as the floats written.  Two
+trees' dumps of one seed are compared field by field with
+``make_golden.differences``: discrete values exactly, floats to a relative
+1e-9, for a change that moves last bits and so every digest.
 """
 
 from __future__ import annotations
@@ -44,9 +51,10 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def canonical(value):
-    """JSON-ready copy of ``value``: floats as ``float.hex``, dataclasses
-    as their fields in order, arrays and tuples as lists."""
+def canonical(value, floats=float.hex):
+    """JSON-ready copy of ``value``: floats through ``floats`` (by default
+    ``float.hex``), dataclasses as their fields in order, arrays and
+    tuples as lists."""
     import numpy as np
 
     if isinstance(value, np.ndarray):
@@ -54,17 +62,22 @@ def canonical(value):
     elif isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, float):
-        return value.hex()
+        return floats(value)
     if dataclasses.is_dataclass(value):
         return {
-            f.name: canonical(getattr(value, f.name))
+            f.name: canonical(getattr(value, f.name), floats)
             for f in dataclasses.fields(value)
         }
     if isinstance(value, dict):
-        return {str(k): canonical(v) for k, v in value.items()}
+        return {str(k): canonical(v, floats) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
+        return [canonical(v, floats) for v in value]
     return value
+
+
+def write_dump(path: Path, outputs) -> None:
+    """``outputs`` as JSON at ``path``, every float a number."""
+    path.write_text(json.dumps(canonical(outputs, float)), encoding="utf-8")
 
 
 def trained_corpus(sizes, seed: int, out_dir: Path):
@@ -80,7 +93,8 @@ def trained_corpus(sizes, seed: int, out_dir: Path):
     return corp, lex, recipe.train_model(clips, lex, sizes.schedule)
 
 
-def seed_digest(sizes, run, reference) -> str:
+def seed_outputs(sizes, run, reference) -> dict:
+    """The seed's outputs of both workloads, as the digest covers them."""
     from asrboot import recipe
     from asrboot.decode import DecodeError
     from asrboot.lm import train_ngram
@@ -94,13 +108,17 @@ def seed_digest(sizes, run, reference) -> str:
     segments, report = recipe.harvest(
         rec, reference, lex, HarvestConfig(decode=sizes.decode_cfg)
     )
-    outputs = {
+    return {
         "train_em": [trained.loglik_trace, trained.failure_reasons, trained.model],
         "decode_harvest": [
             [None if isinstance(hyp, DecodeError) else hyp for hyp in hyps],
             recipe.score(test, hyps), segments, report.as_dict(),
         ],
     }
+
+
+def digest(outputs) -> str:
+    """SHA-256 of ``outputs`` with every float as ``float.hex``."""
     text = json.dumps(canonical(outputs), separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -108,7 +126,11 @@ def seed_digest(sizes, run, reference) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 0,3,4")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each seed's outputs to DIR/seed<N>.json")
     args = parser.parse_args(argv)
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.run import BLAS_THREAD_VARS
 
@@ -125,7 +147,10 @@ def main(argv=None) -> int:
             out = work / f"seed{seed}"
             run = (model_run if seed == sizes.model_seed
                    else trained_corpus(sizes, seed, out))
-            print(f"seed {seed} {seed_digest(sizes, run, reference)}", flush=True)
+            outputs = seed_outputs(sizes, run, reference)
+            if args.dump:
+                write_dump(args.dump / f"seed{seed}.json", outputs)
+            print(f"seed {seed} {digest(outputs)}", flush=True)
             shutil.rmtree(out, ignore_errors=True)
     return 0
 

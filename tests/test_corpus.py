@@ -418,6 +418,69 @@ class TestWavIO:
         assert x.dtype == dtype
         assert np.array_equal(x, data)
 
+    @staticmethod
+    def handmade(path, tag, channels, width, payload, extensible=False, magic=b"RIFF"):
+        """A WAV file of format ``tag`` (1 PCM, 3 float), plain or as
+        WAVE_FORMAT_EXTENSIBLE with ``tag`` in its sub-format GUID."""
+        block, rate = channels * width, 16000
+        fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate,
+                          rate * block, block, 8 * width)
+        if extensible:
+            fmt += struct.pack("<HHI", 22, 8 * width, 0) + struct.pack("<I", tag)
+            fmt += bytes.fromhex("000010008000" "00aa00389b71")
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", len(payload)) + payload
+        path.write_bytes(magic + struct.pack("<I", len(body)) + body)
+
+    @pytest.mark.parametrize("layout", ["u8 stereo", "i16 stereo", "i32", "f64 stereo",
+                                        "24-bit stereo", "extensible f32", "extensible 24-bit"])
+    def test_read_equals_scipy_scaled(self, tmp_path, layout):
+        # scipy.io.wavfile.read is the oracle for the stored values,
+        # 24-bit PCM as int32 with its 3 bytes at the top
+        path = tmp_path / "in.wav"
+        rng = np.random.default_rng(7)
+        channels = 2 if "stereo" in layout else 1
+        if "24-bit" in layout:
+            payload = rng.bytes(3 * channels * 301)
+            self.handmade(path, 1, channels, 3, payload, extensible="extensible" in layout)
+        elif layout == "extensible f32":
+            payload = rng.uniform(-1, 1, 301).astype("<f4").tobytes()
+            self.handmade(path, 3, 1, 4, payload, extensible=True)
+        else:
+            dtype = {"u8": np.uint8, "i16": np.int16, "i32": np.int32, "f64": np.float64}[
+                layout.split()[0]]
+            data = rng.integers(0, 256, (301, channels)).astype(dtype) * 97
+            wavfile.write(str(path), 16000, data[:, 0] if channels == 1 else data)
+        rate, stored = wavfile.read(str(path))
+        scale = {np.dtype(np.uint8): 128.0, np.dtype(np.int16): 32768.0,
+                 np.dtype(np.int32): 2147483648.0}.get(stored.dtype)
+        offset = 128.0 if stored.dtype == np.uint8 else 0.0
+        want = stored if scale is None else (stored.astype(np.float64) - offset) / scale
+        got_rate, x = read_wav(path)
+        assert (got_rate, x.shape) == (rate, stored.shape)
+        assert x.dtype == (np.float32 if stored.dtype.itemsize < 4 or stored.dtype == np.float32
+                           else np.float64)
+        assert np.array_equal(x, want)
+        assert wav_duration(path) == len(stored) / rate
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [(lambda p: wavfile.write(str(p), 16000, np.zeros((10, 3), np.int16)),
+          "3 channels unsupported"),
+         (lambda p: wavfile.write(str(p), 16000, np.zeros(10, np.int64)),
+          "unsupported sample format"),
+         (lambda p: TestWavIO.handmade(p, 6, 1, 1, bytes(10)), "unsupported sample format"),
+         (lambda p: TestWavIO.handmade(p, 1, 1, 2, bytes(10), magic=b"RIFX"),
+          "not understood")],
+        ids=["3 channels", "64-bit PCM", "A-law", "RIFX"],
+    )
+    @pytest.mark.parametrize("reader", [read_wav, wav_duration])
+    def test_unsupported_layout_names_path(self, tmp_path, reader, make, message):
+        path = tmp_path / "in.wav"
+        make(path)
+        with pytest.raises(AudioFormatError, match=rf"in\.wav: .*{message}"):
+            reader(path)
+
     def test_float32_samples_give_the_float64_features(self, tmp_path):
         # read_wav's float32 samples widen exactly; compute_mfcc widens them
         # a block at a time and gives the float64 scaling's features
@@ -448,7 +511,6 @@ class TestWavIO:
         with pytest.raises(AudioFormatError, match=r"cut\.wav: truncated"):
             read_wav(path)
 
-    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
     @pytest.mark.parametrize("reader", [read_wav, wav_duration])
     @pytest.mark.parametrize(
         "offset, value",
@@ -466,33 +528,40 @@ class TestWavIO:
         with pytest.raises(AudioFormatError, match=r"bad\.wav: "):
             reader(path)
 
+    @staticmethod
+    def with_unknown_chunks(path, data):
+        """``data`` as 16-bit PCM with an odd-sized ``LIST`` chunk (and its
+        pad byte) between the fmt and data chunks and an unknown chunk
+        after the data, as archive recordings carry them."""
+        write_wav_pcm16(path, data)
+        raw = path.read_bytes()
+        before = b"LIST" + struct.pack("<I", 3) + b"abc" + bytes(1)
+        after = b"abcd" + struct.pack("<I", 4) + bytes(4)
+        body = raw[8:36] + before + raw[36:] + after
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
     def test_unknown_chunk_still_read(self, tmp_path):
+        # before: scipy warned "Chunk (non-data) not understood"
         path = tmp_path / "extra.wav"
         data = np.arange(1000, dtype=np.int16)
-        wavfile.write(str(path), 16000, data)
-        raw = path.read_bytes()
-        chunk = b"abcd" + struct.pack("<I", 4) + bytes(4)
-        riff_size = struct.pack("<I", len(raw) + len(chunk) - 8)
-        path.write_bytes(raw[:4] + riff_size + raw[8:] + chunk)
-        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
-            _, x = read_wav(path)
+        self.with_unknown_chunks(path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rate, x = read_wav(path)
+        assert caught == []
+        assert rate == 16000
         assert np.array_equal(x, data / 32768.0)
+        assert wav_duration(path) == 1000 / 16000
 
     def test_unknown_chunk_under_an_error_filter_is_not_truncation(self, tmp_path):
-        # before: "extra.wav: truncated (Chunk (non-data) not understood...)"
+        # before: "extra.wav: Chunk (non-data) not understood, skipping it."
         path = tmp_path / "extra.wav"
-        wavfile.write(str(path), 16000, np.arange(1000, dtype=np.int16))
-        raw = path.read_bytes()
-        chunk = b"abcd" + struct.pack("<I", 4) + bytes(4)
-        riff_size = struct.pack("<I", len(raw) + len(chunk) - 8)
-        path.write_bytes(raw[:4] + riff_size + raw[8:] + chunk)
+        data = np.arange(1000, dtype=np.int16)
+        self.with_unknown_chunks(path, data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AudioFormatError) as exc:
-                read_wav(path)
-        assert str(exc.value) == (
-            f"{path}: Chunk (non-data) not understood, skipping it."
-        )
+            _, x = read_wav(path)
+        assert np.array_equal(x, data / 32768.0)
 
 
 class TestSubset:
@@ -567,33 +636,51 @@ class TestStats:
 
 
 class TestImportFootprint:
-    """``scipy.signal`` (about 47 MB with what it imports) is loaded by
-    resampling, not by importing the package.  Each check runs in a fresh
-    interpreter: this test module imports scipy.signal itself."""
+    """scipy (about 30 MB with what it imports) is loaded by resampling
+    alone, not by importing the package, reading or writing audio, or
+    computing features.  Each check runs in a fresh interpreter: this test
+    module imports scipy itself."""
 
     @staticmethod
-    def loads_signal(code):
+    def scipy_modules(code):
+        """The scipy modules loaded after ``code`` runs in a fresh
+        interpreter, sorted."""
         env = dict(os.environ)
         src = str(Path(asrboot.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        report = "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
         out = subprocess.run(
-            [sys.executable, "-c", code + "\nprint('scipy.signal' in sys.modules)"],
+            [sys.executable, "-c", "import sys\n" + code + report],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        return out.stdout.split()[-1] == "True"
+        return out.stdout.splitlines()[-1].split()
 
     def test_importing_every_module_leaves_it_unloaded(self):
-        assert not self.loads_signal(
-            "import importlib, pkgutil, sys, asrboot\n"
+        assert self.scipy_modules(
+            "import importlib, pkgutil, asrboot\n"
             "for m in pkgutil.iter_modules(asrboot.__path__):\n"
             "    importlib.import_module('asrboot.' + m.name)"
-        )
+        ) == []
+
+    def test_the_audio_and_feature_path_leaves_it_unloaded(self, tmp_path):
+        path = tmp_path / "in.wav"
+        assert self.scipy_modules(
+            "import numpy as np\n"
+            "from asrboot.corpus import read_wav, wav_duration, write_wav_pcm16\n"
+            "from asrboot.features import compute_mfcc\n"
+            f"write_wav_pcm16({str(path)!r}, np.sin(np.arange(16000) / 7.0) / 2)\n"
+            f"rate, x = read_wav({str(path)!r})\n"
+            "assert compute_mfcc(x).n_frames == 98\n"
+            f"assert wav_duration({str(path)!r}) == 1.0"
+        ) == []
 
     def test_resampling_loads_it_and_a_bad_rate_does_not(self):
-        prelude = "import sys\nimport numpy as np\nfrom asrboot import corpus\n"
+        prelude = "import numpy as np\nfrom asrboot import corpus\n"
         bad_rate = (
             "try:\n    corpus.resample(np.zeros(800), 0)\n"
             "except ValueError:\n    pass"
         )
-        assert not self.loads_signal(prelude + bad_rate)
-        assert self.loads_signal(prelude + "corpus.resample(np.zeros(800), 8000)")
+        assert "scipy.signal" not in self.scipy_modules(prelude + bad_rate)
+        assert "scipy.signal" in self.scipy_modules(
+            prelude + "corpus.resample(np.zeros(800), 8000)"
+        )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fftpack import dct
 
 from asrboot.features import (
     BLOCK_FRAMES,
@@ -20,13 +21,14 @@ from asrboot.features import (
     _smooth_runs,
     cmvn,
     compute_mfcc,
+    dct_basis,
     frame_count,
     mel_filterbank,
     silence_mask,
     silence_runs,
     slice_frames,
 )
-from conftest import mfcc_reference, set_usable_cpus
+from conftest import band_order_dct, log_mel_reference, mfcc_reference, set_usable_cpus
 
 CFG = FrontendConfig()
 
@@ -97,6 +99,33 @@ class TestMfcc:
         assert np.max(diff[:, keep]) < 1e-6
         # C0 itself shifts by 2*log(2)
         assert np.allclose(b[:, 0] - a[:, 0], 2 * np.log(2.0), atol=1e-9)
+
+
+class TestDct:
+    """The front end's DCT, its basis summed in band order, is scipy's
+    FFT-based orthonormal DCT-II to rounding: within 1e-12 of each row's
+    largest cepstrum.  ``TestBlocks`` holds ``compute_mfcc`` to the
+    band-order sum to the bit."""
+
+    @staticmethod
+    def assert_near_scipy(log_mel):
+        want = dct(log_mel, type=2, axis=1, norm="ortho")[:, : CFG.n_ceps]
+        err = np.abs(band_order_dct(log_mel) - want).max(axis=1)
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=1))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(3)
+        self.assert_near_scipy(rng.normal(0.0, 10.0, (2000, CFG.n_mels)))
+
+    def test_log_mel_rows(self):
+        # noise, a tone and silence: the floor's rows are constant
+        x = np.concatenate([noise(300), tone(440, 2.0), np.zeros(8000)])
+        self.assert_near_scipy(log_mel_reference(x)[0])
+
+    def test_basis_is_orthonormal(self):
+        basis = dct_basis()
+        assert basis.shape == (CFG.n_mels, CFG.n_ceps)
+        assert np.allclose(basis.T @ basis, np.eye(CFG.n_ceps), atol=1e-14)
 
 
 def noise(n_frames):
