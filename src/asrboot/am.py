@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .features import FeatureMatrix, _column_sums, check_count
+from .features import FeatureMatrix, FrontendConfig, _column_sums, check_count
 from .lexicon import SILENCE_PHONE, Lexicon
 from .threads import helper
 
@@ -300,12 +300,15 @@ class Interval:
 
 @dataclass
 class AlignmentPath:
+    """An utterance's Viterbi alignment: each frame's model state, the
+    phone and word intervals in seconds (frame index times
+    ``FrontendConfig.frame_shift``) and the path's log-likelihood."""
+
     words: tuple[str, ...]
     state_ids: np.ndarray  # (T,) model state per frame
     phone_intervals: list[Interval]
     word_intervals: list[Interval]
     loglik: float
-    frame_shift: float
 
     @property
     def n_frames(self) -> int:
@@ -524,8 +527,9 @@ def viterbi_path(
 
 
 def _intervals_from_path(
-    graph: AlignGraph, path: np.ndarray, model: AcousticModel, frame_shift: float
+    graph: AlignGraph, path: np.ndarray, model: AcousticModel
 ) -> tuple[list[Interval], list[Interval]]:
+    frame_shift = FrontendConfig.frame_shift
     phone_intervals: list[Interval] = []
     word_frames: dict[int, list[int]] = {}
     inst_path = path // model.n_states
@@ -581,16 +585,13 @@ def force_align(
     if isinstance(result, AlignFailure):
         return result
     path, loglik = result
-    phone_intervals, word_intervals = _intervals_from_path(
-        graph, path, model, feats.frame_shift
-    )
+    phone_intervals, word_intervals = _intervals_from_path(graph, path, model)
     return AlignmentPath(
         words=graph.words,
         state_ids=graph.node_state[path],
         phone_intervals=phone_intervals,
         word_intervals=word_intervals,
         loglik=loglik,
-        frame_shift=feats.frame_shift,
     )
 
 

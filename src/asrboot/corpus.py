@@ -49,12 +49,11 @@ class AudioFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Recording:
-    """One canonical audio file."""
+    """One canonical audio file: 16-bit PCM, mono, at ``CANONICAL_RATE``,
+    the only layout `canonicalize_audio` writes; ``duration`` in seconds."""
 
     id: str
     audio_path: str
-    sample_rate: int
-    channels: int
     duration: float
 
 
@@ -302,31 +301,34 @@ def non_finite_summary(x: np.ndarray, lo: int, step: int) -> str:
 _PCM16_BLOCK = 1 << 16  # samples scaled per float64 temporary
 
 
-def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> None:
-    """Write samples, (n,) or (n, channels), as a 16-bit PCM WAV file: a
-    44-byte header, then the int16 samples as they lie in memory, the
-    bytes ``scipy.io.wavfile.write`` gives them.  Float inputs are scaled
-    by 32768, rounded and clipped.  A NaN or inf raises ``ValueError``
-    naming the path, the count of non-finite samples and the (flat) index
-    of the first, before the file is opened."""
+def write_wav_pcm16(path, samples: np.ndarray) -> None:
+    """Write (n,) samples as a canonical WAV file, 16 kHz mono 16-bit PCM:
+    a 44-byte header, then the int16 samples as they lie in memory, the
+    bytes ``scipy.io.wavfile.write`` gives them.  int16 samples are
+    written as they are; float ones are scaled by 32768, rounded and
+    clipped.  Samples of any other shape raise ``ValueError`` naming the
+    path and the shape, and a NaN or inf one naming the path, the count
+    of non-finite samples and the index of the first, both before the
+    file is opened."""
+    if samples.ndim != 1:
+        raise ValueError(f"{path}: samples of shape {samples.shape}, need (n,) mono")
     if samples.dtype != np.int16:
         # block by block into one int16 array: no float64 copy of the
         # whole signal; each step is elementwise, so the blocks change nothing
-        pcm = np.empty(samples.shape, dtype=np.int16)
-        src, dst = samples.reshape(-1), pcm.reshape(-1)
-        buf = np.empty(min(src.size, _PCM16_BLOCK))
-        for lo in range(0, src.size, _PCM16_BLOCK):
-            part = src[lo:lo + _PCM16_BLOCK]
+        pcm = np.empty(len(samples), dtype=np.int16)
+        buf = np.empty(min(len(samples), _PCM16_BLOCK))
+        for lo in range(0, len(samples), _PCM16_BLOCK):
+            part = samples[lo:lo + _PCM16_BLOCK]
             if not np.isfinite(part).all():
-                raise ValueError(f"{path}: {non_finite_summary(src, lo, _PCM16_BLOCK)}")
-            block = np.multiply(part, 32768.0, out=buf[:part.size], dtype=np.float64)
+                summary = non_finite_summary(samples, lo, _PCM16_BLOCK)
+                raise ValueError(f"{path}: {summary}")
+            block = np.multiply(part, 32768.0, out=buf[:len(part)], dtype=np.float64)
             np.rint(block, out=block)
-            dst[lo:lo + part.size] = np.clip(block, -32768, 32767, out=block)
+            pcm[lo:lo + len(part)] = np.clip(block, -32768, 32767, out=block)
         samples = pcm
-    channels = 1 if samples.ndim == 1 else samples.shape[1]
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + samples.nbytes, b"WAVE",
-        b"fmt ", 16, _PCM, channels, rate, 2 * channels * rate, 2 * channels, 16,
+        b"fmt ", 16, _PCM, 1, CANONICAL_RATE, 2 * CANONICAL_RATE, 2, 16,
         b"data", samples.nbytes,
     )
     with open(path, "wb") as fh:
@@ -334,23 +336,49 @@ def write_wav_pcm16(path, samples: np.ndarray, rate: int = CANONICAL_RATE) -> No
         samples.tofile(fh)
 
 
+# the rates `resample` accepts: from _MIN_RATE Hz, with a reduced ratio
+# up/down to CANONICAL_RATE whose larger term is at most _MAX_PHASES, so
+# its filter has at most 64 * _MAX_PHASES + 1 taps (about 8 MB) and the
+# output is at most 4 times the input; every standard rate from 4 to
+# 384 kHz passes, 11,025 Hz (640/441) included
+_MIN_RATE = 4000
+_MAX_PHASES = 16000
+
+
+def _ratio(rate: int) -> tuple[int, int]:
+    """(up, down), the reduced ratio from ``rate`` to ``CANONICAL_RATE``;
+    ``ValueError`` for a rate `resample` does not take."""
+    if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate < 1:
+        raise ValueError(f"rate must be an integer >= 1 Hz, got {rate!r}")
+    if rate < _MIN_RATE:
+        raise ValueError(f"sample rate {rate} Hz is below {_MIN_RATE} Hz")
+    g = math.gcd(rate, CANONICAL_RATE)
+    up, down = CANONICAL_RATE // g, rate // g
+    if max(up, down) > _MAX_PHASES:
+        raise ValueError(
+            f"sample rate {rate} Hz needs {up}/{down} resampling, "
+            f"more than {_MAX_PHASES} phases"
+        )
+    return up, down
+
+
 def resample(samples: np.ndarray, rate: int) -> np.ndarray:
     """Polyphase windowed-sinc resampling from ``rate`` to
     ``CANONICAL_RATE``, the front end's rate; samples already at it are
     returned as they are.
 
-    ``rate`` must be an integer from 1 (a bool is not).  ``scipy.signal``
-    is imported on the first call that resamples, not with this module.
+    ``rate`` must be an integer (a bool is not) from ``_MIN_RATE`` whose
+    reduced ratio to ``CANONICAL_RATE`` has no term above
+    ``_MAX_PHASES``; any other raises ``ValueError`` before a filter is
+    built.  ``scipy.signal`` is imported on the first call that
+    resamples, not with this module.
     """
-    if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate < 1:
-        raise ValueError(f"rate must be an integer >= 1 Hz, got {rate!r}")
+    up, down = _ratio(rate)
     if rate == CANONICAL_RATE:
         return samples
     # about 47 MB and 0.6 s to import, with the scipy subpackages it loads
     from scipy.signal import firwin, resample_poly
 
-    g = math.gcd(rate, CANONICAL_RATE)
-    up, down = CANONICAL_RATE // g, rate // g
     # polyphase windowed-sinc prototype: 64 taps per phase, Kaiser window
     factor = max(up, down)
     taps = firwin(2 * 32 * factor + 1, 1.0 / factor, window=("kaiser", 8.555))
@@ -364,7 +392,10 @@ def canonicalize_audio(input_path, out_path) -> Recording:
     Already-canonical input is copied byte-for-byte (so canonicalization
     is idempotent bit-exactly); its header tells without reading the
     samples.  Stereo is downmixed by averaging, then `resample`d to
-    ``CANONICAL_RATE``.
+    ``CANONICAL_RATE``.  A file `read_wav` rejects, or whose rate
+    `resample` does not take (below ``_MIN_RATE``, or a ratio of more
+    than ``_MAX_PHASES`` phases, as a corrupted header may state), raises
+    `AudioFormatError` naming the path, before a sample is read.
     """
     input_path = Path(input_path)
     out_path = Path(out_path)
@@ -374,26 +405,18 @@ def canonicalize_audio(input_path, out_path) -> Recording:
     if (header.rate, header.channels, header.dtype) == (CANONICAL_RATE, 1, np.int16):
         if input_path.resolve() != out_path.resolve():
             shutil.copyfile(input_path, out_path)
-        return Recording(
-            id=rec_id,
-            audio_path=str(out_path),
-            sample_rate=CANONICAL_RATE,
-            channels=1,
-            duration=header.n_frames / CANONICAL_RATE,
-        )
+        return Recording(rec_id, str(out_path), header.n_frames / CANONICAL_RATE)
 
+    try:
+        _ratio(header.rate)
+    except ValueError as exc:
+        raise AudioFormatError(f"{input_path}: {exc}") from None
     x = _scaled(_samples(input_path, header), np.float64)
     if x.ndim == 2:
         x = x.mean(axis=1)
     y = resample(x, header.rate)
     write_wav_pcm16(out_path, y)
-    return Recording(
-        id=rec_id,
-        audio_path=str(out_path),
-        sample_rate=CANONICAL_RATE,
-        channels=1,
-        duration=len(y) / CANONICAL_RATE,
-    )
+    return Recording(rec_id, str(out_path), len(y) / CANONICAL_RATE)
 
 
 # ---------------------------------------------------------------------------

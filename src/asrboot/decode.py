@@ -61,7 +61,7 @@ from .am import (
     _emission_table,
     state_logliks,
 )
-from .features import FeatureMatrix, check_count
+from .features import FeatureMatrix, FrontendConfig, check_count
 from .lexicon import SILENCE_PHONE, UNK_WORD, Lexicon
 from .lm import BOS, EOS, NGramLM
 
@@ -242,7 +242,7 @@ class _Decoder:
             if not tokens:
                 raise DecodeError(f"beam emptied at frame {t}")
             ends = self._word_ends(tokens, t + 1)
-        return self._finalize(tokens, ends, feats.frame_shift)
+        return self._finalize(tokens, ends)
 
     # -- one frame ---------------------------------------------------------
 
@@ -357,9 +357,7 @@ class _Decoder:
 
     # -- finalization --------------------------------------------------------
 
-    def _finalize(
-        self, tokens: list[tuple], word_ends: list[tuple], frame_shift: float
-    ) -> Hypothesis:
+    def _finalize(self, tokens: list[tuple], word_ends: list[tuple]) -> Hypothesis:
         """Best utterance end: a SIL exit in the last frame's `tokens`, or
         one of its `word_ends`; failing both, the best token as a partial
         hypothesis."""
@@ -381,10 +379,11 @@ class _Decoder:
                 best = tok
         _, _, _, bp, total, ascore, lmscore = best
         trace = self._backtrace(bp)
+        shift = FrontendConfig.frame_shift
         return Hypothesis(
             words=tuple(word for _, word, _, _ in trace),
             word_intervals=tuple(
-                Interval(word, ws * frame_shift, we * frame_shift)
+                Interval(word, ws * shift, we * shift)
                 for _, word, ws, we in trace
             ),
             acoustic_score=ascore,

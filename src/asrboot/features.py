@@ -92,14 +92,15 @@ class FrontendConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """T x D feature frames plus the raw log-energy track.
+    """T x D feature frames plus the raw log-energy track, one row and one
+    value per frame.  Frame t starts at ``t * FrontendConfig.frame_shift``
+    seconds, the one shift every feature in the package is computed with.
 
     ``log_energy`` is kept separately so silence detection still works
     after CMVN rewrites the feature columns.
     """
 
     frames: np.ndarray
-    frame_shift: float
     log_energy: np.ndarray = field(repr=False)
 
     @property
@@ -319,11 +320,7 @@ def compute_mfcc(samples: np.ndarray) -> FeatureMatrix:
     ceps[:, 0] = log_energy
     frames[:, n_ceps : 2 * n_ceps] = _deltas(ceps)
     frames[:, 2 * n_ceps :] = _deltas(frames[:, n_ceps : 2 * n_ceps])
-    return FeatureMatrix(
-        frames=frames,
-        frame_shift=cfg.frame_shift,
-        log_energy=log_energy,
-    )
+    return FeatureMatrix(frames=frames, log_energy=log_energy)
 
 
 def _column_sums(blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -360,11 +357,7 @@ def cmvn(f: FeatureMatrix) -> FeatureMatrix:
         np.square(out[i : i + CMVN_BLOCK_ROWS]) for i in range(0, n, CMVN_BLOCK_ROWS)
     ) / n
     out *= np.where(var < VAR_EPSILON, 1.0, 1.0 / np.sqrt(np.maximum(var, VAR_EPSILON)))
-    return FeatureMatrix(
-        frames=out,
-        frame_shift=f.frame_shift,
-        log_energy=f.log_energy,
-    )
+    return FeatureMatrix(frames=out, log_energy=f.log_energy)
 
 
 def _smooth_runs(mask: np.ndarray, min_run: int = 3) -> np.ndarray:
@@ -405,8 +398,4 @@ def silence_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 def slice_frames(f: FeatureMatrix, start: int, end: int) -> FeatureMatrix:
     """Frame-range view [start, end) as a new FeatureMatrix."""
-    return FeatureMatrix(
-        frames=f.frames[start:end],
-        frame_shift=f.frame_shift,
-        log_energy=f.log_energy[start:end],
-    )
+    return FeatureMatrix(frames=f.frames[start:end], log_energy=f.log_energy[start:end])

@@ -11,20 +11,21 @@ on one of those names sees every call the recipe makes.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 from . import am, corpus, decode, features, lexicon, scoring, segment
 from .lm import NGramLM
 from .synth import LongFormTruth, SynthCorpus
+from .textnorm import utf8_lines
 
 Clip = tuple[features.FeatureMatrix, tuple[str, ...]]
 
 
 def read_lines(path) -> list[list[str]]:
     """The whitespace-split lines of a UTF-8 text file (a transcript or LM
-    text)."""
-    return [line.split() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    text); a line that is not UTF-8 raises ``ValueError`` naming the path
+    and the line, as `textnorm.utf8_lines` reads it."""
+    return [line.split() for _, line in utf8_lines(path, ValueError)]
 
 
 def clip_features(manifest) -> list[Clip]:

@@ -14,7 +14,10 @@ The features are the front end's with CMVN, as the model's
 training features are; the silence threshold is `features.silence_mask`'s
 and the Smith-Waterman scores are the module constants ``_SW_MATCH``,
 ``_SW_MISMATCH`` and ``_SW_GAP``.  `HarvestConfig` holds only what a
-harvest varies: its chunk length and its decoder's search.
+harvest varies: its chunk length and its decoder's search.  Seconds are
+frame indices times ``FrontendConfig.frame_shift``.  A `Chunk` is a
+frame range of the one recording a `harvest_segments` call holds; the
+recording's id is carried by the report and the segments alone.
 """
 
 from __future__ import annotations
@@ -70,17 +73,17 @@ _ACCEPT_RATIO = 0.9  # least share of a piece's pairs that match
 
 @dataclass(frozen=True)
 class Chunk:
-    recording_id: str
-    start: int  # frames, half-open [start, end)
+    """A half-open frame range [start, end) of one recording."""
+
+    start: int
     end: int
 
 
 def chunk_recording(
-    recording_id: str, runs: Sequence[tuple[int, int]], n_frames: int,
-    max_frames: int,
+    runs: Sequence[tuple[int, int]], n_frames: int, max_frames: int
 ) -> list[Chunk]:
     """Disjoint chunks of at most ``max_frames`` (an integer >= 2) covering
-    [0, n_frames).
+    the frames [0, n_frames) of the recording the caller holds.
 
     Each seam is the middle frame of the longest silence run (``runs``, as
     ``features.silence_runs`` gives them) in the second half of the chunk
@@ -101,10 +104,10 @@ def chunk_recording(
             a, b = max(run_lo, win_lo), min(run_hi, win_hi)
             if b - a > longest:
                 seam, longest = (a + b) // 2, b - a
-        chunks.append(Chunk(recording_id, lo, seam))
+        chunks.append(Chunk(lo, seam))
         lo = seam
     if lo < n_frames:
-        chunks.append(Chunk(recording_id, lo, n_frames))
+        chunks.append(Chunk(lo, n_frames))
     return chunks
 
 
@@ -254,7 +257,7 @@ def _decode_chunks(
 
     Chunks are disjoint and in time order, so their words come out in order.
     """
-    shift = feats_full.frame_shift
+    shift = FrontendConfig.frame_shift
     words: list[Interval] = []
     for chunk in chunks:
         offset = chunk.start * shift
@@ -265,7 +268,7 @@ def _decode_chunks(
             report.chunk_failures += 1
             logger.warning(
                 "%s chunk [%.2f, %.2f] s: %s",
-                chunk.recording_id, offset, chunk.end * shift, exc,
+                report.recording_id, offset, chunk.end * shift, exc,
             )
             continue
         report.partial_chunks += hyp.partial
@@ -329,12 +332,10 @@ def harvest_segments(
         return [], report
 
     feats_full = cmvn(compute_mfcc(samples))
-    shift = feats_full.frame_shift
+    shift = FrontendConfig.frame_shift
     runs = silence_runs(silence_mask(feats_full))
     silences = [(lo * shift, hi * shift) for lo, hi in runs]
-    chunks = chunk_recording(
-        recording_id, runs, feats_full.n_frames, round(cfg.chunk_len / shift)
-    )
+    chunks = chunk_recording(runs, feats_full.n_frames, round(cfg.chunk_len / shift))
     report.n_chunks = len(chunks)
 
     lm = biased_lm(transcript_lines)

@@ -1,14 +1,17 @@
-"""Deterministic transcript normalization.
+"""Deterministic transcript normalization, and the one reader of UTF-8
+text files.
 
-All text entering the pipeline (training transcripts, LM text, references
-for scoring) passes through :func:`normalize`, which applies a fixed
-sequence of steps: uppercase, diacritic folding, numeral expansion,
-punctuation stripping, whitespace collapse.  The steps are ordered so the
-output is stable under re-normalization.  It returns a `NormalizedText`:
-callers read its ``tokens`` and, for the numerals that had no word form,
-its ``dropped_numerals``.  `normalize_lines` applies it to LM text and
-keeps the lines that do not normalize to nothing; `utf8_lines` is the
-one reader of UTF-8 text files.
+:func:`normalize` applies a fixed sequence of steps to raw text:
+uppercase, diacritic folding, numeral expansion, punctuation stripping,
+whitespace collapse.  The steps are ordered so the output is stable under
+re-normalization.  It returns a `NormalizedText`: callers read its
+``tokens`` and, for the numerals that had no word form, its
+``dropped_numerals``.  `normalize_lines` applies it to LM text and keeps
+the lines that do not normalize to nothing.  No stage of the pipeline
+calls them: the recipe splits text that is already normalized, as
+``synth`` writes it, on whitespace.  `utf8_lines` is the one reader of
+UTF-8 text files: manifests, lexicons, ARPA files, numeral tables,
+transcripts and LM text.
 """
 
 from __future__ import annotations

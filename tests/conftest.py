@@ -141,9 +141,7 @@ def accumulate_reference(graph, path, frames, comp, stats):
 
 def feats_from(frames):
     frames = np.asarray(frames, dtype=float)
-    return FeatureMatrix(
-        frames=frames, frame_shift=0.01, log_energy=np.zeros(len(frames)),
-    )
+    return FeatureMatrix(frames=frames, log_energy=np.zeros(len(frames)))
 
 
 def generate_utterance(model, lexicon, tokens, frames_per_state=4, seed=0,
@@ -328,4 +326,4 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
         tokens = recombine_prune(expand(tokens, t, emis[t].tolist()))
     if not tokens:
         raise DecodeError(f"beam emptied at frame {n_frames - 1}")
-    return dec._finalize(tokens, dec._word_ends(tokens, n_frames), feats.frame_shift)
+    return dec._finalize(tokens, dec._word_ends(tokens, n_frames))

@@ -33,6 +33,7 @@ from asrboot import recipe
 from asrboot.am import TrainResult, TrainSchedule
 from asrboot.corpus import load_manifest
 from asrboot.decode import DecodeConfig, DecodeError
+from asrboot.features import FrontendConfig
 from asrboot.lexicon import Lexicon
 from asrboot.lm import train_ngram
 from asrboot.segment import HarvestConfig
@@ -106,14 +107,14 @@ def tiny_run(work_dir) -> dict:
     lm = train_ngram(recipe.read_lines(corp.lm_text), order=3)
     test = recipe.clip_features(corp.test_manifest)
     errors, hypotheses = [], []
-    for index, ((feats, ref), hyp) in enumerate(
+    shift = FrontendConfig.frame_shift
+    for index, ((_, ref), hyp) in enumerate(
         zip(test, recipe.decode_test(model, lm, lexicon, test, DECODE))
     ):
         if isinstance(hyp, DecodeError):
             errors.append([index, str(hyp)])
             hypotheses.append(None)
             continue
-        shift = feats.frame_shift
         hypotheses.append({
             "ref": list(ref),
             "words": list(hyp.words),

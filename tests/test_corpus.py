@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 from scipy.io import wavfile
 from scipy.signal import resample as fft_resample
 
@@ -146,6 +147,11 @@ def write_tone(path, rate, freq=1000.0, seconds=1.0, amplitude=0.5, channels=1):
     return n
 
 
+def pcm_format(path):
+    """(format tag, channels, rate) of a WAV file's plain 16-byte fmt chunk."""
+    return struct.unpack_from("<HHI", Path(path).read_bytes(), 20)
+
+
 def peak_frequency(x, rate):
     n = len(x)
     spec = np.abs(np.fft.rfft(np.hanning(n) * x, 4 * n))
@@ -166,7 +172,7 @@ class TestCanonicalize:
         write_tone(src, 16000)
         rec = canonicalize_audio(src, out)
         assert out.read_bytes() == src.read_bytes()
-        assert rec.sample_rate == 16000 and rec.channels == 1
+        assert pcm_format(out) == (1, 1, 16000)
         assert rec.duration == pytest.approx(1.0)
 
     def test_idempotent_bit_exact(self, tmp_path):
@@ -205,11 +211,11 @@ class TestCanonicalize:
         src = tmp_path / "in.wav"
         out = tmp_path / "out.wav"
         n = write_tone(src, 8000, freq=800.0)
-        rec = canonicalize_audio(src, out)
+        canonicalize_audio(src, out)
         _, y = wavfile.read(str(out))
         assert abs(len(y) - 2 * n) <= 1
         assert abs(peak_frequency(y.astype(np.float64), 16000) - 800.0) < 1.0
-        assert rec.sample_rate == 16000
+        assert pcm_format(out) == (1, 1, 16000)
 
     def test_stereo_opposite_channels_cancel(self, tmp_path):
         src = tmp_path / "in.wav"
@@ -366,6 +372,40 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="rate must be an integer >= 1 Hz"):
             resample(np.zeros(800), rate)
 
+    @pytest.mark.parametrize("rate", [4000, 6000, 8000, 11025, 12000, 16000, 22050,
+                                      24000, 32000, 44100, 48000, 88200, 96000,
+                                      176400, 192000, 352800, 384000])
+    def test_standard_rates_resample(self, rate):
+        # 11,025 Hz needs the largest ratio of these, 640/441
+        assert len(resample(np.zeros(rate // 100), rate)) == 160
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [(7, "sample rate 7 Hz is below 4000 Hz"),
+         (3999, "sample rate 3999 Hz is below 4000 Hz"),
+         (16001, "sample rate 16001 Hz needs 16000/16001 resampling"),
+         # a corrupted header: 2.1 billion taps before the bound
+         (1_073_757_856, "sample rate 1073757856 Hz needs 500/33554933 resampling")],
+    )
+    def test_rates_beyond_the_filter_bound_rejected_before_filtering(
+        self, tmp_path, monkeypatch, rate, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no filter is built for a rejected rate")
+
+        monkeypatch.setattr(scipy.signal, "firwin", unreachable)
+        monkeypatch.setattr(scipy.signal, "resample_poly", unreachable)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            resample(np.zeros(800), rate)
+        src = tmp_path / "in.wav"
+        write_wav_pcm16(src, np.zeros(800))
+        raw = bytearray(src.read_bytes())
+        raw[24:28] = struct.pack("<I", rate)  # the fmt chunk's sample rate
+        src.write_bytes(raw)
+        with pytest.raises(AudioFormatError, match=rf"^{src}: {message}"):
+            canonicalize_audio(src, tmp_path / "out.wav")
+        assert not (tmp_path / "out.wav").exists()
+
 
 
 class TestWavIO:
@@ -380,11 +420,22 @@ class TestWavIO:
         expected = np.clip(np.rint(x.astype(np.float64) * 32768.0), -32768, 32767)
         assert np.array_equal(written, expected.astype(np.int16))
 
+    def test_write_takes_no_rate(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_wav_pcm16(tmp_path / "out.wav", np.zeros(160), rate=8000)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    def test_two_dimensional_write_rejected_before_opening(self, tmp_path, dtype):
+        path = tmp_path / "out.wav"
+        with pytest.raises(ValueError, match=rf"^{path}: samples of shape \(160, 2\)"):
+            write_wav_pcm16(path, np.zeros((160, 2), dtype=dtype))
+        assert not path.exists()
+
     def test_write_is_exact_across_blocks(self, tmp_path):
-        # two channels, two and a half blocks: float64 is scaled a block
-        # at a time into the one int16 array that is written
-        n = 5 * corpus._PCM16_BLOCK // 4
-        x = np.random.default_rng(1).normal(0.0, 0.6, (n, 2))
+        # two and a half blocks: float64 is scaled a block at a time into
+        # the one int16 array that is written
+        n = 5 * corpus._PCM16_BLOCK // 2
+        x = np.random.default_rng(1).normal(0.0, 0.6, n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -676,9 +727,11 @@ class TestImportFootprint:
 
     def test_resampling_loads_it_and_a_bad_rate_does_not(self):
         prelude = "import numpy as np\nfrom asrboot import corpus\n"
+        # 0 Hz, and two rates beyond the filter bound
         bad_rate = (
-            "try:\n    corpus.resample(np.zeros(800), 0)\n"
-            "except ValueError:\n    pass"
+            "for rate in (0, 7, 1073757856):\n"
+            "    try:\n        corpus.resample(np.zeros(800), rate)\n"
+            "    except ValueError:\n        pass"
         )
         assert "scipy.signal" not in self.scipy_modules(prelude + bad_rate)
         assert "scipy.signal" in self.scipy_modules(

@@ -17,6 +17,7 @@ from asrboot.corpus import (
     AudioFormatError,
     ManifestError,
     Utterance,
+    canonicalize_audio,
     load_manifest,
     read_wav,
     wav_duration,
@@ -52,7 +53,12 @@ def write_model(path):
 
 def write_wav(path):
     t = np.arange(16) / 16000.0
-    write_wav_pcm16(path, 0.5 * np.sin(2.0 * np.pi * 440.0 * t), rate=16000)
+    write_wav_pcm16(path, 0.5 * np.sin(2.0 * np.pi * 440.0 * t))
+
+
+def canonicalize(path):
+    """`canonicalize_audio` of ``path`` to a file beside it."""
+    canonicalize_audio(path, path.with_name("out.wav"))
 
 
 def write_arpa_file(path):
@@ -87,6 +93,7 @@ READERS = {
     "read_lexicon": (read_lexicon, write_lexicon_file, ValueError),
     "load_manifest": (load_manifest, write_manifest_file, ManifestError),
     "load_numeral_table": (load_numeral_table, write_numeral_table, NumeralTableError),
+    "canonicalize_audio": (canonicalize, write_wav, AudioFormatError),
 }
 
 

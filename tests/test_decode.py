@@ -24,6 +24,7 @@ from asrboot.decode import (
     build_prefix_tree,
     decode,
 )
+from asrboot.features import FrontendConfig
 from asrboot.lexicon import graphemic_lexicon
 from asrboot.lm import BOS, EOS, NGramLM, train_ngram
 
@@ -121,7 +122,7 @@ class TestDecodeGeneration:
         )
         hyp = decode(model, lm, tree, feats, DecodeConfig(beam=50.0),
                      lexicon=ab_lexicon)
-        duration = feats.n_frames * feats.frame_shift
+        duration = feats.n_frames * FrontendConfig.frame_shift
         prev_end = 0.0
         for iv in hyp.word_intervals:
             assert prev_end - 1e-9 <= iv.start < iv.end <= duration + 1e-9
@@ -141,7 +142,8 @@ class TestDecodeGeneration:
         hyp = decode(model, lm, tree, feats, DecodeConfig(beam=50.0))
         assert hyp.words == ("A", "B", "A")
         frames = [
-            (round(iv.start / feats.frame_shift), round(iv.end / feats.frame_shift))
+            (round(iv.start / FrontendConfig.frame_shift),
+             round(iv.end / FrontendConfig.frame_shift))
             for iv in hyp.word_intervals
         ]
         assert frames == truth

@@ -391,8 +391,7 @@ class TestCmvn:
     def test_constant_column_zeroed_without_blowup(self):
         frames = np.random.default_rng(3).standard_normal((50, 4))
         frames[:, 2] = 7.5
-        f = FeatureMatrix(frames=frames, frame_shift=0.01,
-                          log_energy=frames[:, 0].copy())
+        f = FeatureMatrix(frames=frames, log_energy=frames[:, 0].copy())
         g = cmvn(f)
         assert np.allclose(g.frames[:, 2], 0.0)
         assert np.all(np.isfinite(g.frames))
@@ -406,7 +405,7 @@ class TestCmvn:
         rng = np.random.default_rng(n_frames)
         x = rng.uniform(-30.0, 30.0, 39) + 5.0 * rng.standard_normal((n_frames, 39))
         x[:, 4] = -2.25
-        f = FeatureMatrix(frames=x, frame_shift=0.01, log_energy=x[:, 0].copy())
+        f = FeatureMatrix(frames=x, log_energy=x[:, 0].copy())
         var = x.var(axis=0)
         scale = np.where(
             var < VAR_EPSILON, 1.0, 1.0 / np.sqrt(np.maximum(var, VAR_EPSILON))
@@ -419,7 +418,7 @@ class TestCmvn:
     def test_memory_is_about_one_output(self):
         # centred in the output, squares summed a block at a time
         x = np.random.default_rng(4).standard_normal((20000, 39))
-        f = FeatureMatrix(frames=x, frame_shift=0.01, log_energy=x[:, 0].copy())
+        f = FeatureMatrix(frames=x, log_energy=x[:, 0].copy())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -430,8 +429,7 @@ class TestCmvn:
         assert peak < 1.5 * x.nbytes
 
     def test_no_frames_rejected(self):
-        f = FeatureMatrix(frames=np.zeros((0, 39)), frame_shift=0.01,
-                          log_energy=np.zeros(0))
+        f = FeatureMatrix(frames=np.zeros((0, 39)), log_energy=np.zeros(0))
         with pytest.raises(ValueError, match="at least one frame"):
             cmvn(f)
 
@@ -454,8 +452,7 @@ class TestSilenceMask:
 
         log_energy = np.array([-230.0] * 20 + [-2.0] * 2 + [-230.0] * 20)
         frames = np.zeros((42, 13))
-        f = FeatureMatrix(frames=frames, frame_shift=0.01,
-                          log_energy=log_energy)
+        f = FeatureMatrix(frames=frames, log_energy=log_energy)
         mask = silence_mask(f)
         # the 2-frame speech blip is swallowed; everything is one silence run
         assert silence_runs(mask) == [(0, 42)]

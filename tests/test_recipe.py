@@ -1,8 +1,10 @@
-"""The recipe's decode and score stages on the toy model.  The golden tiny
-run (``tests/test_golden.py``) covers the whole chain with no failed
-utterance; here one utterance fails."""
+"""The recipe's text reader, and its decode and score stages on the toy
+model.  The golden tiny run (``tests/test_golden.py``) covers the whole
+chain with no failed utterance; here one utterance fails."""
 
-from conftest import generate_utterance, toy_model
+import pytest
+
+from conftest import NON_UTF8_LINES, generate_utterance, toy_model, write_with_bad_byte
 
 from asrboot import decode as decode_module
 from asrboot import recipe
@@ -45,3 +47,11 @@ def test_a_failed_utterance_keeps_its_error_and_scores_as_deletions(monkeypatch)
     assert (wer.n_ref_tokens, wer.deletions, wer.errors) == (6, 3, 3)
     # characters with the spaces between words: "AB B", "BA A B", "A"
     assert (cer.n_ref_tokens, cer.deletions, cer.errors) == (11, 6, 6)
+
+
+@pytest.mark.parametrize("lineno", NON_UTF8_LINES)
+def test_read_lines_names_a_line_that_is_not_utf8(tmp_path, lineno):
+    path = tmp_path / "transcript.txt"
+    write_with_bad_byte(path, ["AB BA AB"] * 1200, lineno)
+    with pytest.raises(ValueError, match=rf"^{path}:{lineno}: not UTF-8$"):
+        recipe.read_lines(path)

@@ -42,7 +42,7 @@ class TestChunkRecording:
         rng = np.random.default_rng(seed)
         edges = np.sort(rng.choice(max(n_frames, 1) + 1, size=20))
         runs = [(int(a), int(b)) for a, b in edges.reshape(-1, 2) if b > a]
-        chunks = chunk_recording("rec", runs, n_frames, 100)
+        chunks = chunk_recording(runs, n_frames, 100)
         ends = [0] + [c.end for c in chunks]
         assert [c.start for c in chunks] == ends[:-1]
         assert ends[-1] == n_frames
@@ -53,22 +53,22 @@ class TestChunkRecording:
     def test_seam_at_middle_of_longest_silence_in_second_half(self):
         # (10, 40) is in the first half; (45, 75) is clipped to (50, 75)
         runs = [(10, 40), (45, 75), (80, 95)]
-        assert seams(chunk_recording("rec", runs, 250, 100)) == [62, 162]
+        assert seams(chunk_recording(runs, 250, 100)) == [62, 162]
 
     def test_earliest_of_equally_long_silences_wins(self):
-        assert seams(chunk_recording("rec", [(55, 65), (75, 85)], 250, 100)) == [60, 160]
+        assert seams(chunk_recording([(55, 65), (75, 85)], 250, 100)) == [60, 160]
 
     def test_without_silence_cut_at_max_frames(self):
-        chunks = chunk_recording("rec", [(10, 40)], 350, 100)
+        chunks = chunk_recording([(10, 40)], 350, 100)
         assert seams(chunks) == [100, 200, 300]
 
     def test_window_stops_half_a_chunk_before_the_end(self):
         # the run (195, 205) would leave a 5-frame last chunk
-        assert seams(chunk_recording("rec", [(195, 205)], 210, 100)) == [100, 160]
-        assert seams(chunk_recording("rec", [], 203, 101)) == [101, 152]
+        assert seams(chunk_recording([(195, 205)], 210, 100)) == [100, 160]
+        assert seams(chunk_recording([], 203, 101)) == [101, 152]
 
     def test_two_frame_chunks_advance_through_silence(self):
-        chunks = chunk_recording("rec", [(0, 5)], 5, 2)
+        chunks = chunk_recording([(0, 5)], 5, 2)
         assert [(c.start, c.end) for c in chunks] == [
             (0, 1), (1, 2), (2, 3), (3, 5)
         ]
@@ -77,13 +77,13 @@ class TestChunkRecording:
     def test_max_frames_under_two_rejected(self, max_frames):
         # below 2 the first seam would not pass the chunk's start
         with pytest.raises(ValueError, match=f"max_frames must be >= 2, got {max_frames}"):
-            chunk_recording("rec", [], 10, max_frames)
+            chunk_recording([], 10, max_frames)
 
     @pytest.mark.parametrize("max_frames", [2.5, 3.0])
     def test_max_frames_not_an_integer_rejected(self, max_frames):
         # before, 2.5 and 3.0 gave chunks with float frame bounds
         with pytest.raises(ValueError, match="max_frames must be an integer"):
-            chunk_recording("rec", [], 10, max_frames)
+            chunk_recording([], 10, max_frames)
 
     @pytest.mark.parametrize("chunk_len", [0.0, 0.01, 0.019])
     def test_chunk_len_under_two_frame_shifts_rejected(self, chunk_len):
@@ -467,7 +467,7 @@ class TestDecodeChunks:
         """Run `_decode_chunks` with `decode` answering per chunk start frame."""
         # frame t holds the value t, so a chunk's first frame gives its start
         feats = feats_from(np.arange(600, dtype=float)[:, None])
-        chunks = [Chunk("rec", lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        chunks = [Chunk(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         decoded = []
 
         def fake_decode(model, lm, tree, piece, decode_cfg, lexicon=None):
@@ -605,7 +605,6 @@ class TestHarvestSegments:
         feats = cmvn(compute_mfcc(harvest.samples))
         assert len(harvest.pieces) == len(harvest.chunks)
         for chunk, piece in zip(harvest.chunks, harvest.pieces):
-            assert piece.frame_shift == feats.frame_shift
             assert np.array_equal(piece.frames, feats.frames[chunk.start : chunk.end])
 
     def test_no_seam_inside_a_spoken_word(self, harvest):
