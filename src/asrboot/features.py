@@ -12,15 +12,17 @@ that computes it and read through a strided view of that buffer, and
 the rows are written into the preallocated output; only the deltas see
 the whole track, after every block.  No copy of the whole signal is
 made, so float32 samples cost half the memory of float64 ones and give
-the features of their float64 widening to the bit.  When the process
-may use two CPUs or more, a track of T >= 2 * ``MIN_SPLIT`` frames has
-blocks of ``min(BLOCK_FRAMES, ceil(T / 2))`` frames, split between the
-calling thread (the first half, rounded up) and the package's helper
-thread (the rest), as Kaldi splits feature extraction into
-data-parallel jobs; the rfft, matmul and ufuncs release the GIL.  Any other track is computed on the calling
-thread alone, in blocks of ``min(BLOCK_FRAMES, T)`` frames.  Each
-output row is written by one block only, the last that covers it, so
-the features are the one-thread loop's to the bit.
+the features of their float64 widening to the bit.  The blocks depend
+on the track's T frames alone: n = max(ceil(T / ``BLOCK_FRAMES``), 2 if
+T >= 2 * ``MIN_SPLIT`` else 1) blocks of ceil(T / n) rows, so a frame
+is computed twice only where the last block overlaps the one before,
+by fewer than n rows.  A track of two blocks or more is split between
+the calling thread (the first half of the blocks, rounded up) and the
+package's helper thread (the rest), on any CPU count, as Kaldi splits
+feature extraction into data-parallel jobs; the rfft, matmul and ufuncs
+release the GIL.  Each output row is written by one block only, the
+last that covers it, so the features are the one-thread loop's to the
+bit.
 
 Each thread works in its own fixed buffers, made once per call, so a
 split track costs two blocks' buffers, not one: about 5 MiB each at
@@ -49,8 +51,8 @@ ENERGY_FLOOR = 1e-10
 VAR_EPSILON = 1e-10
 # frames per block of the cepstral pass: bounds its transients
 BLOCK_FRAMES = 500
-# with two usable CPUs, a call of at least 2 * MIN_SPLIT frames splits its
-# blocks between the calling thread and the helper
+# a call of at least 2 * MIN_SPLIT frames has two blocks or more, which
+# it splits between the calling thread and the helper
 MIN_SPLIT = 256
 # rows per block of cmvn's variance sum
 CMVN_BLOCK_ROWS = 4096
@@ -263,19 +265,18 @@ def compute_mfcc(samples: np.ndarray) -> FeatureMatrix:
     them; float32 samples give the features of
     ``samples.astype(np.float64)`` to the bit, with no such copy made.
 
-    A call of T >= 2 * ``MIN_SPLIT`` frames, in a process that may use two
-    CPUs or more (``threads.usable_cpus``), works in blocks of
-    ``min(BLOCK_FRAMES, ceil(T / 2))`` frames: this thread computes the
-    first half of the blocks (rounded up) and the package's helper thread
+    A call of T frames works in n = max(ceil(T / ``BLOCK_FRAMES``), 2 if
+    T >= 2 * ``MIN_SPLIT`` else 1) blocks of ceil(T / n) rows, on any CPU
+    count.  With two blocks or more, this thread computes the first half
+    of the blocks (rounded up) and the package's helper thread
     (``threads.helper``) the rest, in the caller's context, so a caller's
-    ``np.errstate`` holds on both.  Any other call works in blocks of
-    ``min(BLOCK_FRAMES, T)`` frames on this thread and starts no thread:
-    on one CPU the two threads would only share it.  All blocks have the
-    same row count, and the last overlaps the one before it.  Each output
-    row and ``log_energy`` entry is written by exactly one block, the last
-    that covers it, so the result does not depend on the threads' timing.
-    Each thread works in its own fixed block buffers (``_cepstra``): two
-    sets when split, not one.  No thread outlives the call.
+    ``np.errstate`` holds on both; a call of one block starts no thread.
+    All blocks have the same row count, and the last overlaps the one
+    before it by fewer than n rows.  Each output row and ``log_energy``
+    entry is written by exactly one block, the last that covers it, so
+    the result does not depend on the threads' timing.  Each thread works
+    in its own fixed block buffers (``_cepstra``): two sets when split,
+    not one.  No thread outlives the call.
 
     Raises ``ValueError`` on samples that are not 1-D or not float (an
     integer's full scale is not known here), `AudioTooShortError` on
@@ -297,24 +298,24 @@ def compute_mfcc(samples: np.ndarray) -> FeatureMatrix:
     cfg = FrontendConfig()
     n_frames = frame_count(len(samples), cfg)
     _check_finite(samples, BLOCK_FRAMES * cfg.shift_samples)
-    split = n_frames >= 2 * MIN_SPLIT and threads.usable_cpus() > 1
-    rows = min(BLOCK_FRAMES, -(-n_frames // 2) if split else n_frames)
+    n_blocks = max(-(-n_frames // BLOCK_FRAMES), 2 if n_frames >= 2 * MIN_SPLIT else 1)
+    rows = -(-n_frames // n_blocks)
     # every block has the same row count, so the last one overlaps its
     # predecessor: BLAS takes another path for a short matmul, which
     # moves last bits
-    starts = [min(start, n_frames - rows) for start in range(0, n_frames, rows)]
+    starts = [min(k * rows, n_frames - rows) for k in range(n_blocks)]
 
     n_ceps = cfg.n_ceps
     frames = np.empty((n_frames, 3 * n_ceps))
     ceps = frames[:, :n_ceps]
     log_energy = np.empty(n_frames)
     blocks = functools.partial(_cepstra, samples, starts, rows, ceps, log_energy)
-    if not split:
-        blocks(0, len(starts))
+    if n_blocks == 1:
+        blocks(0, 1)
     else:
-        half = (len(starts) + 1) // 2
+        half = (n_blocks + 1) // 2
         with threads.helper() as submit:
-            rest = submit(blocks, half, len(starts))
+            rest = submit(blocks, half, n_blocks)
             blocks(0, half)
             rest.result()
     ceps[:, 0] = log_energy

@@ -2,29 +2,19 @@
 
 ``am.train`` scores and accumulates on it beside the Viterbi scan, and
 ``features.compute_mfcc`` computes the second half of a long track's
-blocks on it.  Both hand it numpy work that releases the GIL.
-
-On one usable CPU (`usable_cpus`) the two users differ: ``compute_mfcc``
-does not split and starts no thread, while ``am.train`` still pipelines
-through the helper, about 3.7% slower there than a one-thread loop.
+blocks on it.  Both hand it numpy work that releases the GIL, and both
+use it on any CPU count: their work is split by the data, not by the
+machine, so one core gives the bits two cores give.  On one core the
+two threads share it; ``am.train`` is about 3.7% slower there than a
+one-thread loop.
 """
 
 from __future__ import annotations
 
 import contextvars
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask, where the OS
-    has one), at least 1."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this OS
-        return os.cpu_count() or 1
 
 
 @contextmanager

@@ -1,7 +1,6 @@
 """Shared helpers: tiny hand-built models and model-sampled features."""
 
 import math
-import os
 
 import numpy as np
 
@@ -19,14 +18,6 @@ from asrboot.features import (
 )
 
 DIM = 2
-
-
-def set_usable_cpus(monkeypatch, n):
-    """The process reports ``n`` usable CPUs, so ``compute_mfcc`` splits a
-    long track between two threads (n >= 2) or not (n == 1) on any
-    machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
 
 
 # a text-mode file decodes 8 KB at a time: a bad byte past them fails late

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import sys
 import threading
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fftpack import dct
 
+from asrboot import features
 from asrboot.features import (
     BLOCK_FRAMES,
     CMVN_BLOCK_ROWS,
@@ -28,7 +30,7 @@ from asrboot.features import (
     silence_runs,
     slice_frames,
 )
-from conftest import band_order_dct, log_mel_reference, mfcc_reference, set_usable_cpus
+from conftest import band_order_dct, log_mel_reference, mfcc_reference
 
 CFG = FrontendConfig()
 
@@ -148,13 +150,12 @@ class TestBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "n_frames",
-        [1, 2 * MIN_SPLIT - 1, 2 * MIN_SPLIT, 2 * MIN_SPLIT + 1, 746,
+        [1, 2 * MIN_SPLIT - 1, 2 * MIN_SPLIT, 2 * MIN_SPLIT + 1, 746, 750,
          BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1,
          4 * BLOCK_FRAMES - 1, 4 * BLOCK_FRAMES, 4 * BLOCK_FRAMES + 1,
          4 * BLOCK_FRAMES + 3, 8 * BLOCK_FRAMES + 1, 16 * BLOCK_FRAMES + 3],
     )
-    def test_equals_reference(self, monkeypatch, n_frames, dtype):
-        set_usable_cpus(monkeypatch, 2)  # a call of 2 * MIN_SPLIT frames splits
+    def test_equals_reference(self, n_frames, dtype):
         x = noise(n_frames).astype(dtype)
         assert compute_mfcc(x).n_frames == n_frames
         assert_matches_reference(x)
@@ -187,11 +188,12 @@ class TestBlocks:
 
 
 def split_layout(n_frames):
-    """The block rule of a call that splits: rows per block, block starts,
-    and the first sample past the caller's half of the blocks."""
-    rows = min(BLOCK_FRAMES, -(-n_frames // 2))
-    starts = [min(s, n_frames - rows) for s in range(0, n_frames, rows)]
-    half = (len(starts) + 1) // 2
+    """The block rule: rows per block, block starts, and the first sample
+    past the caller's half of the blocks."""
+    n = max(-(-n_frames // BLOCK_FRAMES), 2 if n_frames >= 2 * MIN_SPLIT else 1)
+    rows = -(-n_frames // n)
+    starts = [min(k * rows, n_frames - rows) for k in range(n)]
+    half = (n + 1) // 2
     reach = (starts[half - 1] + rows - 1) * CFG.shift_samples + CFG.window_samples
     return rows, starts, reach
 
@@ -217,31 +219,56 @@ def thread_starts(monkeypatch):
     return started
 
 
+def block_calls(monkeypatch, n_frames):
+    """``(starts, rows, first, last)`` of each ``_cepstra`` call that
+    ``compute_mfcc`` makes on an ``n_frames`` track, in block order."""
+    calls, real = [], features._cepstra
+
+    def spy(x, starts, rows, ceps, log_energy, first, last):
+        calls.append((list(starts), rows, first, last))
+        real(x, starts, rows, ceps, log_energy, first, last)
+
+    monkeypatch.setattr(features, "_cepstra", spy)
+    compute_mfcc(noise(n_frames))
+    return sorted(calls, key=lambda call: call[2])
+
+
+class TestLayout:
+    """The blocks of a call depend on its frame count alone: balanced, so
+    a frame is computed twice only in the last block's overlap."""
+
+    LENGTHS = [BLOCK_FRAMES + 1, 750, 2 * BLOCK_FRAMES + 1, 4 * BLOCK_FRAMES + 3]
+
+    @pytest.mark.parametrize("n_frames", LENGTHS)
+    def test_same_on_one_cpu_and_two(self, monkeypatch, n_frames):
+        layouts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)), raising=False)
+            layouts.append(block_calls(monkeypatch, n_frames))
+        assert layouts[0] == layouts[1]
+
+    @pytest.mark.parametrize("n_frames", LENGTHS)
+    def test_blocks_overlap_by_fewer_rows_than_blocks(self, monkeypatch, n_frames):
+        calls = block_calls(monkeypatch, n_frames)
+        starts, rows = calls[0][:2]
+        assert len(starts) * rows < n_frames + len(starts)
+        assert (rows, starts) == split_layout(n_frames)[:2]
+        # the caller's half of the blocks, rounded up, then the helper's
+        half = (len(starts) + 1) // 2
+        assert [call[2:] for call in calls] == [(0, half), (half, len(starts))]
+
+
 class TestSplit:
-    """With two usable CPUs, a call of 2 * MIN_SPLIT frames or more splits
-    its blocks between the calling thread and the helper; the output and
-    the errors are the one-thread loop's."""
+    """A call of two blocks or more, 2 * MIN_SPLIT frames or more, splits
+    its blocks between the calling thread and the helper on any CPU
+    count; the output and the errors are the one-thread loop's."""
 
     LONG = 4 * BLOCK_FRAMES + 3  # five blocks: three on the caller, two on the helper
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        set_usable_cpus(monkeypatch, 2)
 
     def test_a_long_call_starts_one_thread(self, thread_starts):
         compute_mfcc(noise(self.LONG))
         assert len(thread_starts) == 1
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_frames", [2 * MIN_SPLIT, BLOCK_FRAMES + 1, LONG,
-                                          4 * BLOCK_FRAMES + 1, 16 * BLOCK_FRAMES + 3])
-    def test_one_usable_cpu_starts_no_thread(self, monkeypatch, thread_starts,
-                                             n_frames, dtype):
-        # the two threads would share the CPU; the blocks are then the
-        # one-thread loop's, up to BLOCK_FRAMES rows each
-        set_usable_cpus(monkeypatch, 1)
-        assert_matches_reference(noise(n_frames).astype(dtype))
-        assert thread_starts == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_under_a_short_switch_interval(self, dtype):
@@ -254,7 +281,7 @@ class TestSplit:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("n_frames", [1, MIN_SPLIT, 2 * MIN_SPLIT - 1])
+    @pytest.mark.parametrize("n_frames", [1, MIN_SPLIT, BLOCK_FRAMES])
     def test_a_short_call_starts_no_thread(self, thread_starts, n_frames):
         compute_mfcc(noise(n_frames))
         assert thread_starts == []
