@@ -5,13 +5,12 @@ An utterance is its whole audio file: a line with ``start`` or ``end``
 seconds is rejected, never read as the whole file.  Audio is
 canonicalized to 16 kHz mono 16-bit PCM WAV.
 
-WAV files are read and written here with ``struct`` and numpy alone: one
-RIFF/WAVE header parser serves `read_wav`, `wav_duration` and
+WAV files are read, written and resampled here with ``struct`` and numpy
+alone: one RIFF/WAVE header parser serves `read_wav`, `wav_duration` and
 `canonicalize_audio`, and tells a file's layout, length and faults from
-its header before any sample is read.  scipy is imported only to
-resample, on the first call that needs it.  Subsetting by a minute
-budget is nested: with a fixed seed, a smaller budget is always a prefix
-of a larger one.
+its header before any sample is read.  Subsetting by a minute budget is
+nested: with a fixed seed, a smaller budget is always a prefix of a
+larger one.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .textnorm import utf8_lines
 
@@ -286,10 +286,15 @@ def _scaled(data: np.ndarray, dtype) -> np.ndarray:
     return x
 
 
-def non_finite_summary(x: np.ndarray, lo: int, step: int) -> str:
-    """How many of the flat samples ``x`` are NaN or inf, and the index of
-    the first, which lies in ``x[lo : lo + step]``; reads ``step`` samples
-    at a time."""
+def non_finite_summary(x: np.ndarray, step: int) -> str | None:
+    """None when every one of the flat samples ``x`` is finite; else how
+    many are NaN or inf, and the index of the first.  Reads ``step``
+    samples at a time."""
+    for lo in range(0, len(x), step):
+        if not np.isfinite(x[lo : lo + step]).all():
+            break
+    else:
+        return None
     first = lo + int(np.argmin(np.isfinite(x[lo : lo + step])))
     count = sum(
         int(np.count_nonzero(~np.isfinite(x[i : i + step])))
@@ -320,7 +325,7 @@ def write_wav_pcm16(path, samples: np.ndarray) -> None:
         for lo in range(0, len(samples), _PCM16_BLOCK):
             part = samples[lo:lo + _PCM16_BLOCK]
             if not np.isfinite(part).all():
-                summary = non_finite_summary(samples, lo, _PCM16_BLOCK)
+                summary = non_finite_summary(samples, _PCM16_BLOCK)
                 raise ValueError(f"{path}: {summary}")
             block = np.multiply(part, 32768.0, out=buf[:len(part)], dtype=np.float64)
             np.rint(block, out=block)
@@ -343,6 +348,9 @@ def write_wav_pcm16(path, samples: np.ndarray) -> None:
 # 384 kHz passes, 11,025 Hz (640/441) included
 _MIN_RATE = 4000
 _MAX_PHASES = 16000
+# output samples `resample` computes per matrix-vector product, so that no
+# temporary grows with the signal
+_RESAMPLE_ROWS = 4096
 
 
 def _ratio(rate: int) -> tuple[int, int]:
@@ -362,27 +370,69 @@ def _ratio(rate: int) -> tuple[int, int]:
     return up, down
 
 
+def _taps(up: int, down: int) -> np.ndarray:
+    """`resample`'s prototype filter, times ``up``: a windowed sinc of 64
+    taps per phase of ``max(up, down)``, cut off at ``1 / max(up, down)``
+    of the Nyquist rate, Kaiser window with beta 8.555, scaled to a unit
+    sum before the gain (``scipy.signal.firwin``'s taps within 6e-17)."""
+    factor = max(up, down)
+    n = 64 * factor + 1
+    taps = np.sinc((np.arange(n) - n // 2) / factor) * np.kaiser(n, 8.555)
+    taps /= taps.sum()
+    taps *= up
+    return taps
+
+
 def resample(samples: np.ndarray, rate: int) -> np.ndarray:
     """Polyphase windowed-sinc resampling from ``rate`` to
-    ``CANONICAL_RATE``, the front end's rate; samples already at it are
-    returned as they are.
+    ``CANONICAL_RATE``, the front end's rate: ``ceil(n * up / down)``
+    float64 samples for ``n``, where up/down is the reduced ratio of the
+    two rates.  Output j is the filter `_taps` applied at upsampled index
+    ``j * down + len(taps) // 2``, with zeros beyond both ends of the
+    input, as ``scipy.signal.resample_poly`` aligns it.  Samples already
+    at ``CANONICAL_RATE`` are returned as they are.
 
     ``rate`` must be an integer (a bool is not) from ``_MIN_RATE`` whose
     reduced ratio to ``CANONICAL_RATE`` has no term above
     ``_MAX_PHASES``; any other raises ``ValueError`` before a filter is
-    built.  ``scipy.signal`` is imported on the first call that
-    resamples, not with this module.
+    built, as do samples that are not 1-D, naming their shape.  Besides
+    the output, the memory used is one zero-padded float64 copy of the
+    input and the filter.
     """
     up, down = _ratio(rate)
+    if samples.ndim != 1:
+        raise ValueError(f"samples of shape {samples.shape}, need (n,) mono")
     if rate == CANONICAL_RATE:
         return samples
-    # about 47 MB and 0.6 s to import, with the scipy subpackages it loads
-    from scipy.signal import firwin, resample_poly
-
-    # polyphase windowed-sinc prototype: 64 taps per phase, Kaiser window
-    factor = max(up, down)
-    taps = firwin(2 * 32 * factor + 1, 1.0 / factor, window=("kaiser", 8.555))
-    return resample_poly(samples, up, down, window=taps)
+    taps = _taps(up, down)
+    half = len(taps) // 2
+    k = -(-len(taps) // up)  # taps per phase
+    # column p holds phase p's taps, taps[p::up], in reverse, so that a
+    # window of the input in time order meets them
+    phases = np.zeros(k * up)
+    phases[: len(taps)] = taps
+    phases = phases.reshape(k, up)[::-1]
+    n = len(samples)
+    n_out = -(-n * up // down)
+    # output j reads upsampled index t = j * down + half: input samples
+    # t // up back to t // up - k + 1 against phase t % up, which is
+    # window t // up of the input padded with k - 1 zeros before it; half
+    # is at least 32 * down, so the last window ends past the input
+    last = ((n_out - 1) * down + half) // up
+    padded = np.zeros(last + k)
+    padded[k - 1 : k - 1 + n] = samples
+    windows = sliding_window_view(padded, k)
+    out = np.empty(n_out)
+    # outputs r, r + up, r + 2 up, ... share one phase, and their windows
+    # start down samples apart
+    for r in range(min(up, n_out)):
+        start, p = divmod(r * down + half, up)
+        rows = len(range(r, n_out, up))
+        for lo in range(0, rows, _RESAMPLE_ROWS):
+            hi = min(lo + _RESAMPLE_ROWS, rows)
+            block = windows[start + lo * down : start + (hi - 1) * down + 1 : down]
+            out[r + lo * up : r + hi * up : up] = block @ phases[:, p]
+    return out
 
 
 def canonicalize_audio(input_path, out_path) -> Recording:
@@ -395,7 +445,10 @@ def canonicalize_audio(input_path, out_path) -> Recording:
     ``CANONICAL_RATE``.  A file `read_wav` rejects, or whose rate
     `resample` does not take (below ``_MIN_RATE``, or a ratio of more
     than ``_MAX_PHASES`` phases, as a corrupted header may state), raises
-    `AudioFormatError` naming the path, before a sample is read.
+    `AudioFormatError` naming the path, before a sample is read.  So does
+    a float file with a NaN or inf sample, naming the count of non-finite
+    samples after the downmix and the index of the first, before
+    ``out_path`` is opened.
     """
     input_path = Path(input_path)
     out_path = Path(out_path)
@@ -414,6 +467,9 @@ def canonicalize_audio(input_path, out_path) -> Recording:
     x = _scaled(_samples(input_path, header), np.float64)
     if x.ndim == 2:
         x = x.mean(axis=1)
+    summary = non_finite_summary(x, _PCM16_BLOCK)
+    if summary:
+        raise AudioFormatError(f"{input_path}: {summary}")
     y = resample(x, header.rate)
     write_wav_pcm16(out_path, y)
     return Recording(rec_id, str(out_path), len(y) / CANONICAL_RATE)

@@ -189,14 +189,6 @@ def _deltas(frames: np.ndarray) -> np.ndarray:
     return out / 10.0
 
 
-def _check_finite(x: np.ndarray, step: int) -> None:
-    """Raise if ``x`` holds a NaN or inf, naming how many and the index of
-    the first; reads ``step`` samples at a time."""
-    for lo in range(0, len(x), step):
-        if not np.isfinite(x[lo : lo + step]).all():
-            raise ValueError(non_finite_summary(x, lo, step))
-
-
 def _cepstra(x, starts, rows, ceps, log_energy, first, last) -> None:
     """Cepstra and log energy of blocks ``starts[first:last]`` of float
     signal ``x``, each block ``rows`` frames, written into ``ceps`` and
@@ -297,7 +289,9 @@ def compute_mfcc(samples: np.ndarray) -> FeatureMatrix:
         )
     cfg = FrontendConfig()
     n_frames = frame_count(len(samples), cfg)
-    _check_finite(samples, BLOCK_FRAMES * cfg.shift_samples)
+    summary = non_finite_summary(samples, BLOCK_FRAMES * cfg.shift_samples)
+    if summary:
+        raise ValueError(summary)
     n_blocks = max(-(-n_frames // BLOCK_FRAMES), 2 if n_frames >= 2 * MIN_SPLIT else 1)
     rows = -(-n_frames // n_blocks)
     # every block has the same row count, so the last one overlaps its

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.signal
 from scipy.io import wavfile
+from scipy.signal import firwin, resample_poly
 from scipy.signal import resample as fft_resample
 
 from conftest import NON_UTF8_LINES, write_with_bad_byte
@@ -378,6 +378,42 @@ class TestCanonicalize:
     def test_standard_rates_resample(self, rate):
         # 11,025 Hz needs the largest ratio of these, 640/441
         assert len(resample(np.zeros(rate // 100), rate)) == 160
+        if rate == 16000:
+            return
+        # scipy's polyphase filter with the same taps is the oracle, at
+        # lengths about one phase's taps, where the zero padding at both
+        # ends meets
+        up, down = corpus._ratio(rate)
+        factor = max(up, down)
+        taps = firwin(64 * factor + 1, 1.0 / factor, window=("kaiser", 8.555))
+        rng = np.random.default_rng(rate)
+        per_phase = len(taps) // up
+        for n in (1, 2, per_phase - 1, per_phase, per_phase + 1):
+            x = rng.uniform(-0.5, 0.5, n)
+            y = resample(x, rate)
+            assert len(y) == -(-n * up // down)
+            assert np.abs(y - resample_poly(x, up, down, window=taps)).max() <= (
+                1e-14 * np.abs(x).max()
+            )
+
+    @pytest.mark.parametrize("rate", [8000, 48000])
+    def test_resample_memory_is_its_input_and_output(self, rate):
+        # beside the output, one zero-padded copy of the input and the
+        # filter; no temporary grows with the signal
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, 60 * rate)
+        tracemalloc.start()
+        try:
+            y = resample(x, rate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(y) == 60 * 16000
+        assert peak <= 1.1 * (x.nbytes + y.nbytes)
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    def test_resample_rejects_more_than_one_channel(self, rate):
+        with pytest.raises(ValueError, match=r"samples of shape \(800, 2\), need \(n,\) mono"):
+            resample(np.zeros((800, 2)), rate)
 
     @pytest.mark.parametrize(
         "rate, message",
@@ -393,8 +429,7 @@ class TestCanonicalize:
         def unreachable(*args, **kwargs):
             raise AssertionError("no filter is built for a rejected rate")
 
-        monkeypatch.setattr(scipy.signal, "firwin", unreachable)
-        monkeypatch.setattr(scipy.signal, "resample_poly", unreachable)
+        monkeypatch.setattr(corpus, "_taps", unreachable)
         with pytest.raises(ValueError, match=f"^{message}"):
             resample(np.zeros(800), rate)
         src = tmp_path / "in.wav"
@@ -406,6 +441,20 @@ class TestCanonicalize:
             canonicalize_audio(src, tmp_path / "out.wav")
         assert not (tmp_path / "out.wav").exists()
 
+    @pytest.mark.parametrize("rate, channels", [(44100, 2), (16000, 1)])
+    def test_non_finite_float_input_names_the_input(self, tmp_path, rate, channels):
+        # checked after the downmix, before resampling; 16 kHz mono float
+        # is not copied, so it is checked too
+        src, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        x = np.full((rate, channels), 0.25, dtype=np.float32)
+        x[1000, 0] = np.nan  # in one channel
+        wavfile.write(str(src), rate, x if channels == 2 else x[:, 0])
+        with pytest.raises(
+            AudioFormatError,
+            match=rf"^{src}: 1 non-finite samples, the first at index 1000$",
+        ):
+            canonicalize_audio(src, out)
+        assert not out.exists()
 
 
 class TestWavIO:
@@ -687,24 +736,30 @@ class TestStats:
 
 
 class TestImportFootprint:
-    """scipy (about 30 MB with what it imports) is loaded by resampling
-    alone, not by importing the package, reading or writing audio, or
-    computing features.  Each check runs in a fresh interpreter: this test
-    module imports scipy itself."""
+    """numpy is the one runtime dependency: importing the package,
+    reading, writing and resampling audio, computing features, training
+    and decoding load no scipy module.  Each check runs in a fresh
+    interpreter: this test module imports scipy itself, as an oracle."""
 
     @staticmethod
-    def scipy_modules(code):
-        """The scipy modules loaded after ``code`` runs in a fresh
-        interpreter, sorted."""
+    def run_fresh(code):
+        """The last line ``code`` prints, run in a fresh interpreter."""
         env = dict(os.environ)
         src = str(Path(asrboot.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        report = "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
         out = subprocess.run(
-            [sys.executable, "-c", "import sys\n" + code + report],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
         )
-        return out.stdout.splitlines()[-1].split()
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()[-1]
+
+    @classmethod
+    def scipy_modules(cls, code):
+        """The scipy modules loaded after ``code`` runs in a fresh
+        interpreter, sorted."""
+        report = "\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        return cls.run_fresh("import sys\n" + code + report).split()
 
     def test_importing_every_module_leaves_it_unloaded(self):
         assert self.scipy_modules(
@@ -725,15 +780,57 @@ class TestImportFootprint:
             f"assert wav_duration({str(path)!r}) == 1.0"
         ) == []
 
-    def test_resampling_loads_it_and_a_bad_rate_does_not(self):
-        prelude = "import numpy as np\nfrom asrboot import corpus\n"
-        # 0 Hz, and two rates beyond the filter bound
-        bad_rate = (
+    def test_resampling_leaves_it_unloaded(self):
+        # two resampled rates; 0 Hz and two rates beyond the filter bound
+        assert self.scipy_modules(
+            "import numpy as np\nfrom asrboot import corpus\n"
+            "assert len(corpus.resample(np.zeros(800), 8000)) == 1600\n"
+            "assert len(corpus.resample(np.zeros(4410), 44100)) == 1600\n"
             "for rate in (0, 7, 1073757856):\n"
             "    try:\n        corpus.resample(np.zeros(800), rate)\n"
             "    except ValueError:\n        pass"
-        )
-        assert "scipy.signal" not in self.scipy_modules(prelude + bad_rate)
-        assert "scipy.signal" in self.scipy_modules(
-            prelude + "corpus.resample(np.zeros(800), 8000)"
-        )
+        ) == []
+
+    def test_the_whole_audio_path_runs_with_scipy_refused(self, tmp_path):
+        # an import system that refuses scipy: synthesize a tiny corpus,
+        # canonicalize a 44.1 kHz stereo file made from one test clip, read
+        # it, compute its features, train two iterations and decode it
+        code = f"""
+import struct, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from pathlib import Path
+import numpy as np
+from asrboot import am, corpus, decode, features, lm, recipe, synth
+
+out = Path({str(tmp_path)!r})
+corp = synth.synth_corpus(synth.SynthSpec(seed=0), out / "corpus", n_shortform=4,
+                          longform_minutes=0.0, n_test=1, vocabulary_size=10)
+test = corpus.load_manifest(corp.test_manifest)[0]
+_, x = corpus.read_wav(test.audio)
+t = np.arange(round(len(x) * 44100 / 16000)) / 44100
+pcm = np.rint(np.interp(t, np.arange(len(x)) / 16000, x) * 32767).astype("<i2")
+pcm = np.stack([pcm, pcm // 2], axis=1)
+src = out / "in44.wav"
+src.write_bytes(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
+                            b"fmt ", 16, 1, 2, 44100, 4 * 44100, 4, 16,
+                            b"data", pcm.nbytes) + pcm.tobytes())
+rec = corpus.canonicalize_audio(src, out / "out16.wav")
+rate, y = corpus.read_wav(rec.audio_path)
+feats = features.cmvn(features.compute_mfcc(y))
+lex = recipe.corpus_lexicon(corp)
+trained = recipe.train_model(recipe.clip_features(corp.short_manifest), lex,
+                             am.TrainSchedule(n_iters=2, split_iters=()))
+model = lm.train_ngram(recipe.read_lines(corp.lm_text), order=2)
+hyps = recipe.decode_test(trained.model, model, lex, [(feats, test.tokens())],
+                          decode.DecodeConfig())
+assert rate == 16000 and len(trained.loglik_trace) == 2 and len(hyps) == 1
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")) or "none")
+"""
+        assert self.run_fresh(code) == "none"
