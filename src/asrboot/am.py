@@ -446,13 +446,12 @@ def viterbi_path(
     path.  The total is the path's terms summed in path order
     (``_path_score``), so rescoring the path gives it exactly.
 
-    Memory is O(M * T) float64 for the running maxima of every node, which
-    the backtrace reads (a frame loop keeps (T, M) uint8 backpointers
-    instead), plus prefix sums per state.  A node's scores are kept only
-    while a later node reads them: two rows, the previous node's and the
-    one being made, and a copy of the open word exit's row until the next
-    word's first node takes lane 2 from it.  A final node's last score is
-    its running max plus the prefix sum, the sum that made the row.
+    Memory is O(M * T) float64 for ``run``, the running maxima of every
+    node (a frame loop keeps (T, M) uint8 backpointers instead), plus
+    ``slack`` and the prefix sums ``gain`` per state and O(T) scratch.
+    ``run`` is the only per-node state: node ``n``'s score at ``t`` is
+    ``run[n, t] + gain[col(n), t]``, which the lanes out of ``n`` read, and
+    which the backtrace reads to redo the scan's lane-2 comparisons.
     """
     t_frames = emis.shape[0]
     m = len(graph.node_state)
@@ -460,15 +459,11 @@ def viterbi_path(
     entry = np.full(m, LOG_ZERO)
     entry[graph.entry_nodes] = graph.entry_prior
     forward = lane_logp[:, 1].tolist()
+    skip_logp = lane_logp[:, 2].tolist()
     skip_src = graph.lane_src[:, 2].tolist()
-    exits = {src for src in skip_src if src >= 0}
+    cols = graph.node_col.tolist()
 
     run = np.empty((m, t_frames))
-    # node i's scores go to rows[i & 1]; node i + 1 reads their heads
-    rows = (np.empty(t_frames), np.empty(t_frames))
-    heads = (rows[0][:-1], rows[1][:-1])
-    exit_heads: dict[int, np.ndarray] = {}  # word exit -> its scores' head
-    took_skip: dict[int, np.ndarray] = {}  # word-first node -> lane 2 won at t+1
     h = np.empty(t_frames)
     h_tail = h[1:]
     # -inf emissions give -inf - -inf here; such a path is dropped below
@@ -478,24 +473,19 @@ def viterbi_path(
         slack = emis.T.copy()
         gain = np.cumsum(slack + log_trans[graph.states, :1], axis=1)
         slack -= gain
-        for i, j in enumerate(graph.node_col.tolist()):
+        for i, j in enumerate(cols):
             h[0] = entry[i]
-            if i:
-                np.add(heads[(i - 1) & 1], forward[i], out=h_tail)
+            if i:  # lane 1: node i - 1's scores at t - 1
+                np.add(run[i - 1, :-1], gain[cols[i - 1], :-1], out=h_tail)
+                h_tail += forward[i]
             else:
                 h_tail[:] = LOG_ZERO  # node 0 has no lane 1
             src = skip_src[i]
-            if src >= 0:
-                skip = exit_heads.pop(src)
-                skip += lane_logp[i, 2]
-                took = took_skip[i] = skip > h_tail
-                np.copyto(h_tail, skip, where=took)
+            if src >= 0:  # lane 2: the previous word's exit at t - 1
+                skip = run[src, :-1] + gain[cols[src], :-1] + skip_logp[i]
+                np.copyto(h_tail, skip, where=skip > h_tail)
             h += slack[j]
-            out = run[i]
-            np.maximum.accumulate(h, out=out)
-            np.add(out, gain[j], out=rows[i & 1])
-            if i in exits:
-                exit_heads[i] = heads[i & 1].copy()
+            np.maximum.accumulate(h, out=run[i])
 
         finals = graph.final_nodes
         final_scores = run[finals, -1] + gain[graph.node_col[finals], -1]
@@ -505,8 +495,10 @@ def viterbi_path(
     if not math.isfinite(best) or best <= LOG_ZERO / 2:
         return None
 
+    def score(n: int, t: int) -> float:  # node n's score at frame t
+        return float(run[n, t]) + float(gain[cols[n], t])
+
     # one step per node on the path, from the last node back to the first
-    lane_src = graph.lane_src.tolist()
     nodes: list[int] = []
     starts: list[int] = []
     node, end = int(graph.final_nodes[best_final]), t_frames
@@ -515,8 +507,12 @@ def viterbi_path(
         start = int(row.searchsorted(row[end - 1]))  # the earliest entry wins
         nodes.append(node)
         starts.append(start)
-        lane = 2 if node in took_skip and took_skip[node][start - 1] else 1
-        node, end = lane_src[node][lane], start
+        # lane 2 where the scan's comparison, made again, chose it
+        src, t = skip_src[node], start - 1
+        lane2 = src >= 0 and start and (
+            score(src, t) + skip_logp[node] > score(node - 1, t) + forward[node]
+        )
+        node, end = src if lane2 else node - 1, start
     nodes.reverse()
     starts.reverse()
     path = np.repeat(nodes, np.diff(starts + [t_frames]))

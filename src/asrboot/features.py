@@ -30,9 +30,9 @@ split track costs two blocks' buffers, not one: about 5 MiB each at
 does not grow with the length of the recording.
 The settings are the constants of `FrontendConfig`; the Hamming window,
 the mel bank and the DCT basis are built once, not per clip.  The DCT is
-a product with that fixed (23, 13) basis, as Kaldi computes it, summed
-band by band in band order with numpy alone: elementwise steps, so a
-row's cepstra do not depend on the block's row count, and no scipy.
+a product with that fixed (23, 13) basis, as Kaldi computes it, whose
+terms one numpy reduction sums over the bands in band order: elementwise
+steps, so a row's cepstra do not depend on the block's row count.
 """
 
 from __future__ import annotations
@@ -239,15 +239,13 @@ def _cepstra(x, starts, rows, ceps, log_energy, first, last) -> None:
         power /= cfg.n_fft
         np.matmul(power, bank_t, out=mel)
         np.log(np.maximum(mel, ENERGY_FLOOR, out=mel), out=mel)
-        # the DCT: every term basis[j, k] * mel[t, j] in one call, then the
-        # bands added in band order, each add one contiguous (n_ceps, rows)
-        # pass; elementwise, so a row's cepstra do not depend on the rows
-        # beside it
+        # the DCT: every term basis[j, k] * mel[t, j] in one call, then one
+        # reduction over axis 0, which numpy sums in band order, each band
+        # one contiguous (n_ceps, rows) add; elementwise, so a row's
+        # cepstra do not depend on the rows beside it
         mel_t[:] = mel.T
         np.multiply(basis[:, :, None], mel_t[:, None, :], out=terms)
-        np.add(terms[0], terms[1], out=cep_t)
-        for j in range(2, cfg.n_mels):
-            np.add(cep_t, terms[j], out=cep_t)
+        np.add.reduce(terms, axis=0, out=cep_t)
         ceps[start:stop] = cep_t[:, : stop - start].T
 
 

@@ -130,7 +130,8 @@ def read_lexicon(path) -> Lexicon:
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 2 or not parts[1].strip():
+        # a word is one whitespace-free token, as transcripts split them
+        if len(parts) != 2 or parts[0].split() != parts[:1] or not parts[1].strip():
             raise ValueError(f"{path}:{lineno}: expected 'WORD<TAB>G1 G2 ...'")
         word, pron_text = parts
         if word == UNK_WORD:

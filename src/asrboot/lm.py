@@ -315,9 +315,12 @@ def read_arpa(path) -> NGramLM:
                 raise ValueError(f"{len(ngram)}-gram in \\{section}-grams: section")
             if ngram in probs:
                 raise ValueError(f"duplicate n-gram {parts[1]!r}")
-            probs[ngram] = float(parts[0])
-            if len(parts) == 3:
-                backoffs[ngram] = float(parts[2])
+            values = [float(v) for v in parts[::2]]  # log10 prob [, backoff]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite log10 probability or backoff")
+            probs[ngram] = values[0]
+            if len(values) == 2:
+                backoffs[ngram] = values[1]
             seen[section] += 1
         except ValueError as exc:
             raise LmError(f"{path}:{lineno}: {exc} in {line!r}") from None

@@ -561,26 +561,29 @@ class TestNodeMajorScan:
         assert viterbi_reference(graph, model, frames) is None
 
     def test_memory_is_one_node_by_frame_table(self, ab_lexicon, monkeypatch):
-        # the backtrace reads every node's running max; a node's scores
-        # are kept only while a later node reads them
+        # the backtrace reads every node's running max, and the scan keeps
+        # nothing else per node: beyond run (M, T), slack, the prefix sums
+        # and their transient (3 U rows), a few rows and the per-node
+        # lists, so the budget does not grow with the word count
         model = toy_model()
-        tokens = ("AB", "BA", "ABA", "A", "B") * 12
-        graph = compile_align_graph(tokens, ab_lexicon, model)
-        t_frames = 2000
-        rng = np.random.default_rng(9)
-        table = rng.normal(-60.0, 5.0, (t_frames, model.n_model_states))
-        patch_emissions(monkeypatch, table)
-        emis = am.state_logliks(model, np.zeros((t_frames, DIM)), graph.states)[0]
-        log_trans = model.log_transitions()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            result = viterbi_path(graph, log_trans, emis)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert result is not None
-        assert peak < 1.25 * 8 * len(graph.node_state) * t_frames
+        for n_words, t_frames in [(60, 2000), (200, 4000)]:
+            tokens = (("AB", "BA", "ABA", "A", "B") * 40)[:n_words]
+            graph = compile_align_graph(tokens, ab_lexicon, model)
+            rng = np.random.default_rng(9)
+            table = rng.normal(-60.0, 5.0, (t_frames, model.n_model_states))
+            patch_emissions(monkeypatch, table)
+            emis = am.state_logliks(model, np.zeros((t_frames, DIM)), graph.states)[0]
+            log_trans = model.log_transitions()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = viterbi_path(graph, log_trans, emis)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert result is not None
+            m, u = len(graph.node_state), len(graph.states)
+            assert peak < 8 * t_frames * (m + 3 * u + 16) + 256 * m, n_words
 
 
 class TestTraining:

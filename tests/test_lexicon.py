@@ -139,9 +139,12 @@ class TestFileFormats:
 
     def test_bad_lexicon_line(self, tmp_path):
         path = tmp_path / "lexicon.tsv"
-        path.write_text("CAT\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="lexicon.tsv:1"):
-            read_lexicon(path)
+        # no tab, an empty word, a word holding whitespace: the last two
+        # would match no transcript token
+        for text in ["CAT\n", "\tA B\n", "X Y\tA\n"]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match="lexicon.tsv:1"):
+                read_lexicon(path)
 
     def test_duplicate_word_names_line(self, tmp_path):
         path = tmp_path / "lexicon.tsv"

@@ -339,7 +339,16 @@ class TestArpa:
          r"bad\.arpa:5: could not convert string to float: 'x'"),
         ("\\data\\\nngram 1=1\n\n\\one-grams:\n-0.1\tA\n\n\\end\\\n",
          r"bad\.arpa:4: .* in '\\\\one-grams:'"),
-    ], ids=["empty", "no_count", "bad_prob", "bad_backoff", "bad_section"])
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\nnan\tA\n\n\\end\\\n",
+         r"bad\.arpa:5: non-finite .* in 'nan\\tA'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\ninf\tA\n\n\\end\\\n",
+         r"bad\.arpa:5: non-finite .* in 'inf\\tA'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-inf\tA\n\n\\end\\\n",
+         r"bad\.arpa:5: non-finite .* in '-inf\\tA'"),
+        ("\\data\\\nngram 1=2\n\n\\1-grams:\n-99\t<s>\tinf\n-0.1\tA\n\n\\end\\\n",
+         r"bad\.arpa:5: non-finite .* in '-99\\t<s>\\tinf'"),
+    ], ids=["empty", "no_count", "bad_prob", "bad_backoff", "bad_section",
+            "nan_prob", "inf_prob", "-inf_prob", "inf_backoff"])
     def test_malformed_file_names_its_location(self, tmp_path, text, where):
         path = tmp_path / "bad.arpa"
         path.write_text(text, encoding="utf-8")
