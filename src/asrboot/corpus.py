@@ -303,7 +303,10 @@ def non_finite_summary(x: np.ndarray, step: int) -> str | None:
     return f"{count} non-finite samples, the first at index {first}"
 
 
-_PCM16_BLOCK = 1 << 16  # samples scaled per float64 temporary
+_PCM16_BLOCK = 1 << 16  # samples checked for NaN and inf at a time
+# samples scaled per float64 temporary: with its int16 copy, 0.625 of one
+# block's float64 bytes
+_PCM16_STEP = _PCM16_BLOCK // 2
 
 
 def write_wav_pcm16(path, samples: np.ndarray) -> None:
@@ -311,34 +314,63 @@ def write_wav_pcm16(path, samples: np.ndarray) -> None:
     a 44-byte header, then the int16 samples as they lie in memory, the
     bytes ``scipy.io.wavfile.write`` gives them.  int16 samples are
     written as they are; float ones are scaled by 32768, rounded and
-    clipped.  Samples of any other shape raise ``ValueError`` naming the
-    path and the shape, and a NaN or inf one naming the path, the count
-    of non-finite samples and the index of the first, both before the
-    file is opened."""
+    clipped, a step at a time, by `write_wav_pcm16_blocks`.  Samples of
+    any other shape raise ``ValueError`` naming the path and the shape,
+    and a NaN or inf one naming the path, the count of non-finite
+    samples and the index of the first, both before the file is
+    opened."""
     if samples.ndim != 1:
         raise ValueError(f"{path}: samples of shape {samples.shape}, need (n,) mono")
     if samples.dtype != np.int16:
-        # block by block into one int16 array: no float64 copy of the
-        # whole signal; each step is elementwise, so the blocks change nothing
-        pcm = np.empty(len(samples), dtype=np.int16)
-        buf = np.empty(min(len(samples), _PCM16_BLOCK))
-        for lo in range(0, len(samples), _PCM16_BLOCK):
-            part = samples[lo:lo + _PCM16_BLOCK]
-            if not np.isfinite(part).all():
-                summary = non_finite_summary(samples, _PCM16_BLOCK)
-                raise ValueError(f"{path}: {summary}")
-            block = np.multiply(part, 32768.0, out=buf[:len(part)], dtype=np.float64)
-            np.rint(block, out=block)
-            pcm[lo:lo + len(part)] = np.clip(block, -32768, 32767, out=block)
-        samples = pcm
+        summary = non_finite_summary(samples, _PCM16_BLOCK)
+        if summary:
+            raise ValueError(f"{path}: {summary}")
+    write_wav_pcm16_blocks(path, len(samples), [samples])
+
+
+def write_wav_pcm16_blocks(path, n: int, blocks: Iterable[np.ndarray]) -> None:
+    """Write the ``n`` samples that the 1-D ``blocks`` hold, in order, as
+    `write_wav_pcm16` writes them joined into one array: the header, then
+    each block converted and written as it comes, ``_PCM16_STEP``
+    samples at a time, so nothing the length of the file is held.  The
+    writer reads a block before it takes the next, so a block may be a
+    buffer the iterator refills.
+
+    A NaN or inf sample raises ``ValueError`` naming the path and the
+    sample's index, and so do blocks that hold other than ``n`` samples;
+    the partial file is removed, as it is for an error the iterator
+    raises."""
     header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + samples.nbytes, b"WAVE",
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * n, b"WAVE",
         b"fmt ", 16, _PCM, 1, CANONICAL_RATE, 2 * CANONICAL_RATE, 2, 16,
-        b"data", samples.nbytes,
+        b"data", 2 * n,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        samples.tofile(fh)
+    buf = np.empty(_PCM16_STEP)
+    done = 0
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            for block in blocks:
+                for lo in range(0, len(block), _PCM16_STEP):
+                    part = block[lo:lo + _PCM16_STEP]
+                    if part.dtype != np.int16:
+                        # elementwise, so the blocks change nothing
+                        finite = np.isfinite(part)
+                        if not finite.all():
+                            first = done + int(np.argmin(finite))
+                            raise ValueError(f"{path}: a non-finite sample at index {first}")
+                        scaled = np.multiply(part, 32768.0, out=buf[:len(part)],
+                                             dtype=np.float64)
+                        np.rint(scaled, out=scaled)
+                        part = np.clip(scaled, -32768, 32767, out=scaled).astype(np.int16)
+                    part.tofile(fh)
+                    done += len(part)
+            if done != n:
+                raise ValueError(f"{path}: {done} samples, the header says {n}")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 # the rates `resample` accepts: from _MIN_RATE Hz, with a reduced ratio

@@ -13,7 +13,9 @@ clips, then the extra LM lines.  One local clip writer, ``clips``, writes
 the short-form and test sets; the word counts per utterance are the
 constants `SHORTFORM_WORDS`, `UTTERANCE_WORDS`, `TEST_WORDS` and
 `CORRUPTION_WORDS`.  A new kind of draw that must leave today's corpora
-byte-identical takes a separate generator.
+byte-identical takes a separate generator, as the re-renders of a
+long-form recording's phrases do (`synth_corpus` streams each recording
+to its file).
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import CANONICAL_RATE, Utterance, write_manifest, write_wav_pcm16
+from .corpus import (
+    CANONICAL_RATE,
+    Utterance,
+    write_manifest,
+    write_wav_pcm16,
+    write_wav_pcm16_blocks,
+)
 
 DEFAULT_GRAPHEMES = ("A", "B", "D", "E", "K", "L", "M", "O", "S", "U")
 
@@ -85,7 +93,8 @@ TEST_WORDS = (2, 6)
 CORRUPTION_WORDS = (6, 12)  # an off-script transcript line
 WORD_LENGTH = (2, 5)
 
-# samples per block of add_noise's gather and noise draw
+# samples per block of the noise draw, in add_noise and in a long-form
+# recording's stream
 NOISE_BLOCK = 1 << 16
 
 
@@ -198,40 +207,52 @@ def add_noise(
     ``ValueError``.  The noise is one ``rng.normal`` draw of ``len(x)``
     values, taken ``NOISE_BLOCK`` at a time (a generator's consecutive
     draws equal one long draw), so ``x`` ends equal to ``x + noise`` to
-    the bit.  The active samples are gathered block by block into one
-    array of exactly their count, whose mean is the power; nothing else
-    is the length of ``x``."""
+    the bit.  The power and the per-block draw are `_noise_scale` and
+    `_add_block_noise`, the steps a long-form recording's stream takes
+    too; the one array the length of ``x`` is the gathered active
+    samples."""
     _check_snr(snr_db)
     if x.dtype != np.float64 or x.ndim != 1:
         raise ValueError(f"add_noise needs 1-D float64 samples, got {x.dtype} {x.shape}")
     if snr_db == math.inf:
         return x
-    blocks = range(0, len(x), NOISE_BLOCK)
-    above = np.empty(min(len(x), NOISE_BLOCK), dtype=bool)
-    below = np.empty_like(above)
+    blocks = [x[lo : lo + NOISE_BLOCK] for lo in range(0, len(x), NOISE_BLOCK)]
+    count = sum(int(np.count_nonzero(_active(part))) for part in blocks)
+    scale = _noise_scale(blocks, count, snr_db)
+    for part in blocks:
+        _add_block_noise(part, scale, rng)
+    return x
 
-    def active(lo: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Block ``lo`` of x, its |x| > 1e-9 mask and the mask's count."""
-        part = x[lo : lo + NOISE_BLOCK]
-        mask = np.greater(part, 1e-9, out=above[: part.size])
-        mask |= np.less(part, -1e-9, out=below[: part.size])
-        return part, mask, int(np.count_nonzero(mask))
 
-    gathered = np.empty(sum(active(lo)[2] for lo in blocks))
+def _active(x: np.ndarray) -> np.ndarray:
+    """The mask of the samples with |x| > 1e-9, whose power sets the
+    noise."""
+    mask = np.greater(x, 1e-9)
+    mask |= np.less(x, -1e-9)
+    return mask
+
+
+def _noise_scale(pieces: Iterable[np.ndarray], count: int, snr_db: float) -> float:
+    """The noise's standard deviation at ``snr_db`` below the power of the
+    ``count`` active samples of ``pieces``.  They are gathered in order
+    into one array of exactly their count, whose mean square is the
+    power (1e-6 when there are none): the same array, and so the same
+    float, whatever the pieces."""
+    gathered = np.empty(count)
     at = 0
-    for lo in blocks:
-        part, mask, n = active(lo)
+    for part in pieces:
+        mask = _active(part)
+        n = int(np.count_nonzero(mask))
         np.compress(mask, part, out=gathered[at : at + n])
         at += n
-    power = (
-        float(np.mean(np.square(gathered, out=gathered))) if gathered.size else 1e-6
-    )
-    del gathered  # freed before the noise is drawn
-    scale = math.sqrt(power / (10.0 ** (snr_db / 10.0)))
-    for lo in blocks:
-        part = x[lo : lo + NOISE_BLOCK]
-        part += rng.normal(0.0, scale, size=part.size)
-    return x
+    power = float(np.mean(np.square(gathered, out=gathered))) if count else 1e-6
+    return math.sqrt(power / (10.0 ** (snr_db / 10.0)))
+
+
+def _add_block_noise(part: np.ndarray, scale: float, rng: np.random.Generator) -> None:
+    """Add the next ``len(part)`` noise values ``rng`` draws to ``part``,
+    in place."""
+    part += rng.normal(0.0, scale, size=part.size)
 
 
 def _silence(seconds: float) -> np.ndarray:
@@ -282,6 +303,89 @@ def make_vocabulary(
     return vocab
 
 
+class _Phrase(NamedTuple):
+    """A long-form phrase as the layout leaves it: enough to render its
+    audio again, bit for bit, without the shared generator."""
+
+    offset: int  # of its first sample in the recording
+    words: list[str]
+    state: dict  # the generator's state just before `synth_phrase` drew it
+    active: int  # its samples with |x| > 1e-9
+
+
+def _long_phrase(
+    words: Sequence[str], spec: SynthSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, list[Boundary]]:
+    """`synth_phrase` with the padding at both ends stripped, so that the
+    utterance gaps of a recording are the only silence between phrases."""
+    audio, bounds = synth_phrase(words, spec, rng)
+    pad = int(round(spec.clip_pad * CANONICAL_RATE))
+    return (audio[pad:-pad] if pad else audio), bounds
+
+
+def _rendered(
+    phrases: Sequence[_Phrase], spec: SynthSpec, kind: type
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset, audio) of each phrase in turn, drawn again from its saved
+    state by a generator of its own, a ``kind`` bit generator."""
+    gen = np.random.Generator(kind())
+    for phrase in phrases:
+        gen.bit_generator.state = phrase.state
+        yield phrase.offset, _long_phrase(phrase.words, spec, gen)[0]
+
+
+def _recording_blocks(
+    phrases: Sequence[_Phrase], n: int, spec: SynthSpec, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The ``n`` noisy samples of a long-form recording, ``NOISE_BLOCK`` at
+    a time, equal to the bit to `add_noise` on the whole recording: zeros
+    with each phrase rendered at its offset, plus the noise ``rng`` draws.
+    One render gathers the active samples for `_noise_scale`, a second
+    places them.  Each block is one buffer, refilled for the next."""
+    kind = type(rng.bit_generator)
+    if spec.snr_db != math.inf:
+        scale = _noise_scale(
+            (audio for _, audio in _rendered(phrases, spec, kind)),
+            sum(phrase.active for phrase in phrases), spec.snr_db,
+        )
+    placed = _rendered(phrases, spec, kind)
+    phrase = next(placed, None)
+    buf = np.empty(min(n, NOISE_BLOCK))
+    for lo in range(0, n, NOISE_BLOCK):
+        part = buf[: min(NOISE_BLOCK, n - lo)]
+        part.fill(0.0)
+        hi = lo + len(part)
+        while phrase is not None and phrase[0] < hi:
+            offset, audio = phrase
+            a, b = max(offset, lo), min(offset + len(audio), hi)
+            part[a - lo : b - lo] = audio[a - offset : b - offset]
+            if b < offset + len(audio):  # runs on into the next block
+                break
+            phrase = next(placed, None)
+        if spec.snr_db != math.inf:
+            _add_block_noise(part, scale, rng)
+        yield part
+
+
+def _check_sizes(
+    n_shortform, longform_minutes, n_test, vocabulary_size,
+    longform_recording_minutes, corruption_rate,
+) -> None:
+    """ValueError naming the first of `synth_corpus`'s sizes that it
+    cannot honour."""
+    for name, value, least in (("n_shortform", n_shortform, 0), ("n_test", n_test, 0),
+                               ("vocabulary_size", vocabulary_size, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not (math.isfinite(longform_minutes) and longform_minutes >= 0):
+        raise ValueError(f"longform_minutes must be finite and >= 0, got {longform_minutes!r}")
+    if not (math.isfinite(longform_recording_minutes) and longform_recording_minutes > 0):
+        raise ValueError("longform_recording_minutes must be finite and > 0, "
+                         f"got {longform_recording_minutes!r}")
+    if not 0.0 <= corruption_rate <= 1.0:
+        raise ValueError(f"corruption_rate must be in [0, 1], got {corruption_rate!r}")
+
+
 def synth_corpus(
     spec: SynthSpec,
     out_dir,
@@ -298,13 +402,27 @@ def synth_corpus(
     long-form transcripts (text with no matching audio); the ground truth
     records which transcript lines are corrupted.
 
-    Each long-form recording is built in one float64 buffer, sized once
-    to its target length plus the most that one phrase and one utterance
-    gap can add past it, and shrunk to its end; its noise is added in
-    place and it is written a block at a time.  Apart from that buffer,
-    nothing is the length of a recording, so memory grows with one
-    recording's samples, not with temporaries.
+    The counts are integers >= 0, and the vocabulary holds at least one
+    word, since every corpus draws words (its 400 extra LM lines, if
+    nothing else); ``longform_minutes`` is finite and >= 0, a
+    recording's minutes finite and > 0, and ``corruption_rate`` in
+    [0, 1].  A size out of range raises ``ValueError`` naming it before
+    anything is written.
+
+    Each long-form recording is laid out first: its words, gaps, truth
+    and corruption are drawn as they land, and of each phrase only its
+    offset, words, the generator state it was drawn from and its count
+    of active samples are kept.  Then `_recording_blocks` renders the
+    phrases again from those states and streams the noisy recording to
+    `write_wav_pcm16_blocks` ``NOISE_BLOCK`` samples at a time, with the
+    noise drawn from the shared generator in `add_noise`'s order.  The
+    files are those of a recording built whole in one buffer, with
+    `add_noise` and `write_wav_pcm16` on it, to the byte; the one array
+    that grows with a recording is its gathered active samples, about
+    half its float64 bytes.
     """
+    _check_sizes(n_shortform, longform_minutes, n_test, vocabulary_size,
+                 longform_recording_minutes, corruption_rate)
     if spec.min_signature_distance() < SIGNATURE_DISTANCE_FLOOR:
         raise SynthError("grapheme signatures are not distinguishable enough")
     out = Path(out_dir)
@@ -338,30 +456,22 @@ def synth_corpus(
     total_needed = longform_minutes * 60.0
     total_done = 0.0
     per_rec = longform_recording_minutes * 60.0
-    # synth_phrase pads both ends; strip to keep utterance gaps controlled
+    # a recording opens with one clip pad of silence
     pad = int(round(spec.clip_pad * CANONICAL_RATE))
-    # the most one stripped phrase and the utterance gap after it can add;
-    # a uniform draw may round one sample past its upper end
-    longest_gap = [int(round(max(gap) * CANONICAL_RATE)) + 1
-                   for gap in (spec.word_gap, spec.utterance_gap)]
-    overrun = (UTTERANCE_WORDS[1] * WORD_LENGTH[1] * _longest_unit(spec)
-               + (UTTERANCE_WORDS[1] - 1) * longest_gap[0] + longest_gap[1])
     while total_done < total_needed - 1e-9:
         target = min(per_rec, total_needed - total_done)
         rec_id = f"long{len(longform):03d}"
-        # one zeroed buffer, so the silences need no writes; only the last
-        # phrase and its gap run past the target, by at most `overrun`
-        signal = np.zeros(math.ceil(target * CANONICAL_RATE) + overrun)
+        phrases: list[_Phrase] = []
         cursor = pad
         truth_utts = []
         lines: list[str] = []
         corrupted_lines: list[int] = []
         while cursor / CANONICAL_RATE < target:
             words = pick_words(*UTTERANCE_WORDS)
-            audio, bounds = synth_phrase(words, spec, rng)
-            audio = audio[pad:-pad] if pad else audio
+            state = rng.bit_generator.state
+            audio, bounds = _long_phrase(words, spec, rng)
+            phrases.append(_Phrase(cursor, words, state, int(np.count_nonzero(_active(audio)))))
             start = cursor / CANONICAL_RATE
-            signal[cursor:cursor + len(audio)] = audio
             cursor += len(audio)
             truth_utts.append(
                 {
@@ -383,11 +493,9 @@ def synth_corpus(
                 corrupted_lines.append(len(lines))
                 lines.append(" ".join(pick_words(*CORRUPTION_WORDS)))
             cursor += int(round(rng.uniform(*spec.utterance_gap) * CANONICAL_RATE))
-        # shrinks; no view of the buffer outlives its statement
-        signal.resize(cursor, refcheck=False)
-        add_noise(signal, spec.snr_db, rng)
         audio_path = out / "audio" / f"{rec_id}.wav"
-        write_wav_pcm16(audio_path, signal)
+        write_wav_pcm16_blocks(audio_path, cursor,
+                               _recording_blocks(phrases, cursor, spec, rng))
         transcript_path = out / f"{rec_id}.txt"
         transcript_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         lm_lines += lines

@@ -318,3 +318,47 @@ def decode_reference(model, lm, tree, feats, cfg, survivors=None):
     if not tokens:
         raise DecodeError(f"beam emptied at frame {n_frames - 1}")
     return dec._finalize(tokens, dec._word_ends(tokens, n_frames))
+
+
+def longform_reference(spec, out_dir, vocabulary_size, longform_minutes,
+                       recording_minutes, corruption_rate=0.0):
+    """The long-form recordings of ``synth_corpus`` with no short-form
+    clips, each built whole: a zeroed float64 buffer of the recording's
+    length, its phrases placed in it, then ``add_noise`` on the whole
+    buffer and ``write_wav_pcm16``.  The reference the streamed
+    recordings are held to, byte for byte; returns the paths written to
+    ``out_dir``."""
+    from asrboot import synth
+    from asrboot.corpus import CANONICAL_RATE, write_wav_pcm16
+
+    rng = np.random.default_rng(spec.seed)
+    vocab = synth.make_vocabulary(spec, vocabulary_size, rng)
+
+    def pick_words(lo, hi):
+        k = int(rng.integers(lo, hi + 1))
+        return [vocab[int(rng.integers(0, len(vocab)))] for _ in range(k)]
+
+    pad = int(round(spec.clip_pad * CANONICAL_RATE))
+    paths = []
+    total_needed, total_done = longform_minutes * 60.0, 0.0
+    while total_done < total_needed - 1e-9:
+        target = min(recording_minutes * 60.0, total_needed - total_done)
+        placed = []
+        cursor = pad
+        while cursor / CANONICAL_RATE < target:
+            audio, _ = synth.synth_phrase(pick_words(*synth.UTTERANCE_WORDS), spec, rng)
+            audio = audio[pad:-pad] if pad else audio
+            placed.append((cursor, audio))
+            cursor += len(audio)
+            if corruption_rate > 0 and rng.random() < corruption_rate:
+                pick_words(*synth.CORRUPTION_WORDS)
+            cursor += int(round(rng.uniform(*spec.utterance_gap) * CANONICAL_RATE))
+        signal = np.zeros(cursor)
+        for offset, audio in placed:
+            signal[offset:offset + len(audio)] = audio
+        synth.add_noise(signal, spec.snr_db, rng)
+        path = out_dir / f"long{len(paths):03d}.wav"
+        write_wav_pcm16(path, signal)
+        paths.append(path)
+        total_done += cursor / CANONICAL_RATE
+    return paths

@@ -32,6 +32,7 @@ from asrboot.corpus import (
     wav_duration,
     write_manifest,
     write_wav_pcm16,
+    write_wav_pcm16_blocks,
 )
 from asrboot.features import compute_mfcc
 
@@ -481,8 +482,8 @@ class TestWavIO:
         assert not path.exists()
 
     def test_write_is_exact_across_blocks(self, tmp_path):
-        # two and a half blocks: float64 is scaled a block at a time into
-        # the one int16 array that is written
+        # two and a half blocks: float64 is scaled, converted to int16 and
+        # written a step at a time, so nothing is the length of x
         n = 5 * corpus._PCM16_BLOCK // 2
         x = np.random.default_rng(1).normal(0.0, 0.6, n)
         tracemalloc.start()
@@ -495,7 +496,48 @@ class TestWavIO:
         _, written = wavfile.read(str(tmp_path / "out.wav"))
         expected = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
         assert np.array_equal(written, expected)
-        assert peak < x.size * 2 + 1.25 * corpus._PCM16_BLOCK * 8
+        assert peak < 1.25 * corpus._PCM16_BLOCK * 8
+
+    def test_blocks_write_the_bytes_of_the_joined_array(self, tmp_path):
+        # blocks of any lengths, an empty one and an int16 one among them
+        x = np.random.default_rng(2).normal(0.0, 0.6, 3 * corpus._PCM16_STEP + 5)
+        x[:2] = [1.5, -1.5]
+        cuts = [0, 7, 7, corpus._PCM16_STEP + 3, 2 * corpus._PCM16_STEP, len(x)]
+        blocks = [x[a:b] for a, b in zip(cuts, cuts[1:])]
+        pcm = np.clip(np.rint(blocks[-1] * 32768.0), -32768, 32767).astype(np.int16)
+        write_wav_pcm16(tmp_path / "whole.wav", x)
+        write_wav_pcm16_blocks(tmp_path / "blocks.wav", len(x), blocks[:-1] + [pcm])
+        assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_mid_stream_removes_the_file(self, tmp_path, bad):
+        # the header and the first block are written when the second,
+        # which holds the fault, comes
+        first = np.zeros(corpus._PCM16_BLOCK)
+        second = np.zeros(corpus._PCM16_BLOCK)
+        second[9] = bad
+        path = tmp_path / "out.wav"
+        index = corpus._PCM16_BLOCK + 9
+        with pytest.raises(ValueError, match=rf"^{path}: a non-finite sample at index {index}$"):
+            write_wav_pcm16_blocks(path, 2 * len(first), iter([first, second]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n", [99, 101])
+    def test_blocks_of_another_length_than_declared_remove_the_file(self, tmp_path, n):
+        path = tmp_path / "out.wav"
+        with pytest.raises(ValueError, match=rf"^{path}: 100 samples, the header says {n}$"):
+            write_wav_pcm16_blocks(path, n, [np.zeros(60), np.zeros(40)])
+        assert not path.exists()
+
+    def test_an_error_of_the_blocks_removes_the_file(self, tmp_path):
+        def blocks():
+            yield np.zeros(50)
+            raise RuntimeError("render failed")
+
+        path = tmp_path / "out.wav"
+        with pytest.raises(RuntimeError, match="render failed"):
+            write_wav_pcm16_blocks(path, 100, blocks())
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "dtype, scale, offset",

@@ -3,6 +3,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from corpus_digest import corpus_digest
 from make_golden import differences
 from output_digest import canonical, digest, parse_seeds, write_dump
 
@@ -54,3 +55,21 @@ def test_a_dump_reads_back_equal_and_shows_what_moved(tmp_path):
     assert digest(last_bit) != digest(outputs)
     assert differences(a, b) == []
     assert differences(a, c) == [".pair.first[1]: -1e+30 -> -1.01e+30", ".count: 7 -> 8"]
+
+
+def test_corpus_digest_drops_the_directory_and_sees_names_and_bytes(tmp_path):
+    def write(out_dir, files):
+        for name, data in files.items():
+            (out_dir / name).parent.mkdir(parents=True, exist_ok=True)
+            (out_dir / name).write_bytes(data.replace(b"<out>", str(out_dir).encode()))
+        return corpus_digest(out_dir)
+
+    files = {"a.jsonl": b'{"audio": "<out>/audio/x.wav"}\n', "audio/x.wav": b"RIFF"}
+    same = write(tmp_path / "one", files)
+    assert write(tmp_path / "two", files) == same
+    assert write(tmp_path / "moved", {**files, "audio/x.wav": b"RIFX"}) != same
+    assert write(tmp_path / "renamed", {"b.jsonl": files["a.jsonl"],
+                                        "audio/x.wav": b"RIFF"}) != same
+    # a byte moved across the boundary of two files moves the digest
+    assert write(tmp_path / "split", {"a.jsonl": files["a.jsonl"] + b"R",
+                                      "audio/x.wav": b"IFF"}) != same

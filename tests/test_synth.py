@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import longform_reference
 
 from asrboot import synth
 from asrboot.corpus import CANONICAL_RATE, load_manifest, wav_duration
@@ -228,9 +229,9 @@ class TestSynthCorpus:
         assert a == b
 
     def test_long_form_memory_is_about_one_recording(self, tmp_path):
-        # a 2-min recording: its one float64 buffer (the target plus one
-        # phrase and gap) and the active samples add_noise gathers, about
-        # 1.5x the recording's float64 bytes
+        # a 2-min recording is streamed to its file: the one array that
+        # grows with it is its gathered active samples, about half its
+        # float64 bytes, beside a phrase and a block or two
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -241,7 +242,55 @@ class TestSynthCorpus:
         finally:
             tracemalloc.stop()
         (rec,) = corpus.longform
-        assert peak < 1.6 * 8 * wav_duration(rec.audio) * CANONICAL_RATE
+        assert peak < 0.75 * 8 * wav_duration(rec.audio) * CANONICAL_RATE
+
+    @pytest.mark.parametrize("snr_db", [20.0, math.inf])
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_streamed_recordings_equal_the_one_buffer_reference(self, tmp_path, seed,
+                                                                snr_db):
+        # two recordings, with off-script lines drawn between phrases
+        spec = SynthSpec(seed=seed, snr_db=snr_db)
+        sizes = dict(vocabulary_size=20, longform_minutes=0.7,
+                     longform_recording_minutes=0.4, corruption_rate=0.3)
+        corpus = synth_corpus(spec, tmp_path / "corpus", n_shortform=0, n_test=0, **sizes)
+        reference = longform_reference(spec, tmp_path, sizes["vocabulary_size"],
+                                       sizes["longform_minutes"],
+                                       sizes["longform_recording_minutes"],
+                                       sizes["corruption_rate"])
+        assert len(corpus.longform) == len(reference) == 2
+        for rec, path in zip(corpus.longform, reference):
+            assert Path(rec.audio).read_bytes() == path.read_bytes()
+            # no whole number of blocks, and a phrase runs across a block edge
+            n = round(wav_duration(rec.audio) * CANONICAL_RATE)
+            assert n % NOISE_BLOCK
+            assert any(round(u["start"] * CANONICAL_RATE) // NOISE_BLOCK
+                       < round(u["end"] * CANONICAL_RATE) // NOISE_BLOCK
+                       for u in rec.utterances)
+
+    @pytest.mark.parametrize("name, value", [
+        ("longform_minutes", math.inf),  # never returned
+        ("longform_minutes", math.nan),
+        ("longform_minutes", -0.5),
+        ("longform_recording_minutes", 0.0),  # recordings of padding only
+        ("longform_recording_minutes", math.inf),
+        ("longform_recording_minutes", -1.0),
+        ("vocabulary_size", 0),  # escaped as numpy's "high <= 0"
+        ("vocabulary_size", 2.0),
+        ("n_shortform", -1),
+        ("n_shortform", True),
+        ("n_test", 1.5),
+        ("corruption_rate", 1.5),
+        ("corruption_rate", -0.1),
+        ("corruption_rate", math.nan),
+    ])
+    def test_sizes_out_of_range_raise_before_any_file(self, tmp_path, name, value):
+        sizes = dict(n_shortform=1, longform_minutes=0.1, n_test=1, vocabulary_size=5,
+                     longform_recording_minutes=0.1, corruption_rate=0.0)
+        sizes[name] = value
+        out = tmp_path / "corpus"
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value!r}$"):
+            synth_corpus(SynthSpec(), out, **sizes)
+        assert not out.exists()
 
     def test_long_form_buffer_holds_the_longest_phrase(self, tmp_path, monkeypatch):
         # every phrase as long as the bound allows, the second starting one
